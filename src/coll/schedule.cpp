@@ -550,6 +550,37 @@ std::vector<Step> schedule_for(CollOp op, int algo, int n, int root,
   return {};
 }
 
+Schedule::Schedule(const ScheduleKey& key)
+    : steps_(schedule_for(key.op, key.algo, key.n, key.root, key.count,
+                          key.groups, key.segment_elems)),
+      offsets_(static_cast<std::size_t>(key.n) + 1, 0) {
+  const int n = key.n;
+  support::require(steps_.size() <= UINT32_MAX, "schedule: too many steps");
+  for (const Step& s : steps_) {
+    support::require(s.src >= 0 && s.src < n && s.dst >= 0 && s.dst < n &&
+                         s.src != s.dst,
+                     "schedule step member out of roster range");
+    ++offsets_[static_cast<std::size_t>(s.src) + 1];
+    ++offsets_[static_cast<std::size_t>(s.dst) + 1];
+  }
+  for (std::size_t m = 1; m < offsets_.size(); ++m) offsets_[m] += offsets_[m - 1];
+  index_.resize(offsets_.back());
+  std::vector<std::size_t> next(offsets_.begin(), offsets_.end() - 1);
+  for (std::size_t i = 0; i < steps_.size(); ++i) {
+    const auto step = static_cast<std::uint32_t>(i);
+    index_[next[static_cast<std::size_t>(steps_[i].src)]++] = step;
+    index_[next[static_cast<std::size_t>(steps_[i].dst)]++] = step;
+  }
+}
+
+std::span<const std::uint32_t> Schedule::member_steps(int member) const {
+  support::require(member >= 0 && member < members(),
+                   "schedule member out of range");
+  const std::size_t m = static_cast<std::size_t>(member);
+  return std::span<const std::uint32_t>(index_).subspan(
+      offsets_[m], offsets_[m + 1] - offsets_[m]);
+}
+
 std::vector<int> two_level_groups(const hnoc::Cluster& cluster,
                                   std::span<const int> member_procs) {
   std::vector<int> groups(member_procs.begin(), member_procs.end());

@@ -6,6 +6,12 @@
 // Keeping one generator per algorithm guarantees the cost model prices the
 // byte-for-byte schedule the executor runs.
 //
+// For execution, a call's flat step list is wrapped in a Schedule: built
+// once per collective call and shared by all of its members (the World
+// caches it under its ScheduleKey), with a per-member index so each member
+// walks only the steps it sends or receives. Memory is O(steps) per call,
+// not O(members x steps).
+//
 // Offsets and counts are in *elements* of the operation's logical vector:
 // the data buffer for bcast, the accumulator for reduce/allreduce, the
 // n-block receive buffer for allgather/reduce_scatter. Rounds express the
@@ -14,7 +20,9 @@
 // before any of its receives (so exchange rounds send pre-round values).
 #pragma once
 
+#include <compare>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -87,6 +95,45 @@ std::vector<Step> schedule_for(CollOp op, int algo, int n, int root,
                                std::size_t count,
                                std::span<const int> member_procs = {},
                                std::size_t segment_elems = kChainSegmentBytes);
+
+/// Everything schedule_for reads, as one comparable value: two calls with
+/// equal keys run the identical schedule, so they can share one Schedule.
+struct ScheduleKey {
+  CollOp op = CollOp::kBarrier;
+  int algo = 0;
+  int n = 0;
+  int root = 0;
+  std::size_t count = 0;
+  std::size_t segment_elems = kChainSegmentBytes;
+  std::vector<int> groups;  ///< Placement groups; kTwoLevel bcast only.
+
+  friend auto operator<=>(const ScheduleKey&, const ScheduleKey&) = default;
+};
+
+/// A round-grouped step list plus a CSR index of it by member: member m's
+/// view lists, in schedule order, the steps it sends or receives, so every
+/// step appears in exactly two views (schedules never message themselves).
+/// Immutable once built, hence safe to share across the simulated processes
+/// of one call.
+class Schedule {
+ public:
+  /// Generates schedule_for(key...) and indexes it by member.
+  explicit Schedule(const ScheduleKey& key);
+
+  int members() const noexcept { return static_cast<int>(offsets_.size()) - 1; }
+
+  /// The flat schedule, in round order.
+  std::span<const Step> steps() const noexcept { return steps_; }
+
+  /// Indices into steps() of the steps naming `member` as src or dst, in
+  /// schedule order.
+  std::span<const std::uint32_t> member_steps(int member) const;
+
+ private:
+  std::vector<Step> steps_;
+  std::vector<std::size_t> offsets_;  ///< members()+1 offsets into index_.
+  std::vector<std::uint32_t> index_;
+};
 
 /// Grouping key per member for hierarchy-aware schedules (the kTwoLevel
 /// bcast): each member's LAN id when the cluster carries a two-level

@@ -412,7 +412,10 @@ void Runtime::recon_impl(const mp::Comm& comm,
   // Every process applies the identical update (idempotent): per processor,
   // the best speed any of its processes demonstrated. A processor whose
   // every process timed out keeps its previous estimate but becomes suspect;
-  // any demonstrated speed clears the mark.
+  // any demonstrated speed clears the mark. Only a speed that differs is
+  // written: each write re-stamps the model version, and a re-stamp per
+  // process would make every rank's closing barrier re-price its algorithm
+  // choice in the collective tuner.
   bool speeds_changed = false;
   {
     std::lock_guard<std::mutex> lock(shared_->mutex);
@@ -423,7 +426,9 @@ void Runtime::recon_impl(const mp::Comm& comm,
     }
     for (const auto& [processor, speed] : best) {
       if (speed > 0.0) {
-        shared_->network->set_speed(processor, speed);
+        if (shared_->network->speed(processor) != speed) {
+          shared_->network->set_speed(processor, speed);
+        }
         speeds_changed = true;
         if (shared_->suspect_processors.erase(processor) > 0) {
           telemetry::metrics().counter("processors_recovered").add();

@@ -386,24 +386,31 @@ Comm::CollChoice Comm::coll_select(coll::CollOp op, std::size_t bytes) const {
   return choice;
 }
 
-std::vector<coll::Step> Comm::coll_schedule(coll::CollOp op, int algo,
-                                            int root, std::size_t count,
-                                            std::size_t elem_size) const {
-  // Only the two-level bcast reads placement; skip the lookup otherwise.
-  // On a two-level cluster the placement is collapsed to LAN ids, so the
-  // leader election spans whole LANs rather than single machines (flat
-  // clusters pass machine ids through unchanged).
-  std::vector<int> procs;
-  std::span<const int> procs_span;
-  if (op == coll::CollOp::kBcast &&
-      static_cast<coll::BcastAlgo>(algo) == coll::BcastAlgo::kTwoLevel) {
-    procs = coll::two_level_groups(proc_->world().cluster(), member_procs());
-    procs_span = procs;
+std::shared_ptr<const coll::Schedule> Comm::coll_schedule(
+    coll::CollOp op, int algo, int root, std::size_t count,
+    std::size_t elem_size) const {
+  coll::ScheduleKey key;
+  key.op = op;
+  key.algo = algo;
+  key.n = size();
+  key.root = root;
+  key.count = count;
+  // Only the chain bcast reads the segment size and only the two-level bcast
+  // reads placement; leaving them at their defaults elsewhere lets calls
+  // that differ only in element type share one schedule. On a two-level
+  // cluster the placement is collapsed to LAN ids, so the leader election
+  // spans whole LANs rather than single machines (flat clusters pass
+  // machine ids through unchanged).
+  if (op == coll::CollOp::kBcast) {
+    const auto bcast = static_cast<coll::BcastAlgo>(algo);
+    if (bcast == coll::BcastAlgo::kChain) {
+      key.segment_elems = std::max<std::size_t>(
+          1, coll::kChainSegmentBytes / std::max<std::size_t>(1, elem_size));
+    } else if (bcast == coll::BcastAlgo::kTwoLevel) {
+      key.groups = coll::two_level_groups(proc_->world().cluster(), member_procs());
+    }
   }
-  const std::size_t segment_elems = std::max<std::size_t>(
-      1, coll::kChainSegmentBytes / std::max<std::size_t>(1, elem_size));
-  return coll::schedule_for(op, algo, size(), root, count, procs_span,
-                            segment_elems);
+  return proc_->world().coll_schedule(key);
 }
 
 void Comm::coll_finish(coll::CollOp op, int algo, std::size_t bytes,
@@ -431,9 +438,8 @@ void Comm::barrier() const {
   if (size() <= 1) return;
   const CollChoice choice = coll_select(coll::CollOp::kBarrier, 0);
   const double start = proc_->clock();
-  const std::vector<coll::Step> steps =
-      coll_schedule(coll::CollOp::kBarrier, choice.algo, 0, 0, 1);
-  coll::run_schedule(*this, std::span<const coll::Step>(steps),
+  coll::run_schedule(*this,
+                     *coll_schedule(coll::CollOp::kBarrier, choice.algo, 0, 0, 1),
                      std::span<std::byte>(),
                      [](std::byte a, std::byte) { return a; },
                      internal_tag::kBarrierBase);
@@ -446,10 +452,10 @@ void Comm::bcast_bytes(std::span<std::byte> data, int root) const {
   if (size() <= 1) return;
   const CollChoice choice = coll_select(coll::CollOp::kBcast, data.size());
   const double start = proc_->clock();
-  const std::vector<coll::Step> steps =
-      coll_schedule(coll::CollOp::kBcast, choice.algo, root, data.size(), 1);
-  coll::run_schedule(*this, std::span<const coll::Step>(steps), data,
-                     [](std::byte a, std::byte) { return a; },
+  coll::run_schedule(*this,
+                     *coll_schedule(coll::CollOp::kBcast, choice.algo, root,
+                                    data.size(), 1),
+                     data, [](std::byte a, std::byte) { return a; },
                      internal_tag::kBcastBase);
   coll_finish(coll::CollOp::kBcast, choice.algo, data.size(), start,
               choice.predicted_s);

@@ -311,12 +311,14 @@ class Comm {
   /// communicator rank 0. Must be called identically by every member.
   CollChoice coll_select(coll::CollOp op, std::size_t bytes) const;
 
-  /// Builds the message schedule for the resolved algorithm (count follows
-  /// the coll::schedule_for convention: elements for bcast/reduce/allreduce,
+  /// The message schedule for the resolved algorithm, shared by every
+  /// member of the call through World::coll_schedule (count follows the
+  /// coll::schedule_for convention: elements for bcast/reduce/allreduce,
   /// block elements for reduce_scatter/allgather, ignored for barrier).
-  std::vector<coll::Step> coll_schedule(coll::CollOp op, int algo, int root,
-                                        std::size_t count,
-                                        std::size_t elem_size) const;
+  std::shared_ptr<const coll::Schedule> coll_schedule(coll::CollOp op,
+                                                      int algo, int root,
+                                                      std::size_t count,
+                                                      std::size_t elem_size) const;
 
   /// Closes the books on a finished collective: observes the
   /// coll.<op>.seconds histogram and feeds measured-vs-predicted back to the
@@ -412,10 +414,9 @@ void Comm::reduce(std::span<const T> in, std::span<T> out, Op op,
   const CollChoice choice = coll_select(coll::CollOp::kReduce, bytes);
   const double start = proc_->clock();
   std::vector<T> acc(in.begin(), in.end());
-  const std::vector<coll::Step> steps =
-      coll_schedule(coll::CollOp::kReduce, choice.algo, root, in.size(),
-                    sizeof(T));
-  coll::run_schedule(*this, std::span<const coll::Step>(steps),
+  coll::run_schedule(*this,
+                     *coll_schedule(coll::CollOp::kReduce, choice.algo, root,
+                                    in.size(), sizeof(T)),
                      std::span<T>(acc), op, internal_tag::kReduceBase);
   if (rank() == root) {
     std::copy(acc.begin(), acc.end(), out.begin());
@@ -437,10 +438,9 @@ void Comm::allreduce(std::span<const T> in, std::span<T> out, Op op) const {
   const CollChoice choice = coll_select(coll::CollOp::kAllreduce, bytes);
   const double start = proc_->clock();
   std::vector<T> acc(in.begin(), in.end());
-  const std::vector<coll::Step> steps =
-      coll_schedule(coll::CollOp::kAllreduce, choice.algo, 0, in.size(),
-                    sizeof(T));
-  coll::run_schedule(*this, std::span<const coll::Step>(steps),
+  coll::run_schedule(*this,
+                     *coll_schedule(coll::CollOp::kAllreduce, choice.algo, 0,
+                                    in.size(), sizeof(T)),
                      std::span<T>(acc), op, internal_tag::kAllreduceBase);
   std::copy(acc.begin(), acc.end(), out.begin());
   coll_finish(coll::CollOp::kAllreduce, choice.algo, bytes, start,
@@ -465,10 +465,9 @@ void Comm::reduce_scatter(std::span<const T> in, std::span<T> out,
   const CollChoice choice = coll_select(coll::CollOp::kReduceScatter, bytes);
   const double start = proc_->clock();
   std::vector<T> acc(in.begin(), in.end());
-  const std::vector<coll::Step> steps =
-      coll_schedule(coll::CollOp::kReduceScatter, choice.algo, 0, block,
-                    sizeof(T));
-  coll::run_schedule(*this, std::span<const coll::Step>(steps),
+  coll::run_schedule(*this,
+                     *coll_schedule(coll::CollOp::kReduceScatter, choice.algo,
+                                    0, block, sizeof(T)),
                      std::span<T>(acc), op, internal_tag::kReduceScatterBase);
   const auto mine = std::span<const T>(acc).subspan(
       block * static_cast<std::size_t>(rank()), block);
@@ -491,10 +490,11 @@ void Comm::allgather(std::span<const T> send_data, std::span<T> recv_data) const
   const std::size_t bytes = block * static_cast<std::size_t>(n) * sizeof(T);
   const CollChoice choice = coll_select(coll::CollOp::kAllgather, bytes);
   const double start = proc_->clock();
-  const std::vector<coll::Step> steps = coll_schedule(
-      coll::CollOp::kAllgather, choice.algo, 0, block, sizeof(T));
   // Allgather schedules only copy blocks around; the combiner is never used.
-  coll::run_schedule(*this, std::span<const coll::Step>(steps), recv_data,
+  coll::run_schedule(*this,
+                     *coll_schedule(coll::CollOp::kAllgather, choice.algo, 0,
+                                    block, sizeof(T)),
+                     recv_data,
                      [](const T& a, const T&) { return a; },
                      internal_tag::kAllgatherBase);
   coll_finish(coll::CollOp::kAllgather, choice.algo, bytes, start,

@@ -276,6 +276,20 @@ std::shared_ptr<void> World::get_or_create_shared(
   return shared_;
 }
 
+std::shared_ptr<const coll::Schedule> World::coll_schedule(
+    const coll::ScheduleKey& key) {
+  std::lock_guard<std::mutex> lock(schedule_mutex_);
+  auto it = schedules_.find(key);
+  if (it != schedules_.end()) {
+    if (auto live = it->second.lock()) return live;
+  }
+  std::erase_if(schedules_,
+                [](const auto& entry) { return entry.second.expired(); });
+  auto schedule = std::make_shared<const coll::Schedule>(key);
+  schedules_.insert_or_assign(key, schedule);
+  return schedule;
+}
+
 void World::abort_all() {
   aborted_.store(true);
   for (auto& mb : mailboxes_) mb->shutdown();

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "coll/policy.hpp"
+#include "coll/schedule.hpp"
 #include "hnoc/cluster.hpp"
 #include "mpsim/engine.hpp"
 #include "mpsim/fault.hpp"
@@ -324,6 +325,12 @@ class World {
     return coll_selector_.get();
   }
 
+  /// The schedule for `key`, built by the first member of a collective call
+  /// to ask and shared with every other member (and with any concurrent call
+  /// on an equal key). The World holds only weak references, so a schedule
+  /// lives exactly as long as some member is executing it.
+  std::shared_ptr<const coll::Schedule> coll_schedule(const coll::ScheduleKey& key);
+
   /// The run's causal log (docs/observability.md). Always present; mode kOff
   /// makes record() a no-op.
   telemetry::CausalLog& causal_log() noexcept { return *causal_; }
@@ -368,6 +375,9 @@ class World {
   std::mutex shared_mutex_;
   std::shared_ptr<void> shared_;
   std::shared_ptr<coll::Selector> coll_selector_;
+
+  std::mutex schedule_mutex_;
+  std::map<coll::ScheduleKey, std::weak_ptr<const coll::Schedule>> schedules_;
 
   /// Shared so RunResult can export it past the World's destruction.
   std::shared_ptr<telemetry::CausalLog> causal_;

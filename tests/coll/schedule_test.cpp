@@ -293,6 +293,57 @@ TEST(Schedules, DisseminationBarrierUsesLogRounds) {
   }
 }
 
+TEST(Schedules, MemberViewsListExactlyEachMembersSteps) {
+  // Each member's view must be the steps naming it as src or dst, in
+  // schedule order; with no self-messages every step lands in two views.
+  std::vector<int> sizes;
+  for (int n = 1; n <= 33; ++n) sizes.push_back(n);
+  sizes.push_back(1000);
+  sizes.push_back(1024);
+  for (CollOp op : {CollOp::kBcast, CollOp::kReduce, CollOp::kAllreduce,
+                    CollOp::kReduceScatter, CollOp::kAllgather,
+                    CollOp::kBarrier}) {
+    for (int algo = 1; algo <= algo_count(op); ++algo) {
+      for (int n : sizes) {
+        ScheduleKey key;
+        key.op = op;
+        key.algo = algo;
+        key.n = n;
+        key.count = 16;
+        key.segment_elems = 4;
+        key.groups.resize(static_cast<std::size_t>(n));
+        for (int r = 0; r < n; ++r) key.groups[static_cast<std::size_t>(r)] = r % 3;
+        for (int root : {0, n / 2, n - 1}) {
+          key.root = root;
+          const Schedule schedule(key);
+          const std::span<const Step> steps = schedule.steps();
+          ASSERT_EQ(schedule.members(), n);
+          std::vector<std::vector<std::uint32_t>> expected(
+              static_cast<std::size_t>(n));
+          for (std::size_t i = 0; i < steps.size(); ++i) {
+            const auto step = static_cast<std::uint32_t>(i);
+            expected[static_cast<std::size_t>(steps[i].src)].push_back(step);
+            expected[static_cast<std::size_t>(steps[i].dst)].push_back(step);
+          }
+          std::vector<int> views(steps.size(), 0);
+          for (int m = 0; m < n; ++m) {
+            const std::span<const std::uint32_t> mine = schedule.member_steps(m);
+            ASSERT_EQ(std::vector<std::uint32_t>(mine.begin(), mine.end()),
+                      expected[static_cast<std::size_t>(m)])
+                << op_name(op) << "/" << algo_name(op, algo) << " n=" << n
+                << " root=" << root << " member " << m;
+            for (std::uint32_t i : mine) ++views[i];
+          }
+          for (std::size_t i = 0; i < views.size(); ++i) {
+            ASSERT_EQ(views[i], 2) << op_name(op) << "/" << algo_name(op, algo)
+                                   << " n=" << n << " step " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Schedules, TagWrapsWithinReservedBlock) {
   Step s;
   s.round = 300;

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "hnoc/cluster.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace hmpi {
 namespace {
@@ -95,6 +96,34 @@ TEST(Runtime, ReconSeesExternalLoad) {
     EXPECT_NEAR(speeds[1], 25.0, 1e-9);  // multi-user load discovered
     rt.finalize();
   });
+}
+
+TEST(Runtime, ReconTunerMissesDoNotGrowWithProcessCount) {
+  // Every process computes the same speed update; applying it once leaves
+  // one model version, hence one tuner memo key, for every rank's closing
+  // barrier. So the tuner misses accrued by Init + Recon are independent of
+  // how many processes share the machines.
+  auto misses = [](int procs) {
+    const hnoc::Cluster cluster = hnoc::testbeds::homogeneous(4, 50.0);
+    std::vector<int> placement(static_cast<std::size_t>(procs));
+    for (int r = 0; r < procs; ++r) placement[static_cast<std::size_t>(r)] = r % 4;
+    World::Options options;
+    options.engine = mp::sim::SimEngine::kEvent;
+    const auto before = telemetry::metrics().snapshot();
+    World::run(
+        cluster, placement,
+        [](Proc& p) {
+          Runtime rt(p);
+          rt.recon([](Proc& q) { q.compute(10.0); });  // speeds 50 -> 5
+          rt.finalize();
+        },
+        options);
+    return telemetry::metrics().snapshot().counter_value("coll.tuner.misses") -
+           before.counter_value("coll.tuner.misses");
+  };
+  const double at16 = misses(16);
+  EXPECT_GT(at16, 0.0);
+  EXPECT_EQ(misses(64), at16);
 }
 
 TEST(Runtime, ReconRejectsZeroWorkBenchmark) {

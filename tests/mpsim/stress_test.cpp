@@ -206,10 +206,9 @@ std::size_t peak_rss_bytes() {
 TEST(StressAtScale, TenThousandProcessRingAndBarrier) {
   // P = 10000 simulated processes — far beyond what thread-per-process can
   // host (10k OS threads x 8 MiB default stacks) — on 16 machines under the
-  // event engine. The program is hand-rolled p2p (Comm collectives build
-  // O(P^2 log P) schedule steps per member at this scale): one ring
-  // exchange, then a dissemination barrier, then a second ring round so
-  // traffic crosses the barrier's clock alignment.
+  // event engine. One ring exchange, then the library barrier and an int
+  // allreduce, then a second ring round so traffic crosses the barrier's
+  // clock alignment.
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
   const int P = 2000;  // sanitizer shadow memory makes 10k fibers too heavy
 #else
@@ -234,14 +233,13 @@ TEST(StressAtScale, TenThousandProcessRingAndBarrier) {
           comm.send_placeholder(256, (me + 1) % P, tag);
           comm.recv_placeholder((me + P - 1) % P, tag);
         };
-        auto dissemination_barrier = [&](int tag_base) {
-          for (int k = 1, round = 0; k < P; k <<= 1, ++round) {
-            comm.send_placeholder(1, (me + k) % P, tag_base + round);
-            comm.recv_placeholder((me + P - k) % P, tag_base + round);
-          }
-        };
         ring_round(1);
-        dissemination_barrier(100);
+        comm.barrier();
+        const int one = 1;
+        int total = 0;
+        comm.allreduce(std::span<const int>(&one, 1), std::span<int>(&total, 1),
+                       [](int a, int b) { return a + b; });
+        EXPECT_EQ(total, P);
         ring_round(2);
       },
       options);
@@ -251,13 +249,14 @@ TEST(StressAtScale, TenThousandProcessRingAndBarrier) {
           .count();
 
   ASSERT_EQ(result.clocks.size(), static_cast<std::size_t>(P));
-  // The dissemination barrier aligns everyone: after the final ring round
-  // every clock is positive and the makespan is finite and tiny (pure
-  // latency, no data volume).
+  // The barrier aligns everyone: after the final ring round
+  // every clock is positive and the makespan is finite and small (pure
+  // latency queued on the 16 machines' shared links, no data volume; about
+  // 9.6 s through the barrier and 12.8 s with the allreduce).
   for (double c : result.clocks) EXPECT_GT(c, 0.0);
-  EXPECT_LT(result.makespan, 10.0);
+  EXPECT_LT(result.makespan, 20.0);
   for (const auto& s : result.stats) {
-    EXPECT_GE(s.msgs_sent, 2u);      // 2 ring rounds + barrier rounds
+    EXPECT_GE(s.msgs_sent, 2u);      // 2 ring rounds + collective steps
     EXPECT_EQ(s.msgs_sent, s.msgs_received);
   }
 #if defined(NDEBUG) && !defined(__SANITIZE_THREAD__) && \
@@ -268,7 +267,8 @@ TEST(StressAtScale, TenThousandProcessRingAndBarrier) {
   EXPECT_LT(wall_s, 60.0) << "10k-process run too slow";
   const std::size_t rss = peak_rss_bytes();
   if (rss != 0) {
-    EXPECT_LT(rss, 8ull * 1024 * 1024 * 1024) << "peak RSS over budget";
+    // About 2x the measured peak (~150 MB on x86-64 Linux, RelWithDebInfo).
+    EXPECT_LT(rss, 300ull * 1024 * 1024) << "peak RSS over budget";
   }
 #else
   (void)wall_s;
