@@ -1,16 +1,15 @@
-// Ablation A9 (DESIGN.md): the compiled cost IR and delta re-estimation
-// (docs/estimator.md). Three tables on the paper's 9-machine EM3D testbed:
-//   * A9a — Timeof microbench: pricing the same mappings through the pmdl
-//     scheme interpreter vs Plan::evaluate. Enforces the >= 5x acceptance
-//     bar and bit-identical values per mapping.
-//   * A9b — end-to-end Group_create-shaped selection (portfolio mapper,
-//     estimate cache on, the runtime defaults) across
-//     {interpreter, compiled, compiled+delta} x {1, 2, 8} threads.
-//     Enforces bit-identical selections across every mode/thread pairing.
-//   * A9c — what the delta path saves: IR ops replayed vs the ops full
-//     evaluation would have run, on the hill climbers. EM3D's scheme
-//     touches every processor in its first phase (suffix ~ whole plan);
-//     a staggered pipeline model shows the savings when entries stagger.
+// Ablation A9 (DESIGN.md): the estimator kernel against the reference
+// scheme interpreter (docs/estimator.md). Two tables on the paper's
+// 9-machine EM3D testbed:
+//   * A9a — Timeof microbench: pricing the same mappings through the
+//     reference interpreter vs Plan::evaluate (a count-1 call into the
+//     batch kernel). Enforces the >= 5x acceptance bar and bit-identical
+//     values per mapping.
+//   * A9b — end-to-end Group_create-shaped selection (portfolio mapper, the
+//     runtime's plan cache) across {1, 2, 8} threads x estimate cache
+//     {on, off}. Enforces bit-identical selections across the matrix, and
+//     that each estimate equals the reference interpreter's price of the
+//     chosen mapping bit for bit.
 // Exit status 1 (FATAL on stderr) on any acceptance-bar violation.
 #include <chrono>
 #include <cstdio>
@@ -22,11 +21,11 @@
 #include "apps/em3d/app.hpp"
 #include "bench_util.hpp"
 #include "estimator/estimate_cache.hpp"
-#include "estimator/estimator.hpp"
 #include "estimator/plan.hpp"
 #include "hnoc/cluster.hpp"
 #include "mapper/mapper.hpp"
 #include "pmdl/model.hpp"
+#include "reference/estimator.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
@@ -56,29 +55,6 @@ pmdl::ModelInstance em3d_instance() {
   return model.instantiate(apps::em3d::model_parameters(system, /*k=*/1000));
 }
 
-/// Staggered pipeline: processor a enters the schedule only at phase a
-/// (20 computes, then a transfer to a+1), so a move on a late slot leaves a
-/// long untouched prefix — the shape the delta path exists for.
-pmdl::ModelInstance pipeline_instance(int p) {
-  pmdl::InstanceBuilder b("pipeline");
-  b.shape({p});
-  for (int a = 0; a < p; ++a) {
-    b.node_volume(a, 400.0 + 40.0 * a);
-    if (a + 1 < p) b.link(a, a + 1, 1e5);
-  }
-  b.scheme([p](pmdl::ScheduleSink& s) {
-    for (long long a = 0; a < p; ++a) {
-      const long long c[1] = {a};
-      for (int r = 0; r < 20; ++r) s.compute(c, 5.0);
-      if (a + 1 < p) {
-        const long long d[1] = {a + 1};
-        s.transfer(c, d, 100.0);
-      }
-    }
-  });
-  return b.build();
-}
-
 }  // namespace
 
 int main() {
@@ -91,10 +67,10 @@ int main() {
 
   std::vector<support::Table> exported;
 
-  // --- A9a: Timeof microbench — interpreter vs compiled ------------------
-  // The same random mappings priced by both backends, repeated enough that
-  // wall times are meaningful. Values must match bit for bit (the plan
-  // contract), and compiled must clear the 5x acceptance bar.
+  // --- A9a: Timeof microbench — reference interpreter vs kernel ----------
+  // The same random mappings priced both ways, repeated enough that wall
+  // times are meaningful. Values must match bit for bit, and the kernel
+  // must clear the 5x acceptance bar.
   {
     est::Plan plan(instance);
     std::vector<std::vector<int>> mappings;
@@ -109,12 +85,12 @@ int main() {
     }
     for (const std::vector<int>& mapping : mappings) {
       const double interpreted =
-          est::estimate_time(instance, mapping, net, options);
+          est::reference::estimate_time(instance, mapping, net, options);
       const double compiled = plan.evaluate(mapping, net, options);
       if (interpreted != compiled) {
         std::fprintf(stderr,
-                     "FATAL: compiled Timeof diverged from the interpreter "
-                     "(%.17g vs %.17g)\n",
+                     "FATAL: Plan::evaluate diverged from the reference "
+                     "interpreter (%.17g vs %.17g)\n",
                      compiled, interpreted);
         return 1;
       }
@@ -125,7 +101,8 @@ int main() {
     const double interp_ms = wall_ms([&] {
       for (int r = 0; r < reps; ++r) {
         for (const std::vector<int>& mapping : mappings) {
-          sink += est::estimate_time(instance, mapping, net, options);
+          sink += est::reference::estimate_time(instance, mapping, net,
+                                                options);
         }
       }
     });
@@ -146,7 +123,7 @@ int main() {
     micro.add_row({"interpreter", support::Table::num(evals, 0),
                    support::Table::num(interp_ms, 2),
                    support::Table::num(interp_ms * 1e3 / evals, 2), "1.00"});
-    micro.add_row({"compiled", support::Table::num(evals, 0),
+    micro.add_row({"kernel", support::Table::num(evals, 0),
                    support::Table::num(compiled_ms, 2),
                    support::Table::num(compiled_ms * 1e3 / evals, 2),
                    support::Table::num(speedup, 2)});
@@ -156,39 +133,31 @@ int main() {
 
     if (speedup < 5.0) {
       std::fprintf(stderr,
-                   "FATAL: compiled Timeof speedup %.2fx is below the 5x "
+                   "FATAL: kernel Timeof speedup %.2fx is below the 5x "
                    "acceptance bar\n",
                    speedup);
       return 1;
     }
   }
 
-  // --- A9b: end-to-end selection across estimator modes and threads ------
-  // The Group_create workload with runtime defaults (portfolio mapper,
-  // estimate cache on): every mode/thread pairing must reproduce the
-  // interpreter's serial selection bit for bit.
+  // --- A9b: end-to-end selection across threads and the estimate cache --
+  // The Group_create workload with the runtime's machinery (portfolio
+  // mapper, plan cache): every thread/cache pairing must reproduce the
+  // serial cached selection bit for bit, and the reported estimate must be
+  // the reference interpreter's price of the chosen mapping.
   {
     const map::PortfolioMapper portfolio;
-
-    struct Mode {
-      const char* name;
-      bool plans;
-      bool delta;
-    };
-    const Mode modes[] = {{"interpreter", false, false},
-                          {"compiled", true, false},
-                          {"compiled+delta", true, true}};
 
     map::MappingResult baseline;
     double baseline_ms = 0.0;
     bool have_baseline = false;
     support::Table endtoend(
-        "Ablation A9b: Group_create selection by estimator mode (em3d, "
-        "portfolio mapper, cache on)",
-        {"mode", "threads", "wall_ms", "speedup", "compiled_evals",
-         "delta_evals", "identical"});
+        "Ablation A9b: Group_create selection by threads x estimate cache "
+        "(em3d, portfolio mapper, plan cache)",
+        {"threads", "cache", "wall_ms", "speedup", "compiled_evals",
+         "identical"});
 
-    for (const Mode& mode : modes) {
+    for (const bool cached : {true, false}) {
       for (int threads : {1, 2, 8}) {
         std::unique_ptr<support::ThreadPool> pool;
         if (threads > 1) pool = std::make_unique<support::ThreadPool>(threads);
@@ -196,9 +165,8 @@ int main() {
         est::PlanCache plans;
         map::SearchContext context;
         context.pool = pool.get();
-        context.cache = &cache;
-        context.plans = mode.plans ? &plans : nullptr;
-        context.delta = mode.delta;
+        context.cache = cached ? &cache : nullptr;
+        context.plans = &plans;
 
         map::MappingResult result;
         const double ms = wall_ms([&] {
@@ -210,75 +178,36 @@ int main() {
           baseline_ms = ms;
           have_baseline = true;
         }
-        const bool identical =
-            result.candidate_for_abstract == baseline.candidate_for_abstract &&
-            result.estimated_time == baseline.estimated_time;
-        if (!identical) {
+        if (result.candidate_for_abstract != baseline.candidate_for_abstract ||
+            result.estimated_time != baseline.estimated_time) {
           std::fprintf(stderr,
-                       "FATAL: %s selection at %d threads diverged from the "
-                       "interpreter baseline\n",
-                       mode.name, threads);
+                       "FATAL: selection at %d threads, cache %s diverged "
+                       "from the serial cached baseline\n",
+                       threads, cached ? "on" : "off");
+          return 1;
+        }
+        std::vector<int> mapping;
+        for (int c : result.candidate_for_abstract) {
+          mapping.push_back(candidates[static_cast<std::size_t>(c)].processor);
+        }
+        const double reference =
+            est::reference::estimate_time(instance, mapping, net, options);
+        if (reference != result.estimated_time) {
+          std::fprintf(stderr,
+                       "FATAL: estimate %.17g at %d threads, cache %s is not "
+                       "the reference price %.17g of the chosen mapping\n",
+                       result.estimated_time, threads, cached ? "on" : "off",
+                       reference);
           return 1;
         }
         endtoend.add_row(
-            {mode.name, support::Table::num(threads, 0),
+            {support::Table::num(threads, 0), cached ? "on" : "off",
              support::Table::num(ms, 2), support::Table::num(baseline_ms / ms, 2),
-             support::Table::num(result.stats.compiled_evaluations, 0),
-             support::Table::num(result.stats.delta_evaluations, 0), "yes"});
+             support::Table::num(result.stats.compiled_evaluations, 0), "yes"});
       }
     }
     bench::emit(endtoend);
     exported.push_back(endtoend);
-  }
-
-  // --- A9c: delta suffix-replay savings on the hill climbers -------------
-  // savings = 1 - ops_replayed / ops_total. EM3D's first phase touches
-  // every processor, so its suffixes are nearly full-length; the staggered
-  // pipeline is the favourable shape. Replayed includes the amortised
-  // checkpoint rebuilds that follow accepted moves, so slightly negative
-  // savings are possible on unfavourable models.
-  {
-    const pmdl::ModelInstance pipeline = pipeline_instance(net.size() - 1);
-    const map::SwapRefineMapper refine;
-    const map::AnnealingMapper anneal;
-
-    support::Table savings(
-        "Ablation A9c: delta replay savings (1 - ops_replayed/ops_total)",
-        {"model", "mapper", "delta_evals", "ops_replayed", "ops_total",
-         "savings"});
-    struct Workload {
-      const char* model;
-      const pmdl::ModelInstance* instance;
-      const char* mapper;
-      const map::Mapper* algo;
-    };
-    const Workload workloads[] = {
-        {"em3d", &instance, "swap-refine", &refine},
-        {"em3d", &instance, "annealing", &anneal},
-        {"pipeline", &pipeline, "swap-refine", &refine},
-        {"pipeline", &pipeline, "annealing", &anneal},
-    };
-    for (const Workload& w : workloads) {
-      est::PlanCache plans;
-      map::SearchContext context;
-      context.plans = &plans;
-      context.delta = true;
-      const map::MappingResult result =
-          w.algo->select(*w.instance, candidates, 0, net, options, context);
-      const double ratio =
-          result.stats.delta_ops_total > 0
-              ? 1.0 - static_cast<double>(result.stats.delta_ops_replayed) /
-                          static_cast<double>(result.stats.delta_ops_total)
-              : 0.0;
-      savings.add_row(
-          {w.model, w.mapper,
-           support::Table::num(result.stats.delta_evaluations, 0),
-           support::Table::num(result.stats.delta_ops_replayed, 0),
-           support::Table::num(result.stats.delta_ops_total, 0),
-           support::Table::num(ratio, 3)});
-    }
-    bench::emit(savings);
-    exported.push_back(savings);
   }
 
   bench::write_bench_json("est", exported);

@@ -1,15 +1,16 @@
 // Ablation A4 (DESIGN.md): google-benchmark microbenchmarks of the core
-// machinery — PMDL front end, scheme replay / estimation, process selection,
-// and the message-passing substrate's collectives.
+// machinery — PMDL front end, scheme replay / estimation (the reference
+// interpreter and the batch kernel), process selection, and the
+// message-passing substrate's collectives.
 #include <benchmark/benchmark.h>
 
 #include "apps/em3d/app.hpp"
 #include "apps/matmul/app.hpp"
-#include "estimator/estimator.hpp"
 #include "estimator/plan.hpp"
 #include "hnoc/cluster.hpp"
 #include "mapper/mapper.hpp"
 #include "mpsim/comm.hpp"
+#include "reference/estimator.hpp"
 
 namespace {
 
@@ -57,7 +58,8 @@ void BM_EstimateEm3dScheme(benchmark::State& state) {
   hnoc::NetworkModel net(cluster);
   std::vector<int> mapping{0, 1, 2, 3, 4, 5, 6, 7, 8};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(est::estimate_time(instance, mapping, net));
+    benchmark::DoNotOptimize(
+        est::reference::estimate_time(instance, mapping, net));
   }
 }
 BENCHMARK(BM_EstimateEm3dScheme);
@@ -73,7 +75,8 @@ void BM_EstimateAxBScheme(benchmark::State& state) {
   hnoc::NetworkModel net(cluster);
   std::vector<int> mapping{7, 0, 1, 2, 3, 4, 5, 6, 8};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(est::estimate_time(instance, mapping, net));
+    benchmark::DoNotOptimize(
+        est::reference::estimate_time(instance, mapping, net));
   }
 }
 BENCHMARK(BM_EstimateAxBScheme)->Arg(18)->Arg(45)->Arg(90);

@@ -12,7 +12,7 @@
 
 #include "apps/em3d/app.hpp"
 #include "apps/matmul/app.hpp"
-#include "estimator/estimator.hpp"
+#include "estimator/plan.hpp"
 #include "hnoc/cluster.hpp"
 #include "mapper/mapper.hpp"
 #include "pmdl/parser.hpp"
@@ -29,7 +29,7 @@ void explore(const char* title, const pmdl::ModelInstance& instance,
   hnoc::NetworkModel net(cluster);
   std::vector<int> identity(static_cast<std::size_t>(instance.size()));
   std::iota(identity.begin(), identity.end(), 0);
-  const double naive = est::estimate_time(instance, identity, net);
+  const double naive = est::Plan(instance).evaluate(identity, net);
 
   std::vector<map::Candidate> candidates;
   for (int i = 0; i < cluster.size(); ++i) candidates.push_back({i, i});

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "estimator/fingerprint.hpp"
-#include "estimator/plan.hpp"
 
 namespace hmpi::est {
 
@@ -28,50 +27,19 @@ EstimateCache::Shard& EstimateCache::shard_for(const Key& key) {
   return shards_[KeyHash{}(key) % shard_count_];
 }
 
-double EstimateCache::estimate(const pmdl::ModelInstance& instance,
+double EstimateCache::estimate(std::uint64_t fingerprint, const Plan& plan,
                                std::span<const int> mapping,
                                const hnoc::NetworkModel& network,
                                EstimateOptions options, bool* hit) {
-  return estimate(estimate_fingerprint(instance, options), instance, mapping,
-                  network, options, hit, nullptr);
-}
-
-double EstimateCache::estimate(std::uint64_t fingerprint,
-                               const pmdl::ModelInstance& instance,
-                               std::span<const int> mapping,
-                               const hnoc::NetworkModel& network,
-                               EstimateOptions options, bool* hit,
-                               const Plan* plan) {
-  // The probe key is thread-local so a table hit allocates nothing; a miss
-  // copies it into the table (the one allocation it always paid).
-  static thread_local Key key;
-  key.fingerprint = fingerprint;
-  key.version = network.version();
-  key.mapping.assign(mapping.begin(), mapping.end());
-
-  Shard& shard = shard_for(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.table.find(key);
-    if (it != shard.table.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      if (hit != nullptr) *hit = true;
-      return it->second;
-    }
-  }
-  // Compute outside the shard lock: schemes can be expensive, and a parallel
-  // search must not serialise on the table. A concurrent miss of the same
-  // key recomputes the same deterministic value.
-  const double seconds = plan != nullptr
-                             ? plan->evaluate(mapping, network, options)
-                             : estimate_time(instance, mapping, network,
-                                             options);
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.table.emplace(key, seconds);
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  if (hit != nullptr) *hit = false;
+  double seconds = 0.0;
+  const bool found = lookup(fingerprint, mapping, network, &seconds);
+  if (hit != nullptr) *hit = found;
+  if (found) return seconds;
+  // Priced outside the shard lock: a parallel search must not serialise on
+  // the table. A concurrent miss of the same key recomputes the same
+  // deterministic value.
+  seconds = plan.evaluate(mapping, network, options);
+  insert(fingerprint, mapping, network, seconds);
   return seconds;
 }
 

@@ -1,25 +1,25 @@
-// Memoisation of estimate_time for the group-selection search.
+// Memoisation of the estimator kernel for the group-selection search.
 //
 // The mappers (mapper/mapper.hpp) score thousands of candidate arrangements
 // per selection, and many distinct *selections* collapse to the same
 // *physical mapping*: several candidate processes live on the same machine,
 // hill-climbing re-scores the neighbours it rejected last round, and the
 // paper's canonical HMPI_Timeof-then-HMPI_Group_create pair replays the
-// whole search twice. The estimator is a pure function of
+// whole search twice. An estimate is a pure function of
 //   (model instance, physical mapping, network speeds, overhead options),
-// so its results can be memoised: this cache keys on a fingerprint of the
-// instance and options, the NetworkModel *version counter* (bumped by every
+// so it can be memoised: this cache keys on a fingerprint of the instance
+// and options, the NetworkModel *version counter* (bumped by every
 // set_speed, i.e. by every recon — stale speeds can never leak back), and
 // the canonical per-abstract-processor physical mapping.
 //
 // Thread safety: the table is sharded by key hash, each shard behind its own
 // mutex, so the parallel mappers can share one cache. The shard count is a
-// constructor knob (RuntimeConfig::est_shards / HMPI_EST_SHARDS): the batch
-// searches probe thousands of keys per round, and bulk probes grouped by
-// shard take each shard mutex once per batch instead of once per key. Two
-// threads that miss the same key concurrently both compute it; estimate_time
-// is deterministic, so whichever insert lands is the same bit pattern —
-// cached and uncached searches return bit-identical results.
+// constructor argument: the batch searches probe thousands of keys per
+// round, and bulk probes grouped by shard take each shard mutex once per
+// batch instead of once per key. Two threads that miss the same key
+// concurrently both compute it; the kernel is deterministic, so whichever
+// insert lands is the same bit pattern — cached and uncached searches return
+// bit-identical results.
 #pragma once
 
 #include <atomic>
@@ -30,13 +30,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "estimator/estimator.hpp"
+#include "estimator/plan.hpp"
 #include "hnoc/network_model.hpp"
-#include "pmdl/model.hpp"
 
 namespace hmpi::est {
-
-class Plan;
 
 class EstimateCache {
  public:
@@ -48,34 +45,25 @@ class EstimateCache {
   EstimateCache(const EstimateCache&) = delete;
   EstimateCache& operator=(const EstimateCache&) = delete;
 
-  /// estimate_time(instance, mapping, network, options), memoised. Sets
-  /// *hit (when non-null) to whether the value came from the table.
-  double estimate(const pmdl::ModelInstance& instance,
+  /// plan.evaluate(mapping, network, options), memoised: lookup(), and on
+  /// a miss the kernel and insert(). `fingerprint` is
+  /// est::estimate_fingerprint(instance, options) of the instance `plan` was
+  /// compiled from, hoisted out by callers that price many mappings of one
+  /// instance (it hashes every aggregate, which would otherwise dominate a
+  /// table hit). Sets *hit (when non-null) to whether the value came from
+  /// the table.
+  double estimate(std::uint64_t fingerprint, const Plan& plan,
                   std::span<const int> mapping,
                   const hnoc::NetworkModel& network, EstimateOptions options,
                   bool* hit = nullptr);
 
-  /// Hot-path overload: `fingerprint` is est::estimate_fingerprint(instance,
-  /// options), hoisted out by callers that price many mappings of one
-  /// instance (the fingerprint hashes every aggregate, which would otherwise
-  /// dominate a table hit). When `plan` is non-null a miss is computed via
-  /// Plan::evaluate instead of the interpreter — bit-identical by the plan's
-  /// contract, so both overloads fill the table interchangeably.
-  double estimate(std::uint64_t fingerprint,
-                  const pmdl::ModelInstance& instance,
-                  std::span<const int> mapping,
-                  const hnoc::NetworkModel& network, EstimateOptions options,
-                  bool* hit, const Plan* plan);
-
   /// Probe without computing: true and *out filled on a hit. Counts toward
-  /// hits()/misses() exactly like estimate() — the delta search path pairs
-  /// a lookup() with an insert() of its suffix-replayed value, so cached and
-  /// uncached accounting stays interchangeable with the estimate() path.
+  /// hits()/misses() exactly like estimate().
   bool lookup(std::uint64_t fingerprint, std::span<const int> mapping,
               const hnoc::NetworkModel& network, double* out);
 
   /// Stores a value the caller computed (bit-identical to what estimate()
-  /// would have computed, per the estimator determinism contract).
+  /// would have computed, per the kernel's determinism contract).
   void insert(std::uint64_t fingerprint, std::span<const int> mapping,
               const hnoc::NetworkModel& network, double seconds);
 

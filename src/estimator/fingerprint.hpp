@@ -14,7 +14,7 @@
 #include <bit>
 #include <cstdint>
 
-#include "estimator/estimator.hpp"
+#include "estimator/plan.hpp"
 #include "pmdl/model.hpp"
 
 namespace hmpi::est {

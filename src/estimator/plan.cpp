@@ -10,16 +10,6 @@ namespace hmpi::est {
 
 namespace {
 
-void check_mapping(int num_procs, std::span<const int> mapping,
-                   const hnoc::NetworkModel& network) {
-  support::require(static_cast<int>(mapping.size()) == num_procs,
-                   "mapping size must equal the number of abstract processors");
-  for (int p : mapping) {
-    support::require(p >= 0 && p < network.size(),
-                     "mapping references a processor outside the network");
-  }
-}
-
 /// Records one scheme replay as the flat op list. Self transfers are
 /// dropped and the percentage factors folded in here, so the evaluators
 /// never look at the instance again.
@@ -30,7 +20,6 @@ class Recorder final : public pmdl::ScheduleSink {
 
   void compute(std::span<const long long> coords, double percent) override {
     const auto a = static_cast<std::size_t>(instance_->flatten(coords));
-    // The exact expression TimelineMachine::compute evaluates per replay.
     const double units = instance_->node_volumes()[a] * percent / 100.0;
     ops_->push_back({PlanOp::Kind::kCompute, static_cast<int>(a), -1, units});
   }
@@ -46,8 +35,7 @@ class Recorder final : public pmdl::ScheduleSink {
     if (it != instance_->link_bytes().end()) {
       bytes = it->second * percent / 100.0;
     }
-    // A missing link entry still pays latency and overheads (bytes = 0),
-    // exactly like the interpreter path.
+    // A missing link entry still pays latency and overheads (bytes = 0).
     ops_->push_back({PlanOp::Kind::kTransfer, static_cast<int>(s),
                      static_cast<int>(d), bytes});
   }
@@ -67,505 +55,48 @@ class Recorder final : public pmdl::ScheduleSink {
   std::vector<PlanOp>* ops_;
 };
 
-/// time[a] += units / speed — the TimelineMachine::compute float ops.
-inline void op_compute(const PlanOp& op, std::span<const int> mapping,
-                       const hnoc::NetworkModel& network,
-                       std::vector<double>& time) {
-  const auto a = static_cast<std::size_t>(op.a);
-  time[a] += op.value / network.speed(mapping[a]);
-}
-
-/// The TimelineMachine::transfer float ops over a dense busy table
-/// (busy[ps * P + pd]; absent map entries and zero slots agree at 0.0).
-inline void op_transfer(const PlanOp& op, std::span<const int> mapping,
-                        const hnoc::NetworkModel& network,
-                        EstimateOptions options, int link_stride,
-                        std::vector<double>& time, std::vector<double>& busy) {
-  const auto s = static_cast<std::size_t>(op.a);
-  const auto d = static_cast<std::size_t>(op.b);
-  const int ps = mapping[s];
-  const int pd = mapping[d];
-  double& slot = busy[static_cast<std::size_t>(ps) *
-                          static_cast<std::size_t>(link_stride) +
-                      static_cast<std::size_t>(pd)];
-  const double start = std::max(time[s], slot);
-  const double finish = start + network.link(ps, pd).transfer_time(op.value);
-  slot = finish;
-  time[s] += options.send_overhead_s;
-  time[d] = std::max(time[d], finish) + options.recv_overhead_s;
-}
-
-/// Element-wise max; exact (std::max of finite doubles picks one operand).
-/// Dense busy tables make this identical to the interpreter's map merge:
-/// a pair absent from `from` contributes 0.0, and max(x, 0.0) == x for the
-/// non-negative timeline values.
-inline void merge_max_into(std::vector<double>& into_time,
-                           std::vector<double>& into_busy,
-                           const std::vector<double>& from_time,
-                           const std::vector<double>& from_busy) {
-  for (std::size_t i = 0; i < into_time.size(); ++i) {
-    into_time[i] = std::max(into_time[i], from_time[i]);
-  }
-  for (std::size_t i = 0; i < into_busy.size(); ++i) {
-    into_busy[i] = std::max(into_busy[i], from_busy[i]);
-  }
-}
-
 }  // namespace
 
 // --- Plan ------------------------------------------------------------------
 
 Plan::Plan(const pmdl::ModelInstance& instance)
     : num_procs_(instance.size()), from_scheme_(instance.has_scheme()) {
-  volumes_ = instance.node_volumes();
-  links_.reserve(instance.link_bytes().size());
-  for (const auto& [pair, bytes] : instance.link_bytes()) {
-    links_.push_back({pair.first, pair.second, bytes});
-  }
-  // Per-processor incidence, preserving the global (sorted) link order the
-  // fallback evaluation accumulates in; a self link is listed twice because
-  // the fallback adds its transfer time to both endpoint roles.
-  incident_.assign(static_cast<std::size_t>(num_procs_), {});
-  for (std::size_t li = 0; li < links_.size(); ++li) {
-    incident_[static_cast<std::size_t>(links_[li].src)].push_back(
-        static_cast<int>(li));
-    incident_[static_cast<std::size_t>(links_[li].dst)].push_back(
-        static_cast<int>(li));
-  }
-
-  if (from_scheme_) {
-    Recorder recorder(instance, ops_);
-    instance.run_scheme(recorder);
-    first_touch_.assign(static_cast<std::size_t>(num_procs_), kNeverTouched);
-    // Distinct abstract transfer pairs (first-appearance order) and each
-    // transfer op's pair index — the batch evaluator's compact busy keying.
-    std::unordered_map<std::uint64_t, int> pair_index;
-    op_pair_.assign(ops_.size(), -1);
-    for (std::size_t k = 0; k < ops_.size(); ++k) {
-      const PlanOp& op = ops_[k];
-      if (op.kind != PlanOp::Kind::kCompute &&
-          op.kind != PlanOp::Kind::kTransfer) {
-        continue;
-      }
-      auto touch = [&](int a) {
-        auto& first = first_touch_[static_cast<std::size_t>(a)];
-        if (first == kNeverTouched) first = k;
-      };
-      touch(op.a);
-      if (op.kind == PlanOp::Kind::kTransfer) {
-        touch(op.b);
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(op.a))
-             << 32) |
-            static_cast<std::uint32_t>(op.b);
-        auto [it, inserted] =
-            pair_index.emplace(key, static_cast<int>(pairs_.size()));
-        if (inserted) pairs_.push_back({op.a, op.b});
-        op_pair_[k] = it->second;
-      }
+  if (!from_scheme_) {
+    volumes_ = instance.node_volumes();
+    links_.reserve(instance.link_bytes().size());
+    for (const auto& [pair, bytes] : instance.link_bytes()) {
+      links_.push_back({pair.first, pair.second, bytes});
     }
-    // ~64 checkpoints bound the suffix-replay overshoot without copying the
-    // timeline state too often.
-    checkpoint_stride_ = std::max<std::size_t>(16, (ops_.size() + 63) / 64);
+    return;
+  }
+  Recorder recorder(instance, ops_);
+  instance.run_scheme(recorder);
+  // Distinct abstract transfer pairs (first-appearance order) and each
+  // transfer op's pair index — the batch evaluator's compact busy keying.
+  std::unordered_map<std::uint64_t, int> pair_index;
+  op_pair_.assign(ops_.size(), -1);
+  for (std::size_t k = 0; k < ops_.size(); ++k) {
+    const PlanOp& op = ops_[k];
+    if (op.kind != PlanOp::Kind::kTransfer) continue;
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(op.a)) << 32) |
+        static_cast<std::uint32_t>(op.b);
+    auto [it, inserted] =
+        pair_index.emplace(key, static_cast<int>(pairs_.size()));
+    if (inserted) pairs_.push_back({op.a, op.b});
+    op_pair_[k] = it->second;
   }
 }
 
 double Plan::evaluate(std::span<const int> mapping,
                       const hnoc::NetworkModel& network,
                       EstimateOptions options) const {
-  check_mapping(num_procs_, mapping, network);
-
-  if (!from_scheme_) {
-    // The fallback bound of est::estimate_time, term for term.
-    std::vector<double> cost(volumes_.size(), 0.0);
-    for (std::size_t a = 0; a < volumes_.size(); ++a) {
-      cost[a] = volumes_[a] / network.speed(mapping[a]);
-    }
-    for (const PlanLink& l : links_) {
-      const int ps = mapping[static_cast<std::size_t>(l.src)];
-      const int pd = mapping[static_cast<std::size_t>(l.dst)];
-      const double t = network.link(ps, pd).transfer_time(l.bytes);
-      cost[static_cast<std::size_t>(l.src)] += t;
-      cost[static_cast<std::size_t>(l.dst)] += t;
-    }
-    return cost.empty() ? 0.0
-                        : *std::max_element(cost.begin(), cost.end());
-  }
-
-  const int P = network.size();
-  std::vector<double> time(static_cast<std::size_t>(num_procs_), 0.0);
-  std::vector<double> busy(static_cast<std::size_t>(P) *
-                               static_cast<std::size_t>(P),
-                           0.0);
-  struct Frame {
-    std::vector<double> snap_time, snap_busy;  // par block entry
-    std::vector<double> acc_time, acc_busy;    // running element-wise max
-  };
-  std::vector<Frame> frames;
-  for (const PlanOp& op : ops_) {
-    switch (op.kind) {
-      case PlanOp::Kind::kCompute:
-        op_compute(op, mapping, network, time);
-        break;
-      case PlanOp::Kind::kTransfer:
-        op_transfer(op, mapping, network, options, P, time, busy);
-        break;
-      case PlanOp::Kind::kParBegin:
-        frames.push_back({time, busy, time, busy});
-        break;
-      case PlanOp::Kind::kParIterBegin: {
-        Frame& f = frames.back();
-        merge_max_into(f.acc_time, f.acc_busy, time, busy);
-        time = f.snap_time;
-        busy = f.snap_busy;
-        break;
-      }
-      case PlanOp::Kind::kParEnd: {
-        Frame& f = frames.back();
-        merge_max_into(f.acc_time, f.acc_busy, time, busy);
-        time = std::move(f.acc_time);
-        busy = std::move(f.acc_busy);
-        frames.pop_back();
-        break;
-      }
-    }
-  }
-  return time.empty() ? 0.0 : *std::max_element(time.begin(), time.end());
-}
-
-// --- DeltaEvaluator ----------------------------------------------------------
-
-DeltaEvaluator::Core& DeltaEvaluator::Stack::push() {
-  if (depth == pool.size()) pool.emplace_back();
-  return pool[depth++];
-}
-
-void DeltaEvaluator::assign_core(Core& into, const Core& from) {
-  into.time.assign(from.time.begin(), from.time.end());
-  into.busy.assign(from.busy.begin(), from.busy.end());
-}
-
-void DeltaEvaluator::merge_max_core(Core& into, const Core& from) {
-  merge_max_into(into.time, into.busy, from.time, from.busy);
-}
-
-double DeltaEvaluator::makespan_of(const Core& core) const {
-  return core.time.empty()
-             ? 0.0
-             : *std::max_element(core.time.begin(), core.time.end());
-}
-
-DeltaEvaluator::DeltaEvaluator(const Plan& plan,
-                               const hnoc::NetworkModel& network,
-                               EstimateOptions options)
-    : plan_(&plan),
-      network_(&network),
-      options_(options),
-      num_links_(network.size() * network.size()) {}
-
-double DeltaEvaluator::reset(std::span<const int> mapping) {
-  check_mapping(plan_->size(), mapping, *network_);
-  mapping_.assign(mapping.begin(), mapping.end());
-  staged_ = false;
-  stale_ops_ = 0;
-
-  if (!plan_->from_scheme_) {
-    const auto& volumes = plan_->volumes_;
-    committed_cost_.assign(volumes.size(), 0.0);
-    for (std::size_t a = 0; a < volumes.size(); ++a) {
-      committed_cost_[a] = volumes[a] / network_->speed(mapping_[a]);
-    }
-    for (const PlanLink& l : plan_->links_) {
-      const int ps = mapping_[static_cast<std::size_t>(l.src)];
-      const int pd = mapping_[static_cast<std::size_t>(l.dst)];
-      const double t = network_->link(ps, pd).transfer_time(l.bytes);
-      committed_cost_[static_cast<std::size_t>(l.src)] += t;
-      committed_cost_[static_cast<std::size_t>(l.dst)] += t;
-    }
-    committed_time_ =
-        committed_cost_.empty()
-            ? 0.0
-            : *std::max_element(committed_cost_.begin(), committed_cost_.end());
-    return committed_time_;
-  }
-
-  committed_.time.assign(static_cast<std::size_t>(plan_->size()), 0.0);
-  committed_.busy.assign(static_cast<std::size_t>(num_links_), 0.0);
-  scratch_snapshots_.clear();
-  scratch_accumulators_.clear();
-  checkpoints_.clear();
-  checkpoints_.emplace_back();
-  checkpoints_.back().op_index = 0;
-  assign_core(checkpoints_.back().core, committed_);
-  run_ops(0, plan_->ops_.size(), mapping_, committed_, scratch_snapshots_,
-          scratch_accumulators_, &checkpoints_);
-  committed_time_ = makespan_of(committed_);
-  return committed_time_;
-}
-
-std::span<const int> DeltaEvaluator::stage(std::span<const Move> moves) {
-  support::require(!mapping_.empty() || plan_->size() == 0,
-                   "DeltaEvaluator::stage before reset");
-  staged_mapping_.assign(mapping_.begin(), mapping_.end());
-  for (const Move& m : moves) {
-    support::require(
-        m.slot >= 0 && m.slot < plan_->size(),
-        "DeltaEvaluator::stage: slot outside the abstract arrangement");
-    support::require(m.processor >= 0 && m.processor < network_->size(),
-                     "DeltaEvaluator::stage: processor outside the network");
-    staged_mapping_[static_cast<std::size_t>(m.slot)] = m.processor;
-  }
-  staged_slots_.clear();
-  staged_first_ = Plan::kNeverTouched;
-  for (std::size_t a = 0; a < staged_mapping_.size(); ++a) {
-    if (staged_mapping_[a] == mapping_[a]) continue;
-    staged_slots_.push_back(static_cast<int>(a));
-    if (plan_->from_scheme_) {
-      staged_first_ = std::min(staged_first_, plan_->first_touch_[a]);
-    }
-  }
-  staged_ = true;
-  staged_priced_ = false;
-  scratch_valid_ = false;
-  staged_value_ = committed_time_;
-  return staged_mapping_;
-}
-
-double DeltaEvaluator::replay() {
-  support::require(staged_, "DeltaEvaluator::replay without a staged move");
-  staged_priced_ = true;
-  if (staged_slots_.empty() ||
-      (plan_->from_scheme_ && staged_first_ == Plan::kNeverTouched)) {
-    // No op touches a changed slot: the committed timeline is the answer.
-    staged_value_ = committed_time_;
-    return staged_value_;
-  }
-  staged_value_ =
-      plan_->from_scheme_ ? replay_scheme() : replay_fallback();
-  return staged_value_;
-}
-
-void DeltaEvaluator::set_staged_value(double seconds) {
-  support::require(staged_,
-                   "DeltaEvaluator::set_staged_value without a staged move");
-  staged_value_ = seconds;
-  staged_priced_ = true;
-  scratch_valid_ = false;
-}
-
-double DeltaEvaluator::replay_scheme() {
-  const std::size_t n = plan_->ops_.size();
-  std::size_t j0 = staged_first_ / plan_->checkpoint_stride_;
-  if (j0 >= checkpoints_.size()) {
-    // Commits drop stale checkpoints lazily, so the grid can be shorter than
-    // this proposal's first touch asks for. Replaying from the last survivor
-    // stays bit-exact (no op before staged_first_ touches a changed slot);
-    // charge the clamp and, once the accumulated cost exceeds one full pass,
-    // re-record the grid so savings return.
-    stale_ops_ += static_cast<long long>((j0 - (checkpoints_.size() - 1)) *
-                                         plan_->checkpoint_stride_);
-    if (stale_ops_ >= static_cast<long long>(n)) {
-      rebuild_checkpoints();
-      stale_ops_ = 0;
-      j0 = staged_first_ / plan_->checkpoint_stride_;
-    }
-    j0 = std::min(j0, checkpoints_.size() - 1);
-  }
-  const Checkpoint& cp = checkpoints_[j0];
-
-  assign_core(scratch_, cp.core);
-  scratch_snapshots_.clear();
-  for (const Core& c : cp.snapshots) assign_core(scratch_snapshots_.push(), c);
-  scratch_accumulators_.clear();
-  for (const Core& c : cp.accumulators) {
-    assign_core(scratch_accumulators_.push(), c);
-  }
-  run_ops(cp.op_index, n, staged_mapping_, scratch_, scratch_snapshots_,
-          scratch_accumulators_, nullptr);
-  replays_ += 1;
-  ops_replayed_ += static_cast<long long>(n - cp.op_index);
-  scratch_valid_ = true;
-  return makespan_of(scratch_);
-}
-
-double DeltaEvaluator::replay_fallback() {
-  // Affected processors: the moved slots plus every endpoint sharing a link
-  // term with one (their incident transfer times change too).
-  affected_mark_.assign(static_cast<std::size_t>(plan_->size()), 0);
-  affected_.clear();
-  auto mark = [&](int a) {
-    if (affected_mark_[static_cast<std::size_t>(a)] != 0) return;
-    affected_mark_[static_cast<std::size_t>(a)] = 1;
-    affected_.push_back(a);
-  };
-  for (int s : staged_slots_) {
-    mark(s);
-    for (int li : plan_->incident_[static_cast<std::size_t>(s)]) {
-      mark(plan_->links_[static_cast<std::size_t>(li)].src);
-      mark(plan_->links_[static_cast<std::size_t>(li)].dst);
-    }
-  }
-  scratch_cost_.assign(committed_cost_.begin(), committed_cost_.end());
-  recompute_costs(affected_, staged_mapping_, scratch_cost_);
-  replays_ += 1;
-  for (int a : affected_) {
-    ops_replayed_ += 1 + static_cast<long long>(
-                             plan_->incident_[static_cast<std::size_t>(a)].size());
-  }
-  scratch_valid_ = true;
-  return scratch_cost_.empty()
-             ? 0.0
-             : *std::max_element(scratch_cost_.begin(), scratch_cost_.end());
-}
-
-void DeltaEvaluator::recompute_costs(std::span<const int> affected,
-                                     std::span<const int> mapping,
-                                     std::vector<double>& cost) {
-  // Each processor's cost is its own sum, accumulated in the global link
-  // order — the same addition sequence the full fallback evaluation performs
-  // for it, so recomputed entries are bit-identical.
-  for (int a : affected) {
-    const auto ai = static_cast<std::size_t>(a);
-    double c = plan_->volumes_[ai] / network_->speed(mapping[ai]);
-    for (int li : plan_->incident_[ai]) {
-      const PlanLink& l = plan_->links_[static_cast<std::size_t>(li)];
-      const int ps = mapping[static_cast<std::size_t>(l.src)];
-      const int pd = mapping[static_cast<std::size_t>(l.dst)];
-      c += network_->link(ps, pd).transfer_time(l.bytes);
-    }
-    cost[ai] = c;
-  }
-}
-
-void DeltaEvaluator::commit() {
-  support::require(staged_, "DeltaEvaluator::commit without a staged move");
-  staged_ = false;
-  if (staged_slots_.empty()) return;  // mapping unchanged (e.g. same-machine swap)
-
-  if (!plan_->from_scheme_) {
-    if (scratch_valid_) {
-      committed_cost_.swap(scratch_cost_);
-    } else {
-      // Value came from a memo; rebuild only the affected entries. This
-      // repeats the affected-set walk of replay_fallback on purpose: the
-      // staged slots are the source of truth, scratch_cost_ is not.
-      const double memo = staged_value_;
-      staged_value_ = replay_fallback();
-      committed_cost_.swap(scratch_cost_);
-      staged_value_ = memo;
-    }
-    mapping_.swap(staged_mapping_);
-    committed_time_ =
-        committed_cost_.empty()
-            ? 0.0
-            : *std::max_element(committed_cost_.begin(), committed_cost_.end());
-    return;
-  }
-
-  mapping_.swap(staged_mapping_);
-  if (staged_first_ == Plan::kNeverTouched) return;  // timeline unchanged
-
-  if (staged_priced_) {
-    // O(1) accept: the staged value is the new committed makespan (replay and
-    // memo values are bit-exact by the invariant). Checkpoints past the first
-    // touched op describe the old mapping's timeline; drop them instead of
-    // re-running the suffix here — replay_scheme() clamps to the survivors
-    // and amortises one grid rebuild against the accumulated clamp cost.
-    committed_time_ = staged_value_;
-    const std::size_t keep = staged_first_ / plan_->checkpoint_stride_ + 1;
-    if (keep < checkpoints_.size()) checkpoints_.resize(keep);
-    return;
-  }
-
-  // Unpriced commit (stage() straight into commit()): rebuild the suffix with
-  // checkpoint recording to learn the value.
-  const std::size_t n = plan_->ops_.size();
-  const std::size_t j0 = std::min(staged_first_ / plan_->checkpoint_stride_,
-                                  checkpoints_.size() - 1);
-  const std::size_t start = checkpoints_[j0].op_index;
-  checkpoints_.resize(j0 + 1);
-  assign_core(scratch_, checkpoints_[j0].core);
-  scratch_snapshots_.clear();
-  for (const Core& c : checkpoints_[j0].snapshots) {
-    assign_core(scratch_snapshots_.push(), c);
-  }
-  scratch_accumulators_.clear();
-  for (const Core& c : checkpoints_[j0].accumulators) {
-    assign_core(scratch_accumulators_.push(), c);
-  }
-  run_ops(start, n, mapping_, scratch_, scratch_snapshots_,
-          scratch_accumulators_, &checkpoints_);
-  ops_replayed_ += static_cast<long long>(n - start);
-  std::swap(committed_, scratch_);
-  committed_time_ = makespan_of(committed_);
-}
-
-void DeltaEvaluator::rebuild_checkpoints() {
-  // Recorded re-run of [last surviving checkpoint, end) under the committed
-  // mapping; the survivor is exact for it (see commit()), so the re-recorded
-  // grid is too. Charged to ops_replayed_ — the savings metric stays honest.
-  const std::size_t n = plan_->ops_.size();
-  const std::size_t start = checkpoints_.back().op_index;
-  assign_core(scratch_, checkpoints_.back().core);
-  scratch_snapshots_.clear();
-  for (const Core& c : checkpoints_.back().snapshots) {
-    assign_core(scratch_snapshots_.push(), c);
-  }
-  scratch_accumulators_.clear();
-  for (const Core& c : checkpoints_.back().accumulators) {
-    assign_core(scratch_accumulators_.push(), c);
-  }
-  run_ops(start, n, mapping_, scratch_, scratch_snapshots_,
-          scratch_accumulators_, &checkpoints_);
-  ops_replayed_ += static_cast<long long>(n - start);
-}
-
-void DeltaEvaluator::run_ops(std::size_t from, std::size_t to,
-                             std::span<const int> mapping, Core& core,
-                             Stack& snapshots, Stack& accumulators,
-                             std::vector<Checkpoint>* record) {
-  const auto& ops = plan_->ops_;
-  const std::size_t stride = plan_->checkpoint_stride_;
-  const int P = network_->size();
-  for (std::size_t k = from; k < to; ++k) {
-    if (record != nullptr && k != from && k % stride == 0) {
-      record->emplace_back();
-      Checkpoint& cp = record->back();
-      cp.op_index = k;
-      assign_core(cp.core, core);
-      cp.snapshots.resize(snapshots.depth);
-      for (std::size_t i = 0; i < snapshots.depth; ++i) {
-        assign_core(cp.snapshots[i], snapshots.pool[i]);
-      }
-      cp.accumulators.resize(accumulators.depth);
-      for (std::size_t i = 0; i < accumulators.depth; ++i) {
-        assign_core(cp.accumulators[i], accumulators.pool[i]);
-      }
-    }
-    const PlanOp& op = ops[k];
-    switch (op.kind) {
-      case PlanOp::Kind::kCompute:
-        op_compute(op, mapping, *network_, core.time);
-        break;
-      case PlanOp::Kind::kTransfer:
-        op_transfer(op, mapping, *network_, options_, P, core.time, core.busy);
-        break;
-      case PlanOp::Kind::kParBegin:
-        assign_core(snapshots.push(), core);
-        assign_core(accumulators.push(), core);
-        break;
-      case PlanOp::Kind::kParIterBegin:
-        merge_max_core(accumulators.top(), core);
-        assign_core(core, snapshots.top());
-        break;
-      case PlanOp::Kind::kParEnd:
-        merge_max_core(accumulators.top(), core);
-        assign_core(core, accumulators.top());
-        accumulators.pop();
-        snapshots.pop();
-        break;
-    }
-  }
+  support::require(static_cast<int>(mapping.size()) == num_procs_,
+                   "mapping size must equal the number of abstract processors");
+  // One candidate is its own slot-major block.
+  double out = 0.0;
+  evaluate_batch(mapping, 1, network, options, std::span<double>(&out, 1));
+  return out;
 }
 
 // --- BatchEvaluator ----------------------------------------------------------
@@ -652,7 +183,7 @@ void BatchEvaluator::evaluate(const Plan& plan, std::span<const int> procs_soa,
   }
 
   if (!plan.from_scheme_) {
-    // The fallback bound, term for term per candidate (cf. Plan::evaluate).
+    // The fallback bound, term for term per candidate.
     cost_.assign(p * count, 0.0);
     for (std::size_t a = 0; a < p; ++a) {
       for (std::size_t i = 0; i < count; ++i) {

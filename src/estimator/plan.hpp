@@ -1,41 +1,41 @@
-// Compiled cost IR: the estimator's fast path (docs/estimator.md).
+// The estimator: compiled cost IR and the one kernel that prices it
+// (docs/estimator.md).
 //
-// est::estimate_time replays the model's scheme through the pmdl
-// tree-walking evaluator for EVERY candidate arrangement the mappers score —
-// thousands of Env copies, Value boxes, and AST dispatches per selection.
-// But a scheme's activation stream cannot depend on the mapping: ScheduleSink
+// HMPI_Timeof and HMPI_Group_create both rest on one function: the predicted
+// execution time of a model instance under a mapping of its abstract
+// processors onto physical processors, given the runtime's NetworkModel
+// (estimated speeds + link parameters). The cost formulas are the mpsim
+// execution engine's own:
+//   computation  : (percent/100) * volume / speed(processor)
+//   communication: start at max(sender time, link busy);
+//                  finish = start + latency + bytes/bandwidth;
+//                  receiver time = max(receiver time, finish)
+//   par blocks   : children start from the block-entry timeline; the block
+//                  result is the element-wise max over children.
+// Instances without a scheme fall back to a conservative per-processor
+// bound: max over processors of (computation + all incident communication).
+//
+// A scheme's activation stream cannot depend on the mapping: ScheduleSink
 // has no feedback channel, and native scheme functions see only model
-// parameters. So the stream can be recorded ONCE and re-priced cheaply:
+// parameters. So the stream is recorded ONCE and re-priced per mapping:
 //
-//   Plan          — the model instance lowered to a flat, topologically
-//                   ordered op list (compute/transfer/par markers) with the
-//                   volume and byte factors pre-resolved per op, plus the
-//                   (src, dst, bytes) link terms and per-processor incidence
-//                   lists of the no-scheme fallback. Plan::evaluate walks the
-//                   array with the exact floating-point operations of
-//                   TimelineMachine — compiled and interpreted estimates are
-//                   bit-identical by construction.
-//   DeltaEvaluator — incremental re-estimation for the hill climbers: when a
-//                   move changes the processors of a few abstract slots, only
-//                   the op-stream suffix from the first op touching an
-//                   affected slot is replayed (from a checkpointed prefix
-//                   state), O(affected) instead of O(model). Exact: a
-//                   checkpoint before that op is reachable only through ops
-//                   whose endpoints kept their processors, so its state is
-//                   identical under both mappings and the suffix replay
-//                   performs the same float ops a full evaluation would.
-//   BatchEvaluator — structure-of-arrays pricing of a whole candidate set in
-//                   one pass: the op list is walked once, each op's inner
-//                   loop runs contiguously over all candidates (slot-major
-//                   speed/time/busy arrays, no per-candidate allocation).
-//                   Busy state is kept per *abstract* transfer pair — O(Q)
-//                   slots instead of the P x P table Plan::evaluate zeroes —
-//                   with per-candidate aliasing of pairs that land on the
-//                   same physical link, so P=1000 costs the same per
-//                   candidate as P=9. Bit-identical to Plan::evaluate.
-//   PlanCache     — compile-once memo keyed like EstimateCache (instance
-//                   fingerprint); plans are mapping- and network-independent,
-//                   so recon never invalidates them.
+//   Plan           — the model instance lowered to a flat, topologically
+//                    ordered op list (compute/transfer/par markers) with the
+//                    volume and byte factors pre-resolved per op, plus the
+//                    (src, dst, bytes) link terms of the no-scheme fallback.
+//   BatchEvaluator — the kernel: structure-of-arrays pricing of a set of
+//                    mappings in one pass. The op list is walked once, each
+//                    op's inner loop runs contiguously over all candidates
+//                    (slot-major speed/time/busy arrays, no per-candidate
+//                    allocation). Busy state is kept per *abstract* transfer
+//                    pair — O(Q) slots instead of a P x P table — with
+//                    per-candidate aliasing of pairs that land on the same
+//                    physical link, so P=1000 costs the same per candidate
+//                    as P=9. A single evaluation (Plan::evaluate) is a
+//                    count-1 call.
+//   PlanCache      — compile-once memo keyed like EstimateCache (instance
+//                    fingerprint); plans are mapping- and network-independent,
+//                    so recon never invalidates them.
 #pragma once
 
 #include <atomic>
@@ -47,16 +47,21 @@
 #include <unordered_map>
 #include <vector>
 
-#include "estimator/estimator.hpp"
 #include "hnoc/network_model.hpp"
 #include "pmdl/model.hpp"
 
 namespace hmpi::est {
 
+/// Per-message overheads; defaults match mp::WorldOptions.
+struct EstimateOptions {
+  double send_overhead_s = 5e-6;
+  double recv_overhead_s = 5e-6;
+};
+
 /// One lowered scheme activation. `value` is pre-multiplied by the
 /// activation's percentage: computation units for kCompute, bytes for
-/// kTransfer (self transfers are dropped at compile time, exactly as
-/// TimelineMachine drops them at run time).
+/// kTransfer (self transfers cost nothing in the model and are dropped at
+/// compile time).
 struct PlanOp {
   enum class Kind : std::uint8_t {
     kCompute,       ///< time[a] += value / speed(mapping[a])
@@ -83,8 +88,8 @@ struct PlanLink {
 class Plan {
  public:
   /// Lowers `instance`: replays the scheme once into the op list (or, for
-  /// scheme-less instances, materialises the fallback link terms and
-  /// incidence lists). The instance itself is not retained.
+  /// scheme-less instances, materialises the fallback link terms). The
+  /// instance itself is not retained.
   explicit Plan(const pmdl::ModelInstance& instance);
 
   /// Abstract processors of the instance.
@@ -93,34 +98,28 @@ class Plan {
   /// Whether the IR came from a scheme (vs the fallback aggregate bound).
   bool from_scheme() const noexcept { return from_scheme_; }
 
-  /// Cost of one full evaluation, in IR operations (delta savings are
-  /// reported against this).
+  /// Cost of one evaluation, in IR operations (the kEstCompile trace
+  /// payload).
   std::size_t op_count() const noexcept {
     return from_scheme_ ? ops_.size() : volumes_.size() + 2 * links_.size();
   }
 
   std::span<const PlanOp> ops() const noexcept { return ops_; }
-  std::span<const PlanLink> links() const noexcept { return links_; }
 
-  /// Index of the first op touching abstract processor `a`
-  /// (Plan::kNeverTouched when no op does).
-  std::size_t first_touch(int a) const {
-    return first_touch_[static_cast<std::size_t>(a)];
-  }
-  static constexpr std::size_t kNeverTouched = static_cast<std::size_t>(-1);
-
-  /// Predicted execution time of the plan under `mapping` — bit-identical to
-  /// est::estimate_time on the instance this plan was compiled from.
+  /// Predicted execution time of the plan under `mapping` (`mapping[a]` is
+  /// the physical processor of abstract processor `a`): a count-1
+  /// evaluate_batch. Throws InvalidArgument when the mapping has the wrong
+  /// size or names a processor outside the network.
   double evaluate(std::span<const int> mapping,
                   const hnoc::NetworkModel& network,
                   EstimateOptions options = EstimateOptions()) const;
 
   /// Prices `count` candidate mappings in one structure-of-arrays pass.
   /// `procs_soa` is slot-major: procs_soa[a * count + i] is the physical
-  /// processor of abstract slot `a` in candidate `i`. out[i] is
-  /// bit-identical to evaluate() on candidate i (see BatchEvaluator).
-  /// Reuses a thread-local BatchEvaluator; callers in a hot loop should own
-  /// one directly.
+  /// processor of abstract slot `a` in candidate `i`. out[i] does not depend
+  /// on `count` or on the other candidates (see BatchEvaluator). Reuses a
+  /// thread-local BatchEvaluator; callers in a hot loop should own one
+  /// directly.
   void evaluate_batch(std::span<const int> procs_soa, std::size_t count,
                       const hnoc::NetworkModel& network,
                       EstimateOptions options, std::span<double> out) const;
@@ -132,7 +131,6 @@ class Plan {
   }
 
  private:
-  friend class DeltaEvaluator;
   friend class BatchEvaluator;
 
   int num_procs_ = 0;
@@ -140,172 +138,29 @@ class Plan {
 
   // Scheme IR.
   std::vector<PlanOp> ops_;
-  std::vector<std::size_t> first_touch_;  // per abstract processor
-  std::size_t checkpoint_stride_ = 1;     // DeltaEvaluator checkpoint spacing
   std::vector<std::pair<int, int>> pairs_;  // distinct abstract transfer pairs
   std::vector<int> op_pair_;  // per op: index into pairs_ (-1 off transfers)
 
-  // Fallback IR (also used for aggregate queries on scheme plans).
-  std::vector<double> volumes_;            // per abstract processor
-  std::vector<PlanLink> links_;            // link_bytes map order (sorted)
-  std::vector<std::vector<int>> incident_; // per proc: link indices, sorted,
-                                           // self links listed twice
+  // Fallback IR.
+  std::vector<double> volumes_;  // per abstract processor
+  std::vector<PlanLink> links_;  // link_bytes map order (sorted)
 };
 
-/// Incremental re-estimation over a Plan (see file comment). Not
-/// thread-safe; each search thread owns its own evaluator. The plan and the
-/// network must outlive it. Usage:
+/// Structure-of-arrays pricing of a candidate set (see file comment) — the
+/// only code that prices a mapping. Holds all scratch across calls, so a
+/// search loop pays zero allocation once the high-water batch size is
+/// reached. Not thread-safe; each search thread owns its own evaluator.
 ///
-///   DeltaEvaluator delta(plan, network, options);
-///   double t = delta.reset(mapping);            // full evaluation
-///   delta.stage({{slot_a, proc_x}, {slot_b, proc_y}});
-///   double moved = delta.replay();              // O(affected suffix)
-///   if (keep) delta.commit();                   // adopt the staged mapping
-///
-/// The exact-match invariant — replay() == Plan::evaluate(staged mapping)
-/// bit for bit — is what lets the hill climbers take this path without
-/// perturbing their search trajectory (tests/estimator/plan_test.cpp).
-class DeltaEvaluator {
- public:
-  DeltaEvaluator(const Plan& plan, const hnoc::NetworkModel& network,
-                 EstimateOptions options);
-
-  /// One staged slot change: abstract `slot` moves to physical `processor`.
-  struct Move {
-    int slot = -1;
-    int processor = -1;
-  };
-
-  /// Full evaluation of `mapping`; rebuilds the checkpoints. Returns the
-  /// makespan (the committed value until the next commit()).
-  double reset(std::span<const int> mapping);
-
-  /// Stages the committed mapping with `moves` applied (later moves win on
-  /// the same slot) and returns the staged mapping. Does not evaluate.
-  std::span<const int> stage(std::span<const Move> moves);
-
-  /// Exact estimate of the staged mapping by suffix replay. May be skipped
-  /// when the staged value is already known (set_staged_value).
-  double replay();
-
-  /// Records an externally known value (e.g. from an EstimateCache hit) for
-  /// the staged mapping; commit() adopts it without replaying anything.
-  void set_staged_value(double seconds);
-
-  /// Adopts the staged mapping and value as the committed state. O(1) when
-  /// the proposal was priced (replay() or set_staged_value()): the staged
-  /// value is bit-exact by the invariant, and checkpoints past the first
-  /// touched op — stale under the new mapping — are dropped lazily rather
-  /// than re-recorded here. Later replays clamp to the surviving grid and
-  /// amortise one full rebuild against the accumulated clamp cost, so
-  /// accept-heavy searches (annealing) never pay a per-accept suffix re-run.
-  void commit();
-
-  double committed_time() const noexcept { return committed_time_; }
-  std::span<const int> mapping() const noexcept { return mapping_; }
-  const Plan& plan() const noexcept { return *plan_; }
-
-  /// Cumulative accounting (SearchStats / est.delta.* metrics).
-  long long replays() const noexcept { return replays_; }
-  long long ops_replayed() const noexcept { return ops_replayed_; }
-
- private:
-  struct Core {
-    std::vector<double> time;  // per abstract processor
-    std::vector<double> busy;  // dense per physical (src, dst) pair
-  };
-  /// Reusable stack of Cores (par nesting) that keeps capacity across
-  /// evaluations instead of reallocating per par block.
-  struct Stack {
-    std::vector<Core> pool;
-    std::size_t depth = 0;
-    void clear() noexcept { depth = 0; }
-    Core& push();
-    Core& top() { return pool[depth - 1]; }
-    void pop() noexcept { --depth; }
-  };
-  struct Checkpoint {
-    std::size_t op_index = 0;
-    Core core;
-    std::vector<Core> snapshots;
-    std::vector<Core> accumulators;
-  };
-
-  static void assign_core(Core& into, const Core& from);
-  static void merge_max_core(Core& into, const Core& from);
-  double makespan_of(const Core& core) const;
-
-  /// Runs ops [from, to) on (core, stacks) under `mapping`; when `record` is
-  /// non-null, appends a checkpoint at every stride-aligned index > from.
-  void run_ops(std::size_t from, std::size_t to, std::span<const int> mapping,
-               Core& core, Stack& snapshots, Stack& accumulators,
-               std::vector<Checkpoint>* record);
-
-  /// No-scheme fallback: recompute the per-processor costs of `affected`
-  /// under `mapping` into `cost` (other entries must already hold the
-  /// committed values).
-  void recompute_costs(std::span<const int> affected,
-                       std::span<const int> mapping, std::vector<double>& cost);
-
-  double replay_scheme();
-  double replay_fallback();
-
-  /// Re-records the checkpoint grid over the stale suffix under the
-  /// committed mapping (commit() truncates lazily; see stale_ops_).
-  void rebuild_checkpoints();
-
-  const Plan* plan_;
-  const hnoc::NetworkModel* network_;
-  EstimateOptions options_;
-  int num_links_ = 0;  // physical pairs = network size squared
-
-  // Committed state.
-  std::vector<int> mapping_;
-  double committed_time_ = 0.0;
-  Core committed_;                       // scheme plans
-  std::vector<double> committed_cost_;   // fallback plans
-  std::vector<Checkpoint> checkpoints_;  // scheme plans; stride-aligned
-
-  // Staged proposal.
-  std::vector<int> staged_mapping_;
-  std::vector<int> staged_slots_;        // slots whose processor changed
-  std::size_t staged_first_ = Plan::kNeverTouched;
-  double staged_value_ = 0.0;
-  bool staged_ = false;
-  bool staged_priced_ = false;  // replay()/set_staged_value() ran for it
-  bool scratch_valid_ = false;
-
-  // Scratch (reused across proposals).
-  Core scratch_;
-  Stack scratch_snapshots_;
-  Stack scratch_accumulators_;
-  std::vector<Checkpoint> scratch_tail_;
-  std::vector<double> scratch_cost_;
-  std::vector<int> affected_;
-  std::vector<char> affected_mark_;
-
-  long long replays_ = 0;
-  long long ops_replayed_ = 0;
-  // Extra ops replayed because commits truncated the checkpoint grid; once
-  // this exceeds one full pass, rebuilding the grid is the cheaper steady
-  // state (rebuild_checkpoints).
-  long long stale_ops_ = 0;
-};
-
-/// Structure-of-arrays batch pricing of a candidate set (see file comment).
-/// Holds all scratch across calls, so a search loop pays zero allocation
-/// once the high-water batch size is reached. Not thread-safe; each search
-/// thread owns its own evaluator (like DeltaEvaluator).
-///
-/// Exactness: per candidate, the op walk performs the identical sequence of
-/// float operations as Plan::evaluate — compute divides by the same speed,
-/// a transfer's busy slot is shared between two ops iff they land on the
-/// same physical (src, dst) pair (the per-candidate canonical-pair aliasing
-/// reproduces the dense table's physical keying), and the par-block merges
-/// over the compact slots agree with the dense merge because every slot the
-/// batch never touches stays 0.0 on both sides (max(0, 0) == 0) and the
-/// makespan reads only the time vector. Pinned by
-/// tests/estimator/batch_test.cpp.
+/// Exactness: per candidate, the op walk performs the float operations of
+/// the cost model in scheme order — compute divides by the candidate's
+/// speed, a transfer's busy slot is shared between two ops iff they land on
+/// the same physical (src, dst) pair (per-candidate canonical-pair
+/// aliasing), and the par-block merges over the compact slots agree with a
+/// merge over every physical link because a slot no transfer touched stays
+/// 0.0 (max(0, 0) == 0) and the makespan reads only the time vector. So a
+/// candidate's value is the same whatever batch it is priced in, and equal
+/// bit for bit to the scheme interpreter the test suites keep as the
+/// reference (tests/estimator/batch_test.cpp).
 class BatchEvaluator {
  public:
   BatchEvaluator() = default;

@@ -161,10 +161,10 @@ std::vector<hmpi::Runtime::ProcessorInfo> HMPI_Get_processors_info();
 /// first search. Local operation.
 hmpi::map::SearchStats HMPI_Get_mapper_stats();
 
-/// HMPI_Get_estimator_stats: cumulative estimator-backend accounting on this
-/// process — the effective EstimatorMode, world-shared plan-cache
-/// compiles/hits, and the compiled/delta evaluation counters summed over
-/// every search this process drove (docs/estimator.md). Local operation.
+/// HMPI_Get_estimator_stats: cumulative estimator accounting on this
+/// process — world-shared plan-cache compiles/hits, and the kernel
+/// evaluations summed over every search this process drove
+/// (docs/estimator.md). Local operation.
 hmpi::Runtime::EstimatorStats HMPI_Get_estimator_stats();
 
 // --- collective algorithm selection (docs/collectives.md) -------------------

@@ -58,38 +58,6 @@ CollConfig coll_config_with_env(CollConfig config) {
   return config;
 }
 
-/// HMPI_EST_COMPILE override (docs/estimator.md): pick the estimator backend
-/// without rebuilding, for A/B runs. Unknown values are ignored (the config
-/// value stands) — every mode is bit-identical, so a typo is harmless.
-EstimatorMode estimator_mode_with_env(EstimatorMode mode) {
-  if (const char* value = std::getenv("HMPI_EST_COMPILE")) {
-    const std::string v(value);
-    if (v == "0" || v == "off" || v == "interpret") {
-      return EstimatorMode::kInterpret;
-    }
-    if (v == "1" || v == "full" || v == "compile" || v == "compiled") {
-      return EstimatorMode::kCompiled;
-    }
-    if (v == "2" || v == "delta") return EstimatorMode::kDelta;
-  }
-  return mode;
-}
-
-/// HMPI_EST_SHARDS override (docs/estimator.md): shard count of the shared
-/// estimate cache. Values are purely a contention knob — every count returns
-/// bit-identical results — so malformed or non-positive input is ignored.
-int est_shards_with_env(int shards) {
-  if (const char* value = std::getenv("HMPI_EST_SHARDS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(value, &end, 10);
-    if (end != value && *end == '\0' && parsed > 0 &&
-        parsed <= (1 << 20)) {
-      return static_cast<int>(parsed);
-    }
-  }
-  return shards;
-}
-
 /// Resolves (op, algo) pairs to the collective subsystem's stable names for
 /// the critical-path report and `crit.coll.*` metrics.
 telemetry::CollNamer coll_namer() {
@@ -108,8 +76,6 @@ telemetry::CollNamer coll_namer() {
 /// moral equivalent of the HMPI daemon: speed estimates, the free set, and
 /// the rendezvous queue for group creations.
 struct Runtime::Shared {
-  explicit Shared(std::size_t est_shards) : estimate_cache(est_shards) {}
-
   std::mutex mutex;
   /// Rendezvous wakeups; engine-agnostic (condition variable under the
   /// thread engine, fiber parking under the event engine).
@@ -229,8 +195,6 @@ Runtime::Runtime(mp::Proc& proc, RuntimeConfig config)
                    "search_threads must be at least 1");
   config_.telemetry = config_.telemetry.with_env_overrides();
   config_.coll = coll_config_with_env(config_.coll);
-  config_.estimator = estimator_mode_with_env(config_.estimator);
-  config_.est_shards = std::max(1, est_shards_with_env(config_.est_shards));
   config_.adapt = config_.adapt.with_env();
   if (config_.adapt.enabled) {
     adapt_ = std::make_unique<adapt::AdaptationController>(config_.adapt);
@@ -239,8 +203,7 @@ Runtime::Runtime(mp::Proc& proc, RuntimeConfig config)
     config_.mapper = std::shared_ptr<const map::Mapper>(map::make_default_mapper());
   }
   auto shared = proc.world().get_or_create_shared([&]() -> std::shared_ptr<void> {
-    auto s = std::make_shared<Shared>(
-        static_cast<std::size_t>(config_.est_shards));
+    auto s = std::make_shared<Shared>();
     s->cv.debug_name = "rendezvous";
     s->network = std::make_unique<hnoc::NetworkModel>(proc.cluster());
     s->next_creation.assign(static_cast<std::size_t>(proc.nprocs()), 0);
@@ -557,15 +520,12 @@ map::SearchContext Runtime::search_context() const {
   }
   context.pool = search_pool_.get();
   context.cache = config_.estimate_cache ? &shared_->estimate_cache : nullptr;
-  context.plans = config_.estimator != EstimatorMode::kInterpret
-                      ? &shared_->plan_cache
-                      : nullptr;
-  context.delta = config_.estimator == EstimatorMode::kDelta;
+  context.plans = &shared_->plan_cache;
   return context;
 }
 
-void Runtime::prefetch_plan(const pmdl::ModelInstance& instance) const {
-  if (config_.estimator == EstimatorMode::kInterpret) return;
+std::shared_ptr<const est::Plan> Runtime::prefetch_plan(
+    const pmdl::ModelInstance& instance) const {
   bool compiled = false;
   double seconds = 0.0;
   const std::shared_ptr<const est::Plan> plan =
@@ -573,7 +533,7 @@ void Runtime::prefetch_plan(const pmdl::ModelInstance& instance) const {
   telemetry::MetricsRegistry& reg = telemetry::metrics();
   if (!compiled) {
     reg.counter("est.compile.hits").add();
-    return;
+    return plan;
   }
   reg.counter("est.compile.count").add();
   reg.counter("est.compile.misses").add();
@@ -589,6 +549,7 @@ void Runtime::prefetch_plan(const pmdl::ModelInstance& instance) const {
     event.end_time = proc_->clock();
     tracer->record(event);
   }
+  return plan;
 }
 
 void Runtime::note_search(const map::SearchStats& stats) const {
@@ -605,22 +566,9 @@ void Runtime::note_search(const map::SearchStats& stats) const {
     reg.counter("est.compile.evaluations")
         .add(static_cast<double>(stats.compiled_evaluations));
   }
-  if (stats.delta_evaluations > 0) {
-    reg.counter("est.delta.evaluations")
-        .add(static_cast<double>(stats.delta_evaluations));
-  }
-  if (stats.delta_ops_total > 0) {
-    reg.counter("est.delta.ops_replayed")
-        .add(static_cast<double>(stats.delta_ops_replayed));
-    reg.counter("est.delta.ops_total")
-        .add(static_cast<double>(stats.delta_ops_total));
-    reg.gauge("est.delta.savings")
-        .set(1.0 - static_cast<double>(stats.delta_ops_replayed) /
-                       static_cast<double>(stats.delta_ops_total));
-  }
   // Namespaced twins of the legacy cache counters (docs/observability.md):
   // est.cache.* keeps the estimator's counters in one namespace alongside
-  // est.compile.* / est.delta.* / est.batch.*.
+  // est.compile.* / est.batch.*.
   if (stats.cache_hits > 0 || stats.cache_misses > 0) {
     reg.counter("est.cache.hits").add(static_cast<double>(stats.cache_hits));
     reg.counter("est.cache.misses")
@@ -732,13 +680,9 @@ std::vector<double> Runtime::timeof_batch(
 
 Runtime::EstimatorStats Runtime::estimator_stats() const {
   EstimatorStats stats;
-  stats.mode = config_.estimator;
   stats.plans_compiled = shared_->plan_cache.misses();
   stats.plan_cache_hits = shared_->plan_cache.hits();
   stats.compiled_evaluations = search_totals_.compiled_evaluations;
-  stats.delta_evaluations = search_totals_.delta_evaluations;
-  stats.delta_ops_replayed = search_totals_.delta_ops_replayed;
-  stats.delta_ops_total = search_totals_.delta_ops_total;
   return stats;
 }
 
@@ -897,7 +841,7 @@ std::optional<Group> Runtime::group_create_impl(
   if (me == parent_world) {
     const pmdl::ModelInstance instance = model.instantiate(params);
     shape = instance.shape();
-    prefetch_plan(instance);
+    const std::shared_ptr<const est::Plan> plan = prefetch_plan(instance);
     hnoc::NetworkModel snapshot = [&] {
       std::lock_guard<std::mutex> lock(shared_->mutex);
       return *shared_->network;
@@ -943,8 +887,7 @@ std::optional<Group> Runtime::group_create_impl(
           members[static_cast<std::size_t>(instance.parent_index())] ==
               parent_world,
           "forced roster must keep the parent on the model's parent slot");
-      estimated = est::estimate_time(instance, mapping, snapshot,
-                                     config_.estimate);
+      estimated = plan->evaluate(mapping, snapshot, config_.estimate);
       ideal = estimated;
     } else {
     // Suspect processors stay in the rendezvous (they are alive and must
@@ -1503,7 +1446,7 @@ Runtime::AdaptOutcome Runtime::adapt_migrate(
   std::vector<int> proposed;  // world rank per abstract processor (parent)
   if (is_parent) {
     const pmdl::ModelInstance instance = model.instantiate(params);
-    prefetch_plan(instance);
+    const std::shared_ptr<const est::Plan> plan = prefetch_plan(instance);
     hnoc::NetworkModel snapshot = [&] {
       std::lock_guard<std::mutex> lock(shared_->mutex);
       return *shared_->network;
@@ -1515,8 +1458,7 @@ Runtime::AdaptOutcome Runtime::adapt_migrate(
     for (std::size_t a = 0; a < old_members.size(); ++a) {
       old_mapping[a] = world.processor_of(old_members[a]);
     }
-    verdict.old_pred = est::estimate_time(instance, old_mapping, snapshot,
-                                          config_.estimate);
+    verdict.old_pred = plan->evaluate(old_mapping, snapshot, config_.estimate);
     if (options.force_roster != nullptr) {
       // Test hook: pin the target and skip the gate — the rollback guard
       // downstream still judges the result.
@@ -1527,8 +1469,7 @@ Runtime::AdaptOutcome Runtime::adapt_migrate(
       for (std::size_t a = 0; a < proposed.size(); ++a) {
         mapping[a] = world.processor_of(proposed[a]);
       }
-      verdict.new_pred = est::estimate_time(instance, mapping, snapshot,
-                                            config_.estimate);
+      verdict.new_pred = plan->evaluate(mapping, snapshot, config_.estimate);
       verdict.migrate = 1;
     } else {
       // Candidates: the current members plus every live, unsuspected,

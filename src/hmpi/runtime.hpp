@@ -41,7 +41,7 @@
 #include <string>
 #include <vector>
 
-#include "estimator/estimator.hpp"
+#include "estimator/plan.hpp"
 #include "hmpi/adapt.hpp"
 #include "hnoc/network_model.hpp"
 #include "mapper/mapper.hpp"
@@ -103,19 +103,6 @@ struct CollConfig {
   bool feedback = false;
 };
 
-/// How Timeof / Group_create searches price candidate arrangements
-/// (docs/estimator.md). Every mode returns bit-identical selections and
-/// estimates — the estimator determinism contract — so the toggle is a pure
-/// CPU trade, safe to A/B via the HMPI_EST_COMPILE environment variable.
-enum class EstimatorMode {
-  kInterpret,  ///< Walk the pmdl scheme AST per evaluation (pre-IR path).
-  kCompiled,   ///< Compile each model once to the flat cost IR
-               ///< (estimator/plan.hpp) and evaluate that.
-  kDelta,      ///< Compiled, plus incremental suffix replay in the hill
-               ///< climbers: a swap/substitution move re-runs only the IR
-               ///< ops from the first op touching a changed processor.
-};
-
 /// Tunables of the runtime (identical at every process).
 struct RuntimeConfig {
   /// Process-selection algorithm; null selects the library default
@@ -137,16 +124,6 @@ struct RuntimeConfig {
   /// counter, which every recon speed update bumps, so a stale makespan can
   /// never be served (docs/mapper.md).
   bool estimate_cache = true;
-  /// Shard count of that cache (clamped to >= 1). Batch searches over large
-  /// candidate sets probe thousands of keys per round; more shards cut mutex
-  /// contention without changing any value (docs/estimator.md). Env override
-  /// HMPI_EST_SHARDS.
-  int est_shards = static_cast<int>(est::EstimateCache::kDefaultShards);
-  /// Candidate-scoring backend of the selection searches (docs/estimator.md).
-  /// Env override HMPI_EST_COMPILE: "0"/"off"/"interpret" -> kInterpret,
-  /// "1"/"full"/"compile"/"compiled" -> kCompiled, "2"/"delta" -> kDelta.
-  /// Selections are bit-identical across modes; this trades CPU only.
-  EstimatorMode estimator = EstimatorMode::kDelta;
   /// Telemetry output files written by the host's finalize()
   /// (docs/observability.md). Environment variables HMPI_METRICS_JSON /
   /// HMPI_TRACE_JSON override these paths; empty = sink disabled.
@@ -511,19 +488,15 @@ class Runtime {
     return last_search_stats_;
   }
 
-  /// Cumulative estimator-backend accounting for this process
+  /// Cumulative estimator accounting for this process
   /// (HMPI_Get_estimator_stats; docs/estimator.md). Search counters
   /// accumulate over every search this process drove; the plan-cache
   /// counters are world-shared (every process's compiles land in the same
   /// cache). Local diagnostics.
   struct EstimatorStats {
-    EstimatorMode mode = EstimatorMode::kDelta;  ///< Effective (post-env).
     long long plans_compiled = 0;       ///< Plan-cache misses (= compiles).
     long long plan_cache_hits = 0;      ///< Lookups served without compiling.
-    long long compiled_evaluations = 0; ///< Arrangements priced on the IR.
-    long long delta_evaluations = 0;    ///< ...answered by suffix replay.
-    long long delta_ops_replayed = 0;   ///< IR ops the delta path ran.
-    long long delta_ops_total = 0;      ///< Ops full evaluation would have run.
+    long long compiled_evaluations = 0; ///< Arrangements the kernel priced.
   };
   EstimatorStats estimator_stats() const;
 
@@ -645,15 +618,17 @@ class Runtime {
   /// Records `stats` as the latest search, accumulates the cumulative
   /// estimator totals, updates the search metrics (estimator_evaluations,
   /// estimate_cache_hits/misses, cache_hit_rate, est.compile.evaluations,
-  /// est.delta.*), and emits a kMapperSearch trace event with the named
-  /// search payload.
+  /// est.cache.*, est.batch.*), and emits a kMapperSearch trace event with
+  /// the named search payload.
   void note_search(const map::SearchStats& stats) const;
 
   /// Compiles (or fetches) the plan for `instance` from the world-shared
   /// plan cache ahead of a search, so the compile is attributed here — with
   /// est.compile.* metrics and a kEstCompile trace instant — rather than
-  /// inside the first scorer that needs it. No-op under kInterpret.
-  void prefetch_plan(const pmdl::ModelInstance& instance) const;
+  /// inside the first scorer that needs it. Returns the plan, which also
+  /// prices the arrangements the runtime evaluates outside a search.
+  std::shared_ptr<const est::Plan> prefetch_plan(
+      const pmdl::ModelInstance& instance) const;
 
   mp::Proc* proc_;
   RuntimeConfig config_;

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <optional>
 
 #include "estimator/fingerprint.hpp"
 #include "support/error.hpp"
@@ -35,175 +34,94 @@ int context_threads(const SearchContext& context) {
   return context.pool != nullptr ? context.pool->size() : 1;
 }
 
-/// Per-select() scorer: resolves the compiled plan and the instance
-/// fingerprint once (both are O(model aggregates) — far too expensive per
-/// candidate), owns the selection->processors scratch, and routes every
-/// evaluation through the cache / compiled IR / interpreter as the context
-/// dictates. All routes return bit-identical values (the plan's exact-match
-/// contract, estimator/plan.hpp), so the search trajectory — and therefore
-/// the selection — is independent of which machinery is plugged in.
+/// What every scorer of one select() shares: the compiled plan and, when
+/// the context has an estimate cache, the instance/options fingerprint that
+/// keys it. Both cost O(model aggregates) — far too much per candidate — so
+/// each select() resolves them once: the plan comes from the context's plan
+/// cache, or is compiled here when the context has none.
+struct Pricing {
+  Pricing(const pmdl::ModelInstance& instance, est::EstimateOptions options,
+          const SearchContext& context)
+      : plan(context.plans != nullptr
+                 ? context.plans->get(instance)
+                 : std::make_shared<const est::Plan>(instance)),
+        cache(context.cache),
+        fingerprint(cache != nullptr
+                        ? est::estimate_fingerprint(instance, options)
+                        : 0) {}
+
+  std::shared_ptr<const est::Plan> plan;
+  est::EstimateCache* cache;
+  std::uint64_t fingerprint;
+};
+
+/// One-at-a-time scoring for the serial searches: selection -> physical
+/// processors, then a cache lookup, and on a miss a count-1 kernel call and
+/// an insert (est::EstimateCache::estimate). Singles never count toward the
+/// batch_* stats, which describe the batch searches alone.
 ///
 /// Not thread-safe: one scorer per search thread (parallel mappers already
 /// give each chunk/member its own serial search).
 class CandidateScorer {
  public:
-  CandidateScorer(const pmdl::ModelInstance& instance,
-                  std::span<const Candidate> candidates,
+  CandidateScorer(const Pricing& pricing, std::span<const Candidate> candidates,
                   const hnoc::NetworkModel& network,
-                  est::EstimateOptions options, const SearchContext& context)
-      : instance_(&instance),
+                  est::EstimateOptions options)
+      : pricing_(&pricing),
         candidates_(candidates),
         network_(&network),
-        options_(options),
-        cache_(context.cache) {
-    if (context.plans != nullptr) {
-      plan_ = context.plans->get(instance);
-      if (context.delta) {
-        delta_.emplace(*plan_, network, options);
-      }
-    }
-    if (cache_ != nullptr) {
-      fingerprint_ = est::estimate_fingerprint(instance, options);
-    }
-    processors_.resize(static_cast<std::size_t>(instance.size()));
-  }
+        options_(options) {}
 
-  /// Full evaluation of `selection`. In delta mode this also (re)bases the
-  /// incremental state on it, so it doubles as the hill climbers' "accept
-  /// this as the current arrangement" entry point.
-  double full(std::span<const int> selection, SearchStats* stats) {
-    to_processors(selection);
-    stats->evaluations += 1;
-    if (delta_) {
-      // The reset is the evaluation (and the checkpointed base state).
-      const double t = delta_->reset(processors_);
-      stats->compiled_evaluations += 1;
-      const auto ops = static_cast<long long>(plan_->op_count());
-      stats->delta_ops_replayed += ops;
-      stats->delta_ops_total += ops;
-      synced_ops_ = delta_->ops_replayed();
-      if (cache_ != nullptr) {
-        double cached = 0.0;
-        if (cache_->lookup(fingerprint_, processors_, *network_, &cached)) {
-          stats->cache_hits += 1;
-          return cached;  // == t bit for bit, by the determinism contract
-        }
-        cache_->insert(fingerprint_, processors_, *network_, t);
-        stats->cache_misses += 1;
-      }
-      return t;
-    }
-    if (cache_ != nullptr) {
-      bool hit = false;
-      const double t = cache_->estimate(fingerprint_, *instance_, processors_,
-                                        *network_, options_, &hit, plan_.get());
-      (hit ? stats->cache_hits : stats->cache_misses) += 1;
-      if (!hit && plan_ != nullptr) stats->compiled_evaluations += 1;
-      return t;
-    }
-    if (plan_ != nullptr) {
-      stats->compiled_evaluations += 1;
-      return plan_->evaluate(processors_, *network_, options_);
-    }
-    return est::estimate_time(*instance_, processors_, *network_, options_);
-  }
-
-  /// Price `selection`, which differs from the last accepted arrangement in
-  /// exactly the `changed` slots. Delta mode answers by staged suffix replay
-  /// (one cache lookup per proposal, like every other route); the other
-  /// modes ignore the hint and evaluate fully.
-  double probe(std::span<const int> selection, std::span<const int> changed,
-               SearchStats* stats) {
-    if (!delta_) return full(selection, stats);
-    stats->evaluations += 1;
-    moves_.clear();
-    for (int a : changed) {
-      moves_.push_back(
-          {a, candidates_[static_cast<std::size_t>(
-                              selection[static_cast<std::size_t>(a)])]
-                  .processor});
-    }
-    const std::span<const int> staged = delta_->stage(moves_);
-    if (cache_ != nullptr) {
-      double cached = 0.0;
-      if (cache_->lookup(fingerprint_, staged, *network_, &cached)) {
-        stats->cache_hits += 1;
-        delta_->set_staged_value(cached);
-        return cached;
-      }
-    }
-    const double t = delta_->replay();
-    stats->compiled_evaluations += 1;
-    stats->delta_evaluations += 1;
-    stats->delta_ops_total += static_cast<long long>(plan_->op_count());
-    stats->delta_ops_replayed += delta_->ops_replayed() - synced_ops_;
-    synced_ops_ = delta_->ops_replayed();
-    if (cache_ != nullptr) {
-      cache_->insert(fingerprint_, staged, *network_, t);
-      stats->cache_misses += 1;
-    }
-    return t;
-  }
-
-  /// Adopt the last probed proposal as the accepted arrangement. No-op
-  /// outside delta mode (the selection vector is the only state there).
-  void accept(SearchStats* stats) {
-    if (!delta_) return;
-    delta_->commit();
-    // Commits are O(1), but an unpriced one rebuilds the suffix: keep the
-    // replay accounting synced either way.
-    stats->delta_ops_replayed += delta_->ops_replayed() - synced_ops_;
-    synced_ops_ = delta_->ops_replayed();
-  }
-
- private:
-  void to_processors(std::span<const int> selection) {
+  double score(std::span<const int> selection, SearchStats* stats) {
+    processors_.resize(selection.size());
     for (std::size_t a = 0; a < selection.size(); ++a) {
       processors_[a] =
           candidates_[static_cast<std::size_t>(selection[a])].processor;
     }
+    stats->evaluations += 1;
+    const est::Plan& plan = *pricing_->plan;
+    if (pricing_->cache == nullptr) {
+      stats->compiled_evaluations += 1;
+      return plan.evaluate(processors_, *network_, options_);
+    }
+    bool hit = false;
+    const double t = pricing_->cache->estimate(
+        pricing_->fingerprint, plan, processors_, *network_, options_, &hit);
+    if (hit) {
+      stats->cache_hits += 1;
+    } else {
+      stats->cache_misses += 1;
+      stats->compiled_evaluations += 1;
+    }
+    return t;
   }
 
-  const pmdl::ModelInstance* instance_;
+ private:
+  const Pricing* pricing_;
   std::span<const Candidate> candidates_;
   const hnoc::NetworkModel* network_;
   est::EstimateOptions options_;
-  est::EstimateCache* cache_;
-  std::shared_ptr<const est::Plan> plan_;
-  std::optional<est::DeltaEvaluator> delta_;
-  std::uint64_t fingerprint_ = 0;
-  long long synced_ops_ = 0;
   std::vector<int> processors_;
-  std::vector<est::DeltaEvaluator::Move> moves_;
 };
 
 /// Batch counterpart of CandidateScorer for the scalable searches: packs a
 /// set of complete selections into row-major physical mappings, answers what
 /// it can from the estimate cache in one bulk probe per shard, prices the
-/// misses through the SoA est::BatchEvaluator (or the interpreter when no
-/// plan cache is supplied) and bulk-inserts them back. Values are
-/// bit-identical on every route — the same contract CandidateScorer rides
-/// on — so batch and one-at-a-time searches agree bit for bit.
+/// misses through the SoA est::BatchEvaluator and bulk-inserts them back.
+/// A candidate's value does not depend on the batch it is priced in, so
+/// batch and one-at-a-time searches agree bit for bit.
 ///
 /// Not thread-safe: one scorer per chunk/chain (all scratch is reused
 /// across calls, so a steady-state round allocates nothing).
 class BatchScorer {
  public:
-  BatchScorer(const pmdl::ModelInstance& instance,
-              std::span<const Candidate> candidates,
-              const hnoc::NetworkModel& network, est::EstimateOptions options,
-              const SearchContext& context)
-      : instance_(&instance),
+  BatchScorer(const Pricing& pricing, std::span<const Candidate> candidates,
+              const hnoc::NetworkModel& network, est::EstimateOptions options)
+      : pricing_(&pricing),
         candidates_(candidates),
         network_(&network),
         options_(options),
-        cache_(context.cache),
-        width_(static_cast<std::size_t>(instance.size())) {
-    if (context.plans != nullptr) plan_ = context.plans->get(instance);
-    if (cache_ != nullptr) {
-      fingerprint_ = est::estimate_fingerprint(instance, options);
-    }
-  }
+        width_(static_cast<std::size_t>(pricing.plan->size())) {}
 
   /// Scores `count` selections laid out row-major (selections[j * width + a]
   /// is the candidate index of abstract slot `a` in selection `j`) into
@@ -221,59 +139,48 @@ class BatchScorer {
       rows_[j] = candidates_[static_cast<std::size_t>(selections[j])].processor;
     }
 
+    est::EstimateCache* cache = pricing_->cache;
     found_.assign(count, 0);
-    std::size_t hits = 0;
-    if (cache_ != nullptr) {
-      hits = cache_->lookup_batch(fingerprint_, rows_, width_, *network_, out,
-                                  found_);
+    if (cache != nullptr) {
+      const std::size_t hits = cache->lookup_batch(
+          pricing_->fingerprint, rows_, width_, *network_, out, found_);
       stats->cache_hits += static_cast<long long>(hits);
       stats->cache_misses += static_cast<long long>(count - hits);
       if (hits == count) return;
     }
 
-    if (plan_ != nullptr) {
-      // Pack the miss subset slot-major and price it in one SoA pass.
-      miss_index_.clear();
-      for (std::size_t j = 0; j < count; ++j) {
-        if (found_[j] == 0) miss_index_.push_back(j);
-      }
-      const std::size_t misses = miss_index_.size();
-      soa_.resize(width_ * misses);
-      for (std::size_t a = 0; a < width_; ++a) {
-        for (std::size_t m = 0; m < misses; ++m) {
-          soa_[a * misses + m] = rows_[miss_index_[m] * width_ + a];
-        }
-      }
-      miss_out_.resize(misses);
-      batch_.evaluate(*plan_, soa_, misses, *network_, options_, miss_out_);
+    // Pack the miss subset slot-major and price it in one SoA pass.
+    miss_index_.clear();
+    for (std::size_t j = 0; j < count; ++j) {
+      if (found_[j] == 0) miss_index_.push_back(j);
+    }
+    const std::size_t misses = miss_index_.size();
+    soa_.resize(width_ * misses);
+    for (std::size_t a = 0; a < width_; ++a) {
       for (std::size_t m = 0; m < misses; ++m) {
-        out[miss_index_[m]] = miss_out_[m];
-      }
-      stats->compiled_evaluations += static_cast<long long>(misses);
-      stats->batch_evaluated += static_cast<long long>(misses);
-    } else {
-      for (std::size_t j = 0; j < count; ++j) {
-        if (found_[j] != 0) continue;
-        out[j] = est::estimate_time(
-            *instance_,
-            std::span<const int>(rows_).subspan(j * width_, width_), *network_,
-            options_);
+        soa_[a * misses + m] = rows_[miss_index_[m] * width_ + a];
       }
     }
+    miss_out_.resize(misses);
+    batch_.evaluate(*pricing_->plan, soa_, misses, *network_, options_,
+                    miss_out_);
+    for (std::size_t m = 0; m < misses; ++m) {
+      out[miss_index_[m]] = miss_out_[m];
+    }
+    stats->compiled_evaluations += static_cast<long long>(misses);
+    stats->batch_evaluated += static_cast<long long>(misses);
 
-    if (cache_ != nullptr) {
-      cache_->insert_batch(fingerprint_, rows_, width_, *network_, out, found_);
+    if (cache != nullptr) {
+      cache->insert_batch(pricing_->fingerprint, rows_, width_, *network_, out,
+                          found_);
     }
   }
 
  private:
-  const pmdl::ModelInstance* instance_;
+  const Pricing* pricing_;
   std::span<const Candidate> candidates_;
   const hnoc::NetworkModel* network_;
   est::EstimateOptions options_;
-  est::EstimateCache* cache_;
-  std::shared_ptr<const est::Plan> plan_;
-  std::uint64_t fingerprint_ = 0;
   std::size_t width_;
   est::BatchEvaluator batch_;
   std::vector<int> rows_;
@@ -290,16 +197,17 @@ class BatchScorer {
 /// them, so results are bit-identical for any thread count.
 class ParallelBatchScorer {
  public:
-  ParallelBatchScorer(const pmdl::ModelInstance& instance,
+  ParallelBatchScorer(const Pricing& pricing,
                       std::span<const Candidate> candidates,
                       const hnoc::NetworkModel& network,
                       est::EstimateOptions options,
                       const SearchContext& context)
-      : pool_(context.pool), width_(static_cast<std::size_t>(instance.size())) {
+      : pool_(context.pool),
+        width_(static_cast<std::size_t>(pricing.plan->size())) {
     const int slots = std::max(1, context_threads(context));
     scorers_.reserve(static_cast<std::size_t>(slots));
     for (int t = 0; t < slots; ++t) {
-      scorers_.emplace_back(instance, candidates, network, options, context);
+      scorers_.emplace_back(pricing, candidates, network, options);
     }
     slot_stats_.resize(scorers_.size());
   }
@@ -374,30 +282,6 @@ int Mapper::check(const pmdl::ModelInstance& instance,
   return p;
 }
 
-double Mapper::score(const pmdl::ModelInstance& instance,
-                     std::span<const Candidate> candidates,
-                     std::span<const int> selection,
-                     const hnoc::NetworkModel& network,
-                     est::EstimateOptions options, const SearchContext& context,
-                     SearchStats* stats) {
-  // Thread-local scratch: this runs per candidate in the selection hot path
-  // and must not allocate (profile-guided; verified by the A9 ablation).
-  static thread_local std::vector<int> processors;
-  processors.resize(selection.size());
-  for (std::size_t a = 0; a < selection.size(); ++a) {
-    processors[a] = candidates[static_cast<std::size_t>(selection[a])].processor;
-  }
-  stats->evaluations += 1;
-  if (context.cache != nullptr) {
-    bool hit = false;
-    const double t =
-        context.cache->estimate(instance, processors, network, options, &hit);
-    (hit ? stats->cache_hits : stats->cache_misses) += 1;
-    return t;
-  }
-  return est::estimate_time(instance, processors, network, options);
-}
-
 // --- ExhaustiveMapper ---------------------------------------------------------
 
 MappingResult ExhaustiveMapper::select(const pmdl::ModelInstance& instance,
@@ -430,14 +314,15 @@ MappingResult ExhaustiveMapper::select(const pmdl::ModelInstance& instance,
     if (a != parent_abstract) slots.push_back(a);
   }
 
+  const Pricing pricing(instance, options, context);
   if (slots.empty()) {
     // Only the pinned parent: a single arrangement.
     MappingResult result;
     result.candidate_for_abstract.assign(static_cast<std::size_t>(p),
                                          parent_candidate);
-    result.estimated_time = score(instance, candidates,
-                                  result.candidate_for_abstract, network,
-                                  options, context, &result.stats);
+    CandidateScorer scorer(pricing, candidates, network, options);
+    result.estimated_time =
+        scorer.score(result.candidate_for_abstract, &result.stats);
     result.stats.threads = context_threads(context);
     result.stats.wall_seconds = timer.seconds();
     return result;
@@ -460,14 +345,7 @@ MappingResult ExhaustiveMapper::select(const pmdl::ModelInstance& instance,
 
   const auto run_chunk = [&](int chunk_index) {
     ChunkResult& out = chunks[static_cast<std::size_t>(chunk_index)];
-    // Per-chunk scorer (one per worker thread). Delta replay is off here:
-    // DFS leaves share no accepted base arrangement to diff against, so the
-    // compiled full evaluation is the fast path.
-    SearchContext chunk_context = context;
-    chunk_context.pool = nullptr;
-    chunk_context.delta = false;
-    CandidateScorer scorer(instance, candidates, network, options,
-                           chunk_context);
+    CandidateScorer scorer(pricing, candidates, network, options);
     std::vector<int> selection(static_cast<std::size_t>(p), -1);
     std::vector<bool> used(static_cast<std::size_t>(n), false);
     selection[static_cast<std::size_t>(parent_abstract)] = parent_candidate;
@@ -481,7 +359,7 @@ MappingResult ExhaustiveMapper::select(const pmdl::ModelInstance& instance,
     // Depth-first over the remaining free slots, candidates ascending.
     auto recurse = [&](auto&& self, std::size_t slot_index) -> void {
       if (slot_index == slots.size()) {
-        const double t = scorer.full(selection, &out.best.stats);
+        const double t = scorer.score(selection, &out.best.stats);
         if (t < out.best.estimated_time) {
           out.best.estimated_time = t;
           out.best.candidate_for_abstract = selection;
@@ -588,13 +466,10 @@ MappingResult GreedyMapper::select(const pmdl::ModelInstance& instance,
   MappingResult result;
   result.candidate_for_abstract =
       greedy_selection(instance, candidates, parent_candidate, network);
-  // One evaluation total: no base arrangement to delta against.
-  SearchContext single_context = context;
-  single_context.delta = false;
-  CandidateScorer scorer(instance, candidates, network, options,
-                         single_context);
+  const Pricing pricing(instance, options, context);
+  CandidateScorer scorer(pricing, candidates, network, options);
   result.estimated_time =
-      scorer.full(result.candidate_for_abstract, &result.stats);
+      scorer.score(result.candidate_for_abstract, &result.stats);
   result.stats.threads = context_threads(context);
   result.stats.wall_seconds = timer.seconds();
   return result;
@@ -615,11 +490,12 @@ MappingResult SwapRefineMapper::select(const pmdl::ModelInstance& instance,
   const int n = static_cast<int>(candidates.size());
 
   SearchStats stats;
-  CandidateScorer scorer(instance, candidates, network, options, context);
+  const Pricing pricing(instance, options, context);
+  CandidateScorer scorer(pricing, candidates, network, options);
   std::vector<int> selection =
       GreedyMapper::greedy_selection(instance, candidates, parent_candidate,
                                      network);
-  double best = scorer.full(selection, &stats);
+  double best = scorer.score(selection, &stats);
 
   std::vector<bool> used(static_cast<std::size_t>(n), false);
   for (int c : selection) used[static_cast<std::size_t>(c)] = true;
@@ -634,12 +510,10 @@ MappingResult SwapRefineMapper::select(const pmdl::ModelInstance& instance,
         if (b == parent_abstract) continue;
         std::swap(selection[static_cast<std::size_t>(a)],
                   selection[static_cast<std::size_t>(b)]);
-        const int changed[2] = {a, b};
-        const double t = scorer.probe(selection, changed, &stats);
+        const double t = scorer.score(selection, &stats);
         if (t + 1e-15 < best) {
           best = t;
           improved = true;
-          scorer.accept(&stats);
         } else {
           std::swap(selection[static_cast<std::size_t>(a)],
                     selection[static_cast<std::size_t>(b)]);
@@ -654,14 +528,12 @@ MappingResult SwapRefineMapper::select(const pmdl::ModelInstance& instance,
         if (used[static_cast<std::size_t>(c)]) continue;
         const int old = selection[static_cast<std::size_t>(a)];
         selection[static_cast<std::size_t>(a)] = c;
-        const int changed[1] = {a};
-        const double t = scorer.probe(selection, changed, &stats);
+        const double t = scorer.score(selection, &stats);
         if (t + 1e-15 < best) {
           best = t;
           improved = true;
           used[static_cast<std::size_t>(old)] = false;
           used[static_cast<std::size_t>(c)] = true;
-          scorer.accept(&stats);
         } else {
           selection[static_cast<std::size_t>(a)] = old;
         }
@@ -695,10 +567,11 @@ MappingResult AnnealingMapper::select(const pmdl::ModelInstance& instance,
   const int n = static_cast<int>(candidates.size());
 
   SearchStats stats;
-  CandidateScorer scorer(instance, candidates, network, options, context);
+  const Pricing pricing(instance, options, context);
+  CandidateScorer scorer(pricing, candidates, network, options);
   std::vector<int> current = GreedyMapper::greedy_selection(
       instance, candidates, parent_candidate, network);
-  double current_score = scorer.full(current, &stats);
+  double current_score = scorer.score(current, &stats);
   std::vector<int> best = current;
   double best_score = current_score;
 
@@ -763,15 +636,11 @@ MappingResult AnnealingMapper::select(const pmdl::ModelInstance& instance,
                 current[static_cast<std::size_t>(slot_b)]);
     }
 
-    const int changed[2] = {slot_a, undo_slot_b >= 0 ? undo_slot_b : slot_a};
-    const double proposed = scorer.probe(
-        current, std::span<const int>(changed, undo_slot_b >= 0 ? 2u : 1u),
-        &stats);
+    const double proposed = scorer.score(current, &stats);
     const double delta = proposed - current_score;
     const bool accept =
         delta <= 0.0 || rng.next_double() < std::exp(-delta / temperature);
     if (accept) {
-      scorer.accept(&stats);
       current_score = proposed;
       if (proposed < best_score) {
         best_score = proposed;
@@ -817,7 +686,8 @@ MappingResult BeamMapper::select(const pmdl::ModelInstance& instance,
   const auto width = static_cast<std::size_t>(p);
 
   SearchStats stats;
-  ParallelBatchScorer scorer(instance, candidates, network, options, context);
+  const Pricing pricing(instance, options, context);
+  ParallelBatchScorer scorer(pricing, candidates, network, options, context);
 
   const auto finish = [&](std::vector<int> selection, double t) {
     MappingResult result;
@@ -954,6 +824,7 @@ MappingResult WorkStealingAnnealingMapper::select(
   }
   const std::vector<int> targets = substitution_targets(
       candidates, parent_candidate, network, options_.locality);
+  const Pricing pricing(instance, options, context);
 
   struct ChainResult {
     std::vector<int> best;
@@ -972,9 +843,7 @@ MappingResult WorkStealingAnnealingMapper::select(
   // which chain — never what any chain computes.
   const auto run_chain = [&](int ci) {
     ChainResult& out = results[static_cast<std::size_t>(ci)];
-    SearchContext chain_context = context;
-    chain_context.pool = nullptr;  // chains are the parallelism
-    BatchScorer scorer(instance, candidates, network, options, chain_context);
+    BatchScorer scorer(pricing, candidates, network, options);
     support::Rng rng(chain_seed(options_.annealing.seed, ci));
 
     std::vector<int> current = start;
@@ -1163,10 +1032,14 @@ MappingResult PortfolioMapper::select(const pmdl::ModelInstance& instance,
   // the members against each other; at scale each member gets the full
   // context (pool included) and they run in sequence. Either way the members
   // share the context's estimate cache (greedy's start is every search's
-  // start — instant hits) and the plan cache (one compile serves everyone).
-  const SearchContext member_context{at_scale ? context.pool : nullptr,
-                                     context.cache, context.plans,
-                                     context.delta};
+  // start — instant hits) and a plan cache (a local one when the caller
+  // supplied none), compiled before the members race so that one compile
+  // serves everyone.
+  est::PlanCache local_plans;
+  const SearchContext member_context{
+      at_scale ? context.pool : nullptr, context.cache,
+      context.plans != nullptr ? context.plans : &local_plans};
+  member_context.plans->get(instance);
   std::vector<MappingResult> results(members.size());
   const auto run_member = [&](int m) {
     results[static_cast<std::size_t>(m)] =

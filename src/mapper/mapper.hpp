@@ -52,7 +52,6 @@
 #include <vector>
 
 #include "estimator/estimate_cache.hpp"
-#include "estimator/estimator.hpp"
 #include "estimator/plan.hpp"
 #include "hnoc/network_model.hpp"
 #include "pmdl/model.hpp"
@@ -70,24 +69,16 @@ struct Candidate {
 struct SearchStats {
   long long evaluations = 0;   ///< Arrangements scored (cache hits included).
   long long cache_hits = 0;    ///< Evaluations answered from the cache.
-  long long cache_misses = 0;  ///< Evaluations the estimator had to replay.
-  /// Evaluations priced on the compiled cost IR (full or suffix replay;
-  /// cache hits excluded — nothing was evaluated).
+  long long cache_misses = 0;  ///< Evaluations the estimator had to price.
+  /// Evaluations the estimator kernel priced (cache hits excluded —
+  /// nothing was evaluated).
   long long compiled_evaluations = 0;
-  /// Compiled evaluations answered by a delta suffix replay.
-  long long delta_evaluations = 0;
-  /// IR ops the delta path actually ran (replays, including the amortised
-  /// checkpoint-grid rebuilds commits defer to them)...
-  long long delta_ops_replayed = 0;
-  /// ...versus what the same evaluations would have cost done fully; the
-  /// ratio is the est.delta.savings gauge.
-  long long delta_ops_total = 0;
   /// Batch scoring requests the scalable searches issued (mapper.batch.*).
   long long batch_chunks = 0;
   /// Selections scored through the batch path (cache hits included).
   long long batch_candidates = 0;
-  /// Batch candidates the SoA evaluator priced (cache hits and interpreter
-  /// fallbacks excluded; est.batch.* metrics).
+  /// Batch candidates the SoA evaluator priced (cache hits excluded;
+  /// est.batch.* metrics).
   long long batch_evaluated = 0;
   double wall_seconds = 0.0;   ///< Host wall-clock time of the search.
   int threads = 1;             ///< Workers the search ran with.
@@ -108,27 +99,22 @@ struct SearchStats {
     cache_hits += other.cache_hits;
     cache_misses += other.cache_misses;
     compiled_evaluations += other.compiled_evaluations;
-    delta_evaluations += other.delta_evaluations;
-    delta_ops_replayed += other.delta_ops_replayed;
-    delta_ops_total += other.delta_ops_total;
     batch_chunks += other.batch_chunks;
     batch_candidates += other.batch_candidates;
     batch_evaluated += other.batch_evaluated;
   }
 };
 
-/// Shared machinery a caller may hand to a search. The pointer members are
+/// Shared machinery a caller may hand to a search. The members are
 /// borrowed, optional, and independent: a null pool runs serially, a null
-/// cache scores every arrangement through the estimator directly, a null
-/// plan cache scores through the pmdl interpreter instead of the compiled
-/// cost IR. `delta` enables incremental suffix-replay re-estimation in the
-/// hill climbers (needs `plans`; estimator/plan.hpp). Every combination
-/// returns bit-identical selections — the toggles trade CPU only.
+/// cache prices every arrangement through the estimator kernel directly, a
+/// null plan cache compiles the instance once per select() instead of
+/// sharing compiled plans across searches. Every combination returns
+/// bit-identical selections — the members trade CPU only.
 struct SearchContext {
   support::ThreadPool* pool = nullptr;
   est::EstimateCache* cache = nullptr;
   est::PlanCache* plans = nullptr;
-  bool delta = true;
 };
 
 /// A selection: which candidate plays each abstract processor.
@@ -173,26 +159,6 @@ class Mapper {
   static int check(const pmdl::ModelInstance& instance,
                    std::span<const Candidate> candidates, int parent_candidate,
                    const hnoc::NetworkModel& network);
-
-  /// Estimated time of `selection` (candidate indices per abstract proc),
-  /// through the context's cache when present; bumps `stats`.
-  static double score(const pmdl::ModelInstance& instance,
-                      std::span<const Candidate> candidates,
-                      std::span<const int> selection,
-                      const hnoc::NetworkModel& network,
-                      est::EstimateOptions options, const SearchContext& context,
-                      SearchStats* stats);
-
-  /// Uncached, unaccounted variant (compatibility helper).
-  static double score(const pmdl::ModelInstance& instance,
-                      std::span<const Candidate> candidates,
-                      std::span<const int> selection,
-                      const hnoc::NetworkModel& network,
-                      est::EstimateOptions options) {
-    SearchStats stats;
-    return score(instance, candidates, selection, network, options,
-                 SearchContext{}, &stats);
-  }
 };
 
 /// Optimal by enumeration of all injective assignments with the parent

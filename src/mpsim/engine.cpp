@@ -1,6 +1,7 @@
 #include "mpsim/engine.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -22,33 +23,49 @@ namespace {
 thread_local EventEngine* tl_engine = nullptr;
 thread_local Fiber* tl_fiber = nullptr;
 
+/// Value of the positive-integer env knob `name`, or `fallback` when it is
+/// unset. Anything but a whole decimal number in [1, max] throws.
+long positive_env(const char* name, long max, long fallback) {
+  const char* value = std::getenv(name);
+  if (value == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long parsed = std::strtol(value, &end, 10);
+  if (end == value || *end != '\0' || errno == ERANGE || parsed < 1 ||
+      parsed > max) {
+    throw InvalidArgument(std::string(name) + "='" + value +
+                          "' is not a positive integer (accepted: 1.." +
+                          std::to_string(max) + ")");
+  }
+  return parsed;
+}
+
 }  // namespace
 
 SimEngine resolve_engine(SimEngine configured) {
   if (configured != SimEngine::kAuto) return configured;
-  if (const char* value = std::getenv("HMPI_SIM_ENGINE")) {
-    const std::string v(value);
-    if (v == "event" || v == "fiber") return SimEngine::kEvent;
-  }
-  return SimEngine::kThread;
+  const char* value = std::getenv("HMPI_SIM_ENGINE");
+  if (value == nullptr) return SimEngine::kThread;
+  const std::string v(value);
+  if (v == "thread") return SimEngine::kThread;
+  if (v == "event" || v == "fiber") return SimEngine::kEvent;
+  throw InvalidArgument("HMPI_SIM_ENGINE='" + v +
+                        "' is not an engine (accepted: thread|event|fiber)");
 }
 
 int resolve_workers(int configured) {
   if (configured > 0) return configured;
-  if (const char* value = std::getenv("HMPI_SIM_WORKERS")) {
-    const int v = std::atoi(value);
-    if (v > 0) return v;
-  }
-  return 1;
+  return static_cast<int>(positive_env(
+      "HMPI_SIM_WORKERS", std::numeric_limits<int>::max(), 1));
 }
 
 std::size_t resolve_stack_bytes(std::size_t configured) {
   if (configured > 0) return configured;
-  if (const char* value = std::getenv("HMPI_SIM_STACK_KB")) {
-    const long v = std::atol(value);
-    if (v > 0) return static_cast<std::size_t>(v) * 1024;
-  }
-  return 512 * 1024;
+  // KiB, bounded so the byte count cannot overflow.
+  const long kib = positive_env(
+      "HMPI_SIM_STACK_KB",
+      static_cast<long>(std::numeric_limits<std::size_t>::max() / 1024), 512);
+  return static_cast<std::size_t>(kib) * 1024;
 }
 
 bool on_fiber() noexcept { return tl_fiber != nullptr; }

@@ -39,16 +39,19 @@ enum class SimEngine {
   kEvent,   ///< Fibers over a virtual-time event queue.
 };
 
-/// Resolves kAuto against the HMPI_SIM_ENGINE env var ("thread" | "event");
-/// unknown values fall back to kThread.
+/// Resolves kAuto against the HMPI_SIM_ENGINE env var ("thread" | "event",
+/// "fiber" an alias of "event"); unset means kThread. Any other value throws
+/// InvalidArgument naming the variable and the accepted spellings.
 SimEngine resolve_engine(SimEngine configured);
 
 /// Resolves the event-engine worker count: a positive configured value wins,
-/// else HMPI_SIM_WORKERS, else 1.
+/// else HMPI_SIM_WORKERS, else 1. A set HMPI_SIM_WORKERS that is not a
+/// positive integer throws InvalidArgument.
 int resolve_workers(int configured);
 
 /// Resolves the fiber stack size: a positive configured value wins, else
-/// HMPI_SIM_STACK_KB, else 512 KiB.
+/// HMPI_SIM_STACK_KB, else 512 KiB. A set HMPI_SIM_STACK_KB that is not a
+/// positive integer throws InvalidArgument.
 std::size_t resolve_stack_bytes(std::size_t configured);
 
 /// True when the calling thread is currently executing a simulation fiber.

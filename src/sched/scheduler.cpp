@@ -129,7 +129,6 @@ map::SearchContext Scheduler::search_context() {
   map::SearchContext context;
   context.cache = &estimate_cache_;
   context.plans = &plan_cache_;
-  context.delta = true;
   return context;
 }
 

@@ -5,7 +5,7 @@
 // (one candidate per free slot, so a machine with two free slots can host
 // two abstract processors), picks the parent candidate, and calls the
 // configured map::Mapper verbatim against the residual-priced overlay. The
-// mapper/estimator pipeline — estimate cache, plan cache, delta replay —
+// mapper/estimator pipeline — estimate cache, plan cache, batch kernel —
 // is reused unchanged; residual pricing is entirely the overlay's job.
 #pragma once
 
@@ -13,7 +13,7 @@
 #include <optional>
 #include <vector>
 
-#include "estimator/estimator.hpp"
+#include "estimator/plan.hpp"
 #include "mapper/mapper.hpp"
 #include "sched/capacity.hpp"
 

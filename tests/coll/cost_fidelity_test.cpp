@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "coll/cost.hpp"
-#include "estimator/estimator.hpp"
 #include "hnoc/cluster.hpp"
 #include "hnoc/network_model.hpp"
 #include "mpsim/comm.hpp"
@@ -122,22 +121,17 @@ TEST(CostFidelity, PredictionEqualsSimulationForEveryAlgorithm) {
 }
 
 TEST(CostFidelity, EstimatorDelegateMatches) {
-  // est::collective_time is the estimator's entry point into the same cost
-  // function; algo 0 resolves the legacy default.
+  // An unpinned (kAuto) collective on a world without a tuner runs the
+  // legacy default, so collective_cost of that default must price it.
   hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
   hnoc::NetworkModel network(cluster);
   std::vector<int> procs(static_cast<std::size_t>(cluster.size()));
   std::iota(procs.begin(), procs.end(), 0);
-  const double direct = collective_cost(CollOp::kBcast,
-                                        legacy_default(CollOp::kBcast), procs,
-                                        4096, network);
-  // algo 0 resolves to the legacy default inside the estimator delegate.
-  const double delegated =
-      est::collective_time(CollOp::kBcast, 0, procs, 4096, network);
-  EXPECT_DOUBLE_EQ(direct, delegated);
-  const double measured =
-      simulate(cluster, CollOp::kBcast, legacy_default(CollOp::kBcast), 512);
-  EXPECT_NEAR(direct, measured, 1e-12 + 1e-9 * direct);
+  const double predicted = collective_cost(CollOp::kBcast,
+                                           legacy_default(CollOp::kBcast),
+                                           procs, 4096, network);
+  const double measured = simulate(cluster, CollOp::kBcast, /*kAuto*/ 0, 512);
+  EXPECT_NEAR(predicted, measured, 1e-12 + 1e-9 * predicted);
 }
 
 }  // namespace

@@ -1,17 +1,17 @@
 // The SoA batch evaluator (estimator/plan.hpp) and the estimate cache's bulk
 // probes (estimator/estimate_cache.hpp): evaluate_batch must equal N
-// one-at-a-time Plan::evaluate calls bit for bit on arbitrary models and
-// clusters, and lookup_batch/insert_batch must be interchangeable with the
-// single-key calls, at any shard count.
+// one-at-a-time Plan::evaluate calls and the reference interpreter bit for
+// bit on arbitrary models and clusters, and lookup_batch/insert_batch must
+// be interchangeable with the single-key calls, at any shard count.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "estimator/estimate_cache.hpp"
-#include "estimator/estimator.hpp"
 #include "estimator/fingerprint.hpp"
 #include "estimator/plan.hpp"
 #include "hnoc/cluster.hpp"
+#include "reference/estimator.hpp"
 #include "support/rng.hpp"
 
 namespace hmpi::est {
@@ -111,8 +111,9 @@ void expect_batch_matches_singles(const ModelInstance& instance,
   for (std::size_t i = 0; i < count; ++i) {
     const double single = plan.evaluate(rows[i], net, options);
     EXPECT_EQ(single, batched[i]) << "mapping " << i;  // exact bits
-    // And both must equal the interpreter (the plan contract).
-    EXPECT_EQ(estimate_time(instance, rows[i], net, options), batched[i]);
+    // And both must equal the reference interpreter.
+    EXPECT_EQ(reference::estimate_time(instance, rows[i], net, options),
+              batched[i]);
   }
 }
 
@@ -173,6 +174,8 @@ TEST(EstimateCacheShards, AnyShardCountReturnsIdenticalValues) {
   const hnoc::NetworkModel net(cluster);
   const ModelInstance instance = random_scheme_model(rng, 4);
   const EstimateOptions options{};
+  const Plan plan(instance);
+  const std::uint64_t fp = estimate_fingerprint(instance, options);
 
   std::vector<std::vector<int>> mappings;
   for (int i = 0; i < 40; ++i) {
@@ -183,17 +186,17 @@ TEST(EstimateCacheShards, AnyShardCountReturnsIdenticalValues) {
     mappings.push_back(std::move(mapping));
   }
 
-  EstimateCache reference(1);
+  EstimateCache one_shard(1);
   std::vector<double> expected;
   for (const auto& mapping : mappings) {
-    expected.push_back(reference.estimate(instance, mapping, net, options));
+    expected.push_back(one_shard.estimate(fp, plan, mapping, net, options));
   }
   for (std::size_t shards : {std::size_t{0}, std::size_t{3},
                              std::size_t{64}}) {
     EstimateCache cache(shards);
     EXPECT_GE(cache.shard_count(), 1u);  // 0 clamps to 1
     for (std::size_t i = 0; i < mappings.size(); ++i) {
-      EXPECT_EQ(cache.estimate(instance, mappings[i], net, options),
+      EXPECT_EQ(cache.estimate(fp, plan, mappings[i], net, options),
                 expected[i]);
     }
   }

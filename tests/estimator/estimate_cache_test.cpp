@@ -5,7 +5,9 @@
 #include <thread>
 #include <vector>
 
+#include "estimator/fingerprint.hpp"
 #include "hnoc/cluster.hpp"
+#include "reference/estimator.hpp"
 #include "sched/capacity.hpp"
 #include "support/rng.hpp"
 
@@ -41,6 +43,14 @@ ModelInstance ring_model(int p) {
   return b.build();
 }
 
+/// `cache`'s estimate of `mapping`, priced by the kernel on a miss.
+double memoised(EstimateCache& cache, const ModelInstance& inst,
+                std::span<const int> mapping, const hnoc::NetworkModel& net,
+                EstimateOptions options, bool* hit = nullptr) {
+  return cache.estimate(estimate_fingerprint(inst, options), Plan(inst),
+                        mapping, net, options, hit);
+}
+
 TEST(EstimateCache, AgreesBitForBitWithUncachedOnRandomMappings) {
   hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
   hnoc::NetworkModel net(cluster);
@@ -52,12 +62,15 @@ TEST(EstimateCache, AgreesBitForBitWithUncachedOnRandomMappings) {
     for (int& p : mapping) {
       p = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(net.size())));
     }
-    const double plain = estimate_time(inst, mapping, net, EstimateOptions{});
-    const double cached = cache.estimate(inst, mapping, net, EstimateOptions{});
+    const double plain =
+        reference::estimate_time(inst, mapping, net, EstimateOptions{});
+    const double cached =
+        memoised(cache, inst, mapping, net, EstimateOptions{});
     EXPECT_EQ(plain, cached);  // exact, not approximate
     // A second lookup must hit and return the identical bits.
     bool hit = false;
-    EXPECT_EQ(cache.estimate(inst, mapping, net, EstimateOptions{}, &hit), plain);
+    EXPECT_EQ(memoised(cache, inst, mapping, net, EstimateOptions{}, &hit),
+              plain);
     EXPECT_TRUE(hit);
   }
   EXPECT_GT(cache.hits(), 0);
@@ -71,9 +84,9 @@ TEST(EstimateCache, RepeatLookupsHit) {
   EstimateCache cache;
   const std::vector<int> mapping{0, 1, 2};
   bool hit = true;
-  cache.estimate(inst, mapping, net, EstimateOptions{}, &hit);
+  memoised(cache, inst, mapping, net, EstimateOptions{}, &hit);
   EXPECT_FALSE(hit);
-  cache.estimate(inst, mapping, net, EstimateOptions{}, &hit);
+  memoised(cache, inst, mapping, net, EstimateOptions{}, &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.hits(), 1);
@@ -86,13 +99,15 @@ TEST(EstimateCache, SetSpeedInvalidatesThroughTheVersionCounter) {
   ModelInstance inst = ring_model(3);
   EstimateCache cache;
   const std::vector<int> mapping{0, 1, 2};
-  const double before = cache.estimate(inst, mapping, net, EstimateOptions{});
+  const double before = memoised(cache, inst, mapping, net, EstimateOptions{});
 
   net.set_speed(1, 5.0);  // recon: processor 1 is 10x slower than believed
   bool hit = true;
-  const double after = cache.estimate(inst, mapping, net, EstimateOptions{}, &hit);
+  const double after =
+      memoised(cache, inst, mapping, net, EstimateOptions{}, &hit);
   EXPECT_FALSE(hit);  // the old entry is unreachable, not served stale
-  EXPECT_EQ(after, estimate_time(inst, mapping, net, EstimateOptions{}));
+  EXPECT_EQ(after,
+            reference::estimate_time(inst, mapping, net, EstimateOptions{}));
   EXPECT_NE(before, after);
 }
 
@@ -104,18 +119,18 @@ TEST(EstimateCache, SnapshotCopiesShareTheVersion) {
   ModelInstance inst = ring_model(3);
   EstimateCache cache;
   const std::vector<int> mapping{0, 1, 2};
-  cache.estimate(inst, mapping, net, EstimateOptions{});
+  memoised(cache, inst, mapping, net, EstimateOptions{});
 
   hnoc::NetworkModel snapshot = net;
   EXPECT_EQ(snapshot.version(), net.version());
   bool hit = false;
-  cache.estimate(inst, mapping, snapshot, EstimateOptions{}, &hit);
+  memoised(cache, inst, mapping, snapshot, EstimateOptions{}, &hit);
   EXPECT_TRUE(hit);
 
   // Mutating the snapshot diverges it from every other model.
   snapshot.set_speed(0, 123.0);
   EXPECT_NE(snapshot.version(), net.version());
-  cache.estimate(inst, mapping, snapshot, EstimateOptions{}, &hit);
+  memoised(cache, inst, mapping, snapshot, EstimateOptions{}, &hit);
   EXPECT_FALSE(hit);
 }
 
@@ -128,17 +143,17 @@ TEST(EstimateCache, DistinguishesInstancesAndOptions) {
   const std::vector<int> map3{0, 1, 2};
   const std::vector<int> map4{0, 1, 2, 3};
 
-  EXPECT_EQ(cache.estimate(a, map3, net, EstimateOptions{}),
-            estimate_time(a, map3, net, EstimateOptions{}));
-  EXPECT_EQ(cache.estimate(b, map4, net, EstimateOptions{}),
-            estimate_time(b, map4, net, EstimateOptions{}));
+  EXPECT_EQ(memoised(cache, a, map3, net, EstimateOptions{}),
+            reference::estimate_time(a, map3, net, EstimateOptions{}));
+  EXPECT_EQ(memoised(cache, b, map4, net, EstimateOptions{}),
+            reference::estimate_time(b, map4, net, EstimateOptions{}));
 
   EstimateOptions heavy;
   heavy.send_overhead_s = 1.0;
   heavy.recv_overhead_s = 2.0;
   bool hit = true;
-  EXPECT_EQ(cache.estimate(a, map3, net, heavy, &hit),
-            estimate_time(a, map3, net, heavy));
+  EXPECT_EQ(memoised(cache, a, map3, net, heavy, &hit),
+            reference::estimate_time(a, map3, net, heavy));
   EXPECT_FALSE(hit);  // different options, different entry
   EXPECT_EQ(cache.size(), 3u);
 }
@@ -149,14 +164,14 @@ TEST(EstimateCache, ClearDropsEntriesButKeepsCounters) {
   ModelInstance inst = ring_model(3);
   EstimateCache cache;
   const std::vector<int> mapping{0, 1, 2};
-  cache.estimate(inst, mapping, net, EstimateOptions{});
-  cache.estimate(inst, mapping, net, EstimateOptions{});
+  memoised(cache, inst, mapping, net, EstimateOptions{});
+  memoised(cache, inst, mapping, net, EstimateOptions{});
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(cache.misses(), 1);
   bool hit = true;
-  cache.estimate(inst, mapping, net, EstimateOptions{}, &hit);
+  memoised(cache, inst, mapping, net, EstimateOptions{}, &hit);
   EXPECT_FALSE(hit);
 }
 
@@ -178,14 +193,13 @@ TEST(EstimateCache, NeverStaleAcrossSchedulerLeaseReleaseCycles) {
     // Ground truth recomputed from scratch against the current overlay; the
     // cache must agree bit for bit, and a repeat lookup must hit with the
     // identical bits.
+    const EstimateOptions o{};
     const double plain =
-        estimate_time(inst, mapping, ledger.overlay(), EstimateOptions{});
-    EXPECT_EQ(cache.estimate(inst, mapping, ledger.overlay(), EstimateOptions{}),
-              plain);
+        reference::estimate_time(inst, mapping, ledger.overlay(), o);
+    EXPECT_EQ(memoised(cache, inst, mapping, ledger.overlay(), o), plain);
     bool hit = false;
-    EXPECT_EQ(
-        cache.estimate(inst, mapping, ledger.overlay(), EstimateOptions{}, &hit),
-        plain);
+    EXPECT_EQ(memoised(cache, inst, mapping, ledger.overlay(), o, &hit),
+              plain);
     EXPECT_TRUE(hit);
     return plain;
   };
@@ -202,9 +216,9 @@ TEST(EstimateCache, NeverStaleAcrossSchedulerLeaseReleaseCycles) {
   // Full cycle: speeds are back to the idle state, but the version moved, so
   // this is a miss that reproduces the idle estimate exactly.
   bool hit = true;
-  EXPECT_EQ(
-      cache.estimate(inst, mapping, ledger.overlay(), EstimateOptions{}, &hit),
-      idle);
+  EXPECT_EQ(memoised(cache, inst, mapping, ledger.overlay(), EstimateOptions{},
+                     &hit),
+            idle);
   EXPECT_FALSE(hit);
   ledger.refresh_base({100.0, 50.0, 100.0, 100.0});
   EXPECT_NE(check_fresh(), idle);  // recon re-pricing invalidates too
@@ -225,7 +239,8 @@ TEST(EstimateCache, ConcurrentLookupsAreConsistent) {
     for (int& p : mapping) {
       p = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(net.size())));
     }
-    expected.push_back(estimate_time(inst, mapping, net, EstimateOptions{}));
+    expected.push_back(
+        reference::estimate_time(inst, mapping, net, EstimateOptions{}));
     mappings.push_back(std::move(mapping));
   }
 
@@ -235,7 +250,7 @@ TEST(EstimateCache, ConcurrentLookupsAreConsistent) {
       for (int round = 0; round < 10; ++round) {
         for (std::size_t i = 0; i < mappings.size(); ++i) {
           const double got =
-              cache.estimate(inst, mappings[i], net, EstimateOptions{});
+              memoised(cache, inst, mappings[i], net, EstimateOptions{});
           EXPECT_EQ(got, expected[i]);
         }
       }

@@ -1,8 +1,15 @@
-#include "estimator/estimator.hpp"
+// Hand-computed cases of the cost model, each priced on both routes: the
+// library's kernel (est::Plan::evaluate) and the reference interpreter the
+// tests keep as its oracle (reference/estimator.hpp).
+#include "estimator/plan.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "hnoc/cluster.hpp"
+#include "reference/estimator.hpp"
 #include "support/error.hpp"
 
 namespace hmpi::est {
@@ -17,6 +24,20 @@ EstimateOptions exact() {
   o.send_overhead_s = 0.0;
   o.recv_overhead_s = 0.0;
   return o;
+}
+
+/// `mapping` priced by the reference interpreter and by the kernel; the two
+/// must agree bit for bit. Returns the kernel's value.
+double price(const ModelInstance& instance, std::span<const int> mapping,
+             const hnoc::NetworkModel& network,
+             EstimateOptions options = EstimateOptions()) {
+  const double reference =
+      reference::estimate_time(instance, mapping, network, options);
+  const double kernel = Plan(instance).evaluate(mapping, network, options);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(reference),
+            std::bit_cast<std::uint64_t>(kernel))
+      << "reference " << reference << " vs kernel " << kernel;
+  return kernel;
 }
 
 /// Two machines: fast (100 u/s) and slow (10 u/s), 1 ms + 1 MB/s network.
@@ -41,8 +62,8 @@ TEST(Estimator, SingleComputeMatchesVolumeOverSpeed) {
   hnoc::NetworkModel net(cluster);
   const int on_fast[1] = {0};
   const int on_slow[1] = {1};
-  EXPECT_DOUBLE_EQ(estimate_time(inst, on_fast, net, exact()), 1.0);
-  EXPECT_DOUBLE_EQ(estimate_time(inst, on_slow, net, exact()), 10.0);
+  EXPECT_DOUBLE_EQ(price(inst, on_fast, net, exact()), 1.0);
+  EXPECT_DOUBLE_EQ(price(inst, on_slow, net, exact()), 10.0);
 }
 
 TEST(Estimator, PercentagesAccumulate) {
@@ -58,7 +79,7 @@ TEST(Estimator, PercentagesAccumulate) {
   hnoc::Cluster cluster = two_machines();
   hnoc::NetworkModel net(cluster);
   const int m[1] = {0};
-  EXPECT_DOUBLE_EQ(estimate_time(half_twice, m, net, exact()), 1.0);
+  EXPECT_DOUBLE_EQ(price(half_twice, m, net, exact()), 1.0);
 }
 
 TEST(Estimator, TransferCostLatencyPlusBandwidth) {
@@ -74,7 +95,7 @@ TEST(Estimator, TransferCostLatencyPlusBandwidth) {
   hnoc::NetworkModel net(cluster);
   const int m[2] = {0, 1};
   // 0.001 + 1e6 / 1e6 = 1.001 on the receiver.
-  EXPECT_DOUBLE_EQ(estimate_time(inst, m, net, exact()), 1.001);
+  EXPECT_DOUBLE_EQ(price(inst, m, net, exact()), 1.001);
 }
 
 TEST(Estimator, SameProcessorMappingUsesSharedMemoryLink) {
@@ -93,7 +114,7 @@ TEST(Estimator, SameProcessorMappingUsesSharedMemoryLink) {
                               .build();
   hnoc::NetworkModel net(cluster);
   const int m[2] = {0, 0};
-  EXPECT_DOUBLE_EQ(estimate_time(inst, m, net, exact()), 0.001);  // 1e6/1e9
+  EXPECT_DOUBLE_EQ(price(inst, m, net, exact()), 0.001);  // 1e6/1e9
 }
 
 TEST(Estimator, ParallelComputesTakeMax) {
@@ -115,7 +136,7 @@ TEST(Estimator, ParallelComputesTakeMax) {
   hnoc::NetworkModel net(cluster);
   const int m[2] = {0, 1};
   // fast takes 1 s, slow takes 10 s, in parallel -> 10.
-  EXPECT_DOUBLE_EQ(estimate_time(inst, m, net, exact()), 10.0);
+  EXPECT_DOUBLE_EQ(price(inst, m, net, exact()), 10.0);
 }
 
 TEST(Estimator, SequentialComputesSum) {
@@ -134,7 +155,7 @@ TEST(Estimator, SequentialComputesSum) {
   const int m[2] = {1, 1};
   // Each runs on its own abstract timeline; without communication they do
   // not serialise against each other -> still max per processor timeline.
-  EXPECT_DOUBLE_EQ(estimate_time(inst, m, net, exact()), 10.0);
+  EXPECT_DOUBLE_EQ(price(inst, m, net, exact()), 10.0);
 }
 
 TEST(Estimator, TransferChainsComputeThenSend) {
@@ -152,7 +173,7 @@ TEST(Estimator, TransferChainsComputeThenSend) {
   hnoc::NetworkModel net(cluster);
   const int m[2] = {0, 1};
   // compute 1 s on fast, then 1.001 transfer -> receiver at 2.001.
-  EXPECT_DOUBLE_EQ(estimate_time(inst, m, net, exact()), 2.001);
+  EXPECT_DOUBLE_EQ(price(inst, m, net, exact()), 2.001);
 }
 
 TEST(Estimator, ParallelTransfersOnSameLinkSerialise) {
@@ -176,7 +197,7 @@ TEST(Estimator, ParallelTransfersOnSameLinkSerialise) {
   hnoc::NetworkModel net(cluster);
   // Both transfers go fast->slow over the same physical directed link.
   const int same_link[4] = {0, 1, 0, 1};
-  const double t = estimate_time(inst, same_link, net, exact());
+  const double t = price(inst, same_link, net, exact());
   // With par snapshots both see busy=0, so this model lets them overlap:
   // parallel alternatives merge by max. (Within a single par iteration they
   // would serialise; across iterations they are alternatives.)
@@ -194,7 +215,7 @@ TEST(Estimator, ParallelTransfersOnSameLinkSerialise) {
                       s.transfer(c, d, 100.0);
                     })
                     .build();
-  EXPECT_DOUBLE_EQ(estimate_time(serial, same_link, net, exact()), 2.002);
+  EXPECT_DOUBLE_EQ(price(serial, same_link, net, exact()), 2.002);
 }
 
 TEST(Estimator, StaleSpeedEstimateChangesPrediction) {
@@ -209,9 +230,9 @@ TEST(Estimator, StaleSpeedEstimateChangesPrediction) {
   hnoc::Cluster cluster = two_machines();
   hnoc::NetworkModel net(cluster);
   const int m[1] = {0};
-  EXPECT_DOUBLE_EQ(estimate_time(inst, m, net, exact()), 1.0);
+  EXPECT_DOUBLE_EQ(price(inst, m, net, exact()), 1.0);
   net.set_speed(0, 50.0);  // recon discovered the machine is loaded
-  EXPECT_DOUBLE_EQ(estimate_time(inst, m, net, exact()), 2.0);
+  EXPECT_DOUBLE_EQ(price(inst, m, net, exact()), 2.0);
 }
 
 TEST(Estimator, FallbackWithoutScheme) {
@@ -225,17 +246,22 @@ TEST(Estimator, FallbackWithoutScheme) {
   hnoc::NetworkModel net(cluster);
   const int m[2] = {0, 1};
   // proc0: 1 s compute + 1.001 comm = 2.001; proc1: 5 s + 1.001 = 6.001.
-  EXPECT_DOUBLE_EQ(estimate_time(inst, m, net, exact()), 6.001);
+  EXPECT_DOUBLE_EQ(price(inst, m, net, exact()), 6.001);
 }
 
 TEST(Estimator, MappingValidation) {
   auto inst = InstanceBuilder("t").shape({2}).build();
   hnoc::Cluster cluster = two_machines();
   hnoc::NetworkModel net(cluster);
+  const Plan plan(inst);
   const int too_short[1] = {0};
-  EXPECT_THROW(estimate_time(inst, too_short, net), hmpi::InvalidArgument);
+  EXPECT_THROW(reference::estimate_time(inst, too_short, net),
+               hmpi::InvalidArgument);
+  EXPECT_THROW(plan.evaluate(too_short, net), hmpi::InvalidArgument);
   const int bad_proc[2] = {0, 7};
-  EXPECT_THROW(estimate_time(inst, bad_proc, net), hmpi::InvalidArgument);
+  EXPECT_THROW(reference::estimate_time(inst, bad_proc, net),
+               hmpi::InvalidArgument);
+  EXPECT_THROW(plan.evaluate(bad_proc, net), hmpi::InvalidArgument);
 }
 
 TEST(Estimator, OverheadsAreCharged) {
@@ -256,7 +282,7 @@ TEST(Estimator, OverheadsAreCharged) {
   o.recv_overhead_s = 0.5;
   const int m[2] = {0, 1};
   // Receiver: 0.001 latency + 0.5 recv overhead.
-  EXPECT_DOUBLE_EQ(estimate_time(inst, m, net, o), 0.501);
+  EXPECT_DOUBLE_EQ(price(inst, m, net, o), 0.501);
 }
 
 TEST(Estimator, Em3dStyleRoundTrip) {
@@ -289,8 +315,8 @@ TEST(Estimator, Em3dStyleRoundTrip) {
   hnoc::NetworkModel net(cluster);
   const int good[3] = {6, 7, 0};  // big volume on the fast machines
   const int bad[3] = {8, 8, 8};   // everything on the slowest machine
-  EXPECT_LT(estimate_time(inst, good, net, exact()),
-            estimate_time(inst, bad, net, exact()));
+  EXPECT_LT(price(inst, good, net, exact()),
+            price(inst, bad, net, exact()));
 }
 
 }  // namespace

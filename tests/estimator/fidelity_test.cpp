@@ -10,9 +10,10 @@
 
 #include <vector>
 
-#include "estimator/estimator.hpp"
+#include "estimator/plan.hpp"
 #include "hnoc/cluster.hpp"
 #include "mpsim/comm.hpp"
+#include "reference/estimator.hpp"
 #include "support/rng.hpp"
 
 namespace hmpi::est {
@@ -134,10 +135,11 @@ TEST_P(FidelityP, EstimateEqualsSimulatedMakespan) {
 
   const ModelInstance instance = instance_for(schedule);
   mp::World::Options options;  // default overheads, matching the estimator
-  const double predicted =
-      estimate_time(instance, mapping, net,
-                    EstimateOptions{options.send_overhead_s,
-                                    options.recv_overhead_s});
+  const EstimateOptions overheads{options.send_overhead_s,
+                                  options.recv_overhead_s};
+  const double predicted = Plan(instance).evaluate(mapping, net, overheads);
+  EXPECT_EQ(predicted,
+            reference::estimate_time(instance, mapping, net, overheads));
 
   // Execute the same schedule for real: one process per abstract processor.
   auto result = mp::World::run_one_per_processor(

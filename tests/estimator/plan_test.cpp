@@ -1,7 +1,6 @@
-// Tests of the compiled cost IR (estimator/plan.hpp): the compiled
-// evaluator and the delta evaluator must be BIT-IDENTICAL to the
-// tree-walking interpreter — that invariant is what lets the runtime enable
-// the compiled path by default without perturbing group selection.
+// Tests of the compiled cost IR (estimator/plan.hpp): Plan::evaluate must be
+// BIT-IDENTICAL to the tree-walking reference interpreter — the invariant
+// that lets the kernel price every selection without perturbing it.
 #include "estimator/plan.hpp"
 
 #include <gtest/gtest.h>
@@ -11,9 +10,9 @@
 #include <vector>
 
 #include "estimator/estimate_cache.hpp"
-#include "estimator/estimator.hpp"
 #include "estimator/fingerprint.hpp"
 #include "hnoc/cluster.hpp"
+#include "reference/estimator.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -65,7 +64,7 @@ ModelInstance ring_instance(int p, support::Rng& rng) {
 
 /// A randomly generated, valid-by-construction scheme: sequences of
 /// compute/transfer activations with nested par blocks. Exercises op
-/// orderings (and checkpoint placements) no hand-written model would.
+/// orderings no hand-written model would.
 ModelInstance random_instance(int p, std::uint64_t seed) {
   support::Rng rng(seed);
   InstanceBuilder b("random");
@@ -154,7 +153,7 @@ TEST(Plan, CompiledMatchesInterpreterBitForBit) {
     for (int trial = 0; trial < 8; ++trial) {
       const auto m = random_mapping(inst.size(), net.size(), rng);
       ASSERT_BIT_EQ(plan.evaluate(m, net),
-                    estimate_time(inst, m, net, EstimateOptions()));
+                    reference::estimate_time(inst, m, net, EstimateOptions()));
     }
   }
 }
@@ -170,7 +169,7 @@ TEST(Plan, FallbackMatchesInterpreterBitForBit) {
     for (int trial = 0; trial < 8; ++trial) {
       const auto m = random_mapping(inst.size(), net.size(), rng);
       ASSERT_BIT_EQ(plan.evaluate(m, net),
-                    estimate_time(inst, m, net, EstimateOptions()));
+                    reference::estimate_time(inst, m, net, EstimateOptions()));
     }
   }
 }
@@ -193,8 +192,9 @@ TEST(Plan, LoweringDropsSelfTransfersAndFoldsPercent) {
   EXPECT_BIT_EQ(plan.ops()[0].value, 100.0 * 50.0 / 100.0);
   EXPECT_EQ(plan.ops()[1].kind, PlanOp::Kind::kTransfer);
   EXPECT_BIT_EQ(plan.ops()[1].value, 1e6 * 25.0 / 100.0);
-  EXPECT_EQ(plan.first_touch(0), 0u);
-  EXPECT_EQ(plan.first_touch(1), 1u);
+  // Only the surviving transfer keys a busy slot.
+  ASSERT_EQ(plan.transfer_pairs().size(), 1u);
+  EXPECT_EQ(plan.transfer_pairs()[0], std::make_pair(0, 1));
 }
 
 TEST(Plan, EvaluateValidatesMapping) {
@@ -206,125 +206,6 @@ TEST(Plan, EvaluateValidatesMapping) {
   EXPECT_THROW(plan.evaluate(too_short, net), hmpi::InvalidArgument);
   const int bad_proc[2] = {0, 99};
   EXPECT_THROW(plan.evaluate(bad_proc, net), hmpi::InvalidArgument);
-}
-
-/// The tentpole invariant: a staged-move replay is bit-identical to a full
-/// evaluation of the staged mapping, across random swap/substitution
-/// sequences with commits, rejections, and memoised values interleaved.
-void run_delta_invariant(const ModelInstance& inst, std::uint64_t seed) {
-  hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
-  hnoc::NetworkModel net(cluster);
-  support::Rng rng(seed);
-  const Plan plan(inst);
-  DeltaEvaluator delta(plan, net, EstimateOptions());
-
-  std::vector<int> mapping = random_mapping(inst.size(), net.size(), rng);
-  ASSERT_BIT_EQ(delta.reset(mapping), plan.evaluate(mapping, net));
-
-  for (int step = 0; step < 200; ++step) {
-    std::vector<DeltaEvaluator::Move> moves;
-    if (rng.next_below(2) == 0) {
-      // Swap two slots' processors (the SwapRefine move).
-      const int i = static_cast<int>(rng.next_below(mapping.size()));
-      const int j = static_cast<int>(rng.next_below(mapping.size()));
-      moves.push_back({i, mapping[static_cast<std::size_t>(j)]});
-      moves.push_back({j, mapping[static_cast<std::size_t>(i)]});
-    } else {
-      // Substitute one slot's processor (the annealing move).
-      const int i = static_cast<int>(rng.next_below(mapping.size()));
-      const int p = static_cast<int>(
-          rng.next_below(static_cast<std::uint64_t>(net.size())));
-      moves.push_back({i, p});
-    }
-    const auto staged = delta.stage(moves);
-    const std::vector<int> staged_copy(staged.begin(), staged.end());
-    const double full = plan.evaluate(staged_copy, net);
-
-    const bool memoised = rng.next_below(4) == 0;
-    if (memoised) {
-      delta.set_staged_value(full);  // simulate an EstimateCache hit
-    } else {
-      ASSERT_BIT_EQ(delta.replay(), full);
-    }
-    if (rng.next_below(2) == 0) {
-      delta.commit();
-      mapping = staged_copy;
-      ASSERT_BIT_EQ(delta.committed_time(), full);
-    }
-    // A rejected proposal leaves the committed state untouched.
-    ASSERT_BIT_EQ(delta.committed_time(), plan.evaluate(mapping, net));
-  }
-}
-
-TEST(DeltaEvaluator, SchemeReplayMatchesFullEvaluationBitForBit) {
-  support::Rng rng(3);
-  run_delta_invariant(ring_instance(9, rng), 101);
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    run_delta_invariant(random_instance(6, seed), 200 + seed);
-  }
-}
-
-TEST(DeltaEvaluator, FallbackReplayMatchesFullEvaluationBitForBit) {
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    run_delta_invariant(fallback_instance(7, seed), 300 + seed);
-  }
-}
-
-TEST(DeltaEvaluator, UntouchedSlotShortCircuits) {
-  // Processor 2 exists in the arrangement but no scheme op touches it:
-  // moving it must answer from the committed value without any replay.
-  auto inst = InstanceBuilder("t")
-                  .shape({3})
-                  .node_volume(0, 100.0)
-                  .link(0, 1, 1e6)
-                  .scheme([](ScheduleSink& s) {
-                    const long long a[1] = {0}, b[1] = {1};
-                    s.compute(a, 100.0);
-                    s.transfer(a, b, 100.0);
-                  })
-                  .build();
-  hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
-  hnoc::NetworkModel net(cluster);
-  const Plan plan(inst);
-  EXPECT_EQ(plan.first_touch(2), Plan::kNeverTouched);
-
-  DeltaEvaluator delta(plan, net, EstimateOptions());
-  const std::vector<int> m{0, 1, 2};
-  const double t0 = delta.reset(m);
-  const DeltaEvaluator::Move move[] = {{2, 5}};
-  delta.stage(move);
-  EXPECT_BIT_EQ(delta.replay(), t0);
-  EXPECT_EQ(delta.replays(), 0);
-  delta.commit();
-  EXPECT_EQ(delta.mapping()[2], 5);
-  EXPECT_BIT_EQ(delta.committed_time(), t0);
-  // And the committed mapping update must feed later diffs correctly.
-  const std::vector<int> expect{0, 1, 5};
-  EXPECT_BIT_EQ(plan.evaluate(expect, net), t0);
-}
-
-TEST(DeltaEvaluator, SuffixReplayIsShorterThanFullEvaluation) {
-  support::Rng rng(5);
-  const ModelInstance inst = ring_instance(9, rng);
-  hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
-  hnoc::NetworkModel net(cluster);
-  const Plan plan(inst);
-  DeltaEvaluator delta(plan, net, EstimateOptions());
-  const std::vector<int> m{0, 1, 2, 3, 4, 5, 6, 7, 8};
-  delta.reset(m);
-  // Slot 8 first appears late in the op stream; a stream of slot-8 proposals
-  // must replay strictly fewer ops than full evaluations would.
-  ASSERT_GT(plan.first_touch(8), 0u);
-  const int proposals = 50;
-  for (int i = 0; i < proposals; ++i) {
-    // Never propose the committed processor (8): that would short-circuit.
-    const DeltaEvaluator::Move move[] = {{8, i % (net.size() - 1)}};
-    delta.stage(move);
-    delta.replay();
-  }
-  EXPECT_EQ(delta.replays(), proposals);
-  EXPECT_LT(delta.ops_replayed(),
-            static_cast<long long>(plan.op_count()) * proposals);
 }
 
 TEST(PlanCache, CompilesOnceAndCounts) {
@@ -360,11 +241,14 @@ TEST(EstimateCache, PlanBackedMissesMatchInterpreterEntries) {
   for (int trial = 0; trial < 10; ++trial) {
     const auto m = random_mapping(inst.size(), net.size(), rng);
     bool hit = true;
-    const double a = via_plan.estimate(fp, inst, m, net, options, &hit, &plan);
-    const double b = via_interp.estimate(inst, m, net, options);
+    const double a = via_plan.estimate(fp, plan, m, net, options, &hit);
+    via_interp.insert(fp, m, net,
+                      reference::estimate_time(inst, m, net, options));
+    double b = 0.0;
+    ASSERT_TRUE(via_interp.lookup(fp, m, net, &b));
     ASSERT_BIT_EQ(a, b);
     // And a plan-backed hit returns the same stored bits.
-    ASSERT_BIT_EQ(via_plan.estimate(fp, inst, m, net, options, &hit, &plan), a);
+    ASSERT_BIT_EQ(via_plan.estimate(fp, plan, m, net, options, &hit), a);
     EXPECT_TRUE(hit);
   }
 }

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "hnoc/cluster.hpp"
+#include "reference/estimator.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace hmpi {
@@ -218,8 +219,9 @@ TEST(Runtime, HeadlineInvariantFasterThanEveryOtherGroup) {
             mapping[1] = a;
             mapping[2] = b;
             mapping[3] = c;
-            best_alternative = std::min(
-                best_alternative, est::estimate_time(instance, mapping, net));
+            best_alternative =
+                std::min(best_alternative,
+                         est::reference::estimate_time(instance, mapping, net));
           }
       EXPECT_LE(group->estimated_time(), best_alternative + 1e-12);
     }

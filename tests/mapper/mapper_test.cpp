@@ -5,6 +5,7 @@
 #include <set>
 
 #include "hnoc/cluster.hpp"
+#include "reference/estimator.hpp"
 #include "support/error.hpp"
 
 namespace hmpi::map {
@@ -119,8 +120,8 @@ TEST_P(MapperContract, ReportedTimeMatchesEstimator) {
   for (int c : result.candidate_for_abstract) {
     procs.push_back(candidates[static_cast<std::size_t>(c)].processor);
   }
-  EXPECT_DOUBLE_EQ(result.estimated_time,
-                   est::estimate_time(inst, procs, net, exact()));
+  EXPECT_EQ(result.estimated_time,
+            est::reference::estimate_time(inst, procs, net, exact()));
 }
 
 INSTANTIATE_TEST_SUITE_P(All, MapperContract,

@@ -14,6 +14,7 @@
 
 #include "estimator/estimate_cache.hpp"
 #include "hnoc/cluster.hpp"
+#include "reference/estimator.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
@@ -291,18 +292,32 @@ TEST(ParallelMapper, HillClimbersMatchSerialUnderCacheAndPool) {
   }
 }
 
-TEST(CompiledScoring, SelectionsBitIdenticalAcrossEstimatorModes) {
-  // The tentpole guarantee of the compiled cost IR (estimator/plan.hpp):
-  // interpreter, compiled, and compiled+delta scoring — cached or not, any
-  // thread count — produce bit-identical selections.
+/// The physical mapping a selection stands for.
+std::vector<int> processors_of(const MappingResult& result,
+                               const std::vector<Candidate>& candidates) {
+  std::vector<int> procs;
+  for (int c : result.candidate_for_abstract) {
+    procs.push_back(candidates[static_cast<std::size_t>(c)].processor);
+  }
+  return procs;
+}
+
+TEST(CompiledScoring, SelectionsBitIdenticalAcrossPlanAndEstimateCaches) {
+  // With or without a plan cache (without one, each select() compiles the
+  // instance itself), cached or not, at any thread count: one selection, and
+  // its estimate is the reference interpreter's price of that mapping.
   support::Rng rng(2026'08'07);
   for (int trial = 0; trial < 5; ++trial) {
     Scenario s(rng);
     auto candidates = s.candidates();
     PortfolioMapper mapper;
-    const MappingResult interpreted =
+    const MappingResult serial =
         mapper.select(s.instance, candidates, 0, s.network, s.options);
-    for (const bool delta : {false, true}) {
+    EXPECT_EQ(serial.estimated_time,
+              est::reference::estimate_time(
+                  s.instance, processors_of(serial, candidates), s.network,
+                  s.options));
+    for (const bool planned : {false, true}) {
       for (const bool cached : {false, true}) {
         for (int threads : {1, 2, 8}) {
           support::ThreadPool pool(threads);
@@ -311,18 +326,19 @@ TEST(CompiledScoring, SelectionsBitIdenticalAcrossEstimatorModes) {
           SearchContext context;
           context.pool = &pool;
           context.cache = cached ? &cache : nullptr;
-          context.plans = &plans;
-          context.delta = delta;
-          const MappingResult compiled = mapper.select(
+          context.plans = planned ? &plans : nullptr;
+          const MappingResult got = mapper.select(
               s.instance, candidates, 0, s.network, s.options, context);
-          expect_bit_identical(interpreted, compiled,
-                               delta ? "compiled+delta" : "compiled");
-          EXPECT_GT(compiled.stats.compiled_evaluations, 0);
-          if (delta) EXPECT_GT(compiled.stats.delta_evaluations, 0);
+          expect_bit_identical(serial, got,
+                               planned ? "plan cache" : "own compile");
+          EXPECT_GT(got.stats.compiled_evaluations, 0);
+          if (planned) {
+            EXPECT_EQ(plans.misses(), 1);  // one compile serves all members
+          }
           if (cached) {
-            // Every evaluation does exactly one cache lookup on every route.
-            EXPECT_EQ(compiled.stats.cache_hits + compiled.stats.cache_misses,
-                      compiled.stats.evaluations);
+            // Every evaluation does exactly one cache lookup.
+            EXPECT_EQ(got.stats.cache_hits + got.stats.cache_misses,
+                      got.stats.evaluations);
           }
         }
       }
@@ -330,7 +346,7 @@ TEST(CompiledScoring, SelectionsBitIdenticalAcrossEstimatorModes) {
   }
 }
 
-TEST(CompiledScoring, HillClimbersMatchInterpreterWithDelta) {
+TEST(CompiledScoring, HillClimbersMatchReferenceInterpreter) {
   support::Rng rng(31);
   for (int trial = 0; trial < 4; ++trial) {
     Scenario s(rng);
@@ -345,54 +361,19 @@ TEST(CompiledScoring, HillClimbersMatchInterpreterWithDelta) {
       est::PlanCache plans;
       SearchContext context;
       context.plans = &plans;
-      context.delta = true;
       const auto fast = owned->select(s.instance, candidates, 0, s.network,
                                       s.options, context);
       expect_bit_identical(plain, fast, owned->name().c_str());
+      EXPECT_EQ(fast.estimated_time,
+                est::reference::estimate_time(
+                    s.instance, processors_of(fast, candidates), s.network,
+                    s.options))
+          << owned->name();
+      // One-at-a-time pricing never counts as batch work.
+      EXPECT_EQ(fast.stats.batch_chunks, 0) << owned->name();
+      EXPECT_EQ(fast.stats.batch_evaluated, 0) << owned->name();
     }
   }
-}
-
-TEST(CompiledScoring, DeltaReplaysFewerOpsThanFullEvaluationWould) {
-  // Savings come from slots whose first op appears late in the stream (the
-  // replay starts at the earliest op touching a changed slot). A staggered
-  // pipeline — processor a enters only in phase a — gives every pairwise
-  // swap a genuine suffix; a model where every processor appears in the
-  // first few ops replays everything and saves nothing.
-  support::Rng rng(41);
-  Scenario s(rng);
-  const long long p = s.cluster.size();
-  InstanceBuilder b("pipeline");
-  b.shape({p});
-  for (long long a = 0; a < p; ++a) {
-    b.node_volume(static_cast<int>(a), rng.next_double_in(1.0, 100.0));
-  }
-  for (long long a = 0; a + 1 < p; ++a) {
-    b.link(static_cast<int>(a), static_cast<int>(a + 1), 1e5);
-  }
-  b.scheme([p](ScheduleSink& sink) {
-    for (long long a = 0; a < p; ++a) {
-      const long long at[1] = {a};
-      for (int slice = 0; slice < 20; ++slice) sink.compute(at, 5.0);
-      if (a + 1 < p) {
-        const long long next[1] = {a + 1};
-        sink.transfer(at, next, 100.0);
-      }
-    }
-  });
-  const auto instance = b.build();
-  auto candidates = s.candidates();
-  est::PlanCache plans;
-  SearchContext context;
-  context.plans = &plans;
-  context.delta = true;
-  const auto result = SwapRefineMapper().select(instance, candidates, 0,
-                                                s.network, s.options, context);
-  EXPECT_GT(result.stats.delta_evaluations, 0);
-  EXPECT_GT(result.stats.delta_ops_total, 0);
-  // The savings the delta path exists for: strictly fewer IR ops executed
-  // than the same number of full evaluations would have cost.
-  EXPECT_LT(result.stats.delta_ops_replayed, result.stats.delta_ops_total);
 }
 
 /// Every (threads, cache, plans) combination must reproduce the

@@ -94,6 +94,50 @@ TEST(EngineResolve, WorkersAndStackDefaultsAndEnv) {
   }
 }
 
+/// The InvalidArgument message `fn` throws, or "" when it does not throw.
+template <typename Fn>
+std::string rejection(Fn&& fn) {
+  try {
+    fn();
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(EngineResolve, UnknownEngineThrowsNamingTheAcceptedSpellings) {
+  for (const char* bad : {"events", "THREAD", "", "1"}) {
+    ScopedEnv env("HMPI_SIM_ENGINE", bad);
+    const std::string what =
+        rejection([] { sim::resolve_engine(sim::SimEngine::kAuto); });
+    EXPECT_NE(what.find("HMPI_SIM_ENGINE"), std::string::npos) << bad;
+    EXPECT_NE(what.find("thread|event|fiber"), std::string::npos) << bad;
+    // An explicit choice never reads the variable.
+    EXPECT_EQ(sim::resolve_engine(sim::SimEngine::kEvent),
+              sim::SimEngine::kEvent);
+  }
+}
+
+TEST(EngineResolve, MalformedWorkersAndStackThrowNamingTheVariable) {
+  for (const char* bad :
+       {"0", "-2", "eight", "8x", "", "99999999999999999999"}) {
+    {
+      ScopedEnv env("HMPI_SIM_WORKERS", bad);
+      const std::string what = rejection([] { sim::resolve_workers(0); });
+      EXPECT_NE(what.find("HMPI_SIM_WORKERS"), std::string::npos) << bad;
+      EXPECT_NE(what.find("positive integer"), std::string::npos) << bad;
+      EXPECT_EQ(sim::resolve_workers(3), 3);  // configured value wins
+    }
+    {
+      ScopedEnv env("HMPI_SIM_STACK_KB", bad);
+      const std::string what = rejection([] { sim::resolve_stack_bytes(0); });
+      EXPECT_NE(what.find("HMPI_SIM_STACK_KB"), std::string::npos) << bad;
+      EXPECT_NE(what.find("positive integer"), std::string::npos) << bad;
+      EXPECT_EQ(sim::resolve_stack_bytes(4096), 4096u);
+    }
+  }
+}
+
 TEST(EngineTieBreak, AnySourceReceivesLowerRankFirst) {
   // The pinned determinism contract: when several fibers are runnable at the
   // same virtual time, the event engine dispatches the lowest world rank

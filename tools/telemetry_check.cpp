@@ -13,11 +13,10 @@
 //     coll policy tables (docs/collectives.md). Metrics in the reserved
 //     `est.` namespace must follow the estimator grammar: counters
 //     `est.compile.count|hits|misses|evaluations`,
-//     `est.delta.evaluations|ops_replayed|ops_total`,
-//     `est.cache.hits|misses`, or `est.batch.evaluations`, gauge
-//     `est.delta.savings`, histogram `est.compile.seconds`
-//     (docs/estimator.md). Metrics in the reserved `mapper.` namespace must
-//     follow the batch-search grammar: counters
+//     `est.cache.hits|misses`, or `est.batch.evaluations`, histogram
+//     `est.compile.seconds`, no gauges (docs/estimator.md). Metrics in the
+//     reserved `mapper.` namespace must follow the batch-search grammar:
+//     counters
 //     `mapper.batch.chunks|candidates` only (docs/mapper.md). Metrics in the
 //     reserved `adapt.` namespace must
 //     follow the adaptation grammar: counters
@@ -257,13 +256,10 @@ bool valid_est_metric(const std::string& name, MetricKind kind) {
     case MetricKind::kCounter:
       return name == "est.compile.count" || name == "est.compile.hits" ||
              name == "est.compile.misses" ||
-             name == "est.compile.evaluations" ||
-             name == "est.delta.evaluations" ||
-             name == "est.delta.ops_replayed" ||
-             name == "est.delta.ops_total" || name == "est.cache.hits" ||
+             name == "est.compile.evaluations" || name == "est.cache.hits" ||
              name == "est.cache.misses" || name == "est.batch.evaluations";
     case MetricKind::kGauge:
-      return name == "est.delta.savings";
+      return false;
     case MetricKind::kHistogram:
       return name == "est.compile.seconds";
   }
@@ -312,7 +308,6 @@ void check_metrics(const std::string& file, const JsonValue& doc) {
         fail(file, "counter '" + name +
                        "' violates the est.* grammar (expected "
                        "est.compile.count|hits|misses|evaluations, "
-                       "est.delta.evaluations|ops_replayed|ops_total, "
                        "est.cache.hits|misses, or est.batch.evaluations)");
       }
       if (name.rfind("mapper.", 0) == 0 &&
@@ -362,8 +357,8 @@ void check_metrics(const std::string& file, const JsonValue& doc) {
       if (name.rfind("est.", 0) == 0 &&
           !valid_est_metric(name, MetricKind::kGauge)) {
         fail(file, "gauge '" + name +
-                       "' violates the est.* grammar (expected "
-                       "est.delta.savings)");
+                       "' violates the est.* grammar (est.* holds no "
+                       "gauges)");
       }
       if (name.rfind("mapper.", 0) == 0 &&
           !valid_mapper_metric(name, MetricKind::kGauge)) {
