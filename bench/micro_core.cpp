@@ -4,6 +4,10 @@
 // message-passing substrate's collectives.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <functional>
+#include <vector>
+
 #include "apps/em3d/app.hpp"
 #include "apps/matmul/app.hpp"
 #include "estimator/plan.hpp"
@@ -107,6 +111,44 @@ void BM_EstimateBatchEm3d(benchmark::State& state) {
                           static_cast<long long>(count));
 }
 BENCHMARK(BM_EstimateBatchEm3d)->Arg(64)->Arg(1024);
+
+/// The ParallelAxB instance one Fig 11 Timeof prices (m=3, r=9, n=36) at
+/// generalised block size `l`, partitioned like apps::matmul::run_hmpi: the
+/// host's machine first, then the fastest others.
+pmdl::ModelInstance axb_fig11_instance(const pmdl::Model& model,
+                                       const hnoc::NetworkModel& net, int l) {
+  std::vector<double> grid_speeds{net.speed(0)};
+  std::vector<double> others;
+  for (int i = 1; i < net.size(); ++i) others.push_back(net.speed(i));
+  std::sort(others.begin(), others.end(), std::greater<double>());
+  grid_speeds.insert(grid_speeds.end(), others.begin(), others.begin() + 8);
+  const apps::matmul::Partition partition(3, l, grid_speeds);
+  return model.instantiate(apps::matmul::model_parameters(3, 9, 36, partition));
+}
+
+void BM_CompileAxB(benchmark::State& state) {
+  pmdl::Model model = apps::matmul::performance_model();
+  hnoc::Cluster cluster = hnoc::testbeds::paper_mm_network();
+  hnoc::NetworkModel net(cluster);
+  for (auto _ : state) {
+    const est::Plan plan(axb_fig11_instance(model, net, 19));
+    benchmark::DoNotOptimize(plan.op_count());
+  }
+}
+BENCHMARK(BM_CompileAxB);
+
+void BM_PlanEvaluateAxB(benchmark::State& state) {
+  pmdl::Model model = apps::matmul::performance_model();
+  hnoc::Cluster cluster = hnoc::testbeds::paper_mm_network();
+  hnoc::NetworkModel net(cluster);
+  const est::Plan plan(axb_fig11_instance(model, net, 19));
+  const std::vector<int> mapping{0, 1, 2, 3, 4, 5, 6, 7, 8};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(plan.evaluate(mapping, net));
+  }
+  state.counters["plan_ops"] = static_cast<double>(plan.op_count());
+}
+BENCHMARK(BM_PlanEvaluateAxB);
 
 void BM_SwapRefineSelect(benchmark::State& state) {
   const auto system = bench_system();

@@ -10,49 +10,141 @@ namespace hmpi::est {
 
 namespace {
 
-/// Records one scheme replay as the flat op list. Self transfers are
+/// Records one scheme replay as the lowered op list. Self transfers are
 /// dropped and the percentage factors folded in here, so the evaluators
-/// never look at the instance again.
+/// never look at the instance again. Transfers get their abstract pair
+/// index on first sight. Par structure is filtered as it arrives: a segment
+/// (the ops since the block's kParBegin or its last kept kParIterBegin)
+/// that recorded nothing gets no kParIterBegin, a block that recorded
+/// nothing is erased, and every kept marker gets its footprint.
 class Recorder final : public pmdl::ScheduleSink {
  public:
-  Recorder(const pmdl::ModelInstance& instance, std::vector<PlanOp>& ops)
-      : instance_(&instance), ops_(&ops) {}
+  explicit Recorder(const pmdl::ModelInstance& instance)
+      : instance_(&instance) {}
+
+  std::vector<PlanOp> ops;
+  std::vector<std::pair<int, int>> pairs;
+  std::vector<int> footprint_rows;
 
   void compute(std::span<const long long> coords, double percent) override {
     const auto a = static_cast<std::size_t>(instance_->flatten(coords));
     const double units = instance_->node_volumes()[a] * percent / 100.0;
-    ops_->push_back({PlanOp::Kind::kCompute, static_cast<int>(a), -1, units});
+    ops.push_back({PlanOp::Kind::kCompute, static_cast<int>(a), -1, -1, units});
+    touch_time(static_cast<int>(a));
   }
 
   void transfer(std::span<const long long> src, std::span<const long long> dst,
                 double percent) override {
-    const auto s = static_cast<std::size_t>(instance_->flatten(src));
-    const auto d = static_cast<std::size_t>(instance_->flatten(dst));
+    const auto s = static_cast<int>(instance_->flatten(src));
+    const auto d = static_cast<int>(instance_->flatten(dst));
     if (s == d) return;  // self transfer: no cost in the model
     double bytes = 0.0;
-    auto it = instance_->link_bytes().find(
-        {static_cast<int>(s), static_cast<int>(d)});
+    auto it = instance_->link_bytes().find({s, d});
     if (it != instance_->link_bytes().end()) {
       bytes = it->second * percent / 100.0;
     }
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(s)) << 32) |
+        static_cast<std::uint32_t>(d);
+    auto [pit, inserted] =
+        pair_index_.try_emplace(key, static_cast<int>(pairs.size()));
+    if (inserted) pairs.push_back({s, d});
     // A missing link entry still pays latency and overheads (bytes = 0).
-    ops_->push_back({PlanOp::Kind::kTransfer, static_cast<int>(s),
-                     static_cast<int>(d), bytes});
+    ops.push_back({PlanOp::Kind::kTransfer, s, d, pit->second, bytes});
+    touch_time(s);
+    touch_time(d);
+    if (depth_ > 0) blocks_[depth_ - 1].pairs.push_back(pit->second);
   }
 
   void par_begin() override {
-    ops_->push_back({PlanOp::Kind::kParBegin, -1, -1, 0.0});
+    if (depth_ == blocks_.size()) blocks_.emplace_back();
+    Block& block = blocks_[depth_++];
+    block.begin = ops.size();
+    ops.push_back({PlanOp::Kind::kParBegin, -1, -1, -1, 0.0});
+    block.segment_begin = ops.size();
+    block.time.clear();
+    block.pairs.clear();
+    block.segment_time = block.segment_pairs = 0;
   }
+
   void par_iter_begin() override {
-    ops_->push_back({PlanOp::Kind::kParIterBegin, -1, -1, 0.0});
+    support::require(depth_ > 0,
+                     "scheme began a par iteration outside a par block");
+    Block& block = blocks_[depth_ - 1];
+    if (ops.size() == block.segment_begin) return;  // empty segment
+    PlanOp op{PlanOp::Kind::kParIterBegin, -1, -1, -1, 0.0};
+    set_footprint(op, block, block.segment_time, block.segment_pairs);
+    ops.push_back(op);
+    block.segment_begin = ops.size();
+    block.segment_time = block.time.size();
+    block.segment_pairs = block.pairs.size();
   }
+
   void par_end() override {
-    ops_->push_back({PlanOp::Kind::kParEnd, -1, -1, 0.0});
+    support::require(depth_ > 0, "scheme ended a par block it never began");
+    Block& block = blocks_[--depth_];
+    if (ops.size() == block.begin + 1) {  // empty block
+      ops.pop_back();
+      return;
+    }
+    PlanOp end{PlanOp::Kind::kParEnd, -1, -1, -1, 0.0};
+    set_footprint(end, block, 0, 0);
+    ops[block.begin] = {PlanOp::Kind::kParBegin, end.a, end.b, end.pair, 0.0};
+    ops.push_back(end);
+    // The whole block is part of the enclosing segment.
+    if (depth_ > 0) {
+      Block& outer = blocks_[depth_ - 1];
+      outer.time.insert(outer.time.end(), block.time.begin(), block.time.end());
+      outer.pairs.insert(outer.pairs.end(), block.pairs.begin(),
+                         block.pairs.end());
+    }
+  }
+
+  /// Throws unless every par block the scheme began was ended.
+  void finish() const {
+    support::require(depth_ == 0, "scheme left a par block open");
   }
 
  private:
+  /// An open par block. `time` and `pairs` hold the rows its closed
+  /// segments wrote (sorted and deduplicated per segment), then the rows of
+  /// the open segment from `segment_time` / `segment_pairs` on.
+  struct Block {
+    std::size_t begin = 0;          // index of the block's kParBegin
+    std::size_t segment_begin = 0;  // index of the open segment's first op
+    std::vector<int> time, pairs;
+    std::size_t segment_time = 0, segment_pairs = 0;
+  };
+
+  void touch_time(int a) {
+    if (depth_ > 0) blocks_[depth_ - 1].time.push_back(a);
+  }
+
+  /// Sorts and deduplicates `block`'s rows from `time_from` / `pairs_from`
+  /// on, in place, and appends them to footprint_rows as `op`'s footprint.
+  void set_footprint(PlanOp& op, Block& block, std::size_t time_from,
+                     std::size_t pairs_from) {
+    op.a = static_cast<int>(footprint_rows.size());
+    op.b = static_cast<int>(sorted_tail(block.time, time_from));
+    op.pair = static_cast<int>(sorted_tail(block.pairs, pairs_from));
+  }
+
+  /// Sorts and deduplicates rows[from, end), appends it to footprint_rows
+  /// and returns its length.
+  std::size_t sorted_tail(std::vector<int>& rows, std::size_t from) {
+    const auto first = rows.begin() + static_cast<std::ptrdiff_t>(from);
+    std::sort(first, rows.end());
+    rows.erase(std::unique(first, rows.end()), rows.end());
+    footprint_rows.insert(footprint_rows.end(), first, rows.end());
+    return rows.size() - from;
+  }
+
   const pmdl::ModelInstance* instance_;
-  std::vector<PlanOp>* ops_;
+  std::unordered_map<std::uint64_t, int> pair_index_;
+  // Open par blocks, innermost at depth_ - 1; closed entries are kept so
+  // their row buffers are reused.
+  std::vector<Block> blocks_;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace
@@ -69,23 +161,14 @@ Plan::Plan(const pmdl::ModelInstance& instance)
     }
     return;
   }
-  Recorder recorder(instance, ops_);
+  Recorder recorder(instance);
   instance.run_scheme(recorder);
-  // Distinct abstract transfer pairs (first-appearance order) and each
-  // transfer op's pair index — the batch evaluator's compact busy keying.
-  std::unordered_map<std::uint64_t, int> pair_index;
-  op_pair_.assign(ops_.size(), -1);
-  for (std::size_t k = 0; k < ops_.size(); ++k) {
-    const PlanOp& op = ops_[k];
-    if (op.kind != PlanOp::Kind::kTransfer) continue;
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(op.a)) << 32) |
-        static_cast<std::uint32_t>(op.b);
-    auto [it, inserted] =
-        pair_index.emplace(key, static_cast<int>(pairs_.size()));
-    if (inserted) pairs_.push_back({op.a, op.b});
-    op_pair_[k] = it->second;
-  }
+  recorder.finish();
+  // Exact-size copies: plans stay cached for the runtime's lifetime.
+  ops_.assign(recorder.ops.begin(), recorder.ops.end());
+  pairs_.assign(recorder.pairs.begin(), recorder.pairs.end());
+  footprint_rows_.assign(recorder.footprint_rows.begin(),
+                         recorder.footprint_rows.end());
 }
 
 double Plan::evaluate(std::span<const int> mapping,
@@ -217,15 +300,27 @@ void BatchEvaluator::evaluate(const Plan& plan, std::span<const int> procs_soa,
   busy_.assign(q_count * count, 0.0);
   frame_depth_ = 0;
 
-  const auto merge_rows = [](std::vector<double>& into,
-                             const std::vector<double>& from) {
-    for (std::size_t j = 0; j < into.size(); ++j) {
-      into[j] = std::max(into[j], from[j]);
+  // Par frames touch only the marker's footprint rows. A busy row is the
+  // candidate's canonical slot of the pair, in the frame as in busy_, so
+  // pairs aliasing one physical link share one frame entry.
+  const auto open_frame = [&]() -> Frame& {
+    if (frame_depth_ == frames_.size()) frames_.emplace_back();
+    Frame& f = frames_[frame_depth_++];
+    if (f.snap_time.size() < time_.size()) {
+      f.snap_time.resize(time_.size());
+      f.acc_time.resize(time_.size());
     }
+    if (f.snap_busy.size() < busy_.size()) {
+      f.snap_busy.resize(busy_.size());
+      f.acc_busy.resize(busy_.size());
+    }
+    return f;
+  };
+  const auto busy_slot = [&](std::size_t q, std::size_t i) {
+    return static_cast<std::size_t>(canon_[q * count + i]) * count + i;
   };
 
-  for (std::size_t k = 0; k < plan.ops_.size(); ++k) {
-    const PlanOp& op = plan.ops_[k];
+  for (const PlanOp& op : plan.ops_) {
     switch (op.kind) {
       case PlanOp::Kind::kCompute: {
         const std::size_t base = static_cast<std::size_t>(op.a) * count;
@@ -237,13 +332,12 @@ void BatchEvaluator::evaluate(const Plan& plan, std::span<const int> procs_soa,
       case PlanOp::Kind::kTransfer: {
         const std::size_t s = static_cast<std::size_t>(op.a) * count;
         const std::size_t d = static_cast<std::size_t>(op.b) * count;
-        const std::size_t q = static_cast<std::size_t>(plan.op_pair_[k]) * count;
+        const std::size_t q = static_cast<std::size_t>(op.pair);
         for (std::size_t i = 0; i < count; ++i) {
-          double& slot =
-              busy_[static_cast<std::size_t>(canon_[q + i]) * count + i];
+          double& slot = busy_[busy_slot(q, i)];
           const double start = std::max(time_[s + i], slot);
-          const double finish =
-              start + (latency_[q + i] + op.value / bandwidth_[q + i]);
+          const double finish = start + (latency_[q * count + i] +
+                                         op.value / bandwidth_[q * count + i]);
           slot = finish;
           time_[s + i] += options.send_overhead_s;
           time_[d + i] = std::max(time_[d + i], finish) + options.recv_overhead_s;
@@ -251,29 +345,56 @@ void BatchEvaluator::evaluate(const Plan& plan, std::span<const int> procs_soa,
         break;
       }
       case PlanOp::Kind::kParBegin: {
-        if (frame_depth_ == frames_.size()) frames_.emplace_back();
-        Frame& f = frames_[frame_depth_++];
-        f.snap_time.assign(time_.begin(), time_.end());
-        f.snap_busy.assign(busy_.begin(), busy_.end());
-        f.acc_time.assign(time_.begin(), time_.end());
-        f.acc_busy.assign(busy_.begin(), busy_.end());
+        Frame& f = open_frame();
+        for (int a : plan.time_rows(op)) {
+          const std::size_t base = static_cast<std::size_t>(a) * count;
+          for (std::size_t j = base; j < base + count; ++j) {
+            f.snap_time[j] = f.acc_time[j] = time_[j];
+          }
+        }
+        for (int q : plan.pair_rows(op)) {
+          for (std::size_t i = 0; i < count; ++i) {
+            const std::size_t j = busy_slot(static_cast<std::size_t>(q), i);
+            f.snap_busy[j] = f.acc_busy[j] = busy_[j];
+          }
+        }
         break;
       }
       case PlanOp::Kind::kParIterBegin: {
         Frame& f = frames_[frame_depth_ - 1];
-        merge_rows(f.acc_time, time_);
-        merge_rows(f.acc_busy, busy_);
-        time_.assign(f.snap_time.begin(), f.snap_time.end());
-        busy_.assign(f.snap_busy.begin(), f.snap_busy.end());
+        for (int a : plan.time_rows(op)) {
+          const std::size_t base = static_cast<std::size_t>(a) * count;
+          for (std::size_t j = base; j < base + count; ++j) {
+            f.acc_time[j] = std::max(f.acc_time[j], time_[j]);
+            time_[j] = f.snap_time[j];
+          }
+        }
+        for (int q : plan.pair_rows(op)) {
+          for (std::size_t i = 0; i < count; ++i) {
+            const std::size_t j = busy_slot(static_cast<std::size_t>(q), i);
+            f.acc_busy[j] = std::max(f.acc_busy[j], busy_[j]);
+            busy_[j] = f.snap_busy[j];
+          }
+        }
         break;
       }
       case PlanOp::Kind::kParEnd: {
-        Frame& f = frames_[frame_depth_ - 1];
-        merge_rows(f.acc_time, time_);
-        merge_rows(f.acc_busy, busy_);
-        time_.swap(f.acc_time);
-        busy_.swap(f.acc_busy);
-        --frame_depth_;
+        // Folding the last segment and adopting the running max is one max
+        // over the block's rows: a row the last segment did not write holds
+        // its snapshot, which the running max already covers.
+        const Frame& f = frames_[--frame_depth_];
+        for (int a : plan.time_rows(op)) {
+          const std::size_t base = static_cast<std::size_t>(a) * count;
+          for (std::size_t j = base; j < base + count; ++j) {
+            time_[j] = std::max(f.acc_time[j], time_[j]);
+          }
+        }
+        for (int q : plan.pair_rows(op)) {
+          for (std::size_t i = 0; i < count; ++i) {
+            const std::size_t j = busy_slot(static_cast<std::size_t>(q), i);
+            busy_[j] = std::max(f.acc_busy[j], busy_[j]);
+          }
+        }
         break;
       }
     }

@@ -21,8 +21,11 @@
 //
 //   Plan           — the model instance lowered to a flat, topologically
 //                    ordered op list (compute/transfer/par markers) with the
-//                    volume and byte factors pre-resolved per op, plus the
-//                    (src, dst, bytes) link terms of the no-scheme fallback.
+//                    volume and byte factors pre-resolved per op, empty par
+//                    segments and blocks dropped, and each par marker
+//                    carrying its footprint (the rows its block or segment
+//                    writes); plus the (src, dst, bytes) link terms of the
+//                    no-scheme fallback.
 //   BatchEvaluator — the kernel: structure-of-arrays pricing of a set of
 //                    mappings in one pass. The op list is walked once, each
 //                    op's inner loop runs contiguously over all candidates
@@ -31,8 +34,9 @@
 //                    pair — O(Q) slots instead of a P x P table — with
 //                    per-candidate aliasing of pairs that land on the same
 //                    physical link, so P=1000 costs the same per candidate
-//                    as P=9. A single evaluation (Plan::evaluate) is a
-//                    count-1 call.
+//                    as P=9. Par frames snapshot, fold, rewind and adopt
+//                    only their marker's footprint rows. A single
+//                    evaluation (Plan::evaluate) is a count-1 call.
 //   PlanCache      — compile-once memo keyed like EstimateCache (instance
 //                    fingerprint); plans are mapping- and network-independent,
 //                    so recon never invalidates them.
@@ -58,21 +62,28 @@ struct EstimateOptions {
   double recv_overhead_s = 5e-6;
 };
 
-/// One lowered scheme activation. `value` is pre-multiplied by the
-/// activation's percentage: computation units for kCompute, bytes for
-/// kTransfer (self transfers cost nothing in the model and are dropped at
-/// compile time).
+/// One lowered scheme activation or par marker. `value` is pre-multiplied
+/// by the activation's percentage: computation units for kCompute, bytes
+/// for kTransfer (self transfers cost nothing in the model and are dropped
+/// at compile time). A par marker's footprint (Plan::time_rows,
+/// Plan::pair_rows) is stored as `b` time rows followed by `pair`
+/// transfer-pair rows from offset `a` of the plan's row array; kParBegin and
+/// kParEnd carry their block's footprint, kParIterBegin the footprint of the
+/// segment it closes.
 struct PlanOp {
   enum class Kind : std::uint8_t {
     kCompute,       ///< time[a] += value / speed(mapping[a])
     kTransfer,      ///< timeline transfer of `value` bytes a -> b
-    kParBegin,      ///< snapshot the timeline (par block entry)
-    kParIterBegin,  ///< fold the iteration into the max, rewind to snapshot
-    kParEnd,        ///< fold and adopt the element-wise max
+    kParBegin,      ///< snapshot the block's rows (par block entry)
+    kParIterBegin,  ///< fold the segment's rows into the max, rewind them
+    kParEnd,        ///< fold and adopt the element-wise max of the block's rows
   };
   Kind kind = Kind::kCompute;
-  int a = -1;        ///< Abstract processor (compute) / source (transfer).
-  int b = -1;        ///< Transfer destination.
+  int a = -1;     ///< Abstract processor (compute) / source (transfer) /
+                  ///< first footprint row (markers).
+  int b = -1;     ///< Transfer destination / time rows (markers).
+  int pair = -1;  ///< Transfer pair index (transfer_pairs()) / pair rows
+                  ///< (markers).
   double value = 0;  ///< Units (compute) or bytes (transfer), percent applied.
 };
 
@@ -98,13 +109,24 @@ class Plan {
   /// Whether the IR came from a scheme (vs the fallback aggregate bound).
   bool from_scheme() const noexcept { return from_scheme_; }
 
-  /// Cost of one evaluation, in IR operations (the kEstCompile trace
-  /// payload).
+  /// Cost of one evaluation, in IR operations after lowering (the
+  /// kEstCompile trace payload).
   std::size_t op_count() const noexcept {
     return from_scheme_ ? ops_.size() : volumes_.size() + 2 * links_.size();
   }
 
   std::span<const PlanOp> ops() const noexcept { return ops_; }
+
+  /// The footprint of par marker `op`: the abstract processors whose time
+  /// rows, and the transfer pairs whose busy rows, its block (kParBegin,
+  /// kParEnd) or closing segment (kParIterBegin) writes. Each is sorted.
+  std::span<const int> time_rows(const PlanOp& op) const noexcept {
+    return {footprint_rows_.data() + op.a, static_cast<std::size_t>(op.b)};
+  }
+  std::span<const int> pair_rows(const PlanOp& op) const noexcept {
+    return {footprint_rows_.data() + op.a + op.b,
+            static_cast<std::size_t>(op.pair)};
+  }
 
   /// Predicted execution time of the plan under `mapping` (`mapping[a]` is
   /// the physical processor of abstract processor `a`): a count-1
@@ -139,7 +161,7 @@ class Plan {
   // Scheme IR.
   std::vector<PlanOp> ops_;
   std::vector<std::pair<int, int>> pairs_;  // distinct abstract transfer pairs
-  std::vector<int> op_pair_;  // per op: index into pairs_ (-1 off transfers)
+  std::vector<int> footprint_rows_;         // par marker footprints
 
   // Fallback IR.
   std::vector<double> volumes_;  // per abstract processor
@@ -155,11 +177,13 @@ class Plan {
 /// the cost model in scheme order — compute divides by the candidate's
 /// speed, a transfer's busy slot is shared between two ops iff they land on
 /// the same physical (src, dst) pair (per-candidate canonical-pair
-/// aliasing), and the par-block merges over the compact slots agree with a
-/// merge over every physical link because a slot no transfer touched stays
-/// 0.0 (max(0, 0) == 0) and the makespan reads only the time vector. So a
-/// candidate's value is the same whatever batch it is priced in, and equal
-/// bit for bit to the scheme interpreter the test suites keep as the
+/// aliasing), and a par frame that folds and rewinds only its footprint
+/// rows agrees with one over the whole timeline and every physical link: a
+/// row the block does not write equals its snapshot and the running max
+/// throughout, and busy rows are reached through the candidate's canonical
+/// slot, so aliased pairs share one frame entry (docs/estimator.md §4). So
+/// a candidate's value is the same whatever batch it is priced in, and
+/// equal bit for bit to the scheme interpreter the test suites keep as the
 /// reference (tests/estimator/batch_test.cpp).
 class BatchEvaluator {
  public:
@@ -188,7 +212,8 @@ class BatchEvaluator {
   std::vector<double> bandwidth_;  // per pair: physical link bandwidth
   std::vector<double> cost_;       // fallback plans: per abstract slot
 
-  // Par-block frames (snapshot + running max), pooled across calls.
+  // Par-block frames (snapshot + running max), pooled across calls. Laid
+  // out like time_ and busy_; only the block's footprint rows are live.
   struct Frame {
     std::vector<double> snap_time, snap_busy;
     std::vector<double> acc_time, acc_busy;

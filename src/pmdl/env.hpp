@@ -1,7 +1,8 @@
 // Lexically scoped symbol environment for PMDL evaluation.
 #pragma once
 
-#include <map>
+#include <cstddef>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -9,32 +10,42 @@
 
 namespace hmpi::pmdl {
 
-/// Stack of scopes mapping names to values. Copyable (a ModelInstance keeps
-/// the parameter bindings as an Env copy).
+/// One flat stack of bindings, innermost last; a scope is the run of
+/// bindings defined since its push_scope(). Lookup scans from the innermost
+/// binding outward, so a shadowing definition wins and the outer one is
+/// visible again once its scope is popped. The bindings live in a deque,
+/// so a binding's address stays valid while later scopes grow and shrink
+/// the stack — `&x` write-backs and lvalue pointers stay valid across
+/// defines. Copyable (a ModelInstance keeps the parameter bindings as an
+/// Env copy).
 class Env {
  public:
-  Env() { scopes_.emplace_back(); }
-
-  void push_scope() { scopes_.emplace_back(); }
+  void push_scope() { scope_begin_.push_back(bindings_.size()); }
 
   void pop_scope() {
-    if (scopes_.size() <= 1) throw PmdlError("internal: popping the global scope");
-    scopes_.pop_back();
+    if (scope_begin_.empty()) {
+      throw PmdlError("internal: popping the global scope");
+    }
+    bindings_.resize(scope_begin_.back());
+    scope_begin_.pop_back();
   }
 
   /// Defines `name` in the innermost scope; redefinition in the same scope
   /// is an error (shadowing an outer scope is allowed).
   void define(const std::string& name, Value value) {
-    auto [it, inserted] = scopes_.back().emplace(name, std::move(value));
-    (void)it;
-    if (!inserted) throw PmdlError("redefinition of '" + name + "'");
+    const std::size_t begin = scope_begin_.empty() ? 0 : scope_begin_.back();
+    for (std::size_t k = begin; k < bindings_.size(); ++k) {
+      if (bindings_[k].name == name) {
+        throw PmdlError("redefinition of '" + name + "'");
+      }
+    }
+    bindings_.push_back({name, std::move(value)});
   }
 
   /// Innermost binding of `name`, or nullptr.
   Value* lookup(const std::string& name) {
-    for (auto scope = scopes_.rbegin(); scope != scopes_.rend(); ++scope) {
-      auto it = scope->find(name);
-      if (it != scope->end()) return &it->second;
+    for (auto it = bindings_.rbegin(); it != bindings_.rend(); ++it) {
+      if (it->name == name) return &it->value;
     }
     return nullptr;
   }
@@ -43,15 +54,13 @@ class Env {
     return const_cast<Env*>(this)->lookup(name);
   }
 
-  /// Binding that must exist.
-  Value& require(const std::string& name) {
-    Value* v = lookup(name);
-    if (v == nullptr) throw PmdlError("use of undeclared identifier '" + name + "'");
-    return *v;
-  }
-
  private:
-  std::vector<std::map<std::string, Value>> scopes_;
+  struct Binding {
+    std::string name;
+    Value value;
+  };
+  std::deque<Binding> bindings_;
+  std::vector<std::size_t> scope_begin_;  // bindings_ index of each open scope
 };
 
 }  // namespace hmpi::pmdl

@@ -17,10 +17,6 @@ using ast::StmtKind;
   throw PmdlError(message, pos.line, pos.column);
 }
 
-/// Upper bound on loop iterations: catches runaway schemes (missing step or
-/// non-terminating condition) instead of hanging the runtime.
-constexpr long long kMaxLoopIterations = 1 << 24;
-
 // RAII scope guard.
 class ScopeGuard {
  public:
@@ -35,28 +31,88 @@ class ScopeGuard {
 
 bool is_int(const Value& v) { return std::holds_alternative<long long>(v); }
 
-Value index_array(const Expr& expr, const ArrayRef& base, long long idx) {
-  const std::size_t dim = base.dim_index;
-  if (dim >= base.data->dims.size()) {
-    fail(expr.pos, "too many subscripts for array");
+/// The binding `ident` names, read in place.
+Value& named_value(const Expr& ident, EvalCtx& ctx) {
+  Value* v = ctx.env->lookup(ident.name);
+  if (v == nullptr) {
+    fail(ident.pos, "use of undeclared identifier '" + ident.name + "'");
   }
-  const long long extent = base.data->dims[dim];
+  return *v;
+}
+
+/// The int slot of `var.field`, inside the named struct variable.
+long long* field_slot(const Expr& expr, EvalCtx& ctx) {
+  if (expr.lhs->kind != ExprKind::kIdent) {
+    fail(expr.pos, "member access must be of the form var.field");
+  }
+  auto* sv = std::get_if<StructVal>(&named_value(*expr.lhs, ctx));
+  if (sv == nullptr) fail(expr.pos, "'" + expr.lhs->name + "' is not a struct");
+  const int field = sv->type->field_index(expr.name);
+  if (field < 0) {
+    fail(expr.pos,
+         "struct " + sv->type->name + " has no field '" + expr.name + "'");
+  }
+  return &sv->fields[static_cast<std::size_t>(field)];
+}
+
+/// Pushes the subscripts of the chain a[i][j]... onto ctx.subscripts in
+/// source order and returns the chain's base expression.
+const Expr& push_subscripts(const Expr& expr, EvalCtx& ctx) {
+  const Expr& base = expr.lhs->kind == ExprKind::kIndex
+                         ? push_subscripts(*expr.lhs, ctx)
+                         : *expr.lhs;
+  const long long idx = as_int(eval_expr(*expr.rhs, ctx));
+  ctx.subscripts.push_back(idx);
+  return base;
+}
+
+/// Applies the chain's subscripts (ctx.subscripts from `next` on, one per
+/// kIndex level, innermost first) to the view at (`offset`, `dim`) of
+/// `data`, bounds-checking each level.
+void apply_subscripts(const Expr& expr, EvalCtx& ctx, const ArrayData& data,
+                      std::size_t& next, std::size_t& offset,
+                      std::size_t& dim) {
+  if (expr.lhs->kind == ExprKind::kIndex) {
+    apply_subscripts(*expr.lhs, ctx, data, next, offset, dim);
+  }
+  if (dim >= data.dims.size()) fail(expr.pos, "too many subscripts for array");
+  const long long idx = ctx.subscripts[next++];
+  const long long extent = data.dims[dim];
   if (idx < 0 || idx >= extent) {
     fail(expr.pos, "array index " + std::to_string(idx) +
                        " out of range [0, " + std::to_string(extent) + ")");
   }
   // Stride of this dimension = product of later extents.
   std::size_t stride = 1;
-  for (std::size_t d = dim + 1; d < base.data->dims.size(); ++d) {
-    stride *= static_cast<std::size_t>(base.data->dims[d]);
+  for (std::size_t d = dim + 1; d < data.dims.size(); ++d) {
+    stride *= static_cast<std::size_t>(data.dims[d]);
   }
-  ArrayRef sub = base;
-  sub.offset += static_cast<std::size_t>(idx) * stride;
-  sub.dim_index += 1;
-  if (sub.remaining_dims() == 0) {
-    return Value(sub.data->data[sub.offset]);
+  offset += static_cast<std::size_t>(idx) * stride;
+  ++dim;
+}
+
+/// a[i][j]...: the subscripts are evaluated first (in source order), then
+/// the named array variable is indexed in place. Only a partially indexed
+/// result copies the view.
+Value eval_index(const Expr& expr, EvalCtx& ctx) {
+  const std::size_t first = ctx.subscripts.size();
+  const Expr& base = push_subscripts(expr, ctx);
+  if (base.kind != ExprKind::kIdent) {
+    fail(expr.pos, "subscripted value is not an array variable");
   }
-  return Value(sub);
+  const Value& named = named_value(base, ctx);
+  const auto* arr = std::get_if<ArrayRef>(&named);
+  if (arr == nullptr) {
+    fail(expr.pos, "subscripted value is not an array (got " +
+                       value_kind_name(named) + ")");
+  }
+  std::size_t next = first;
+  std::size_t offset = arr->offset;
+  std::size_t dim = arr->dim_index;
+  apply_subscripts(expr, ctx, *arr->data, next, offset, dim);
+  ctx.subscripts.resize(first);
+  if (dim == arr->data->dims.size()) return Value(arr->data->data[offset]);
+  return Value(ArrayRef{arr->data, offset, dim});
 }
 
 /// Resolves an expression to the int slot it denotes (int variable or struct
@@ -64,29 +120,11 @@ Value index_array(const Expr& expr, const ArrayRef& base, long long idx) {
 long long* eval_int_lvalue(const Expr& expr, EvalCtx& ctx) {
   switch (expr.kind) {
     case ExprKind::kIdent: {
-      Value* v = ctx.env->lookup(expr.name);
-      if (v == nullptr) fail(expr.pos, "use of undeclared identifier '" + expr.name + "'");
-      if (auto* i = std::get_if<long long>(v)) return i;
+      if (auto* i = std::get_if<long long>(&named_value(expr, ctx))) return i;
       fail(expr.pos, "'" + expr.name + "' is not an assignable int variable");
     }
-    case ExprKind::kMember: {
-      if (expr.lhs->kind != ExprKind::kIdent) {
-        fail(expr.pos, "assignable member access must be of the form var.field");
-      }
-      Value* v = ctx.env->lookup(expr.lhs->name);
-      if (v == nullptr) {
-        fail(expr.lhs->pos,
-             "use of undeclared identifier '" + expr.lhs->name + "'");
-      }
-      auto* sv = std::get_if<StructVal>(v);
-      if (sv == nullptr) fail(expr.pos, "'" + expr.lhs->name + "' is not a struct");
-      const int field = sv->type->field_index(expr.name);
-      if (field < 0) {
-        fail(expr.pos, "struct " + sv->type->name + " has no field '" +
-                           expr.name + "'");
-      }
-      return &sv->fields[static_cast<std::size_t>(field)];
-    }
+    case ExprKind::kMember:
+      return field_slot(expr, ctx);
     default:
       fail(expr.pos, "expression is not assignable");
   }
@@ -171,10 +209,7 @@ Value eval_call(const Expr& expr, EvalCtx& ctx) {
     if (arg.kind == ExprKind::kAddressOf) {
       const Expr& target = *arg.lhs;
       if (target.kind == ExprKind::kIdent) {
-        Value* slot = ctx.env->lookup(target.name);
-        if (slot == nullptr) {
-          fail(target.pos, "use of undeclared identifier '" + target.name + "'");
-        }
+        Value* slot = &named_value(target, ctx);
         args.push_back(*slot);
         write_backs.push_back({i, slot, nullptr});
       } else {
@@ -206,11 +241,8 @@ Value eval_expr(const Expr& expr, EvalCtx& ctx) {
     case ExprKind::kIntLit:
       return Value(expr.int_value);
 
-    case ExprKind::kIdent: {
-      Value* v = ctx.env->lookup(expr.name);
-      if (v == nullptr) fail(expr.pos, "use of undeclared identifier '" + expr.name + "'");
-      return *v;
-    }
+    case ExprKind::kIdent:
+      return named_value(expr, ctx);
 
     case ExprKind::kBinary:
       return eval_binary(expr, ctx);
@@ -244,31 +276,11 @@ Value eval_expr(const Expr& expr, EvalCtx& ctx) {
       return Value(*slot);
     }
 
-    case ExprKind::kIndex: {
-      const Value base = eval_expr(*expr.lhs, ctx);
-      const auto* arr = std::get_if<ArrayRef>(&base);
-      if (arr == nullptr) {
-        fail(expr.pos, "subscripted value is not an array (got " +
-                           value_kind_name(base) + ")");
-      }
-      const long long idx = as_int(eval_expr(*expr.rhs, ctx));
-      return index_array(expr, *arr, idx);
-    }
+    case ExprKind::kIndex:
+      return eval_index(expr, ctx);
 
-    case ExprKind::kMember: {
-      const Value base = eval_expr(*expr.lhs, ctx);
-      const auto* sv = std::get_if<StructVal>(&base);
-      if (sv == nullptr) {
-        fail(expr.pos, "member access on non-struct value (" +
-                           value_kind_name(base) + ")");
-      }
-      const int field = sv->type->field_index(expr.name);
-      if (field < 0) {
-        fail(expr.pos,
-             "struct " + sv->type->name + " has no field '" + expr.name + "'");
-      }
-      return Value(sv->fields[static_cast<std::size_t>(field)]);
-    }
+    case ExprKind::kMember:
+      return Value(*field_slot(expr, ctx));
 
     case ExprKind::kCall:
       return eval_call(expr, ctx);
@@ -350,9 +362,8 @@ void exec_loop(const Stmt& stmt, EvalCtx& ctx) {
   if (stmt.init_stmt) exec_stmt(*stmt.init_stmt, ctx);
 
   if (parallel) ctx.sink->par_begin();
-  long long iterations = 0;
   while (truthy(eval_expr(*stmt.expr, ctx))) {
-    if (++iterations > kMaxLoopIterations) {
+    if (++ctx.loop_iterations > kMaxLoopIterations) {
       fail(stmt.pos, "loop exceeded the iteration limit (runaway scheme?)");
     }
     if (parallel) ctx.sink->par_iter_begin();

@@ -6,6 +6,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "pmdl/ast.hpp"
 #include "pmdl/env.hpp"
@@ -22,7 +23,19 @@ struct EvalCtx {
   /// Scheme-only: activation receiver and coordinate extents for bounds checks.
   ScheduleSink* sink = nullptr;
   std::span<const long long> shape;
+  /// Loop iterations run so far with this context, over all loops and
+  /// nesting levels: one replay may run at most kMaxLoopIterations.
+  long long loop_iterations = 0;
+  /// Scratch stack of evaluated subscripts (a[i][j]... chains; nested
+  /// chains push above their enclosing one).
+  std::vector<long long> subscripts;
 };
+
+/// Upper bound on the loop iterations of one evaluation context (one scheme
+/// replay): catches runaway schemes — a missing step, a non-terminating
+/// condition, or nested loops whose product explodes — instead of hanging
+/// the runtime.
+inline constexpr long long kMaxLoopIterations = 1 << 24;
 
 /// Evaluates an expression to a value (C arithmetic semantics; see value.hpp).
 Value eval_expr(const ast::Expr& expr, EvalCtx& ctx);

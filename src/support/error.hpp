@@ -105,5 +105,10 @@ inline void require(bool cond, const std::string& what) {
   if (!cond) throw InvalidArgument(what);
 }
 
+/// As above; a literal message builds no string unless the check fails.
+inline void require(bool cond, const char* what) {
+  if (!cond) throw InvalidArgument(what);
+}
+
 }  // namespace support
 }  // namespace hmpi

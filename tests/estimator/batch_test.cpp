@@ -56,6 +56,87 @@ ModelInstance random_scheme_model(support::Rng& rng, int p) {
   return b.build();
 }
 
+/// Random nested-par scheme model. Besides random nesting, every model
+/// opens with one block that holds each par shape the kernel's footprint
+/// frames must price: ops before the first iteration, an empty iteration,
+/// an empty nested block, and transfers over distinct abstract pairs with a
+/// common destination, which mappings onto 2-3 machines alias onto one
+/// physical link. Random blocks add empty blocks, transfers inside frames
+/// and more nesting.
+ModelInstance nested_par_model(support::Rng& rng, int p) {
+  InstanceBuilder b("batch-nested");
+  b.shape({p});
+  for (int a = 0; a < p; ++a) {
+    b.node_volume(a, 1.0 + rng.next_double() * 100.0);
+    for (int d = 0; d < p; ++d) {
+      if (d != a && rng.next_below(3) != 0) {
+        b.link(a, d, 1e4 + rng.next_double() * 1e5);
+      }
+    }
+  }
+  const std::uint64_t seed = rng.next();
+  b.scheme([p, seed](ScheduleSink& s) {
+    support::Rng r(seed);
+    const auto proc = [&] {
+      return static_cast<long long>(
+          r.next_below(static_cast<std::uint64_t>(p)));
+    };
+    const auto compute = [&](long long a) {
+      const long long c[1] = {a};
+      s.compute(c, 5.0 + r.next_double() * 45.0);
+    };
+    const auto transfer = [&](long long from, long long to) {
+      const long long src[1] = {from}, dst[1] = {to};
+      s.transfer(src, dst, 10.0 + r.next_double() * 90.0);
+    };
+    const auto leaf = [&] {
+      if (r.next_below(3) == 0) {
+        compute(proc());
+      } else {
+        transfer(proc(), proc());
+      }
+    };
+    // The fixed coverage block (p >= 3).
+    s.par_begin();
+    compute(0);  // before the first iteration
+    transfer(2, 0);
+    s.par_iter_begin();
+    transfer(1, 0);
+    s.par_iter_begin();  // empty iteration
+    s.par_iter_begin();
+    s.par_begin();  // empty nested block
+    s.par_iter_begin();
+    s.par_end();
+    transfer(2, 1);
+    transfer(0, 1);
+    s.par_iter_begin();
+    compute(1);
+    s.par_end();
+    // Random nesting: a block draws 0-2 ops before its first iteration and
+    // 0-3 iterations of 0-3 items each.
+    const auto block = [&](auto&& self, int depth) -> void {
+      s.par_begin();
+      for (auto k = r.next_below(3); k > 0; --k) leaf();
+      for (auto it = r.next_below(4); it > 0; --it) {
+        s.par_iter_begin();
+        for (auto k = r.next_below(4); k > 0; --k) {
+          if (depth < 3 && r.next_below(3) == 0) {
+            self(self, depth + 1);
+          } else {
+            leaf();
+          }
+        }
+      }
+      s.par_end();
+    };
+    for (int phase = 0; phase < 4; ++phase) {
+      leaf();
+      block(block, 0);
+    }
+  });
+  return b.build();
+}
+
 /// Model with volumes and links but no scheme: the estimator's fallback
 /// path, which the batch evaluator must reproduce too.
 ModelInstance fallback_model(support::Rng& rng, int p) {
@@ -127,6 +208,19 @@ TEST(BatchEvaluator, MatchesSinglesOnRandomSchemeModels) {
     const ModelInstance instance = random_scheme_model(rng, p);
     const auto count =
         static_cast<std::size_t>(1 + rng.next_below(50));
+    expect_batch_matches_singles(instance, net, rng, count);
+  }
+}
+
+TEST(BatchEvaluator, MatchesSinglesOnNestedParModelsWithAliasedLinks) {
+  support::Rng rng(0x9e57ed);
+  for (int trial = 0; trial < 24; ++trial) {
+    const int p = 3 + static_cast<int>(rng.next_below(5));
+    const int machines = 2 + static_cast<int>(rng.next_below(2));
+    const hnoc::Cluster cluster = random_cluster(rng, machines);
+    const hnoc::NetworkModel net(cluster);
+    const ModelInstance instance = nested_par_model(rng, p);
+    const auto count = static_cast<std::size_t>(1 + rng.next_below(40));
     expect_batch_matches_singles(instance, net, rng, count);
   }
 }

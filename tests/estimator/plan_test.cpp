@@ -7,6 +7,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "estimator/estimate_cache.hpp"
@@ -195,6 +197,88 @@ TEST(Plan, LoweringDropsSelfTransfersAndFoldsPercent) {
   // Only the surviving transfer keys a busy slot.
   ASSERT_EQ(plan.transfer_pairs().size(), 1u);
   EXPECT_EQ(plan.transfer_pairs()[0], std::make_pair(0, 1));
+}
+
+TEST(Plan, LoweringDropsEmptyParSegmentsAndBlocksAndScopesMarkers) {
+  using K = PlanOp::Kind;
+  auto inst = InstanceBuilder("t")
+                  .shape({3})
+                  .node_volume(0, 10.0)
+                  .node_volume(1, 20.0)
+                  .node_volume(2, 30.0)
+                  .link(0, 1, 1e6)
+                  .scheme([](ScheduleSink& s) {
+                    const long long p0[1] = {0}, p1[1] = {1}, p2[1] = {2};
+                    s.par_begin();
+                    s.compute(p2, 100.0);  // before the first iteration
+                    s.par_iter_begin();
+                    s.compute(p0, 100.0);
+                    s.par_iter_begin();  // empty iteration
+                    s.par_iter_begin();  // iteration holding an empty par
+                    s.par_begin();
+                    s.par_iter_begin();
+                    s.par_iter_begin();
+                    s.par_end();
+                    s.par_iter_begin();
+                    s.transfer(p0, p1, 100.0);
+                    s.par_end();
+                    s.par_begin();  // empty block
+                    s.par_iter_begin();
+                    s.par_end();
+                    s.compute(p1, 100.0);
+                  })
+                  .build();
+  const Plan plan(inst);
+  // 8 of the raw stream's 17 events remain: the empty iterations, the empty
+  // nested par and the empty block are gone.
+  const std::vector<K> expected{K::kParBegin,     K::kCompute,
+                                K::kParIterBegin, K::kCompute,
+                                K::kParIterBegin, K::kTransfer,
+                                K::kParEnd,       K::kCompute};
+  ASSERT_EQ(plan.ops().size(), expected.size());
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(plan.ops()[k].kind, expected[k]) << "op " << k;
+  }
+  EXPECT_EQ(plan.op_count(), expected.size());
+  const auto rows = [](std::span<const int> r) {
+    return std::vector<int>(r.begin(), r.end());
+  };
+  const PlanOp& begin = plan.ops()[0];
+  const PlanOp& end = plan.ops()[6];
+  // The block's footprint: every time row and pair row it writes.
+  EXPECT_EQ(rows(plan.time_rows(begin)), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(rows(plan.pair_rows(begin)), (std::vector<int>{0}));
+  EXPECT_EQ(rows(plan.time_rows(end)), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(rows(plan.pair_rows(end)), (std::vector<int>{0}));
+  // Each kept kParIterBegin carries the segment it closes.
+  EXPECT_EQ(rows(plan.time_rows(plan.ops()[2])), (std::vector<int>{2}));
+  EXPECT_TRUE(plan.pair_rows(plan.ops()[2]).empty());
+  EXPECT_EQ(rows(plan.time_rows(plan.ops()[4])), (std::vector<int>{0}));
+  EXPECT_TRUE(plan.pair_rows(plan.ops()[4]).empty());
+  EXPECT_EQ(plan.ops()[5].pair, 0);
+
+  hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
+  hnoc::NetworkModel net(cluster);
+  support::Rng rng(17);
+  for (int trial = 0; trial < 8; ++trial) {
+    const auto m = random_mapping(inst.size(), net.size(), rng);
+    ASSERT_BIT_EQ(plan.evaluate(m, net),
+                  reference::estimate_time(inst, m, net, EstimateOptions()));
+  }
+}
+
+TEST(Plan, UnbalancedParStreamsAreRejected) {
+  const auto compile = [](std::function<void(ScheduleSink&)> scheme) {
+    const auto inst =
+        InstanceBuilder("t").shape({2}).scheme(std::move(scheme)).build();
+    return Plan(inst);
+  };
+  EXPECT_THROW(compile([](ScheduleSink& s) { s.par_iter_begin(); }),
+               hmpi::InvalidArgument);
+  EXPECT_THROW(compile([](ScheduleSink& s) { s.par_end(); }),
+               hmpi::InvalidArgument);
+  EXPECT_THROW(compile([](ScheduleSink& s) { s.par_begin(); }),
+               hmpi::InvalidArgument);
 }
 
 TEST(Plan, EvaluateValidatesMapping) {

@@ -2,6 +2,9 @@
 // via tiny models whose node volumes exercise the expression in question.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "pmdl/env.hpp"
 #include "pmdl/model.hpp"
 #include "support/error.hpp"
 
@@ -17,6 +20,43 @@ double eval_with(const std::string& expr, long long a, long long b) {
       "algorithm E(int a, int b) { coord I=1; node { 1: bench*((" + expr +
       ") + 100000); }; }");
   return m.instantiate({scalar(a), scalar(b)}).node_volume(0) - 100000.0;
+}
+
+TEST(Env, SameScopeRedefinitionFailsAndShadowingDoesNot) {
+  Env env;
+  env.define("x", Value(1LL));
+  const auto expect_redefinition = [&](long long v) {
+    try {
+      env.define("x", Value(v));
+      FAIL() << "expected a redefinition error";
+    } catch (const PmdlError& e) {
+      EXPECT_NE(std::string(e.what()).find("redefinition"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_redefinition(2);
+  env.push_scope();
+  env.define("y", Value(7LL));
+  env.define("x", Value(3LL));  // shadows the outer x
+  expect_redefinition(4);
+  EXPECT_EQ(std::get<long long>(*env.lookup("x")), 3);
+  env.pop_scope();
+  EXPECT_EQ(std::get<long long>(*env.lookup("x")), 1);
+  EXPECT_EQ(env.lookup("y"), nullptr);
+  EXPECT_THROW(env.pop_scope(), PmdlError);  // the global scope stays
+}
+
+TEST(Env, BindingsKeepTheirAddressWhileTheStackGrows) {
+  Env env;
+  env.define("s", Value(5LL));
+  Value* s = env.lookup("s");
+  env.push_scope();
+  for (int k = 0; k < 1000; ++k) env.define("v" + std::to_string(k), Value(0LL));
+  EXPECT_EQ(env.lookup("s"), s);
+  *s = Value(9LL);
+  env.pop_scope();
+  EXPECT_EQ(env.lookup("s"), s);
+  EXPECT_EQ(std::get<long long>(*s), 9);
 }
 
 TEST(Eval, IntegerArithmetic) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "pmdl/eval.hpp"
 #include "pmdl_test_util.hpp"
 #include "support/error.hpp"
 
@@ -273,6 +274,112 @@ TEST(Model, RunawayLoopIsCaught) {
   auto inst = m.instantiate({scalar(1)});
   RecordingSink sink;
   EXPECT_THROW(inst.run_scheme(sink), PmdlError);
+}
+
+TEST(Model, NestedRunawayLoopsAreCaught) {
+  // Each loop stays under kMaxLoopIterations (2^24), their product does
+  // not: the cap counts every iteration of one replay, so a nest of loops
+  // that would run ~2^24 x 2^24 iterations fails instead of hanging.
+  static_assert(4097LL * 4096 > kMaxLoopIterations);
+  Model m = Model::from_source(R"(
+    algorithm A(int p) {
+      coord I=p;
+      scheme {
+        int i, j;
+        for (i = 0; i < 4097; i++)
+          for (j = 0; j < 4096; j++) { }
+      };
+    })");
+  auto inst = m.instantiate({scalar(1)});
+  RecordingSink sink;
+  try {
+    inst.run_scheme(sink);
+    FAIL() << "expected the iteration cap to trip";
+  } catch (const PmdlError& e) {
+    EXPECT_NE(std::string(e.what()).find("iteration limit"), std::string::npos)
+        << e.what();
+  }
+  // The count is per replay: a replay well under the cap still runs.
+  Model small = Model::from_source(R"(
+    algorithm A(int p) {
+      coord I=p;
+      scheme { int i, j; for (i = 0; i < 64; i++) for (j = 0; j < 64; j++) { } };
+    })");
+  auto fine = small.instantiate({scalar(1)});
+  for (int replay = 0; replay < 3; ++replay) {
+    RecordingSink ok;
+    EXPECT_NO_THROW(fine.run_scheme(ok));
+  }
+}
+
+TEST(Model, SchemeLocalShadowsOuterUntilItsBlockEnds) {
+  Model m = Model::from_source(R"(
+    algorithm A(int p) {
+      coord I=p;
+      scheme {
+        int x = 1;
+        100%%[x];
+        {
+          int x = 3;
+          100%%[x];
+          { int p = 0; 100%%[p]; }
+          100%%[p - 1];
+        }
+        100%%[x];
+      };
+    })");
+  auto inst = m.instantiate({scalar(5)});
+  RecordingSink sink;
+  inst.run_scheme(sink);
+  ASSERT_EQ(sink.events.size(), 5u);
+  const std::vector<long long> expected{1, 3, 0, 4, 1};
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(sink.events[k].src, (std::vector<long long>{expected[k]}))
+        << "activation " << k;
+  }
+}
+
+TEST(Model, NativeWriteBacksLandAfterTheScopeStackGrew) {
+  // `s` and `n` are bound first; dozens of later bindings in nested scopes
+  // grow the environment before the &s, &s.J and &n write-backs.
+  std::string decls;
+  for (int k = 0; k < 40; ++k) decls += "int a" + std::to_string(k) + ";\n";
+  std::string inner;
+  for (int k = 0; k < 40; ++k) inner += "int b" + std::to_string(k) + " = 1;\n";
+  Model m = Model::from_source(R"(
+    typedef struct {int I; int J;} Pair;
+    algorithm A(int p) {
+      coord I=p;
+      scheme {
+        Pair s;
+        int n = 0;
+        )" + decls + R"(
+        {
+          )" + inner + R"(
+          Fill(&s);
+          Put(6, &s.J);
+          Put(5, &n);
+          { int c = 0; 100%%[s.I]; 100%%[s.J]; 100%%[n]; }
+        }
+        100%%[s.I]; 100%%[s.J]; 100%%[n];
+      };
+    })");
+  m.register_native("Fill", [](std::vector<Value>& args) {
+    auto& sv = std::get<StructVal>(args[0]);
+    sv.fields[0] = 3;
+    sv.fields[1] = 4;
+  });
+  m.register_native("Put",
+                    [](std::vector<Value>& args) { args[1] = args[0]; });
+  auto inst = m.instantiate({scalar(8)});
+  RecordingSink sink;
+  inst.run_scheme(sink);
+  ASSERT_EQ(sink.events.size(), 6u);
+  const std::vector<long long> expected{3, 6, 5, 3, 6, 5};
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(sink.events[k].src, (std::vector<long long>{expected[k]}))
+        << "activation " << k;
+  }
 }
 
 TEST(Model, MissingSchemeThrowsOnReplay) {
