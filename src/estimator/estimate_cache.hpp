@@ -12,19 +12,22 @@
 // set_speed, i.e. by every recon — stale speeds can never leak back), and
 // the canonical per-abstract-processor physical mapping.
 //
-// Thread safety: the table is sharded by key hash, each shard behind its own
-// mutex, so the parallel mappers can share one cache. The shard count is a
-// constructor argument: the batch searches probe thousands of keys per
-// round, and bulk probes grouped by shard take each shard mutex once per
-// batch instead of once per key. Two threads that miss the same key
-// concurrently both compute it; the kernel is deterministic, so whichever
-// insert lands is the same bit pattern — cached and uncached searches return
-// bit-identical results.
+// Only the one-at-a-time searches (greedy, swap-refine, annealing,
+// exhaustive) consult it; they are where the revisits are. The batch
+// searches (beam, work-stealing annealing) price every row through the
+// kernel instead: at P=1000 they hit about 1% of the time, and a probe plus
+// its insert costs about twice what the kernel charges for the mapping.
+//
+// Thread safety: the table is split into 16 shards by key hash, each behind
+// its own mutex, so the parallel mappers can share one cache. Two
+// threads that miss the same key concurrently both compute it; the kernel is
+// deterministic, so whichever insert lands is the same bit pattern — cached
+// and uncached searches return bit-identical results.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <unordered_map>
@@ -37,11 +40,7 @@ namespace hmpi::est {
 
 class EstimateCache {
  public:
-  static constexpr std::size_t kDefaultShards = 16;
-
-  /// `shards` is clamped to >= 1. More shards cut contention under parallel
-  /// and batch probes; the default matches the pre-configurable behaviour.
-  explicit EstimateCache(std::size_t shards = kDefaultShards);
+  EstimateCache() = default;
   EstimateCache(const EstimateCache&) = delete;
   EstimateCache& operator=(const EstimateCache&) = delete;
 
@@ -66,27 +65,6 @@ class EstimateCache {
   /// would have computed, per the kernel's determinism contract).
   void insert(std::uint64_t fingerprint, std::span<const int> mapping,
               const hnoc::NetworkModel& network, double seconds);
-
-  /// Bulk probe of `count` mappings laid out row-major (mapping i occupies
-  /// [i * width, (i + 1) * width) of `mappings`). Sets found[i] to 1 and
-  /// fills out[i] on a hit; returns the number of hits. Keys are bucketed by
-  /// shard and each shard mutex is taken once per batch — this is what keeps
-  /// the batch searches off the per-key locking profile. Counts toward
-  /// hits()/misses() exactly like `count` individual lookup() calls.
-  std::size_t lookup_batch(std::uint64_t fingerprint,
-                           std::span<const int> mappings, std::size_t width,
-                           const hnoc::NetworkModel& network,
-                           std::span<double> out, std::span<char> found);
-
-  /// Bulk insert of caller-computed values for the subset with skip[i] == 0
-  /// (pass the found mask of the paired lookup_batch). Groups keys by shard,
-  /// locking each shard once.
-  void insert_batch(std::uint64_t fingerprint, std::span<const int> mappings,
-                    std::size_t width, const hnoc::NetworkModel& network,
-                    std::span<const double> values, std::span<const char> skip);
-
-  /// Shards the table was built with.
-  std::size_t shard_count() const noexcept { return shard_count_; }
 
   /// Drops every entry (cumulative hit/miss counters are kept). Version
   /// keying already prevents stale reads; clearing just releases memory,
@@ -119,18 +97,12 @@ class EstimateCache {
     std::unordered_map<Key, double, KeyHash> table;
   };
 
+  static constexpr std::size_t kShards = 16;
+
   Shard& shard_for(const Key& key);
 
-  /// Row hash shared by the single and batch paths (same value KeyHash
-  /// computes from a materialised Key).
-  static std::uint64_t row_hash(std::uint64_t fingerprint,
-                                std::uint64_t version,
-                                std::span<const int> mapping) noexcept;
-
-  // Heap array, not a vector: Shard holds a mutex (immovable), and the count
-  // is fixed at construction anyway.
-  std::size_t shard_count_;
-  std::unique_ptr<Shard[]> shards_;
+  // Array, not a vector: Shard holds a mutex (immovable).
+  std::array<Shard, kShards> shards_;
   std::atomic<long long> hits_{0};
   std::atomic<long long> misses_{0};
 };

@@ -105,11 +105,12 @@ class CandidateScorer {
 };
 
 /// Batch counterpart of CandidateScorer for the scalable searches: packs a
-/// set of complete selections into row-major physical mappings, answers what
-/// it can from the estimate cache in one bulk probe per shard, prices the
-/// misses through the SoA est::BatchEvaluator and bulk-inserts them back.
-/// A candidate's value does not depend on the batch it is priced in, so
-/// batch and one-at-a-time searches agree bit for bit.
+/// set of complete selections slot-major and prices every row in one
+/// est::BatchEvaluator call. It never consults the estimate cache: these
+/// searches rarely revisit a mapping (about 1% at P=1000), and a probe plus
+/// its insert costs about twice what the kernel charges for the row. A
+/// candidate's value does not depend on the batch it is priced in, so batch
+/// and one-at-a-time searches agree bit for bit.
 ///
 /// Not thread-safe: one scorer per chunk/chain (all scratch is reused
 /// across calls, so a steady-state round allocates nothing).
@@ -132,48 +133,19 @@ class BatchScorer {
     stats->evaluations += static_cast<long long>(count);
     stats->batch_chunks += 1;
     stats->batch_candidates += static_cast<long long>(count);
+    stats->compiled_evaluations += static_cast<long long>(count);
+    stats->batch_evaluated += static_cast<long long>(count);
 
-    // Selection -> physical processors, row-major (the cache key layout).
-    rows_.resize(count * width_);
-    for (std::size_t j = 0; j < count * width_; ++j) {
-      rows_[j] = candidates_[static_cast<std::size_t>(selections[j])].processor;
-    }
-
-    est::EstimateCache* cache = pricing_->cache;
-    found_.assign(count, 0);
-    if (cache != nullptr) {
-      const std::size_t hits = cache->lookup_batch(
-          pricing_->fingerprint, rows_, width_, *network_, out, found_);
-      stats->cache_hits += static_cast<long long>(hits);
-      stats->cache_misses += static_cast<long long>(count - hits);
-      if (hits == count) return;
-    }
-
-    // Pack the miss subset slot-major and price it in one SoA pass.
-    miss_index_.clear();
+    // Selection -> physical processors, slot-major (soa_[a * count + j]).
+    soa_.resize(width_ * count);
     for (std::size_t j = 0; j < count; ++j) {
-      if (found_[j] == 0) miss_index_.push_back(j);
-    }
-    const std::size_t misses = miss_index_.size();
-    soa_.resize(width_ * misses);
-    for (std::size_t a = 0; a < width_; ++a) {
-      for (std::size_t m = 0; m < misses; ++m) {
-        soa_[a * misses + m] = rows_[miss_index_[m] * width_ + a];
+      for (std::size_t a = 0; a < width_; ++a) {
+        soa_[a * count + j] =
+            candidates_[static_cast<std::size_t>(selections[j * width_ + a])]
+                .processor;
       }
     }
-    miss_out_.resize(misses);
-    batch_.evaluate(*pricing_->plan, soa_, misses, *network_, options_,
-                    miss_out_);
-    for (std::size_t m = 0; m < misses; ++m) {
-      out[miss_index_[m]] = miss_out_[m];
-    }
-    stats->compiled_evaluations += static_cast<long long>(misses);
-    stats->batch_evaluated += static_cast<long long>(misses);
-
-    if (cache != nullptr) {
-      cache->insert_batch(pricing_->fingerprint, rows_, width_, *network_, out,
-                          found_);
-    }
+    batch_.evaluate(*pricing_->plan, soa_, count, *network_, options_, out);
   }
 
  private:
@@ -183,11 +155,7 @@ class BatchScorer {
   est::EstimateOptions options_;
   std::size_t width_;
   est::BatchEvaluator batch_;
-  std::vector<int> rows_;
-  std::vector<char> found_;
-  std::vector<std::size_t> miss_index_;
   std::vector<int> soa_;
-  std::vector<double> miss_out_;
 };
 
 /// Chunked batch scoring over the context's pool: the candidate set is split
@@ -239,6 +207,13 @@ class ParallelBatchScorer {
   std::vector<BatchScorer> scorers_;
   std::vector<SearchStats> slot_stats_;
 };
+
+/// True when the annealing move set is empty: no free slot, or one free
+/// slot and no unused candidate to substitute into it (a swap needs two).
+/// The start is then the only arrangement.
+bool no_annealing_moves(std::size_t free_slots, int n, int p) {
+  return free_slots == 0 || (free_slots == 1 && n == p);
+}
 
 /// Substitution targets under the locality restriction: every non-parent
 /// candidate below the threshold; the top_k fastest (ties towards the lower
@@ -598,7 +573,7 @@ MappingResult AnnealingMapper::select(const pmdl::ModelInstance& instance,
     return result;
   };
 
-  if (slots.empty()) {
+  if (no_annealing_moves(slots.size(), n, p)) {
     return finish(std::move(best), best_score);
   }
 
@@ -851,7 +826,7 @@ MappingResult WorkStealingAnnealingMapper::select(
     scorer.score(current, 1, std::span<double>(&current_time, 1), &out.stats);
     out.best = current;
     out.best_time = current_time;
-    if (slots.empty()) return;
+    if (no_annealing_moves(slots.size(), n, p)) return;
 
     std::vector<char> used(static_cast<std::size_t>(n), 0);
     for (int c : current) used[static_cast<std::size_t>(c)] = 1;
@@ -1029,12 +1004,13 @@ MappingResult PortfolioMapper::select(const pmdl::ModelInstance& instance,
   }
 
   // Below the threshold each member is a serial algorithm and the pool races
-  // the members against each other; at scale each member gets the full
-  // context (pool included) and they run in sequence. Either way the members
-  // share the context's estimate cache (greedy's start is every search's
-  // start — instant hits) and a plan cache (a local one when the caller
-  // supplied none), compiled before the members race so that one compile
-  // serves everyone.
+  // the members against each other, sharing the context's estimate cache
+  // (greedy's start is every search's start — instant hits). At scale each
+  // member gets the full context (pool included) and they run in sequence;
+  // only greedy's start goes through the cache there, since the batch
+  // members never consult it. Either way the members share a plan cache (a
+  // local one when the caller supplied none), compiled before the members
+  // race so that one compile serves everyone.
   est::PlanCache local_plans;
   const SearchContext member_context{
       at_scale ? context.pool : nullptr, context.cache,

@@ -68,17 +68,19 @@ struct Candidate {
 /// Cost accounting of one select() run.
 struct SearchStats {
   long long evaluations = 0;   ///< Arrangements scored (cache hits included).
-  long long cache_hits = 0;    ///< Evaluations answered from the cache.
-  long long cache_misses = 0;  ///< Evaluations the estimator had to price.
+  /// Evaluations answered from the cache. Only the one-at-a-time searches
+  /// consult it; the batch searches price every row.
+  long long cache_hits = 0;
+  long long cache_misses = 0;  ///< Cache lookups the estimator had to price.
   /// Evaluations the estimator kernel priced (cache hits excluded —
   /// nothing was evaluated).
   long long compiled_evaluations = 0;
   /// Batch scoring requests the scalable searches issued (mapper.batch.*).
   long long batch_chunks = 0;
-  /// Selections scored through the batch path (cache hits included).
+  /// Selections scored through the batch path.
   long long batch_candidates = 0;
-  /// Batch candidates the SoA evaluator priced (cache hits excluded;
-  /// est.batch.* metrics).
+  /// Batch candidates the SoA evaluator priced (est.batch.* metrics); equal
+  /// to batch_candidates, since the batch path never consults the cache.
   long long batch_evaluated = 0;
   double wall_seconds = 0.0;   ///< Host wall-clock time of the search.
   int threads = 1;             ///< Workers the search ran with.
@@ -107,7 +109,8 @@ struct SearchStats {
 
 /// Shared machinery a caller may hand to a search. The members are
 /// borrowed, optional, and independent: a null pool runs serially, a null
-/// cache prices every arrangement through the estimator kernel directly, a
+/// cache prices every arrangement through the estimator kernel directly (as
+/// the batch searches, beam and work-stealing annealing, always do), a
 /// null plan cache compiles the instance once per select() instead of
 /// sharing compiled plans across searches. Every combination returns
 /// bit-identical selections — the members trade CPU only.
@@ -275,7 +278,7 @@ struct BeamOptions {
 /// Width-bounded beam search over the swap/substitution neighborhood,
 /// started from the greedy selection. Every round expands each frontier
 /// state's full neighborhood, scores all neighbors in one batch
-/// (est::BatchEvaluator through the bulk estimate-cache path), and keeps the
+/// (est::BatchEvaluator, without the estimate cache), and keeps the
 /// `width` best distinct selections under a (time, selection) lexicographic
 /// order — so the frontier, and therefore the result, is bit-identical for
 /// any thread count (parallel batch chunks write disjoint ranges and the

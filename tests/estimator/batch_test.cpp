@@ -1,14 +1,10 @@
-// The SoA batch evaluator (estimator/plan.hpp) and the estimate cache's bulk
-// probes (estimator/estimate_cache.hpp): evaluate_batch must equal N
+// The SoA batch evaluator (estimator/plan.hpp): evaluate_batch must equal N
 // one-at-a-time Plan::evaluate calls and the reference interpreter bit for
-// bit on arbitrary models and clusters, and lookup_batch/insert_batch must
-// be interchangeable with the single-key calls, at any shard count.
+// bit on arbitrary models and clusters.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "estimator/estimate_cache.hpp"
-#include "estimator/fingerprint.hpp"
 #include "estimator/plan.hpp"
 #include "hnoc/cluster.hpp"
 #include "reference/estimator.hpp"
@@ -260,125 +256,6 @@ TEST(BatchEvaluator, RepeatedCallsReuseScratchDeterministically) {
   plan.evaluate_batch(soa, 8, net, EstimateOptions{}, first);
   plan.evaluate_batch(soa, 8, net, EstimateOptions{}, second);
   EXPECT_EQ(first, second);
-}
-
-TEST(EstimateCacheShards, AnyShardCountReturnsIdenticalValues) {
-  support::Rng rng(0x54a7d);
-  const hnoc::Cluster cluster = random_cluster(rng, 9);
-  const hnoc::NetworkModel net(cluster);
-  const ModelInstance instance = random_scheme_model(rng, 4);
-  const EstimateOptions options{};
-  const Plan plan(instance);
-  const std::uint64_t fp = estimate_fingerprint(instance, options);
-
-  std::vector<std::vector<int>> mappings;
-  for (int i = 0; i < 40; ++i) {
-    std::vector<int> mapping(4);
-    for (int& p : mapping) {
-      p = static_cast<int>(rng.next_below(9));
-    }
-    mappings.push_back(std::move(mapping));
-  }
-
-  EstimateCache one_shard(1);
-  std::vector<double> expected;
-  for (const auto& mapping : mappings) {
-    expected.push_back(one_shard.estimate(fp, plan, mapping, net, options));
-  }
-  for (std::size_t shards : {std::size_t{0}, std::size_t{3},
-                             std::size_t{64}}) {
-    EstimateCache cache(shards);
-    EXPECT_GE(cache.shard_count(), 1u);  // 0 clamps to 1
-    for (std::size_t i = 0; i < mappings.size(); ++i) {
-      EXPECT_EQ(cache.estimate(fp, plan, mappings[i], net, options),
-                expected[i]);
-    }
-  }
-}
-
-TEST(EstimateCacheShards, BatchProbesMatchSingleKeyCalls) {
-  support::Rng rng(0xba7c);
-  const hnoc::Cluster cluster = random_cluster(rng, 9);
-  const hnoc::NetworkModel net(cluster);
-  const ModelInstance instance = random_scheme_model(rng, 4);
-  const EstimateOptions options{};
-  const std::uint64_t fp = estimate_fingerprint(instance, options);
-  constexpr std::size_t kWidth = 4, kCount = 24;
-
-  // Row-major batch of distinct mappings (base-9 digits of the row index,
-  // so no two rows share a cache key); even rows are pre-inserted via the
-  // single-key path.
-  std::vector<int> rows(kWidth * kCount);
-  std::vector<double> values(kCount);
-  for (std::size_t i = 0; i < kCount; ++i) {
-    std::size_t digits = i;
-    for (std::size_t a = 0; a < kWidth; ++a) {
-      rows[i * kWidth + a] = static_cast<int>(digits % 9);
-      digits /= 9;
-    }
-  }
-  for (std::size_t i = 0; i < kCount; ++i) {
-    values[i] = 1.0 + static_cast<double>(i);
-  }
-
-  for (std::size_t shards : {std::size_t{1}, std::size_t{5}}) {
-    EstimateCache cache(shards);
-    for (std::size_t i = 0; i < kCount; i += 2) {
-      cache.insert(fp, std::span<const int>(rows).subspan(i * kWidth, kWidth),
-                   net, values[i]);
-    }
-    std::vector<double> out(kCount, -1.0);
-    std::vector<char> found(kCount, 0);
-    const std::size_t hits =
-        cache.lookup_batch(fp, rows, kWidth, net, out, found);
-    EXPECT_EQ(hits, kCount / 2);
-    EXPECT_EQ(cache.hits(), static_cast<long long>(kCount / 2));
-    EXPECT_EQ(cache.misses(), static_cast<long long>(kCount - kCount / 2));
-    for (std::size_t i = 0; i < kCount; ++i) {
-      EXPECT_EQ(found[i], i % 2 == 0 ? 1 : 0) << "row " << i;
-      if (i % 2 == 0) {
-        EXPECT_EQ(out[i], values[i]);
-      }
-    }
-
-    // insert_batch with the found mask fills exactly the misses; every key
-    // must then answer through the single-key lookup.
-    cache.insert_batch(fp, rows, kWidth, net, values, found);
-    for (std::size_t i = 0; i < kCount; ++i) {
-      double got = -1.0;
-      EXPECT_TRUE(cache.lookup(
-          fp, std::span<const int>(rows).subspan(i * kWidth, kWidth), net,
-          &got));
-      EXPECT_EQ(got, values[i]);
-    }
-  }
-}
-
-TEST(EstimateCacheShards, BatchInsertSkipsMaskedRows) {
-  const hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
-  const hnoc::NetworkModel net(cluster);
-  constexpr std::size_t kWidth = 3, kCount = 6;
-  // Distinct sliding-window rows so every batch entry is its own cache key.
-  std::vector<int> rows(kWidth * kCount);
-  for (std::size_t i = 0; i < kCount; ++i) {
-    for (std::size_t a = 0; a < kWidth; ++a) {
-      rows[i * kWidth + a] = static_cast<int>((i + a) % 9);
-    }
-  }
-  std::vector<double> values(kCount, 7.0);
-  std::vector<char> skip(kCount, 0);
-  skip[1] = skip[4] = 1;
-
-  EstimateCache cache(4);
-  cache.insert_batch(0x11, rows, kWidth, net, values, skip);
-  EXPECT_EQ(cache.size(), kCount - 2);
-  for (std::size_t i = 0; i < kCount; ++i) {
-    double got = 0.0;
-    const bool hit = cache.lookup(
-        0x11, std::span<const int>(rows).subspan(i * kWidth, kWidth), net,
-        &got);
-    EXPECT_EQ(hit, skip[i] == 0) << "row " << i;
-  }
 }
 
 }  // namespace

@@ -48,7 +48,7 @@ std::vector<Candidate> one_per_processor(const hnoc::Cluster& cluster) {
   return cs;
 }
 
-// All three mappers must satisfy the same basic contract.
+// Every mapper must satisfy the same basic contract.
 class MapperContract : public ::testing::TestWithParam<const char*> {
  protected:
   std::unique_ptr<Mapper> make() const {
@@ -57,6 +57,10 @@ class MapperContract : public ::testing::TestWithParam<const char*> {
     if (which == "greedy") return std::make_unique<GreedyMapper>();
     if (which == "annealing") return std::make_unique<AnnealingMapper>();
     if (which == "portfolio") return std::make_unique<PortfolioMapper>();
+    if (which == "beam") return std::make_unique<BeamMapper>();
+    if (which == "annealing-ws") {
+      return std::make_unique<WorkStealingAnnealingMapper>();
+    }
     return std::make_unique<SwapRefineMapper>();
   }
 };
@@ -124,10 +128,26 @@ TEST_P(MapperContract, ReportedTimeMatchesEstimator) {
             est::reference::estimate_time(inst, procs, net, exact()));
 }
 
+TEST_P(MapperContract, OneFreeSlotWithoutSpareCandidateTerminates) {
+  // Two abstract processors on exactly two candidates: the parent is pinned,
+  // one slot is free and no unused candidate exists, so there is no swap or
+  // substitution to propose and the only arrangement is the answer.
+  hnoc::Cluster cluster = hnoc::testbeds::homogeneous(2);
+  hnoc::NetworkModel net(cluster);
+  auto inst = compute_only_model({10, 20});
+  auto candidates = one_per_processor(cluster);
+  auto result = make()->select(inst, candidates, 0, net, exact());
+  const std::vector<int> only{0, 1};
+  EXPECT_EQ(result.candidate_for_abstract, only);
+  EXPECT_EQ(result.estimated_time,
+            est::reference::estimate_time(inst, only, net, exact()));
+}
+
 INSTANTIATE_TEST_SUITE_P(All, MapperContract,
                          ::testing::Values("exhaustive", "greedy",
                                            "swap-refine", "annealing",
-                                           "portfolio"));
+                                           "portfolio", "beam",
+                                           "annealing-ws"));
 
 TEST(AnnealingMapper, DeterministicForFixedSeed) {
   hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
