@@ -46,7 +46,7 @@ BENCHMARK(BM_PmdlParseParallelAxB);
 void BM_InstantiateEm3d(benchmark::State& state) {
   const auto system = bench_system();
   pmdl::Model model = apps::em3d::performance_model();
-  const auto params = apps::em3d::model_parameters(system, 1000);
+  const auto params = apps::em3d::model_parameters(system, 100);
   for (auto _ : state) {
     benchmark::DoNotOptimize(model.instantiate(params));
   }
@@ -57,7 +57,7 @@ void BM_EstimateEm3dScheme(benchmark::State& state) {
   const auto system = bench_system();
   pmdl::Model model = apps::em3d::performance_model();
   const auto instance =
-      model.instantiate(apps::em3d::model_parameters(system, 1000));
+      model.instantiate(apps::em3d::model_parameters(system, 100));
   hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
   hnoc::NetworkModel net(cluster);
   std::vector<int> mapping{0, 1, 2, 3, 4, 5, 6, 7, 8};
@@ -89,7 +89,7 @@ void BM_EstimateBatchEm3d(benchmark::State& state) {
   const auto system = bench_system();
   pmdl::Model model = apps::em3d::performance_model();
   const auto instance =
-      model.instantiate(apps::em3d::model_parameters(system, 1000));
+      model.instantiate(apps::em3d::model_parameters(system, 100));
   hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
   hnoc::NetworkModel net(cluster);
   const est::Plan plan(instance);
@@ -154,7 +154,7 @@ void BM_SwapRefineSelect(benchmark::State& state) {
   const auto system = bench_system();
   pmdl::Model model = apps::em3d::performance_model();
   const auto instance =
-      model.instantiate(apps::em3d::model_parameters(system, 1000));
+      model.instantiate(apps::em3d::model_parameters(system, 100));
   hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
   hnoc::NetworkModel net(cluster);
   std::vector<map::Candidate> candidates;

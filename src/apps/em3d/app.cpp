@@ -1,6 +1,9 @@
 #include "apps/em3d/app.hpp"
 
+#include <algorithm>
 #include <mutex>
+#include <string>
+#include <utility>
 
 #include "apps/em3d/parallel.hpp"
 #include "hmpi/runtime.hpp"
@@ -33,8 +36,18 @@ algorithm Em3d(int p, int k, int d[p], int dep[p][p]) {
 }
 
 std::vector<pmdl::ParamValue> model_parameters(const System& system, int k) {
+  // Figure 4 prices node I as bench*(d[I]/k) in integer arithmetic, so a k
+  // above d[I] would price subbody I at zero compute.
+  std::vector<long long> d = system.node_counts();
+  const auto smallest =
+      static_cast<std::size_t>(std::min_element(d.begin(), d.end()) - d.begin());
+  support::require(k > 0 && k <= d[smallest],
+                   "EM3D benchmark size k = " + std::to_string(k) +
+                       " must be in [1, " + std::to_string(d[smallest]) +
+                       "]: subbody " + std::to_string(smallest) + " has " +
+                       std::to_string(d[smallest]) + " nodes");
   return {pmdl::scalar(system.subbody_count()), pmdl::scalar(k),
-          pmdl::array(system.node_counts()), pmdl::array(system.dep_flat())};
+          pmdl::array(std::move(d)), pmdl::array(system.dep_flat())};
 }
 
 DriverResult run_mpi(const hnoc::Cluster& cluster, const GeneratorConfig& config,

@@ -16,6 +16,7 @@ namespace hmpi::apps::em3d {
 pmdl::Model performance_model();
 
 /// Parameter pack for performance_model(): k is the benchmark node count.
+/// Throws InvalidArgument unless 0 < k <= the smallest subbody's node count.
 std::vector<pmdl::ParamValue> model_parameters(const System& system, int k);
 
 struct DriverResult {
@@ -33,8 +34,9 @@ DriverResult run_mpi(const hnoc::Cluster& cluster, const GeneratorConfig& config
 
 /// HMPI version: Recon with the serial EM3D benchmark, Group_create with the
 /// Figure-4 model, algorithm on the group communicator. `k` is the benchmark
-/// node count used for Recon and the model's k parameter.
+/// node count used for Recon and the model's k parameter; it must not
+/// exceed the smallest subbody (see model_parameters).
 DriverResult run_hmpi(const hnoc::Cluster& cluster, const GeneratorConfig& config,
-                      int iterations, WorkMode mode, int k = 1000);
+                      int iterations, WorkMode mode, int k);
 
 }  // namespace hmpi::apps::em3d

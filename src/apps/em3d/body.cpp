@@ -1,7 +1,6 @@
 #include "apps/em3d/body.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -35,33 +34,45 @@ double System::checksum() const {
 
 namespace {
 
-/// Picks the dependency targets for one field array.
+/// Picks the dependency targets for one field array: `degree` per node, in
+/// node order. Every subbody has at least one E and one H node (generate()
+/// requires 2 nodes per subbody), so each target pool is non-empty.
 void wire_dependencies(System& system, int subbody, bool for_e_nodes,
                        const GeneratorConfig& config, support::Rng& rng) {
   const int p = system.subbody_count();
   Subbody& body = system.bodies[static_cast<std::size_t>(subbody)];
-  auto& deps = for_e_nodes ? body.e_deps : body.h_deps;
-  auto& weights = for_e_nodes ? body.e_weights : body.h_weights;
   const std::size_t count =
       for_e_nodes ? body.e_values.size() : body.h_values.size();
-  deps.resize(count);
-  weights.resize(count);
+  const auto degree = static_cast<std::size_t>(config.degree);
+  std::vector<NodeRef> deps(count * degree);
+  std::vector<double> weights(count * degree);
 
-  for (std::size_t node = 0; node < count; ++node) {
-    for (int d = 0; d < config.degree; ++d) {
-      int target_body = subbody;
-      if (p > 1 && rng.next_double() < config.remote_fraction) {
-        target_body = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(p - 1)));
-        if (target_body >= subbody) ++target_body;  // skip self
-      }
-      const Subbody& target = system.bodies[static_cast<std::size_t>(target_body)];
-      // E nodes read H values and vice versa (bipartite).
-      const std::size_t pool =
-          for_e_nodes ? target.h_values.size() : target.e_values.size();
-      if (pool == 0) continue;
-      const int idx = static_cast<int>(rng.next_below(pool));
-      deps[node].push_back({target_body, idx});
-      weights[node].push_back(rng.next_double_in(0.1, 1.0) / config.degree);
+  for (std::size_t slot = 0; slot < deps.size(); ++slot) {
+    int target_body = subbody;
+    if (p > 1 && rng.next_double() < config.remote_fraction) {
+      target_body = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(p - 1)));
+      if (target_body >= subbody) ++target_body;  // skip self
+    }
+    const Subbody& target = system.bodies[static_cast<std::size_t>(target_body)];
+    // E nodes read H values and vice versa (bipartite).
+    const std::size_t pool =
+        for_e_nodes ? target.h_values.size() : target.e_values.size();
+    deps[slot] = {target_body, static_cast<int>(rng.next_below(pool))};
+    weights[slot] = rng.next_double_in(0.1, 1.0) / config.degree;
+  }
+  (for_e_nodes ? body.e_deps : body.h_deps) = Rows<NodeRef>(std::move(deps), degree);
+  (for_e_nodes ? body.e_weights : body.h_weights) =
+      Rows<double>(std::move(weights), degree);
+}
+
+/// Appends the foreign index of every remote ref in subbody i's `deps` to
+/// needed(i, ref.subbody).
+void collect_remote(const Rows<NodeRef>& deps, int i,
+                    support::Matrix<std::vector<int>>& needed) {
+  for (const NodeRef& ref : deps.flat()) {
+    if (ref.subbody != i) {
+      needed(static_cast<std::size_t>(i), static_cast<std::size_t>(ref.subbody))
+          .push_back(ref.index);
     }
   }
 }
@@ -81,9 +92,10 @@ System generate(const GeneratorConfig& config) {
   support::Rng rng(config.seed);
   System system;
   const int p = static_cast<int>(config.nodes_per_subbody.size());
+  const auto up = static_cast<std::size_t>(p);
 
   // Allocate field values first (so dependency targets exist everywhere).
-  system.bodies.resize(static_cast<std::size_t>(p));
+  system.bodies.resize(up);
   for (int i = 0; i < p; ++i) {
     const int nodes = config.nodes_per_subbody[static_cast<std::size_t>(i)];
     const int e_count = nodes / 2;
@@ -101,44 +113,24 @@ System generate(const GeneratorConfig& config) {
   }
 
   // Summarise remote needs: which foreign node indices each subbody reads.
-  system.remote_h_needed =
-      support::Matrix<std::vector<int>>(static_cast<std::size_t>(p),
-                                        static_cast<std::size_t>(p));
-  system.remote_e_needed =
-      support::Matrix<std::vector<int>>(static_cast<std::size_t>(p),
-                                        static_cast<std::size_t>(p));
-  system.dep = support::Matrix<int>(static_cast<std::size_t>(p),
-                                    static_cast<std::size_t>(p), 0);
-
+  system.remote_h_needed = support::Matrix<std::vector<int>>(up, up);
+  system.remote_e_needed = support::Matrix<std::vector<int>>(up, up);
   for (int i = 0; i < p; ++i) {
-    std::vector<std::set<int>> h_needed(static_cast<std::size_t>(p));
-    std::vector<std::set<int>> e_needed(static_cast<std::size_t>(p));
     const Subbody& body = system.bodies[static_cast<std::size_t>(i)];
-    for (const auto& refs : body.e_deps) {
-      for (const NodeRef& ref : refs) {
-        if (ref.subbody != i) {
-          h_needed[static_cast<std::size_t>(ref.subbody)].insert(ref.index);
-        }
-      }
+    collect_remote(body.e_deps, i, system.remote_h_needed);
+    collect_remote(body.h_deps, i, system.remote_e_needed);
+  }
+  for (auto* needed : {&system.remote_h_needed, &system.remote_e_needed}) {
+    for (std::vector<int>& indices : needed->flat()) {
+      std::sort(indices.begin(), indices.end());
+      indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
     }
-    for (const auto& refs : body.h_deps) {
-      for (const NodeRef& ref : refs) {
-        if (ref.subbody != i) {
-          e_needed[static_cast<std::size_t>(ref.subbody)].insert(ref.index);
-        }
-      }
-    }
-    for (int j = 0; j < p; ++j) {
-      auto& hs = system.remote_h_needed(static_cast<std::size_t>(i),
-                                        static_cast<std::size_t>(j));
-      auto& es = system.remote_e_needed(static_cast<std::size_t>(i),
-                                        static_cast<std::size_t>(j));
-      hs.assign(h_needed[static_cast<std::size_t>(j)].begin(),
-                h_needed[static_cast<std::size_t>(j)].end());
-      es.assign(e_needed[static_cast<std::size_t>(j)].begin(),
-                e_needed[static_cast<std::size_t>(j)].end());
-      system.dep(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) =
-          static_cast<int>(hs.size() + es.size());
+  }
+  system.dep = support::Matrix<int>(up, up, 0);
+  for (std::size_t i = 0; i < up; ++i) {
+    for (std::size_t j = 0; j < up; ++j) {
+      system.dep(i, j) = static_cast<int>(system.remote_h_needed(i, j).size() +
+                                          system.remote_e_needed(i, j).size());
     }
   }
   return system;

@@ -10,7 +10,9 @@
 // dep[i][j] = number of nodal values of subbody j that subbody i needs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "support/matrix.hpp"
@@ -23,18 +25,61 @@ struct NodeRef {
   int index = 0;  ///< Index within the referenced field array.
 };
 
+/// Per-node rows of a fixed length (the generator's degree), stored in one
+/// contiguous array: row i is flat()[i * degree, (i + 1) * degree). Indexing
+/// and iteration yield one std::span<const T> per node.
+template <typename T>
+class Rows {
+ public:
+  class iterator {
+   public:
+    iterator(const T* row, std::size_t degree) : row_(row), degree_(degree) {}
+
+    std::span<const T> operator*() const { return {row_, degree_}; }
+    iterator& operator++() {
+      row_ += degree_;
+      return *this;
+    }
+    bool operator==(const iterator&) const = default;
+
+   private:
+    const T* row_;
+    std::size_t degree_;
+  };
+
+  Rows() = default;
+  /// Takes `flat.size() / degree` rows of `degree` entries each.
+  Rows(std::vector<T> flat, std::size_t degree)
+      : flat_(std::move(flat)), degree_(degree) {}
+
+  /// Row (node) count.
+  std::size_t size() const { return degree_ == 0 ? 0 : flat_.size() / degree_; }
+  std::span<const T> operator[](std::size_t row) const {
+    return {flat_.data() + row * degree_, degree_};
+  }
+  iterator begin() const { return {flat_.data(), degree_}; }
+  iterator end() const { return {flat_.data() + flat_.size(), degree_}; }
+  /// Every row, back to back.
+  std::span<const T> flat() const { return flat_; }
+
+ private:
+  std::vector<T> flat_;
+  std::size_t degree_ = 0;
+};
+
 /// One subbody of the decomposed object.
 struct Subbody {
   /// Field values; e_values[i] is E node i, h_values[i] is H node i.
   std::vector<double> e_values;
   std::vector<double> h_values;
 
-  /// Bipartite dependencies: e_deps[i] lists the H nodes E node i reads,
-  /// h_deps[i] lists the E nodes H node i reads. Parallel arrays of weights.
-  std::vector<std::vector<NodeRef>> e_deps;
-  std::vector<std::vector<double>> e_weights;
-  std::vector<std::vector<NodeRef>> h_deps;
-  std::vector<std::vector<double>> h_weights;
+  /// Bipartite dependencies, `degree` per node: e_deps[i] lists the H nodes
+  /// E node i reads and e_weights[i] their weights, entry for entry;
+  /// h_deps[i] and h_weights[i] likewise list the E nodes H node i reads.
+  Rows<NodeRef> e_deps;
+  Rows<double> e_weights;
+  Rows<NodeRef> h_deps;
+  Rows<double> h_weights;
 
   int nodes() const {
     return static_cast<int>(e_values.size() + h_values.size());

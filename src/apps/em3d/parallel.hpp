@@ -23,9 +23,11 @@ struct ParallelResult {
 
 /// Executes `iterations` of the algorithm on `comm` (one rank per subbody;
 /// comm.size() must equal system.subbody_count()). Every rank passes the
-/// full initial `system`; each updates only its own subbody plus received
-/// boundary values. Collective over comm.
-ParallelResult run_parallel(const mp::Comm& comm, System system, int iterations,
-                            WorkMode mode);
+/// same initial `system`, which the ranks share and only read: virtual-only
+/// mode copies nothing, and real mode gives each rank its own copy of the
+/// field values (its subbody's, plus the boundary values it receives), never
+/// of the dependency rows. Collective over comm.
+ParallelResult run_parallel(const mp::Comm& comm, const System& system,
+                            int iterations, WorkMode mode);
 
 }  // namespace hmpi::apps::em3d

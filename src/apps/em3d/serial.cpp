@@ -12,32 +12,33 @@ double gather_value(const System& system, const NodeRef& ref, bool from_h) {
   return values[static_cast<std::size_t>(ref.index)];
 }
 
+/// Recomputes every node of one field array from its dependency rows.
+void update_field(const System& system, const Rows<NodeRef>& deps,
+                  const Rows<double>& weights, bool from_h,
+                  std::vector<double>& values) {
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const std::span<const NodeRef> refs = deps[i];
+    const std::span<const double> w = weights[i];
+    double v = 0.0;
+    for (std::size_t d = 0; d < refs.size(); ++d) {
+      v += w[d] * gather_value(system, refs[d], from_h);
+    }
+    values[i] = v;
+  }
+}
+
 }  // namespace
 
 void serial_iteration(System& system) {
   // E phase: every E node from current H values.
   for (Subbody& body : system.bodies) {
-    for (std::size_t i = 0; i < body.e_values.size(); ++i) {
-      double v = 0.0;
-      const auto& deps = body.e_deps[i];
-      const auto& weights = body.e_weights[i];
-      for (std::size_t d = 0; d < deps.size(); ++d) {
-        v += weights[d] * gather_value(system, deps[d], /*from_h=*/true);
-      }
-      body.e_values[i] = v;
-    }
+    update_field(system, body.e_deps, body.e_weights, /*from_h=*/true,
+                 body.e_values);
   }
   // H phase: every H node from the new E values.
   for (Subbody& body : system.bodies) {
-    for (std::size_t i = 0; i < body.h_values.size(); ++i) {
-      double v = 0.0;
-      const auto& deps = body.h_deps[i];
-      const auto& weights = body.h_weights[i];
-      for (std::size_t d = 0; d < deps.size(); ++d) {
-        v += weights[d] * gather_value(system, deps[d], /*from_h=*/false);
-      }
-      body.h_values[i] = v;
-    }
+    update_field(system, body.h_deps, body.h_weights, /*from_h=*/false,
+                 body.h_values);
   }
 }
 
@@ -56,11 +57,7 @@ void recon_benchmark(mp::Proc& proc, const System& system, int k) {
   const std::size_t e_count = body.e_values.size();
   for (int i = 0; i < k; ++i) {
     const std::size_t node = static_cast<std::size_t>(i) % e_count;
-    const auto& deps = body.e_deps[node];
-    const auto& weights = body.e_weights[node];
-    for (std::size_t d = 0; d < deps.size(); ++d) {
-      sink += weights[d];
-    }
+    for (double w : body.e_weights[node]) sink += w;
   }
   (void)sink;
   proc.compute(static_cast<double>(k));
