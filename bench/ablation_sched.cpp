@@ -31,25 +31,6 @@ namespace {
 
 using namespace hmpi;
 
-constexpr int kJobs = 2000;
-constexpr std::uint64_t kSeed = 42;
-
-/// Twelve machines in three speed tiers — heterogeneous enough that
-/// placement quality matters, small enough that a wide job blocks a
-/// meaningful fraction of the cluster under exclusive FIFO. The switched
-/// network is a real LAN (1 ms / 2 MB/s), not the default infinite-bandwidth
-/// fabric: transfer time is what co-tenants overlap, so multi-tenancy only
-/// pays off when communication costs something.
-hnoc::Cluster make_cluster() {
-  hnoc::ClusterBuilder b;
-  for (int i = 0; i < 12; ++i) {
-    const double speed = i < 4 ? 100.0 : (i < 8 ? 80.0 : 60.0);
-    b.add("m" + std::to_string(i), speed);
-  }
-  b.network(1e-3, 2e6);
-  return b.build();
-}
-
 struct ArmResult {
   sched::SchedStats stats;
   long long divergences = 0;
@@ -87,18 +68,9 @@ ArmResult run_arm(const hnoc::Cluster& cluster,
 }  // namespace
 
 int main() {
-  const hnoc::Cluster cluster = make_cluster();
-
-  bench::ArrivalTraceOptions options;
-  options.jobs = kJobs;
-  options.seed = kSeed;
-  options.max_width = 10;           // wide jobs on 12 machines: FIFO's
-                                    // head-of-line blocking is expensive
-  options.ring_bytes = 1 << 20;     // ~0.5 s/hop at 2 MB/s: comm-bound jobs
-  options.volume_scale = 15.0;      // ~50/50 compute/comm mix — co-tenants
-                                    // genuinely overlap each other's transfers
-  options.checkpoint_frac = 0.7;
-  const std::vector<sched::JobSpec> trace = bench::make_arrival_trace(options);
+  const hnoc::Cluster cluster = bench::a13_cluster();
+  const std::vector<sched::JobSpec> trace =
+      bench::make_arrival_trace(bench::a13_trace_options());
 
   // The correctness oracle: each job run alone on an idle cluster. The body
   // token is placement-independent by construction, so a contended run that
@@ -116,7 +88,7 @@ int main() {
 
   support::Table table(
       "Ablation A13: hmpictld vs FIFO/exclusive on a " +
-          std::to_string(kJobs) + "-job arrival trace (12 machines)",
+          std::to_string(trace.size()) + "-job arrival trace (12 machines)",
       {"policy", "makespan_s", "utilization", "mean_wait_s",
        "mean_turnaround_s", "throughput_jobs_s", "preempted", "backfilled",
        "divergences"});

@@ -225,4 +225,36 @@ inline std::vector<sched::JobSpec> make_arrival_trace(
   return out;
 }
 
+/// A13's cluster: twelve machines in three speed tiers (100/80/60) —
+/// heterogeneous enough that placement quality matters, small enough that a
+/// wide job blocks a meaningful fraction of the cluster under exclusive
+/// FIFO. The switched network is a real LAN (1 ms / 2 MB/s), not the default
+/// infinite-bandwidth fabric: transfer time is what co-tenants overlap, so
+/// multi-tenancy only pays off when communication costs something.
+inline hnoc::Cluster a13_cluster() {
+  hnoc::ClusterBuilder b;
+  for (int i = 0; i < 12; ++i) {
+    const double speed = i < 4 ? 100.0 : (i < 8 ? 80.0 : 60.0);
+    std::string name = "m";
+    name += std::to_string(i);
+    b.add(std::move(name), speed);
+  }
+  b.network(1e-3, 2e6);
+  return b.build();
+}
+
+/// A13's 2000-job arrival trace (seed 42).
+inline ArrivalTraceOptions a13_trace_options() {
+  ArrivalTraceOptions options;
+  options.jobs = 2000;
+  options.seed = 42;
+  options.max_width = 10;        // wide jobs on 12 machines: FIFO's
+                                 // head-of-line blocking is expensive
+  options.ring_bytes = 1 << 20;  // ~0.5 s/hop at 2 MB/s: comm-bound jobs
+  options.volume_scale = 15.0;   // ~50/50 compute/comm mix — co-tenants
+                                 // genuinely overlap each other's transfers
+  options.checkpoint_frac = 0.7;
+  return options;
+}
+
 }  // namespace hmpi::bench

@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <ostream>
+#include <type_traits>
 #include <utility>
 
+#include "mpsim/world.hpp"
 #include "support/error.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -22,23 +27,59 @@ std::span<const double> sched_seconds_buckets() {
   return buckets;
 }
 
+/// The value of env knob `name`; nullptr when it is unset or empty.
+const char* env_value(const char* name) {
+  const char* value = std::getenv(name);
+  return value == nullptr || *value == '\0' ? nullptr : value;
+}
+
+std::string lower(std::string text) {
+  for (char& c : text) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return text;
+}
+
+[[noreturn]] void reject(const char* name, const char* value,
+                         const std::string& accepted) {
+  throw InvalidArgument(std::string(name) + "='" + value +
+                        "' is not accepted (accepted: " + accepted + ")");
+}
+
 bool env_flag(const char* name, bool fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return !(value[0] == '0' || value[0] == 'n' || value[0] == 'N' ||
-           value[0] == 'f' || value[0] == 'F');
+  const char* value = env_value(name);
+  if (value == nullptr) return fallback;
+  const std::string v = lower(value);
+  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
+  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
+  reject(name, value, "1|0|true|false|yes|no|on|off, any case");
 }
 
-int env_int(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::atoi(value);
+/// A whole decimal int >= `min`; the whole value must parse.
+int env_int(const char* name, int min, int fallback) {
+  const char* value = env_value(name);
+  if (value == nullptr) return fallback;
+  const char* end = value + std::strlen(value);
+  int parsed = 0;
+  const auto [stop, error] = std::from_chars(value, end, parsed);
+  if (error != std::errc{} || stop != end || parsed < min) {
+    reject(name, value, "a whole decimal int >= " + std::to_string(min));
+  }
+  return parsed;
 }
 
-double env_double(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return std::atof(value);
+/// A finite decimal number >= 0; the whole value must parse.
+double env_nonnegative(const char* name, double fallback) {
+  const char* value = env_value(name);
+  if (value == nullptr) return fallback;
+  const char* end = value + std::strlen(value);
+  double parsed = 0.0;
+  const auto [stop, error] = std::from_chars(value, end, parsed);
+  if (error != std::errc{} || stop != end || !std::isfinite(parsed) ||
+      parsed < 0.0) {
+    reject(name, value, "a finite decimal number >= 0");
+  }
+  return parsed;
 }
 
 std::unique_ptr<map::Mapper> make_mapper(const std::string& name) {
@@ -65,6 +106,10 @@ SchedConfig normalize(SchedConfig config) {
   support::require(config.slots_per_machine >= 1,
                    "scheduler needs at least one slot per machine");
   support::require(config.backfill_depth >= 0, "negative backfill depth");
+  // A NaN or infinite weight would break the queue's total order.
+  support::require(std::isfinite(config.aging_weight) &&
+                       config.aging_weight >= 0.0,
+                   "aging weight must be finite and non-negative");
   return config;
 }
 
@@ -89,25 +134,26 @@ const char* job_state_name(JobState state) {
 }
 
 SchedConfig sched_config_with_env(SchedConfig base) {
-  if (const char* policy = std::getenv("HMPI_SCHED_POLICY");
-      policy != nullptr && *policy != '\0') {
-    std::string name(policy);
-    for (char& c : name) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  if (const char* policy = env_value("HMPI_SCHED_POLICY")) {
+    const std::string name = lower(policy);
     if (name == "fifo") {
       base.policy = SchedPolicy::kFifo;
     } else if (name == "priority") {
       base.policy = SchedPolicy::kPriority;
     } else {
-      throw InvalidArgument("HMPI_SCHED_POLICY must be fifo|priority");
+      reject("HMPI_SCHED_POLICY", policy, "fifo|priority, any case");
     }
   }
-  base.slots_per_machine = env_int("HMPI_SCHED_SLOTS", base.slots_per_machine);
+  base.slots_per_machine =
+      env_int("HMPI_SCHED_SLOTS", 1, base.slots_per_machine);
   base.backfill = env_flag("HMPI_SCHED_BACKFILL", base.backfill);
-  base.backfill_depth = env_int("HMPI_SCHED_BACKFILL_DEPTH", base.backfill_depth);
+  base.backfill_depth =
+      env_int("HMPI_SCHED_BACKFILL_DEPTH", 0, base.backfill_depth);
   base.preempt = env_flag("HMPI_SCHED_PREEMPT", base.preempt);
   base.preempt_priority_gap =
-      env_int("HMPI_SCHED_PREEMPT_GAP", base.preempt_priority_gap);
-  base.aging_weight = env_double("HMPI_SCHED_AGING", base.aging_weight);
+      env_int("HMPI_SCHED_PREEMPT_GAP", std::numeric_limits<int>::min(),
+              base.preempt_priority_gap);
+  base.aging_weight = env_nonnegative("HMPI_SCHED_AGING", base.aging_weight);
   return base;
 }
 
@@ -133,6 +179,8 @@ map::SearchContext Scheduler::search_context() {
 }
 
 JobId Scheduler::submit(JobSpec spec) {
+  static_assert(std::is_nothrow_move_constructible_v<Record>,
+                "growing the job table must move records, not copy them");
   std::lock_guard<std::mutex> lock(mutex_);
   support::require(spec.model != nullptr, "job needs a performance model");
 
@@ -144,7 +192,7 @@ JobId Scheduler::submit(JobSpec spec) {
   support::require(rec.instance->size() <= capacity,
                    "job needs more processors than the partition has slots");
 
-  const JobId id = next_id_++;
+  const JobId id = static_cast<JobId>(jobs_.size()) + 1;
   rec.info.id = id;
   rec.info.name = spec.name.empty() ? spec.model->name() : spec.name;
   rec.info.priority = spec.priority;
@@ -154,7 +202,7 @@ JobId Scheduler::submit(JobSpec spec) {
   push_event(Event{.time = rec.info.arrival_s,
                    .type = Event::Type::kArrival,
                    .job = id});
-  jobs_.emplace(id, std::move(rec));
+  jobs_.push_back(std::move(rec));
 
   ++totals_.submitted;
   telemetry::metrics().counter("sched.submitted").add(1);
@@ -163,24 +211,21 @@ JobId Scheduler::submit(JobSpec spec) {
 
 std::optional<JobInfo> Scheduler::poll(JobId id) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;
-  return it->second.info;
+  if (!known(id)) return std::nullopt;
+  return record(id).info;
 }
 
 bool Scheduler::cancel(JobId id) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return false;
-  Record& rec = it->second;
+  if (!known(id)) return false;
+  Record& rec = record(id);
   switch (rec.info.state) {
     case JobState::kCompleted:
     case JobState::kCancelled:
       return false;
     case JobState::kRunning:
       ++rec.generation;  // orphan the in-flight completion event
-      release_leases(rec);
-      --totals_.running;
+      stop_running(rec);
       break;
     case JobState::kPending:
       std::erase(pending_, id);
@@ -223,9 +268,7 @@ bool Scheduler::step_locked() {
   while (!events_.empty()) {
     const Event event = events_.top();
     events_.pop();
-    auto it = jobs_.find(event.job);
-    if (it == jobs_.end()) continue;
-    Record& rec = it->second;
+    Record& rec = record(event.job);
     if (event.type == Event::Type::kCompletion &&
         (rec.generation != event.generation ||
          rec.info.state != JobState::kRunning)) {
@@ -252,30 +295,51 @@ double Scheduler::effective_priority(const Record& rec) const {
          config_.aging_weight * (now_ - rec.info.arrival_s);
 }
 
-std::vector<JobId> Scheduler::sorted_pending() const {
-  std::vector<JobId> order = pending_;
-  std::sort(order.begin(), order.end(), [&](JobId a, JobId b) {
-    const Record& ra = jobs_.at(a);
-    const Record& rb = jobs_.at(b);
-    const double pa = effective_priority(ra);
-    const double pb = effective_priority(rb);
-    if (pa != pb) return pa > pb;
-    if (ra.info.arrival_s != rb.info.arrival_s) {
-      return ra.info.arrival_s < rb.info.arrival_s;
-    }
-    return a < b;
-  });
+std::vector<JobId> Scheduler::ranked_pending(std::size_t count) const {
+  struct Key {
+    double priority;
+    double arrival_s;
+    JobId id;
+  };
+  std::vector<Key> keys;
+  keys.reserve(pending_.size());
+  for (const JobId id : pending_) {
+    const Record& rec = record(id);
+    keys.push_back(Key{effective_priority(rec), rec.info.arrival_s, id});
+  }
+  // A total order (ids are unique), so this prefix is exactly the prefix a
+  // full sort of the queue would give.
+  const auto middle = keys.begin() + static_cast<std::ptrdiff_t>(
+                                         std::min(count, keys.size()));
+  std::partial_sort(keys.begin(), middle, keys.end(),
+                    [](const Key& a, const Key& b) {
+                      if (a.priority != b.priority) {
+                        return a.priority > b.priority;
+                      }
+                      if (a.arrival_s != b.arrival_s) {
+                        return a.arrival_s < b.arrival_s;
+                      }
+                      return a.id < b.id;
+                    });
+  std::vector<JobId> order;
+  order.reserve(static_cast<std::size_t>(middle - keys.begin()));
+  for (auto it = keys.begin(); it != middle; ++it) order.push_back(it->id);
   return order;
 }
 
 void Scheduler::schedule_pass() {
   reservation_.reset();
+  // A pass reads the queue head and, with backfill on, the backfill_depth
+  // jobs behind it — never more, so only that prefix is ranked.
+  const std::size_t window =
+      1 + (config_.backfill ? static_cast<std::size_t>(config_.backfill_depth)
+                            : 0);
   bool progressed = true;
   while (progressed) {
     progressed = false;
-    const std::vector<JobId> order = sorted_pending();
+    const std::vector<JobId> order = ranked_pending(window);
     if (order.empty()) break;
-    Record& head = jobs_.at(order.front());
+    Record& head = record(order.front());
 
     if (try_dispatch(head, /*backfilled=*/false)) {
       progressed = true;
@@ -286,8 +350,8 @@ void Scheduler::schedule_pass() {
     // priority running work to make it feasible, lowest priority first.
     if (config_.preempt) {
       std::vector<JobId> victims;
-      for (const auto& [id, rec] : jobs_) {
-        if (rec.info.state != JobState::kRunning) continue;
+      for (const JobId id : running_) {
+        const Record& rec = record(id);
         if (rec.info.priority + config_.preempt_priority_gap >
             head.info.priority) {
           continue;
@@ -296,8 +360,8 @@ void Scheduler::schedule_pass() {
         victims.push_back(id);
       }
       std::sort(victims.begin(), victims.end(), [&](JobId a, JobId b) {
-        const Record& ra = jobs_.at(a);
-        const Record& rb = jobs_.at(b);
+        const Record& ra = record(a);
+        const Record& rb = record(b);
         if (ra.info.priority != rb.info.priority) {
           return ra.info.priority < rb.info.priority;  // least important first
         }
@@ -310,11 +374,11 @@ void Scheduler::schedule_pass() {
       int reclaimable = ledger_.total_free_slots();
       std::size_t take = 0;
       while (take < victims.size() && reclaimable < needed) {
-        reclaimable += jobs_.at(victims[take]).instance->size();
+        reclaimable += record(victims[take]).instance->size();
         ++take;
       }
       if (reclaimable >= needed && take > 0) {
-        for (std::size_t i = 0; i < take; ++i) preempt_job(jobs_.at(victims[i]));
+        for (std::size_t i = 0; i < take; ++i) preempt_job(record(victims[i]));
         if (try_dispatch(head, /*backfilled=*/false)) {
           progressed = true;
           continue;
@@ -323,15 +387,18 @@ void Scheduler::schedule_pass() {
     }
 
     // Still blocked: compute the head's shadow — the completion time at
-    // which enough slots are guaranteed free — and reserve it.
+    // which enough slots are guaranteed free — and reserve it. The running
+    // list is in ascending id order, which fixes how the (unstable) sort
+    // below orders equal finish times.
     const int needed = head.instance->size();
     struct Finish {
       double time;
       int slots;
     };
     std::vector<Finish> finishes;
-    for (const auto& [id, rec] : jobs_) {
-      if (rec.info.state != JobState::kRunning) continue;
+    finishes.reserve(running_.size());
+    for (const JobId id : running_) {
+      const Record& rec = record(id);
       finishes.push_back(Finish{rec.seg_start_s + rec.seg_service_s,
                                 rec.instance->size()});
     }
@@ -351,11 +418,8 @@ void Scheduler::schedule_pass() {
     // cannot delay the reservation — it either finishes before the shadow
     // or leaves the head's slots untouched at shadow time.
     if (config_.backfill) {
-      int scanned = 0;
       for (std::size_t i = 1; i < order.size(); ++i) {
-        if (scanned >= config_.backfill_depth) break;
-        ++scanned;
-        Record& rec = jobs_.at(order[i]);
+        Record& rec = record(order[i]);
         if (rec.info.state != JobState::kPending) continue;
         const int p = rec.instance->size();
         if (p > ledger_.total_free_slots()) continue;
@@ -379,7 +443,7 @@ void Scheduler::schedule_pass() {
   }
   totals_.queue_depth = static_cast<int>(pending_.size());
   telemetry::metrics().gauge("sched.queue_depth").set(totals_.queue_depth);
-  telemetry::metrics().gauge("sched.running").set(totals_.running);
+  telemetry::metrics().gauge("sched.running").set(running_.size());
 }
 
 bool Scheduler::try_dispatch(Record& rec, bool backfilled) {
@@ -394,6 +458,9 @@ bool Scheduler::try_dispatch(Record& rec, bool backfilled) {
 void Scheduler::dispatch(Record& rec, const Placement& placement,
                          bool backfilled) {
   std::erase(pending_, rec.info.id);
+  running_.insert(
+      std::upper_bound(running_.begin(), running_.end(), rec.info.id),
+      rec.info.id);
   rec.info.machines = placement.machines;
   for (int machine : placement.machines) note_lease(machine, rec.info.id);
 
@@ -432,7 +499,6 @@ void Scheduler::dispatch(Record& rec, const Placement& placement,
                    .generation = rec.generation});
 
   ++totals_.dispatched;
-  ++totals_.running;
   telemetry::metrics().counter("sched.dispatched").add(1);
   record_trace(mp::TraceEvent::Kind::kSchedDispatch, rec, rec.seg_service_s,
                0.0);
@@ -446,7 +512,7 @@ std::uint64_t Scheduler::execute_body(Record& rec) {
   std::vector<std::uint64_t> tokens(
       static_cast<std::size_t>(rec.instance->size()), 0);
   mp::WorldOptions options;
-  options.engine = config_.engine;
+  options.engine = mp::sim::SimEngine::kEvent;
   const JobBody& body = rec.spec.body;
   const auto result = mp::World::run(
       clone, rec.info.machines,
@@ -477,7 +543,7 @@ void Scheduler::preempt_job(Record& rec) {
           ? std::clamp((now_ - rec.seg_start_s) / rec.seg_service_s, 0.0, 1.0)
           : 1.0;
   ++rec.generation;  // orphan the in-flight completion event
-  release_leases(rec);
+  stop_running(rec);
   rec.info.machines.clear();  // pending again; the next dispatch re-places it
   rec.info.service_s += now_ - rec.seg_start_s;
   if (rec.spec.checkpoint_bytes >= 0) {
@@ -489,7 +555,6 @@ void Scheduler::preempt_job(Record& rec) {
   rec.info.state = JobState::kPending;
   ++rec.info.preemptions;
   pending_.push_back(rec.info.id);
-  --totals_.running;
   ++totals_.preempted;
   telemetry::metrics().counter("sched.preempted").add(1);
   record_trace(mp::TraceEvent::Kind::kSchedPreempt, rec, rec.seg_service_s,
@@ -497,14 +562,13 @@ void Scheduler::preempt_job(Record& rec) {
 }
 
 void Scheduler::complete_job(Record& rec) {
-  release_leases(rec);
+  stop_running(rec);
   rec.info.state = JobState::kCompleted;
   rec.info.finish_s = now_;
   rec.info.service_s += rec.seg_service_s;
   last_finish_s_ = std::max(last_finish_s_, now_);
   const double turnaround = now_ - rec.info.arrival_s;
   turnaround_sum_s_ += turnaround;
-  --totals_.running;
   ++totals_.completed;
   telemetry::metrics().counter("sched.completed").add(1);
   telemetry::metrics()
@@ -515,10 +579,12 @@ void Scheduler::complete_job(Record& rec) {
       .observe(rec.info.service_s);
 }
 
-void Scheduler::release_leases(Record& rec) {
+void Scheduler::stop_running(Record& rec) {
   // The placement stays in rec.info.machines: completed/cancelled jobs keep
   // reporting where they ran (poll, stats_json); a re-dispatch overwrites it.
   for (int machine : rec.info.machines) note_release(machine, rec.info.id);
+  running_.erase(
+      std::lower_bound(running_.begin(), running_.end(), rec.info.id));
 }
 
 void Scheduler::note_lease(int machine, JobId job) {
@@ -570,6 +636,7 @@ SchedStats Scheduler::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   SchedStats out = totals_;
   out.queue_depth = static_cast<int>(pending_.size());
+  out.running = static_cast<int>(running_.size());
   out.now_s = now_;
   out.makespan_s = last_finish_s_;
   const int machines = static_cast<int>(ledger_.partition().machines.size());
@@ -593,7 +660,7 @@ void Scheduler::publish_gauges() {
   auto& registry = telemetry::metrics();
   registry.gauge("sched.queue_depth").set(pending_.size());
   registry.gauge("sched.queue_depth_peak").set(totals_.queue_depth_peak);
-  registry.gauge("sched.running").set(totals_.running);
+  registry.gauge("sched.running").set(running_.size());
   registry.gauge("sched.makespan_s").set(last_finish_s_);
   const int machines = static_cast<int>(ledger_.partition().machines.size());
   if (last_finish_s_ > 0.0 && machines > 0) {
@@ -628,10 +695,10 @@ void Scheduler::stats_json(std::ostream& os) const {
      << "\"throughput_jobs_per_s\": " << s.throughput_jobs_per_s << ", "
      << "\"jobs\": [";
   bool first = true;
-  for (const auto& [id, rec] : jobs_) {
+  for (const Record& rec : jobs_) {
     if (!first) os << ", ";
     first = false;
-    os << "{\"id\": " << id << ", \"name\": \"" << rec.info.name
+    os << "{\"id\": " << rec.info.id << ", \"name\": \"" << rec.info.name
        << "\", \"state\": \"" << job_state_name(rec.info.state)
        << "\", \"priority\": " << rec.info.priority
        << ", \"arrival_s\": " << rec.info.arrival_s
@@ -646,8 +713,7 @@ void Scheduler::stats_json(std::ostream& os) const {
 }
 
 std::uint64_t Scheduler::uncontended_run(const hnoc::Cluster& cluster,
-                                         const JobSpec& spec,
-                                         mp::sim::SimEngine engine) {
+                                         const JobSpec& spec) {
   if (!spec.body) return 0;
   support::require(spec.model != nullptr, "job needs a performance model");
   const pmdl::ModelInstance instance = spec.model->instantiate(
@@ -665,7 +731,7 @@ std::uint64_t Scheduler::uncontended_run(const hnoc::Cluster& cluster,
   std::vector<std::uint64_t> tokens(
       static_cast<std::size_t>(instance.size()), 0);
   mp::WorldOptions options;
-  options.engine = engine;
+  options.engine = mp::sim::SimEngine::kEvent;
   mp::World::run(
       cluster, placement->machines,
       [&](mp::Proc& proc) {

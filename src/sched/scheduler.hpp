@@ -6,9 +6,18 @@
 // residual capacity. The Scheduler itself is a discrete-event simulator over
 // virtual time: arrivals and completions are heap events, and after every
 // event a scheduling pass runs priority aging, conservative backfill, and
-// preemption. Jobs with a body execute as real simulated HMPI runs on the
-// event engine (their measured makespan is the service time); jobs without
-// one are serviced for the estimator's predicted makespan.
+// preemption.
+//
+// A pass costs what it decides. Jobs live in a flat table indexed by id - 1,
+// with a list of the running ones in ascending id order, so the preemption
+// and reservation scans walk only running jobs. The pass reads the queue
+// head and at most `backfill_depth` jobs behind it, so it ranks only that
+// prefix (a partial sort under the same total order a full sort would use).
+//
+// Jobs with a body execute as real simulated HMPI runs, always on the event
+// engine (HMPI_SIM_ENGINE does not apply), so their measured makespan — the
+// service time — never depends on host thread scheduling. Jobs without one
+// are serviced for the estimator's predicted makespan.
 //
 // Thread safety: one coarse mutex guards every public operation, so
 // simulated processes (OS threads under the thread engine) can share one
@@ -16,7 +25,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -27,7 +35,6 @@
 #include "estimator/estimate_cache.hpp"
 #include "estimator/plan.hpp"
 #include "mpsim/trace.hpp"
-#include "mpsim/world.hpp"
 #include "sched/capacity.hpp"
 #include "sched/job.hpp"
 #include "sched/partition.hpp"
@@ -75,14 +82,17 @@ struct SchedConfig {
   std::string mapper;
   /// Estimator overheads for placement pricing.
   est::EstimateOptions estimate;
-  /// Engine for executed jobs (kAuto resolves HMPI_SIM_ENGINE).
-  mp::sim::SimEngine engine = mp::sim::SimEngine::kAuto;
   /// Optional recorder of kSchedDispatch/kSchedPreempt instants (borrowed).
   mp::Tracer* tracer = nullptr;
 };
 
 /// Applies HMPI_SCHED_POLICY / _SLOTS / _BACKFILL / _BACKFILL_DEPTH /
-/// _PREEMPT / _PREEMPT_GAP / _AGING over `base` (unset vars keep base).
+/// _PREEMPT / _PREEMPT_GAP / _AGING over `base` (unset or empty vars keep
+/// base). Policies are fifo|priority and flags 1|0|true|false|yes|no|on|off,
+/// both in any case; _SLOTS is a whole decimal >= 1, _BACKFILL_DEPTH one
+/// >= 0, _PREEMPT_GAP any whole decimal int, and _AGING a finite number
+/// >= 0. Anything else throws InvalidArgument naming the knob and the
+/// accepted spellings.
 SchedConfig sched_config_with_env(SchedConfig base);
 
 /// Aggregate accounting (sched.* metrics mirror this).
@@ -155,10 +165,10 @@ class Scheduler {
   /// Reference result of `spec` run alone on an idle cluster: selects a
   /// placement at base speeds and runs the body; 0 when the spec has no
   /// body. The determinism oracle for the preempt->requeue->re-dispatch
-  /// property (tests/sched/preempt_determinism_test.cpp).
+  /// property (tests/sched/preempt_determinism_test.cpp). Runs on the event
+  /// engine, like every executed job.
   static std::uint64_t uncontended_run(const hnoc::Cluster& cluster,
-                                       const JobSpec& spec,
-                                       mp::sim::SimEngine engine = mp::sim::SimEngine::kAuto);
+                                       const JobSpec& spec);
 
  private:
   struct Record {
@@ -187,15 +197,26 @@ class Scheduler {
     }
   };
 
+  Record& record(JobId id) { return jobs_[static_cast<std::size_t>(id - 1)]; }
+  const Record& record(JobId id) const {
+    return jobs_[static_cast<std::size_t>(id - 1)];
+  }
+  /// Whether this scheduler issued `id`.
+  bool known(JobId id) const {
+    return id >= 1 && id <= static_cast<JobId>(jobs_.size());
+  }
   bool step_locked();
   void schedule_pass();
-  std::vector<JobId> sorted_pending() const;
+  /// The first `count` pending jobs in queue order: effective priority
+  /// descending, then arrival, then id.
+  std::vector<JobId> ranked_pending(std::size_t count) const;
   double effective_priority(const Record& rec) const;
   bool try_dispatch(Record& rec, bool backfilled);
   void dispatch(Record& rec, const Placement& placement, bool backfilled);
   void preempt_job(Record& rec);
   void complete_job(Record& rec);
-  void release_leases(Record& rec);
+  /// Releases the job's leases and drops it from the running list.
+  void stop_running(Record& rec);
   void note_lease(int machine, JobId job);
   void note_release(int machine, JobId job);
   double busy_seconds_closed_at(double t) const;
@@ -217,10 +238,10 @@ class Scheduler {
   est::PlanCache plan_cache_;
 
   double now_ = 0.0;
-  JobId next_id_ = 1;
   std::uint64_t next_seq_ = 0;
-  std::map<JobId, Record> jobs_;
+  std::vector<Record> jobs_;     ///< Job `id` at index id - 1 (ids are dense).
   std::vector<JobId> pending_;
+  std::vector<JobId> running_;   ///< Ascending ids.
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
   std::optional<Reservation> reservation_;
 

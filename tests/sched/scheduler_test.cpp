@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "hnoc/cluster.hpp"
 #include "mpsim/trace.hpp"
 #include "pmdl/model.hpp"
@@ -20,6 +26,29 @@ using pmdl::InstanceBuilder;
 using pmdl::Model;
 using pmdl::ParamValue;
 using pmdl::ScheduleSink;
+
+/// Scoped setenv/unsetenv (tests in this binary run single-threaded).
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    const char* old = std::getenv(name);
+    had_old_ = old != nullptr;
+    if (had_old_) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (had_old_) {
+      ::setenv(name_.c_str(), old_.c_str(), 1);
+    } else {
+      ::unsetenv(name_.c_str());
+    }
+  }
+
+ private:
+  std::string name_;
+  std::string old_;
+  bool had_old_ = false;
+};
 
 /// Model with two params: per-processor volume array and (ignored here)
 /// nothing else — width is the array length.
@@ -161,6 +190,90 @@ TEST(Scheduler, BackfillSlidesShortJobsPastABlockedHead) {
   EXPECT_GE(scheduler.stats().backfilled, 1);
 }
 
+/// Whether a short job at queue rank `rank` (the head is rank 1) is
+/// backfilled behind a blocked head when the scan covers `depth` jobs. The
+/// head needs both machines while a long job holds one; the jobs between it
+/// and the candidate need both machines too, so they are scanned but never
+/// fit, and the candidate would finish long before the head's reservation.
+bool backfilled_at_rank(int depth, int rank) {
+  hnoc::Cluster cluster = hnoc::testbeds::homogeneous(2, 100.0);
+  SchedConfig config;
+  config.slots_per_machine = 1;
+  config.backfill_depth = depth;
+  config.preempt = false;
+  config.aging_weight = 0.0;
+  Scheduler scheduler(cluster, config);
+
+  const auto model = flat_model();
+  scheduler.submit(job(model, 1, 2000, 1, 0.0, "long"));
+  scheduler.submit(job(model, 2, 500, 5, 0.1, "head"));
+  for (int i = 0; i < rank - 2; ++i) {
+    scheduler.submit(job(model, 2, 100, 3, 0.2 + 0.01 * i, "wide"));
+  }
+  const JobId candidate = scheduler.submit(job(model, 1, 100, 0, 1.0, "short"));
+  scheduler.run_until_idle();
+
+  const auto info = scheduler.poll(candidate);
+  if (!info.has_value()) {
+    ADD_FAILURE() << "candidate job unknown";
+    return false;
+  }
+  EXPECT_EQ(info->state, JobState::kCompleted);
+  if (info->backfilled) {
+    EXPECT_DOUBLE_EQ(info->start_s, 1.0);  // dispatched on arrival
+  }
+  return info->backfilled;
+}
+
+TEST(Scheduler, BackfillScansExactlyDepthJobsBehindTheHead) {
+  for (const int depth : {1, 3, 16}) {
+    EXPECT_TRUE(backfilled_at_rank(depth, depth + 1)) << "depth " << depth;
+    EXPECT_FALSE(backfilled_at_rank(depth, depth + 2)) << "depth " << depth;
+  }
+}
+
+TEST(Scheduler, BackfillDepthZeroScansNothing) {
+  EXPECT_FALSE(backfilled_at_rank(0, 2));
+}
+
+TEST(Scheduler, BackfillDepthIntMaxScansTheWholeQueue) {
+  // The window is 1 + depth jobs; at INT_MAX that must not overflow.
+  EXPECT_TRUE(backfilled_at_rank(INT_MAX, 2));
+  EXPECT_TRUE(backfilled_at_rank(INT_MAX, 20));
+}
+
+TEST(Scheduler, ReservationCountsEqualFinishesInIdOrder) {
+  hnoc::Cluster cluster = hnoc::testbeds::homogeneous(4, 100.0);
+  SchedConfig config;
+  config.slots_per_machine = 1;
+  config.preempt = false;
+  config.aging_weight = 0.0;
+  Scheduler scheduler(cluster, config);
+
+  // `one` and `two` wait behind `all`, then dispatch in one pass — `two`
+  // first, by priority — and finish at the same time, leaving one machine
+  // free. `head` needs two: taking the finishes in id order, `one` alone
+  // covers it, so the shadow has exactly two free slots. A long job on the
+  // free machine would take one of them, so it must not backfill. (In
+  // dispatch order `two` would come first, leaving three slots and room.)
+  const auto model = flat_model();
+  scheduler.submit(job(model, 4, 100, 9, 0.0, "all"));
+  const JobId one = scheduler.submit(job(model, 1, 1000, 0, 0.1, "one"));
+  const JobId two = scheduler.submit(job(model, 2, 1000, 5, 0.2, "two"));
+  const JobId head = scheduler.submit(job(model, 2, 100, 7, 2.0, "head"));
+  const JobId tail = scheduler.submit(job(model, 1, 5000, 0, 2.1, "tail"));
+  scheduler.run_until_idle();
+
+  const auto i1 = scheduler.poll(one), i2 = scheduler.poll(two),
+             ih = scheduler.poll(head), it = scheduler.poll(tail);
+  ASSERT_TRUE(i1 && i2 && ih && it);
+  ASSERT_LT(i2->start_s, 2.0);
+  ASSERT_EQ(i1->start_s, i2->start_s);
+  ASSERT_EQ(i1->finish_s, i2->finish_s);
+  EXPECT_FALSE(it->backfilled);
+  EXPECT_GE(it->start_s, ih->start_s);
+}
+
 TEST(Scheduler, PreemptionRevokesRequeuesAndTraces) {
   hnoc::Cluster cluster = hnoc::testbeds::homogeneous(1, 100.0);
   mp::Tracer tracer;
@@ -285,24 +398,157 @@ TEST(Scheduler, StatsJsonCarriesTheDocumentedShape) {
 }
 
 TEST(SchedConfig, EnvOverridesApply) {
-  ::setenv("HMPI_SCHED_POLICY", "priority", 1);
-  ::setenv("HMPI_SCHED_SLOTS", "3", 1);
-  ::setenv("HMPI_SCHED_BACKFILL", "0", 1);
-  ::setenv("HMPI_SCHED_AGING", "0.5", 1);
-  SchedConfig base;
-  base.policy = SchedPolicy::kFifo;
-  const SchedConfig got = sched_config_with_env(base);
-  ::unsetenv("HMPI_SCHED_POLICY");
-  ::unsetenv("HMPI_SCHED_SLOTS");
-  ::unsetenv("HMPI_SCHED_BACKFILL");
-  ::unsetenv("HMPI_SCHED_AGING");
+  {
+    ScopedEnv policy("HMPI_SCHED_POLICY", "priority");
+    ScopedEnv slots("HMPI_SCHED_SLOTS", "3");
+    ScopedEnv backfill("HMPI_SCHED_BACKFILL", "0");
+    ScopedEnv aging("HMPI_SCHED_AGING", "0.5");
+    SchedConfig base;
+    base.policy = SchedPolicy::kFifo;
+    const SchedConfig got = sched_config_with_env(base);
 
-  EXPECT_EQ(got.policy, SchedPolicy::kPriority);
-  EXPECT_EQ(got.slots_per_machine, 3);
-  EXPECT_FALSE(got.backfill);
-  EXPECT_DOUBLE_EQ(got.aging_weight, 0.5);
-  // Unset vars keep the base values.
-  EXPECT_TRUE(got.preempt);
+    EXPECT_EQ(got.policy, SchedPolicy::kPriority);
+    EXPECT_EQ(got.slots_per_machine, 3);
+    EXPECT_FALSE(got.backfill);
+    EXPECT_DOUBLE_EQ(got.aging_weight, 0.5);
+    // Unset vars keep the base values.
+    EXPECT_TRUE(got.preempt);
+  }
+  {
+    ScopedEnv policy("HMPI_SCHED_POLICY", "FIFO");
+    ScopedEnv depth("HMPI_SCHED_BACKFILL_DEPTH", "0");
+    ScopedEnv gap("HMPI_SCHED_PREEMPT_GAP", "-2");
+    ScopedEnv aging("HMPI_SCHED_AGING", "1e-3");
+    const SchedConfig got = sched_config_with_env(SchedConfig{});
+    EXPECT_EQ(got.policy, SchedPolicy::kFifo);
+    EXPECT_EQ(got.backfill_depth, 0);
+    EXPECT_EQ(got.preempt_priority_gap, -2);
+    EXPECT_DOUBLE_EQ(got.aging_weight, 1e-3);
+  }
+  // Every flag spelling, in any case.
+  for (const char* on : {"1", "true", "TRUE", "yes", "Yes", "on", "ON"}) {
+    ScopedEnv backfill("HMPI_SCHED_BACKFILL", on);
+    SchedConfig base;
+    base.backfill = false;
+    EXPECT_TRUE(sched_config_with_env(base).backfill) << on;
+  }
+  for (const char* off : {"0", "false", "False", "no", "NO", "off", "Off"}) {
+    ScopedEnv backfill("HMPI_SCHED_BACKFILL", off);
+    ScopedEnv preempt("HMPI_SCHED_PREEMPT", off);
+    const SchedConfig got = sched_config_with_env(SchedConfig{});
+    EXPECT_FALSE(got.backfill) << off;
+    EXPECT_FALSE(got.preempt) << off;
+  }
+  // Anything else throws, naming the knob and its accepted spellings.
+  struct Bad {
+    const char* name;
+    const char* value;
+    const char* accepted;
+  };
+  for (const Bad& bad : {
+           Bad{"HMPI_SCHED_POLICY", "lifo", "fifo|priority"},
+           Bad{"HMPI_SCHED_BACKFILL", "maybe", "1|0|true|false|yes|no|on|off"},
+           Bad{"HMPI_SCHED_BACKFILL", "nope", "1|0|true|false|yes|no|on|off"},
+           Bad{"HMPI_SCHED_PREEMPT", "2", "1|0|true|false|yes|no|on|off"},
+           Bad{"HMPI_SCHED_SLOTS", "0", "whole decimal int >= 1"},
+           Bad{"HMPI_SCHED_SLOTS", "2x", "whole decimal int >= 1"},
+           Bad{"HMPI_SCHED_SLOTS", " 2", "whole decimal int >= 1"},
+           Bad{"HMPI_SCHED_SLOTS", "99999999999", "whole decimal int >= 1"},
+           Bad{"HMPI_SCHED_BACKFILL_DEPTH", "abc", "whole decimal int >= 0"},
+           Bad{"HMPI_SCHED_BACKFILL_DEPTH", "-1", "whole decimal int >= 0"},
+           Bad{"HMPI_SCHED_BACKFILL_DEPTH", "1.5", "whole decimal int >= 0"},
+           Bad{"HMPI_SCHED_PREEMPT_GAP", "x", "whole decimal int"},
+           Bad{"HMPI_SCHED_AGING", "abc", "finite decimal number >= 0"},
+           Bad{"HMPI_SCHED_AGING", "-0.5", "finite decimal number >= 0"},
+           Bad{"HMPI_SCHED_AGING", "nan", "finite decimal number >= 0"},
+           Bad{"HMPI_SCHED_AGING", "inf", "finite decimal number >= 0"},
+           Bad{"HMPI_SCHED_AGING", "0.5s", "finite decimal number >= 0"},
+       }) {
+    ScopedEnv env(bad.name, bad.value);
+    try {
+      sched_config_with_env(SchedConfig{});
+      ADD_FAILURE() << bad.name << "=" << bad.value << " was accepted";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(bad.name), std::string::npos) << what;
+      EXPECT_NE(what.find(bad.accepted), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(SchedConfig, RejectsANonFiniteOrNegativeAgingWeight) {
+  hnoc::Cluster cluster = hnoc::testbeds::homogeneous(1, 100.0);
+  for (const double weight : {-0.5, std::nan(""), HUGE_VAL}) {
+    SchedConfig config;
+    config.aging_weight = weight;
+    EXPECT_THROW(Scheduler(cluster, config), InvalidArgument) << weight;
+  }
+}
+
+/// FNV-1a over the bytes of each added value.
+class Fnv1a {
+ public:
+  template <typename T>
+  void add(const T& value) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (const unsigned char b : bytes) {
+      hash_ = (hash_ ^ b) * 0x100000001b3ULL;
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// Digest of every decision the A13 scheduler makes on the first 300 jobs
+/// of A13's trace, each one executed: per job, its start, finish and
+/// service times, preemptions, backfill flag, placement and result token.
+std::uint64_t a13_decision_digest() {
+  const hnoc::Cluster cluster = bench::a13_cluster();
+  bench::ArrivalTraceOptions options = bench::a13_trace_options();
+  options.jobs = 300;
+  SchedConfig config;
+  config.policy = SchedPolicy::kPriority;
+  config.slots_per_machine = 2;
+  config.preempt_priority_gap = 2;
+  config.execute = true;
+  Scheduler scheduler(cluster, config);
+  std::vector<JobId> ids;
+  for (JobSpec& spec : bench::make_arrival_trace(options)) {
+    ids.push_back(scheduler.submit(std::move(spec)));
+  }
+  scheduler.run_until_idle();
+
+  Fnv1a digest;
+  for (const JobId id : ids) {
+    const auto info = scheduler.poll(id);
+    EXPECT_EQ(info->state, JobState::kCompleted) << "job " << id;
+    digest.add(info->start_s);
+    digest.add(info->finish_s);
+    digest.add(info->service_s);
+    digest.add(info->preemptions);
+    digest.add(info->backfilled);
+    for (const int machine : info->machines) digest.add(machine);
+    digest.add(info->result);
+  }
+  return digest.value();
+}
+
+/// Recorded from the scheduler before its queue ranking became a partial
+/// sort over a flat job table, with its executed jobs on the event engine.
+constexpr std::uint64_t kA13DecisionDigest = 0x93fb9369380ec428ULL;
+
+TEST(SchedGolden, A13DecisionsMatchThePinnedDigest) {
+  EXPECT_EQ(a13_decision_digest(), kA13DecisionDigest);
+}
+
+TEST(SchedGolden, ExecutedJobsIgnoreTheThreadEngineVariable) {
+  // Executed jobs always run on the event engine: a thread engine would let
+  // host scheduling decide co-tenants' link races, and the digest with it.
+  ScopedEnv engine("HMPI_SIM_ENGINE", "thread");
+  EXPECT_EQ(a13_decision_digest(), kA13DecisionDigest);
 }
 
 }  // namespace
