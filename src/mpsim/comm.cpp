@@ -42,10 +42,10 @@ Comm Proc::world_comm() {
 
 void Comm::check_member_rank(int r, const char* what) const {
   support::require(valid(), "operation on an invalid communicator");
-  support::require(r >= 0 && r < size(),
-                   std::string(what) + ": rank " + std::to_string(r) +
-                       " out of range for communicator of size " +
-                       std::to_string(size()));
+  if (r >= 0 && r < size()) return;  // the text is built only on failure
+  throw InvalidArgument(std::string(what) + ": rank " + std::to_string(r) +
+                        " out of range for communicator of size " +
+                        std::to_string(size()));
 }
 
 int Comm::world_rank_of(int r) const {
@@ -73,7 +73,7 @@ void Comm::send_impl(std::span<const std::byte> data, std::size_t logical_bytes,
                      int dst, int tag) const {
   check_member_rank(dst, "send destination");
   support::require(tag >= 0, "send tag must be non-negative");
-  const int dst_world = world_rank_of(dst);
+  const int dst_world = (*members_)[static_cast<std::size_t>(dst)];
   World& world = proc_->world();
   const FaultPlan& faults = world.options().faults;
 
@@ -164,11 +164,12 @@ Status Comm::recv_placeholder(int src, int tag, double timeout_s) const {
 Status Comm::recv_impl(std::span<std::byte>* buffer, int src, int tag,
                        double timeout_s) const {
   support::require(valid(), "receive on an invalid communicator");
-  support::require(src == kAnySource || (src >= 0 && src < size()),
-                   "receive source rank out of range");
+  if (src != kAnySource) check_member_rank(src, "receive source");
   support::require(tag == kAnyTag || tag >= 0, "receive tag must be >= 0 or kAnyTag");
   World& world = proc_->world();
-  const int src_world = src == kAnySource ? kAnySource : world_rank_of(src);
+  const int src_world = src == kAnySource
+                            ? kAnySource
+                            : (*members_)[static_cast<std::size_t>(src)];
   if (timeout_s == kUseWorldTimeout) {
     timeout_s = world.options().deadlock_timeout_s;
   }
@@ -178,8 +179,10 @@ Status Comm::recv_impl(std::span<std::byte>* buffer, int src, int tag,
 
   // A blocked receive is hopeless (no message can ever match) when the
   // communicator's context was revoked, when the named source is dead, or —
-  // for kAnySource — when every other member is dead.
-  const auto hopeless = [&]() -> bool {
+  // for kAnySource — when every other member is dead. Two captured words fit
+  // std::function's inline buffer, so a receive allocates no closure.
+  const auto hopeless = [this, src_world]() -> bool {
+    const World& world = proc_->world();
     if (world.context_revoked(context_)) return true;
     if (src_world != kAnySource) return !world.alive(src_world);
     for (int member : *members_) {
@@ -272,7 +275,10 @@ Status Comm::recv_impl(std::span<std::byte>* buffer, int src, int tag,
   proc_->stats().bytes_received += envelope->logical_bytes;
 
   Status status;
-  status.source = rank_of_world(envelope->src_world);
+  // A named source is the match's sender by construction; only a wildcard
+  // receive has to look its sender up among the members.
+  status.source =
+      src == kAnySource ? rank_of_world(envelope->src_world) : src;
   status.tag = envelope->tag;
   status.bytes = envelope->logical_bytes;
   status.arrival_time = envelope->arrival_time;

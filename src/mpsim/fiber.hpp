@@ -1,17 +1,27 @@
 // Stackful fiber for the event-driven simulation engine (docs/simulator.md).
 //
-// A Fiber is one resumable simulated-process task: a private mmap'd stack
-// (with a PROT_NONE guard page below it) plus a ucontext. Execution is
-// cooperative — the fiber runs on a host thread until it parks on a
-// sim::WaitChannel or its entry returns; resume()/yield() switch between the
-// host thread's context and the fiber's. All scheduling state (state,
-// timed_out, parked_on) is owned by the EventEngine, which dispatches at
-// most one fiber at a time.
+// A Fiber is one resumable simulated-process task: an mmap'd stack (with a
+// PROT_NONE guard page below it) plus a saved machine context. Stacks come
+// from a process-wide pool and go back to it when the fiber is destroyed, so
+// a run of many small worlds maps each stack once. On x86-64 the context
+// switch is a hand-written routine that swaps the callee-saved registers and
+// the stack pointer; elsewhere it is swapcontext. Execution is cooperative —
+// the fiber runs on a host thread until it parks on a sim::WaitChannel or its
+// entry returns; resume()/yield() switch between the host thread's context
+// and the fiber's. All scheduling state (state, timed_out, parked_on) is
+// owned by the EventEngine, which dispatches at most one fiber at a time.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+
+// The hand-written x86-64 switch (fiber.cpp); other platforms use
+// swapcontext.
+#if defined(__x86_64__) && defined(__ELF__)
+#define HMPI_FIBER_ASM_SWITCH 1
+#else
 #include <ucontext.h>
+#endif
 
 #include "support/process_local.hpp"
 
@@ -56,20 +66,26 @@ class Fiber {
   support::ProcessLocals locals;
 
  private:
-  static void trampoline(unsigned hi, unsigned lo);
+  static void start(Fiber* self);
   void entry_point();
 
   EventEngine* engine_;
   int rank_;
   std::function<void()> entry_;
 
-  void* map_base_ = nullptr;  ///< mmap base: guard page + stack.
+  void* map_base_ = nullptr;  ///< mmap base: guard page + stack (pooled).
   std::size_t map_bytes_ = 0;
   void* stack_base_ = nullptr;  ///< Usable stack low address.
   std::size_t stack_bytes_ = 0;
 
+#if defined(HMPI_FIBER_ASM_SWITCH)
+  void* sp_ = nullptr;       ///< Fiber stack pointer while it is switched out.
+  void* host_sp_ = nullptr;  ///< Host stack pointer while the fiber runs.
+#else
+  static void trampoline(unsigned hi, unsigned lo);
   ucontext_t ctx_;
   ucontext_t host_;
+#endif
 
   // Sanitizer bookkeeping (no-ops outside TSan/ASan builds).
   void* tsan_fiber_ = nullptr;

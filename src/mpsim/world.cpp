@@ -106,6 +106,7 @@ World::World(const hnoc::Cluster& cluster, std::vector<int> placement,
     support::require(p >= 0 && p < cluster.size(),
                      "placement references processor outside the cluster");
   }
+  pending_recvs_.resize(placement_.size());
   mailboxes_.reserve(placement_.size());
   for (std::size_t i = 0; i < placement_.size(); ++i) {
     mailboxes_.push_back(std::make_unique<Mailbox>());
@@ -224,12 +225,13 @@ bool World::context_revoked(int context) const {
 void World::note_recv_begin(int world_rank, int src, int tag, int context,
                             double clock) {
   std::lock_guard<std::mutex> lock(pending_mutex_);
-  pending_recvs_[world_rank] = {src, tag, context, clock};
+  pending_recvs_[static_cast<std::size_t>(world_rank)] = {true, src, tag,
+                                                          context, clock};
 }
 
 void World::note_recv_end(int world_rank) {
   std::lock_guard<std::mutex> lock(pending_mutex_);
-  pending_recvs_.erase(world_rank);
+  pending_recvs_[static_cast<std::size_t>(world_rank)].active = false;
 }
 
 std::string World::describe_stuck_state() const {
@@ -242,13 +244,13 @@ std::string World::describe_stuck_state() const {
       os << "dead (crashed at t=" << death_time(r) << "s)";
     } else {
       std::lock_guard<std::mutex> lock(pending_mutex_);
-      auto it = pending_recvs_.find(r);
-      if (it == pending_recvs_.end()) {
+      const PendingRecv& pending = pending_recvs_[static_cast<std::size_t>(r)];
+      if (!pending.active) {
         os << "not blocked in a receive";
       } else {
-        os << "blocked recv(src=" << it->second.src << ", tag=" << it->second.tag
-           << ", context=" << it->second.context << ") since virtual t="
-           << it->second.clock << "s";
+        os << "blocked recv(src=" << pending.src << ", tag=" << pending.tag
+           << ", context=" << pending.context << ") since virtual t="
+           << pending.clock << "s";
       }
     }
     const auto queued = mailboxes_[static_cast<std::size_t>(r)]->snapshot();

@@ -364,13 +364,15 @@ class World {
   std::vector<std::function<void(int, double)>> death_callbacks_;
 
   struct PendingRecv {
+    bool active = false;  ///< The rank is blocked in this receive.
     int src = kAnySource;
     int tag = kAnyTag;
     int context = 0;
     double clock = 0.0;
   };
   mutable std::mutex pending_mutex_;
-  std::map<int, PendingRecv> pending_recvs_;
+  /// One slot per world rank (describe_stuck_state reads them all).
+  std::vector<PendingRecv> pending_recvs_;
 
   std::mutex shared_mutex_;
   std::shared_ptr<void> shared_;

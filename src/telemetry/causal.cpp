@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "support/error.hpp"
+
 namespace hmpi::telemetry {
 
 ProfMode resolve_prof_mode(ProfMode requested) {
@@ -15,7 +17,9 @@ ProfMode resolve_prof_mode(ProfMode requested) {
     return ProfMode::kFull;
   }
   if (v == "ring") return ProfMode::kRing;
-  return ProfMode::kRing;
+  throw InvalidArgument("HMPI_PROF='" + v +
+                        "' is not a profiling mode (accepted: "
+                        "0|off|false|no|1|on|true|yes|full|ring)");
 }
 
 CausalLog::CausalLog(int ranks, ProfMode mode, std::size_t ring_capacity)

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "hnoc/cluster.hpp"
 #include "mpsim/comm.hpp"
+#include "support/error.hpp"
 
 namespace hmpi::mp {
 namespace {
@@ -192,6 +195,93 @@ TEST(CommMgmt, ContextsAreUniquePerCreation) {
     EXPECT_NE(b.context(), c.context());
   });
 }
+
+// The receive path reports a named source without looking it up, and the
+// rank checks build their text only when they fail. Both engines run each
+// case.
+class CommOnBothEngines : public ::testing::TestWithParam<sim::SimEngine> {
+ protected:
+  World::Options options() const {
+    World::Options o;
+    o.engine = GetParam();
+    o.deadlock_timeout_s = 1.0;
+    return o;
+  }
+};
+
+TEST_P(CommOnBothEngines, StatusSourceIsTheSendersSubcommRank) {
+  World::run_one_per_processor(
+      uniform(4),
+      [](Proc& p) {
+        // Descending keys reverse the order: sub rank r is world rank 3 - r,
+        // so no member's sub rank equals its world rank.
+        Comm sub = p.world_comm().split(0, -p.rank());
+        ASSERT_TRUE(sub.valid());
+        ASSERT_NE(sub.rank(), p.rank());
+        const int n = sub.size();
+        const int right = (sub.rank() + 1) % n;
+        const int left = (sub.rank() + n - 1) % n;
+        int value = -1;
+
+        sub.send_value(sub.rank(), right, 1);
+        const Status named = sub.recv(std::span<int>(&value, 1), left, 1);
+        EXPECT_EQ(named.source, left);
+        EXPECT_EQ(value, left);
+
+        sub.send_value(sub.rank(), left, 2);
+        const Status any = sub.recv(std::span<int>(&value, 1), kAnySource, 2);
+        EXPECT_EQ(any.source, right);
+        EXPECT_EQ(value, right);
+
+        sub.send_placeholder(16, right, 3);
+        EXPECT_EQ(sub.recv_placeholder(left, 3).source, left);
+        sub.send_placeholder(16, left, 4);
+        EXPECT_EQ(sub.recv_placeholder(kAnySource, 4).source, right);
+      },
+      options());
+}
+
+TEST_P(CommOnBothEngines, OutOfRangeRanksNameOperationRankAndSize) {
+  // The InvalidArgument text rank 0 of a 3-process world raises in `op`.
+  const auto rejection = [this](const std::function<void(Comm&)>& op) {
+    try {
+      World::run_one_per_processor(
+          uniform(3),
+          [&op](Proc& p) {
+            Comm world = p.world_comm();
+            if (p.rank() == 0) op(world);
+          },
+          options());
+    } catch (const InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const auto expect_names = [](const std::string& what, const char* operation,
+                               const char* rank) {
+    EXPECT_NE(what.find(operation), std::string::npos) << what;
+    EXPECT_NE(what.find(rank), std::string::npos) << what;
+    EXPECT_NE(what.find("communicator of size 3"), std::string::npos) << what;
+  };
+  expect_names(rejection([](Comm& c) { c.send_value(1, 5, 0); }),
+               "send destination", "rank 5");
+  expect_names(rejection([](Comm& c) { c.send_placeholder(8, -2, 0); }),
+               "send destination", "rank -2");
+  expect_names(rejection([](Comm& c) { c.recv_value<int>(3, 0); }),
+               "receive source", "rank 3");
+  expect_names(rejection([](Comm& c) { c.recv_placeholder(-7, 0); }),
+               "receive source", "rank -7");
+  expect_names(rejection([](Comm& c) { c.world_rank_of(9); }),
+               "world_rank_of", "rank 9");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, CommOnBothEngines,
+    ::testing::Values(sim::SimEngine::kThread, sim::SimEngine::kEvent),
+    [](const ::testing::TestParamInfo<sim::SimEngine>& info) {
+      return std::string(info.param == sim::SimEngine::kThread ? "thread"
+                                                               : "event");
+    });
 
 }  // namespace
 }  // namespace hmpi::mp

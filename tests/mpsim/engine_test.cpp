@@ -1,11 +1,17 @@
 // Unit tests of the event engine's public contracts (docs/simulator.md):
 // env-var resolution of engine/worker/stack knobs, the deterministic
-// tie-break rule for simultaneous events (lowest world rank runs first), and
-// the engine's deadlock diagnosis parity with the thread engine.
+// tie-break rule for simultaneous events (lowest world rank runs first), the
+// engine's deadlock diagnosis parity with the thread engine, and the fiber
+// stack pool (reuse across worlds, guard pages kept).
 #include "mpsim/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -13,6 +19,7 @@
 #include "hnoc/cluster.hpp"
 #include "mpsim/comm.hpp"
 #include "support/error.hpp"
+#include "telemetry/metrics.hpp"
 
 #include "differential.hpp"
 
@@ -252,6 +259,115 @@ TEST(EngineStacks, FiberStackSizeIsConfigurable) {
         p.world_comm().barrier();
       },
       options);
+}
+
+double stacks_mapped() {
+  return telemetry::metrics().counter("sim.stacks_mapped").value();
+}
+
+TEST(EngineStacks, BackToBackWorldsReuseStacks) {
+  // Every fiber stack of the second world comes from the pool the first
+  // world's fibers released theirs to.
+  hnoc::Cluster cluster = hnoc::testbeds::homogeneous(8, 100.0);
+  std::vector<int> placement(64);
+  for (std::size_t i = 0; i < placement.size(); ++i) {
+    placement[i] = static_cast<int>(i % 8);
+  }
+  World::Options options;
+  options.engine = sim::SimEngine::kEvent;
+  const auto run = [&] {
+    World::run(cluster, placement, [](Proc& p) { p.world_comm().barrier(); },
+               options);
+  };
+  const double before = stacks_mapped();
+  run();
+  const double after_first = stacks_mapped();
+  EXPECT_LE(after_first - before, 64.0);
+  run();
+  EXPECT_EQ(stacks_mapped(), after_first);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define HMPI_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define HMPI_TEST_SANITIZED 1
+#endif
+#endif
+
+/// Recurses `depth` frames of about 1 KiB each. Each frame reads its
+/// caller's buffer, so the calls cannot be turned into a loop.
+[[gnu::noinline]] int deep_frames(int depth, volatile char* caller) {
+  volatile char pad[1024];
+  pad[0] = static_cast<char>(caller[0] + 1);
+  if (depth == 0) return pad[0];
+  return deep_frames(depth - 1, pad) + pad[0];
+}
+
+// The page range the overflowing fiber's guard page may occupy, and the
+// SIGSEGV handler that reports whether the fault hit it (exit 42) or some
+// other address (exit 43), which means the overflow ran past the stack.
+volatile std::uintptr_t guard_lo = 0;
+volatile std::uintptr_t guard_hi = 0;
+
+void report_fault_address(int, siginfo_t* info, void*) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(info->si_addr);
+  std::_Exit(addr >= guard_lo && addr < guard_hi ? 42 : 43);
+}
+
+TEST(EngineStacksDeathTest, OverflowOfAReusedStackFaultsInItsGuardPage) {
+#if defined(HMPI_TEST_SANITIZED)
+  GTEST_SKIP() << "the sanitizers take over the guard-page fault";
+#else
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  hnoc::Cluster cluster = hnoc::testbeds::homogeneous(2, 100.0);
+  World::Options options;
+  options.engine = sim::SimEngine::kEvent;
+  options.event_workers = 1;  // fibers run on this thread, with its altstack
+  options.fiber_stack_bytes = 16 * 1024;
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  // The engine rounds a stack up to whole pages, and to at least 4 of them.
+  const std::uintptr_t stack =
+      (std::max<std::uintptr_t>(options.fiber_stack_bytes, 4 * page) +
+       page - 1) / page * page;
+  // The first world leaves two stacks in the pool. In the second, rank 0
+  // checks that its stack was reused (exit 3 if one was mapped), locates
+  // its guard page from a local near the stack's top, and then writes 1 MiB
+  // of frames: the fault must land in the guard page, not below it.
+  const auto overflow_reused_stack = [&] {
+    static char altstack[64 * 1024];
+    stack_t ss{};
+    ss.ss_sp = altstack;
+    ss.ss_size = sizeof altstack;
+    ::sigaltstack(&ss, nullptr);
+    struct sigaction sa {};
+    sa.sa_sigaction = report_fault_address;
+    sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+    ::sigaction(SIGSEGV, &sa, nullptr);
+
+    World::run_one_per_processor(
+        cluster, [](Proc& p) { p.world_comm().barrier(); }, options);
+    const double mapped = stacks_mapped();
+    World::run_one_per_processor(
+        cluster,
+        [&](Proc& p) {
+          if (p.rank() == 0) {
+            if (stacks_mapped() != mapped) std::_Exit(3);
+            volatile char seed[1] = {0};
+            // This frame sits in the stack's top page or, with deep entry
+            // frames, the one below; allow for both.
+            const std::uintptr_t top =
+                (reinterpret_cast<std::uintptr_t>(&seed[0]) | (page - 1)) + 1;
+            guard_lo = top - stack - page;
+            guard_hi = top - stack + page;
+            deep_frames(1024, seed);
+          }
+          p.world_comm().barrier();
+        },
+        options);
+  };
+  EXPECT_EXIT(overflow_reused_stack(), ::testing::ExitedWithCode(42), "");
+#endif
 }
 
 }  // namespace

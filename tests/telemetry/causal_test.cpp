@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 
+#include "support/error.hpp"
 #include "telemetry/critpath.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
@@ -68,9 +69,18 @@ TEST(ProfModeResolution, EnvSpellings) {
     EXPECT_EQ(resolve_prof_mode(ProfMode::kAuto), ProfMode::kRing);
   }
   {
-    // Unrecognised spellings keep the always-on default.
+    // An unrecognised spelling throws instead of falling back to the ring.
     ScopedEnv env("HMPI_PROF", "banana");
-    EXPECT_EQ(resolve_prof_mode(ProfMode::kAuto), ProfMode::kRing);
+    try {
+      resolve_prof_mode(ProfMode::kAuto);
+      ADD_FAILURE() << "HMPI_PROF=banana was accepted";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("HMPI_PROF"), std::string::npos) << what;
+      EXPECT_NE(what.find("0|off|false|no|1|on|true|yes|full|ring"),
+                std::string::npos)
+          << what;
+    }
   }
 }
 
