@@ -7,6 +7,10 @@
 // with four processes on two machines (two per machine) and compares:
 //   * single protocol: every pair talks over 100 Mbit Ethernet;
 //   * multi protocol: intra-machine pairs use the shared-memory link.
+// With this sizing both configurations print the same time, 240.0371 s: the
+// intra-machine pairs are not on the critical path, so making their links
+// 80x faster in bandwidth and 30x in latency changes nothing. The
+// inter-machine Ethernet transfers and the compute bound every iteration.
 #include <vector>
 
 #include "apps/em3d/body.hpp"

@@ -1,19 +1,12 @@
-// Ablation A12: the simulator core — thread-per-process vs the event-driven
-// fiber engine (docs/simulator.md).
+// Ablation A12: simulator core scaling (docs/simulator.md).
 //
-// Both engines execute the same hand-rolled workload (a ring exchange, a
-// dissemination barrier, and a second ring round, all plain p2p); what
-// differs is the host cost. (With many processes per machine the reported
-// virtual makespans can differ slightly between engines: the order in which
-// concurrent senders reserve a shared directed link is a host-scheduling
-// race under the thread engine, while the event engine arbitrates it
-// deterministically by virtual ready time — see docs/simulator.md.) The thread
-// engine needs one OS thread per simulated process, so it stops scaling in
-// the low thousands (thread stacks + scheduler churn); the event engine
-// multiplexes fibers over a virtual-time event queue and reaches 10k+
-// processes interactively. This bench measures wall time per engine at
-// P = 64 / 1000 / 10000 (the thread engine is skipped at 10k) and reports
-// the speedup plus the event engine's dispatch telemetry.
+// Every simulated process runs as a fiber on the event engine, which
+// dispatches them one at a time from a virtual-time event queue on the
+// calling thread. This bench runs a hand-rolled workload (a ring exchange,
+// a dissemination barrier, and a second ring round, all plain p2p) at
+// P = 64 / 1000 / 10000 and reports the wall time and the virtual makespan
+// of each size. EXPERIMENTS.md keeps the last thread-per-process numbers,
+// measured before that engine was removed, as history.
 #include <chrono>
 #include <string>
 #include <vector>
@@ -29,17 +22,15 @@ using namespace hmpi;
 struct RunOutcome {
   double wall_s = 0.0;
   double makespan = 0.0;
-  bool ran = false;
 };
 
-RunOutcome run_workload(int P, mp::sim::SimEngine engine) {
+RunOutcome run_workload(int P) {
   hnoc::Cluster cluster = hnoc::testbeds::two_level(4, 4, 100.0);
   const int machines = cluster.size();
   std::vector<int> placement(static_cast<std::size_t>(P));
   for (int r = 0; r < P; ++r) placement[static_cast<std::size_t>(r)] = r % machines;
 
   mp::World::Options options;
-  options.engine = engine;
   options.fiber_stack_bytes = 256 * 1024;
 
   RunOutcome out;
@@ -65,7 +56,6 @@ RunOutcome run_workload(int P, mp::sim::SimEngine engine) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   out.makespan = result.makespan;
-  out.ran = true;
   return out;
 }
 
@@ -75,30 +65,12 @@ int main() {
   support::Table table(
       "Ablation A12: simulator core scaling (ring + dissemination barrier, "
       "16 machines)",
-      {"processes", "engine", "wall_s", "virtual_makespan_s", "speedup"});
+      {"processes", "wall_s", "virtual_makespan_s"});
 
-  const std::vector<int> sizes{64, 1000, 10000};
-  for (int P : sizes) {
-    // 10k OS threads (stacks alone ~80 GiB of virtual address space plus
-    // scheduler churn) is outside the thread engine's operating range; the
-    // asymmetry is the point of this ablation.
-    const bool thread_feasible = P <= 1000;
-    RunOutcome threads;
-    if (thread_feasible) {
-      threads = run_workload(P, mp::sim::SimEngine::kThread);
-    }
-    RunOutcome events = run_workload(P, mp::sim::SimEngine::kEvent);
-    if (threads.ran) {
-      table.add_row({std::to_string(P), "thread",
-                     support::Table::num(threads.wall_s),
-                     support::Table::num(threads.makespan),
-                     support::Table::num(threads.wall_s / events.wall_s, 3)});
-    } else {
-      table.add_row({std::to_string(P), "thread", "infeasible", "-", "-"});
-    }
-    table.add_row({std::to_string(P), "event",
-                   support::Table::num(events.wall_s),
-                   support::Table::num(events.makespan), "1.000"});
+  for (int P : {64, 1000, 10000}) {
+    const RunOutcome run = run_workload(P);
+    table.add_row({std::to_string(P), support::Table::num(run.wall_s),
+                   support::Table::num(run.makespan)});
   }
 
   hmpi::bench::emit(table);

@@ -8,9 +8,8 @@
 namespace hmpi::capi {
 namespace {
 
-// The per-simulated-process Runtime. Process-local (not thread_local): under
-// the event engine many process fibers share one host thread, and each must
-// see its own Runtime.
+// The per-simulated-process Runtime. Process-local (not thread_local): the
+// process fibers share one host thread, and each must see its own Runtime.
 constexpr char kRuntimeKey = 0;
 
 std::shared_ptr<void>& runtime_slot() {

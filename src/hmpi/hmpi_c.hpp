@@ -3,7 +3,7 @@
 // The paper presents HMPI as C functions (HMPI_Init, HMPI_Recon,
 // HMPI_Group_create, ...). This header provides those spellings over the
 // C++ runtime so that application code can read like the paper's Figures 5
-// and 8. The functions operate on a per-thread current runtime: each
+// and 8. The functions operate on a per-process current runtime: each
 // simulated process calls HMPI_Init first, every other call implicitly uses
 // that process's runtime, and HMPI_Finalize tears it down.
 //
@@ -21,7 +21,7 @@
 
 namespace hmpi::capi {
 
-/// The per-thread current runtime (set by HMPI_Init).
+/// The per-process current runtime (set by HMPI_Init).
 Runtime* current();
 
 }  // namespace hmpi::capi

@@ -77,8 +77,7 @@ telemetry::CollNamer coll_namer() {
 /// the rendezvous queue for group creations.
 struct Runtime::Shared {
   std::mutex mutex;
-  /// Rendezvous wakeups; engine-agnostic (condition variable under the
-  /// thread engine, fiber parking under the event engine).
+  /// Rendezvous wakeups (parks the waiting process's fiber).
   mp::sim::WaitChannel cv;
 
   std::unique_ptr<hnoc::NetworkModel> network;
@@ -224,8 +223,8 @@ Runtime::Runtime(mp::Proc& proc, RuntimeConfig config)
     });
     proc.world().set_coll_selector(s->coll_tuner);
     // Wake rendezvous waiters on any death so they can fail fast instead of
-    // sitting out the deadlock timeout. (The Shared outlives every process
-    // thread: the World holds it until the run ends.)
+    // waiting for the world to stall. (The Shared outlives every process:
+    // the World holds it until the run ends.)
     proc.world().on_death([raw = s.get()](int, double) {
       { std::lock_guard<std::mutex> lock(raw->mutex); }
       raw->cv.notify_all();
@@ -721,10 +720,6 @@ std::optional<Group> Runtime::group_create_impl(
   std::vector<int> guard_restore;
   {
     std::unique_lock<std::mutex> lock(shared_->mutex);
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(world.options().deadlock_timeout_s));
     for (;;) {
       const long long id = shared_->next_creation[static_cast<std::size_t>(me)];
       auto it = shared_->creations.find(id);
@@ -813,10 +808,10 @@ std::optional<Group> Runtime::group_create_impl(
               mp::kAnySource, std::numeric_limits<double>::infinity());
         }
       }
-      const double remaining =
-          std::chrono::duration<double>(deadline - std::chrono::steady_clock::now())
-              .count();
-      if (!shared_->cv.wait(lock, std::max(remaining, 0.0)) &&
+      // No explicit timeout: when the world stalls, this wait fails after
+      // every wait that has one, and then in world-rank order, whatever the
+      // host's speed.
+      if (!shared_->cv.wait(lock) &&
           shared_->creations.find(id) == shared_->creations.end()) {
         throw DeadlockError(
             "free process waited for a group creation that was never "
@@ -1183,7 +1178,7 @@ void Runtime::group_fail(Group& group) {
                    "group_fail by a process with no group membership");
   mp::World& world = proc_->world();
   // Propagate: members of this group still blocked on alive peers unwind
-  // with RevokedError instead of waiting out the deadlock timeout.
+  // with RevokedError instead of waiting for the world to stall.
   world.revoke_context(group.comm().context());
   live_groups_ -= 1;
   {

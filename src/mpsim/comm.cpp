@@ -170,9 +170,6 @@ Status Comm::recv_impl(std::span<std::byte>* buffer, int src, int tag,
   const int src_world = src == kAnySource
                             ? kAnySource
                             : (*members_)[static_cast<std::size_t>(src)];
-  if (timeout_s == kUseWorldTimeout) {
-    timeout_s = world.options().deadlock_timeout_s;
-  }
   support::require(timeout_s > 0.0, "receive timeout must be positive");
 
   proc_->check_crash();  // a process whose crash time has passed cannot receive

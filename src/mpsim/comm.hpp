@@ -35,10 +35,6 @@ namespace hmpi::mp {
 /// Color value excluding a process from the communicator made by split().
 inline constexpr int kUndefinedColor = -1;
 
-/// Sentinel for per-receive timeout parameters: use the world-wide
-/// WorldOptions::deadlock_timeout_s.
-inline constexpr double kUseWorldTimeout = -1.0;
-
 namespace internal_tag {
 // Reserved tag space for library-internal traffic (all above kMaxUserTag).
 inline constexpr int kBarrierBase = kMaxUserTag + 0x0100;  // + round
@@ -90,12 +86,12 @@ class Comm {
 
   /// Blocking receive into `buffer` (must be at least the message size) from
   /// communicator rank `src` (or kAnySource), tag `tag` (or kAnyTag).
-  /// `timeout_s` overrides the world-wide deadlock timeout for this receive
-  /// only (kUseWorldTimeout selects the world default). Raises
-  /// PeerFailedError fast when `src` has crashed, RevokedError when the
-  /// communicator's context was revoked, DeadlockError on timeout.
+  /// Raises PeerFailedError fast when `src` has crashed, RevokedError when
+  /// the communicator's context was revoked, and DeadlockError when the
+  /// world stalls with this receive pending. `timeout_s` orders the receives
+  /// a stall fails: the smallest explicit timeout first, kNoTimeout last.
   Status recv_bytes(std::span<std::byte> buffer, int src, int tag,
-                    double timeout_s = kUseWorldTimeout) const;
+                    double timeout_s = kNoTimeout) const;
 
   /// Sends a zero-payload message costed as `bytes` on the wire. Used by
   /// workload drivers in virtual-only mode: the timing (and the receiver's
@@ -108,7 +104,7 @@ class Comm {
   /// logical size). Pairs with send_placeholder; also accepts ordinary
   /// messages (their payload is discarded).
   Status recv_placeholder(int src, int tag,
-                          double timeout_s = kUseWorldTimeout) const;
+                          double timeout_s = kNoTimeout) const;
 
   /// Non-destructive test for an available matching message.
   bool iprobe(int src, int tag) const;
@@ -130,7 +126,7 @@ class Comm {
 
   template <typename T>
   Status recv(std::span<T> buffer, int src, int tag,
-              double timeout_s = kUseWorldTimeout) const {
+              double timeout_s = kNoTimeout) const {
     static_assert(std::is_trivially_copyable_v<T>);
     return recv_bytes(std::as_writable_bytes(buffer), src, tag, timeout_s);
   }
@@ -142,7 +138,7 @@ class Comm {
 
   template <typename T>
   T recv_value(int src, int tag, Status* status = nullptr,
-               double timeout_s = kUseWorldTimeout) const {
+               double timeout_s = kNoTimeout) const {
     T value{};
     Status s = recv(std::span<T>(&value, 1), src, tag, timeout_s);
     if (status != nullptr) *status = s;

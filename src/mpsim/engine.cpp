@@ -1,8 +1,8 @@
 #include "mpsim/engine.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -16,11 +16,9 @@ namespace hmpi::mp::sim {
 
 namespace {
 
-// Which engine/fiber the calling thread is currently executing. Set by the
-// scheduler and worker threads around fiber resumes; threads the simulation
-// spawns for real host work (e.g. the mapper's ThreadPool) never inherit it,
-// so their waits stay ordinary condition-variable waits.
-thread_local EventEngine* tl_engine = nullptr;
+// The fiber the calling thread is currently executing, set around every
+// resume. Threads the simulation spawns for real host work (e.g. the
+// mapper's ThreadPool) never see it set.
 thread_local Fiber* tl_fiber = nullptr;
 
 /// Value of the positive-integer env knob `name`, or `fallback` when it is
@@ -40,24 +38,22 @@ long positive_env(const char* name, long max, long fallback) {
   return parsed;
 }
 
+/// HMPI_SIM_DEBUG as a flag, spelled like the HMPI_SCHED_* flags.
+bool debug_env() {
+  const char* value = std::getenv("HMPI_SIM_DEBUG");
+  if (value == nullptr || *value == '\0') return false;
+  std::string v(value);
+  for (char& c : v) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
+  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
+  throw InvalidArgument(std::string("HMPI_SIM_DEBUG='") + value +
+                        "' is not accepted (accepted: "
+                        "1|0|true|false|yes|no|on|off, any case)");
+}
+
 }  // namespace
-
-SimEngine resolve_engine(SimEngine configured) {
-  if (configured != SimEngine::kAuto) return configured;
-  const char* value = std::getenv("HMPI_SIM_ENGINE");
-  if (value == nullptr) return SimEngine::kThread;
-  const std::string v(value);
-  if (v == "thread") return SimEngine::kThread;
-  if (v == "event" || v == "fiber") return SimEngine::kEvent;
-  throw InvalidArgument("HMPI_SIM_ENGINE='" + v +
-                        "' is not an engine (accepted: thread|event|fiber)");
-}
-
-int resolve_workers(int configured) {
-  if (configured > 0) return configured;
-  return static_cast<int>(positive_env(
-      "HMPI_SIM_WORKERS", std::numeric_limits<int>::max(), 1));
-}
 
 std::size_t resolve_stack_bytes(std::size_t configured) {
   if (configured > 0) return configured;
@@ -71,11 +67,10 @@ std::size_t resolve_stack_bytes(std::size_t configured) {
 bool on_fiber() noexcept { return tl_fiber != nullptr; }
 
 bool WaitChannel::wait(std::unique_lock<std::mutex>& lock, double timeout_s) {
-  if (tl_fiber != nullptr && tl_engine != nullptr) {
-    return tl_engine->park(*this, lock, timeout_s);
-  }
-  return cv_.wait_for(lock, std::chrono::duration<double>(timeout_s)) ==
-         std::cv_status::no_timeout;
+  support::require(
+      tl_fiber != nullptr,
+      "blocking wait outside a simulated process (internal error)");
+  return tl_fiber->engine()->park(tl_fiber, *this, lock, timeout_s);
 }
 
 void WaitChannel::notify_all() {
@@ -85,20 +80,18 @@ void WaitChannel::notify_all() {
     woken.swap(fibers_);
   }
   for (Fiber* f : woken) f->engine()->make_ready(f);
-  cv_.notify_all();
 }
 
-EventEngine::EventEngine(Config config) : config_(std::move(config)) {
-  support::require(config_.workers >= 1, "event engine needs >= 1 worker");
+EventEngine::EventEngine(Config config)
+    : config_(std::move(config)), debug_(debug_env()) {
   support::require(static_cast<bool>(config_.clock_of),
                    "event engine needs a clock_of callback");
 }
 
-EventEngine::~EventEngine() { stop_workers(); }
+EventEngine::~EventEngine() = default;
 
-bool EventEngine::park(WaitChannel& channel, std::unique_lock<std::mutex>& lock,
-                       double timeout_s) {
-  Fiber* f = tl_fiber;
+bool EventEngine::park(Fiber* f, WaitChannel& channel,
+                       std::unique_lock<std::mutex>& lock, double timeout_s) {
   {
     std::lock_guard<std::mutex> guard(channel.fiber_mutex_);
     f->timed_out = false;
@@ -131,9 +124,9 @@ Fiber* EventEngine::pop_ready() {
 
 void EventEngine::wake_stall_victim() {
   // No fiber is runnable and none is running: every live fiber is parked.
-  // Wake the one the thread engine would have timed out first — smallest
-  // wait timeout, ties broken by ascending world rank — flagged timed_out so
-  // its wait returns false and the caller raises its deadlock diagnosis.
+  // Wake the one with the smallest wait timeout (kNoTimeout is infinite, so
+  // it ranks last), ties broken by ascending world rank, flagged timed_out
+  // so its wait returns false and the caller raises its deadlock diagnosis.
   Fiber* victim = nullptr;
   for (const auto& f : fibers_) {
     if (f->state != Fiber::State::kParked) continue;
@@ -143,8 +136,7 @@ void EventEngine::wake_stall_victim() {
   }
   support::require(victim != nullptr,
                    "event engine stalled with no parked fiber (internal error)");
-  static const bool debug = std::getenv("HMPI_SIM_DEBUG") != nullptr;
-  if (debug) {
+  if (debug_) {
     std::fprintf(stderr, "[sim] stall: victim rank=%d timeout=%.9f; parked:",
                  victim->rank(), victim->park_timeout_s);
     for (const auto& f : fibers_) {
@@ -170,77 +162,20 @@ void EventEngine::wake_stall_victim() {
   ++metrics_.stalls;
 }
 
-void EventEngine::run_fiber(Fiber* fiber) {
-  EventEngine* prev_engine = tl_engine;
-  Fiber* prev_fiber = tl_fiber;
-  tl_engine = this;
-  tl_fiber = fiber;
-  fiber->state = Fiber::State::kRunning;
-  {
-    // Redirect process-local storage (the engine-agnostic thread_local
-    // replacement) to this fiber's table for the duration of the resume.
-    support::ProcessLocalsGuard locals_guard(&fiber->locals);
-    fiber->resume();
-  }
-  tl_engine = prev_engine;
-  tl_fiber = prev_fiber;
-}
-
 void EventEngine::dispatch(Fiber* fiber) {
   support::require(fiber->state == Fiber::State::kReady,
                    "event engine dispatched a fiber that is not ready");
   ++metrics_.dispatches;
-  if (workers_.empty()) {
-    run_fiber(fiber);
-  } else {
-    // Fibers are pinned to worker rank % W: a fiber's stack only ever
-    // executes on one thread, and dispatch stays sequential (the scheduler
-    // waits for the yield before picking the next fiber).
-    Worker& w = *workers_[static_cast<std::size_t>(fiber->rank()) %
-                          workers_.size()];
-    std::unique_lock<std::mutex> lock(w.mutex);
-    w.assigned = fiber;
-    w.done = false;
-    w.cv.notify_one();
-    w.cv.wait(lock, [&] { return w.done; });
+  tl_fiber = fiber;
+  fiber->state = Fiber::State::kRunning;
+  {
+    // Redirect process-local storage to this fiber's table for the
+    // duration of the resume.
+    support::ProcessLocalsGuard locals_guard(&fiber->locals);
+    fiber->resume();
   }
+  tl_fiber = nullptr;
   if (fiber->state == Fiber::State::kFinished) ++finished_;
-}
-
-void EventEngine::start_workers() {
-  if (config_.workers <= 1) return;  // fast path: fibers run on this thread
-  workers_.reserve(static_cast<std::size_t>(config_.workers));
-  for (int i = 0; i < config_.workers; ++i) {
-    auto worker = std::make_unique<Worker>();
-    Worker* w = worker.get();
-    w->thread = std::thread([this, w] {
-      std::unique_lock<std::mutex> lock(w->mutex);
-      for (;;) {
-        w->cv.wait(lock, [&] { return w->assigned != nullptr || w->stop; });
-        if (w->stop) return;
-        Fiber* fiber = w->assigned;
-        w->assigned = nullptr;
-        lock.unlock();
-        run_fiber(fiber);
-        lock.lock();
-        w->done = true;
-        w->cv.notify_one();
-      }
-    });
-    workers_.push_back(std::move(worker));
-  }
-}
-
-void EventEngine::stop_workers() {
-  for (auto& worker : workers_) {
-    {
-      std::lock_guard<std::mutex> lock(worker->mutex);
-      worker->stop = true;
-    }
-    worker->cv.notify_one();
-    worker->thread.join();
-  }
-  workers_.clear();
 }
 
 void EventEngine::run(int nprocs, const std::function<void(int)>& body) {
@@ -260,7 +195,6 @@ void EventEngine::run(int nprocs, const std::function<void(int)>& body) {
     }
     metrics_.ready_peak = ready_.size();
   }
-  start_workers();
 
   while (finished_ < nprocs) {
     Fiber* next = pop_ready();
@@ -270,13 +204,11 @@ void EventEngine::run(int nprocs, const std::function<void(int)>& body) {
     }
     dispatch(next);
   }
-  stop_workers();
 
   auto& metrics = telemetry::metrics();
   metrics.counter("sim.dispatches").add(static_cast<double>(metrics_.dispatches));
   metrics.counter("sim.stalls").add(static_cast<double>(metrics_.stalls));
   metrics.gauge("sim.fibers").set(static_cast<double>(nprocs));
-  metrics.gauge("sim.workers").set(static_cast<double>(config_.workers));
   metrics.gauge("sim.ready_peak").set(static_cast<double>(metrics_.ready_peak));
   metrics.gauge("sim.stack_bytes").set(static_cast<double>(stack_bytes));
 }

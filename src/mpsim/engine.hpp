@@ -1,53 +1,31 @@
 // The event-driven virtual-time engine of mpsim (docs/simulator.md).
 //
-// The classic engine runs one OS thread per simulated process; this one runs
-// each process body as a stackful fiber and dispatches fibers one at a time
-// from a central ready queue ordered by (virtual clock, world rank). That
-// ordering is the engine's determinism contract: of all runnable processes
-// the one with the smallest virtual clock runs next, and simultaneous
-// events break the tie by ascending world rank. Blocking sites (the mailbox,
-// the runtime rendezvous) park the fiber on a WaitChannel instead of a
-// condition variable; when no fiber is runnable the engine declares a
-// structural stall and wakes the parked fiber with the smallest
-// (timeout, rank) as "timed out" — the virtual-time equivalent of the
-// thread engine's real-time deadlock timeout.
-//
-// Worker threads host the fiber stacks (fiber r is pinned to worker
-// r % workers); dispatch remains globally sequential, so results are
-// identical for every worker count by construction.
+// World::run executes each simulated process body as a stackful fiber on the
+// calling thread and dispatches the fibers one at a time from a central
+// ready queue ordered by (virtual clock, world rank). That ordering is the
+// engine's determinism contract: of all runnable processes the one with the
+// smallest virtual clock runs next, and simultaneous events break the tie by
+// ascending world rank. Blocking sites (the mailbox, the runtime rendezvous)
+// park the fiber on a WaitChannel. When no fiber is runnable the engine
+// declares a structural stall and wakes one parked fiber as "timed out": the
+// one with the smallest explicit wait timeout, ties going to the lower world
+// rank. A wait without an explicit timeout ranks after every explicit one.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <queue>
-#include <thread>
 #include <vector>
+
+#include "mpsim/types.hpp"
 
 namespace hmpi::mp::sim {
 
 class EventEngine;
 class Fiber;
-
-/// Which execution engine World::run uses (WorldOptions::engine).
-enum class SimEngine {
-  kAuto,    ///< HMPI_SIM_ENGINE env var, defaulting to kThread.
-  kThread,  ///< One OS thread per simulated process (the classic engine).
-  kEvent,   ///< Fibers over a virtual-time event queue.
-};
-
-/// Resolves kAuto against the HMPI_SIM_ENGINE env var ("thread" | "event",
-/// "fiber" an alias of "event"); unset means kThread. Any other value throws
-/// InvalidArgument naming the variable and the accepted spellings.
-SimEngine resolve_engine(SimEngine configured);
-
-/// Resolves the event-engine worker count: a positive configured value wins,
-/// else HMPI_SIM_WORKERS, else 1. A set HMPI_SIM_WORKERS that is not a
-/// positive integer throws InvalidArgument.
-int resolve_workers(int configured);
 
 /// Resolves the fiber stack size: a positive configured value wins, else
 /// HMPI_SIM_STACK_KB, else 512 KiB. A set HMPI_SIM_STACK_KB that is not a
@@ -57,25 +35,24 @@ std::size_t resolve_stack_bytes(std::size_t configured);
 /// True when the calling thread is currently executing a simulation fiber.
 bool on_fiber() noexcept;
 
-/// Engine-agnostic blocking primitive. Under the thread engine it is a plain
-/// condition variable; under the event engine wait() parks the calling fiber
+/// Blocking primitive of simulated processes: wait() parks the calling fiber
 /// and notify_all() moves every parked fiber back to the ready queue.
-/// Callers use it exactly like a condition variable with an external mutex.
+/// Callers use it like a condition variable with an external mutex.
 class WaitChannel {
  public:
-  /// Releases `lock`, blocks until notified (true) or timed out (false),
-  /// reacquires `lock` before returning. On a fiber, "timed out" means the
-  /// engine picked this fiber as a structural-stall victim.
-  bool wait(std::unique_lock<std::mutex>& lock, double timeout_s);
+  /// Releases `lock`, parks the calling fiber until notified (true) or woken
+  /// as a structural-stall victim (false), and reacquires `lock` before
+  /// returning. `timeout_s` only orders stall victims (smallest first).
+  /// Waiting outside a simulated process is an internal error.
+  bool wait(std::unique_lock<std::mutex>& lock, double timeout_s = kNoTimeout);
 
-  /// Wakes every waiter (threads and fibers).
+  /// Wakes every parked fiber.
   void notify_all();
 
   const char* debug_name = "channel";  ///< HMPI_SIM_DEBUG stall dumps only.
 
  private:
   friend class EventEngine;
-  std::condition_variable cv_;
   std::mutex fiber_mutex_;
   std::vector<Fiber*> fibers_;
 };
@@ -84,7 +61,6 @@ class WaitChannel {
 class EventEngine {
  public:
   struct Config {
-    int workers = 1;
     std::size_t stack_bytes = 512 * 1024;
     /// Current virtual clock of rank r; sampled when a fiber becomes ready
     /// (its clock cannot advance while it is parked).
@@ -97,6 +73,8 @@ class EventEngine {
     std::size_t ready_peak = 0;    ///< High-water mark of the ready queue.
   };
 
+  /// Reads HMPI_SIM_DEBUG (1|0|true|false|yes|no|on|off, any case; unset or
+  /// empty is off); any other value throws InvalidArgument.
   explicit EventEngine(Config config);
   ~EventEngine();
   EventEngine(const EventEngine&) = delete;
@@ -111,21 +89,19 @@ class EventEngine {
  private:
   friend class WaitChannel;
 
-  /// Parks the current fiber on `channel` (WaitChannel::wait, fiber path).
-  bool park(WaitChannel& channel, std::unique_lock<std::mutex>& lock,
-            double timeout_s);
+  /// Parks the current fiber on `channel` (WaitChannel::wait).
+  bool park(Fiber* fiber, WaitChannel& channel,
+            std::unique_lock<std::mutex>& lock, double timeout_s);
 
   /// Moves a parked fiber to the ready queue (notify or stall wakeup).
   void make_ready(Fiber* fiber);
 
   Fiber* pop_ready();
   void dispatch(Fiber* fiber);
-  void run_fiber(Fiber* fiber);
   void wake_stall_victim();
-  void start_workers();
-  void stop_workers();
 
   Config config_;
+  bool debug_ = false;  ///< HMPI_SIM_DEBUG: dump the parked fibers per stall.
   std::vector<std::unique_ptr<Fiber>> fibers_;
   int finished_ = 0;
 
@@ -135,18 +111,6 @@ class EventEngine {
                       std::vector<std::pair<double, int>>,
                       std::greater<std::pair<double, int>>>
       ready_;
-
-  // Worker pool (baton handoff: the scheduler hands one fiber to its pinned
-  // worker and waits for the yield, so dispatch stays sequential).
-  struct Worker {
-    std::thread thread;
-    std::mutex mutex;
-    std::condition_variable cv;
-    Fiber* assigned = nullptr;
-    bool done = false;
-    bool stop = false;
-  };
-  std::vector<std::unique_ptr<Worker>> workers_;
 
   Metrics metrics_;
 };

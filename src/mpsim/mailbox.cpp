@@ -40,10 +40,8 @@ std::optional<Envelope> Mailbox::take_matching(
     // delivers before it can die, so a dead peer observed here really has
     // nothing more in flight for us.
     if (hopeless && hopeless()) return std::nullopt;
-    // Wait for new deliveries; restart the timeout whenever anything arrives
-    // (only total silence counts as a potential deadlock). Under the event
-    // engine the wait parks the fiber and a false return means the engine
-    // picked it as a structural-stall victim.
+    // Park until a delivery or poke; a false return means the engine found
+    // no runnable process and picked this wait as the stall victim.
     if (!channel_.wait(lock, timeout_s)) {
       if (auto e = extract_locked(src_world, tag, context)) return e;
       return std::nullopt;

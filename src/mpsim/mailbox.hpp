@@ -1,7 +1,7 @@
 // Per-process message queue with MPI-style matching.
 //
 // Every simulated process owns one Mailbox. Senders deliver envelopes from
-// their own thread; the receiver blocks until an envelope matching
+// their own fiber; the receiver parks until an envelope matching
 // (source, tag, context) is present. Matching scans the queue in delivery
 // order, which preserves MPI's non-overtaking guarantee for messages of one
 // sender on one communicator (a sender delivers in program order).
@@ -47,9 +47,9 @@ class Mailbox {
 
   /// Blocks until an envelope matching (src_world, tag, context) is present,
   /// removes and returns it. Wildcards: src_world == kAnySource,
-  /// tag == kAnyTag. Returns std::nullopt on timeout (`timeout_s` of real
-  /// time with no queue activity), which the caller turns into a deadlock
-  /// diagnosis.
+  /// tag == kAnyTag. Returns std::nullopt when the engine picks this wait as
+  /// a structural-stall victim (`timeout_s` orders the victims), which the
+  /// caller turns into a deadlock diagnosis.
   ///
   /// `hopeless`, when provided, is evaluated under the mailbox lock after
   /// every failed match: returning true unblocks the wait immediately with
@@ -97,8 +97,7 @@ class Mailbox {
   std::optional<Envelope> extract_locked(int src_world, int tag, int context);
 
   mutable std::mutex mutex_;
-  /// Blocking receivers wait here; engine-agnostic (condition variable under
-  /// the thread engine, fiber parking under the event engine).
+  /// Blocking receivers park here.
   sim::WaitChannel channel_;
   std::deque<Envelope> queue_;
   std::atomic<bool> shutdown_{false};

@@ -145,8 +145,8 @@ std::vector<TraceEvent> Tracer::events() const {
     out = events_;
   }
   // Stable: events tied on (start_time, world_rank) come from one process
-  // thread and keep their program order, so the sorted stream is independent
-  // of the wall-clock interleaving in which threads recorded them.
+  // and keep their program order, so the sorted stream is independent of the
+  // order in which the processes were dispatched.
   std::stable_sort(out.begin(), out.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      if (a.start_time != b.start_time) {

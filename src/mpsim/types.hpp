@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 namespace hmpi::mp {
 
@@ -10,6 +11,11 @@ namespace hmpi::mp {
 inline constexpr int kAnySource = -1;
 /// Wildcard tag for receives (like MPI_ANY_TAG).
 inline constexpr int kAnyTag = -1;
+
+/// Timeout of a blocking wait that names none. Timeouts only order the
+/// waits a stalled world fails first (docs/simulator.md); one without an
+/// explicit timeout ranks after every explicit one.
+inline constexpr double kNoTimeout = std::numeric_limits<double>::infinity();
 
 /// Highest user tag; tags above it (and all negative tags) are reserved for
 /// the library's internal collective algorithms.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 #include <sstream>
-#include <thread>
 
 #include "mpsim/trace.hpp"
 #include "telemetry/metrics.hpp"
@@ -187,7 +186,7 @@ void World::mark_dead(int world_rank, double t) {
     tracer->record(event);
   }
   if (causal_->enabled()) {
-    // Recorded from the dying rank's own thread (die() runs on it), so the
+    // Recorded from the dying rank itself (die() runs on it), so the
     // per-rank sharding invariant holds.
     telemetry::CausalEvent e;
     e.kind = telemetry::CausalEvent::Kind::kMark;
@@ -301,11 +300,10 @@ World::RunResult World::run(const hnoc::Cluster& cluster,
                             std::vector<int> placement,
                             const std::function<void(Proc&)>& body,
                             Options options) {
-  // Nested worlds (a simulated process starting its own World::run) fall
-  // back to the thread engine: a fiber must not host a second scheduler.
-  const sim::SimEngine engine = sim::on_fiber()
-                                    ? sim::SimEngine::kThread
-                                    : sim::resolve_engine(options.engine);
+  // A fiber must not host a second engine: its dispatch loop would run the
+  // inner world's processes while the outer world waits on this fiber.
+  support::require(!sim::on_fiber(),
+                   "World::run cannot start inside a simulated process");
   World world(cluster, std::move(placement), std::move(options));
   const int n = world.nprocs();
 
@@ -334,25 +332,14 @@ World::RunResult World::run(const hnoc::Cluster& cluster,
     }
   };
 
-  if (engine == sim::SimEngine::kEvent) {
-    telemetry::metrics().counter("sim.runs.event").add();
-    sim::EventEngine::Config config;
-    config.workers = sim::resolve_workers(world.options().event_workers);
-    config.stack_bytes =
-        sim::resolve_stack_bytes(world.options().fiber_stack_bytes);
-    config.clock_of = [&procs](int r) {
-      return procs[static_cast<std::size_t>(r)].clock();
-    };
-    sim::EventEngine(std::move(config)).run(n, guarded_body);
-  } else {
-    telemetry::metrics().counter("sim.runs.thread").add();
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(n));
-    for (int r = 0; r < n; ++r) {
-      threads.emplace_back([&guarded_body, r] { guarded_body(r); });
-    }
-    for (std::thread& t : threads) t.join();
-  }
+  telemetry::metrics().counter("sim.runs.event").add();
+  sim::EventEngine::Config config;
+  config.stack_bytes =
+      sim::resolve_stack_bytes(world.options().fiber_stack_bytes);
+  config.clock_of = [&procs](int r) {
+    return procs[static_cast<std::size_t>(r)].clock();
+  };
+  sim::EventEngine(std::move(config)).run(n, guarded_body);
 
   if (int fe = first_error.load(); fe >= 0) {
     std::rethrow_exception(errors[static_cast<std::size_t>(fe)]);

@@ -1,5 +1,6 @@
-// The simulated world: N processes (std::thread each) running over a
-// hnoc::Cluster with deterministic virtual-time accounting.
+// The simulated world: N processes (one fiber each, dispatched by the event
+// engine on the calling thread) running over a hnoc::Cluster with
+// deterministic virtual-time accounting.
 //
 // Time model (DESIGN.md §4):
 //   * every process owns a virtual clock, advanced by compute() through the
@@ -47,7 +48,7 @@ class World;
 class Comm;
 
 /// Execution context of one simulated process. Created by World::run and
-/// passed to the process body; only that process's thread may use it.
+/// passed to the process body; only that process may use it.
 class Proc {
  public:
   /// Rank of this process in the world (0..nprocs-1).
@@ -97,14 +98,14 @@ class Proc {
   [[noreturn]] void die(double t);
 
   /// Next per-destination message index for deterministic drop/delay
-  /// decisions (only the owning thread touches it).
+  /// decisions (only the owning process touches it).
   std::uint64_t next_fault_sequence(int dst_world) {
     return fault_seq_[dst_world]++;
   }
 
   /// Next per-destination causal sequence number: stamped on every send (and
   /// its Envelope) so the causal log pairs sends with receives. Program
-  /// order per destination, hence identical under both engines.
+  /// order per destination, hence independent of dispatch order.
   std::uint64_t next_causal_sequence(int dst_world) {
     return causal_seq_[dst_world]++;
   }
@@ -149,24 +150,9 @@ class Tracer;
 /// Tunables of a simulated run. (Namespace-scope so it can be used as a
 /// defaulted argument of World's member functions.)
 struct WorldOptions {
-  /// Execution engine (docs/simulator.md): kThread runs one OS thread per
-  /// simulated process, kEvent multiplexes fibers over a virtual-time event
-  /// queue. kAuto resolves the HMPI_SIM_ENGINE env var (default: thread).
-  /// Both engines produce bit-identical virtual timestamps, results, and
-  /// trace streams for deterministic programs.
-  sim::SimEngine engine = sim::SimEngine::kAuto;
-  /// Event-engine worker threads hosting the fiber stacks (dispatch stays
-  /// sequential, so every worker count gives identical results). 0 resolves
-  /// HMPI_SIM_WORKERS, default 1 (fibers run on the calling thread).
-  int event_workers = 0;
-  /// Event-engine stack size per fiber. 0 resolves HMPI_SIM_STACK_KB,
-  /// default 512 KiB (virtual; guard-paged, so RSS only covers touched pages).
+  /// Stack size per process fiber. 0 resolves HMPI_SIM_STACK_KB, default
+  /// 512 KiB (virtual; guard-paged, so RSS only covers touched pages).
   std::size_t fiber_stack_bytes = 0;
-  /// Real-time silence after which a blocked receive is declared deadlocked.
-  /// (The event engine has no real-time waits; it raises the same deadlock
-  /// diagnosis when no fiber is runnable, using this value only to order
-  /// simultaneous stall victims.)
-  double deadlock_timeout_s = 30.0;
   /// Virtual per-message sender-side overhead (LogP's "o").
   double send_overhead_s = 5e-6;
   /// Virtual per-message receiver-side overhead.
@@ -209,7 +195,8 @@ class World {
   /// Runs `nprocs = placement.size()` processes; process i executes `body`
   /// on processor `placement[i]` of `cluster`. Blocks until every process
   /// returns; rethrows the first process exception (after releasing the
-  /// others). The cluster must outlive the call.
+  /// others). The cluster must outlive the call. Throws InvalidArgument when
+  /// called from inside a simulated process.
   static RunResult run(const hnoc::Cluster& cluster, std::vector<int> placement,
                        const std::function<void(Proc&)>& body,
                        Options options = Options());
@@ -277,7 +264,7 @@ class World {
   /// the dying process itself at a fault point; idempotent.
   void mark_dead(int world_rank, double t);
 
-  /// Registers a callback invoked (once per death, from the dying thread)
+  /// Registers a callback invoked (once per death, from the dying process)
   /// after liveness flips — used by higher layers to wake their own waiters.
   /// Callbacks must be registered before processes start communicating and
   /// must not throw.

@@ -511,15 +511,11 @@ std::uint64_t Scheduler::execute_body(Record& rec) {
   const hnoc::Cluster clone = contended_clone(rec.info.machines);
   std::vector<std::uint64_t> tokens(
       static_cast<std::size_t>(rec.instance->size()), 0);
-  mp::WorldOptions options;
-  options.engine = mp::sim::SimEngine::kEvent;
   const JobBody& body = rec.spec.body;
   const auto result = mp::World::run(
-      clone, rec.info.machines,
-      [&](mp::Proc& proc) {
+      clone, rec.info.machines, [&](mp::Proc& proc) {
         tokens[static_cast<std::size_t>(proc.rank())] = body(proc);
-      },
-      options);
+      });
   rec.full_service_s = std::max(result.makespan, 1e-9);
   return tokens.empty() ? 0 : tokens.front();
 }
@@ -730,14 +726,9 @@ std::uint64_t Scheduler::uncontended_run(const hnoc::Cluster& cluster,
 
   std::vector<std::uint64_t> tokens(
       static_cast<std::size_t>(instance.size()), 0);
-  mp::WorldOptions options;
-  options.engine = mp::sim::SimEngine::kEvent;
-  mp::World::run(
-      cluster, placement->machines,
-      [&](mp::Proc& proc) {
-        tokens[static_cast<std::size_t>(proc.rank())] = spec.body(proc);
-      },
-      options);
+  mp::World::run(cluster, placement->machines, [&](mp::Proc& proc) {
+    tokens[static_cast<std::size_t>(proc.rank())] = spec.body(proc);
+  });
   return tokens.front();
 }
 

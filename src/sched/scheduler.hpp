@@ -14,14 +14,13 @@
 // head and at most `backfill_depth` jobs behind it, so it ranks only that
 // prefix (a partial sort under the same total order a full sort would use).
 //
-// Jobs with a body execute as real simulated HMPI runs, always on the event
-// engine (HMPI_SIM_ENGINE does not apply), so their measured makespan — the
-// service time — never depends on host thread scheduling. Jobs without one
-// are serviced for the estimator's predicted makespan.
+// Jobs with a body execute as real simulated HMPI runs on the event engine,
+// so their measured makespan — the service time — never depends on host
+// thread scheduling. Jobs without one are serviced for the estimator's
+// predicted makespan.
 //
-// Thread safety: one coarse mutex guards every public operation, so
-// simulated processes (OS threads under the thread engine) can share one
-// scheduler through the C API.
+// Thread safety: one coarse mutex guards every public operation, so host
+// threads can share one scheduler.
 #pragma once
 
 #include <iosfwd>
@@ -165,8 +164,8 @@ class Scheduler {
   /// Reference result of `spec` run alone on an idle cluster: selects a
   /// placement at base speeds and runs the body; 0 when the spec has no
   /// body. The determinism oracle for the preempt->requeue->re-dispatch
-  /// property (tests/sched/preempt_determinism_test.cpp). Runs on the event
-  /// engine, like every executed job.
+  /// property (tests/sched/preempt_determinism_test.cpp). Like World::run,
+  /// it throws InvalidArgument inside a simulated process.
   static std::uint64_t uncontended_run(const hnoc::Cluster& cluster,
                                        const JobSpec& spec);
 

@@ -1,17 +1,15 @@
 // Per-simulated-process storage.
 //
-// The thread engine runs each simulated process on its own OS thread, so
-// thread_local is a perfectly good "per process" qualifier. The event engine
-// multiplexes many process fibers over one host thread, where a plain
-// thread_local would be shared — and clobbered — across processes. This
-// header is the engine-agnostic replacement: storage keyed by the *simulated
-// process*, whatever happens to be hosting it.
+// The event engine multiplexes many simulated-process fibers over one host
+// thread, where a plain thread_local would be shared — and clobbered —
+// across processes. This header is the replacement: storage keyed by the
+// *simulated process*.
 //
-// The execution engine installs the running fiber's slot table around every
-// resume via ProcessLocalsGuard; when no table is installed the calling
-// thread itself is the process and a thread_local table is used. Keys are
-// addresses of translation-unit-local tag objects, so independent users
-// cannot collide.
+// The engine installs the running fiber's slot table around every resume
+// via ProcessLocalsGuard; when no table is installed (a host thread that is
+// no simulated process, e.g. a mapper pool worker) a thread_local table is
+// used. Keys are addresses of translation-unit-local tag objects, so
+// independent users cannot collide.
 #pragma once
 
 #include <memory>

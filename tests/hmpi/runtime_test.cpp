@@ -108,17 +108,12 @@ TEST(Runtime, ReconTunerMissesDoNotGrowWithProcessCount) {
     const hnoc::Cluster cluster = hnoc::testbeds::homogeneous(4, 50.0);
     std::vector<int> placement(static_cast<std::size_t>(procs));
     for (int r = 0; r < procs; ++r) placement[static_cast<std::size_t>(r)] = r % 4;
-    World::Options options;
-    options.engine = mp::sim::SimEngine::kEvent;
     const auto before = telemetry::metrics().snapshot();
-    World::run(
-        cluster, placement,
-        [](Proc& p) {
-          Runtime rt(p);
-          rt.recon([](Proc& q) { q.compute(10.0); });  // speeds 50 -> 5
-          rt.finalize();
-        },
-        options);
+    World::run(cluster, placement, [](Proc& p) {
+      Runtime rt(p);
+      rt.recon([](Proc& q) { q.compute(10.0); });  // speeds 50 -> 5
+      rt.finalize();
+    });
     return telemetry::metrics().snapshot().counter_value("coll.tuner.misses") -
            before.counter_value("coll.tuner.misses");
   };

@@ -1,10 +1,10 @@
 // Causal profiling under the simulator (docs/observability.md): the
-// critical-path length telescopes to the makespan bit-identically under both
-// engines, a deliberately slowed machine or link tops the blame tables, the
-// always-on ring mode leaves every existing observable bit-identical to a
+// critical-path length telescopes to the makespan bit-identically, a
+// deliberately slowed machine or link tops the blame tables, the always-on
+// ring mode leaves every existing observable bit-identical to a
 // profiling-off run, ring truncation degrades gracefully, and the Perfetto
-// export (trace events + flow arrows) is identical across engines and event
-// worker counts (the span-nesting contract).
+// export (trace events + flow arrows) matches the thread engine's recorded
+// export byte for byte (the span-nesting contract).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -74,52 +74,29 @@ void mixed_program(Proc& p) {
   }
 }
 
-World::RunResult run_with(sim::SimEngine engine, const hnoc::Cluster& cluster,
-                          ProfMode prof, int event_workers = 1) {
+std::vector<int> identity_placement(const hnoc::Cluster& cluster) {
   std::vector<int> placement(static_cast<std::size_t>(cluster.size()));
   for (int r = 0; r < cluster.size(); ++r)
     placement[static_cast<std::size_t>(r)] = r;
-  World::Options options;
-  options.engine = engine;
-  options.event_workers = event_workers;
-  options.prof = prof;
-  return World::run(cluster, placement, mixed_program, options);
+  return placement;
 }
 
-TEST(CausalSim, PathEqualsMakespanBitIdenticallyUnderBothEngines) {
+TEST(CausalSim, PathEqualsMakespanBitIdentically) {
   const hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
-  const auto thread_run =
-      run_with(sim::SimEngine::kThread, cluster, ProfMode::kFull);
-  const auto event_run =
-      run_with(sim::SimEngine::kEvent, cluster, ProfMode::kFull, 4);
-
-  for (const auto& run : {thread_run, event_run}) {
-    ASSERT_NE(run.causal, nullptr);
-    const CriticalPathReport report =
-        telemetry::analyze_critical_path(*run.causal);
-    EXPECT_TRUE(report.complete);
-    EXPECT_EQ(report.events_dropped, 0u);
-    // Bit-identical, not approximately equal: the virtual clock only moves
-    // inside recorded events, so the backward walk telescopes exactly.
-    EXPECT_EQ(report.makespan_s, run.makespan);
-    EXPECT_EQ(report.path_s, run.makespan);
-  }
-
-  // And the two engines agree on the path itself, segment by segment.
-  const CriticalPathReport a =
-      telemetry::analyze_critical_path(*thread_run.causal);
-  const CriticalPathReport b =
-      telemetry::analyze_critical_path(*event_run.causal);
-  EXPECT_EQ(a.end_rank, b.end_rank);
-  ASSERT_EQ(a.segments.size(), b.segments.size());
-  for (std::size_t i = 0; i < a.segments.size(); ++i) {
-    EXPECT_EQ(a.segments[i].kind, b.segments[i].kind) << i;
-    EXPECT_EQ(a.segments[i].rank, b.segments[i].rank) << i;
-    EXPECT_EQ(a.segments[i].t0, b.segments[i].t0) << i;
-    EXPECT_EQ(a.segments[i].t1, b.segments[i].t1) << i;
-  }
-  EXPECT_EQ(a.machine_s, b.machine_s);
-  EXPECT_EQ(a.link_s, b.link_s);
+  World::Options options;
+  options.prof = ProfMode::kFull;
+  const testing::EngineRun run = testing::expect_matches_golden(
+      "CausalSim.MixedProgram", cluster, identity_placement(cluster),
+      mixed_program, options);
+  ASSERT_NE(run.result.causal, nullptr);
+  const CriticalPathReport report =
+      telemetry::analyze_critical_path(*run.result.causal);
+  EXPECT_TRUE(report.complete);
+  EXPECT_EQ(report.events_dropped, 0u);
+  // Bit-identical, not approximately equal: the virtual clock only moves
+  // inside recorded events, so the backward walk telescopes exactly.
+  EXPECT_EQ(report.makespan_s, run.result.makespan);
+  EXPECT_EQ(report.path_s, run.result.makespan);
 }
 
 /// The label (machine or link identity) with the most on-path seconds —
@@ -208,15 +185,11 @@ TEST(CausalSim, DefaultRingModeLeavesTraceBitIdentical) {
   // clocks, stats, and the trace CSV match a profiling-off run exactly.
   ScopedEnv env("HMPI_PROF", nullptr);
   const hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
-  std::vector<int> placement(static_cast<std::size_t>(cluster.size()));
-  for (int r = 0; r < cluster.size(); ++r)
-    placement[static_cast<std::size_t>(r)] = r;
-
   auto run_once = [&](ProfMode prof) {
     World::Options options;
     options.prof = prof;
-    return testing::run_with_engine(sim::SimEngine::kThread, cluster,
-                                    placement, mixed_program, options);
+    return testing::run_traced(cluster, identity_placement(cluster),
+                               mixed_program, options);
   };
   const testing::EngineRun ring = run_once(ProfMode::kAuto);  // -> kRing
   const testing::EngineRun off = run_once(ProfMode::kOff);
@@ -252,24 +225,19 @@ TEST(CausalSim, RingTruncationReportsIncompleteWithGap) {
   EXPECT_DOUBLE_EQ(report.path_s + report.gap_s, report.makespan_s);
 }
 
-TEST(CausalSim, PerfettoExportIdenticalAcrossEnginesAndWorkers) {
+TEST(CausalSim, PerfettoExportMatchesItsFixture) {
   // The span-nesting contract: the full Perfetto document — tracer 'X'/'i'
-  // events plus the causal flow arrows — is byte-identical under the thread
-  // engine and the event engine at 1, 2, and 8 workers. mixed_program uses
-  // only virtual-time kinds, so no wall-clock masking is needed.
+  // events plus the causal flow arrows — matches the thread engine's
+  // recorded export byte for byte, on every run. mixed_program uses only
+  // virtual-time kinds, so no wall-clock masking is needed.
   const hnoc::Cluster cluster = hnoc::testbeds::two_level(2, 3, 80.0);
-  std::vector<int> placement(static_cast<std::size_t>(cluster.size()));
-  for (int r = 0; r < cluster.size(); ++r)
-    placement[static_cast<std::size_t>(r)] = r;
-
-  auto export_once = [&](sim::SimEngine engine, int workers) {
+  auto export_once = [&] {
     Tracer tracer;
     World::Options options;
-    options.engine = engine;
-    options.event_workers = workers;
     options.tracer = &tracer;
     options.prof = telemetry::ProfMode::kFull;
-    const auto result = World::run(cluster, placement, mixed_program, options);
+    const auto result = World::run(cluster, identity_placement(cluster),
+                                   mixed_program, options);
     auto events = to_chrome_events(tracer.events());
     auto flows = telemetry::causal_flow_events(*result.causal);
     events.insert(events.end(), flows.begin(), flows.end());
@@ -278,12 +246,11 @@ TEST(CausalSim, PerfettoExportIdenticalAcrossEnginesAndWorkers) {
     return os.str();
   };
 
-  const std::string reference = export_once(sim::SimEngine::kThread, 1);
-  EXPECT_FALSE(reference.empty());
-  for (int workers : {1, 2, 8}) {
-    EXPECT_EQ(reference, export_once(sim::SimEngine::kEvent, workers))
-        << "event engine with " << workers << " workers";
-  }
+  const std::string first = export_once();
+  const std::string diff = testing::first_difference(
+      testing::read_golden("CausalSim.MixedProgramPerfetto.json"), first);
+  EXPECT_TRUE(diff.empty()) << "export differs from its fixture at " << diff;
+  EXPECT_EQ(first, export_once());
 }
 
 TEST(CausalSim, CrashLeavesAMarkInTheLog) {

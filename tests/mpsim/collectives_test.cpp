@@ -6,6 +6,8 @@
 #include "hnoc/cluster.hpp"
 #include "mpsim/comm.hpp"
 
+#include "differential.hpp"
+
 namespace hmpi::mp {
 namespace {
 
@@ -239,79 +241,73 @@ TEST(Collectives, ConcurrentCallsShareSchedulesPerKey) {
   // Every member of a call walks one shared schedule (World::coll_schedule).
   // Here calls with distinct keys (sizes 12, 5 and 7, varying roots, forced
   // algorithms) and with equal keys (the three size-4 comms) are in flight
-  // at once. Results must be right and virtual times identical under the
-  // thread engine and every event-engine worker count.
-  // One process per machine: each directed link then has a single sender,
-  // which keeps the thread engine's link order deterministic.
+  // at once. Results must be right, and clocks and stats must match the
+  // thread engine's recorded run on every run. (One process per machine:
+  // each directed link then had a single sender, which kept the thread
+  // engine's link order deterministic.)
   const int P = 12;
   const hnoc::Cluster cluster = uniform(P);
   const auto sum = [](int a, int b) { return a + b; };
-  auto run_once = [&](sim::SimEngine engine, int workers) {
-    World::Options options;
-    options.engine = engine;
-    options.event_workers = workers;
-    return World::run_one_per_processor(
-               cluster,
-               [&](Proc& p) {
-                 Comm world = p.world_comm();
-                 Comm quarter = world.split(p.rank() % 3, p.rank());
-                 Comm half = world.split(p.rank() < 5 ? 0 : 1, p.rank());
-                 coll::CollPolicy forced;
-                 forced.bcast = coll::BcastAlgo::kTwoLevel;
-                 forced.allreduce = coll::AllreduceAlgo::kRabenseifner;
-                 forced.reduce_scatter = coll::ReduceScatterAlgo::kRecursiveHalving;
-                 half.set_coll_policy(forced);
-                 for (int round = 0; round < 4; ++round) {
-                   int v = quarter.rank() == round % 4 ? 100 + round : -1;
-                   quarter.bcast_value(v, round % 4);
-                   EXPECT_EQ(v, 100 + round);
-                   int w = half.rank() == round % half.size() ? round : -1;
-                   half.bcast_value(w, round % half.size());
-                   EXPECT_EQ(w, round);
+  const auto run_once = [&] {
+    testing::EngineRun run;
+    run.result = World::run_one_per_processor(cluster, [&](Proc& p) {
+      Comm world = p.world_comm();
+      Comm quarter = world.split(p.rank() % 3, p.rank());
+      Comm half = world.split(p.rank() < 5 ? 0 : 1, p.rank());
+      coll::CollPolicy forced;
+      forced.bcast = coll::BcastAlgo::kTwoLevel;
+      forced.allreduce = coll::AllreduceAlgo::kRabenseifner;
+      forced.reduce_scatter = coll::ReduceScatterAlgo::kRecursiveHalving;
+      half.set_coll_policy(forced);
+      for (int round = 0; round < 4; ++round) {
+        int v = quarter.rank() == round % 4 ? 100 + round : -1;
+        quarter.bcast_value(v, round % 4);
+        EXPECT_EQ(v, 100 + round);
+        int w = half.rank() == round % half.size() ? round : -1;
+        half.bcast_value(w, round % half.size());
+        EXPECT_EQ(w, round);
 
-                   const int one = 1;
-                   int total = 0;
-                   half.allreduce(std::span<const int>(&one, 1),
-                                  std::span<int>(&total, 1), sum);
-                   EXPECT_EQ(total, half.size());
+        const int one = 1;
+        int total = 0;
+        half.allreduce(std::span<const int>(&one, 1),
+                       std::span<int>(&total, 1), sum);
+        EXPECT_EQ(total, half.size());
 
-                   std::vector<int> ranks(static_cast<std::size_t>(P), -1);
-                   const int me = p.rank();
-                   world.allgather(std::span<const int>(&me, 1),
-                                   std::span<int>(ranks));
-                   for (int r = 0; r < P; ++r) {
-                     EXPECT_EQ(ranks[static_cast<std::size_t>(r)], r);
-                   }
+        std::vector<int> ranks(static_cast<std::size_t>(P), -1);
+        const int me = p.rank();
+        world.allgather(std::span<const int>(&me, 1),
+                        std::span<int>(ranks));
+        for (int r = 0; r < P; ++r) {
+          EXPECT_EQ(ranks[static_cast<std::size_t>(r)], r);
+        }
 
-                   std::vector<int> ones(static_cast<std::size_t>(half.size()), 1);
-                   int block = 0;
-                   half.reduce_scatter(std::span<const int>(ones),
-                                       std::span<int>(&block, 1), sum);
-                   EXPECT_EQ(block, half.size());
-                   quarter.barrier();
-                 }
-                 world.barrier();
-               },
-               options)
-        .clocks;
+        std::vector<int> ones(static_cast<std::size_t>(half.size()), 1);
+        int block = 0;
+        half.reduce_scatter(std::span<const int>(ones),
+                            std::span<int>(&block, 1), sum);
+        EXPECT_EQ(block, half.size());
+        quarter.barrier();
+      }
+      world.barrier();
+    });
+    return testing::fingerprint(run);
   };
-  const std::vector<double> reference = run_once(sim::SimEngine::kThread, 0);
-  for (int workers : {1, 2, 8}) {
-    EXPECT_EQ(run_once(sim::SimEngine::kEvent, workers), reference)
-        << workers << " event workers";
-  }
+  const std::string first = run_once();
+  const std::string diff = testing::first_difference(
+      testing::read_golden(
+          "Collectives.ConcurrentCallsShareSchedulesPerKey.txt"),
+      first);
+  EXPECT_TRUE(diff.empty()) << "run differs from its fixture at " << diff;
+  EXPECT_EQ(first, run_once());
 }
 
 TEST(Collectives, RootValidation) {
-  World::Options o;
-  o.deadlock_timeout_s = 1.0;
   EXPECT_THROW(World::run_one_per_processor(
                    uniform(2),
                    [](Proc& p) {
                      int v = 0;
                      p.world_comm().bcast_value(v, 5);
-                   },
-                   o),
+                   }),
                hmpi::InvalidArgument);
 }
 

@@ -120,28 +120,22 @@ TEST(CommMgmt, CreateSubcommOverSubset) {
 }
 
 TEST(CommMgmt, CreateSubcommRequiresMembership) {
-  World::Options o;
-  o.deadlock_timeout_s = 1.0;
   EXPECT_THROW(World::run_one_per_processor(
                    uniform(3),
                    [](Proc& p) {
                      if (p.rank() == 0) {
                        Comm::create_subcomm(p, {1, 2});  // caller not listed
                      }
-                   },
-                   o),
+                   }),
                hmpi::InvalidArgument);
 }
 
 TEST(CommMgmt, CreateSubcommRejectsDuplicates) {
-  World::Options o;
-  o.deadlock_timeout_s = 1.0;
   EXPECT_THROW(World::run_one_per_processor(
                    uniform(3),
                    [](Proc& p) {
                      if (p.rank() == 0) Comm::create_subcomm(p, {0, 2, 0});
-                   },
-                   o),
+                   }),
                hmpi::InvalidArgument);
 }
 
@@ -197,19 +191,8 @@ TEST(CommMgmt, ContextsAreUniquePerCreation) {
 }
 
 // The receive path reports a named source without looking it up, and the
-// rank checks build their text only when they fail. Both engines run each
-// case.
-class CommOnBothEngines : public ::testing::TestWithParam<sim::SimEngine> {
- protected:
-  World::Options options() const {
-    World::Options o;
-    o.engine = GetParam();
-    o.deadlock_timeout_s = 1.0;
-    return o;
-  }
-};
-
-TEST_P(CommOnBothEngines, StatusSourceIsTheSendersSubcommRank) {
+// rank checks build their text only when they fail.
+TEST(CommMgmt, StatusSourceIsTheSendersSubcommRank) {
   World::run_one_per_processor(
       uniform(4),
       [](Proc& p) {
@@ -237,21 +220,17 @@ TEST_P(CommOnBothEngines, StatusSourceIsTheSendersSubcommRank) {
         EXPECT_EQ(sub.recv_placeholder(left, 3).source, left);
         sub.send_placeholder(16, left, 4);
         EXPECT_EQ(sub.recv_placeholder(kAnySource, 4).source, right);
-      },
-      options());
+      });
 }
 
-TEST_P(CommOnBothEngines, OutOfRangeRanksNameOperationRankAndSize) {
+TEST(CommMgmt, OutOfRangeRanksNameOperationRankAndSize) {
   // The InvalidArgument text rank 0 of a 3-process world raises in `op`.
-  const auto rejection = [this](const std::function<void(Comm&)>& op) {
+  const auto rejection = [](const std::function<void(Comm&)>& op) {
     try {
-      World::run_one_per_processor(
-          uniform(3),
-          [&op](Proc& p) {
-            Comm world = p.world_comm();
-            if (p.rank() == 0) op(world);
-          },
-          options());
+      World::run_one_per_processor(uniform(3), [&op](Proc& p) {
+        Comm world = p.world_comm();
+        if (p.rank() == 0) op(world);
+      });
     } catch (const InvalidArgument& e) {
       return std::string(e.what());
     }
@@ -274,14 +253,6 @@ TEST_P(CommOnBothEngines, OutOfRangeRanksNameOperationRankAndSize) {
   expect_names(rejection([](Comm& c) { c.world_rank_of(9); }),
                "world_rank_of", "rank 9");
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Engines, CommOnBothEngines,
-    ::testing::Values(sim::SimEngine::kThread, sim::SimEngine::kEvent),
-    [](const ::testing::TestParamInfo<sim::SimEngine>& info) {
-      return std::string(info.param == sim::SimEngine::kThread ? "thread"
-                                                               : "event");
-    });
 
 }  // namespace
 }  // namespace hmpi::mp

@@ -1,15 +1,13 @@
-// Dual-engine differential harness (docs/simulator.md).
+// Golden-trace harness of the simulator (docs/simulator.md).
 //
-// Runs the same simulated program under the thread engine and the event
-// engine and asserts that everything observable is bit-identical: final
-// virtual clocks, per-process stats, failed ranks, makespan, and the trace
-// CSV. This is the executable form of the engines' equivalence contract —
-// any program that is deterministic under the thread engine must not be able
-// to tell the engines apart. That class excludes kAnySource races and
-// concurrently-contended directed links (several senders sharing one
-// processor pair reserve it in host-scheduling order under the thread
-// engine); the event engine is deterministic even for those, which is a
-// strictly stronger guarantee pinned separately in engine_test.cpp.
+// Runs a simulated program and checks everything observable (final virtual
+// clocks, per-process stats, failed ranks, makespan and the trace CSV)
+// against a committed fixture in tests/mpsim/golden/, then runs it a second
+// time and checks that the two runs agree. The fixtures were recorded from
+// the thread engine (one OS thread per simulated process) before it was
+// deleted, at a commit where a dual-engine harness proved its output
+// bit-identical to the event engine's. They pin that the one engine left
+// still reproduces it.
 //
 // Trace masking: kMapperSearch and kEstCompile events pack *real* wall-clock
 // durations into their CSV columns (see Tracer::write_csv), which legitimately
@@ -19,7 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <functional>
+#include <ios>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -31,7 +31,7 @@
 
 namespace hmpi::mp::testing {
 
-/// Everything observable from one engine's run.
+/// Everything observable from one run.
 struct EngineRun {
   World::RunResult result;
   std::string trace_csv;  ///< write_csv output with wall-clock kinds masked.
@@ -51,15 +51,11 @@ inline std::string mask_wall_clock_lines(const std::string& csv) {
   return out.str();
 }
 
-inline EngineRun run_with_engine(sim::SimEngine engine,
-                                 const hnoc::Cluster& cluster,
-                                 std::vector<int> placement,
-                                 const std::function<void(Proc&)>& body,
-                                 World::Options options = {},
-                                 int event_workers = 1) {
+inline EngineRun run_traced(const hnoc::Cluster& cluster,
+                            std::vector<int> placement,
+                            const std::function<void(Proc&)>& body,
+                            World::Options options = {}) {
   Tracer tracer;
-  options.engine = engine;
-  options.event_workers = event_workers;
   options.tracer = &tracer;
   EngineRun run;
   try {
@@ -74,57 +70,85 @@ inline EngineRun run_with_engine(sim::SimEngine engine,
   return run;
 }
 
-inline void expect_identical_runs(const EngineRun& thread_run,
-                                  const EngineRun& event_run) {
-  ASSERT_EQ(thread_run.threw, event_run.threw)
-      << "thread: " << thread_run.error << "\nevent: " << event_run.error;
-  if (thread_run.threw) {
-    // Both runs aborted with a body exception. The abort tears the world
-    // down at real-time-racy points, so partial traces and stats are not
-    // comparable; agreeing that the program fails is the contract here.
-    return;
+/// Canonical text of a run: one line per observable, doubles in hexfloat so
+/// equal text means bit-identical values. A run that threw is reduced to its
+/// error (the fixtures' thread engine tore an aborted world down at racy
+/// points, so its partial state was not comparable).
+inline std::string fingerprint(const EngineRun& run) {
+  std::ostringstream out;
+  out << std::hexfloat;
+  if (run.threw) {
+    out << "threw " << run.error << '\n';
+    return out.str();
   }
-  const World::RunResult& a = thread_run.result;
-  const World::RunResult& b = event_run.result;
-  ASSERT_EQ(a.clocks.size(), b.clocks.size());
-  for (std::size_t r = 0; r < a.clocks.size(); ++r) {
-    // Bit-identical, not approximately equal: both engines must execute the
-    // exact same arithmetic in the exact same order.
-    EXPECT_EQ(a.clocks[r], b.clocks[r]) << "clock of rank " << r;
+  const World::RunResult& r = run.result;
+  out << "makespan " << r.makespan << '\n';
+  out << "failed";
+  for (int rank : r.failed_ranks) out << ' ' << rank;
+  out << '\n';
+  for (std::size_t i = 0; i < r.clocks.size(); ++i) {
+    const Stats& s = r.stats[i];
+    out << "rank " << i << " clock " << r.clocks[i] << " sent " << s.msgs_sent
+        << '/' << s.bytes_sent << " received " << s.msgs_received << '/'
+        << s.bytes_received << " units " << s.compute_units << " compute "
+        << s.compute_time << " wait " << s.wait_time << '\n';
   }
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.failed_ranks, b.failed_ranks);
-  ASSERT_EQ(a.stats.size(), b.stats.size());
-  for (std::size_t r = 0; r < a.stats.size(); ++r) {
-    EXPECT_EQ(a.stats[r].msgs_sent, b.stats[r].msgs_sent) << "rank " << r;
-    EXPECT_EQ(a.stats[r].bytes_sent, b.stats[r].bytes_sent) << "rank " << r;
-    EXPECT_EQ(a.stats[r].msgs_received, b.stats[r].msgs_received)
-        << "rank " << r;
-    EXPECT_EQ(a.stats[r].bytes_received, b.stats[r].bytes_received)
-        << "rank " << r;
-    EXPECT_EQ(a.stats[r].compute_units, b.stats[r].compute_units)
-        << "rank " << r;
-    EXPECT_EQ(a.stats[r].compute_time, b.stats[r].compute_time)
-        << "rank " << r;
-    EXPECT_EQ(a.stats[r].wait_time, b.stats[r].wait_time) << "rank " << r;
-  }
-  EXPECT_EQ(thread_run.trace_csv, event_run.trace_csv);
+  out << "trace\n" << run.trace_csv;
+  return out.str();
 }
 
-/// Runs `body` under both engines and asserts bit-identical observables.
-/// Returns the thread-engine run for additional assertions.
-inline EngineRun expect_engines_agree(const hnoc::Cluster& cluster,
-                                      std::vector<int> placement,
-                                      const std::function<void(Proc&)>& body,
-                                      World::Options options = {},
-                                      int event_workers = 1) {
-  EngineRun thread_run = run_with_engine(sim::SimEngine::kThread, cluster,
-                                         placement, body, options);
-  EngineRun event_run = run_with_engine(sim::SimEngine::kEvent, cluster,
-                                        std::move(placement), body, options,
-                                        event_workers);
-  expect_identical_runs(thread_run, event_run);
-  return thread_run;
+/// Empty when `a == b`, else the first differing line of each.
+inline std::string first_difference(const std::string& a,
+                                    const std::string& b) {
+  if (a == b) return "";
+  std::istringstream in_a(a);
+  std::istringstream in_b(b);
+  std::string line_a;
+  std::string line_b;
+  for (int line = 1;; ++line) {
+    const bool more_a = static_cast<bool>(std::getline(in_a, line_a));
+    const bool more_b = static_cast<bool>(std::getline(in_b, line_b));
+    if (!more_a && !more_b) return "texts differ only in trailing newlines";
+    if (!more_a) line_a = "<end>";
+    if (!more_b) line_b = "<end>";
+    if (line_a != line_b) {
+      return "line " + std::to_string(line) + ":\n  expected: " + line_a +
+             "\n  actual:   " + line_b;
+    }
+  }
+}
+
+/// Contents of tests/mpsim/golden/<name>; fails the test when it is missing.
+inline std::string read_golden(const std::string& name) {
+  const std::string path = std::string(HMPI_GOLDEN_DIR) + "/" + name;
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    ADD_FAILURE() << "missing golden fixture " << path;
+    return "";
+  }
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+inline void expect_identical_runs(const EngineRun& a, const EngineRun& b) {
+  const std::string diff = first_difference(fingerprint(a), fingerprint(b));
+  EXPECT_TRUE(diff.empty()) << "runs differ at " << diff;
+}
+
+/// Runs `body` twice. The first run must match tests/mpsim/golden/<name>.txt
+/// byte for byte and the second run must match the first. Returns the first.
+inline EngineRun expect_matches_golden(const std::string& name,
+                                       const hnoc::Cluster& cluster,
+                                       const std::vector<int>& placement,
+                                       const std::function<void(Proc&)>& body,
+                                       const World::Options& options = {}) {
+  EngineRun first = run_traced(cluster, placement, body, options);
+  const std::string diff =
+      first_difference(read_golden(name + ".txt"), fingerprint(first));
+  EXPECT_TRUE(diff.empty()) << name << " differs from its fixture at " << diff;
+  expect_identical_runs(first, run_traced(cluster, placement, body, options));
+  return first;
 }
 
 }  // namespace hmpi::mp::testing

@@ -1,16 +1,17 @@
-// Property test of the engine-equivalence contract: randomized simulated
-// programs (p2p ring shifts, pair exchanges, collectives, compute/elapse,
-// message-delay and crash fault plans) generated from a seed, run under the
-// thread engine and the event engine at worker counts {1, 2, 8}, and compared
-// bit-for-bit. On a mismatch the failing program is shrunk by greedy round
-// removal before reporting, so the regression lands as a minimal script.
+// Property test of the determinism contract: randomized simulated programs
+// (p2p ring shifts, pair exchanges, collectives, compute/elapse,
+// message-delay and crash fault plans) generated from seeds 1..20, each run
+// twice and compared bit-for-bit with the thread engine's recorded output
+// (tests/mpsim/golden/EngineProperty.seedNN.txt) via differential.hpp. A
+// mismatch reports the seed's script.
 //
-// Message drops are deliberately excluded: a dropped message turns a receive
-// into a deadlock-timeout race, which is outside the deterministic-matching
-// class the contract covers (docs/simulator.md).
+// Message drops are deliberately excluded: the thread engine the fixtures
+// came from turned a dropped message into a deadlock-timeout race, so its
+// output was not a fixed oracle (docs/simulator.md).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <random>
 #include <sstream>
 #include <string>
@@ -24,8 +25,6 @@
 
 namespace hmpi::mp {
 namespace {
-
-using testing::run_with_engine;
 
 struct Round {
   enum class Kind {
@@ -164,10 +163,6 @@ void run_round(Proc& p, const Comm& comm, const Round& r, int tag) {
 
 World::Options options_for(const Script& s) {
   World::Options options;
-  // Crash scripts starve survivors blocked on stopped-but-alive peers; the
-  // thread engine resolves those only via the real-time deadlock timeout, so
-  // keep it short there (the event engine detects the stall structurally).
-  options.deadlock_timeout_s = s.crash_last_rank ? 0.75 : 5.0;
   if (s.delay_faults) {
     options.faults.delay_probability = 0.4;
     options.faults.delay_s = 0.02;
@@ -179,109 +174,38 @@ World::Options options_for(const Script& s) {
   return options;
 }
 
-testing::EngineRun run_script(const Script& s, sim::SimEngine engine,
-                              int workers) {
-  hnoc::Cluster cluster = hnoc::testbeds::homogeneous(s.nprocs, 100.0);
-  std::vector<int> placement(static_cast<std::size_t>(s.nprocs));
-  for (int i = 0; i < s.nprocs; ++i) placement[static_cast<std::size_t>(i)] = i;
-  auto body = [&s](Proc& p) {
-    Comm comm = p.world_comm();
-    // A crashed peer surfaces as PeerFailedError on direct receivers and as
-    // DeadlockError on survivors transitively starved by a stopped (but
-    // alive) peer; both leave the virtual state untouched, so the engines
-    // stop each rank at the same round with the same clocks and stats.
-    // ProcessKilledError must NOT be caught: it is the kill-unwinding of the
-    // crashed rank itself.
-    try {
-      int tag = 1;
-      for (const Round& r : s.rounds) run_round(p, comm, r, tag++);
-    } catch (const PeerFailedError&) {
-    } catch (const RevokedError&) {
-    } catch (const DeadlockError&) {
-    }
-  };
-  return run_with_engine(engine, cluster, std::move(placement), body,
-                         options_for(s), workers);
-}
-
-/// Non-asserting comparison; returns "" when the runs are bit-identical.
-std::string diff_runs(const testing::EngineRun& a, const testing::EngineRun& b) {
-  std::ostringstream out;
-  if (a.threw != b.threw) {
-    out << "threw: " << a.threw << " (" << a.error << ") vs " << b.threw
-        << " (" << b.error << ")";
-    return out.str();
-  }
-  // Agreed-upon aborts tear the world down at real-time-racy points; the
-  // partial traces/stats are not comparable (see differential.hpp).
-  if (a.threw) return "";
-  if (a.result.clocks != b.result.clocks) return "clocks differ";
-  if (a.result.makespan != b.result.makespan) return "makespan differs";
-  if (a.result.failed_ranks != b.result.failed_ranks)
-    return "failed_ranks differ";
-  if (a.result.stats.size() != b.result.stats.size()) return "stats size";
-  for (std::size_t r = 0; r < a.result.stats.size(); ++r) {
-    const Stats& x = a.result.stats[r];
-    const Stats& y = b.result.stats[r];
-    if (x.msgs_sent != y.msgs_sent || x.bytes_sent != y.bytes_sent ||
-        x.msgs_received != y.msgs_received ||
-        x.bytes_received != y.bytes_received ||
-        x.compute_units != y.compute_units ||
-        x.compute_time != y.compute_time || x.wait_time != y.wait_time) {
-      out << "stats of rank " << r << " differ";
-      return out.str();
-    }
-  }
-  if (a.trace_csv != b.trace_csv) return "trace CSV differs";
-  return "";
-}
-
-/// Runs the script on both engines (event at `workers`) and diffs.
-std::string check_script(const Script& s, int workers) {
-  testing::EngineRun t = run_script(s, sim::SimEngine::kThread, 1);
-  testing::EngineRun e = run_script(s, sim::SimEngine::kEvent, workers);
-  return diff_runs(t, e);
-}
-
-/// Greedy round-removal shrink: keeps any single-round deletion that still
-/// reproduces a mismatch, until no deletion does.
-Script shrink(Script s, int workers) {
-  bool progressed = true;
-  while (progressed && !s.rounds.empty()) {
-    progressed = false;
-    for (std::size_t i = 0; i < s.rounds.size(); ++i) {
-      Script candidate = s;
-      candidate.rounds.erase(candidate.rounds.begin() +
-                             static_cast<std::ptrdiff_t>(i));
-      if (!check_script(candidate, workers).empty()) {
-        s = std::move(candidate);
-        progressed = true;
-        break;
-      }
-    }
-  }
-  return s;
-}
-
-class EnginePropertyP : public ::testing::TestWithParam<int> {};
-
-TEST_P(EnginePropertyP, RandomProgramsMatchAcrossEngines) {
-  const int workers = GetParam();
+TEST(EngineProperty, RandomProgramsMatchTheirFixtures) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    Script s = generate(seed);
-    std::string mismatch = check_script(s, workers);
-    if (!mismatch.empty()) {
-      Script minimal = shrink(s, workers);
-      ADD_FAILURE() << "engines disagree (" << mismatch << ") at seed " << seed
-                    << ", workers=" << workers
-                    << "\nminimal failing script:\n" << describe(minimal);
-      return;  // one counterexample is enough; don't spam shrink runs
+    const Script s = generate(seed);
+    hnoc::Cluster cluster = hnoc::testbeds::homogeneous(s.nprocs, 100.0);
+    std::vector<int> placement(static_cast<std::size_t>(s.nprocs));
+    for (int i = 0; i < s.nprocs; ++i) {
+      placement[static_cast<std::size_t>(i)] = i;
     }
+    auto body = [&s](Proc& p) {
+      Comm comm = p.world_comm();
+      // A crashed peer surfaces as PeerFailedError on direct receivers and
+      // as DeadlockError on survivors transitively starved by a stopped (but
+      // alive) peer; both leave the virtual state untouched, so every rank
+      // stops at a fixed round with fixed clocks and stats.
+      // ProcessKilledError must NOT be caught: it is the kill-unwinding of
+      // the crashed rank itself.
+      try {
+        int tag = 1;
+        for (const Round& r : s.rounds) run_round(p, comm, r, tag++);
+      } catch (const PeerFailedError&) {
+      } catch (const RevokedError&) {
+      } catch (const DeadlockError&) {
+      }
+    };
+    char name[32];
+    std::snprintf(name, sizeof name, "EngineProperty.seed%02d",
+                  static_cast<int>(seed));
+    SCOPED_TRACE(describe(s));
+    testing::expect_matches_golden(name, cluster, placement, body,
+                                   options_for(s));
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(WorkerCounts, EnginePropertyP,
-                         ::testing::Values(1, 2, 8));
 
 }  // namespace
 }  // namespace hmpi::mp

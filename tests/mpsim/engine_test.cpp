@@ -1,7 +1,7 @@
 // Unit tests of the event engine's public contracts (docs/simulator.md):
-// env-var resolution of engine/worker/stack knobs, the deterministic
-// tie-break rule for simultaneous events (lowest world rank runs first), the
-// engine's deadlock diagnosis parity with the thread engine, and the fiber
+// env-var resolution of the stack and debug knobs, the deterministic
+// tie-break rule for simultaneous events (lowest world rank runs first),
+// structural deadlock detection, the ban on nested worlds, and the fiber
 // stack pool (reuse across worlds, guard pages kept).
 #include "mpsim/engine.hpp"
 
@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -53,54 +54,6 @@ class ScopedEnv {
   std::string old_;
 };
 
-TEST(EngineResolve, ExplicitChoiceIgnoresEnv) {
-  ScopedEnv env("HMPI_SIM_ENGINE", "event");
-  EXPECT_EQ(sim::resolve_engine(sim::SimEngine::kThread),
-            sim::SimEngine::kThread);
-  EXPECT_EQ(sim::resolve_engine(sim::SimEngine::kEvent),
-            sim::SimEngine::kEvent);
-}
-
-TEST(EngineResolve, AutoReadsHmpiSimEngine) {
-  {
-    ScopedEnv env("HMPI_SIM_ENGINE", nullptr);
-    EXPECT_EQ(sim::resolve_engine(sim::SimEngine::kAuto),
-              sim::SimEngine::kThread);
-  }
-  {
-    ScopedEnv env("HMPI_SIM_ENGINE", "event");
-    EXPECT_EQ(sim::resolve_engine(sim::SimEngine::kAuto),
-              sim::SimEngine::kEvent);
-  }
-  {
-    ScopedEnv env("HMPI_SIM_ENGINE", "fiber");
-    EXPECT_EQ(sim::resolve_engine(sim::SimEngine::kAuto),
-              sim::SimEngine::kEvent);
-  }
-  {
-    ScopedEnv env("HMPI_SIM_ENGINE", "thread");
-    EXPECT_EQ(sim::resolve_engine(sim::SimEngine::kAuto),
-              sim::SimEngine::kThread);
-  }
-}
-
-TEST(EngineResolve, WorkersAndStackDefaultsAndEnv) {
-  {
-    ScopedEnv w("HMPI_SIM_WORKERS", nullptr);
-    ScopedEnv s("HMPI_SIM_STACK_KB", nullptr);
-    EXPECT_EQ(sim::resolve_workers(0), 1);
-    EXPECT_EQ(sim::resolve_workers(4), 4);
-    EXPECT_EQ(sim::resolve_stack_bytes(0), 512u * 1024u);
-    EXPECT_EQ(sim::resolve_stack_bytes(1 << 20), std::size_t{1} << 20);
-  }
-  {
-    ScopedEnv w("HMPI_SIM_WORKERS", "8");
-    ScopedEnv s("HMPI_SIM_STACK_KB", "256");
-    EXPECT_EQ(sim::resolve_workers(0), 8);
-    EXPECT_EQ(sim::resolve_stack_bytes(0), 256u * 1024u);
-  }
-}
-
 /// The InvalidArgument message `fn` throws, or "" when it does not throw.
 template <typename Fn>
 std::string rejection(Fn&& fn) {
@@ -112,96 +65,140 @@ std::string rejection(Fn&& fn) {
   return "";
 }
 
-TEST(EngineResolve, UnknownEngineThrowsNamingTheAcceptedSpellings) {
-  for (const char* bad : {"events", "THREAD", "", "1"}) {
-    ScopedEnv env("HMPI_SIM_ENGINE", bad);
-    const std::string what =
-        rejection([] { sim::resolve_engine(sim::SimEngine::kAuto); });
-    EXPECT_NE(what.find("HMPI_SIM_ENGINE"), std::string::npos) << bad;
-    EXPECT_NE(what.find("thread|event|fiber"), std::string::npos) << bad;
-    // An explicit choice never reads the variable.
-    EXPECT_EQ(sim::resolve_engine(sim::SimEngine::kEvent),
-              sim::SimEngine::kEvent);
+TEST(EngineResolve, ExplicitChoiceIgnoresEnv) {
+  ScopedEnv env("HMPI_SIM_STACK_KB", "eight");
+  EXPECT_EQ(sim::resolve_stack_bytes(1 << 20), std::size_t{1} << 20);
+}
+
+TEST(EngineResolve, StackDefaultsAndEnv) {
+  {
+    ScopedEnv s("HMPI_SIM_STACK_KB", nullptr);
+    EXPECT_EQ(sim::resolve_stack_bytes(0), 512u * 1024u);
+  }
+  {
+    ScopedEnv s("HMPI_SIM_STACK_KB", "256");
+    EXPECT_EQ(sim::resolve_stack_bytes(0), 256u * 1024u);
   }
 }
 
-TEST(EngineResolve, MalformedWorkersAndStackThrowNamingTheVariable) {
+TEST(EngineResolve, MalformedStackThrowsNamingTheVariable) {
   for (const char* bad :
        {"0", "-2", "eight", "8x", "", "99999999999999999999"}) {
-    {
-      ScopedEnv env("HMPI_SIM_WORKERS", bad);
-      const std::string what = rejection([] { sim::resolve_workers(0); });
-      EXPECT_NE(what.find("HMPI_SIM_WORKERS"), std::string::npos) << bad;
-      EXPECT_NE(what.find("positive integer"), std::string::npos) << bad;
-      EXPECT_EQ(sim::resolve_workers(3), 3);  // configured value wins
-    }
-    {
-      ScopedEnv env("HMPI_SIM_STACK_KB", bad);
-      const std::string what = rejection([] { sim::resolve_stack_bytes(0); });
-      EXPECT_NE(what.find("HMPI_SIM_STACK_KB"), std::string::npos) << bad;
-      EXPECT_NE(what.find("positive integer"), std::string::npos) << bad;
-      EXPECT_EQ(sim::resolve_stack_bytes(4096), 4096u);
-    }
+    ScopedEnv env("HMPI_SIM_STACK_KB", bad);
+    const std::string what = rejection([] { sim::resolve_stack_bytes(0); });
+    EXPECT_NE(what.find("HMPI_SIM_STACK_KB"), std::string::npos) << bad;
+    EXPECT_NE(what.find("positive integer"), std::string::npos) << bad;
+    EXPECT_EQ(sim::resolve_stack_bytes(4096), 4096u);
+  }
+}
+
+TEST(EngineResolve, RetiredEngineVariablesAreIgnored) {
+  // HMPI_SIM_ENGINE and HMPI_SIM_WORKERS selected the removed thread engine
+  // and event worker pool. Any value, even one they used to reject, runs
+  // the world on the event engine as usual.
+  hnoc::Cluster cluster = hnoc::testbeds::homogeneous(2, 100.0);
+  for (const char* value : {"thread", "event", "bogus", "0"}) {
+    ScopedEnv engine("HMPI_SIM_ENGINE", value);
+    ScopedEnv workers("HMPI_SIM_WORKERS", value);
+    const double before =
+        telemetry::metrics().counter("sim.runs.event").value();
+    const auto result = World::run_one_per_processor(
+        cluster, [](Proc& p) { p.world_comm().barrier(); });
+    EXPECT_EQ(result.clocks.size(), 2u) << value;
+    EXPECT_EQ(telemetry::metrics().counter("sim.runs.event").value(),
+              before + 1.0)
+        << value;
+  }
+}
+
+/// A 2-process world in which rank 0 waits for a message never sent, so
+/// the engine stalls once; returns what the stall wrote to stderr.
+std::string stall_dump() {
+  ::testing::internal::CaptureStderr();
+  try {
+    World::run_one_per_processor(
+        hnoc::testbeds::homogeneous(2, 100.0), [](Proc& p) {
+          if (p.rank() == 0) p.world_comm().recv_value<int>(1, 1);
+        });
+  } catch (const DeadlockError&) {
+  }
+  return ::testing::internal::GetCapturedStderr();
+}
+
+TEST(EngineDebug, FlagSpellingsTurnTheStallDumpOnAndOff) {
+  for (const char* on : {"1", "true", "YES", "On"}) {
+    ScopedEnv env("HMPI_SIM_DEBUG", on);
+    EXPECT_NE(stall_dump().find("[sim] stall: victim rank=0"),
+              std::string::npos)
+        << on;
+  }
+  for (const char* off : {"0", "false", "No", "OFF", ""}) {
+    ScopedEnv env("HMPI_SIM_DEBUG", off);
+    EXPECT_EQ(stall_dump(), "") << off;
+  }
+}
+
+TEST(EngineDebug, MalformedFlagThrowsNamingTheAcceptedSpellings) {
+  for (const char* bad : {"2", "enable", "y"}) {
+    ScopedEnv env("HMPI_SIM_DEBUG", bad);
+    const std::string what = rejection([] {
+      World::run_one_per_processor(hnoc::testbeds::homogeneous(1, 100.0),
+                                   [](Proc&) {});
+    });
+    EXPECT_NE(what.find("HMPI_SIM_DEBUG"), std::string::npos) << bad;
+    EXPECT_NE(what.find("1|0|true|false|yes|no|on|off"), std::string::npos)
+        << bad;
   }
 }
 
 TEST(EngineTieBreak, AnySourceReceivesLowerRankFirst) {
   // The pinned determinism contract: when several fibers are runnable at the
-  // same virtual time, the event engine dispatches the lowest world rank
-  // first. Ranks 1 and 2 send to rank 0 at identical virtual clocks over
-  // identical links, so rank 1's message is always delivered first and a
-  // kAnySource receiver matches it first. (Under the thread engine this
-  // program is a host-scheduling race — exactly the class the differential
-  // contract excludes — so the pin is event-engine-only, and repeated to
-  // catch accidental dependence on heap insertion order.)
+  // same virtual time, the engine dispatches the lowest world rank first.
+  // Ranks 1 and 2 send to rank 0 at identical virtual clocks over identical
+  // links, so rank 1's message is always delivered first and a kAnySource
+  // receiver matches it first. Repeated to catch accidental dependence on
+  // heap insertion order.
   hnoc::Cluster cluster = hnoc::testbeds::homogeneous(3, 100.0);
-  World::Options options;
-  options.engine = sim::SimEngine::kEvent;
   for (int repeat = 0; repeat < 10; ++repeat) {
     std::vector<int> order;
-    World::run_one_per_processor(
-        cluster,
-        [&](Proc& p) {
-          Comm comm = p.world_comm();
-          if (p.rank() == 0) {
-            for (int i = 0; i < 2; ++i) {
-              Status status;
-              comm.recv_value<int>(kAnySource, 5, &status);
-              order.push_back(status.source);
-            }
-          } else {
-            comm.send_value(p.rank() * 10, 0, 5);
-          }
-        },
-        options);
+    World::run_one_per_processor(cluster, [&](Proc& p) {
+      Comm comm = p.world_comm();
+      if (p.rank() == 0) {
+        for (int i = 0; i < 2; ++i) {
+          Status status;
+          comm.recv_value<int>(kAnySource, 5, &status);
+          order.push_back(status.source);
+        }
+      } else {
+        comm.send_value(p.rank() * 10, 0, 5);
+      }
+    });
     EXPECT_EQ(order, (std::vector<int>{1, 2})) << "repeat " << repeat;
   }
 }
 
 TEST(EngineTieBreak, SimultaneousComputeFinishIsRankOrdered) {
   // Same contract through the trace: equal-duration computes started at t=0
-  // produce trace events sorted by (virtual time, world rank) in both
-  // engines, byte-identically.
+  // produce trace events sorted by (virtual time, world rank), byte for byte
+  // as the thread engine recorded them.
   hnoc::Cluster cluster = hnoc::testbeds::homogeneous(4, 100.0);
-  testing::expect_engines_agree(cluster, {0, 1, 2, 3}, [](Proc& p) {
-    p.compute(2.0);
-    p.world_comm().barrier();
-  });
+  testing::expect_matches_golden(
+      "EngineTieBreak.SimultaneousComputeFinishIsRankOrdered", cluster,
+      {0, 1, 2, 3}, [](Proc& p) {
+        p.compute(2.0);
+        p.world_comm().barrier();
+      });
 }
 
 TEST(EngineTieBreak, SharedLinkContentionIsDeterministic) {
   // Several processes per machine all competing for the same directed links.
-  // Under the thread engine, reservation order on a shared link is a
-  // host-scheduling race; the event engine arbitrates by virtual ready time
-  // (ties by rank), so repeated runs are bit-identical — the strictly
-  // stronger determinism guarantee the event engine adds.
+  // The engine arbitrates them by virtual ready time (ties by rank), so
+  // repeated runs are bit-identical.
   hnoc::Cluster cluster = hnoc::testbeds::homogeneous(3, 100.0);
   std::vector<int> placement{0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2};
-  World::Options options;
-  options.engine = sim::SimEngine::kEvent;
   auto run_once = [&] {
-    return testing::run_with_engine(
-        sim::SimEngine::kEvent, cluster, placement, [](Proc& p) {
+    return testing::run_traced(
+        cluster, placement, [](Proc& p) {
           Comm comm = p.world_comm();
           const int n = p.nprocs();
           // Every rank floods rank (r+5)%n — many senders per link.
@@ -217,22 +214,57 @@ TEST(EngineTieBreak, SharedLinkContentionIsDeterministic) {
 }
 
 TEST(EngineDeadlock, EventEngineDiagnosesStalledReceive) {
-  // A receive nobody will ever satisfy. The thread engine diagnoses this
-  // after a real-time timeout; the event engine detects it structurally (no
-  // runnable fiber) and must raise the same error type without waiting.
+  // A receive nobody will ever satisfy: the engine detects the stall
+  // structurally (no runnable fiber) and raises DeadlockError.
   hnoc::Cluster cluster = hnoc::testbeds::homogeneous(2, 100.0);
-  World::Options options;
-  options.engine = sim::SimEngine::kEvent;
-  options.deadlock_timeout_s = 0.2;
-  EXPECT_THROW(World::run_one_per_processor(
-                   cluster,
-                   [](Proc& p) {
-                     if (p.rank() == 0) {
-                       p.world_comm().recv_value<int>(1, 1);  // never sent
-                     }
-                   },
-                   options),
-               DeadlockError);
+  const auto stalled = [](Proc& p) {
+    if (p.rank() == 0) p.world_comm().recv_value<int>(1, 1);  // never sent
+  };
+  EXPECT_THROW(World::run_one_per_processor(cluster, stalled), DeadlockError);
+}
+
+TEST(EngineDeadlock, ReceiveRingFailsInMillisecondsWithDefaultOptions) {
+  // Every rank of a 4-process ring receives before it sends. With default
+  // options the stall is found without any wall-clock wait, and the error
+  // lists every rank's pending receive.
+  hnoc::Cluster cluster = hnoc::testbeds::homogeneous(4, 100.0);
+  const auto wall_start = std::chrono::steady_clock::now();
+  std::string what;
+  try {
+    World::run_one_per_processor(cluster, [](Proc& p) {
+      Comm comm = p.world_comm();
+      const int n = p.nprocs();
+      comm.recv_value<int>((p.rank() + n - 1) % n, 1);
+      comm.send_value(p.rank(), (p.rank() + 1) % n, 1);
+    });
+    ADD_FAILURE() << "expected DeadlockError";
+  } catch (const DeadlockError& e) {
+    what = e.what();
+  }
+  const double wall_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - wall_start)
+                            .count();
+  EXPECT_LT(wall_s, 2.0);
+  for (int r = 0; r < 4; ++r) {
+    const std::string pending = "rank " + std::to_string(r) +
+                                ": blocked recv(src=" +
+                                std::to_string((r + 3) % 4) + ", tag=1";
+    EXPECT_NE(what.find(pending), std::string::npos) << what;
+  }
+}
+
+TEST(EngineNesting, WorldRunInsideASimulatedProcessThrows) {
+  // A fiber cannot host a second engine, so a body that starts its own world
+  // fails, and the outer run rethrows that error.
+  hnoc::Cluster cluster = hnoc::testbeds::homogeneous(2, 100.0);
+  const std::string what = rejection([&] {
+    World::run_one_per_processor(cluster, [&](Proc& p) {
+      if (p.rank() == 1) {
+        World::run_one_per_processor(cluster, [](Proc&) {});
+      }
+    });
+  });
+  EXPECT_EQ(what, "World::run cannot start inside a simulated process");
 }
 
 TEST(EngineStacks, FiberStackSizeIsConfigurable) {
@@ -240,7 +272,6 @@ TEST(EngineStacks, FiberStackSizeIsConfigurable) {
   // enlarged stack. Exercises the guard-paged stack allocation path.
   hnoc::Cluster cluster = hnoc::testbeds::homogeneous(2, 100.0);
   World::Options options;
-  options.engine = sim::SimEngine::kEvent;
   options.fiber_stack_bytes = 2 * 1024 * 1024;
   World::run_one_per_processor(
       cluster,
@@ -273,11 +304,8 @@ TEST(EngineStacks, BackToBackWorldsReuseStacks) {
   for (std::size_t i = 0; i < placement.size(); ++i) {
     placement[i] = static_cast<int>(i % 8);
   }
-  World::Options options;
-  options.engine = sim::SimEngine::kEvent;
   const auto run = [&] {
-    World::run(cluster, placement, [](Proc& p) { p.world_comm().barrier(); },
-               options);
+    World::run(cluster, placement, [](Proc& p) { p.world_comm().barrier(); });
   };
   const double before = stacks_mapped();
   run();
@@ -322,8 +350,6 @@ TEST(EngineStacksDeathTest, OverflowOfAReusedStackFaultsInItsGuardPage) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   hnoc::Cluster cluster = hnoc::testbeds::homogeneous(2, 100.0);
   World::Options options;
-  options.engine = sim::SimEngine::kEvent;
-  options.event_workers = 1;  // fibers run on this thread, with its altstack
   options.fiber_stack_bytes = 16 * 1024;
   const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
   // The engine rounds a stack up to whole pages, and to at least 4 of them.

@@ -131,8 +131,6 @@ TEST(Stress, WaitAnyCompletesInArrivalOpportunityOrder) {
 
 TEST(Stress, FailureReleasesManyBlockedPeers) {
   hnoc::Cluster cluster = hnoc::testbeds::homogeneous(6, 50.0);
-  World::Options o;
-  o.deadlock_timeout_s = 30.0;
   try {
     World::run_one_per_processor(
         cluster,
@@ -140,8 +138,7 @@ TEST(Stress, FailureReleasesManyBlockedPeers) {
           if (p.rank() == 3) throw std::runtime_error("injected failure");
           // Everyone else blocks on a message that will never come.
           p.world_comm().recv_value<int>(3, 0);
-        },
-        o);
+        });
     FAIL() << "expected the injected failure to propagate";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "injected failure");
@@ -181,7 +178,7 @@ TEST(Stress, LongCollectiveChainsKeepVirtualTimeFinite) {
   EXPECT_LT(result.makespan, 1.0);  // pure latency, no data volume
 }
 
-// --- at-scale stress (the event engine's reason to exist) -----------------
+// --- at-scale stress --------------------------------------------------------
 
 /// Peak resident set size (VmHWM) in bytes, or 0 when unavailable.
 std::size_t peak_rss_bytes() {
@@ -204,9 +201,9 @@ std::size_t peak_rss_bytes() {
 }
 
 TEST(StressAtScale, TenThousandProcessRingAndBarrier) {
-  // P = 10000 simulated processes — far beyond what thread-per-process can
-  // host (10k OS threads x 8 MiB default stacks) — on 16 machines under the
-  // event engine. One ring exchange, then the library barrier and an int
+  // P = 10000 simulated processes — far beyond what one OS thread per
+  // process could host (10k threads x 8 MiB default stacks) — on 16
+  // machines. One ring exchange, then the library barrier and an int
   // allreduce, then a second ring round so traffic crosses the barrier's
   // clock alignment.
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
@@ -220,7 +217,6 @@ TEST(StressAtScale, TenThousandProcessRingAndBarrier) {
   for (int r = 0; r < P; ++r) placement[static_cast<std::size_t>(r)] = r % machines;
 
   World::Options options;
-  options.engine = sim::SimEngine::kEvent;
   options.fiber_stack_bytes = 256 * 1024;
 
   const auto wall_start = std::chrono::steady_clock::now();
@@ -292,7 +288,6 @@ TEST(StressAtScale, FullProfilingStaysWithinWallBudget) {
   for (int r = 0; r < P; ++r) placement[static_cast<std::size_t>(r)] = r % machines;
 
   World::Options options;
-  options.engine = sim::SimEngine::kEvent;
   options.fiber_stack_bytes = 256 * 1024;
   options.prof = telemetry::ProfMode::kFull;
 
@@ -334,14 +329,13 @@ TEST(StressAtScale, FullProfilingStaysWithinWallBudget) {
 }
 
 TEST(StressAtScale, RepeatedRunsAreBitIdentical) {
-  // Determinism does not degrade with scale: two 1000-process event-engine
-  // runs of an irregular pattern produce identical clocks.
+  // Determinism does not degrade with scale: two 1000-process runs of an
+  // irregular pattern produce identical clocks.
   const int P = 1000;
   hnoc::Cluster cluster = hnoc::testbeds::homogeneous(8, 100.0);
   std::vector<int> placement(static_cast<std::size_t>(P));
   for (int r = 0; r < P; ++r) placement[static_cast<std::size_t>(r)] = r % 8;
   World::Options options;
-  options.engine = sim::SimEngine::kEvent;
   options.fiber_stack_bytes = 256 * 1024;
   auto run_once = [&] {
     return World::run(

@@ -545,8 +545,8 @@ TEST(SchedGolden, A13DecisionsMatchThePinnedDigest) {
 }
 
 TEST(SchedGolden, ExecutedJobsIgnoreTheThreadEngineVariable) {
-  // Executed jobs always run on the event engine: a thread engine would let
-  // host scheduling decide co-tenants' link races, and the digest with it.
+  // HMPI_SIM_ENGINE is no longer read: naming the retired thread engine
+  // changes nothing.
   ScopedEnv engine("HMPI_SIM_ENGINE", "thread");
   EXPECT_EQ(a13_decision_digest(), kA13DecisionDigest);
 }

@@ -25,8 +25,8 @@
 //     `adapt.predicted_gain_seconds|realized_gain_seconds`
 //     (docs/adaptation.md). Metrics in the reserved `sim.` namespace must
 //     follow the simulator-engine grammar: counters
-//     `sim.dispatches|stalls|stacks_mapped|runs.event|runs.thread`, gauges
-//     `sim.fibers|workers|ready_peak|stack_bytes` (docs/simulator.md).
+//     `sim.dispatches|stalls|stacks_mapped|runs.event`, gauges
+//     `sim.fibers|ready_peak|stack_bytes` (docs/simulator.md).
 //   * Bench exports ({"benchmark": ..., "tables": [...]}): every table needs
 //     title/columns/rows with rows matching the column count.
 //   * Adaptation ledgers ({"adaptations": [...]}): every entry needs group
@@ -216,16 +216,15 @@ bool valid_adapt_metric(const std::string& name, MetricKind kind) {
 // The simulator-engine grammar for the reserved "sim." namespace
 // (docs/simulator.md), by metric kind. The event engine emits the dispatch
 // counters and capacity gauges at the end of each run; the fiber stack pool
-// counts new stack mappings; World::run counts engine selections.
+// counts new stack mappings; World::run counts runs.
 bool valid_sim_metric(const std::string& name, MetricKind kind) {
   switch (kind) {
     case MetricKind::kCounter:
       return name == "sim.dispatches" || name == "sim.stalls" ||
-             name == "sim.stacks_mapped" || name == "sim.runs.event" ||
-             name == "sim.runs.thread";
+             name == "sim.stacks_mapped" || name == "sim.runs.event";
     case MetricKind::kGauge:
-      return name == "sim.fibers" || name == "sim.workers" ||
-             name == "sim.ready_peak" || name == "sim.stack_bytes";
+      return name == "sim.fibers" || name == "sim.ready_peak" ||
+             name == "sim.stack_bytes";
     case MetricKind::kHistogram:
       return false;
   }
@@ -328,8 +327,7 @@ void check_metrics(const std::string& file, const JsonValue& doc) {
           !valid_sim_metric(name, MetricKind::kCounter)) {
         fail(file, "counter '" + name +
                        "' violates the sim.* grammar (expected "
-                       "sim.dispatches|stalls|stacks_mapped|runs.event|"
-                       "runs.thread)");
+                       "sim.dispatches|stalls|stacks_mapped|runs.event)");
       }
       if (name.rfind("sched.", 0) == 0 &&
           !valid_sched_metric(name, MetricKind::kCounter)) {
@@ -378,7 +376,7 @@ void check_metrics(const std::string& file, const JsonValue& doc) {
           !valid_sim_metric(name, MetricKind::kGauge)) {
         fail(file, "gauge '" + name +
                        "' violates the sim.* grammar (expected "
-                       "sim.fibers|workers|ready_peak|stack_bytes)");
+                       "sim.fibers|ready_peak|stack_bytes)");
       }
       if (name.rfind("sched.", 0) == 0 &&
           !valid_sched_metric(name, MetricKind::kGauge)) {
