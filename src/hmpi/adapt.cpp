@@ -1,25 +1,17 @@
 #include "hmpi/adapt.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cmath>
 #include <ostream>
 #include <string>
 
+#include "support/env.hpp"
 #include "support/error.hpp"
 #include "telemetry/json.hpp"
 
 namespace hmpi::adapt {
 
 namespace {
-
-/// Truthy/falsy parsing shared by HMPI_ADAPT ("on"/"1"/"true" vs
-/// "off"/"0"/"false"); unrecognised spellings leave the config value alone.
-int parse_switch(const char* value) {
-  const std::string v(value);
-  if (v == "1" || v == "on" || v == "true" || v == "yes") return 1;
-  if (v == "0" || v == "off" || v == "false" || v == "no") return 0;
-  return -1;
-}
 
 void write_members(std::ostream& os, const std::vector<int>& members) {
   os << '[';
@@ -52,25 +44,14 @@ const char* outcome_name(AdaptOutcomeKind outcome) {
 }
 
 AdaptConfig AdaptConfig::with_env() const {
+  namespace env = support::env;
   AdaptConfig config = *this;
-  if (const char* value = std::getenv("HMPI_ADAPT")) {
-    const int parsed = parse_switch(value);
-    if (parsed >= 0) config.enabled = parsed == 1;
-  }
-  if (const char* value = std::getenv("HMPI_ADAPT_THRESHOLD")) {
-    char* end = nullptr;
-    const double parsed = std::strtod(value, &end);
-    if (end != value && parsed > 0.0) config.threshold = parsed;
-  }
-  if (const char* value = std::getenv("HMPI_ADAPT_COOLDOWN")) {
-    char* end = nullptr;
-    const double parsed = std::strtod(value, &end);
-    if (end != value && parsed >= 0.0) config.cooldown_s = parsed;
-  }
-  if (const char* value = std::getenv("HMPI_ADAPT_BLAME")) {
-    const int parsed = parse_switch(value);
-    if (parsed >= 0) config.blame = parsed == 1;
-  }
+  config.enabled = env::flag("HMPI_ADAPT", enabled);
+  config.threshold =
+      env::number("HMPI_ADAPT_THRESHOLD", /*positive=*/true, threshold);
+  config.cooldown_s =
+      env::number("HMPI_ADAPT_COOLDOWN", /*positive=*/false, cooldown_s);
+  config.blame = env::flag("HMPI_ADAPT_BLAME", blame);
   return config;
 }
 

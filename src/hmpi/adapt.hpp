@@ -47,7 +47,8 @@ const char* signal_name(AdaptSignal signal);
 /// Tunables of the adaptation policy. Identical on every process (like
 /// RuntimeConfig). Environment overrides: HMPI_ADAPT (on/off),
 /// HMPI_ADAPT_THRESHOLD (relative divergence threshold),
-/// HMPI_ADAPT_COOLDOWN (virtual seconds between migrations).
+/// HMPI_ADAPT_COOLDOWN (virtual seconds between migrations),
+/// HMPI_ADAPT_BLAME (blame triggers on/off).
 struct AdaptConfig {
   /// Master switch. Off = the runtime behaves exactly as before this
   /// subsystem existed: adapt_observe/adapt_recon are zero-communication
@@ -87,8 +88,10 @@ struct AdaptConfig {
   double blame_share = 0.5;
 
   /// Applies HMPI_ADAPT / HMPI_ADAPT_THRESHOLD / HMPI_ADAPT_COOLDOWN /
-  /// HMPI_ADAPT_BLAME on top of the programmatic values. Unknown values are
-  /// ignored.
+  /// HMPI_ADAPT_BLAME on top of the programmatic values: unset or empty
+  /// keeps a value, and a malformed or out-of-range one (a threshold <= 0,
+  /// a negative cooldown) throws InvalidArgument naming the variable
+  /// (support/env.hpp).
   AdaptConfig with_env() const;
 };
 

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -17,6 +16,7 @@
 #include "estimator/plan.hpp"
 #include "mpsim/engine.hpp"
 #include "mpsim/trace.hpp"
+#include "support/env.hpp"
 #include "support/error.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/metrics.hpp"
@@ -34,8 +34,8 @@ double sample_proc_clock(const void* ctx) {
 }
 
 /// HMPI_COLL_* environment overrides (docs/collectives.md): one variable
-/// per op naming the algorithm, plus HMPI_COLL_TUNER / HMPI_COLL_FEEDBACK
-/// switches. Unknown algorithm names are ignored (the config value stands).
+/// per op naming the algorithm, plus the HMPI_COLL_TUNER /
+/// HMPI_COLL_FEEDBACK flags.
 CollConfig coll_config_with_env(CollConfig config) {
   for (int o = 0; o < coll::kNumCollOps; ++o) {
     const auto op = static_cast<coll::CollOp>(o);
@@ -44,17 +44,15 @@ CollConfig coll_config_with_env(CollConfig config) {
       var.push_back(static_cast<char>(
           std::toupper(static_cast<unsigned char>(*p))));
     }
-    if (const char* value = std::getenv(var.c_str())) {
-      const int algo = coll::algo_from_name(op, value);
-      if (algo >= 0) config.policy.set_choice(op, algo);
+    std::vector<const char*> names;
+    for (int a = 0; a <= coll::algo_count(op); ++a) {
+      names.push_back(coll::algo_name(op, a));
     }
+    config.policy.set_choice(
+        op, support::env::choice(var.c_str(), names, config.policy.choice(op)));
   }
-  if (const char* value = std::getenv("HMPI_COLL_TUNER")) {
-    config.tuner = std::string(value) != "0";
-  }
-  if (const char* value = std::getenv("HMPI_COLL_FEEDBACK")) {
-    config.feedback = std::string(value) == "1";
-  }
+  config.tuner = support::env::flag("HMPI_COLL_TUNER", config.tuner);
+  config.feedback = support::env::flag("HMPI_COLL_FEEDBACK", config.feedback);
   return config;
 }
 

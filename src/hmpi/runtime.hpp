@@ -125,8 +125,9 @@ struct RuntimeConfig {
   /// never be served (docs/mapper.md).
   bool estimate_cache = true;
   /// Telemetry output files written by the host's finalize()
-  /// (docs/observability.md). Environment variables HMPI_METRICS_JSON /
-  /// HMPI_TRACE_JSON override these paths; empty = sink disabled.
+  /// (docs/observability.md); an empty path disables a sink. Non-empty
+  /// HMPI_METRICS_JSON / HMPI_TRACE_JSON / HMPI_CRITPATH_JSON override
+  /// these paths.
   telemetry::Sinks telemetry;
   /// Collective algorithm selection (docs/collectives.md). The runtime
   /// installs a coll::CollTuner as the world's selector; these settings
@@ -136,7 +137,7 @@ struct RuntimeConfig {
   /// default: with adapt.enabled false (or HMPI_ADAPT=off) the runtime's
   /// selections and traces are bit-identical to a build without the
   /// subsystem. Env overrides: HMPI_ADAPT, HMPI_ADAPT_THRESHOLD,
-  /// HMPI_ADAPT_COOLDOWN.
+  /// HMPI_ADAPT_COOLDOWN, HMPI_ADAPT_BLAME.
   adapt::AdaptConfig adapt;
   /// The hmpictld scheduler service (docs/scheduler.md), world-shared and
   /// lazily created by Runtime::scheduler() on first use. `execute` is

@@ -20,9 +20,19 @@ Cluster::Cluster(std::vector<Processor> processors, LinkParams default_link,
   for (const Processor& p : processors_) {
     support::require(p.speed > 0.0 && std::isfinite(p.speed),
                      "processor speed must be positive and finite");
+    // Speed times a load multiplier can overflow to infinity or underflow
+    // to zero even when both factors are fine.
+    for (const LoadProfile::Step& step : p.load.steps()) {
+      const double effective = p.speed * step.multiplier;
+      support::require(effective > 0.0 && std::isfinite(effective),
+                       "processor '" + p.name +
+                           "': speed x load must be positive and finite");
+    }
   }
   auto check_link = [](const LinkParams& l, const char* what) {
-    support::require(l.latency_s >= 0.0, std::string(what) + ": negative latency");
+    support::require(
+        l.latency_s >= 0.0 && std::isfinite(l.latency_s),
+        std::string(what) + ": latency must be finite and non-negative");
     support::require(l.bandwidth_bps > 0.0, std::string(what) + ": bandwidth must be positive");
   };
   check_link(default_link_, "default link");

@@ -64,6 +64,9 @@ struct TwoLevelTopology {
 /// Immutable description of a heterogeneous network of computers.
 class Cluster {
  public:
+  /// Throws InvalidArgument unless every speed, and every speed times one
+  /// of its load multipliers, is positive and finite, every latency finite
+  /// and non-negative, and every bandwidth positive.
   Cluster(std::vector<Processor> processors, LinkParams default_link,
           LinkParams self_link,
           std::map<std::pair<int, int>, LinkParams> overrides = {},

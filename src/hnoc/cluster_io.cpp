@@ -1,5 +1,7 @@
 #include "hnoc/cluster_io.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -16,15 +18,22 @@ namespace {
                         ": " + message);
 }
 
+/// `token` parsed whole as a T by std::from_chars; false otherwise.
+template <typename T>
+bool parse_whole(const std::string& token, T& out) {
+  const char* end = token.data() + token.size();
+  const auto [stop, error] = std::from_chars(token.data(), end, out);
+  return error == std::errc{} && stop == end;
+}
+
+/// A finite decimal number.
 double parse_number(const std::string& token, int line, const char* what) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(token, &used);
-    if (used != token.size()) fail(line, std::string("malformed ") + what);
-    return value;
-  } catch (const std::exception&) {
-    fail(line, std::string("malformed ") + what + " '" + token + "'");
+  double value = 0.0;
+  if (!parse_whole(token, value) || !std::isfinite(value)) {
+    fail(line, std::string("malformed ") + what + " '" + token +
+                   "' (expected a finite decimal number)");
   }
+  return value;
 }
 
 /// Parses `latency <x> bandwidth <y>` from the remaining tokens.
@@ -122,11 +131,12 @@ Cluster parse_cluster(std::string_view text) {
       if (tokens.size() != 3) {
         fail(line_no, "expected 'lan <processor> <id>'");
       }
-      const double id = parse_number(tokens[2], line_no, "LAN id");
-      if (id < 0 || id != static_cast<double>(static_cast<int>(id))) {
-        fail(line_no, "LAN id must be a non-negative integer");
+      int id = -1;
+      if (!parse_whole(tokens[2], id) || id < 0) {
+        fail(line_no, "LAN id must be a non-negative int, got '" + tokens[2] +
+                          "'");
       }
-      pending_lans.push_back({tokens[1], static_cast<int>(id), line_no});
+      pending_lans.push_back({tokens[1], id, line_no});
     } else {
       fail(line_no, "unknown directive '" + directive + "'");
     }

@@ -21,8 +21,11 @@
 //   lan ws0 0
 //   lan ws6 1
 //
-// Processors are indexed in declaration order. parse_cluster throws
-// InvalidArgument with a line number on malformed input.
+// Values are decimal numbers (std::from_chars) and must be finite; a LAN id
+// is a whole int >= 0. A processor's speed times each of its load
+// multipliers must stay positive and finite. Processors are indexed in
+// declaration order. parse_cluster throws InvalidArgument, with a line
+// number for a malformed line, on bad input.
 #pragma once
 
 #include <string>

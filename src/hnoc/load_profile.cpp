@@ -12,8 +12,9 @@ LoadProfile::LoadProfile(std::vector<Step> steps) : steps_(std::move(steps)) {
   std::sort(steps_.begin(), steps_.end(),
             [](const Step& a, const Step& b) { return a.time < b.time; });
   for (std::size_t i = 0; i < steps_.size(); ++i) {
-    support::require(steps_[i].multiplier > 0.0,
-                     "LoadProfile multiplier must be positive");
+    support::require(steps_[i].multiplier > 0.0 &&
+                         std::isfinite(steps_[i].multiplier),
+                     "LoadProfile multiplier must be positive and finite");
     support::require(std::isfinite(steps_[i].time), "LoadProfile time must be finite");
     if (i > 0) {
       support::require(steps_[i].time != steps_[i - 1].time,

@@ -16,8 +16,8 @@ namespace hmpi::hnoc {
 ///
 /// The profile is a step function: multiplier(t) equals the `multiplier` of
 /// the last breakpoint whose `time <= t`, or 1.0 before the first breakpoint.
-/// Multipliers must be positive; 1.0 means "unloaded", 0.5 means the
-/// application gets half of the processor.
+/// Multipliers must be positive and finite; 1.0 means "unloaded", 0.5
+/// means the application gets half of the processor.
 class LoadProfile {
  public:
   struct Step {
@@ -29,7 +29,7 @@ class LoadProfile {
   LoadProfile() = default;
 
   /// Builds a profile from breakpoints; they are sorted by time and
-  /// validated (positive multipliers, no duplicate times).
+  /// validated (positive, finite multipliers; no duplicate times).
   explicit LoadProfile(std::vector<Step> steps);
 
   /// Convenience: constant multiplier for all time.

@@ -1,14 +1,12 @@
 #include "mpsim/engine.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <string>
 
 #include "mpsim/fiber.hpp"
+#include "support/env.hpp"
 #include "support/error.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -21,46 +19,15 @@ namespace {
 // mapper's ThreadPool) never see it set.
 thread_local Fiber* tl_fiber = nullptr;
 
-/// Value of the positive-integer env knob `name`, or `fallback` when it is
-/// unset. Anything but a whole decimal number in [1, max] throws.
-long positive_env(const char* name, long max, long fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE || parsed < 1 ||
-      parsed > max) {
-    throw InvalidArgument(std::string(name) + "='" + value +
-                          "' is not a positive integer (accepted: 1.." +
-                          std::to_string(max) + ")");
-  }
-  return parsed;
-}
-
-/// HMPI_SIM_DEBUG as a flag, spelled like the HMPI_SCHED_* flags.
-bool debug_env() {
-  const char* value = std::getenv("HMPI_SIM_DEBUG");
-  if (value == nullptr || *value == '\0') return false;
-  std::string v(value);
-  for (char& c : v) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  throw InvalidArgument(std::string("HMPI_SIM_DEBUG='") + value +
-                        "' is not accepted (accepted: "
-                        "1|0|true|false|yes|no|on|off, any case)");
-}
-
 }  // namespace
 
 std::size_t resolve_stack_bytes(std::size_t configured) {
   if (configured > 0) return configured;
   // KiB, bounded so the byte count cannot overflow.
-  const long kib = positive_env(
-      "HMPI_SIM_STACK_KB",
-      static_cast<long>(std::numeric_limits<std::size_t>::max() / 1024), 512);
+  const long long kib = support::env::integer(
+      "HMPI_SIM_STACK_KB", 1,
+      static_cast<long long>(std::numeric_limits<std::size_t>::max() / 1024),
+      512);
   return static_cast<std::size_t>(kib) * 1024;
 }
 
@@ -83,7 +50,8 @@ void WaitChannel::notify_all() {
 }
 
 EventEngine::EventEngine(Config config)
-    : config_(std::move(config)), debug_(debug_env()) {
+    : config_(std::move(config)),
+      debug_(support::env::flag("HMPI_SIM_DEBUG", false)) {
   support::require(static_cast<bool>(config_.clock_of),
                    "event engine needs a clock_of callback");
 }

@@ -28,8 +28,8 @@ class EventEngine;
 class Fiber;
 
 /// Resolves the fiber stack size: a positive configured value wins, else
-/// HMPI_SIM_STACK_KB, else 512 KiB. A set HMPI_SIM_STACK_KB that is not a
-/// positive integer throws InvalidArgument.
+/// HMPI_SIM_STACK_KB (a whole int >= 1, in KiB), else 512 KiB. Any other
+/// non-empty HMPI_SIM_STACK_KB throws InvalidArgument (support/env.hpp).
 std::size_t resolve_stack_bytes(std::size_t configured);
 
 /// True when the calling thread is currently executing a simulation fiber.
@@ -73,8 +73,8 @@ class EventEngine {
     std::size_t ready_peak = 0;    ///< High-water mark of the ready queue.
   };
 
-  /// Reads HMPI_SIM_DEBUG (1|0|true|false|yes|no|on|off, any case; unset or
-  /// empty is off); any other value throws InvalidArgument.
+  /// Reads the HMPI_SIM_DEBUG flag (unset or empty is off; a value that is
+  /// no flag spelling throws InvalidArgument, support/env.hpp).
   explicit EventEngine(Config config);
   ~EventEngine();
   EventEngine(const EventEngine&) = delete;

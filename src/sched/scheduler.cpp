@@ -1,17 +1,14 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <ostream>
 #include <type_traits>
 #include <utility>
 
 #include "mpsim/world.hpp"
+#include "support/env.hpp"
 #include "support/error.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -25,61 +22,6 @@ std::span<const double> sched_seconds_buckets() {
                                            30.0,  100.0, 300.0,  1000.0, 3000.0,
                                            10000.0, 30000.0, 100000.0};
   return buckets;
-}
-
-/// The value of env knob `name`; nullptr when it is unset or empty.
-const char* env_value(const char* name) {
-  const char* value = std::getenv(name);
-  return value == nullptr || *value == '\0' ? nullptr : value;
-}
-
-std::string lower(std::string text) {
-  for (char& c : text) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return text;
-}
-
-[[noreturn]] void reject(const char* name, const char* value,
-                         const std::string& accepted) {
-  throw InvalidArgument(std::string(name) + "='" + value +
-                        "' is not accepted (accepted: " + accepted + ")");
-}
-
-bool env_flag(const char* name, bool fallback) {
-  const char* value = env_value(name);
-  if (value == nullptr) return fallback;
-  const std::string v = lower(value);
-  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  reject(name, value, "1|0|true|false|yes|no|on|off, any case");
-}
-
-/// A whole decimal int >= `min`; the whole value must parse.
-int env_int(const char* name, int min, int fallback) {
-  const char* value = env_value(name);
-  if (value == nullptr) return fallback;
-  const char* end = value + std::strlen(value);
-  int parsed = 0;
-  const auto [stop, error] = std::from_chars(value, end, parsed);
-  if (error != std::errc{} || stop != end || parsed < min) {
-    reject(name, value, "a whole decimal int >= " + std::to_string(min));
-  }
-  return parsed;
-}
-
-/// A finite decimal number >= 0; the whole value must parse.
-double env_nonnegative(const char* name, double fallback) {
-  const char* value = env_value(name);
-  if (value == nullptr) return fallback;
-  const char* end = value + std::strlen(value);
-  double parsed = 0.0;
-  const auto [stop, error] = std::from_chars(value, end, parsed);
-  if (error != std::errc{} || stop != end || !std::isfinite(parsed) ||
-      parsed < 0.0) {
-    reject(name, value, "a finite decimal number >= 0");
-  }
-  return parsed;
 }
 
 std::unique_ptr<map::Mapper> make_mapper(const std::string& name) {
@@ -134,26 +76,23 @@ const char* job_state_name(JobState state) {
 }
 
 SchedConfig sched_config_with_env(SchedConfig base) {
-  if (const char* policy = env_value("HMPI_SCHED_POLICY")) {
-    const std::string name = lower(policy);
-    if (name == "fifo") {
-      base.policy = SchedPolicy::kFifo;
-    } else if (name == "priority") {
-      base.policy = SchedPolicy::kPriority;
-    } else {
-      reject("HMPI_SCHED_POLICY", policy, "fifo|priority, any case");
-    }
-  }
-  base.slots_per_machine =
-      env_int("HMPI_SCHED_SLOTS", 1, base.slots_per_machine);
-  base.backfill = env_flag("HMPI_SCHED_BACKFILL", base.backfill);
-  base.backfill_depth =
-      env_int("HMPI_SCHED_BACKFILL_DEPTH", 0, base.backfill_depth);
-  base.preempt = env_flag("HMPI_SCHED_PREEMPT", base.preempt);
-  base.preempt_priority_gap =
-      env_int("HMPI_SCHED_PREEMPT_GAP", std::numeric_limits<int>::min(),
-              base.preempt_priority_gap);
-  base.aging_weight = env_nonnegative("HMPI_SCHED_AGING", base.aging_weight);
+  namespace env = support::env;
+  // Indexed by SchedPolicy.
+  constexpr const char* kPolicies[] = {"fifo", "priority"};
+  constexpr long long kIntMin = std::numeric_limits<int>::min();
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
+  base.policy = static_cast<SchedPolicy>(env::choice(
+      "HMPI_SCHED_POLICY", kPolicies, static_cast<int>(base.policy)));
+  base.slots_per_machine = static_cast<int>(
+      env::integer("HMPI_SCHED_SLOTS", 1, kIntMax, base.slots_per_machine));
+  base.backfill = env::flag("HMPI_SCHED_BACKFILL", base.backfill);
+  base.backfill_depth = static_cast<int>(env::integer(
+      "HMPI_SCHED_BACKFILL_DEPTH", 0, kIntMax, base.backfill_depth));
+  base.preempt = env::flag("HMPI_SCHED_PREEMPT", base.preempt);
+  base.preempt_priority_gap = static_cast<int>(env::integer(
+      "HMPI_SCHED_PREEMPT_GAP", kIntMin, kIntMax, base.preempt_priority_gap));
+  base.aging_weight =
+      env::number("HMPI_SCHED_AGING", /*positive=*/false, base.aging_weight);
   return base;
 }
 

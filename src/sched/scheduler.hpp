@@ -87,11 +87,10 @@ struct SchedConfig {
 
 /// Applies HMPI_SCHED_POLICY / _SLOTS / _BACKFILL / _BACKFILL_DEPTH /
 /// _PREEMPT / _PREEMPT_GAP / _AGING over `base` (unset or empty vars keep
-/// base). Policies are fifo|priority and flags 1|0|true|false|yes|no|on|off,
-/// both in any case; _SLOTS is a whole decimal >= 1, _BACKFILL_DEPTH one
-/// >= 0, _PREEMPT_GAP any whole decimal int, and _AGING a finite number
-/// >= 0. Anything else throws InvalidArgument naming the knob and the
-/// accepted spellings.
+/// base). Policies are fifo|priority, _SLOTS is a whole int >= 1,
+/// _BACKFILL_DEPTH one >= 0, _PREEMPT_GAP any whole int, and _AGING a
+/// finite number >= 0; anything else throws InvalidArgument naming the knob
+/// and the accepted spellings (support/env.hpp).
 SchedConfig sched_config_with_env(SchedConfig base);
 
 /// Aggregate accounting (sched.* metrics mirror this).

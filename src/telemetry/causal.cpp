@@ -1,25 +1,16 @@
 #include "telemetry/causal.hpp"
 
-#include <cstdlib>
-#include <string>
-
-#include "support/error.hpp"
+#include "support/env.hpp"
 
 namespace hmpi::telemetry {
 
 ProfMode resolve_prof_mode(ProfMode requested) {
   if (requested != ProfMode::kAuto) return requested;
-  const char* value = std::getenv("HMPI_PROF");
-  if (value == nullptr) return ProfMode::kRing;
-  const std::string v(value);
-  if (v == "0" || v == "off" || v == "false" || v == "no") return ProfMode::kOff;
-  if (v == "1" || v == "on" || v == "true" || v == "yes" || v == "full") {
-    return ProfMode::kFull;
-  }
-  if (v == "ring") return ProfMode::kRing;
-  throw InvalidArgument("HMPI_PROF='" + v +
-                        "' is not a profiling mode (accepted: "
-                        "0|off|false|no|1|on|true|yes|full|ring)");
+  // The first four spellings mean kOff, the next five kFull.
+  constexpr const char* kModes[] = {"0",  "off",  "false", "no",   "1",
+                                    "on", "true", "yes",   "full", "ring"};
+  const int mode = support::env::choice("HMPI_PROF", kModes, 9);
+  return mode < 4 ? ProfMode::kOff : mode < 9 ? ProfMode::kFull : ProfMode::kRing;
 }
 
 CausalLog::CausalLog(int ranks, ProfMode mode, std::size_t ring_capacity)

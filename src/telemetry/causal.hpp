@@ -72,11 +72,11 @@ struct CausalEvent {
 /// How much causal history to keep. kAuto resolves via HMPI_PROF.
 enum class ProfMode { kAuto, kOff, kRing, kFull };
 
-/// Resolves kAuto against HMPI_PROF: unset -> kRing (the always-on default);
-/// "0"/"off"/"false"/"no" -> kOff; "1"/"on"/"true"/"yes"/"full" -> kFull;
-/// "ring" -> kRing. Any other value throws InvalidArgument naming the
-/// variable and the accepted spellings. Explicit (non-kAuto) modes pass
-/// through untouched.
+/// Resolves kAuto against HMPI_PROF, in any case: unset or empty -> kRing
+/// (the always-on default); "0"/"off"/"false"/"no" -> kOff;
+/// "1"/"on"/"true"/"yes"/"full" -> kFull; "ring" -> kRing. Any other value
+/// throws InvalidArgument naming the variable and the accepted spellings.
+/// Explicit (non-kAuto) modes pass through untouched.
 ProfMode resolve_prof_mode(ProfMode requested);
 
 /// The per-rank-sharded causal log. Construct with the world size; each rank

@@ -1,25 +1,16 @@
 #include "telemetry/sinks.hpp"
 
-#include <cstdlib>
+#include "support/env.hpp"
 
 namespace hmpi::telemetry {
-
-namespace {
-
-std::string env_or(const char* name, const std::string& fallback) {
-  const char* v = std::getenv(name);
-  return (v != nullptr && v[0] != '\0') ? std::string(v) : fallback;
-}
-
-}  // namespace
 
 Sinks Sinks::from_env() { return Sinks{}.with_env_overrides(); }
 
 Sinks Sinks::with_env_overrides() const {
   Sinks out = *this;
-  out.metrics_json = env_or("HMPI_METRICS_JSON", metrics_json);
-  out.trace_json = env_or("HMPI_TRACE_JSON", trace_json);
-  out.critpath_json = env_or("HMPI_CRITPATH_JSON", critpath_json);
+  out.metrics_json = support::env::text("HMPI_METRICS_JSON", metrics_json);
+  out.trace_json = support::env::text("HMPI_TRACE_JSON", trace_json);
+  out.critpath_json = support::env::text("HMPI_CRITPATH_JSON", critpath_json);
   return out;
 }
 

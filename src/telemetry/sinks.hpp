@@ -3,7 +3,8 @@
 // Configured on RuntimeConfig (programmatic) and overridable with
 // environment variables so examples, benches, and CI opt in without code
 // changes: HMPI_METRICS_JSON / HMPI_TRACE_JSON / HMPI_CRITPATH_JSON name the
-// destination files. Empty path = sink disabled.
+// destination files. An empty path disables a sink; an empty variable
+// keeps the configured path.
 #pragma once
 
 #include <string>
@@ -18,7 +19,8 @@ struct Sinks {
   /// Sinks built purely from the environment variables.
   static Sinks from_env();
 
-  /// This config with any set environment variable taking precedence.
+  /// This config with any set, non-empty environment variable taking
+  /// precedence.
   Sinks with_env_overrides() const;
 
   bool any() const noexcept {

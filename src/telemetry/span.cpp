@@ -67,7 +67,13 @@ std::uint64_t next_span_id() {
 
 void TraceLog::record(SpanRecord record) {
   std::lock_guard lock(mutex_);
-  records_.push_back(std::move(record));
+  if (records_.size() < kCapacity) {
+    records_.push_back(std::move(record));
+    return;
+  }
+  records_[head_] = std::move(record);
+  head_ = (head_ + 1) % kCapacity;
+  ++dropped_;
 }
 
 std::vector<SpanRecord> TraceLog::records() const {
@@ -88,9 +94,16 @@ std::size_t TraceLog::size() const {
   return records_.size();
 }
 
+std::uint64_t TraceLog::dropped() const {
+  std::lock_guard lock(mutex_);
+  return dropped_;
+}
+
 void TraceLog::clear() {
   std::lock_guard lock(mutex_);
   records_.clear();
+  head_ = 0;
+  dropped_ = 0;
 }
 
 TraceLog& spans() {

@@ -34,18 +34,28 @@ struct SpanRecord {
   std::vector<std::pair<std::string, std::string>> args;
 };
 
-/// Thread-safe store of finished spans.
+/// Thread-safe store of the newest kCapacity finished spans. It is a ring,
+/// like CausalLog's per-rank shards, so a long-running process (a
+/// scheduler draining thousands of jobs) keeps a bounded log.
 class TraceLog {
  public:
+  /// Spans kept (about 7 MB of records); each newer one overwrites the
+  /// oldest.
+  static constexpr std::size_t kCapacity = 65536;
+
   void record(SpanRecord record);
-  /// All spans, sorted by (wall_start_us, id).
+  /// The kept spans, sorted by (wall_start_us, id).
   std::vector<SpanRecord> records() const;
   std::size_t size() const;
+  /// Spans overwritten since the last clear().
+  std::uint64_t dropped() const;
   void clear();
 
  private:
   mutable std::mutex mutex_;
   std::vector<SpanRecord> records_;
+  std::size_t head_ = 0;  ///< The oldest kept span once the ring is full.
+  std::uint64_t dropped_ = 0;
 };
 
 /// The process-wide span log (exported by Runtime::trace_export_json).

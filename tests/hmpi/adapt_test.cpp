@@ -24,6 +24,8 @@
 #include "support/error.hpp"
 #include "telemetry/metrics.hpp"
 
+#include "../scoped_env.hpp"
+
 namespace hmpi {
 namespace {
 
@@ -317,40 +319,78 @@ TEST(AdaptController, ValidatesConfig) {
                InvalidArgument);
 }
 
-TEST(AdaptConfigEnv, OverridesApplyAndGarbageIsIgnored) {
+TEST(AdaptConfigEnv, OverridesApplyAndGarbageThrows) {
   AdaptConfig base;
   base.enabled = true;
   base.threshold = 0.25;
   base.cooldown_s = 1.0;
-
-  ::setenv("HMPI_ADAPT", "off", 1);
-  EXPECT_FALSE(base.with_env().enabled);
-  ::setenv("HMPI_ADAPT", "on", 1);
-  EXPECT_TRUE(base.with_env().enabled);
-  ::setenv("HMPI_ADAPT", "maybe", 1);
-  EXPECT_TRUE(base.with_env().enabled);  // unknown spelling: unchanged
-  ::unsetenv("HMPI_ADAPT");
-
-  ::setenv("HMPI_ADAPT_THRESHOLD", "0.5", 1);
-  EXPECT_DOUBLE_EQ(base.with_env().threshold, 0.5);
-  ::setenv("HMPI_ADAPT_THRESHOLD", "-1", 1);
-  EXPECT_DOUBLE_EQ(base.with_env().threshold, 0.25);
-  ::setenv("HMPI_ADAPT_THRESHOLD", "abc", 1);
-  EXPECT_DOUBLE_EQ(base.with_env().threshold, 0.25);
-  ::unsetenv("HMPI_ADAPT_THRESHOLD");
-
-  ::setenv("HMPI_ADAPT_COOLDOWN", "7.5", 1);
-  EXPECT_DOUBLE_EQ(base.with_env().cooldown_s, 7.5);
-  ::setenv("HMPI_ADAPT_COOLDOWN", "-2", 1);
-  EXPECT_DOUBLE_EQ(base.with_env().cooldown_s, 1.0);
-  ::unsetenv("HMPI_ADAPT_COOLDOWN");
-
   EXPECT_FALSE(base.blame);  // default off
-  ::setenv("HMPI_ADAPT_BLAME", "on", 1);
-  EXPECT_TRUE(base.with_env().blame);
-  ::setenv("HMPI_ADAPT_BLAME", "off", 1);
-  EXPECT_FALSE(base.with_env().blame);
-  ::unsetenv("HMPI_ADAPT_BLAME");
+
+  // Flags in any case; an empty value keeps the configured value.
+  AdaptConfig all_on = base;
+  all_on.blame = true;
+  AdaptConfig all_off = base;
+  all_off.enabled = false;
+  for (const char* off : {"off", "OFF", "0", "False"}) {
+    ScopedEnv adapt("HMPI_ADAPT", off);
+    ScopedEnv blame("HMPI_ADAPT_BLAME", off);
+    EXPECT_FALSE(all_on.with_env().enabled) << off;
+    EXPECT_FALSE(all_on.with_env().blame) << off;
+  }
+  for (const char* on : {"on", "ON", "1", "Yes"}) {
+    ScopedEnv adapt("HMPI_ADAPT", on);
+    ScopedEnv blame("HMPI_ADAPT_BLAME", on);
+    EXPECT_TRUE(all_off.with_env().enabled) << on;
+    EXPECT_TRUE(all_off.with_env().blame) << on;
+  }
+  {
+    ScopedEnv adapt("HMPI_ADAPT", "");
+    ScopedEnv blame("HMPI_ADAPT_BLAME", "");
+    EXPECT_TRUE(all_on.with_env().enabled);
+    EXPECT_TRUE(all_on.with_env().blame);
+    EXPECT_FALSE(all_off.with_env().enabled);
+    EXPECT_FALSE(all_off.with_env().blame);
+  }
+  {
+    ScopedEnv threshold("HMPI_ADAPT_THRESHOLD", "0.5");
+    ScopedEnv cooldown("HMPI_ADAPT_COOLDOWN", "7.5");
+    EXPECT_DOUBLE_EQ(base.with_env().threshold, 0.5);
+    EXPECT_DOUBLE_EQ(base.with_env().cooldown_s, 7.5);
+  }
+  {
+    ScopedEnv threshold("HMPI_ADAPT_THRESHOLD", "");
+    ScopedEnv cooldown("HMPI_ADAPT_COOLDOWN", "0");
+    EXPECT_DOUBLE_EQ(base.with_env().threshold, 0.25);
+    EXPECT_DOUBLE_EQ(base.with_env().cooldown_s, 0.0);
+  }
+
+  // Anything else throws, naming the knob and what it accepts.
+  struct Bad {
+    const char* name;
+    const char* value;
+    const char* accepted;
+  };
+  for (const Bad& bad : {
+           Bad{"HMPI_ADAPT", "maybe", "1|0|true|false|yes|no|on|off"},
+           Bad{"HMPI_ADAPT_BLAME", "2", "1|0|true|false|yes|no|on|off"},
+           Bad{"HMPI_ADAPT_THRESHOLD", "-1", "finite decimal number > 0"},
+           Bad{"HMPI_ADAPT_THRESHOLD", "abc", "finite decimal number > 0"},
+           Bad{"HMPI_ADAPT_THRESHOLD", "0", "finite decimal number > 0"},
+           Bad{"HMPI_ADAPT_THRESHOLD", "0.5abc", "finite decimal number > 0"},
+           Bad{"HMPI_ADAPT_THRESHOLD", "inf", "finite decimal number > 0"},
+           Bad{"HMPI_ADAPT_COOLDOWN", "-2", "finite decimal number >= 0"},
+           Bad{"HMPI_ADAPT_COOLDOWN", "nan", "finite decimal number >= 0"},
+       }) {
+    ScopedEnv env(bad.name, bad.value);
+    try {
+      base.with_env();
+      ADD_FAILURE() << bad.name << "=" << bad.value << " was accepted";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(bad.name), std::string::npos) << what;
+      EXPECT_NE(what.find(bad.accepted), std::string::npos) << what;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,16 @@
-// RuntimeConfig behaviour: pluggable mappers and estimate options.
+// RuntimeConfig behaviour: pluggable mappers, estimate options and the
+// HMPI_COLL_* knobs.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+
+#include "coll/tuner.hpp"
 #include "hmpi/runtime.hpp"
 #include "hnoc/cluster.hpp"
+#include "support/error.hpp"
+
+#include "../scoped_env.hpp"
 
 namespace hmpi {
 namespace {
@@ -98,6 +106,123 @@ TEST(RuntimeConfig, EstimateOverheadsFlowIntoPredictions) {
     });
   }
   EXPECT_GT(costly, cheap + 0.4);
+}
+
+/// What a runtime resolved from `coll` and the environment: its per-op
+/// policy, whether its tuner prices a barrier (HMPI_COLL_TUNER) and whether
+/// a measured barrier reached the tuner's ranking at recon
+/// (HMPI_COLL_FEEDBACK).
+struct ResolvedColl {
+  coll::CollPolicy policy;
+  bool priced = false;
+  bool fed_back = false;
+};
+
+ResolvedColl resolve_coll(const CollConfig& coll) {
+  ResolvedColl out;
+  World::run_one_per_processor(hnoc::testbeds::homogeneous(2), [&](Proc& p) {
+    RuntimeConfig config;
+    config.coll = coll;
+    Runtime rt(p, config);
+    p.world_comm().barrier();
+    rt.recon([](Proc& q) { q.compute(1.0); });
+    if (rt.is_host()) {
+      out.policy = rt.coll_policy();
+      const Runtime::CollSelection barrier =
+          rt.coll_selection(coll::CollOp::kBarrier, 0);
+      out.priced = barrier.predicted_s >= 0.0;
+      const auto* tuner =
+          dynamic_cast<const coll::CollTuner*>(p.world().coll_selector());
+      out.fed_back = tuner != nullptr &&
+                     tuner->feedback_ratio(coll::CollOp::kBarrier,
+                                           barrier.algo) > 0.0;
+    }
+    rt.finalize();
+  });
+  return out;
+}
+
+std::string upper(std::string text) {
+  for (char& c : text) {
+    c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+  }
+  return text;
+}
+
+TEST(CollEnv, AlgorithmNamesInAnyCaseOverrideTheConfig) {
+  for (int o = 0; o < coll::kNumCollOps; ++o) {
+    const auto op = static_cast<coll::CollOp>(o);
+    const std::string var = "HMPI_COLL_" + upper(coll::op_name(op));
+    const int last = coll::algo_count(op);
+    CollConfig configured;
+    configured.policy.set_choice(op, 1);
+    {
+      ScopedEnv env(var.c_str(), upper(coll::algo_name(op, last)).c_str());
+      EXPECT_EQ(resolve_coll(configured).policy.choice(op), last) << var;
+    }
+    {
+      ScopedEnv env(var.c_str(), "Auto");
+      EXPECT_EQ(resolve_coll(configured).policy.choice(op), 0) << var;
+    }
+    {
+      // An empty value keeps the configured algorithm.
+      ScopedEnv env(var.c_str(), "");
+      EXPECT_EQ(resolve_coll(configured).policy.choice(op), 1) << var;
+    }
+  }
+  ScopedEnv bcast("HMPI_COLL_BCAST", "Chain");
+  EXPECT_EQ(resolve_coll({}).policy.bcast, coll::BcastAlgo::kChain);
+}
+
+TEST(CollEnv, UnknownAlgorithmThrowsNamingTheAcceptedNames) {
+  for (int o = 0; o < coll::kNumCollOps; ++o) {
+    const auto op = static_cast<coll::CollOp>(o);
+    const std::string var = "HMPI_COLL_" + upper(coll::op_name(op));
+    std::string names = "auto";
+    for (int a = 1; a <= coll::algo_count(op); ++a) {
+      names += std::string("|") + coll::algo_name(op, a);
+    }
+    ScopedEnv env(var.c_str(), "chian");
+    try {
+      resolve_coll({});
+      ADD_FAILURE() << var << "=chian was accepted";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(var + "='chian'"), std::string::npos) << what;
+      EXPECT_NE(what.find(names), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(CollEnv, TunerAndFeedbackAreFlags) {
+  const ResolvedColl defaults = resolve_coll({});
+  EXPECT_TRUE(defaults.priced);
+  EXPECT_FALSE(defaults.fed_back);
+  for (const char* off : {"off", "0", "FALSE", "No"}) {
+    ScopedEnv tuner("HMPI_COLL_TUNER", off);
+    EXPECT_FALSE(resolve_coll({}).priced) << off;
+  }
+  for (const char* on : {"on", "1", "TRUE", "Yes"}) {
+    ScopedEnv feedback("HMPI_COLL_FEEDBACK", on);
+    EXPECT_TRUE(resolve_coll({}).fed_back) << on;
+  }
+  {
+    // An empty value keeps the configured flags.
+    CollConfig configured;
+    configured.tuner = false;
+    configured.feedback = true;
+    ScopedEnv tuner("HMPI_COLL_TUNER", "");
+    ScopedEnv feedback("HMPI_COLL_FEEDBACK", "");
+    const ResolvedColl got = resolve_coll(configured);
+    EXPECT_FALSE(got.priced);
+    CollConfig with_tuner = configured;
+    with_tuner.tuner = true;
+    EXPECT_TRUE(resolve_coll(with_tuner).fed_back);
+  }
+  for (const char* var : {"HMPI_COLL_TUNER", "HMPI_COLL_FEEDBACK"}) {
+    ScopedEnv env(var, "maybe");
+    EXPECT_THROW(resolve_coll({}), InvalidArgument) << var;
+  }
 }
 
 }  // namespace

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace hmpi::hnoc {
 namespace {
@@ -73,6 +79,17 @@ TEST(ClusterIo, ErrorsCarryLineNumbers) {
                "unknown processor");
   expect_error("processor a speed 1 wibble 2\n", "unknown processor attribute");
   expect_error("\n\nfrobnicate\n", "line 3");
+  // Values must be finite, and a LAN id must be an int.
+  expect_error("processor a speed 1\nprocessor b speed 10 load inf\n",
+               "line 2: malformed load multiplier 'inf'");
+  expect_error("processor a speed 1\nnetwork latency inf bandwidth 1e6\n",
+               "line 2: malformed latency 'inf'");
+  expect_error("processor a speed 1\nprocessor b speed 1\n"
+               "link a b latency inf bandwidth 1e6\n",
+               "line 3: malformed latency 'inf'");
+  expect_error("processor a speed 1\nlan a 2147483648\n",
+               "line 2: LAN id must be a non-negative int, got '2147483648'");
+  expect_error("processor a speed 1\nlan a 1.0\n", "line 2: LAN id");
 }
 
 TEST(ClusterIo, RoundTripsThroughDescription) {
@@ -152,6 +169,100 @@ TEST(ClusterIo, TwoLevelRejectsPartialLanAssignment) {
                InvalidArgument);
   EXPECT_THROW(parse_cluster("processor a speed 50\nlan ghost 0\n"),
                InvalidArgument);
+}
+
+/// Checks what every accepted description must yield: positive, finite
+/// speeds and compute times, finite transfer times, and a description that
+/// parses back to itself.
+void expect_usable(const Cluster& c, const std::string& text) {
+  for (int p = 0; p < c.size(); ++p) {
+    for (double t : {0.0, 5.0, 10.0, 1e9}) {
+      const double speed = c.effective_speed(p, t);
+      EXPECT_TRUE(speed > 0.0 && std::isfinite(speed)) << speed << "\n" << text;
+    }
+    EXPECT_TRUE(std::isfinite(c.compute_finish(p, 0.0, 1e6))) << text;
+    for (int q = 0; q < c.size(); ++q) {
+      const double t = c.link(p, q).transfer_time(1 << 20);
+      EXPECT_TRUE(t >= 0.0 && std::isfinite(t)) << t << "\n" << text;
+    }
+  }
+  const std::string description = to_description(c);
+  EXPECT_EQ(to_description(parse_cluster(description)), description) << text;
+}
+
+TEST(ClusterIo, TokenMutationsThrowOrYieldAUsableCluster) {
+  // Seeded mutations of a valid description, one or two per trial, token
+  // by token: replace a token with an adversarial one, delete it, or
+  // duplicate it. Each mutant must either throw hmpi::Error or be usable.
+  const std::string valid = R"(network latency 150e-6 bandwidth 12.5e6
+shared_memory latency 5e-6 bandwidth 1e9
+processor ws0 speed 46
+processor ws6 speed 176 load 0.25
+processor ws7 speed 106 load@10 0.5
+link ws0 ws6 latency 1e-5 bandwidth 1e8
+symmetric_link ws0 ws7 latency 1e-5 bandwidth 1e8
+intra_lan latency 50e-6 bandwidth 125e6
+inter_lan latency 5e-3 bandwidth 1.25e6
+lan ws0 0
+lan ws6 1
+lan ws7 1
+)";
+  const std::vector<std::string> adversarial = {
+      "inf",        "-inf",       "nan",         "0",      "-0",
+      "-1",         "1e-300",     "1e300",       "1e999",  "2147483647",
+      "2147483648", "-2147483649", "1.5",        "+1",     "0x10",
+      "abc",        "load",       "load@1",      "load@inf", "latency",
+      "bandwidth",  "speed",      "lan",         "processor", "ws0",
+      "#"};
+  std::vector<std::vector<std::string>> lines;
+  std::istringstream in(valid);
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream words(line);
+    lines.emplace_back();
+    for (std::string word; words >> word;) lines.back().push_back(word);
+  }
+  ASSERT_EQ(to_description(parse_cluster(valid)),
+            to_description(parse_cluster(to_description(parse_cluster(valid)))));
+
+  support::Rng rng(2003);
+  int accepted = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 5000; ++trial) {
+    std::vector<std::vector<std::string>> mutant = lines;
+    const int mutations = 1 + static_cast<int>(rng.next_below(2));
+    for (int m = 0; m < mutations; ++m) {
+      auto& tokens = mutant[rng.next_below(mutant.size())];
+      if (tokens.empty()) continue;
+      const auto at = static_cast<std::ptrdiff_t>(rng.next_below(tokens.size()));
+      switch (rng.next_below(4)) {
+        case 0:
+          tokens.erase(tokens.begin() + at);
+          break;
+        case 1:
+          tokens.insert(tokens.begin() + at, tokens[static_cast<std::size_t>(at)]);
+          break;
+        default:
+          tokens[static_cast<std::size_t>(at)] =
+              adversarial[rng.next_below(adversarial.size())];
+      }
+    }
+    std::string text;
+    for (const auto& tokens : mutant) {
+      for (const std::string& token : tokens) text += token + " ";
+      text += "\n";
+    }
+    try {
+      const Cluster c = parse_cluster(text);
+      ++accepted;
+      expect_usable(c, text);
+    } catch (const Error&) {
+      ++rejected;
+    }
+  }
+  // Both outcomes occur, so the corpus exercises the parser's checks and
+  // its accepted paths.
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "support/error.hpp"
 
 namespace hmpi::hnoc {
@@ -29,6 +32,36 @@ TEST(Cluster, RejectsEmptyOrBadSpeeds) {
   EXPECT_THROW(ClusterBuilder().build(), hmpi::InvalidArgument);
   EXPECT_THROW(ClusterBuilder().add("x", 0.0).build(), hmpi::InvalidArgument);
   EXPECT_THROW(ClusterBuilder().add("x", -5.0).build(), hmpi::InvalidArgument);
+}
+
+TEST(Cluster, RejectsNonFiniteLatencies) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(ClusterBuilder().add("x", 1.0).network(inf, 1e6).build(),
+               hmpi::InvalidArgument);
+  EXPECT_THROW(ClusterBuilder().add("x", 1.0).shared_memory(inf, 1e6).build(),
+               hmpi::InvalidArgument);
+  EXPECT_THROW(ClusterBuilder()
+                   .add("x", 1.0)
+                   .add("y", 1.0)
+                   .link_override(0, 1, inf, 1e6)
+                   .build(),
+               hmpi::InvalidArgument);
+  EXPECT_THROW(ClusterBuilder()
+                   .add("x", 1.0)
+                   .two_level({0}, 1e-6, 1e9, std::nan(""), 1e6)
+                   .build(),
+               hmpi::InvalidArgument);
+}
+
+TEST(Cluster, RejectsASpeedTimesLoadThatOverflowsOrUnderflows) {
+  EXPECT_THROW(
+      ClusterBuilder().add("x", 1e300, LoadProfile::constant(1e300)).build(),
+      hmpi::InvalidArgument);
+  EXPECT_THROW(
+      ClusterBuilder().add("x", 1e-300, LoadProfile::constant(1e-300)).build(),
+      hmpi::InvalidArgument);
+  EXPECT_NO_THROW(
+      ClusterBuilder().add("x", 1e150, LoadProfile::constant(1e150)).build());
 }
 
 TEST(Cluster, InterMachineLinkUsesNetworkParams) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "support/error.hpp"
 
 namespace hmpi::hnoc {
@@ -36,6 +39,13 @@ TEST(LoadProfile, StepsSortedOnConstruction) {
 TEST(LoadProfile, RejectsNonPositiveMultiplier) {
   EXPECT_THROW(LoadProfile({{0.0, 0.0}}), hmpi::InvalidArgument);
   EXPECT_THROW(LoadProfile({{0.0, -1.0}}), hmpi::InvalidArgument);
+}
+
+TEST(LoadProfile, RejectsNonFiniteMultiplier) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(LoadProfile({{0.0, inf}}), hmpi::InvalidArgument);
+  EXPECT_THROW(LoadProfile({{0.0, std::nan("")}}), hmpi::InvalidArgument);
+  EXPECT_THROW(LoadProfile::constant(inf), hmpi::InvalidArgument);
 }
 
 TEST(LoadProfile, RejectsDuplicateTimes) {

@@ -22,6 +22,7 @@
 #include "telemetry/critpath.hpp"
 
 #include "differential.hpp"
+#include "../scoped_env.hpp"
 
 namespace hmpi::mp {
 namespace {
@@ -29,33 +30,6 @@ namespace {
 using telemetry::CausalLog;
 using telemetry::CriticalPathReport;
 using telemetry::ProfMode;
-
-/// Scoped setenv/unsetenv (tests in this binary run single-threaded).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = ::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
 
 /// An irregular but deterministic program: skewed compute, a ring exchange,
 /// and a reduction-to-rank-0 chain, so the critical path crosses machines.

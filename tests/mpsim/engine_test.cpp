@@ -23,36 +23,10 @@
 #include "telemetry/metrics.hpp"
 
 #include "differential.hpp"
+#include "../scoped_env.hpp"
 
 namespace hmpi::mp {
 namespace {
-
-/// Scoped setenv/unsetenv (tests in this binary run single-threaded).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 /// The InvalidArgument message `fn` throws, or "" when it does not throw.
 template <typename Fn>
@@ -71,8 +45,9 @@ TEST(EngineResolve, ExplicitChoiceIgnoresEnv) {
 }
 
 TEST(EngineResolve, StackDefaultsAndEnv) {
-  {
-    ScopedEnv s("HMPI_SIM_STACK_KB", nullptr);
+  // Unset and empty both mean the 512 KiB default.
+  for (const char* unset : {static_cast<const char*>(nullptr), ""}) {
+    ScopedEnv s("HMPI_SIM_STACK_KB", unset);
     EXPECT_EQ(sim::resolve_stack_bytes(0), 512u * 1024u);
   }
   {
@@ -83,11 +58,11 @@ TEST(EngineResolve, StackDefaultsAndEnv) {
 
 TEST(EngineResolve, MalformedStackThrowsNamingTheVariable) {
   for (const char* bad :
-       {"0", "-2", "eight", "8x", "", "99999999999999999999"}) {
+       {"0", "-2", "eight", "8x", "99999999999999999999"}) {
     ScopedEnv env("HMPI_SIM_STACK_KB", bad);
     const std::string what = rejection([] { sim::resolve_stack_bytes(0); });
     EXPECT_NE(what.find("HMPI_SIM_STACK_KB"), std::string::npos) << bad;
-    EXPECT_NE(what.find("positive integer"), std::string::npos) << bad;
+    EXPECT_NE(what.find("whole decimal int >= 1"), std::string::npos) << bad;
     EXPECT_EQ(sim::resolve_stack_bytes(4096), 4096u);
   }
 }

@@ -19,6 +19,8 @@
 #include "support/error.hpp"
 #include "telemetry/json.hpp"
 
+#include "../scoped_env.hpp"
+
 namespace hmpi::sched {
 namespace {
 
@@ -26,29 +28,6 @@ using pmdl::InstanceBuilder;
 using pmdl::Model;
 using pmdl::ParamValue;
 using pmdl::ScheduleSink;
-
-/// Scoped setenv/unsetenv (tests in this binary run single-threaded).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
 
 /// Model with two params: per-processor volume array and (ignored here)
 /// nothing else — width is the array length.
@@ -424,6 +403,32 @@ TEST(SchedConfig, EnvOverridesApply) {
     EXPECT_EQ(got.backfill_depth, 0);
     EXPECT_EQ(got.preempt_priority_gap, -2);
     EXPECT_DOUBLE_EQ(got.aging_weight, 1e-3);
+  }
+  {
+    // Empty values keep the base values too.
+    SchedConfig base;
+    base.policy = SchedPolicy::kFifo;
+    base.slots_per_machine = 5;
+    base.backfill = false;
+    base.backfill_depth = 3;
+    base.preempt = false;
+    base.preempt_priority_gap = 7;
+    base.aging_weight = 0.25;
+    std::vector<std::unique_ptr<ScopedEnv>> empty;
+    for (const char* name :
+         {"HMPI_SCHED_POLICY", "HMPI_SCHED_SLOTS", "HMPI_SCHED_BACKFILL",
+          "HMPI_SCHED_BACKFILL_DEPTH", "HMPI_SCHED_PREEMPT",
+          "HMPI_SCHED_PREEMPT_GAP", "HMPI_SCHED_AGING"}) {
+      empty.push_back(std::make_unique<ScopedEnv>(name, ""));
+    }
+    const SchedConfig got = sched_config_with_env(base);
+    EXPECT_EQ(got.policy, SchedPolicy::kFifo);
+    EXPECT_EQ(got.slots_per_machine, 5);
+    EXPECT_FALSE(got.backfill);
+    EXPECT_EQ(got.backfill_depth, 3);
+    EXPECT_FALSE(got.preempt);
+    EXPECT_EQ(got.preempt_priority_gap, 7);
+    EXPECT_DOUBLE_EQ(got.aging_weight, 0.25);
   }
   // Every flag spelling, in any case.
   for (const char* on : {"1", "true", "TRUE", "yes", "Yes", "on", "ON"}) {

@@ -16,35 +16,10 @@
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
 
+#include "../scoped_env.hpp"
+
 namespace hmpi::telemetry {
 namespace {
-
-/// Scoped setenv/unsetenv (tests in this binary run single-threaded).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = ::getenv(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  std::string old_;
-  bool had_old_ = false;
-};
 
 // ---------------------------------------------------------------------------
 // Mode resolution.
@@ -56,17 +31,18 @@ TEST(ProfModeResolution, UnsetDefaultsToRing) {
 }
 
 TEST(ProfModeResolution, EnvSpellings) {
-  for (const char* v : {"0", "off", "false", "no"}) {
+  for (const char* v : {"0", "off", "false", "no", "OFF", "No"}) {
     ScopedEnv env("HMPI_PROF", v);
     EXPECT_EQ(resolve_prof_mode(ProfMode::kAuto), ProfMode::kOff) << v;
   }
-  for (const char* v : {"1", "on", "true", "yes", "full"}) {
+  for (const char* v : {"1", "on", "true", "yes", "full", "ON", "Full"}) {
     ScopedEnv env("HMPI_PROF", v);
     EXPECT_EQ(resolve_prof_mode(ProfMode::kAuto), ProfMode::kFull) << v;
   }
-  {
-    ScopedEnv env("HMPI_PROF", "ring");
-    EXPECT_EQ(resolve_prof_mode(ProfMode::kAuto), ProfMode::kRing);
+  // An empty value means unset: the always-on ring.
+  for (const char* v : {"ring", "RING", ""}) {
+    ScopedEnv env("HMPI_PROF", v);
+    EXPECT_EQ(resolve_prof_mode(ProfMode::kAuto), ProfMode::kRing) << v;
   }
   {
     // An unrecognised spelling throws instead of falling back to the ring.

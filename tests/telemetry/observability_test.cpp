@@ -2,7 +2,7 @@
 // export of an EM3D-style failover run (nested runtime spans over the
 // simulator's virtual timeline), the Timeof prediction-accuracy regression
 // (mean relative error < 25% for both paper applications), runtime metric
-// wiring, and the RuntimeConfig telemetry sinks.
+// wiring, and the RuntimeConfig telemetry sinks with their env overrides.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,7 +24,10 @@
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/prediction.hpp"
+#include "telemetry/sinks.hpp"
 #include "telemetry/span.hpp"
+
+#include "../scoped_env.hpp"
 
 namespace hmpi {
 namespace {
@@ -295,6 +298,31 @@ TEST(Observability, CApiMetricsDumpIsValidJson) {
   EXPECT_NE(doc->find("counters"), nullptr);
   EXPECT_NE(doc->find("gauges"), nullptr);
   EXPECT_NE(doc->find("histograms"), nullptr);
+}
+
+TEST(Observability, SinkPathsFromEnvOverrideTheConfig) {
+  const telemetry::Sinks configured{"m.json", "t.json", "c.json"};
+  {
+    ScopedEnv metrics("HMPI_METRICS_JSON", "env_m.json");
+    ScopedEnv trace("HMPI_TRACE_JSON", "env_t.json");
+    ScopedEnv critpath("HMPI_CRITPATH_JSON", "env_c.json");
+    const telemetry::Sinks got = configured.with_env_overrides();
+    EXPECT_EQ(got.metrics_json, "env_m.json");
+    EXPECT_EQ(got.trace_json, "env_t.json");
+    EXPECT_EQ(got.critpath_json, "env_c.json");
+    EXPECT_EQ(telemetry::Sinks::from_env().critpath_json, "env_c.json");
+  }
+  {
+    // Unset or empty keeps the configured path.
+    ScopedEnv metrics("HMPI_METRICS_JSON", "");
+    ScopedEnv trace("HMPI_TRACE_JSON", nullptr);
+    ScopedEnv critpath("HMPI_CRITPATH_JSON", "");
+    const telemetry::Sinks got = configured.with_env_overrides();
+    EXPECT_EQ(got.metrics_json, "m.json");
+    EXPECT_EQ(got.trace_json, "t.json");
+    EXPECT_EQ(got.critpath_json, "c.json");
+    EXPECT_FALSE(telemetry::Sinks::from_env().any());
+  }
 }
 
 }  // namespace

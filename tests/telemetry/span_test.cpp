@@ -139,6 +139,29 @@ TEST(Span, MacroRecordsASpan) {
   EXPECT_EQ(spans().size(), before + 1);
 }
 
+TEST(TraceLog, KeepsTheNewestCapacitySpans) {
+  // Records in start order; once full, each span overwrites the oldest.
+  constexpr std::size_t kExtra = 3;
+  TraceLog log;
+  for (std::size_t i = 1; i <= TraceLog::kCapacity + kExtra; ++i) {
+    SpanRecord rec;
+    rec.id = i;
+    rec.wall_start_us = static_cast<double>(i);
+    log.record(std::move(rec));
+  }
+  EXPECT_EQ(log.size(), TraceLog::kCapacity);
+  EXPECT_EQ(log.dropped(), kExtra);
+  const std::vector<SpanRecord> kept = log.records();
+  ASSERT_EQ(kept.size(), TraceLog::kCapacity);
+  // Spans 1..kExtra are gone; the rest come back sorted by start.
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    ASSERT_EQ(kept[i].id, i + kExtra + 1) << i;
+  }
+  log.clear();
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(log.dropped(), 0u);
+}
+
 TEST(ChromeTrace, SpansConvertToRuntimePidEvents) {
   SpanRecord rec;
   rec.id = 42;
