@@ -113,8 +113,7 @@ int main() {
     support::Table at_scale(
         "Ablation A10a: selection at P=1000 (ring model, 8 threads, cache "
         "on, capped equal effort)",
-        {"mapper", "wall_ms", "speedup", "makespan_s", "evaluations",
-         "batch_evaluated"});
+        {"mapper", "wall_ms", "speedup", "makespan_s", "evaluations"});
     double baseline_ms = 0.0;
     double baseline_makespan = 0.0;
     double scaled_makespan = 0.0;
@@ -142,8 +141,7 @@ int main() {
       at_scale.add_row({config.name, support::Table::num(ms, 1),
                         support::Table::num(baseline_ms / ms, 1),
                         support::Table::num(result.estimated_time, 6),
-                        support::Table::num(result.stats.evaluations, 0),
-                        support::Table::num(result.stats.batch_evaluated, 0)});
+                        support::Table::num(result.stats.evaluations, 0)});
     }
     bench::emit(at_scale);
     exported.push_back(at_scale);

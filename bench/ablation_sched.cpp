@@ -125,7 +125,7 @@ int main() {
   bench::write_bench_json("sched", {table, verdict});
 
   // This bench drives the Scheduler directly (no Runtime), so it honours the
-  // metrics sink itself — CI validates the sched.* grammar in the dump.
+  // metrics sink itself — CI checks the dump against the metric catalogue.
   if (const telemetry::Sinks sinks = telemetry::Sinks::from_env();
       !sinks.metrics_json.empty()) {
     std::ofstream os(sinks.metrics_json);

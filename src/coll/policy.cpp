@@ -128,6 +128,16 @@ int algo_from_name(CollOp op, const std::string& name) {
   return -1;
 }
 
+bool names_collective(std::string_view op, std::string_view algo) {
+  for (int i = 0; i < kNumCollOps; ++i) {
+    if (op == kOpNames[i]) {
+      return algo.empty() ||
+             algo_from_name(static_cast<CollOp>(i), std::string(algo)) >= 1;
+    }
+  }
+  return false;
+}
+
 void Selector::observe(CollOp, int, std::size_t, double, double) {}
 
 }  // namespace hmpi::coll

@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <span>
 #include <string>
+#include <string_view>
 
 namespace hmpi::coll {
 
@@ -120,6 +121,11 @@ const char* algo_name(CollOp op, int algo);
 
 /// Inverse of algo_name for `op`; -1 when the name is unknown ("auto" = 0).
 int algo_from_name(CollOp op, const std::string& name);
+
+/// True when `op` is an op_name and `algo` is empty or the algo_name of one
+/// of its concrete algorithms: the check the `<op>` and `<algo>` segments
+/// of a metric name must pass (tools/telemetry_check).
+bool names_collective(std::string_view op, std::string_view algo);
 
 /// Pluggable per-call algorithm selector, installed into a mp::World (the
 /// runtime installs its CollTuner). select() must be deterministic in its

@@ -555,17 +555,12 @@ void Runtime::note_search(const map::SearchStats& stats) const {
   telemetry::MetricsRegistry& reg = telemetry::metrics();
   reg.counter("mapper_searches").add();
   reg.counter("estimator_evaluations").add(static_cast<double>(stats.evaluations));
-  reg.counter("estimate_cache_hits").add(static_cast<double>(stats.cache_hits));
-  reg.counter("estimate_cache_misses").add(static_cast<double>(stats.cache_misses));
   reg.gauge("cache_hit_rate").set(stats.hit_rate());
   reg.histogram("search_wall_seconds").observe(stats.wall_seconds);
   if (stats.compiled_evaluations > 0) {
     reg.counter("est.compile.evaluations")
         .add(static_cast<double>(stats.compiled_evaluations));
   }
-  // Namespaced twins of the legacy cache counters (docs/observability.md):
-  // est.cache.* keeps the estimator's counters in one namespace alongside
-  // est.compile.* / est.batch.*.
   if (stats.cache_hits > 0 || stats.cache_misses > 0) {
     reg.counter("est.cache.hits").add(static_cast<double>(stats.cache_hits));
     reg.counter("est.cache.misses")
@@ -576,8 +571,6 @@ void Runtime::note_search(const map::SearchStats& stats) const {
         .add(static_cast<double>(stats.batch_chunks));
     reg.counter("mapper.batch.candidates")
         .add(static_cast<double>(stats.batch_candidates));
-    reg.counter("est.batch.evaluations")
-        .add(static_cast<double>(stats.batch_evaluated));
   }
   if (mp::Tracer* tracer = proc_->world().options().tracer) {
     mp::TraceEvent event;
@@ -598,7 +591,6 @@ void Runtime::note_search(const map::SearchStats& stats) const {
       batch.processor = proc_->processor();
       batch.batch.chunks = stats.batch_chunks;
       batch.batch.candidates = stats.batch_candidates;
-      batch.batch.evaluated = stats.batch_evaluated;
       batch.start_time = proc_->clock();
       batch.end_time = proc_->clock();
       tracer->record(batch);

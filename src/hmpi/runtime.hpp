@@ -618,9 +618,8 @@ class Runtime {
 
   /// Records `stats` as the latest search, accumulates the cumulative
   /// estimator totals, updates the search metrics (estimator_evaluations,
-  /// estimate_cache_hits/misses, cache_hit_rate, est.compile.evaluations,
-  /// est.cache.*, est.batch.*), and emits a kMapperSearch trace event with
-  /// the named search payload.
+  /// cache_hit_rate, est.compile.evaluations, est.cache.*, mapper.batch.*),
+  /// and emits a kMapperSearch trace event with the named search payload.
   void note_search(const map::SearchStats& stats) const;
 
   /// Compiles (or fetches) the plan for `instance` from the world-shared

@@ -36,6 +36,13 @@ double parse_number(const std::string& token, int line, const char* what) {
   return value;
 }
 
+/// The shortest text that std::from_chars reads back as exactly `value`.
+std::string number(double value) {
+  char buffer[32];
+  return std::string(buffer,
+                     std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
+}
+
 /// Parses `latency <x> bandwidth <y>` from the remaining tokens.
 LinkParams parse_link_params(const std::vector<std::string>& tokens,
                              std::size_t start, int line) {
@@ -180,32 +187,33 @@ Cluster parse_cluster(std::string_view text) {
 
 std::string to_description(const Cluster& cluster) {
   std::ostringstream os;
-  os << "network latency " << cluster.default_link().latency_s << " bandwidth "
-     << cluster.default_link().bandwidth_bps << "\n";
-  os << "shared_memory latency " << cluster.self_link().latency_s
-     << " bandwidth " << cluster.self_link().bandwidth_bps << "\n";
+  os << "network latency " << number(cluster.default_link().latency_s)
+     << " bandwidth " << number(cluster.default_link().bandwidth_bps) << "\n";
+  os << "shared_memory latency " << number(cluster.self_link().latency_s)
+     << " bandwidth " << number(cluster.self_link().bandwidth_bps) << "\n";
   for (int p = 0; p < cluster.size(); ++p) {
     const Processor& proc = cluster.processor(p);
-    os << "processor " << proc.name << " speed " << proc.speed;
+    os << "processor " << proc.name << " speed " << number(proc.speed);
     for (const LoadProfile::Step& step : proc.load.steps()) {
       if (step.time == std::numeric_limits<double>::lowest()) {
-        os << " load " << step.multiplier;
+        os << " load " << number(step.multiplier);
       } else {
-        os << " load@" << step.time << " " << step.multiplier;
+        os << " load@" << number(step.time) << " " << number(step.multiplier);
       }
     }
     os << "\n";
   }
   for (const auto& [pair, params] : cluster.link_overrides()) {
     os << "link " << cluster.processor(pair.first).name << " "
-       << cluster.processor(pair.second).name << " latency " << params.latency_s
-       << " bandwidth " << params.bandwidth_bps << "\n";
+       << cluster.processor(pair.second).name << " latency "
+       << number(params.latency_s) << " bandwidth "
+       << number(params.bandwidth_bps) << "\n";
   }
   if (cluster.two_level()) {
-    os << "intra_lan latency " << cluster.intra_link().latency_s
-       << " bandwidth " << cluster.intra_link().bandwidth_bps << "\n";
-    os << "inter_lan latency " << cluster.inter_link().latency_s
-       << " bandwidth " << cluster.inter_link().bandwidth_bps << "\n";
+    os << "intra_lan latency " << number(cluster.intra_link().latency_s)
+       << " bandwidth " << number(cluster.intra_link().bandwidth_bps) << "\n";
+    os << "inter_lan latency " << number(cluster.inter_link().latency_s)
+       << " bandwidth " << number(cluster.inter_link().bandwidth_bps) << "\n";
     for (int p = 0; p < cluster.size(); ++p) {
       os << "lan " << cluster.processor(p).name << " " << cluster.lan_of(p)
          << "\n";

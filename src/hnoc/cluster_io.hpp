@@ -38,7 +38,9 @@ namespace hmpi::hnoc {
 /// Parses a cluster description (see file comment).
 Cluster parse_cluster(std::string_view text);
 
-/// Renders a cluster back to the description format (load profiles included).
+/// Renders a cluster back to the description format (load profiles
+/// included), every number in its shortest form that parses back to the
+/// same double, so parse_cluster returns the same cluster.
 std::string to_description(const Cluster& cluster);
 
 }  // namespace hmpi::hnoc

@@ -134,7 +134,6 @@ class BatchScorer {
     stats->batch_chunks += 1;
     stats->batch_candidates += static_cast<long long>(count);
     stats->compiled_evaluations += static_cast<long long>(count);
-    stats->batch_evaluated += static_cast<long long>(count);
 
     // Selection -> physical processors, slot-major (soa_[a * count + j]).
     soa_.resize(width_ * count);

@@ -77,11 +77,9 @@ struct SearchStats {
   long long compiled_evaluations = 0;
   /// Batch scoring requests the scalable searches issued (mapper.batch.*).
   long long batch_chunks = 0;
-  /// Selections scored through the batch path.
+  /// Selections scored through the batch path, each priced by the SoA
+  /// evaluator (the batch path never consults the cache).
   long long batch_candidates = 0;
-  /// Batch candidates the SoA evaluator priced (est.batch.* metrics); equal
-  /// to batch_candidates, since the batch path never consults the cache.
-  long long batch_evaluated = 0;
   double wall_seconds = 0.0;   ///< Host wall-clock time of the search.
   int threads = 1;             ///< Workers the search ran with.
 
@@ -103,7 +101,6 @@ struct SearchStats {
     compiled_evaluations += other.compiled_evaluations;
     batch_chunks += other.batch_chunks;
     batch_candidates += other.batch_candidates;
-    batch_evaluated += other.batch_evaluated;
   }
 };
 

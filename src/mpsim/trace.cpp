@@ -96,7 +96,6 @@ std::vector<telemetry::ChromeEvent> to_chrome_events(
       case TraceEvent::Kind::kMapperBatch:
         c.arg("chunks", static_cast<double>(e.batch.chunks));
         c.arg("candidates", static_cast<double>(e.batch.candidates));
-        c.arg("evaluated", static_cast<double>(e.batch.evaluated));
         break;
       case TraceEvent::Kind::kEstCompile:
         c.arg("ops", static_cast<double>(e.compile.ops));
@@ -182,12 +181,12 @@ void Tracer::write_csv(std::ostream& os) const {
       tag = e.coll.op;
       units = e.coll.predicted_s;
     }
-    // kMapperBatch packs the chunk count in peer, the SoA-evaluated count in
-    // bytes and the candidate count in units; the honest form is
-    // TraceEvent::batch / the Chrome-trace args.
+    // kMapperBatch packs the chunk count in peer and the candidate count in
+    // both bytes and units; the honest form is TraceEvent::batch / the
+    // Chrome-trace args.
     if (e.kind == TraceEvent::Kind::kMapperBatch) {
       peer = static_cast<int>(e.batch.chunks);
-      bytes = static_cast<std::size_t>(e.batch.evaluated);
+      bytes = static_cast<std::size_t>(e.batch.candidates);
       units = static_cast<double>(e.batch.candidates);
     }
     // kEstCompile likewise: plan ops in bytes, compile seconds in units.

@@ -67,8 +67,6 @@ struct TraceEvent {
   struct MapperBatch {
     long long chunks = 0;      ///< Batch scoring requests issued.
     long long candidates = 0;  ///< Selections scored through the batch path.
-    long long evaluated = 0;   ///< Of those, priced by the SoA evaluator
-                               ///< (cache hits and fallbacks excluded).
   };
 
   /// Named payload for kEstCompile.

@@ -254,6 +254,10 @@ class Parser {
     const std::string token(text_.substr(start, pos_ - start));
     out.type = JsonValue::Type::kNumber;
     out.number = std::strtod(token.c_str(), nullptr);
+    if (!std::isfinite(out.number)) {
+      pos_ = start;
+      return fail("number out of range");
+    }
     return true;
   }
 

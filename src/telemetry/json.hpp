@@ -48,7 +48,8 @@ struct JsonValue {
 
 /// Parses a complete JSON document (surrounding whitespace allowed; trailing
 /// garbage rejected). Returns nullopt and fills `*error` (when non-null) with
-/// a position-annotated message on malformed input.
+/// a position-annotated message on malformed input, which includes a number
+/// too large for a finite double.
 std::optional<JsonValue> parse_json(std::string_view text,
                                     std::string* error = nullptr);
 

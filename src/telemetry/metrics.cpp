@@ -5,9 +5,221 @@
 #include <limits>
 #include <ostream>
 
+#include "support/error.hpp"
 #include "telemetry/json.hpp"
 
 namespace hmpi::telemetry {
+namespace {
+
+constexpr auto kCounter = MetricKind::kCounter;
+constexpr auto kGauge = MetricKind::kGauge;
+constexpr auto kHistogram = MetricKind::kHistogram;
+
+// docs/observability.md's metrics table shows these rows verbatim, and
+// test_telemetry fails when the two differ.
+constexpr MetricSpec kCatalog[] = {
+    {"recons", kCounter, "count", "every `HMPI_Recon` collective"},
+    {"timeof_calls", kCounter, "count",
+     "every `HMPI_Timeof` evaluation, one per parameter set of a batch"},
+    {"timeof_batch_calls", kCounter, "count", "every `HMPI_Timeof_batch` call"},
+    {"groups_created", kCounter, "count",
+     "parent side of a successful `HMPI_Group_create`"},
+    {"group_respawns", kCounter, "count",
+     "every `group_respawn` recovery (docs/faults.md)"},
+    {"group_migrations", kCounter, "count",
+     "every `group_migrate` onto a new roster (docs/adaptation.md)"},
+    {"mapper_searches", kCounter, "count", "each finished group-selection search"},
+    {"estimator_evaluations", kCounter, "count",
+     "arrangements the searches scored, cache hits included"},
+    {"processors_suspected", kCounter, "count",
+     "recon timeouts marking a processor suspect (docs/faults.md)"},
+    {"processors_recovered", kCounter, "count",
+     "recons clearing a suspect processor"},
+    {"messages_dropped", kCounter, "count",
+     "messages the simulator's fault plan dropped"},
+    {"messages_delayed", kCounter, "count",
+     "messages the simulator's fault plan delayed"},
+    {"est.compile.count", kCounter, "count",
+     "plans compiled at a Timeof or Group_create prefetch (docs/estimator.md)"},
+    {"est.compile.hits", kCounter, "count",
+     "prefetches that found the plan compiled"},
+    {"est.compile.misses", kCounter, "count", "prefetches that compiled the plan"},
+    {"est.compile.evaluations", kCounter, "count",
+     "arrangements the estimator kernel priced (cache hits excluded)"},
+    {"est.cache.hits", kCounter, "count",
+     "estimate-cache lookups of the one-at-a-time searches answered from the cache "
+     "(docs/mapper.md §4)"},
+    {"est.cache.misses", kCounter, "count",
+     "estimate-cache lookups the kernel had to price"},
+    {"mapper.batch.chunks", kCounter, "count",
+     "batch scoring requests of the beam and work-stealing searches "
+     "(docs/mapper.md)"},
+    {"mapper.batch.candidates", kCounter, "count",
+     "selections scored through the batch path, each priced by the kernel"},
+    {"sim.dispatches", kCounter, "count",
+     "event-engine fiber resumes (docs/simulator.md)"},
+    {"sim.stalls", kCounter, "count", "structural-stall wakeups"},
+    {"sim.stacks_mapped", kCounter, "count",
+     "fiber stacks newly mapped; a stack reused from the pool does not count"},
+    {"sim.runs.event", kCounter, "count",
+     "`World::run` calls (every world runs on the event engine)"},
+    {"machine.<p>.compute_seconds", kCounter, "s",
+     "virtual seconds machine `p` spent computing"},
+    {"machine.<p>.sent_bytes", kCounter, "bytes",
+     "bytes sent by the processes on machine `p`"},
+    {"machine.<p>.messages_sent", kCounter, "count",
+     "messages sent by the processes on machine `p`"},
+    {"coll.<op>.<algo>", kCounter, "count",
+     "each executed collective, per chosen algorithm (docs/collectives.md)"},
+    {"coll.tuner.hits", kCounter, "count",
+     "CollTuner selection-memo hits, flushed at finalize"},
+    {"coll.tuner.misses", kCounter, "count",
+     "CollTuner selection-memo misses, flushed at finalize"},
+    {"adapt.checks", kCounter, "count",
+     "every `adapt_observe` round and `adapt_recon` drift check "
+     "(docs/adaptation.md)"},
+    {"adapt.triggers", kCounter, "count", "watchdog trips"},
+    {"adapt.migrations", kCounter, "count", "migrations kept"},
+    {"adapt.rollbacks", kCounter, "count", "migrations the guard rolled back"},
+    {"adapt.suppressed", kCounter, "count",
+     "migrations the cost/benefit gate suppressed"},
+    {"sched.submitted", kCounter, "count",
+     "jobs submitted to the scheduler service (docs/scheduler.md)"},
+    {"sched.dispatched", kCounter, "count",
+     "job dispatches, re-dispatches after a preemption included"},
+    {"sched.completed", kCounter, "count", "jobs completed"},
+    {"sched.preempted", kCounter, "count", "lease revocations that requeued a job"},
+    {"sched.backfilled", kCounter, "count",
+     "dispatches that slid past the queue head"},
+    {"sched.cancelled", kCounter, "count", "jobs cancelled"},
+
+    {"cache_hit_rate", kGauge, "ratio",
+     "estimate-cache hit rate of the most recent search, in [0, 1]"},
+    {"adapt.divergence", kGauge, "ratio",
+     "smoothed divergence behind the latest `adapt_observe` check"},
+    {"adapt.drift", kGauge, "ratio",
+     "speed drift behind the latest `adapt_recon` check"},
+    {"adapt.blame_share", kGauge, "ratio",
+     "dominant blame entry's share of the critical path at the latest "
+     "blame-informed check"},
+    {"coll.feedback.<op>.<algo>", kGauge, "ratio",
+     "CollTuner's promoted measured/predicted EWMA ratio, at finalize for each "
+     "observed pair"},
+    {"crit.path_seconds", kGauge, "s",
+     "critical-path length, published at finalize before the metrics dump"},
+    {"crit.makespan_seconds", kGauge, "s", "virtual makespan of the run"},
+    {"crit.compute_seconds", kGauge, "s", "path time spent computing"},
+    {"crit.transfer_seconds", kGauge, "s", "path time spent in flight"},
+    {"crit.overhead_seconds", kGauge, "s",
+     "path time spent in send and receive overheads"},
+    {"crit.gap_seconds", kGauge, "s",
+     "path time left unattributed at the ring horizon"},
+    {"crit.segments", kGauge, "count", "segments on the path"},
+    {"crit.complete", kGauge, "flag",
+     "1 when the path reaches virtual time 0, else 0"},
+    {"crit.events_dropped", kGauge, "count",
+     "causal events the per-rank rings overwrote"},
+    {"crit.machine.<p>.seconds", kGauge, "s",
+     "path compute time blamed on machine `p`"},
+    {"crit.link.<src>.<dst>.seconds", kGauge, "s",
+     "path wait and transfer time blamed on the link from `src` to `dst`"},
+    {"crit.coll.<op>.<algo>.seconds", kGauge, "s",
+     "path time inside that collective algorithm"},
+    {"sched.queue_depth", kGauge, "count", "jobs queued now"},
+    {"sched.queue_depth_peak", kGauge, "count", "most jobs queued at once"},
+    {"sched.running", kGauge, "count", "jobs holding leases now"},
+    {"sched.utilization", kGauge, "ratio",
+     "time-weighted fraction of busy machines"},
+    {"sched.makespan_s", kGauge, "s", "virtual time of the last completion"},
+    {"sched.throughput_jobs_per_s", kGauge, "1/s",
+     "completions per virtual second"},
+    {"sim.fibers", kGauge, "count", "processes of the latest run"},
+    {"sim.ready_peak", kGauge, "count", "longest ready queue of the latest run"},
+    {"sim.stack_bytes", kGauge, "bytes", "fiber stack size of the latest run"},
+
+    {"recon_seconds", kHistogram, "s",
+     "virtual time of each process's last recon benchmark attempt"},
+    {"group_create_seconds", kHistogram, "s",
+     "host wall time of each successful `HMPI_Group_create` (parent side)"},
+    {"search_wall_seconds", kHistogram, "s",
+     "host wall time of each group-selection search"},
+    {"coll.<op>.seconds", kHistogram, "s",
+     "virtual duration of each executed collective"},
+    {"est.compile.seconds", kHistogram, "s", "host wall time of each plan compile"},
+    {"adapt.predicted_gain_seconds", kHistogram, "s",
+     "gain the gate predicted for each kept migration"},
+    {"adapt.realized_gain_seconds", kHistogram, "s",
+     "gain each migration realised at its next measured round"},
+    {"sched.wait_seconds", kHistogram, "s",
+     "each job's wait from arrival to first dispatch"},
+    {"sched.turnaround_seconds", kHistogram, "s",
+     "each job's time from arrival to completion"},
+    {"sched.service_seconds", kHistogram, "s", "each job's total virtual service"},
+};
+
+// Matches `name` against `pattern`, a placeholder taking one whole
+// dot-separated segment of its class, and keeps the segments `<op>` and
+// `<algo>` took.
+bool matches(std::string_view pattern, std::string_view name,
+             std::string_view& op, std::string_view& algo) {
+  while (true) {
+    const std::size_t open = pattern.find('<');
+    const std::string_view literal = pattern.substr(0, open);
+    if (!name.starts_with(literal)) return false;
+    name.remove_prefix(literal.size());
+    if (open == std::string_view::npos) return name.empty();
+    const std::size_t close = pattern.find('>', open);
+    const std::string_view token = pattern.substr(open + 1, close - open - 1);
+    pattern.remove_prefix(close + 1);
+    const std::string_view segment = name.substr(0, name.find('.'));
+    name.remove_prefix(segment.size());
+    const bool number = token == "p" || token == "src" || token == "dst";
+    const auto in_class = [number](char c) {
+      return (c >= '0' && c <= '9') ||
+             (!number && ((c >= 'a' && c <= 'z') || c == '_'));
+    };
+    if (segment.empty() ||
+        !std::all_of(segment.begin(), segment.end(), in_class)) {
+      return false;
+    }
+    if (token == "op") op = segment;
+    if (token == "algo") algo = segment;
+  }
+}
+
+void require_declared(std::string_view name, MetricKind kind) {
+  if (find_metric(name, kind) == nullptr) {
+    throw InvalidArgument("metric '" + std::string(name) +
+                          "' is not declared as a " + metric_kind_name(kind) +
+                          " in the metric catalogue (docs/observability.md)");
+  }
+}
+
+}  // namespace
+
+const char* metric_kind_name(MetricKind kind) {
+  switch (kind) {
+    case MetricKind::kCounter: return "counter";
+    case MetricKind::kGauge: return "gauge";
+    case MetricKind::kHistogram: return "histogram";
+  }
+  return "counter";
+}
+
+std::span<const MetricSpec> metric_catalog() { return kCatalog; }
+
+const MetricSpec* find_metric(std::string_view name, MetricKind kind,
+                              MetricTokenCheck check) {
+  for (const MetricSpec& spec : kCatalog) {
+    std::string_view op;
+    std::string_view algo;
+    if (spec.kind == kind && matches(spec.pattern, name, op, algo) &&
+        (check == nullptr || op.empty() || check(op, algo))) {
+      return &spec;
+    }
+  }
+  return nullptr;
+}
 
 Histogram::Histogram(std::vector<double> upper_bounds)
     : upper_bounds_(std::move(upper_bounds)),
@@ -79,6 +291,7 @@ Counter& MetricsRegistry::counter(std::string_view name) {
   std::lock_guard lock(mutex_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
+    require_declared(name, MetricKind::kCounter);
     it = counters_.emplace(std::string(name), std::make_unique<Counter>())
              .first;
   }
@@ -89,6 +302,7 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
   std::lock_guard lock(mutex_);
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
+    require_declared(name, MetricKind::kGauge);
     it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
   }
   return *it->second;
@@ -99,6 +313,7 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
   std::lock_guard lock(mutex_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
+    require_declared(name, MetricKind::kHistogram);
     if (upper_bounds.empty()) upper_bounds = default_seconds_buckets();
     it = histograms_
              .emplace(std::string(name),

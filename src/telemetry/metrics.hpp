@@ -3,10 +3,14 @@
 // Counters, gauges, and fixed-bucket histograms, registered by name and
 // shared by every subsystem: the runtime observes recon/group_create
 // durations, the mapper search routes its cost accounting here, and the
-// simulator counts per-machine compute seconds and fault-plan drops. The
-// registry is thread-safe (simulated processes are OS threads) and metric
-// references stay valid forever: reset() zeroes values but never destroys a
-// metric, so call sites may cache `Counter&` across resets.
+// simulator counts per-machine compute seconds and fault-plan drops. Every
+// name is declared once, with its kind and unit, in the metric catalogue
+// (metric_catalog()); registering a name the catalogue does not declare
+// under the requested kind throws. The registry is thread-safe, because
+// any host thread may record into it (World::run runs a world's fibers on
+// its caller's thread, so one process may run several worlds at once), and
+// metric references stay valid forever: reset() zeroes values but never
+// destroys a metric, so call sites may cache `Counter&` across resets.
 //
 // Snapshots are plain data (sorted by name) and dump as JSON for tools —
 // see docs/observability.md for the catalog and the file format.
@@ -92,9 +96,43 @@ class Histogram {
 /// lookups to multi-second benchmark loops).
 std::span<const double> default_seconds_buckets();
 
+/// The instrument a metric name is declared as.
+enum class MetricKind { kCounter, kGauge, kHistogram };
+
+/// "counter", "gauge" or "histogram".
+const char* metric_kind_name(MetricKind kind);
+
+/// One entry of the metric catalogue. `pattern` is a name in which a
+/// placeholder stands for one whole dot-separated segment: `<p>`, `<src>`
+/// and `<dst>` a decimal integer, `<op>` and `<algo>` a lower-case name
+/// (`[a-z0-9_]+`).
+struct MetricSpec {
+  std::string_view pattern;
+  MetricKind kind;
+  std::string_view unit;     ///< count, s, bytes, ratio, flag or 1/s.
+  std::string_view meaning;  ///< One line; docs/observability.md shows it.
+};
+
+/// Every metric the library emits: the only declaration of its name, kind
+/// and unit. The docs table and tools/telemetry_check derive from it.
+std::span<const MetricSpec> metric_catalog();
+
+/// Accepts or rejects the `<op>` and `<algo>` segments a name matched
+/// (`algo` is empty for a pattern without `<algo>`).
+using MetricTokenCheck = bool (*)(std::string_view op, std::string_view algo);
+
+/// The first catalogue entry of `kind` whose pattern matches `name` and,
+/// when `check` is given and the pattern has `<op>`, whose segments `check`
+/// accepts; nullptr when there is none.
+const MetricSpec* find_metric(std::string_view name, MetricKind kind,
+                              MetricTokenCheck check = nullptr);
+
 /// Named metrics, created on first use. See file comment for the contract.
 class MetricsRegistry {
  public:
+  /// counter(), gauge() and histogram() throw InvalidArgument when they
+  /// would create a metric that metric_catalog() does not declare as that
+  /// kind; returning an existing metric checks nothing.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
   /// `upper_bounds` is honoured on first registration only (empty selects

@@ -40,7 +40,9 @@ TEST(PaperFigures, Figure9SpeedupStableAcrossSizes) {
     auto mpi = em3d::run_mpi(cluster, config, 4, em3d::WorkMode::kVirtualOnly);
     auto hm = em3d::run_hmpi(cluster, config, 4, em3d::WorkMode::kVirtualOnly, 100);
     const double speedup = mpi.algorithm_time / hm.algorithm_time;
-    if (previous > 0.0) EXPECT_NEAR(speedup, previous, 0.25 * previous);
+    if (previous > 0.0) {
+      EXPECT_NEAR(speedup, previous, 0.25 * previous);
+    }
     previous = speedup;
   }
 }
@@ -74,7 +76,9 @@ TEST(PaperFigures, Figure10MpiBaselineFlatInL) {
     config.l = l;
     config.mode = matmul::WorkMode::kVirtualOnly;
     auto mpi = matmul::run_mpi(cluster, config);
-    if (previous > 0.0) EXPECT_NEAR(mpi.algorithm_time, previous, 0.02 * previous);
+    if (previous > 0.0) {
+      EXPECT_NEAR(mpi.algorithm_time, previous, 0.02 * previous);
+    }
     previous = mpi.algorithm_time;
   }
 }

@@ -184,7 +184,9 @@ TEST(EstimateCache, NeverStaleAcrossSchedulerLeaseReleaseCycles) {
   // let the cache quote contended prices for an idle machine (or vice
   // versa).
   hnoc::Cluster cluster = hnoc::testbeds::homogeneous(4, 100.0);
-  sched::CapacityLedger ledger(cluster, sched::Partition{.slots_per_machine = 2});
+  sched::Partition partition;
+  partition.slots_per_machine = 2;
+  sched::CapacityLedger ledger(cluster, partition);
   ModelInstance inst = ring_model(4);
   EstimateCache cache;
   const std::vector<int> mapping{0, 1, 2, 3};

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -92,28 +94,56 @@ TEST(ClusterIo, ErrorsCarryLineNumbers) {
   expect_error("processor a speed 1\nlan a 1.0\n", "line 2: LAN id");
 }
 
+/// Expects `reparsed` to hold `original`'s names and numbers bit for bit:
+/// speeds, load steps, LANs and every link.
+void expect_same_cluster(const Cluster& original, const Cluster& reparsed,
+                         const std::string& context) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  ASSERT_EQ(reparsed.size(), original.size()) << context;
+  ASSERT_EQ(reparsed.two_level(), original.two_level()) << context;
+  for (int p = 0; p < original.size(); ++p) {
+    const Processor& a = original.processor(p);
+    const Processor& b = reparsed.processor(p);
+    EXPECT_EQ(b.name, a.name) << context;
+    EXPECT_EQ(bits(b.speed), bits(a.speed)) << b.speed << "\n" << context;
+    const auto& a_steps = a.load.steps();
+    const auto& b_steps = b.load.steps();
+    ASSERT_EQ(b_steps.size(), a_steps.size()) << context;
+    for (std::size_t i = 0; i < a_steps.size(); ++i) {
+      EXPECT_EQ(bits(b_steps[i].time), bits(a_steps[i].time)) << context;
+      EXPECT_EQ(bits(b_steps[i].multiplier), bits(a_steps[i].multiplier))
+          << context;
+    }
+    if (original.two_level()) {
+      EXPECT_EQ(reparsed.lan_of(p), original.lan_of(p)) << context;
+    }
+    for (int q = 0; q < original.size(); ++q) {
+      EXPECT_EQ(bits(reparsed.link(p, q).latency_s),
+                bits(original.link(p, q).latency_s))
+          << context;
+      EXPECT_EQ(bits(reparsed.link(p, q).bandwidth_bps),
+                bits(original.link(p, q).bandwidth_bps))
+          << context;
+    }
+  }
+}
+
 TEST(ClusterIo, RoundTripsThroughDescription) {
-  Cluster original = parse_cluster(R"(
+  const char* const texts[] = {
+      R"(
     network latency 0.00015 bandwidth 12500000
     shared_memory latency 5e-06 bandwidth 1e9
     processor ws0 speed 46
     processor ws6 speed 176 load 0.25
     link ws0 ws6 latency 1e-05 bandwidth 1e8
-  )");
-  Cluster reparsed = parse_cluster(to_description(original));
-  ASSERT_EQ(reparsed.size(), original.size());
-  for (int p = 0; p < original.size(); ++p) {
-    EXPECT_EQ(reparsed.processor(p).name, original.processor(p).name);
-    EXPECT_DOUBLE_EQ(reparsed.processor(p).speed, original.processor(p).speed);
-    EXPECT_DOUBLE_EQ(reparsed.effective_speed(p, 0.0),
-                     original.effective_speed(p, 0.0));
-  }
-  for (int a = 0; a < original.size(); ++a) {
-    for (int b = 0; b < original.size(); ++b) {
-      EXPECT_DOUBLE_EQ(reparsed.link(a, b).latency_s, original.link(a, b).latency_s);
-      EXPECT_DOUBLE_EQ(reparsed.link(a, b).bandwidth_bps,
-                       original.link(a, b).bandwidth_bps);
-    }
+  )",
+      // A breakpoint and a speed that need more than six significant digits.
+      "processor b speed 1 load@10.0000001 0.5 load@10 0.25",
+      "processor a speed 46.1234567"};
+  for (const char* text : texts) {
+    const Cluster original = parse_cluster(text);
+    expect_same_cluster(original, parse_cluster(to_description(original)),
+                        text);
   }
 }
 
@@ -141,21 +171,9 @@ TEST(ClusterIo, TwoLevelDirectivesParse) {
 }
 
 TEST(ClusterIo, TwoLevelRoundTrips) {
-  Cluster original = testbeds::two_level(2, 3, 45.0);
-  Cluster reparsed = parse_cluster(to_description(original));
-  ASSERT_TRUE(reparsed.two_level());
-  ASSERT_EQ(reparsed.size(), original.size());
-  for (int p = 0; p < original.size(); ++p) {
-    EXPECT_EQ(reparsed.lan_of(p), original.lan_of(p));
-  }
-  for (int a = 0; a < original.size(); ++a) {
-    for (int b = 0; b < original.size(); ++b) {
-      EXPECT_DOUBLE_EQ(reparsed.link(a, b).latency_s,
-                       original.link(a, b).latency_s);
-      EXPECT_DOUBLE_EQ(reparsed.link(a, b).bandwidth_bps,
-                       original.link(a, b).bandwidth_bps);
-    }
-  }
+  const Cluster original = testbeds::two_level(2, 3, 45.0);
+  const std::string description = to_description(original);
+  expect_same_cluster(original, parse_cluster(description), description);
 }
 
 TEST(ClusterIo, TwoLevelRejectsPartialLanAssignment) {
@@ -173,7 +191,7 @@ TEST(ClusterIo, TwoLevelRejectsPartialLanAssignment) {
 
 /// Checks what every accepted description must yield: positive, finite
 /// speeds and compute times, finite transfer times, and a description that
-/// parses back to itself.
+/// parses back to itself and to the same numbers.
 void expect_usable(const Cluster& c, const std::string& text) {
   for (int p = 0; p < c.size(); ++p) {
     for (double t : {0.0, 5.0, 10.0, 1e9}) {
@@ -187,7 +205,9 @@ void expect_usable(const Cluster& c, const std::string& text) {
     }
   }
   const std::string description = to_description(c);
-  EXPECT_EQ(to_description(parse_cluster(description)), description) << text;
+  const Cluster reparsed = parse_cluster(description);
+  EXPECT_EQ(to_description(reparsed), description) << text;
+  expect_same_cluster(c, reparsed, text);
 }
 
 TEST(ClusterIo, TokenMutationsThrowOrYieldAUsableCluster) {

@@ -371,7 +371,7 @@ TEST(CompiledScoring, HillClimbersMatchReferenceInterpreter) {
           << owned->name();
       // One-at-a-time pricing never counts as batch work.
       EXPECT_EQ(fast.stats.batch_chunks, 0) << owned->name();
-      EXPECT_EQ(fast.stats.batch_evaluated, 0) << owned->name();
+      EXPECT_EQ(fast.stats.batch_candidates, 0) << owned->name();
     }
   }
 }
@@ -398,7 +398,7 @@ void expect_context_invariant(const Mapper& mapper, const Scenario& s,
       expect_bit_identical(serial, got, mapper.name().c_str());
       EXPECT_EQ(got.stats.cache_hits, 0) << mapper.name();
       EXPECT_EQ(got.stats.cache_misses, 0) << mapper.name();
-      EXPECT_EQ(got.stats.batch_evaluated, got.stats.evaluations)
+      EXPECT_EQ(got.stats.batch_candidates, got.stats.evaluations)
           << mapper.name();
       EXPECT_EQ(cache.size(), 0u) << mapper.name();
     }

@@ -18,6 +18,13 @@ using pmdl::InstanceBuilder;
 using pmdl::ModelInstance;
 using pmdl::ScheduleSink;
 
+/// The whole cluster with `slots` leases per machine.
+Partition with_slots(int slots) {
+  Partition partition;
+  partition.slots_per_machine = slots;
+  return partition;
+}
+
 /// Compute-only instance of `p` equal abstract processors.
 ModelInstance flat_instance(int p, double volume = 100.0) {
   InstanceBuilder b("flat");
@@ -37,7 +44,7 @@ ModelInstance flat_instance(int p, double volume = 100.0) {
 
 TEST(CapacityLedger, ResidualPricingFollowsLeaseCount) {
   hnoc::Cluster cluster = hnoc::testbeds::homogeneous(4, 100.0);
-  CapacityLedger ledger(cluster, Partition{.slots_per_machine = 2});
+  CapacityLedger ledger(cluster, with_slots(2));
 
   EXPECT_EQ(ledger.total_free_slots(), 8);
   EXPECT_EQ(ledger.busy_machines(), 0);
@@ -86,7 +93,7 @@ TEST(CapacityLedger, EveryMutationBumpsTheOverlayVersion) {
 
 TEST(CapacityLedger, RefreshBaseRepricesUnderActiveLeases) {
   hnoc::Cluster cluster = hnoc::testbeds::homogeneous(2, 100.0);
-  CapacityLedger ledger(cluster, Partition{.slots_per_machine = 2});
+  CapacityLedger ledger(cluster, with_slots(2));
   ledger.lease(0, 1);
 
   ledger.refresh_base({80.0, 40.0});
@@ -113,7 +120,7 @@ TEST(CapacityLedger, PartitionRestrictsMachinesAndValidates) {
 TEST(Partition, ResolveRejectsBadShapes) {
   hnoc::Cluster cluster = hnoc::testbeds::homogeneous(3, 100.0);
   EXPECT_THROW(
-      Partition::resolve(Partition{.slots_per_machine = 0}, cluster),
+      Partition::resolve(with_slots(0), cluster),
       InvalidArgument);
   Partition bad;
   bad.machines = {0, 7};
@@ -132,7 +139,7 @@ map::SearchContext context_of(est::EstimateCache* cache,
 
 TEST(Selector, PrefersIdleMachinesOverLeasedOnes) {
   hnoc::Cluster cluster = hnoc::testbeds::homogeneous(2, 100.0);
-  CapacityLedger ledger(cluster, Partition{.slots_per_machine = 2});
+  CapacityLedger ledger(cluster, with_slots(2));
   est::EstimateCache cache;
   est::PlanCache plans;
   Selector selector;
@@ -148,7 +155,7 @@ TEST(Selector, PrefersIdleMachinesOverLeasedOnes) {
 
 TEST(Selector, NulloptWhenFreeSlotsCannotHostTheInstance) {
   hnoc::Cluster cluster = hnoc::testbeds::homogeneous(2, 100.0);
-  CapacityLedger ledger(cluster, Partition{.slots_per_machine = 1});
+  CapacityLedger ledger(cluster, with_slots(1));
   est::EstimateCache cache;
   est::PlanCache plans;
   Selector selector;
@@ -157,7 +164,7 @@ TEST(Selector, NulloptWhenFreeSlotsCannotHostTheInstance) {
       selector.place(flat_instance(3), ledger, context_of(&cache, &plans))
           .has_value());
   // A machine's two free slots can host two abstract processors.
-  CapacityLedger wide(cluster, Partition{.slots_per_machine = 2});
+  CapacityLedger wide(cluster, with_slots(2));
   const auto placement =
       selector.place(flat_instance(4), wide, context_of(&cache, &plans));
   ASSERT_TRUE(placement.has_value());
@@ -166,7 +173,7 @@ TEST(Selector, NulloptWhenFreeSlotsCannotHostTheInstance) {
 
 TEST(Selector, DeterministicForFixedLedgerState) {
   hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
-  CapacityLedger ledger(cluster, Partition{.slots_per_machine = 2});
+  CapacityLedger ledger(cluster, with_slots(2));
   ledger.lease(0, 1);
   ledger.lease(2, 1);
   est::EstimateCache cache;

@@ -14,17 +14,17 @@ namespace {
 
 TEST(Metrics, CounterAccumulates) {
   MetricsRegistry reg;
-  Counter& c = reg.counter("events");
+  Counter& c = reg.counter("recons");
   c.add();
   c.add(2.5);
   EXPECT_DOUBLE_EQ(c.value(), 3.5);
   // Same name returns the same instance.
-  EXPECT_EQ(&reg.counter("events"), &c);
+  EXPECT_EQ(&reg.counter("recons"), &c);
 }
 
 TEST(Metrics, GaugeLastWriteWins) {
   MetricsRegistry reg;
-  Gauge& g = reg.gauge("level");
+  Gauge& g = reg.gauge("cache_hit_rate");
   g.set(0.25);
   g.set(0.75);
   EXPECT_DOUBLE_EQ(g.value(), 0.75);
@@ -33,7 +33,7 @@ TEST(Metrics, GaugeLastWriteWins) {
 TEST(Metrics, HistogramBucketsAndStats) {
   MetricsRegistry reg;
   const std::vector<double> bounds{1.0, 10.0};
-  Histogram& h = reg.histogram("latency", bounds);
+  Histogram& h = reg.histogram("recon_seconds", bounds);
   h.observe(0.5);   // bucket le=1
   h.observe(1.0);   // le=1 (inclusive ceiling)
   h.observe(5.0);   // le=10
@@ -51,8 +51,8 @@ TEST(Metrics, HistogramBucketsAndStats) {
 
 TEST(Metrics, ResetZeroesButPreservesInstances) {
   MetricsRegistry reg;
-  Counter& c = reg.counter("x");
-  Histogram& h = reg.histogram("h");
+  Counter& c = reg.counter("timeof_calls");
+  Histogram& h = reg.histogram("search_wall_seconds");
   c.add(7.0);
   h.observe(0.01);
   reg.reset();
@@ -60,35 +60,36 @@ TEST(Metrics, ResetZeroesButPreservesInstances) {
   EXPECT_EQ(h.snapshot().count, 0);
   // Cached references stay valid and usable after reset.
   c.add(1.0);
-  EXPECT_DOUBLE_EQ(reg.counter("x").value(), 1.0);
-  EXPECT_EQ(&reg.counter("x"), &c);
+  EXPECT_DOUBLE_EQ(reg.counter("timeof_calls").value(), 1.0);
+  EXPECT_EQ(&reg.counter("timeof_calls"), &c);
 }
 
 TEST(Metrics, SnapshotSortedAndQueryable) {
   MetricsRegistry reg;
-  reg.counter("zeta").add(1.0);
-  reg.counter("alpha").add(2.0);
+  reg.counter("sim.stalls").add(1.0);
+  reg.counter("adapt.checks").add(2.0);
   const auto snap = reg.snapshot();
   ASSERT_EQ(snap.counters.size(), 2u);
-  EXPECT_EQ(snap.counters[0].first, "alpha");
-  EXPECT_EQ(snap.counters[1].first, "zeta");
-  EXPECT_DOUBLE_EQ(snap.counter_value("zeta"), 1.0);
+  EXPECT_EQ(snap.counters[0].first, "adapt.checks");
+  EXPECT_EQ(snap.counters[1].first, "sim.stalls");
+  EXPECT_DOUBLE_EQ(snap.counter_value("sim.stalls"), 1.0);
   EXPECT_DOUBLE_EQ(snap.counter_value("missing"), 0.0);
 }
 
 TEST(Metrics, WriteJsonIsValidAndCarriesValues) {
   MetricsRegistry reg;
-  reg.counter("sends").add(3.0);
-  reg.gauge("rate").set(0.5);
-  reg.histogram("t", std::vector<double>{1.0}).observe(2.0);
+  reg.counter("messages_dropped").add(3.0);
+  reg.gauge("cache_hit_rate").set(0.5);
+  reg.histogram("recon_seconds", std::vector<double>{1.0}).observe(2.0);
   std::ostringstream os;
   reg.write_json(os);
   std::string error;
   const auto doc = parse_json(os.str(), &error);
   ASSERT_TRUE(doc.has_value()) << error;
-  EXPECT_DOUBLE_EQ(doc->find("counters")->find("sends")->number, 3.0);
-  EXPECT_DOUBLE_EQ(doc->find("gauges")->find("rate")->number, 0.5);
-  const JsonValue* hist = doc->find("histograms")->find("t");
+  EXPECT_DOUBLE_EQ(doc->find("counters")->find("messages_dropped")->number,
+                   3.0);
+  EXPECT_DOUBLE_EQ(doc->find("gauges")->find("cache_hit_rate")->number, 0.5);
+  const JsonValue* hist = doc->find("histograms")->find("recon_seconds");
   ASSERT_NE(hist, nullptr);
   EXPECT_DOUBLE_EQ(hist->find("count")->number, 1.0);
   const JsonValue* buckets = hist->find("buckets");
@@ -108,7 +109,7 @@ TEST(Metrics, EmptyRegistryJsonParses) {
 
 TEST(Metrics, ConcurrentCountersAreExact) {
   MetricsRegistry reg;
-  Counter& c = reg.counter("hits");
+  Counter& c = reg.counter("est.cache.hits");
   constexpr int kThreads = 8;
   constexpr int kIncrements = 10'000;
   std::vector<std::thread> threads;
@@ -122,8 +123,8 @@ TEST(Metrics, ConcurrentCountersAreExact) {
 }
 
 TEST(Metrics, GlobalRegistryIsProcessWide) {
-  Counter& a = metrics().counter("test.global_registry_counter");
-  Counter& b = metrics().counter("test.global_registry_counter");
+  Counter& a = metrics().counter("timeof_batch_calls");
+  Counter& b = metrics().counter("timeof_batch_calls");
   EXPECT_EQ(&a, &b);
 }
 
@@ -177,16 +178,17 @@ TEST(Percentiles, EmptyHistogramIsNaN) {
 
 TEST(Percentiles, JsonDumpCarriesP50P95P99) {
   MetricsRegistry reg;
-  Histogram& h = reg.histogram("lat", std::vector<double>{1.0, 2.0, 4.0});
+  Histogram& h =
+      reg.histogram("sched.wait_seconds", std::vector<double>{1.0, 2.0, 4.0});
   for (double v : {0.5, 1.5, 3.0, 8.0}) h.observe(v);
-  reg.histogram("empty", std::vector<double>{1.0});
+  reg.histogram("sched.service_seconds", std::vector<double>{1.0});
   std::ostringstream os;
   reg.write_json(os);
   const auto doc = parse_json(os.str());
   ASSERT_TRUE(doc.has_value());
   const JsonValue* hists = doc->find("histograms");
   ASSERT_NE(hists, nullptr);
-  const JsonValue* lat = hists->find("lat");
+  const JsonValue* lat = hists->find("sched.wait_seconds");
   ASSERT_NE(lat, nullptr);
   const JsonValue* p50 = lat->find("p50");
   ASSERT_NE(p50, nullptr);
@@ -197,7 +199,7 @@ TEST(Percentiles, JsonDumpCarriesP50P95P99) {
   ASSERT_TRUE(p95->is_number());
   EXPECT_DOUBLE_EQ(p95->number, 4.0 + 4.0 * 0.8);
   // An empty histogram's percentiles are NaN, which JSON renders as null.
-  const JsonValue* empty = hists->find("empty");
+  const JsonValue* empty = hists->find("sched.service_seconds");
   ASSERT_NE(empty, nullptr);
   const JsonValue* empty_p99 = empty->find("p99");
   ASSERT_NE(empty_p99, nullptr);

@@ -240,7 +240,9 @@ TEST(ChromeTrace, WriteSortsTracksAndEmitsMetadata) {
                                           e.find("tid")->number};
     const double ts = e.find("ts")->number;
     for (auto& [key, prev] : last_ts) {
-      if (key == track) EXPECT_GE(ts, prev);
+      if (key == track) {
+        EXPECT_GE(ts, prev);
+      }
     }
     bool found = false;
     for (auto& [key, prev] : last_ts) {
