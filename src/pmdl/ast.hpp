@@ -35,12 +35,15 @@ enum class ExprKind {
 struct Expr {
   ExprKind kind{};
   Pos pos;
-  long long int_value = 0;             // kIntLit
+  long long int_value = 0;             // kIntLit; kSizeof (set by validate())
   std::string name;                    // kIdent / kMember / kCall / kSizeof
   Tok op{};                            // kBinary / kUnary / kPostfix / kAssign
   std::unique_ptr<Expr> lhs;
   std::unique_ptr<Expr> rhs;
   std::vector<std::unique_ptr<Expr>> args;  // kCall
+  /// Set by validate(): kIdent the frame slot of its binding, kMember the
+  /// field index, kCall the index of its name in Algorithm::natives.
+  int slot = -1;
 };
 
 using ExprPtr = std::unique_ptr<Expr>;
@@ -61,7 +64,8 @@ using StmtPtr = std::unique_ptr<Stmt>;
 
 struct DeclItem {
   std::string name;
-  ExprPtr init;  // may be null
+  ExprPtr init;   // may be null
+  int slot = -1;  // frame slot (set by validate())
 };
 
 struct Stmt {
@@ -72,6 +76,7 @@ struct Stmt {
 
   std::string decl_type;         // kDecl: "int" or a struct type name
   std::vector<DeclItem> decls;   // kDecl
+  int decl_struct = -1;          // kDecl: index in Algorithm::structs, -1 for int
 
   ExprPtr expr;  // kExpr; kIf/kFor/kPar condition; kComm/kComp percent
 
@@ -98,6 +103,7 @@ struct Param {
   std::string name;
   std::vector<ExprPtr> dims;  // empty for scalars
   Pos pos;
+  int slot = -1;  // frame slot (set by validate())
 };
 
 /// One coordinate variable: `I = p`.
@@ -105,6 +111,7 @@ struct CoordVar {
   std::string name;
   ExprPtr extent;
   Pos pos;
+  int slot = -1;  // frame slot (set by validate())
 };
 
 /// `cond : bench * ( volume ) ;`
@@ -135,6 +142,12 @@ struct Algorithm {
   std::vector<LinkClause> link_clauses;
   std::vector<ExprPtr> parent_coords;  // empty -> defaults to all-zero
   StmtPtr scheme;                      // kBlock; may be null
+
+  // Set by validate(): the frame one evaluation reads and writes holds
+  // frame_size values (parameters first), and `natives` names the called
+  // host functions in first-call order.
+  int frame_size = 0;
+  std::vector<std::string> natives;
 };
 
 }  // namespace hmpi::pmdl::ast

@@ -1,6 +1,6 @@
 #include "pmdl/eval.hpp"
 
-#include <cmath>
+#include <climits>
 #include <string>
 #include <vector>
 
@@ -17,42 +17,46 @@ using ast::StmtKind;
   throw PmdlError(message, pos.line, pos.column);
 }
 
-// RAII scope guard.
-class ScopeGuard {
- public:
-  explicit ScopeGuard(Env& env) : env_(env) { env_.push_scope(); }
-  ~ScopeGuard() { env_.pop_scope(); }
-  ScopeGuard(const ScopeGuard&) = delete;
-  ScopeGuard& operator=(const ScopeGuard&) = delete;
-
- private:
-  Env& env_;
-};
-
 bool is_int(const Value& v) { return std::holds_alternative<long long>(v); }
+
+void check_overflow(bool overflow, const Expr& expr) {
+  if (overflow) fail(expr.pos, "integer overflow");
+}
 
 /// The binding `ident` names, read in place.
 Value& named_value(const Expr& ident, EvalCtx& ctx) {
-  Value* v = ctx.env->lookup(ident.name);
-  if (v == nullptr) {
-    fail(ident.pos, "use of undeclared identifier '" + ident.name + "'");
-  }
-  return *v;
+  return ctx.frame[static_cast<std::size_t>(ident.slot)];
+}
+
+// The failure paths build their messages out of line, which keeps the hot
+// helpers small enough to inline.
+
+[[noreturn]] void fail_range(const ast::Pos& pos, const char* what,
+                             long long value, long long extent,
+                             int dim = -1) {
+  fail(pos, std::string(what) + " " + std::to_string(value) +
+                " out of range [0, " + std::to_string(extent) + ")" +
+                (dim >= 0 ? " in dimension " + std::to_string(dim) : ""));
+}
+
+[[noreturn]] void fail_holds(const Expr& expr, const std::string& what,
+                             const Value& held) {
+  fail(expr.pos, what + " (got " + value_kind_name(held) + ")");
+}
+
+[[noreturn]] void fail_no_field(const Expr& expr, const Value& var) {
+  fail(expr.pos, "'" + expr.lhs->name + "' has no field '" + expr.name +
+                     "' (it holds " + value_kind_name(var) + ")");
 }
 
 /// The int slot of `var.field`, inside the named struct variable.
 long long* field_slot(const Expr& expr, EvalCtx& ctx) {
-  if (expr.lhs->kind != ExprKind::kIdent) {
-    fail(expr.pos, "member access must be of the form var.field");
-  }
-  auto* sv = std::get_if<StructVal>(&named_value(*expr.lhs, ctx));
-  if (sv == nullptr) fail(expr.pos, "'" + expr.lhs->name + "' is not a struct");
-  const int field = sv->type->field_index(expr.name);
-  if (field < 0) {
-    fail(expr.pos,
-         "struct " + sv->type->name + " has no field '" + expr.name + "'");
-  }
-  return &sv->fields[static_cast<std::size_t>(field)];
+  Value& var = named_value(*expr.lhs, ctx);
+  auto* sv = std::get_if<StructVal>(&var);
+  const auto field = static_cast<std::size_t>(expr.slot);
+  // Only a native's write-back can leave another value in a struct variable.
+  if (sv == nullptr || field >= sv->fields.size()) fail_no_field(expr, var);
+  return &sv->fields[field];
 }
 
 /// Pushes the subscripts of the chain a[i][j]... onto ctx.subscripts in
@@ -78,10 +82,7 @@ void apply_subscripts(const Expr& expr, EvalCtx& ctx, const ArrayData& data,
   if (dim >= data.dims.size()) fail(expr.pos, "too many subscripts for array");
   const long long idx = ctx.subscripts[next++];
   const long long extent = data.dims[dim];
-  if (idx < 0 || idx >= extent) {
-    fail(expr.pos, "array index " + std::to_string(idx) +
-                       " out of range [0, " + std::to_string(extent) + ")");
-  }
+  if (idx < 0 || idx >= extent) fail_range(expr.pos, "array index", idx, extent);
   // Stride of this dimension = product of later extents.
   std::size_t stride = 1;
   for (std::size_t d = dim + 1; d < data.dims.size(); ++d) {
@@ -96,16 +97,9 @@ void apply_subscripts(const Expr& expr, EvalCtx& ctx, const ArrayData& data,
 /// result copies the view.
 Value eval_index(const Expr& expr, EvalCtx& ctx) {
   const std::size_t first = ctx.subscripts.size();
-  const Expr& base = push_subscripts(expr, ctx);
-  if (base.kind != ExprKind::kIdent) {
-    fail(expr.pos, "subscripted value is not an array variable");
-  }
-  const Value& named = named_value(base, ctx);
+  const Value& named = named_value(push_subscripts(expr, ctx), ctx);
   const auto* arr = std::get_if<ArrayRef>(&named);
-  if (arr == nullptr) {
-    fail(expr.pos, "subscripted value is not an array (got " +
-                       value_kind_name(named) + ")");
-  }
+  if (arr == nullptr) fail_holds(expr, "subscripted value is not an array", named);
   std::size_t next = first;
   std::size_t offset = arr->offset;
   std::size_t dim = arr->dim_index;
@@ -115,19 +109,12 @@ Value eval_index(const Expr& expr, EvalCtx& ctx) {
   return Value(ArrayRef{arr->data, offset, dim});
 }
 
-/// Resolves an expression to the int slot it denotes (int variable or struct
-/// field of a variable).
+/// Resolves an int variable or a struct field of a variable to its int slot.
 long long* eval_int_lvalue(const Expr& expr, EvalCtx& ctx) {
-  switch (expr.kind) {
-    case ExprKind::kIdent: {
-      if (auto* i = std::get_if<long long>(&named_value(expr, ctx))) return i;
-      fail(expr.pos, "'" + expr.name + "' is not an assignable int variable");
-    }
-    case ExprKind::kMember:
-      return field_slot(expr, ctx);
-    default:
-      fail(expr.pos, "expression is not assignable");
-  }
+  if (expr.kind == ExprKind::kMember) return field_slot(expr, ctx);
+  Value& var = named_value(expr, ctx);
+  if (auto* i = std::get_if<long long>(&var)) return i;
+  fail_holds(expr, "'" + expr.name + "' is not an assignable int variable", var);
 }
 
 Value eval_binary(const Expr& expr, EvalCtx& ctx) {
@@ -154,81 +141,81 @@ Value eval_binary(const Expr& expr, EvalCtx& ctx) {
     default: break;
   }
 
-  const bool both_int = is_int(lv) && is_int(rv);
-  switch (expr.op) {
-    case Tok::kPlus:
-      if (both_int) return Value(std::get<long long>(lv) + std::get<long long>(rv));
-      return Value(as_double(lv) + as_double(rv));
-    case Tok::kMinus:
-      if (both_int) return Value(std::get<long long>(lv) - std::get<long long>(rv));
-      return Value(as_double(lv) - as_double(rv));
-    case Tok::kStar:
-      if (both_int) return Value(std::get<long long>(lv) * std::get<long long>(rv));
-      return Value(as_double(lv) * as_double(rv));
-    case Tok::kSlash:
-      if (both_int) {
-        const long long d = std::get<long long>(rv);
-        if (d == 0) fail(expr.pos, "integer division by zero");
-        return Value(std::get<long long>(lv) / d);
-      } else {
-        const double d = as_double(rv);
-        if (d == 0.0) fail(expr.pos, "division by zero");
-        return Value(as_double(lv) / d);
+  if (is_int(lv) && is_int(rv)) {
+    const long long a = std::get<long long>(lv);
+    const long long b = std::get<long long>(rv);
+    long long r = 0;
+    switch (expr.op) {
+      case Tok::kPlus:
+        check_overflow(__builtin_add_overflow(a, b, &r), expr);
+        return Value(r);
+      case Tok::kMinus:
+        check_overflow(__builtin_sub_overflow(a, b, &r), expr);
+        return Value(r);
+      case Tok::kStar:
+        check_overflow(__builtin_mul_overflow(a, b, &r), expr);
+        return Value(r);
+      case Tok::kSlash:
+      case Tok::kPercent: {
+        const bool divide = expr.op == Tok::kSlash;
+        if (b == 0) fail(expr.pos, divide ? "integer division by zero" : "modulo by zero");
+        // LLONG_MIN / -1 does not fit, and x86 traps on LLONG_MIN % -1 too.
+        check_overflow(a == LLONG_MIN && b == -1, expr);
+        return Value(divide ? a / b : a % b);
       }
-    case Tok::kPercent: {
-      if (!both_int) fail(expr.pos, "operands of % must be integers");
-      const long long d = std::get<long long>(rv);
-      if (d == 0) fail(expr.pos, "modulo by zero");
-      return Value(std::get<long long>(lv) % d);
+      default: break;
     }
+  }
+  switch (expr.op) {
+    case Tok::kPlus: return Value(as_double(lv) + as_double(rv));
+    case Tok::kMinus: return Value(as_double(lv) - as_double(rv));
+    case Tok::kStar: return Value(as_double(lv) * as_double(rv));
+    case Tok::kSlash: {
+      const double d = as_double(rv);
+      if (d == 0.0) fail(expr.pos, "division by zero");
+      return Value(as_double(lv) / d);
+    }
+    case Tok::kPercent:
+      fail(expr.pos, "operands of % must be integers");
     default:
       fail(expr.pos, std::string("unsupported binary operator ") + tok_name(expr.op));
   }
 }
 
 Value eval_call(const Expr& expr, EvalCtx& ctx) {
-  if (ctx.natives == nullptr) {
-    fail(expr.pos, "no native functions are registered");
-  }
-  auto it = ctx.natives->find(expr.name);
-  if (it == ctx.natives->end()) {
-    fail(expr.pos, "call to unregistered function '" + expr.name + "'");
-  }
+  const NativeFn& fn = ctx.natives[static_cast<std::size_t>(expr.slot)];
+  if (!fn) fail(expr.pos, "call to unregistered function '" + expr.name + "'");
 
-  // Evaluate arguments; remember write-back targets for &x arguments.
-  struct WriteBack {
-    std::size_t arg_index;
-    Value* value_slot;     // whole-variable reference (ident)
-    long long* int_slot;   // int slot (member access)
-  };
-  std::vector<Value> args;
-  std::vector<WriteBack> write_backs;
-  args.reserve(expr.args.size());
+  // Evaluate the arguments into this call depth's vector, assigning over
+  // the previous call's values so that a struct argument reuses its storage.
+  // An argument may hold a nested call, which can grow ctx.call_args, so
+  // each assignment indexes it after its right side is evaluated.
+  const std::size_t depth = ctx.call_depth++;
+  if (ctx.call_args.size() <= depth) ctx.call_args.resize(depth + 1);
+  ctx.call_args[depth].resize(expr.args.size());
   for (std::size_t i = 0; i < expr.args.size(); ++i) {
     const Expr& arg = *expr.args[i];
-    if (arg.kind == ExprKind::kAddressOf) {
-      const Expr& target = *arg.lhs;
-      if (target.kind == ExprKind::kIdent) {
-        Value* slot = &named_value(target, ctx);
-        args.push_back(*slot);
-        write_backs.push_back({i, slot, nullptr});
-      } else {
-        long long* slot = eval_int_lvalue(target, ctx);
-        args.push_back(Value(*slot));
-        write_backs.push_back({i, nullptr, slot});
-      }
+    if (arg.kind != ExprKind::kAddressOf) {
+      ctx.call_args[depth][i] = eval_expr(arg, ctx);
+    } else if (arg.lhs->kind == ExprKind::kIdent) {
+      ctx.call_args[depth][i] = named_value(*arg.lhs, ctx);
     } else {
-      args.push_back(eval_expr(arg, ctx));
+      ctx.call_args[depth][i] = *eval_int_lvalue(*arg.lhs, ctx);
     }
   }
+  --ctx.call_depth;
 
-  it->second(args);
+  std::vector<Value>& args = ctx.call_args[depth];
+  fn(args);
 
-  for (const WriteBack& wb : write_backs) {
-    if (wb.value_slot != nullptr) {
-      *wb.value_slot = args[wb.arg_index];
+  // Write the &x arguments back, in argument order.
+  for (std::size_t i = 0; i < expr.args.size(); ++i) {
+    const Expr& arg = *expr.args[i];
+    if (arg.kind != ExprKind::kAddressOf) continue;
+    if (arg.lhs->kind == ExprKind::kIdent) {
+      named_value(*arg.lhs, ctx) = args[i];
     } else {
-      *wb.int_slot = as_int(args[wb.arg_index]);
+      *eval_int_lvalue(*arg.lhs, ctx) = as_int(args[i]);
     }
   }
   return Value(0LL);  // calls are statements in practice; value unused
@@ -239,6 +226,7 @@ Value eval_call(const Expr& expr, EvalCtx& ctx) {
 Value eval_expr(const Expr& expr, EvalCtx& ctx) {
   switch (expr.kind) {
     case ExprKind::kIntLit:
+    case ExprKind::kSizeof:  // validate() stored the size
       return Value(expr.int_value);
 
     case ExprKind::kIdent:
@@ -250,8 +238,10 @@ Value eval_expr(const Expr& expr, EvalCtx& ctx) {
     case ExprKind::kUnary: {
       const Value v = eval_expr(*expr.lhs, ctx);
       if (expr.op == Tok::kMinus) {
-        if (is_int(v)) return Value(-std::get<long long>(v));
-        return Value(-as_double(v));
+        if (!is_int(v)) return Value(-as_double(v));
+        const long long i = std::get<long long>(v);
+        check_overflow(i == LLONG_MIN, expr);
+        return Value(-i);
       }
       if (expr.op == Tok::kNot) return Value(static_cast<long long>(!truthy(v)));
       fail(expr.pos, "unsupported unary operator");
@@ -260,20 +250,30 @@ Value eval_expr(const Expr& expr, EvalCtx& ctx) {
     case ExprKind::kPostfix: {
       long long* slot = eval_int_lvalue(*expr.lhs, ctx);
       const long long old = *slot;
-      *slot += expr.op == Tok::kPlusPlus ? 1 : -1;
+      long long next = 0;
+      check_overflow(
+          __builtin_add_overflow(old, expr.op == Tok::kPlusPlus ? 1 : -1, &next),
+          expr);
+      *slot = next;
       return Value(old);
     }
 
     case ExprKind::kAssign: {
-      long long* slot = eval_int_lvalue(*expr.lhs, ctx);
+      // The right side first: a native call in it may rewrite the struct
+      // variable that the left side's slot points into.
       const long long rhs = as_int(eval_expr(*expr.rhs, ctx));
+      long long* slot = eval_int_lvalue(*expr.lhs, ctx);
+      long long r = rhs;
+      bool overflow = false;
       switch (expr.op) {
-        case Tok::kAssign: *slot = rhs; break;
-        case Tok::kPlusAssign: *slot += rhs; break;
-        case Tok::kMinusAssign: *slot -= rhs; break;
+        case Tok::kAssign: break;
+        case Tok::kPlusAssign: overflow = __builtin_add_overflow(*slot, rhs, &r); break;
+        case Tok::kMinusAssign: overflow = __builtin_sub_overflow(*slot, rhs, &r); break;
         default: fail(expr.pos, "unsupported assignment operator");
       }
-      return Value(*slot);
+      check_overflow(overflow, expr);
+      *slot = r;
+      return Value(r);
     }
 
     case ExprKind::kIndex:
@@ -285,18 +285,6 @@ Value eval_expr(const Expr& expr, EvalCtx& ctx) {
     case ExprKind::kCall:
       return eval_call(expr, ctx);
 
-    case ExprKind::kSizeof: {
-      if (expr.name == "double") return Value(8LL);
-      if (expr.name == "int" || expr.name == "float") return Value(4LL);
-      if (ctx.structs != nullptr) {
-        auto it = ctx.structs->find(expr.name);
-        if (it != ctx.structs->end()) {
-          return Value(static_cast<long long>(4 * it->second->fields.size()));
-        }
-      }
-      fail(expr.pos, "sizeof of unknown type '" + expr.name + "'");
-    }
-
     case ExprKind::kAddressOf:
       fail(expr.pos, "'&' is only valid on call arguments");
   }
@@ -307,58 +295,47 @@ namespace {
 
 void exec_decl(const Stmt& stmt, EvalCtx& ctx) {
   for (const ast::DeclItem& item : stmt.decls) {
-    if (stmt.decl_type == "int") {
-      long long init = 0;
-      if (item.init) init = as_int(eval_expr(*item.init, ctx));
-      ctx.env->define(item.name, Value(init));
+    Value value;
+    if (stmt.decl_struct < 0) {
+      value = Value(item.init ? as_int(eval_expr(*item.init, ctx)) : 0LL);
     } else {
-      if (ctx.structs == nullptr) fail(stmt.pos, "no struct types declared");
-      auto it = ctx.structs->find(stmt.decl_type);
-      if (it == ctx.structs->end()) {
-        fail(stmt.pos, "unknown type '" + stmt.decl_type + "'");
-      }
-      if (item.init) {
-        fail(stmt.pos, "struct variables cannot have initialisers");
-      }
-      StructVal sv;
-      sv.type = it->second;
-      sv.fields.assign(it->second->fields.size(), 0);
-      ctx.env->define(item.name, Value(std::move(sv)));
+      const auto& type = ctx.structs[static_cast<std::size_t>(stmt.decl_struct)];
+      value = Value(StructVal{type, std::vector<long long>(type->fields.size(), 0)});
     }
+    ctx.frame[static_cast<std::size_t>(item.slot)] = std::move(value);
   }
 }
 
-std::vector<long long> eval_coords(const std::vector<ast::ExprPtr>& exprs,
-                                   EvalCtx& ctx, const ast::Pos& pos) {
-  if (ctx.shape.empty()) fail(pos, "internal: no coordinate shape in context");
-  if (exprs.size() != ctx.shape.size()) {
-    fail(pos, "activation uses " + std::to_string(exprs.size()) +
-                  " coordinates, the model declares " +
-                  std::to_string(ctx.shape.size()));
-  }
-  std::vector<long long> coords;
-  coords.reserve(exprs.size());
+/// Evaluates the coordinates `exprs` of an activation into `out`,
+/// checking each against the model's shape.
+void eval_coords(const std::vector<ast::ExprPtr>& exprs, long long* out,
+                 EvalCtx& ctx, const ast::Pos& pos) {
   for (std::size_t d = 0; d < exprs.size(); ++d) {
     const long long c = as_int(eval_expr(*exprs[d], ctx));
     if (c < 0 || c >= ctx.shape[d]) {
-      fail(pos, "coordinate " + std::to_string(c) + " out of range [0, " +
-                    std::to_string(ctx.shape[d]) + ") in dimension " +
-                    std::to_string(d));
+      fail_range(pos, "coordinate", c, ctx.shape[d], static_cast<int>(d));
     }
-    coords.push_back(c);
+    out[d] = c;
   }
-  return coords;
+}
+
+void exec_activation(const Stmt& stmt, EvalCtx& ctx) {
+  const double percent = as_double(eval_expr(*stmt.expr, ctx));
+  if (percent < 0.0) fail(stmt.pos, "negative activation percentage");
+  const std::size_t rank = ctx.shape.size();
+  ctx.coords.resize(2 * rank);
+  const std::span<const long long> src(ctx.coords.data(), rank);
+  eval_coords(stmt.src_coords, ctx.coords.data(), ctx, stmt.pos);
+  if (stmt.kind == StmtKind::kComp) {
+    ctx.sink->compute(src, percent);
+    return;
+  }
+  eval_coords(stmt.dst_coords, ctx.coords.data() + rank, ctx, stmt.pos);
+  ctx.sink->transfer(src, {ctx.coords.data() + rank, rank}, percent);
 }
 
 void exec_loop(const Stmt& stmt, EvalCtx& ctx) {
   const bool parallel = stmt.kind == StmtKind::kPar;
-  if (parallel && ctx.sink == nullptr) {
-    fail(stmt.pos, "par statement outside a scheme evaluation");
-  }
-  if (!stmt.expr) {
-    fail(stmt.pos, "loop requires a termination condition");
-  }
-  ScopeGuard scope(*ctx.env);
   if (stmt.init_stmt) exec_stmt(*stmt.init_stmt, ctx);
 
   if (parallel) ctx.sink->par_begin();
@@ -377,11 +354,9 @@ void exec_loop(const Stmt& stmt, EvalCtx& ctx) {
 
 void exec_stmt(const Stmt& stmt, EvalCtx& ctx) {
   switch (stmt.kind) {
-    case StmtKind::kBlock: {
-      ScopeGuard scope(*ctx.env);
+    case StmtKind::kBlock:
       for (const ast::StmtPtr& s : stmt.body) exec_stmt(*s, ctx);
       return;
-    }
     case StmtKind::kDecl:
       exec_decl(stmt, ctx);
       return;
@@ -399,23 +374,10 @@ void exec_stmt(const Stmt& stmt, EvalCtx& ctx) {
     case StmtKind::kPar:
       exec_loop(stmt, ctx);
       return;
-    case StmtKind::kComp: {
-      if (ctx.sink == nullptr) fail(stmt.pos, "activation outside a scheme evaluation");
-      const double percent = as_double(eval_expr(*stmt.expr, ctx));
-      if (percent < 0.0) fail(stmt.pos, "negative activation percentage");
-      const auto coords = eval_coords(stmt.src_coords, ctx, stmt.pos);
-      ctx.sink->compute(coords, percent);
+    case StmtKind::kComp:
+    case StmtKind::kComm:
+      exec_activation(stmt, ctx);
       return;
-    }
-    case StmtKind::kComm: {
-      if (ctx.sink == nullptr) fail(stmt.pos, "activation outside a scheme evaluation");
-      const double percent = as_double(eval_expr(*stmt.expr, ctx));
-      if (percent < 0.0) fail(stmt.pos, "negative activation percentage");
-      const auto src = eval_coords(stmt.src_coords, ctx, stmt.pos);
-      const auto dst = eval_coords(stmt.dst_coords, ctx, stmt.pos);
-      ctx.sink->transfer(src, dst, percent);
-      return;
-    }
   }
   fail(stmt.pos, "internal: unhandled statement kind");
 }

@@ -2,24 +2,26 @@
 // exposed for white-box testing).
 #pragma once
 
-#include <map>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "pmdl/ast.hpp"
-#include "pmdl/env.hpp"
 #include "pmdl/model.hpp"
 #include "pmdl/value.hpp"
 
 namespace hmpi::pmdl {
 
-/// Evaluation context threaded through the tree walk.
+/// Evaluation context threaded through the tree walk. The names were
+/// resolved by validate(), so nothing here is looked up by name: an
+/// identifier reads frame[slot] and a call runs natives[slot].
 struct EvalCtx {
-  Env* env = nullptr;
-  const std::map<std::string, NativeFn>* natives = nullptr;
-  const std::map<std::string, std::shared_ptr<const StructInfo>>* structs = nullptr;
+  /// One value per slot of the algorithm (ast::Algorithm::frame_size).
+  std::span<Value> frame;
+  /// Host functions in ast::Algorithm::natives order; empty when unregistered.
+  std::span<const NativeFn> natives;
+  /// Struct types in ast::Algorithm::structs order.
+  std::span<const std::shared_ptr<const StructInfo>> structs;
   /// Scheme-only: activation receiver and coordinate extents for bounds checks.
   ScheduleSink* sink = nullptr;
   std::span<const long long> shape;
@@ -29,18 +31,24 @@ struct EvalCtx {
   /// Scratch stack of evaluated subscripts (a[i][j]... chains; nested
   /// chains push above their enclosing one).
   std::vector<long long> subscripts;
+  /// The current activation's coordinates: source, then destination.
+  std::vector<long long> coords;
+  /// Argument vectors of native calls, one per call nesting depth.
+  std::vector<std::vector<Value>> call_args;
+  std::size_t call_depth = 0;
 };
 
 /// Upper bound on the loop iterations of one evaluation context (one scheme
 /// replay): catches runaway schemes — a missing step, a non-terminating
 /// condition, or nested loops whose product explodes — instead of hanging
-/// the runtime.
+/// the runtime. instantiate() holds an instance's abstract processors, and
+/// the (processor, link iterator) tuples it evaluates, to the same bound.
 inline constexpr long long kMaxLoopIterations = 1 << 24;
 
 /// Evaluates an expression to a value (C arithmetic semantics; see value.hpp).
 Value eval_expr(const ast::Expr& expr, EvalCtx& ctx);
 
-/// Executes a statement (scheme bodies). Requires ctx.sink for kPar/kComm/kComp.
+/// Executes a statement of a scheme; requires ctx.sink and ctx.shape.
 void exec_stmt(const ast::Stmt& stmt, EvalCtx& ctx);
 
 }  // namespace hmpi::pmdl

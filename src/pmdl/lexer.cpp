@@ -1,6 +1,7 @@
 #include "pmdl/lexer.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <map>
 
 #include "support/error.hpp"
@@ -168,7 +169,12 @@ std::vector<Token> lex(std::string_view source) {
       }
       Token t;
       t.kind = Tok::kIntLit;
-      t.int_value = std::stoll(digits);
+      const auto [end, error] = std::from_chars(
+          digits.data(), digits.data() + digits.size(), t.int_value);
+      if (error != std::errc()) {
+        throw PmdlError("integer literal " + digits + " does not fit in an int",
+                        line, column);
+      }
       t.text = std::move(digits);
       t.line = line;
       t.column = column;

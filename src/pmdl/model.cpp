@@ -77,16 +77,15 @@ std::string ModelInstance::summary() const {
 // --- Model -------------------------------------------------------------------
 
 Model Model::from_source(std::string_view source) {
+  std::shared_ptr<ast::Algorithm> algo = parse(source);
+  validate(*algo);
   Model m;
-  m.ast_ = parse(source);
-  validate(*m.ast_);
+  m.ast_ = std::move(algo);
   m.name_ = m.ast_->name;
   m.param_count_ = m.ast_->params.size();
   for (const ast::StructDef& def : m.ast_->structs) {
-    auto info = std::make_shared<StructInfo>();
-    info->name = def.name;
-    info->fields = def.fields;
-    m.structs_[def.name] = std::move(info);
+    m.structs_.push_back(std::make_shared<const StructInfo>(
+        StructInfo{def.name, def.fields}));
   }
   return m;
 }
@@ -103,7 +102,7 @@ Model Model::from_factory(std::string name, std::size_t param_count,
 
 void Model::register_native(const std::string& name, NativeFn fn) {
   support::require(static_cast<bool>(fn), "native function must not be empty");
-  (*natives_)[name] = std::move(fn);
+  natives_[name] = std::move(fn);
 }
 
 namespace {
@@ -124,26 +123,18 @@ void for_each_tuple(std::span<const long long> extents, Fn&& fn) {
   }
 }
 
-std::vector<long long> eval_clause_coords(const std::vector<ast::ExprPtr>& exprs,
-                                          EvalCtx& ctx,
-                                          std::span<const long long> shape,
-                                          const ast::Pos& pos) {
-  if (exprs.size() != shape.size()) {
-    throw PmdlError("link endpoint uses " + std::to_string(exprs.size()) +
-                        " coordinates, the model declares " +
-                        std::to_string(shape.size()),
-                    pos.line, pos.column);
-  }
-  std::vector<long long> coords(exprs.size());
+/// Evaluates a link endpoint into `out`, checking it against `shape`.
+void eval_clause_coords(const std::vector<ast::ExprPtr>& exprs, EvalCtx& ctx,
+                        std::span<const long long> shape, const ast::Pos& pos,
+                        long long* out) {
   for (std::size_t d = 0; d < exprs.size(); ++d) {
-    coords[d] = as_int(eval_expr(*exprs[d], ctx));
-    if (coords[d] < 0 || coords[d] >= shape[d]) {
-      throw PmdlError("link endpoint coordinate " + std::to_string(coords[d]) +
+    out[d] = as_int(eval_expr(*exprs[d], ctx));
+    if (out[d] < 0 || out[d] >= shape[d]) {
+      throw PmdlError("link endpoint coordinate " + std::to_string(out[d]) +
                           " out of range [0, " + std::to_string(shape[d]) + ")",
                       pos.line, pos.column);
     }
   }
-  return coords;
 }
 
 long long flatten_coords(std::span<const long long> coords,
@@ -151,6 +142,38 @@ long long flatten_coords(std::span<const long long> coords,
   long long index = 0;
   for (std::size_t d = 0; d < shape.size(); ++d) index = index * shape[d] + coords[d];
   return index;
+}
+
+/// Puts the values of `tuple` into the slots of `vars`.
+void bind_tuple(const std::vector<ast::CoordVar>& vars,
+                std::span<const long long> tuple, std::span<Value> frame) {
+  for (std::size_t d = 0; d < vars.size(); ++d) {
+    frame[static_cast<std::size_t>(vars[d].slot)] = Value(tuple[d]);
+  }
+}
+
+/// The extents that `vars` declare, each positive; multiplies them into
+/// `tuples`, which may not exceed kMaxLoopIterations.
+std::vector<long long> eval_extents(const std::vector<ast::CoordVar>& vars,
+                                    EvalCtx& ctx, const char* what,
+                                    long long& tuples) {
+  std::vector<long long> extents;
+  for (const ast::CoordVar& var : vars) {
+    const long long extent = as_int(eval_expr(*var.extent, ctx));
+    if (extent <= 0) {
+      throw PmdlError(std::string(what) + " '" + var.name +
+                          "' has non-positive extent " + std::to_string(extent),
+                      var.pos.line, var.pos.column);
+    }
+    if (__builtin_mul_overflow(tuples, extent, &tuples) ||
+        tuples > kMaxLoopIterations) {
+      throw PmdlError(std::string(what) + "s span more than " +
+                          std::to_string(kMaxLoopIterations) + " tuples",
+                      var.pos.line, var.pos.column);
+    }
+    extents.push_back(extent);
+  }
+  return extents;
 }
 
 }  // namespace
@@ -165,23 +188,31 @@ ModelInstance Model::instantiate(std::span<const ParamValue> params) const {
 
   const ast::Algorithm& algo = *ast_;
 
+  // One frame for the whole instantiation, laid out by validate(): the
+  // parameters first, then the coordinate and link-iterator variables.
+  std::vector<Value> frame(static_cast<std::size_t>(algo.frame_size));
+  std::vector<NativeFn> natives;
+  for (const std::string& name : algo.natives) {
+    auto it = natives_.find(name);
+    natives.push_back(it == natives_.end() ? NativeFn() : it->second);
+  }
+  EvalCtx ctx;
+  ctx.frame = frame;
+  ctx.natives = natives;
+  ctx.structs = structs_;
+
   // Bind parameters. Array dimension expressions may reference earlier
   // parameters (e.g. `int d[p]`).
-  auto param_env = std::make_shared<Env>();
-  EvalCtx bind_ctx;
-  bind_ctx.env = param_env.get();
-  bind_ctx.natives = natives_.get();
-  bind_ctx.structs = &structs_;
-
   for (std::size_t i = 0; i < algo.params.size(); ++i) {
     const ast::Param& decl = algo.params[i];
+    Value& slot = frame[static_cast<std::size_t>(decl.slot)];
     if (decl.dims.empty()) {
       const auto* scalar_value = std::get_if<long long>(&params[i]);
       if (scalar_value == nullptr) {
         throw PmdlError("parameter '" + decl.name + "' expects a scalar",
                         decl.pos.line, decl.pos.column);
       }
-      param_env->define(decl.name, Value(*scalar_value));
+      slot = Value(*scalar_value);
     } else {
       const auto* array_value = std::get_if<std::vector<long long>>(&params[i]);
       if (array_value == nullptr) {
@@ -191,13 +222,16 @@ ModelInstance Model::instantiate(std::span<const ParamValue> params) const {
       auto data = std::make_shared<ArrayData>();
       long long expected = 1;
       for (const ast::ExprPtr& dim : decl.dims) {
-        const long long extent = as_int(eval_expr(*dim, bind_ctx));
+        const long long extent = as_int(eval_expr(*dim, ctx));
         if (extent <= 0) {
           throw PmdlError("parameter '" + decl.name + "' has non-positive dimension",
                           decl.pos.line, decl.pos.column);
         }
+        if (__builtin_mul_overflow(expected, extent, &expected)) {
+          throw PmdlError("parameter '" + decl.name + "' has too many elements",
+                          decl.pos.line, decl.pos.column);
+        }
         data->dims.push_back(extent);
-        expected *= extent;
       }
       if (static_cast<long long>(array_value->size()) != expected) {
         throw PmdlError("parameter '" + decl.name + "' expects " +
@@ -206,7 +240,7 @@ ModelInstance Model::instantiate(std::span<const ParamValue> params) const {
                         decl.pos.line, decl.pos.column);
       }
       data->data = *array_value;
-      param_env->define(decl.name, Value(ArrayRef{std::move(data), 0, 0}));
+      slot = Value(ArrayRef{std::move(data), 0, 0});
     }
   }
 
@@ -214,28 +248,16 @@ ModelInstance Model::instantiate(std::span<const ParamValue> params) const {
   instance.name_ = name_;
 
   // Coordinate system.
-  for (const ast::CoordVar& cv : algo.coords) {
-    const long long extent = as_int(eval_expr(*cv.extent, bind_ctx));
-    if (extent <= 0) {
-      throw PmdlError("coordinate '" + cv.name + "' has non-positive extent " +
-                          std::to_string(extent),
-                      cv.pos.line, cv.pos.column);
-    }
-    instance.shape_.push_back(extent);
-  }
   long long total = 1;
-  for (long long e : instance.shape_) total *= e;
+  instance.shape_ = eval_extents(algo.coords, ctx, "coordinate", total);
 
   // Node volumes: first matching clause wins; no match means zero volume.
   instance.volumes_.assign(static_cast<std::size_t>(total), 0.0);
   for_each_tuple(instance.shape_, [&](std::span<const long long> tuple) {
-    param_env->push_scope();
-    for (std::size_t d = 0; d < algo.coords.size(); ++d) {
-      param_env->define(algo.coords[d].name, Value(tuple[d]));
-    }
+    bind_tuple(algo.coords, tuple, frame);
     for (const ast::NodeClause& clause : algo.node_clauses) {
-      if (truthy(eval_expr(*clause.cond, bind_ctx))) {
-        const double volume = as_double(eval_expr(*clause.volume, bind_ctx));
+      if (truthy(eval_expr(*clause.cond, ctx))) {
+        const double volume = as_double(eval_expr(*clause.volume, ctx));
         if (volume < 0.0) {
           throw PmdlError("negative node volume", clause.pos.line,
                           clause.pos.column);
@@ -245,38 +267,29 @@ ModelInstance Model::instantiate(std::span<const ParamValue> params) const {
         break;
       }
     }
-    param_env->pop_scope();
   });
 
   // Links: iterate coordinates x link-iterator variables; a matching clause
   // *defines* the volume for the (src, dst) pair (max on re-definition).
   if (!algo.link_clauses.empty()) {
-    std::vector<long long> iter_extents;
-    for (const ast::CoordVar& iv : algo.link_iters) {
-      const long long extent = as_int(eval_expr(*iv.extent, bind_ctx));
-      if (extent <= 0) {
-        throw PmdlError("link iterator '" + iv.name + "' has non-positive extent",
-                        iv.pos.line, iv.pos.column);
-      }
-      iter_extents.push_back(extent);
-    }
+    long long tuples = total;  // (processor, link iterator) tuples
+    const std::vector<long long> iter_extents =
+        eval_extents(algo.link_iters, ctx, "link iterator", tuples);
+    const std::size_t rank = instance.shape_.size();
+    std::vector<long long> endpoints(2 * rank);
+    const std::span<const long long> src(endpoints.data(), rank);
+    const std::span<const long long> dst(endpoints.data() + rank, rank);
     for_each_tuple(instance.shape_, [&](std::span<const long long> tuple) {
-      param_env->push_scope();
-      for (std::size_t d = 0; d < algo.coords.size(); ++d) {
-        param_env->define(algo.coords[d].name, Value(tuple[d]));
-      }
+      bind_tuple(algo.coords, tuple, frame);
       for_each_tuple(iter_extents, [&](std::span<const long long> iters) {
-        param_env->push_scope();
-        for (std::size_t d = 0; d < algo.link_iters.size(); ++d) {
-          param_env->define(algo.link_iters[d].name, Value(iters[d]));
-        }
+        bind_tuple(algo.link_iters, iters, frame);
         for (const ast::LinkClause& clause : algo.link_clauses) {
-          if (!truthy(eval_expr(*clause.cond, bind_ctx))) continue;
-          const auto src = eval_clause_coords(clause.src_coords, bind_ctx,
-                                              instance.shape_, clause.pos);
-          const auto dst = eval_clause_coords(clause.dst_coords, bind_ctx,
-                                              instance.shape_, clause.pos);
-          const double bytes = as_double(eval_expr(*clause.bytes, bind_ctx));
+          if (!truthy(eval_expr(*clause.cond, ctx))) continue;
+          eval_clause_coords(clause.src_coords, ctx, instance.shape_,
+                             clause.pos, endpoints.data());
+          eval_clause_coords(clause.dst_coords, ctx, instance.shape_,
+                             clause.pos, endpoints.data() + rank);
+          const double bytes = as_double(eval_expr(*clause.bytes, ctx));
           if (bytes < 0.0) {
             throw PmdlError("negative link volume", clause.pos.line,
                             clause.pos.column);
@@ -289,21 +302,15 @@ ModelInstance Model::instantiate(std::span<const ParamValue> params) const {
             slot = std::max(slot, bytes);
           }
         }
-        param_env->pop_scope();
       });
-      param_env->pop_scope();
     });
   }
 
   // Parent (defaults to the processor at all-zero coordinates).
   if (!algo.parent_coords.empty()) {
-    if (algo.parent_coords.size() != instance.shape_.size()) {
-      throw PmdlError("parent coordinate count does not match coord rank",
-                      algo.pos.line, algo.pos.column);
-    }
     std::vector<long long> coords(algo.parent_coords.size());
     for (std::size_t d = 0; d < coords.size(); ++d) {
-      coords[d] = as_int(eval_expr(*algo.parent_coords[d], bind_ctx));
+      coords[d] = as_int(eval_expr(*algo.parent_coords[d], ctx));
       if (coords[d] < 0 || coords[d] >= instance.shape_[d]) {
         throw PmdlError("parent coordinate out of range", algo.pos.line,
                         algo.pos.column);
@@ -312,20 +319,20 @@ ModelInstance Model::instantiate(std::span<const ParamValue> params) const {
     instance.parent_ = static_cast<int>(flatten_coords(coords, instance.shape_));
   }
 
-  // Scheme: replay the AST against the sink on demand. The closure keeps the
-  // algorithm, parameter bindings, natives, and struct table alive.
+  // Scheme: replay the AST against the sink on demand. Each replay starts
+  // from the parameters as the clauses left them, in a fresh frame (schemes
+  // mutate their locals).
   if (algo.scheme) {
-    auto ast = ast_;
-    auto natives = natives_;
-    auto structs = structs_;
-    auto shape = instance.shape_;
-    instance.scheme_ = [ast, param_env, natives, structs,
-                        shape](ScheduleSink& sink) {
-      Env env = *param_env;  // fresh copy per replay: schemes mutate locals
+    frame.resize(algo.params.size());
+    instance.scheme_ = [ast = ast_, params = std::move(frame),
+                        natives = std::move(natives), structs = structs_,
+                        shape = instance.shape_](ScheduleSink& sink) {
+      std::vector<Value> replay(static_cast<std::size_t>(ast->frame_size));
+      std::copy(params.begin(), params.end(), replay.begin());
       EvalCtx ctx;
-      ctx.env = &env;
-      ctx.natives = natives.get();
-      ctx.structs = &structs;
+      ctx.frame = replay;
+      ctx.natives = natives;
+      ctx.structs = structs;
       ctx.sink = &sink;
       ctx.shape = shape;
       exec_stmt(*ast->scheme, ctx);

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "pmdl/ast.hpp"
-#include "pmdl/env.hpp"
 #include "pmdl/value.hpp"
 
 namespace hmpi::pmdl {
@@ -137,7 +136,8 @@ class Model {
   std::size_t param_count() const noexcept { return param_count_; }
 
   /// Registers a host function callable from the scheme (e.g. GetProcessor).
-  /// Must be called before instantiate().
+  /// Must be called before instantiate(): an instance binds the natives
+  /// registered when it is created.
   void register_native(const std::string& name, NativeFn fn);
 
   /// Evaluates the model for concrete parameters.
@@ -153,9 +153,9 @@ class Model {
   std::size_t param_count_ = 0;
   std::shared_ptr<const ast::Algorithm> ast_;  // null for factory models
   Factory factory_;                            // null for AST models
-  std::shared_ptr<std::map<std::string, NativeFn>> natives_ =
-      std::make_shared<std::map<std::string, NativeFn>>();
-  std::map<std::string, std::shared_ptr<const StructInfo>> structs_;
+  std::map<std::string, NativeFn> natives_;
+  /// The AST's struct types, in ast::Algorithm::structs order.
+  std::vector<std::shared_ptr<const StructInfo>> structs_;
 };
 
 /// Builds a ModelInstance directly (programmatic models and tests).

@@ -17,7 +17,7 @@ class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
-  std::shared_ptr<const Algorithm> parse_model() {
+  std::shared_ptr<Algorithm> parse_model() {
     auto algo = std::make_shared<Algorithm>();
     while (check(Tok::kTypedef)) {
       algo->structs.push_back(parse_typedef());
@@ -484,7 +484,7 @@ class Parser {
 
 }  // namespace
 
-std::shared_ptr<const ast::Algorithm> parse(std::string_view source) {
+std::shared_ptr<ast::Algorithm> parse(std::string_view source) {
   Parser parser(lex(source));
   return parser.parse_model();
 }

@@ -10,6 +10,6 @@ namespace hmpi::pmdl {
 
 /// Parses a PMDL source text (optional typedefs followed by one `algorithm`
 /// definition). Throws PmdlError with source positions on syntax errors.
-std::shared_ptr<const ast::Algorithm> parse(std::string_view source);
+std::shared_ptr<ast::Algorithm> parse(std::string_view source);
 
 }  // namespace hmpi::pmdl

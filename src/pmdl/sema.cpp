@@ -1,5 +1,6 @@
 #include "pmdl/sema.hpp"
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -16,8 +17,14 @@ using namespace ast;
 /// Static type of a name or expression.
 struct Type {
   enum Kind { kInt, kArray, kStruct } kind = kInt;
-  int array_rank = 0;       // kArray: remaining dimensions
-  std::string struct_name;  // kStruct
+  int array_rank = 0;     // kArray: remaining dimensions
+  int struct_index = -1;  // kStruct: index in Algorithm::structs
+};
+
+/// A name in scope: its type and its frame slot.
+struct Binding {
+  Type type;
+  int slot = -1;
 };
 
 [[noreturn]] void fail(const Pos& pos, const std::string& message) {
@@ -26,9 +33,10 @@ struct Type {
 
 class Checker {
  public:
-  explicit Checker(const Algorithm& algo) : algo_(algo) {
-    for (const StructDef& def : algo.structs) {
-      if (!structs_.emplace(def.name, &def).second) {
+  explicit Checker(Algorithm& algo) : algo_(algo) {
+    for (std::size_t i = 0; i < algo.structs.size(); ++i) {
+      const StructDef& def = algo.structs[i];
+      if (!structs_.emplace(def.name, static_cast<int>(i)).second) {
         fail(def.pos, "duplicate struct type '" + def.name + "'");
       }
       std::set<std::string> fields;
@@ -56,21 +64,32 @@ class Checker {
       check_stmt(*algo_.scheme);
       pop_scope();
     }
+    algo_.frame_size = frame_size_;
   }
 
  private:
   // --- scopes ---------------------------------------------------------------
 
-  void push_scope() { scopes_.emplace_back(); }
-  void pop_scope() { scopes_.pop_back(); }
+  // A binding's slot is its depth in the stack of open scopes, so sibling
+  // scopes reuse slots and the frame is as deep as the deepest nesting.
 
-  void define(const std::string& name, Type type, const Pos& pos) {
-    if (!scopes_.back().emplace(name, type).second) {
-      fail(pos, "redefinition of '" + name + "'");
-    }
+  void push_scope() { scopes_.emplace_back(); }
+  void pop_scope() {
+    next_slot_ -= static_cast<int>(scopes_.back().size());
+    scopes_.pop_back();
   }
 
-  const Type* lookup(const std::string& name) const {
+  /// Binds `name` in the innermost scope and returns its slot.
+  int define(const std::string& name, Type type, const Pos& pos) {
+    const int slot = next_slot_;
+    if (!scopes_.back().emplace(name, Binding{type, slot}).second) {
+      fail(pos, "redefinition of '" + name + "'");
+    }
+    frame_size_ = std::max(frame_size_, ++next_slot_);
+    return slot;
+  }
+
+  const Binding* lookup(const std::string& name) const {
     for (auto scope = scopes_.rbegin(); scope != scopes_.rend(); ++scope) {
       auto it = scope->find(name);
       if (it != scope->end()) return &it->second;
@@ -78,11 +97,21 @@ class Checker {
     return nullptr;
   }
 
+  /// The binding `ident` names; records its slot in the AST.
+  const Binding& resolve(Expr& ident) const {
+    const Binding* binding = lookup(ident.name);
+    if (binding == nullptr) {
+      fail(ident.pos, "use of undeclared identifier '" + ident.name + "'");
+    }
+    ident.slot = binding->slot;
+    return *binding;
+  }
+
   // --- sections --------------------------------------------------------------
 
   void check_params() {
     push_scope();  // global scope: parameters
-    for (const Param& param : algo_.params) {
+    for (Param& param : algo_.params) {
       // Dimensions may reference earlier parameters only.
       for (const ExprPtr& dim : param.dims) {
         expect_scalar(check_expr(*dim), dim->pos, "array dimension");
@@ -94,14 +123,14 @@ class Checker {
         type.kind = Type::kArray;
         type.array_rank = static_cast<int>(param.dims.size());
       }
-      define(param.name, type, param.pos);
+      param.slot = define(param.name, type, param.pos);
     }
   }
 
   void check_coords() {
-    for (const CoordVar& cv : algo_.coords) {
+    for (CoordVar& cv : algo_.coords) {
       expect_scalar(check_expr(*cv.extent), cv.pos, "coordinate extent");
-      define(cv.name, Type{Type::kInt, 0, {}}, cv.pos);
+      cv.slot = define(cv.name, Type{}, cv.pos);
     }
   }
 
@@ -114,9 +143,9 @@ class Checker {
 
   void check_link() {
     push_scope();  // link iterator variables
-    for (const CoordVar& iv : algo_.link_iters) {
+    for (CoordVar& iv : algo_.link_iters) {
       expect_scalar(check_expr(*iv.extent), iv.pos, "link iterator extent");
-      define(iv.name, Type{Type::kInt, 0, {}}, iv.pos);
+      iv.slot = define(iv.name, Type{}, iv.pos);
     }
     const std::size_t rank = algo_.coords.size();
     for (const LinkClause& clause : algo_.link_clauses) {
@@ -150,7 +179,18 @@ class Checker {
 
   // --- statements -------------------------------------------------------------
 
-  void check_stmt(const Stmt& stmt) {
+  /// A declaration is not a statement in C, so it cannot be the body of a
+  /// loop or an if branch: its scope would be the enclosing one, where a
+  /// loop would define it again on every iteration.
+  void check_body(Stmt& body, const char* owner) {
+    if (body.kind == StmtKind::kDecl) {
+      fail(body.pos, std::string("a declaration cannot be the body of ") +
+                         owner + "; enclose it in braces");
+    }
+    check_stmt(body);
+  }
+
+  void check_stmt(Stmt& stmt) {
     switch (stmt.kind) {
       case StmtKind::kBlock:
         push_scope();
@@ -160,24 +200,23 @@ class Checker {
 
       case StmtKind::kDecl: {
         Type type;
-        if (stmt.decl_type == "int") {
-          type.kind = Type::kInt;
-        } else {
+        if (stmt.decl_type != "int") {
           auto it = structs_.find(stmt.decl_type);
           if (it == structs_.end()) {
             fail(stmt.pos, "unknown type '" + stmt.decl_type + "'");
           }
           type.kind = Type::kStruct;
-          type.struct_name = stmt.decl_type;
+          type.struct_index = it->second;
+          stmt.decl_struct = it->second;
         }
-        for (const DeclItem& item : stmt.decls) {
+        for (DeclItem& item : stmt.decls) {
           if (item.init) {
             if (type.kind == Type::kStruct) {
               fail(stmt.pos, "struct variables cannot have initialisers");
             }
             expect_scalar(check_expr(*item.init), item.init->pos, "initialiser");
           }
-          define(item.name, type, stmt.pos);
+          item.slot = define(item.name, type, stmt.pos);
         }
         return;
       }
@@ -188,8 +227,8 @@ class Checker {
 
       case StmtKind::kIf:
         expect_scalar(check_expr(*stmt.expr), stmt.expr->pos, "if condition");
-        check_stmt(*stmt.then_branch);
-        if (stmt.else_branch) check_stmt(*stmt.else_branch);
+        check_body(*stmt.then_branch, "an if");
+        if (stmt.else_branch) check_body(*stmt.else_branch, "an else");
         return;
 
       case StmtKind::kFor:
@@ -201,7 +240,7 @@ class Checker {
         }
         expect_scalar(check_expr(*stmt.expr), stmt.expr->pos, "loop condition");
         if (stmt.step) check_expr(*stmt.step);
-        check_stmt(*stmt.loop_body);
+        check_body(*stmt.loop_body, "a loop");
         pop_scope();
         return;
       }
@@ -211,7 +250,7 @@ class Checker {
         expect_scalar(check_expr(*stmt.expr), stmt.expr->pos,
                       "activation percentage");
         const std::size_t rank = algo_.coords.size();
-        auto check_coords = [&](const std::vector<ExprPtr>& coords) {
+        auto check_coords = [&](std::vector<ExprPtr>& coords) {
           if (coords.size() != rank) {
             fail(stmt.pos, "activation must use " + std::to_string(rank) +
                                " coordinate(s), found " +
@@ -237,16 +276,13 @@ class Checker {
     }
   }
 
-  Type check_lvalue(const Expr& expr) {
+  Type check_lvalue(Expr& expr) {
     if (expr.kind == ExprKind::kIdent) {
-      const Type* type = lookup(expr.name);
-      if (type == nullptr) {
-        fail(expr.pos, "use of undeclared identifier '" + expr.name + "'");
-      }
-      if (type->kind != Type::kInt) {
+      const Type& type = resolve(expr).type;
+      if (type.kind != Type::kInt) {
         fail(expr.pos, "'" + expr.name + "' is not an assignable int variable");
       }
-      return *type;
+      return type;
     }
     if (expr.kind == ExprKind::kMember) {
       if (expr.lhs->kind != ExprKind::kIdent) {
@@ -257,43 +293,36 @@ class Checker {
     fail(expr.pos, "expression is not assignable");
   }
 
-  Type check_expr(const Expr& expr) {
+  Type check_expr(Expr& expr) {
     switch (expr.kind) {
       case ExprKind::kIntLit:
-      case ExprKind::kSizeof:
-        if (expr.kind == ExprKind::kSizeof && expr.name != "int" &&
-            expr.name != "double" && expr.name != "float" &&
-            structs_.find(expr.name) == structs_.end()) {
-          fail(expr.pos, "sizeof of unknown type '" + expr.name + "'");
-        }
-        return Type{Type::kInt, 0, {}};
+        return Type{};
 
-      case ExprKind::kIdent: {
-        const Type* type = lookup(expr.name);
-        if (type == nullptr) {
-          fail(expr.pos, "use of undeclared identifier '" + expr.name + "'");
-        }
-        return *type;
-      }
+      case ExprKind::kSizeof:
+        expr.int_value = sizeof_type(expr);
+        return Type{};
+
+      case ExprKind::kIdent:
+        return resolve(expr).type;
 
       case ExprKind::kBinary: {
         expect_scalar(check_expr(*expr.lhs), expr.lhs->pos, "operand");
         expect_scalar(check_expr(*expr.rhs), expr.rhs->pos, "operand");
-        return Type{Type::kInt, 0, {}};
+        return Type{};
       }
 
       case ExprKind::kUnary:
         expect_scalar(check_expr(*expr.lhs), expr.lhs->pos, "operand");
-        return Type{Type::kInt, 0, {}};
+        return Type{};
 
       case ExprKind::kPostfix:
         check_lvalue(*expr.lhs);
-        return Type{Type::kInt, 0, {}};
+        return Type{};
 
       case ExprKind::kAssign: {
         check_lvalue(*expr.lhs);
         expect_scalar(check_expr(*expr.rhs), expr.rhs->pos, "assigned value");
-        return Type{Type::kInt, 0, {}};
+        return Type{};
       }
 
       case ExprKind::kIndex: {
@@ -304,7 +333,7 @@ class Checker {
         expect_scalar(check_expr(*expr.rhs), expr.rhs->pos, "array index");
         Type result = base;
         result.array_rank -= 1;
-        if (result.array_rank == 0) return Type{Type::kInt, 0, {}};
+        if (result.array_rank == 0) return Type{};
         return result;
       }
 
@@ -313,24 +342,25 @@ class Checker {
         if (base.kind != Type::kStruct) {
           fail(expr.pos, "member access on a non-struct value");
         }
-        const StructDef* def = structs_.at(base.struct_name);
-        for (const std::string& field : def->fields) {
-          if (field == expr.name) return Type{Type::kInt, 0, {}};
+        const StructDef& def =
+            algo_.structs[static_cast<std::size_t>(base.struct_index)];
+        for (std::size_t i = 0; i < def.fields.size(); ++i) {
+          if (def.fields[i] == expr.name) {
+            expr.slot = static_cast<int>(i);
+            return Type{};
+          }
         }
-        fail(expr.pos, "struct " + base.struct_name + " has no field '" +
-                           expr.name + "'");
+        fail(expr.pos,
+             "struct " + def.name + " has no field '" + expr.name + "'");
       }
 
       case ExprKind::kCall: {
         for (const ExprPtr& arg : expr.args) {
           if (arg->kind == ExprKind::kAddressOf) {
             // `&x` requires an lvalue-ish target: variable or member.
-            const Expr& target = *arg->lhs;
+            Expr& target = *arg->lhs;
             if (target.kind == ExprKind::kIdent) {
-              if (lookup(target.name) == nullptr) {
-                fail(target.pos,
-                     "use of undeclared identifier '" + target.name + "'");
-              }
+              resolve(target);
             } else {
               check_lvalue(target);
             }
@@ -338,7 +368,11 @@ class Checker {
             check_expr(*arg);
           }
         }
-        return Type{Type::kInt, 0, {}};
+        auto [it, added] = natives_.emplace(
+            expr.name, static_cast<int>(algo_.natives.size()));
+        if (added) algo_.natives.push_back(expr.name);
+        expr.slot = it->second;
+        return Type{};
       }
 
       case ExprKind::kAddressOf:
@@ -347,14 +381,29 @@ class Checker {
     fail(expr.pos, "internal: unhandled expression kind");
   }
 
-  const Algorithm& algo_;
-  std::map<std::string, const StructDef*> structs_;
-  std::vector<std::map<std::string, Type>> scopes_;
+  /// Bytes of `sizeof(type)`: double 8, int and float 4, a struct 4 per field.
+  long long sizeof_type(const Expr& expr) const {
+    if (expr.name == "double") return 8;
+    if (expr.name == "int" || expr.name == "float") return 4;
+    auto it = structs_.find(expr.name);
+    if (it == structs_.end()) {
+      fail(expr.pos, "sizeof of unknown type '" + expr.name + "'");
+    }
+    return 4 * static_cast<long long>(
+                   algo_.structs[static_cast<std::size_t>(it->second)].fields.size());
+  }
+
+  Algorithm& algo_;
+  std::map<std::string, int> structs_;  // name -> index in algo_.structs
+  std::map<std::string, int> natives_;  // name -> index in algo_.natives
+  std::vector<std::map<std::string, Binding>> scopes_;
+  int next_slot_ = 0;
+  int frame_size_ = 0;
 };
 
 }  // namespace
 
-void validate(const ast::Algorithm& algorithm) {
+void validate(ast::Algorithm& algorithm) {
   Checker checker(algorithm);
   checker.run();
 }

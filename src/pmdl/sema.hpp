@@ -12,16 +12,23 @@
 //     on scalars, assignment targets int lvalues);
 //   * activations use exactly coord-rank coordinates; link clauses and the
 //     parent declaration match the coordinate rank;
-//   * par/for loops carry a termination condition.
+//   * par/for loops carry a termination condition;
+//   * a declaration is never the direct body of a loop or an if branch.
 // Function calls are checked structurally (argument expressions; `&x` on
 // lvalues); their names bind to natives at instantiation time.
+//
+// The same walk compiles the names away: it records in the AST each
+// binding's frame slot, each `s.field`'s field index, each call's native
+// index, each struct declaration's type and each sizeof's value, so the
+// evaluator never looks a name up.
 #pragma once
 
 #include "pmdl/ast.hpp"
 
 namespace hmpi::pmdl {
 
-/// Throws PmdlError (with source position) on the first violation.
-void validate(const ast::Algorithm& algorithm);
+/// Throws PmdlError (with source position) on the first violation;
+/// otherwise records the resolved names in `algorithm`.
+void validate(ast::Algorithm& algorithm);
 
 }  // namespace hmpi::pmdl

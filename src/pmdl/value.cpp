@@ -4,16 +4,18 @@
 
 namespace hmpi::pmdl {
 
-double as_double(const Value& v) {
-  if (const auto* i = std::get_if<long long>(&v)) return static_cast<double>(*i);
+double as_double_other(const Value& v) {
   if (const auto* d = std::get_if<double>(&v)) return *d;
   throw PmdlError("expected a numeric value, got " + value_kind_name(v));
 }
 
-long long as_int(const Value& v) {
-  if (const auto* i = std::get_if<long long>(&v)) return *i;
+long long as_int_other(const Value& v) {
   if (const auto* d = std::get_if<double>(&v)) {
     const double r = std::nearbyint(*d);
+    // [-2^63, 2^63) is the long long range; NaN fails the test too.
+    if (!(r >= -0x1p63 && r < 0x1p63)) {
+      throw PmdlError("expected an integer value, got a double outside the int range");
+    }
     if (std::abs(*d - r) > 1e-9) {
       throw PmdlError("expected an integer value, got non-integral double");
     }
@@ -22,8 +24,7 @@ long long as_int(const Value& v) {
   throw PmdlError("expected an integer value, got " + value_kind_name(v));
 }
 
-bool truthy(const Value& v) {
-  if (const auto* i = std::get_if<long long>(&v)) return *i != 0;
+bool truthy_other(const Value& v) {
   if (const auto* d = std::get_if<double>(&v)) return *d != 0.0;
   throw PmdlError("expected a boolean (numeric) value, got " + value_kind_name(v));
 }

@@ -39,13 +39,6 @@ struct ArrayRef {
 struct StructInfo {
   std::string name;
   std::vector<std::string> fields;
-
-  int field_index(const std::string& field) const {
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      if (fields[i] == field) return static_cast<int>(i);
-    }
-    return -1;
-  }
 };
 
 /// A struct variable's storage (int fields only, value semantics).
@@ -57,10 +50,24 @@ struct StructVal {
 /// Any PMDL runtime value.
 using Value = std::variant<long long, double, ArrayRef, StructVal>;
 
-/// Numeric coercions (throw PmdlError when the value is not numeric).
-double as_double(const Value& v);
-long long as_int(const Value& v);
-bool truthy(const Value& v);
+/// Numeric coercions (throw PmdlError when the value is not numeric). The
+/// int case, which is almost every value, is decided inline.
+double as_double_other(const Value& v);
+long long as_int_other(const Value& v);
+bool truthy_other(const Value& v);
+
+inline double as_double(const Value& v) {
+  const auto* i = std::get_if<long long>(&v);
+  return i != nullptr ? static_cast<double>(*i) : as_double_other(v);
+}
+inline long long as_int(const Value& v) {
+  const auto* i = std::get_if<long long>(&v);
+  return i != nullptr ? *i : as_int_other(v);
+}
+inline bool truthy(const Value& v) {
+  const auto* i = std::get_if<long long>(&v);
+  return i != nullptr ? *i != 0 : truthy_other(v);
+}
 
 /// Short value description for diagnostics ("int", "double", "array", ...).
 std::string value_kind_name(const Value& v);

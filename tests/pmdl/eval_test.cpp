@@ -2,10 +2,13 @@
 // via tiny models whose node volumes exercise the expression in question.
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cmath>
 #include <string>
+#include <vector>
 
-#include "pmdl/env.hpp"
 #include "pmdl/model.hpp"
+#include "pmdl_test_util.hpp"
 #include "support/error.hpp"
 
 namespace hmpi::pmdl {
@@ -22,41 +25,106 @@ double eval_with(const std::string& expr, long long a, long long b) {
   return m.instantiate({scalar(a), scalar(b)}).node_volume(0) - 100000.0;
 }
 
-TEST(Env, SameScopeRedefinitionFailsAndShadowingDoesNot) {
-  Env env;
-  env.define("x", Value(1LL));
-  const auto expect_redefinition = [&](long long v) {
-    try {
-      env.define("x", Value(v));
-      FAIL() << "expected a redefinition error";
-    } catch (const PmdlError& e) {
-      EXPECT_NE(std::string(e.what()).find("redefinition"), std::string::npos)
-          << e.what();
-    }
-  };
-  expect_redefinition(2);
-  env.push_scope();
-  env.define("y", Value(7LL));
-  env.define("x", Value(3LL));  // shadows the outer x
-  expect_redefinition(4);
-  EXPECT_EQ(std::get<long long>(*env.lookup("x")), 3);
-  env.pop_scope();
-  EXPECT_EQ(std::get<long long>(*env.lookup("x")), 1);
-  EXPECT_EQ(env.lookup("y"), nullptr);
-  EXPECT_THROW(env.pop_scope(), PmdlError);  // the global scope stays
+/// The message of the PmdlError that `expr` (over a, b) throws as the node
+/// condition of a one-processor model, or "" when it throws none.
+std::string condition_error(const std::string& expr, long long a, long long b) {
+  try {
+    Model::from_source("algorithm E(int a, int b) { coord I=1;\n node { (" +
+                       expr + ") != 0: bench*(1); }; }")
+        .instantiate({scalar(a), scalar(b)});
+  } catch (const PmdlError& e) {
+    return e.what();
+  }
+  return "";
 }
 
-TEST(Env, BindingsKeepTheirAddressWhileTheStackGrows) {
-  Env env;
-  env.define("s", Value(5LL));
-  Value* s = env.lookup("s");
-  env.push_scope();
-  for (int k = 0; k < 1000; ++k) env.define("v" + std::to_string(k), Value(0LL));
-  EXPECT_EQ(env.lookup("s"), s);
-  *s = Value(9LL);
-  env.pop_scope();
-  EXPECT_EQ(env.lookup("s"), s);
-  EXPECT_EQ(std::get<long long>(*s), 9);
+/// The message of the PmdlError that replaying `statements` throws in a
+/// scheme whose local x starts at a, or "" when it throws none.
+std::string scheme_error(const std::string& statements, long long a, long long b) {
+  try {
+    const Model m = Model::from_source(
+        "algorithm E(int a, int b) { coord I=1;\n scheme { int x = a; " +
+        statements + " }; }");
+    testing::RecordingSink sink;
+    m.instantiate({scalar(a), scalar(b)}).run_scheme(sink);
+  } catch (const PmdlError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Each overflow names itself and the position of its operator (line 2).
+void expect_overflow(const std::string& message) {
+  EXPECT_NE(message.find("pmdl:2:"), std::string::npos) << message;
+  EXPECT_NE(message.find("integer overflow"), std::string::npos) << message;
+}
+
+TEST(Eval, AdditionOverflowThrows) {
+  expect_overflow(condition_error("a + b", LLONG_MAX, 1));
+  EXPECT_EQ(condition_error("a + b", LLONG_MAX, 0), "");
+}
+
+TEST(Eval, SubtractionOverflowThrows) {
+  expect_overflow(condition_error("a - b", LLONG_MIN, 1));
+  EXPECT_EQ(condition_error("a - b", LLONG_MIN, 0), "");
+}
+
+TEST(Eval, MultiplicationOverflowThrows) {
+  expect_overflow(condition_error("a * a * a", 3000000, 0));
+  EXPECT_EQ(condition_error("a * a * a", 2000000, 0), "");
+}
+
+TEST(Eval, NegationOverflowThrows) {
+  expect_overflow(condition_error("-a", LLONG_MIN, 0));
+  EXPECT_EQ(condition_error("-a", LLONG_MIN + 1, 0), "");
+}
+
+TEST(Eval, DivisionOverflowThrows) {
+  expect_overflow(condition_error("1 + a / (0 - 1)", LLONG_MIN, 0));
+  EXPECT_EQ(condition_error("1 + a / (0 - 1)", LLONG_MIN + 2, 0), "");
+}
+
+TEST(Eval, ModuloOverflowThrows) {
+  expect_overflow(condition_error("1 + a % b", LLONG_MIN, -1));
+  EXPECT_EQ(condition_error("1 + a % b", LLONG_MIN + 1, -1), "");
+}
+
+TEST(Eval, IncrementOverflowThrows) {
+  expect_overflow(scheme_error("x++;", LLONG_MAX, 0));
+  EXPECT_EQ(scheme_error("x++;", LLONG_MAX - 1, 0), "");
+}
+
+TEST(Eval, DecrementOverflowThrows) {
+  expect_overflow(scheme_error("x--;", LLONG_MIN, 0));
+  EXPECT_EQ(scheme_error("x--;", LLONG_MIN + 1, 0), "");
+}
+
+TEST(Eval, CompoundAssignmentOverflowThrows) {
+  expect_overflow(scheme_error("x += b;", LLONG_MAX, 1));
+  expect_overflow(scheme_error("x -= b;", LLONG_MIN, 1));
+  EXPECT_EQ(scheme_error("x += b; x -= b;", LLONG_MAX - 1, 1), "");
+}
+
+TEST(Eval, WriteBackOfADoubleOutsideTheIntRangeThrows) {
+  // A native may write a double into an int slot; one that no long long
+  // holds (or NaN) fails instead of being cast.
+  for (const double written : {1e30, -1e30, 0x1p63, std::nan("")}) {
+    Model m = Model::from_source(R"(
+      typedef struct {int I;} Box;
+      algorithm E(int p) { coord I=p; scheme { Box s; Put(&s.I); }; })");
+    m.register_native("Put", [written](std::vector<Value>& args) {
+      args[0] = Value(written);
+    });
+    testing::RecordingSink sink;
+    try {
+      m.instantiate({scalar(1)}).run_scheme(sink);
+      ADD_FAILURE() << "expected a PmdlError for " << written;
+    } catch (const PmdlError& e) {
+      EXPECT_NE(std::string(e.what()).find("outside the int range"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Eval, IntegerArithmetic) {

@@ -102,6 +102,17 @@ TEST(Lexer, UnknownCharacterThrowsWithPosition) {
   }
 }
 
+TEST(Lexer, OversizedIntegerLiteralThrowsWithPosition) {
+  EXPECT_EQ(lex("9223372036854775807")[0].int_value, 9223372036854775807LL);
+  try {
+    lex("a\n 9223372036854775808");
+    FAIL() << "expected PmdlError";
+  } catch (const PmdlError& e) {
+    EXPECT_EQ(e.line(), 2);
+    EXPECT_EQ(e.column(), 2);
+  }
+}
+
 TEST(Lexer, ActivationStatementTokens) {
   // The shape used throughout the paper: (100/n)%%[I,J]->[K,L];
   EXPECT_EQ(kinds("(100/n)%%[I,J]->[K,L];"),

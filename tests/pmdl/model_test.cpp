@@ -382,6 +382,80 @@ TEST(Model, NativeWriteBacksLandAfterTheScopeStackGrew) {
   }
 }
 
+TEST(Model, SameScopeRedefinitionFailsAndShadowingDoesNot) {
+  for (const char* redefined : {
+           "int x; int x;",
+           "int x; { int y; } int x;",
+           "{ int x; int x = 1; }",
+       }) {
+    try {
+      Model::from_source(std::string("algorithm A(int p) { coord I=p; scheme { ") +
+                         redefined + " }; }");
+      ADD_FAILURE() << "expected a redefinition error for " << redefined;
+    } catch (const PmdlError& e) {
+      EXPECT_NE(std::string(e.what()).find("redefinition of 'x'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // A nested scope may shadow a local or a parameter; the outer binding is
+  // visible again once the nested scope ends.
+  Model m = Model::from_source(R"(
+    algorithm A(int p) {
+      coord I=p;
+      scheme {
+        int x = 1;
+        { int x = 2; int p = 0; 100%%[x]; 100%%[p]; }
+        100%%[x]; 100%%[p - 1];
+      };
+    })");
+  auto inst = m.instantiate({scalar(4)});
+  RecordingSink sink;
+  inst.run_scheme(sink);
+  ASSERT_EQ(sink.events.size(), 4u);
+  const std::vector<long long> expected{2, 0, 1, 3};
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(sink.events[k].src, (std::vector<long long>{expected[k]}))
+        << "activation " << k;
+  }
+}
+
+TEST(Model, DeclarationsStartFreshInSlotsThatSiblingScopesReuse) {
+  // Sibling blocks share frame slots: each declaration starts its variable
+  // afresh (ints at their initialiser or 0, structs all-zero), whatever a
+  // sibling left in the slot, and &x / &s.field write-backs land in the
+  // variable that is in scope.
+  Model m = Model::from_source(R"(
+    typedef struct {int I; int J;} Pair;
+    algorithm A(int p) {
+      coord I=p;
+      scheme {
+        int k;
+        for (k = 0; k < 2; k++) {
+          { Pair s; 100%%[s.J]; Fill(&s); 100%%[s.J]; }
+          { int x; 100%%[x]; Put(5, &x); 100%%[x]; }
+          { Pair t; 100%%[t.I]; Put(6, &t.I); 100%%[t.I]; }
+        }
+      };
+    })");
+  m.register_native("Fill", [](std::vector<Value>& args) {
+    auto& sv = std::get<StructVal>(args[0]);
+    sv.fields[0] = 3;
+    sv.fields[1] = 4;
+  });
+  m.register_native("Put",
+                    [](std::vector<Value>& args) { args[1] = args[0]; });
+  auto inst = m.instantiate({scalar(8)});
+  RecordingSink sink;
+  inst.run_scheme(sink);
+  ASSERT_EQ(sink.events.size(), 12u);
+  const std::vector<long long> expected{0, 4, 0, 5, 0, 6};
+  for (std::size_t k = 0; k < sink.events.size(); ++k) {
+    EXPECT_EQ(sink.events[k].src, (std::vector<long long>{expected[k % 6]}))
+        << "activation " << k;
+  }
+}
+
 TEST(Model, MissingSchemeThrowsOnReplay) {
   Model m = Model::from_source("algorithm A(int p) { coord I=p; }");
   auto inst = m.instantiate({scalar(1)});

@@ -1,5 +1,6 @@
-// Shared fixtures for PMDL tests: the paper's model texts (Figures 4 and 7)
-// and a ScheduleSink that records the activation stream.
+// Shared fixtures for PMDL tests: the texts of the shipped models (the
+// paper's Figures 4 and 7, Jacobi and the examples') and a ScheduleSink that
+// records the activation stream.
 #pragma once
 
 #include <string>
@@ -90,6 +91,58 @@ algorithm ParallelAxB(int m, int r, int n, int l, int w[m],
   };
 };
 )";
+}
+
+/// The Jacobi performance model of src/apps/jacobi.
+inline const char* jacobi_source() {
+  return R"(
+algorithm Jacobi(int p, int rows[p], int cols) {
+  coord I=p;
+  node { I>=0: bench*(rows[I]); };
+  link (J=p) {
+    I>=0 && (J == I+1 || J == I-1) :
+      length*(cols*sizeof(double)) [I]->[J];
+  };
+  parent[0];
+  scheme {
+    int i;
+    par (i = 0; i < p; i++) {
+      if (i > 0) 100%%[i]->[i-1];
+      if (i < p-1) 100%%[i]->[i+1];
+    }
+    par (i = 0; i < p; i++) 100%%[i];
+  };
+};
+)";
+}
+
+/// The models of examples/quickstart (Ring) and of examples/custom_cluster,
+/// adaptive_load and live_migration (Work, one text in all three).
+inline const char* quickstart_ring_source() {
+  return R"(
+    algorithm Ring(int p, int work[p]) {
+      coord I=p;
+      node { I>=0: bench*(work[I]); };
+      link (J=p) { J == ((I+1) % p) : length*(1000) [I]->[J]; };
+      parent[0];
+      scheme {
+        int i;
+        par (i = 0; i < p; i++) 100%%[i];
+        par (i = 0; i < p; i++) 100%%[i]->[(i+1) % p];
+      };
+    };
+  )";
+}
+
+inline const char* example_work_source() {
+  return R"(
+    algorithm Work(int p, int v[p]) {
+      coord I=p;
+      node { I>=0: bench*(v[I]); };
+      parent[0];
+      scheme { int i; par (i = 0; i < p; i++) 100%%[i]; };
+    };
+  )";
 }
 
 /// Records every sink callback in order, for asserting on scheme replays.

@@ -157,6 +157,34 @@ TEST(Sema, SchemeLocalsScopeToTheirBlock) {
                  "undeclared");
 }
 
+TEST(Sema, DeclarationAsLoopOrIfBodyRejected) {
+  // C has no declaration statement: as a body it would be defined again on
+  // every iteration.
+  const char* bodies[] = {
+      "for (k = 0; k < 2; k++) int x = k;",
+      "par (k = 0; k < 2; k++) int x = k;",
+      "if (k > 0) int x = k;",
+      "if (k > 0) k++; else int x = k;",
+  };
+  for (const char* body : bodies) {
+    const std::string source =
+        std::string("algorithm A(int p) { coord I=p; scheme { int k = 1;\n") +
+        body + " }; }";
+    try {
+      validate(*parse(source));
+      ADD_FAILURE() << "expected a PmdlError for: " << body;
+    } catch (const PmdlError& e) {
+      EXPECT_NE(std::string(e.what()).find("a declaration cannot be the body"),
+                std::string::npos)
+          << e.what();
+      EXPECT_EQ(e.line(), 2) << e.what();
+    }
+  }
+  expect_valid(
+      "algorithm A(int p) { coord I=p; scheme { int k;"
+      " for (k = 0; k < 2; k++) { int x = k; } if (k > 0) { int y; } }; }");
+}
+
 TEST(Sema, AddressOfUndeclaredRejected) {
   expect_invalid(R"(algorithm A(int p) {
     coord I=p;
