@@ -36,18 +36,12 @@ std::size_t CollTuner::KeyHash::operator()(const Key& k) const noexcept {
   std::uint64_t h = k.roster_hash;
   h ^= (static_cast<std::uint64_t>(k.op) << 56) ^
        (static_cast<std::uint64_t>(k.bucket) << 32);
-  h ^= k.version * 0x9e3779b97f4a7c15ULL;
   h ^= k.feedback_gen * 0xc2b2ae3d27d4eb4fULL;
   return static_cast<std::size_t>(h ^ (h >> 29));
 }
 
 CollTuner::CollTuner(const hnoc::Cluster& topology, Options options)
     : model_(topology), options_(options) {}
-
-void CollTuner::set_version_source(std::function<std::uint64_t()> fn) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  version_fn_ = std::move(fn);
-}
 
 void CollTuner::set_policy(const CollPolicy& policy) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -94,7 +88,6 @@ int CollTuner::select(CollOp op, std::span<const int> member_procs,
   key.op = static_cast<std::uint8_t>(op);
   key.bucket = bucket_of(bytes);
   key.roster_hash = roster_hash(member_procs);
-  key.version = version_fn_ ? version_fn_() : 0;
   key.feedback_gen = feedback_gen_;
 
   auto it = memo_.find(key);

@@ -1,25 +1,23 @@
 // CollTuner: cost-model-driven collective algorithm selection.
 //
 // For each (operation, roster, message-size bucket) the tuner prices every
-// candidate algorithm with coll::collective_cost over the cluster's link
-// parameters and picks the predicted-fastest, memoizing the answer in
-// est::EstimateCache style: the memo key includes the NetworkModel version
-// supplied by an injected callback, so a Recon that bumps the model version
-// invalidates every cached selection without the tuner ever touching the
-// runtime's mutable speed state (link parameters are immutable topology).
+// candidate algorithm with coll::collective_cost over its own immutable
+// snapshot of the cluster's link parameters and picks the predicted-fastest,
+// memoizing the answer. The cost reads only link latency and bandwidth, so a
+// Recon (which changes processor speeds) cannot change a selection and
+// leaves the memo valid.
 //
 // Determinism contract: with feedback off (the default), select() is a pure
-// function of (op, roster machines, size bucket, policy, model version) —
-// every member of a communicator computes the same choice independently,
-// regardless of thread count or cache hits. The optional measured-feedback
-// mode folds observed/predicted ratios into the ranking; observations are
-// staged into a pending table and only applied by promote_feedback(), which
-// the runtime calls at a world-collective quiescent point (Recon), so
-// members of an in-flight collective can never disagree on the ranking.
+// function of (op, roster machines, size bucket, policy) — every member of a
+// communicator computes the same choice independently, regardless of thread
+// count or cache hits. The optional measured-feedback mode folds
+// observed/predicted ratios into the ranking; observations are staged into
+// a pending table and only applied by promote_feedback(), which the runtime
+// calls at a world-collective quiescent point (Recon), so members of an
+// in-flight collective can never disagree on the ranking.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <unordered_map>
 
@@ -45,11 +43,6 @@ class CollTuner : public Selector {
   };
 
   CollTuner(const hnoc::Cluster& topology, Options options);
-
-  /// Injects the invalidation source: called under the owner's locking
-  /// discipline and expected to return hnoc::NetworkModel::version() of the
-  /// live model. Without one, cached selections are never invalidated.
-  void set_version_source(std::function<std::uint64_t()> fn);
 
   /// Policy overrides consulted before the cost search (a concrete per-op
   /// choice bypasses prediction). Safe to call between collectives; calling
@@ -82,7 +75,6 @@ class CollTuner : public Selector {
     std::uint8_t op;
     std::uint32_t bucket;
     std::uint64_t roster_hash;
-    std::uint64_t version;
     std::uint64_t feedback_gen;
     bool operator==(const Key&) const = default;
   };
@@ -101,7 +93,6 @@ class CollTuner : public Selector {
   const Options options_;
 
   mutable std::mutex mutex_;
-  std::function<std::uint64_t()> version_fn_;
   CollPolicy policy_;
   std::unordered_map<Key, Selection, KeyHash> memo_;
   // ratio_[op][algo]: EWMA of measured/predicted; <= 0 means no data.

@@ -27,6 +27,8 @@ namespace hmpi {
 
 namespace {
 
+using Kind = telemetry::CausalEvent::Kind;
+
 /// telemetry::VirtualClockScope sampler: spans opened inside runtime entry
 /// points stamp the owning simulated process's virtual clock.
 double sample_proc_clock(const void* ctx) {
@@ -125,15 +127,12 @@ struct Runtime::Shared {
 
   /// The world's collective-algorithm selector (installed into the World by
   /// the factory; also kept here for policy updates and diagnostics).
-  /// Lock-ordering contract: CollTuner::select locks its own mutex and then
-  /// the version callback locks `mutex` above — so the runtime must NEVER
-  /// call a tuner method while holding `mutex`, or two threads deadlock.
   std::shared_ptr<coll::CollTuner> coll_tuner;
 
   /// The world-shared hmpictld scheduler service (docs/scheduler.md),
-  /// lazily created by Runtime::scheduler(). Same lock-ordering contract as
-  /// the tuner: the Scheduler has its own coarse mutex, so never call a
-  /// scheduler method while holding `mutex` above.
+  /// lazily created by Runtime::scheduler(). The Scheduler has its own
+  /// coarse mutex; never call a scheduler method while holding `mutex`
+  /// above.
   std::unique_ptr<sched::Scheduler> scheduler;
 
   struct Creation {
@@ -215,10 +214,6 @@ Runtime::Runtime(mp::Proc& proc, RuntimeConfig config)
     topts.feedback = config_.coll.feedback;
     s->coll_tuner = std::make_shared<coll::CollTuner>(proc.cluster(), topts);
     s->coll_tuner->set_policy(config_.coll.policy);
-    s->coll_tuner->set_version_source([raw = s.get()]() -> std::uint64_t {
-      std::lock_guard<std::mutex> lock(raw->mutex);
-      return raw->network->version();
-    });
     proc.world().set_coll_selector(s->coll_tuner);
     // Wake rendezvous waiters on any death so they can fail fast instead of
     // waiting for the world to stall. (The Shared outlives every process:
@@ -373,9 +368,8 @@ void Runtime::recon_impl(const mp::Comm& comm,
   // the best speed any of its processes demonstrated. A processor whose
   // every process timed out keeps its previous estimate but becomes suspect;
   // any demonstrated speed clears the mark. Only a speed that differs is
-  // written: each write re-stamps the model version, and a re-stamp per
-  // process would make every rank's closing barrier re-price its algorithm
-  // choice in the collective tuner.
+  // written, because each write re-stamps the model version that keys the
+  // estimate cache.
   bool speeds_changed = false;
   {
     std::lock_guard<std::mutex> lock(shared_->mutex);
@@ -392,27 +386,15 @@ void Runtime::recon_impl(const mp::Comm& comm,
         speeds_changed = true;
         if (shared_->suspect_processors.erase(processor) > 0) {
           telemetry::metrics().counter("processors_recovered").add();
-          if (mp::Tracer* tracer = proc_->world().options().tracer) {
-            mp::TraceEvent event;
-            event.kind = mp::TraceEvent::Kind::kRecover;
-            event.world_rank = proc_->rank();
-            event.processor = processor;
-            event.start_time = proc_->clock();
-            event.end_time = proc_->clock();
-            tracer->record(event);
-          }
+          telemetry::CausalEvent event = instant(Kind::kRecover);
+          event.proc = processor;
+          record(event);
         }
       } else if (shared_->suspect_processors.insert(processor).second) {
         telemetry::metrics().counter("processors_suspected").add();
-        if (mp::Tracer* tracer = proc_->world().options().tracer) {
-          mp::TraceEvent event;
-          event.kind = mp::TraceEvent::Kind::kSuspect;
-          event.world_rank = proc_->rank();
-          event.processor = processor;
-          event.start_time = proc_->clock();
-          event.end_time = proc_->clock();
-          tracer->record(event);
-        }
+        telemetry::CausalEvent event = instant(Kind::kSuspect);
+        event.proc = processor;
+        record(event);
       }
     }
   }
@@ -535,17 +517,10 @@ std::shared_ptr<const est::Plan> Runtime::prefetch_plan(
   reg.counter("est.compile.count").add();
   reg.counter("est.compile.misses").add();
   reg.histogram("est.compile.seconds").observe(seconds);
-  if (mp::Tracer* tracer = proc_->world().options().tracer) {
-    mp::TraceEvent event;
-    event.kind = mp::TraceEvent::Kind::kEstCompile;
-    event.world_rank = proc_->rank();
-    event.processor = proc_->processor();
-    event.compile.ops = static_cast<long long>(plan->op_count());
-    event.compile.seconds = seconds;
-    event.start_time = proc_->clock();
-    event.end_time = proc_->clock();
-    tracer->record(event);
-  }
+  telemetry::CausalEvent event = instant(Kind::kEstCompile);
+  event.bytes = plan->op_count();
+  event.value = seconds;
+  record(event);
   return plan;
 }
 
@@ -572,29 +547,22 @@ void Runtime::note_search(const map::SearchStats& stats) const {
     reg.counter("mapper.batch.candidates")
         .add(static_cast<double>(stats.batch_candidates));
   }
-  if (mp::Tracer* tracer = proc_->world().options().tracer) {
-    mp::TraceEvent event;
-    event.kind = mp::TraceEvent::Kind::kMapperSearch;
-    event.world_rank = proc_->rank();
-    event.processor = proc_->processor();
-    event.search.evaluations = stats.evaluations;
-    event.search.hit_rate = stats.hit_rate();
-    event.search.threads = stats.threads;
-    event.search.wall_seconds = stats.wall_seconds;
-    event.start_time = proc_->clock();
-    event.end_time = proc_->clock();
-    tracer->record(event);
-    if (stats.batch_chunks > 0) {
-      mp::TraceEvent batch;
-      batch.kind = mp::TraceEvent::Kind::kMapperBatch;
-      batch.world_rank = proc_->rank();
-      batch.processor = proc_->processor();
-      batch.batch.chunks = stats.batch_chunks;
-      batch.batch.candidates = stats.batch_candidates;
-      batch.start_time = proc_->clock();
-      batch.end_time = proc_->clock();
-      tracer->record(batch);
-    }
+  // The CSV reads the threads from peer, the hit rate in percent from tag,
+  // the evaluations from bytes and the wall seconds from units; the hit rate
+  // itself rides in t1 for the Chrome args.
+  telemetry::CausalEvent search = instant(Kind::kMapperSearch);
+  search.peer = stats.threads;
+  search.tag = static_cast<int>(stats.hit_rate() * 100.0);
+  search.bytes = static_cast<std::uint64_t>(stats.evaluations);
+  search.t1 = stats.hit_rate();
+  search.value = stats.wall_seconds;
+  record(search);
+  if (stats.batch_chunks > 0) {
+    telemetry::CausalEvent batch = instant(Kind::kMapperBatch);
+    batch.peer = static_cast<int>(stats.batch_chunks);
+    batch.bytes = static_cast<std::uint64_t>(stats.batch_candidates);
+    batch.value = static_cast<double>(stats.batch_candidates);
+    record(batch);
   }
 }
 
@@ -1351,7 +1319,7 @@ adapt::AdaptDecision Runtime::adapt_observe(const Group& group,
     }
     if (decision.migrate) {
       reg.counter("adapt.triggers").add();
-      note_adapt_event(static_cast<int>(mp::TraceEvent::Kind::kAdaptTrigger),
+      note_adapt_event(Kind::kAdaptTrigger,
                        group.id(), decision.signal, decision.severity, 0.0);
     }
   }
@@ -1393,7 +1361,7 @@ adapt::AdaptDecision Runtime::adapt_recon(
     reg.gauge("adapt.drift").set(drift);
     if (decision.migrate) {
       reg.counter("adapt.triggers").add();
-      note_adapt_event(static_cast<int>(mp::TraceEvent::Kind::kAdaptTrigger),
+      note_adapt_event(Kind::kAdaptTrigger,
                        group.id(), decision.signal, decision.severity, 0.0);
     }
   }
@@ -1601,7 +1569,7 @@ Runtime::AdaptOutcome Runtime::adapt_migrate(
       record.new_members = moved ? moved->members() : std::vector<int>();
       adapt_->note_rollback(std::move(record));
       telemetry::metrics().counter("adapt.rollbacks").add();
-      note_adapt_event(static_cast<int>(mp::TraceEvent::Kind::kAdaptRollback),
+      note_adapt_event(Kind::kAdaptRollback,
                        old_group_id, options.trigger.signal,
                        options.trigger.severity,
                        verdict.old_pred - verdict.new_pred);
@@ -1635,7 +1603,7 @@ Runtime::AdaptOutcome Runtime::adapt_migrate(
     reg.counter("adapt.migrations").add();
     reg.histogram("adapt.predicted_gain_seconds")
         .observe(verdict.old_pred - moved->estimated_time());
-    note_adapt_event(static_cast<int>(mp::TraceEvent::Kind::kAdaptMigrate),
+    note_adapt_event(Kind::kAdaptMigrate,
                      moved->id(), options.trigger.signal,
                      options.trigger.severity,
                      verdict.old_pred - moved->estimated_time());
@@ -1671,22 +1639,31 @@ void Runtime::adapt_write_ledger_json(std::ostream& os) const {
   }
 }
 
-void Runtime::note_adapt_event(int trace_kind, long long group_id,
-                               adapt::AdaptSignal signal, double severity,
-                               double predicted_gain_s) const {
-  mp::Tracer* tracer = proc_->world().options().tracer;
-  if (tracer == nullptr) return;
-  mp::TraceEvent event;
-  event.kind = static_cast<mp::TraceEvent::Kind>(trace_kind);
-  event.world_rank = proc_->rank();
-  event.processor = proc_->processor();
-  event.adapt.group_id = group_id;
-  event.adapt.signal = static_cast<int>(signal);
-  event.adapt.severity = severity;
-  event.adapt.predicted_gain_s = predicted_gain_s;
-  event.start_time = proc_->clock();
-  event.end_time = proc_->clock();
-  tracer->record(event);
+telemetry::CausalEvent Runtime::instant(telemetry::CausalEvent::Kind kind) const {
+  telemetry::CausalEvent event;
+  event.kind = kind;
+  event.rank = proc_->rank();
+  event.proc = proc_->processor();
+  event.t0 = proc_->clock();
+  event.t1 = proc_->clock();
+  return event;
+}
+
+void Runtime::record(const telemetry::CausalEvent& event) const {
+  proc_->world().causal_log().record(proc_->rank(), event);
+}
+
+void Runtime::note_adapt_event(telemetry::CausalEvent::Kind kind,
+                               long long group_id, adapt::AdaptSignal signal,
+                               double severity, double predicted_gain_s) const {
+  // The CSV reads the signal from peer, the group from bytes and the gain
+  // from units; the severity rides in t1 for the Chrome args.
+  telemetry::CausalEvent event = instant(kind);
+  event.peer = static_cast<int>(signal);
+  event.bytes = static_cast<std::uint64_t>(group_id);
+  event.t1 = severity;
+  event.value = predicted_gain_s;
+  record(event);
 }
 
 void Runtime::group_observed(const Group& group, double measured_s,

@@ -599,9 +599,15 @@ class Runtime {
                                           const MigrationGuard* guard = nullptr,
                                           bool* out_rolled_back = nullptr);
 
-  /// Emits an adaptation trace instant (kAdaptTrigger / kAdaptMigrate /
-  /// kAdaptRollback) when a tracer is attached.
-  void note_adapt_event(int trace_kind, long long group_id,
+  /// An instant of `kind` at this process's clock, on its machine.
+  telemetry::CausalEvent instant(telemetry::CausalEvent::Kind kind) const;
+  /// Records `event` into this process's shard of the world's causal log;
+  /// the runtime's kinds are traced-only, so only a traced world keeps them.
+  void record(const telemetry::CausalEvent& event) const;
+
+  /// Records an adaptation instant (kAdaptTrigger / kAdaptMigrate /
+  /// kAdaptRollback).
+  void note_adapt_event(telemetry::CausalEvent::Kind kind, long long group_id,
                         adapt::AdaptSignal signal, double severity,
                         double predicted_gain_s) const;
 
@@ -619,12 +625,13 @@ class Runtime {
   /// Records `stats` as the latest search, accumulates the cumulative
   /// estimator totals, updates the search metrics (estimator_evaluations,
   /// cache_hit_rate, est.compile.evaluations, est.cache.*, mapper.batch.*),
-  /// and emits a kMapperSearch trace event with the named search payload.
+  /// and records a kMapperSearch instant (plus a kMapperBatch one after a
+  /// batch search).
   void note_search(const map::SearchStats& stats) const;
 
   /// Compiles (or fetches) the plan for `instance` from the world-shared
   /// plan cache ahead of a search, so the compile is attributed here — with
-  /// est.compile.* metrics and a kEstCompile trace instant — rather than
+  /// est.compile.* metrics and a kEstCompile instant — rather than
   /// inside the first scorer that needs it. Returns the plan, which also
   /// prices the arrangements the runtime evaluates outside a search.
   std::shared_ptr<const est::Plan> prefetch_plan(

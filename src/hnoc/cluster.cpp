@@ -198,7 +198,8 @@ Cluster large_cluster(int machines, std::uint64_t seed) {
     // Log-uniform over [20, 200): heterogeneity multiplicative, like mixed
     // hardware generations. Rounded to 0.01 so the speeds print cleanly.
     const double speed = 20.0 * std::exp(rng.next_double() * std::log(10.0));
-    b.add("n" + std::to_string(i), std::round(speed * 100.0) / 100.0);
+    b.add(std::string("n").append(std::to_string(i)),
+          std::round(speed * 100.0) / 100.0);
   }
   // Switched gigabit Ethernet: ~100 MB/s, ~50 us message latency. Fast
   // uniform links keep the landscape compute-dominant at this scale, which
@@ -217,7 +218,9 @@ Cluster two_level(int lans, int per_lan, double speed) {
                  static_cast<std::size_t>(per_lan));
   for (int lan = 0; lan < lans; ++lan) {
     for (int m = 0; m < per_lan; ++m) {
-      b.add("l" + std::to_string(lan) + "m" + std::to_string(m), speed);
+      b.add(std::string("l").append(std::to_string(lan)) + "m" +
+                std::to_string(m),
+            speed);
       lan_of.push_back(lan);
     }
   }

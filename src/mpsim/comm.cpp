@@ -5,7 +5,6 @@
 #include <limits>
 #include <sstream>
 
-#include "mpsim/trace.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace hmpi::mp {
@@ -107,41 +106,20 @@ void Comm::send_impl(std::span<const std::byte> data, std::size_t logical_bytes,
   e.arrival_time = finish;
   e.causal_seq = proc_->next_causal_sequence(dst_world);
 
-  if (Tracer* tracer = world.options().tracer) {
-    TraceEvent event;
-    event.kind = dropped ? TraceEvent::Kind::kDrop
-                         : (delayed ? TraceEvent::Kind::kDelay
-                                    : TraceEvent::Kind::kSend);
-    event.world_rank = proc_->rank();
-    event.processor = src_proc;
-    event.peer = dst_world;
-    event.tag = tag;
-    event.context = context_;
-    event.bytes = logical_bytes;
-    event.start_time = proc_->clock();
-    event.end_time = finish;
-    tracer->record(event);
-    if (link.outage_deferred) {
-      TraceEvent blocked = event;
-      blocked.kind = TraceEvent::Kind::kLinkBlocked;
-      blocked.end_time = link.start;
-      tracer->record(blocked);
-    }
-  }
-
   if (world.causal_log().enabled()) {
+    using Kind = telemetry::CausalEvent::Kind;
     telemetry::CausalEvent c = proc_->causal_event();
-    c.kind = telemetry::CausalEvent::Kind::kSend;
+    c.kind = dropped ? Kind::kDrop : delayed ? Kind::kDelay : Kind::kSend;
     c.peer = dst_world;
-    c.peer_proc = dst_proc;
+    c.tag = tag;
+    c.context = context_;
     c.seq = e.causal_seq;
     c.bytes = logical_bytes;
     c.t0 = proc_->clock();
     c.t1 = proc_->clock() + world.options().send_overhead_s;
-    c.arrival = finish;
-    if (dropped) c.flags |= telemetry::CausalEvent::kDropped;
-    if (delayed) c.flags |= telemetry::CausalEvent::kDelayed;
+    c.value = finish;
     world.causal_log().record(proc_->rank(), c);
+    if (link.outage_deferred) world.note_link_blocked(c, link.start);
   }
 
   proc_->set_clock(proc_->clock() + world.options().send_overhead_s);
@@ -241,29 +219,17 @@ Status Comm::recv_impl(std::span<std::byte>* buffer, int src, int tag,
   const double matched =
       std::max(before, envelope->arrival_time) + world.options().recv_overhead_s;
   proc_->stats().wait_time += std::max(0.0, envelope->arrival_time - before);
-  if (Tracer* tracer = world.options().tracer) {
-    TraceEvent event;
-    event.kind = TraceEvent::Kind::kRecv;
-    event.world_rank = proc_->rank();
-    event.processor = proc_->processor();
-    event.peer = envelope->src_world;
-    event.tag = envelope->tag;
-    event.context = context_;
-    event.bytes = envelope->logical_bytes;
-    event.start_time = before;
-    event.end_time = matched;
-    tracer->record(event);
-  }
   if (world.causal_log().enabled()) {
     telemetry::CausalEvent c = proc_->causal_event();
     c.kind = telemetry::CausalEvent::Kind::kRecv;
     c.peer = envelope->src_world;
-    c.peer_proc = world.processor_of(envelope->src_world);
+    c.tag = envelope->tag;
+    c.context = context_;
     c.seq = envelope->causal_seq;
     c.bytes = envelope->logical_bytes;
     c.t0 = before;
     c.t1 = matched;
-    c.arrival = envelope->arrival_time;
+    c.value = envelope->arrival_time;
     world.causal_log().record(proc_->rank(), c);
   }
   proc_->set_clock(matched);
@@ -366,21 +332,24 @@ Comm::CollChoice Comm::coll_select(coll::CollOp op, std::size_t bytes) const {
       .add();
 
   // One selection event per collective call, recorded by the communicator's
-  // rank 0 (every member resolves the same algorithm by construction).
-  Tracer* tracer = world.options().tracer;
-  if (tracer != nullptr && rank_ == 0) {
-    TraceEvent event;
-    event.kind = TraceEvent::Kind::kCollSelect;
-    event.world_rank = proc_->rank();
-    event.processor = proc_->processor();
-    event.context = context_;
-    event.bytes = bytes;
-    event.start_time = proc_->clock();
-    event.end_time = proc_->clock();
-    event.coll.op = static_cast<int>(op);
-    event.coll.algo = choice.algo;
-    event.coll.predicted_s = choice.predicted_s;
-    tracer->record(event);
+  // rank 0 (every member resolves the same algorithm by construction) and
+  // kept by a traced log only. The CSV reads the algorithm from peer and the
+  // op from tag.
+  if (rank_ == 0) {
+    telemetry::CausalEvent c;
+    c.kind = telemetry::CausalEvent::Kind::kCollSelect;
+    c.coll_op = static_cast<std::int16_t>(op);
+    c.coll_algo = static_cast<std::int16_t>(choice.algo);
+    c.rank = proc_->rank();
+    c.proc = proc_->processor();
+    c.peer = choice.algo;
+    c.tag = static_cast<int>(op);
+    c.context = context_;
+    c.bytes = bytes;
+    c.t0 = proc_->clock();
+    c.t1 = proc_->clock();
+    c.value = choice.predicted_s;
+    world.causal_log().record(proc_->rank(), c);
   }
   // Annotate every causal event until the matching coll_finish with the
   // (op, algo) pair, so the critical path can attribute collective time.

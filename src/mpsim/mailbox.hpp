@@ -34,7 +34,7 @@ struct Envelope {
   double arrival_time = 0.0;       ///< Virtual time the transfer completes.
   /// Per-(sender, destination) message index, stamped at the send so the
   /// causal log can pair the receive with its send (docs/observability.md).
-  std::uint64_t causal_seq = 0;
+  std::uint32_t causal_seq = 0;
 };
 
 /// Thread-safe matching queue for one process.

@@ -63,21 +63,12 @@ void Proc::compute(double units) {
   stats_.compute_units += units;
   stats_.compute_time += finish - clock_;
   note_compute_seconds(finish - clock_);
-  if (Tracer* tracer = world_->options().tracer) {
-    TraceEvent event;
-    event.kind = TraceEvent::Kind::kCompute;
-    event.world_rank = rank_;
-    event.processor = processor_;
-    event.units = units;
-    event.start_time = clock_;
-    event.end_time = finish;
-    tracer->record(event);
-  }
   if (world_->causal_log().enabled()) {
     telemetry::CausalEvent e = causal_event();
     e.kind = telemetry::CausalEvent::Kind::kCompute;
     e.t0 = clock_;
     e.t1 = finish;
+    e.value = units;
     world_->causal_log().record(rank_, e);
   }
   clock_ = finish;
@@ -136,7 +127,9 @@ World::World(const hnoc::Cluster& cluster, std::vector<int> placement,
   }
 
   causal_ = std::make_shared<telemetry::CausalLog>(
-      nprocs(), telemetry::resolve_prof_mode(options_.prof));
+      placement_, telemetry::resolve_prof_mode(options_.prof),
+      telemetry::CausalLog::kDefaultRingCapacity, options_.tracer != nullptr);
+  if (options_.tracer != nullptr) options_.tracer->attach(causal_);
 }
 
 World::LinkReservation World::reserve_link(int src_proc, int dst_proc,
@@ -158,6 +151,12 @@ World::LinkReservation World::reserve_link(int src_proc, int dst_proc,
   return r;
 }
 
+void World::note_link_blocked(telemetry::CausalEvent send, double start) {
+  send.kind = telemetry::CausalEvent::Kind::kLinkBlocked;
+  send.t1 = start;
+  causal_->record(send.rank, send);
+}
+
 double World::death_time(int world_rank) const {
   std::lock_guard<std::mutex> lock(fault_mutex_);
   auto it = death_times_.find(world_rank);
@@ -176,27 +175,15 @@ void World::mark_dead(int world_rank, double t) {
     death_times_.emplace(world_rank, t);
     callbacks = death_callbacks_;
   }
-  if (Tracer* tracer = options_.tracer) {
-    TraceEvent event;
-    event.kind = TraceEvent::Kind::kCrash;
-    event.world_rank = world_rank;
-    event.processor = processor_of(world_rank);
-    event.start_time = t;
-    event.end_time = t;
-    tracer->record(event);
-  }
-  if (causal_->enabled()) {
-    // Recorded from the dying rank itself (die() runs on it), so the
-    // per-rank sharding invariant holds.
-    telemetry::CausalEvent e;
-    e.kind = telemetry::CausalEvent::Kind::kMark;
-    e.flags = telemetry::CausalEvent::kCrash;
-    e.rank = world_rank;
-    e.proc = processor_of(world_rank);
-    e.t0 = t;
-    e.t1 = t;
-    causal_->record(world_rank, e);
-  }
+  // Recorded from the dying rank itself (die() runs on it), so the per-rank
+  // sharding invariant holds.
+  telemetry::CausalEvent e;
+  e.kind = telemetry::CausalEvent::Kind::kCrash;
+  e.rank = world_rank;
+  e.proc = processor_of(world_rank);
+  e.t0 = t;
+  e.t1 = t;
+  causal_->record(world_rank, e);
   // Wake every blocked receiver so hopeless-predicates re-evaluate, then the
   // registered higher-layer watchers (e.g. the HMPI rendezvous queue).
   for (auto& mb : mailboxes_) mb->poke();

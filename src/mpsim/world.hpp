@@ -106,7 +106,7 @@ class Proc {
   /// Next per-destination causal sequence number: stamped on every send (and
   /// its Envelope) so the causal log pairs sends with receives. Program
   /// order per destination, hence independent of dispatch order.
-  std::uint64_t next_causal_sequence(int dst_world) {
+  std::uint32_t next_causal_sequence(int dst_world) {
     return causal_seq_[dst_world]++;
   }
 
@@ -137,7 +137,7 @@ class Proc {
   /// here so fault points are one comparison in the common case.
   double crash_time_ = std::numeric_limits<double>::infinity();
   std::map<int, std::uint64_t> fault_seq_;
-  std::map<int, std::uint64_t> causal_seq_;
+  std::map<int, std::uint32_t> causal_seq_;
   std::vector<std::pair<std::int16_t, std::int16_t>> coll_notes_;
   Stats stats_;
   telemetry::Counter* compute_seconds_counter_ = nullptr;
@@ -157,7 +157,9 @@ struct WorldOptions {
   double send_overhead_s = 5e-6;
   /// Virtual per-message receiver-side overhead.
   double recv_overhead_s = 5e-6;
-  /// Optional event recorder (not owned; must outlive the run).
+  /// Optional trace view (not owned; must outlive the run). The world
+  /// attaches its causal log, which then keeps every event (docs/
+  /// observability.md).
   Tracer* tracer = nullptr;
   /// Faults to inject (crashes, link outages, message drop/delay). The
   /// default (empty) plan is zero-cost: no virtual time or traffic differs
@@ -171,8 +173,9 @@ struct WorldOptions {
   coll::CollPolicy coll;
   /// Causal-log retention (docs/observability.md): kAuto resolves HMPI_PROF
   /// (unset -> the always-on per-rank ring, "1"/"full" -> unbounded full
-  /// mode, "0"/"off" -> disabled). The log never changes virtual timing or
-  /// the trace stream — only how much causal history a report can walk.
+  /// mode, "0"/"off" -> disabled). A world with a tracer keeps its whole
+  /// log whatever this says. The log never changes virtual timing — only
+  /// how much causal history a report can walk.
   telemetry::ProfMode prof = telemetry::ProfMode::kAuto;
 };
 
@@ -235,6 +238,11 @@ class World {
   LinkReservation reserve_link(int src_proc, int dst_proc, double ready_time,
                                std::size_t bytes);
 
+  /// Records that the transfer of `send` (already in its rank's log) waited
+  /// for a link outage until `start`: a link_blocked interval, which only a
+  /// traced log keeps.
+  void note_link_blocked(telemetry::CausalEvent send, double start);
+
   /// Allocates a fresh communicator context id (world-unique).
   int alloc_context() { return next_context_.fetch_add(1); }
 
@@ -260,7 +268,7 @@ class World {
   bool any_failed() const noexcept { return failed_count_.load() > 0; }
 
   /// Kills `world_rank` at virtual time `t`: flips liveness, records a crash
-  /// trace event, wakes every blocked receiver and death watcher. Called by
+  /// event, wakes every blocked receiver and death watcher. Called by
   /// the dying process itself at a fault point; idempotent.
   void mark_dead(int world_rank, double t);
 

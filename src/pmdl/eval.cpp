@@ -306,31 +306,19 @@ void exec_decl(const Stmt& stmt, EvalCtx& ctx) {
   }
 }
 
-/// Evaluates the coordinates `exprs` of an activation into `out`,
-/// checking each against the model's shape.
-void eval_coords(const std::vector<ast::ExprPtr>& exprs, long long* out,
-                 EvalCtx& ctx, const ast::Pos& pos) {
-  for (std::size_t d = 0; d < exprs.size(); ++d) {
-    const long long c = as_int(eval_expr(*exprs[d], ctx));
-    if (c < 0 || c >= ctx.shape[d]) {
-      fail_range(pos, "coordinate", c, ctx.shape[d], static_cast<int>(d));
-    }
-    out[d] = c;
-  }
-}
-
 void exec_activation(const Stmt& stmt, EvalCtx& ctx) {
   const double percent = as_double(eval_expr(*stmt.expr, ctx));
   if (percent < 0.0) fail(stmt.pos, "negative activation percentage");
   const std::size_t rank = ctx.shape.size();
   ctx.coords.resize(2 * rank);
   const std::span<const long long> src(ctx.coords.data(), rank);
-  eval_coords(stmt.src_coords, ctx.coords.data(), ctx, stmt.pos);
+  eval_coords(stmt.src_coords, "coordinate", stmt.pos, ctx, ctx.coords.data());
   if (stmt.kind == StmtKind::kComp) {
     ctx.sink->compute(src, percent);
     return;
   }
-  eval_coords(stmt.dst_coords, ctx.coords.data() + rank, ctx, stmt.pos);
+  eval_coords(stmt.dst_coords, "coordinate", stmt.pos, ctx,
+              ctx.coords.data() + rank);
   ctx.sink->transfer(src, {ctx.coords.data() + rank, rank}, percent);
 }
 
@@ -351,6 +339,17 @@ void exec_loop(const Stmt& stmt, EvalCtx& ctx) {
 }
 
 }  // namespace
+
+void eval_coords(const std::vector<ast::ExprPtr>& exprs, const char* what,
+                 const ast::Pos& pos, EvalCtx& ctx, long long* out) {
+  for (std::size_t d = 0; d < exprs.size(); ++d) {
+    const long long c = as_int(eval_expr(*exprs[d], ctx));
+    if (c < 0 || c >= ctx.shape[d]) {
+      fail_range(pos, what, c, ctx.shape[d], static_cast<int>(d));
+    }
+    out[d] = c;
+  }
+}
 
 void exec_stmt(const Stmt& stmt, EvalCtx& ctx) {
   switch (stmt.kind) {

@@ -51,4 +51,10 @@ Value eval_expr(const ast::Expr& expr, EvalCtx& ctx);
 /// Executes a statement of a scheme; requires ctx.sink and ctx.shape.
 void exec_stmt(const ast::Stmt& stmt, EvalCtx& ctx);
 
+/// Evaluates `exprs` as integer coordinates into `out`, each checked
+/// against ctx.shape. An out-of-range one fails at `pos`, naming `what`,
+/// the value, the range and the dimension.
+void eval_coords(const std::vector<ast::ExprPtr>& exprs, const char* what,
+                 const ast::Pos& pos, EvalCtx& ctx, long long* out);
+
 }  // namespace hmpi::pmdl

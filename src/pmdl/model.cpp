@@ -123,20 +123,6 @@ void for_each_tuple(std::span<const long long> extents, Fn&& fn) {
   }
 }
 
-/// Evaluates a link endpoint into `out`, checking it against `shape`.
-void eval_clause_coords(const std::vector<ast::ExprPtr>& exprs, EvalCtx& ctx,
-                        std::span<const long long> shape, const ast::Pos& pos,
-                        long long* out) {
-  for (std::size_t d = 0; d < exprs.size(); ++d) {
-    out[d] = as_int(eval_expr(*exprs[d], ctx));
-    if (out[d] < 0 || out[d] >= shape[d]) {
-      throw PmdlError("link endpoint coordinate " + std::to_string(out[d]) +
-                          " out of range [0, " + std::to_string(shape[d]) + ")",
-                      pos.line, pos.column);
-    }
-  }
-}
-
 long long flatten_coords(std::span<const long long> coords,
                          std::span<const long long> shape) {
   long long index = 0;
@@ -250,6 +236,7 @@ ModelInstance Model::instantiate(std::span<const ParamValue> params) const {
   // Coordinate system.
   long long total = 1;
   instance.shape_ = eval_extents(algo.coords, ctx, "coordinate", total);
+  ctx.shape = instance.shape_;
 
   // Node volumes: first matching clause wins; no match means zero volume.
   instance.volumes_.assign(static_cast<std::size_t>(total), 0.0);
@@ -285,10 +272,10 @@ ModelInstance Model::instantiate(std::span<const ParamValue> params) const {
         bind_tuple(algo.link_iters, iters, frame);
         for (const ast::LinkClause& clause : algo.link_clauses) {
           if (!truthy(eval_expr(*clause.cond, ctx))) continue;
-          eval_clause_coords(clause.src_coords, ctx, instance.shape_,
-                             clause.pos, endpoints.data());
-          eval_clause_coords(clause.dst_coords, ctx, instance.shape_,
-                             clause.pos, endpoints.data() + rank);
+          eval_coords(clause.src_coords, "link endpoint coordinate",
+                      clause.pos, ctx, endpoints.data());
+          eval_coords(clause.dst_coords, "link endpoint coordinate",
+                      clause.pos, ctx, endpoints.data() + rank);
           const double bytes = as_double(eval_expr(*clause.bytes, ctx));
           if (bytes < 0.0) {
             throw PmdlError("negative link volume", clause.pos.line,
@@ -309,13 +296,8 @@ ModelInstance Model::instantiate(std::span<const ParamValue> params) const {
   // Parent (defaults to the processor at all-zero coordinates).
   if (!algo.parent_coords.empty()) {
     std::vector<long long> coords(algo.parent_coords.size());
-    for (std::size_t d = 0; d < coords.size(); ++d) {
-      coords[d] = as_int(eval_expr(*algo.parent_coords[d], ctx));
-      if (coords[d] < 0 || coords[d] >= instance.shape_[d]) {
-        throw PmdlError("parent coordinate out of range", algo.pos.line,
-                        algo.pos.column);
-      }
-    }
+    eval_coords(algo.parent_coords, "parent coordinate", algo.pos, ctx,
+                coords.data());
     instance.parent_ = static_cast<int>(flatten_coords(coords, instance.shape_));
   }
 

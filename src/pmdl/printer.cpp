@@ -122,7 +122,8 @@ class Printer {
       case ExprKind::kIdent:
         return e.name;
       case ExprKind::kBinary:
-        return "(" + expr(*e.lhs) + " " + op_text(e.op) + " " + expr(*e.rhs) + ")";
+        return std::string("(").append(expr(*e.lhs)) + " " + op_text(e.op) +
+               " " + expr(*e.rhs) + ")";
       case ExprKind::kUnary:
         return std::string("(") + op_text(e.op) + expr(*e.lhs) + ")";
       case ExprKind::kPostfix:
@@ -144,7 +145,7 @@ class Printer {
       case ExprKind::kSizeof:
         return "sizeof(" + e.name + ")";
       case ExprKind::kAddressOf:
-        return "&" + expr(*e.lhs);
+        return std::string("&").append(expr(*e.lhs));
     }
     throw PmdlError("printer: unhandled expression kind");
   }

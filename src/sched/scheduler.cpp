@@ -439,8 +439,8 @@ void Scheduler::dispatch(Record& rec, const Placement& placement,
 
   ++totals_.dispatched;
   telemetry::metrics().counter("sched.dispatched").add(1);
-  record_trace(mp::TraceEvent::Kind::kSchedDispatch, rec, rec.seg_service_s,
-               0.0);
+  record_trace(telemetry::CausalEvent::Kind::kSchedDispatch, rec,
+               rec.seg_service_s, 0.0);
 }
 
 std::uint64_t Scheduler::execute_body(Record& rec) {
@@ -492,8 +492,8 @@ void Scheduler::preempt_job(Record& rec) {
   pending_.push_back(rec.info.id);
   ++totals_.preempted;
   telemetry::metrics().counter("sched.preempted").add(1);
-  record_trace(mp::TraceEvent::Kind::kSchedPreempt, rec, rec.seg_service_s,
-               progress);
+  record_trace(telemetry::CausalEvent::Kind::kSchedPreempt, rec,
+               rec.seg_service_s, progress);
 }
 
 void Scheduler::complete_job(Record& rec) {
@@ -552,19 +552,22 @@ void Scheduler::push_event(Event event) {
   events_.push(event);
 }
 
-void Scheduler::record_trace(mp::TraceEvent::Kind kind, const Record& rec,
-                             double predicted_s, double progress) const {
+void Scheduler::record_trace(telemetry::CausalEvent::Kind kind,
+                             const Record& rec, double predicted_s,
+                             double progress) const {
   if (config_.tracer == nullptr) return;
-  mp::TraceEvent event;
+  // The scheduler is no simulated process: rank and machine stay -1. The
+  // CSV reads the priority from peer, the processors from tag, the job from
+  // bytes and the predicted segment from units; the progress rides in t1.
+  telemetry::CausalEvent event;
   event.kind = kind;
-  event.start_time = now_;
-  event.end_time = now_;
-  event.sched.job = rec.info.id;
-  event.sched.priority = rec.info.priority;
-  event.sched.procs = rec.instance->size();
-  event.sched.predicted_s = predicted_s;
-  event.sched.progress = progress;
-  config_.tracer->record(event);
+  event.peer = rec.info.priority;
+  event.tag = rec.instance->size();
+  event.bytes = static_cast<std::uint64_t>(rec.info.id);
+  event.t0 = now_;
+  event.t1 = progress;
+  event.value = predicted_s;
+  config_.tracer->host_log()->record(0, event);
 }
 
 SchedStats Scheduler::stats() const {

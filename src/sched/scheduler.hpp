@@ -81,7 +81,8 @@ struct SchedConfig {
   std::string mapper;
   /// Estimator overheads for placement pricing.
   est::EstimateOptions estimate;
-  /// Optional recorder of kSchedDispatch/kSchedPreempt instants (borrowed).
+  /// Optional trace (borrowed): kSchedDispatch/kSchedPreempt instants go
+  /// into its host log.
   mp::Tracer* tracer = nullptr;
 };
 
@@ -219,7 +220,7 @@ class Scheduler {
   void note_release(int machine, JobId job);
   double busy_seconds_closed_at(double t) const;
   void push_event(Event event);
-  void record_trace(mp::TraceEvent::Kind kind, const Record& rec,
+  void record_trace(telemetry::CausalEvent::Kind kind, const Record& rec,
                     double predicted_s, double progress) const;
   std::uint64_t execute_body(Record& rec);
   hnoc::Cluster contended_clone(const std::vector<int>& machines) const;

@@ -53,7 +53,8 @@ int choice(const char* name, std::span<const char* const> names, int fallback) {
   std::string accepted;
   for (std::size_t i = 0; i < names.size(); ++i) {
     if (lower == names[i]) return static_cast<int>(i);
-    accepted += (i == 0 ? "" : "|") + std::string(names[i]);
+    if (i > 0) accepted += '|';
+    accepted += names[i];
   }
   reject(name, value, accepted + ", any case");
 }

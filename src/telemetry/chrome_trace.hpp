@@ -1,12 +1,12 @@
 // Chrome `trace_event` JSON export (loads in Perfetto / chrome://tracing).
 //
 // Two timelines share one file, separated by pid: the simulator's virtual
-// clock (pid kVirtualPid — TraceEvents from mp::Tracer, ts in virtual
-// microseconds) and the runtime's wall clock (pid kRuntimePid — telemetry
-// spans, ts in microseconds since the process epoch). Mapper searches cost
-// wall time but zero virtual time, so folding both onto one clock would
-// collapse every search span to a sliver; Perfetto renders the two process
-// groups side by side instead. Within each (pid, tid) track the writer
+// clock (pid kVirtualPid — causal-log events seen through mp::Tracer, ts in
+// virtual microseconds) and the runtime's wall clock (pid kRuntimePid —
+// telemetry spans, ts in microseconds since the process epoch). Mapper
+// searches cost wall time but zero virtual time, so folding both onto one
+// clock would collapse every search span to a sliver; Perfetto renders the
+// two process groups side by side instead. Within each (pid, tid) track the writer
 // guarantees non-decreasing ts.
 #pragma once
 

@@ -13,13 +13,32 @@ namespace hmpi::telemetry {
 
 namespace {
 
-bool on_path(const CausalEvent& e) {
-  return e.kind != CausalEvent::Kind::kMark;
-}
+PathRole role(const CausalEvent& e) { return event_spec(e.kind).path; }
 
-/// (sender rank, dst rank, sequence) -> position of the send event.
-using SendIndex =
-    std::map<std::tuple<int, int, std::uint64_t>, std::pair<int, std::size_t>>;
+bool on_path(const CausalEvent& e) { return role(e) != PathRole::kNone; }
+
+/// Every rank's events, with each send indexed by its (sender, destination,
+/// sequence) identity so a receive can find its matching send across shards.
+struct Shards {
+  std::vector<std::vector<CausalEvent>> events;
+  std::map<std::tuple<int, int, std::uint32_t>, std::pair<int, std::size_t>>
+      sends;
+};
+
+Shards load_shards(const CausalLog& log) {
+  Shards out;
+  out.events.reserve(static_cast<std::size_t>(log.ranks()));
+  for (int r = 0; r < log.ranks(); ++r) {
+    out.events.push_back(log.events_of(r));
+    const auto& shard = out.events.back();
+    for (std::size_t i = 0; i < shard.size(); ++i) {
+      if (role(shard[i]) == PathRole::kSend) {
+        out.sends[{shard[i].rank, shard[i].peer, shard[i].seq}] = {r, i};
+      }
+    }
+  }
+  return out;
+}
 
 std::pair<std::string, std::string> resolve_coll(const CollNamer& namer,
                                                  int op, int algo) {
@@ -43,25 +62,9 @@ const char* path_segment_kind_name(PathSegment::Kind kind) {
 
 CriticalPathReport analyze_critical_path(const CausalLog& log) {
   CriticalPathReport report;
-
-  std::vector<std::vector<CausalEvent>> events;
-  events.reserve(static_cast<std::size_t>(log.ranks()));
+  const auto [events, sends] = load_shards(log);
   for (int r = 0; r < log.ranks(); ++r) {
-    events.push_back(log.events_of(r));
     report.events_dropped += log.dropped_of(r);
-  }
-
-  // Index every send by its (sender, destination, sequence) identity so a
-  // receive can find its matching send across shards.
-  SendIndex sends;
-  for (int r = 0; r < log.ranks(); ++r) {
-    const auto& shard = events[static_cast<std::size_t>(r)];
-    for (std::size_t i = 0; i < shard.size(); ++i) {
-      const CausalEvent& e = shard[i];
-      if (e.kind == CausalEvent::Kind::kSend) {
-        sends[{e.rank, e.peer, e.seq}] = {r, i};
-      }
-    }
   }
 
   // The path ends at the globally latest in-path event (smallest rank wins
@@ -99,7 +102,7 @@ CriticalPathReport analyze_critical_path(const CausalLog& log) {
     seg.kind = kind;
     seg.rank = e.rank;
     seg.proc = e.proc;
-    seg.peer_proc = e.peer_proc;
+    seg.peer_proc = log.proc_of(e.peer);
     seg.t0 = t0;
     seg.t1 = t1;
     seg.coll_op = e.coll_op;
@@ -143,10 +146,11 @@ CriticalPathReport analyze_critical_path(const CausalLog& log) {
   while (true) {
     const CausalEvent& e = events[static_cast<std::size_t>(rank)][index];
 
-    if (e.kind == CausalEvent::Kind::kRecv && e.arrival > e.t0) {
-      // The receiver was ready before the message arrived: the critical
-      // dependency is the message itself. Cross to the matching send.
-      const double matched = std::min(e.arrival, frontier);
+    if (role(e) == PathRole::kRecv && e.value > e.t0) {
+      // The receiver was ready before the message arrived (`value` is the
+      // arrival): the critical dependency is the message itself. Cross to
+      // the matching send.
+      const double matched = std::min(e.value, frontier);
       add_segment(PathSegment::Kind::kRecvOverhead, e, matched, frontier);
       const auto it = sends.find({e.peer, e.rank, e.seq});
       if (it == sends.end()) {
@@ -165,12 +169,12 @@ CriticalPathReport analyze_critical_path(const CausalLog& log) {
     }
 
     PathSegment::Kind kind = PathSegment::Kind::kCompute;
-    switch (e.kind) {
-      case CausalEvent::Kind::kCompute: kind = PathSegment::Kind::kCompute; break;
-      case CausalEvent::Kind::kElapse: kind = PathSegment::Kind::kElapse; break;
-      case CausalEvent::Kind::kSend: kind = PathSegment::Kind::kSendOverhead; break;
-      case CausalEvent::Kind::kRecv: kind = PathSegment::Kind::kRecvOverhead; break;
-      case CausalEvent::Kind::kMark: break;  // unreachable: marks are skipped
+    switch (role(e)) {
+      case PathRole::kCompute: kind = PathSegment::Kind::kCompute; break;
+      case PathRole::kElapse: kind = PathSegment::Kind::kElapse; break;
+      case PathRole::kSend: kind = PathSegment::Kind::kSendOverhead; break;
+      case PathRole::kRecv: kind = PathSegment::Kind::kRecvOverhead; break;
+      case PathRole::kNone: break;  // unreachable: off-path kinds are skipped
     }
     const double lo = std::min(e.t0, frontier);
     add_segment(kind, e, lo, frontier);
@@ -202,7 +206,7 @@ CriticalPathReport analyze_critical_path(const CausalLog& log) {
     CausalEvent gap;  // placeholder identity for the unattributed prefix
     gap.rank = -1;
     gap.proc = -1;
-    gap.peer_proc = -1;
+    gap.peer = -1;
     gap.coll_op = -1;
     add_segment(PathSegment::Kind::kGap, gap, 0.0, start_time);
   }
@@ -302,22 +306,11 @@ void report_to_metrics(const CriticalPathReport& report,
 
 std::vector<ChromeEvent> causal_flow_events(const CausalLog& log) {
   std::vector<ChromeEvent> flows;
-  SendIndex sends;
-  std::vector<std::vector<CausalEvent>> events;
-  events.reserve(static_cast<std::size_t>(log.ranks()));
-  for (int r = 0; r < log.ranks(); ++r) {
-    events.push_back(log.events_of(r));
-    const auto& shard = events.back();
-    for (std::size_t i = 0; i < shard.size(); ++i) {
-      if (shard[i].kind == CausalEvent::Kind::kSend) {
-        sends[{shard[i].rank, shard[i].peer, shard[i].seq}] = {r, i};
-      }
-    }
-  }
+  const auto [events, sends] = load_shards(log);
   std::uint64_t next_id = 1;
   for (int r = 0; r < log.ranks(); ++r) {
     for (const CausalEvent& e : events[static_cast<std::size_t>(r)]) {
-      if (e.kind != CausalEvent::Kind::kRecv) continue;
+      if (role(e) != PathRole::kRecv) continue;
       const auto it = sends.find({e.peer, e.rank, e.seq});
       if (it == sends.end()) continue;
       const CausalEvent& send =

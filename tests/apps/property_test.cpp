@@ -38,7 +38,8 @@ TEST_P(Em3dPropertyP, ParallelMatchesSerialOnRandomSystems) {
   hnoc::ClusterBuilder b;
   const int machines = p + static_cast<int>(rng.next_in(0, 3));
   for (int i = 0; i < machines; ++i) {
-    b.add("m" + std::to_string(i), rng.next_double_in(5.0, 200.0));
+    b.add(std::string("m").append(std::to_string(i)),
+          rng.next_double_in(5.0, 200.0));
   }
   hnoc::Cluster cluster = b.build();
   std::vector<int> placement;

@@ -48,7 +48,8 @@ Scenario make_scenario(std::uint64_t seed, bool with_faults) {
   // Random heterogeneous roster: per-machine speeds in [10, 200].
   hnoc::ClusterBuilder builder;
   for (int i = 0; i < n; ++i) {
-    builder.add("m" + std::to_string(i), rng.next_double_in(10.0, 200.0));
+    builder.add(std::string("m").append(std::to_string(i)),
+                rng.next_double_in(10.0, 200.0));
   }
   Scenario s{n, elems, block, root, seed, builder.build(), {}};
   if (with_faults) {

@@ -1,11 +1,12 @@
-// CollTuner behaviour: memoization keyed on (op, size bucket, roster, model
-// version), invalidation on version bumps, policy/predict bypasses, the
-// predicted-fastest guarantee, measured-feedback promotion, and selection
+// CollTuner behaviour: memoization keyed on (op, size bucket, roster),
+// policy/predict bypasses, the predicted-fastest guarantee, measured-feedback
+// promotion, a memo that survives a Recon's speed changes, and selection
 // determinism across runtime configurations (search threads, estimate
 // cache) that must not influence collective choices.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <tuple>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "hmpi/runtime.hpp"
 #include "hnoc/cluster.hpp"
 #include "mpsim/comm.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace hmpi::coll {
 namespace {
@@ -28,8 +30,6 @@ std::vector<int> full_roster(const hnoc::Cluster& cluster) {
 TEST(CollTunerTest, MemoizesPerSizeBucket) {
   hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
   CollTuner tuner(cluster, CollTuner::Options{});
-  std::uint64_t version = 1;
-  tuner.set_version_source([&] { return version; });
   const std::vector<int> procs = full_roster(cluster);
 
   double predicted = -1.0;
@@ -42,22 +42,6 @@ TEST(CollTunerTest, MemoizesPerSizeBucket) {
   EXPECT_EQ(tuner.select(CollOp::kBcast, procs, 1023, &predicted), first);
   EXPECT_EQ(tuner.cache_hits(), 1u);
   tuner.select(CollOp::kBcast, procs, 1024, &predicted);
-  EXPECT_EQ(tuner.cache_misses(), 2u);
-}
-
-TEST(CollTunerTest, VersionBumpInvalidates) {
-  hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
-  CollTuner tuner(cluster, CollTuner::Options{});
-  std::uint64_t version = 1;
-  tuner.set_version_source([&] { return version; });
-  const std::vector<int> procs = full_roster(cluster);
-
-  double predicted = -1.0;
-  tuner.select(CollOp::kAllreduce, procs, 4096, &predicted);
-  tuner.select(CollOp::kAllreduce, procs, 4096, &predicted);
-  EXPECT_EQ(tuner.cache_hits(), 1u);
-  version = 2;  // a recon bumped the model
-  tuner.select(CollOp::kAllreduce, procs, 4096, &predicted);
   EXPECT_EQ(tuner.cache_misses(), 2u);
 }
 
@@ -124,8 +108,6 @@ TEST(CollTunerTest, FeedbackPromotionReRanks) {
   options.feedback = true;
   options.feedback_alpha = 1.0;  // adopt an observation immediately
   CollTuner tuner(cluster, options);
-  std::uint64_t version = 1;
-  tuner.set_version_source([&] { return version; });
   const std::vector<int> procs = full_roster(cluster);
 
   double predicted = -1.0;
@@ -147,8 +129,6 @@ TEST(CollTunerTest, FeedbackRatioReadsThePromotedEwma) {
   options.feedback = true;
   options.feedback_alpha = 1.0;
   CollTuner tuner(cluster, options);
-  std::uint64_t version = 1;
-  tuner.set_version_source([&] { return version; });
   const std::vector<int> procs = full_roster(cluster);
 
   double predicted = -1.0;
@@ -168,9 +148,54 @@ TEST(CollTunerTest, FeedbackRatioReadsThePromotedEwma) {
   EXPECT_LE(tuner.feedback_ratio(CollOp::kBcast, 99), 0.0);
 }
 
+// The tuner prices link latency and bandwidth only, so a Recon that changes
+// the speed estimates must not re-price any selection: a run that recons
+// twice misses the memo exactly as often as one that recons once.
+TEST(CollTunerTest, ReconThatChangesSpeedsAddsNoMisses) {
+  const hnoc::Cluster cluster =
+      hnoc::ClusterBuilder()
+          .add("alpha", 100.0)
+          .add("beta", 100.0, hnoc::LoadProfile({{0.2, 0.1}}))
+          .add("gamma", 80.0)
+          .build();
+  const auto bench = [](mp::Proc& q) { q.compute(10.0); };
+  const auto misses = [&](bool second_recon) {
+    telemetry::metrics().reset();
+    std::vector<double> before;
+    std::vector<double> after;
+    mp::World::run_one_per_processor(cluster, [&](mp::Proc& proc) {
+      Runtime rt(proc);
+      rt.recon(bench);
+      const double one = 1.0;
+      double sum = 0.0;
+      const auto allreduce = [&] {
+        proc.world_comm().allreduce(std::span<const double>(&one, 1),
+                                    std::span<double>(&sum, 1),
+                                    std::plus<double>());
+      };
+      allreduce();
+      if (second_recon) {
+        proc.elapse(1.0);  // past beta's load change
+        if (rt.is_host()) before = rt.processor_speeds();
+        rt.recon(bench);
+        if (rt.is_host()) after = rt.processor_speeds();
+        allreduce();
+      }
+      rt.finalize();
+    });
+    if (second_recon) {
+      EXPECT_NE(before, after) << "the recon changed nothing";
+    }
+    return telemetry::metrics().snapshot().counter_value("coll.tuner.misses");
+  };
+  const double once = misses(false);
+  EXPECT_GT(once, 0.0);
+  EXPECT_EQ(misses(true), once);
+}
+
 // Selections must be identical whatever the mapper threading or estimator
 // caching configuration: the tuner's inputs are only (op, roster, bucket,
-// model version, policy).
+// policy).
 TEST(CollTunerTest, RuntimeSelectionsAreConfigInvariant) {
   hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
   using Row = std::tuple<int, int, double>;  // op, algo, predicted

@@ -149,7 +149,8 @@ ModelInstance fallback_model(support::Rng& rng, int p) {
 hnoc::Cluster random_cluster(support::Rng& rng, int machines) {
   hnoc::ClusterBuilder b;
   for (int i = 0; i < machines; ++i) {
-    b.add("m" + std::to_string(i), 10.0 + rng.next_double() * 150.0);
+    b.add(std::string("m").append(std::to_string(i)),
+          10.0 + rng.next_double() * 150.0);
   }
   b.network(1e-4 + rng.next_double() * 1e-3, 1e6 + rng.next_double() * 1e8);
   b.shared_memory(5e-6, 1e9);

@@ -82,7 +82,8 @@ hnoc::Cluster generate_cluster(std::uint64_t seed, int machines) {
   support::Rng rng(seed ^ 0xabcdef);
   hnoc::ClusterBuilder b;
   for (int i = 0; i < machines; ++i) {
-    b.add("m" + std::to_string(i), rng.next_double_in(5.0, 200.0));
+    b.add(std::string("m").append(std::to_string(i)),
+          rng.next_double_in(5.0, 200.0));
   }
   b.network(rng.next_double_in(5e-5, 5e-4), rng.next_double_in(1e6, 5e7));
   return b.build();

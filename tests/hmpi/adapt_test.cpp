@@ -570,10 +570,10 @@ TEST(AdaptIntegration, DriftingLoadTriggersGuardedMigration) {
   EXPECT_DOUBLE_EQ(snap.counter_value("adapt.rollbacks"), 0.0);
 
   int triggers = 0, migrates = 0, rollbacks = 0;
-  for (const mp::TraceEvent& e : tracer.events()) {
-    if (e.kind == mp::TraceEvent::Kind::kAdaptTrigger) triggers += 1;
-    if (e.kind == mp::TraceEvent::Kind::kAdaptMigrate) migrates += 1;
-    if (e.kind == mp::TraceEvent::Kind::kAdaptRollback) rollbacks += 1;
+  for (const telemetry::CausalEvent& e : tracer.events()) {
+    if (e.kind == telemetry::CausalEvent::Kind::kAdaptTrigger) triggers += 1;
+    if (e.kind == telemetry::CausalEvent::Kind::kAdaptMigrate) migrates += 1;
+    if (e.kind == telemetry::CausalEvent::Kind::kAdaptRollback) rollbacks += 1;
   }
   EXPECT_EQ(triggers, 1);
   EXPECT_EQ(migrates, 1);
@@ -647,10 +647,10 @@ TEST(AdaptIntegration, StableClusterNeverMigrates) {
   EXPECT_DOUBLE_EQ(snap.counter_value("adapt.checks"), 8.0);
   EXPECT_DOUBLE_EQ(snap.counter_value("adapt.triggers"), 0.0);
   EXPECT_DOUBLE_EQ(snap.counter_value("adapt.migrations"), 0.0);
-  for (const mp::TraceEvent& e : tracer.events()) {
-    EXPECT_NE(e.kind, mp::TraceEvent::Kind::kAdaptTrigger);
-    EXPECT_NE(e.kind, mp::TraceEvent::Kind::kAdaptMigrate);
-    EXPECT_NE(e.kind, mp::TraceEvent::Kind::kAdaptRollback);
+  for (const telemetry::CausalEvent& e : tracer.events()) {
+    EXPECT_NE(e.kind, telemetry::CausalEvent::Kind::kAdaptTrigger);
+    EXPECT_NE(e.kind, telemetry::CausalEvent::Kind::kAdaptMigrate);
+    EXPECT_NE(e.kind, telemetry::CausalEvent::Kind::kAdaptRollback);
   }
 }
 
@@ -880,8 +880,10 @@ TEST(AdaptIntegration, ForcedBadMigrationRollsBackAndArmsBackoff) {
   EXPECT_DOUBLE_EQ(snap.counter_value("adapt.rollbacks"), 1.0);
   EXPECT_DOUBLE_EQ(snap.counter_value("adapt.migrations"), 0.0);
   bool rollback_event = false;
-  for (const mp::TraceEvent& e : tracer.events()) {
-    if (e.kind == mp::TraceEvent::Kind::kAdaptRollback) rollback_event = true;
+  for (const telemetry::CausalEvent& e : tracer.events()) {
+    if (e.kind == telemetry::CausalEvent::Kind::kAdaptRollback) {
+      rollback_event = true;
+    }
   }
   EXPECT_TRUE(rollback_event);
 }

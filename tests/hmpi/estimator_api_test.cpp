@@ -194,11 +194,11 @@ TEST(EstimatorTrace, CompileEmitsAnInstantWhenATracerIsAttached) {
       },
       options);
   bool saw_compile = false;
-  for (const mp::TraceEvent& e : tracer.events()) {
-    if (e.kind != mp::TraceEvent::Kind::kEstCompile) continue;
+  for (const telemetry::CausalEvent& e : tracer.events()) {
+    if (e.kind != telemetry::CausalEvent::Kind::kEstCompile) continue;
     saw_compile = true;
-    EXPECT_GT(e.compile.ops, 0);
-    EXPECT_GE(e.compile.seconds, 0.0);
+    EXPECT_GT(telemetry::event_arg(e, "ops"), 0.0);
+    EXPECT_GE(telemetry::event_arg(e, "seconds"), 0.0);
   }
   EXPECT_TRUE(saw_compile);
 }

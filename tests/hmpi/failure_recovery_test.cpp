@@ -102,11 +102,11 @@ TEST(FailureRecovery, SuccessfulReconRecoversSuspect) {
       options);
   bool suspected = false;
   bool recovered = false;
-  for (const mp::TraceEvent& e : tracer.events()) {
-    if (e.kind == mp::TraceEvent::Kind::kSuspect && e.processor == 1) {
+  for (const telemetry::CausalEvent& e : tracer.events()) {
+    if (e.kind == telemetry::CausalEvent::Kind::kSuspect && e.proc == 1) {
       suspected = true;
     }
-    if (e.kind == mp::TraceEvent::Kind::kRecover && e.processor == 1) {
+    if (e.kind == telemetry::CausalEvent::Kind::kRecover && e.proc == 1) {
       recovered = true;
     }
   }

@@ -268,15 +268,18 @@ TEST(SearchCache, MapperSearchTraceEventAndCApiStats) {
       },
       options);
   bool saw_search = false;
-  for (const mp::TraceEvent& e : tracer.events()) {
-    if (e.kind == mp::TraceEvent::Kind::kMapperSearch) {
+  for (const telemetry::CausalEvent& e : tracer.events()) {
+    if (e.kind == telemetry::CausalEvent::Kind::kMapperSearch) {
       saw_search = true;
-      EXPECT_EQ(e.world_rank, 0);
-      EXPECT_GT(e.search.evaluations, 0);
-      EXPECT_EQ(e.search.threads, 1);
-      EXPECT_GE(e.search.wall_seconds, 0.0);
-      EXPECT_GE(e.search.hit_rate, 0.0);
-      EXPECT_LE(e.search.hit_rate, 1.0);
+      EXPECT_EQ(e.rank, 0);
+      EXPECT_GT(telemetry::event_arg(e, "evaluations"), 0.0);
+      EXPECT_EQ(telemetry::event_arg(e, "threads"), 1.0);
+      EXPECT_GE(telemetry::event_arg(e, "wall_seconds"), 0.0);
+      const double hit_rate = telemetry::event_arg(e, "hit_rate");
+      EXPECT_GE(hit_rate, 0.0);
+      EXPECT_LE(hit_rate, 1.0);
+      // The CSV's legacy column: the hit rate in whole percent.
+      EXPECT_EQ(e.tag, static_cast<int>(hit_rate * 100.0));
     }
   }
   EXPECT_TRUE(saw_search);

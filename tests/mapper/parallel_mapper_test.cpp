@@ -50,7 +50,8 @@ struct Scenario {
     const int machines = static_cast<int>(rng.next_in(6, 8));
     hnoc::ClusterBuilder b;
     for (int i = 0; i < machines; ++i) {
-      b.add("m" + std::to_string(i), rng.next_double_in(1.0, 200.0));
+      b.add(std::string("m").append(std::to_string(i)),
+            rng.next_double_in(1.0, 200.0));
     }
     b.network(rng.next_double_in(1e-5, 1e-3), rng.next_double_in(1e6, 1e8));
     // A couple of degraded links so communication shapes the landscape.

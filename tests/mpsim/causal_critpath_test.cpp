@@ -156,21 +156,101 @@ TEST(CausalSim, SlowLinkTopsTheBlameTable) {
 
 TEST(CausalSim, DefaultRingModeLeavesTraceBitIdentical) {
   // The always-on ring log must be a pure observer: with HMPI_PROF unset,
-  // clocks, stats, and the trace CSV match a profiling-off run exactly.
+  // clocks and stats match a profiling-off run exactly. A traced world keeps
+  // its whole log whatever `prof` asks for, so its clocks, stats and trace
+  // CSV do not depend on the mode either.
   ScopedEnv env("HMPI_PROF", nullptr);
   const hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
-  auto run_once = [&](ProfMode prof) {
+  auto run_once = [&](ProfMode prof, bool traced) {
     World::Options options;
     options.prof = prof;
-    return testing::run_traced(cluster, identity_placement(cluster),
-                               mixed_program, options);
+    if (traced) {
+      return testing::run_traced(cluster, identity_placement(cluster),
+                                 mixed_program, options);
+    }
+    testing::EngineRun run;
+    run.result = World::run(cluster, identity_placement(cluster),
+                            mixed_program, options);
+    return run;
   };
-  const testing::EngineRun ring = run_once(ProfMode::kAuto);  // -> kRing
-  const testing::EngineRun off = run_once(ProfMode::kOff);
+  const testing::EngineRun ring = run_once(ProfMode::kAuto, false);  // kRing
+  const testing::EngineRun off = run_once(ProfMode::kOff, false);
   ASSERT_NE(ring.result.causal, nullptr);
   EXPECT_EQ(ring.result.causal->mode(), ProfMode::kRing);
   EXPECT_EQ(off.result.causal->mode(), ProfMode::kOff);
   testing::expect_identical_runs(ring, off);
+
+  const testing::EngineRun traced_ring = run_once(ProfMode::kAuto, true);
+  const testing::EngineRun traced_off = run_once(ProfMode::kOff, true);
+  EXPECT_EQ(traced_ring.result.causal->mode(), ProfMode::kFull);
+  EXPECT_EQ(traced_off.result.causal->mode(), ProfMode::kFull);
+  testing::expect_identical_runs(traced_ring, traced_off);
+  EXPECT_EQ(traced_ring.result.clocks, ring.result.clocks);
+}
+
+/// More events per rank than the ring holds, message delays, elapses and a
+/// collective: every kind an untraced log keeps.
+void long_program(Proc& p) {
+  Comm comm = p.world_comm();
+  const int me = p.rank();
+  const int n = comm.size();
+  for (int i = 0; i < 120; ++i) {
+    p.compute(2.0 * (me % 3 + 1));
+    if (i % 10 == 0) p.elapse(1e-4);
+    comm.send_placeholder(256, (me + 1) % n, 3);
+    comm.recv_placeholder((me + n - 1) % n, 3);
+  }
+  comm.barrier();
+}
+
+TEST(CausalSim, UntracedLogsKeepTheEventsTheyAlwaysKept) {
+  // Pinned from the code that recorded a trace and a causal log side by
+  // side: with no tracer, the ring and the full log retain the same events
+  // and yield the same report, bit for bit.
+  const hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
+  auto run_once = [&](ProfMode prof) {
+    World::Options options;
+    options.prof = prof;
+    options.faults.delay_probability = 0.2;
+    options.faults.delay_s = 1e-3;
+    options.faults.seed = 7;
+    return World::run(cluster, identity_placement(cluster), long_program,
+                      options);
+  };
+  const World::RunResult ring = run_once(ProfMode::kRing);
+  const World::RunResult full = run_once(ProfMode::kFull);
+  EXPECT_EQ(ring.makespan, 0x1.400343236b409p+6);
+  EXPECT_EQ(full.makespan, ring.makespan);
+  EXPECT_EQ(ring.causal->size(), 2304u);
+  EXPECT_EQ(full.causal->size(), 3420u);
+
+  const CriticalPathReport r = telemetry::analyze_critical_path(*ring.causal);
+  EXPECT_FALSE(r.complete);
+  EXPECT_EQ(r.events_dropped, 1116u);
+  EXPECT_EQ(r.segments.size(), 262u);
+  EXPECT_EQ(r.end_rank, 6);
+  EXPECT_EQ(r.makespan_s, 0x1.400343236b409p+6);
+  EXPECT_EQ(r.path_s, 0x1.aaaf8d8352798p+5);
+  EXPECT_EQ(r.compute_s, 0x1.aaac4e18d95dp+5);
+  EXPECT_EQ(r.transfer_s, 0x1.870394dfcp-11);
+  EXPECT_EQ(r.overhead_s, 0x1.b866e43dp-11);
+  EXPECT_EQ(r.gap_s, 0x1.aaadf187080f4p+4);
+
+  const CriticalPathReport f = telemetry::analyze_critical_path(*full.causal);
+  EXPECT_TRUE(f.complete);
+  EXPECT_EQ(f.events_dropped, 0u);
+  EXPECT_EQ(f.segments.size(), 385u);
+  EXPECT_EQ(f.end_rank, 6);
+  EXPECT_EQ(f.path_s, 0x1.400343236b409p+6);
+  EXPECT_EQ(f.compute_s, 0x1.40013a92a3068p+6);
+  EXPECT_EQ(f.transfer_s, 0x1.870394dfcp-11);
+  EXPECT_EQ(f.overhead_s, 0x1.450efdcb25p-10);
+  EXPECT_EQ(f.gap_s, 0.0);
+  for (const CriticalPathReport* report : {&r, &f}) {
+    EXPECT_EQ(report->machine_s.size(), 1u);
+    EXPECT_EQ(report->link_s.size(), 6u);
+    EXPECT_EQ(report->coll_s.size(), 1u);
+  }
 }
 
 TEST(CausalSim, RingTruncationReportsIncompleteWithGap) {
@@ -228,7 +308,7 @@ TEST(CausalSim, PerfettoExportMatchesItsFixture) {
 }
 
 TEST(CausalSim, CrashLeavesAMarkInTheLog) {
-  // A rank killed by the fault plan records a kMark/kCrash event from its
+  // A rank killed by the fault plan records a kCrash event from its
   // own timeline, so post-mortems can place the death on the virtual clock.
   const hnoc::Cluster cluster = hnoc::testbeds::homogeneous(2);
   World::Options options;
@@ -243,8 +323,7 @@ TEST(CausalSim, CrashLeavesAMarkInTheLog) {
   ASSERT_NE(result.causal, nullptr);
   const auto events = result.causal->events_of(1);
   const auto mark = std::find_if(events.begin(), events.end(), [](const auto& e) {
-    return e.kind == telemetry::CausalEvent::Kind::kMark &&
-           (e.flags & telemetry::CausalEvent::kCrash) != 0;
+    return e.kind == telemetry::CausalEvent::Kind::kCrash;
   });
   ASSERT_NE(mark, events.end());
   EXPECT_GE(mark->t0, 5.0);

@@ -9,9 +9,10 @@
 // bit-identical to the event engine's. They pin that the one engine left
 // still reproduces it.
 //
-// Trace masking: kMapperSearch and kEstCompile events pack *real* wall-clock
-// durations into their CSV columns (see Tracer::write_csv), which legitimately
-// differ between runs; those lines are dropped before comparison. Everything
+// Trace masking: kMapperSearch and kEstCompile events carry *real*
+// wall-clock durations in their CSV units column (docs/observability.md's
+// event table), which legitimately differ between runs; those lines are
+// dropped before comparison. Everything
 // else on the trace timeline is virtual and must match exactly.
 #pragma once
 

@@ -137,25 +137,26 @@ TEST(Tracer, RecordsSendsRecvsAndComputes) {
       o);
   const auto events = tracer.events();
   ASSERT_EQ(events.size(), 3u);
-  const TraceEvent* compute = nullptr;
-  const TraceEvent* send = nullptr;
-  const TraceEvent* recv = nullptr;
-  for (const TraceEvent& e : events) {
-    if (e.kind == TraceEvent::Kind::kCompute) compute = &e;
-    if (e.kind == TraceEvent::Kind::kSend) send = &e;
-    if (e.kind == TraceEvent::Kind::kRecv) recv = &e;
+  using Kind = telemetry::CausalEvent::Kind;
+  const telemetry::CausalEvent* compute = nullptr;
+  const telemetry::CausalEvent* send = nullptr;
+  const telemetry::CausalEvent* recv = nullptr;
+  for (const telemetry::CausalEvent& e : events) {
+    if (e.kind == Kind::kCompute) compute = &e;
+    if (e.kind == Kind::kSend) send = &e;
+    if (e.kind == Kind::kRecv) recv = &e;
   }
   ASSERT_TRUE(compute && send && recv);
-  EXPECT_DOUBLE_EQ(compute->units, 10.0);
-  EXPECT_DOUBLE_EQ(compute->end_time - compute->start_time, 0.1);
-  EXPECT_EQ(send->world_rank, 0);
+  EXPECT_DOUBLE_EQ(compute->value, 10.0);  // units
+  EXPECT_DOUBLE_EQ(compute->t1 - compute->t0, 0.1);
+  EXPECT_EQ(send->rank, 0);
   EXPECT_EQ(send->peer, 1);
   EXPECT_EQ(send->bytes, sizeof(int));
-  EXPECT_GE(send->start_time, compute->end_time);  // sent after computing
-  EXPECT_EQ(recv->world_rank, 1);
+  EXPECT_GE(send->t0, compute->t1);  // sent after computing
+  EXPECT_EQ(recv->rank, 1);
   EXPECT_EQ(recv->peer, 0);
   // Recv completes no earlier than the send's arrival.
-  EXPECT_GE(recv->end_time, send->end_time);
+  EXPECT_GE(recv->t1, send->value);
 }
 
 TEST(Tracer, CountsMatchStats) {
@@ -172,8 +173,8 @@ TEST(Tracer, CountsMatchStats) {
       o);
   std::uint64_t sends = 0, recvs = 0;
   for (const auto& e : tracer.events()) {
-    if (e.kind == TraceEvent::Kind::kSend) ++sends;
-    if (e.kind == TraceEvent::Kind::kRecv) ++recvs;
+    if (e.kind == telemetry::CausalEvent::Kind::kSend) ++sends;
+    if (e.kind == telemetry::CausalEvent::Kind::kRecv) ++recvs;
   }
   std::uint64_t stat_sends = 0, stat_recvs = 0;
   for (const auto& s : result.stats) {
@@ -198,10 +199,33 @@ TEST(Tracer, CsvOutput) {
   EXPECT_NE(out.find("compute,0,0"), std::string::npos);
 }
 
+TEST(Tracer, ViewsWorldsInRunOrder) {
+  // Two worlds on one tracer tie on (t0, rank), so the view keeps their
+  // events in attach (run) order; a scheduler instant at the same time sits
+  // on rank -1 and sorts first.
+  Tracer tracer;
+  World::Options o;
+  o.tracer = &tracer;
+  World::run_one_per_processor(
+      uniform(1), [](Proc& p) { p.compute(1.0); }, o);
+  World::run_one_per_processor(
+      uniform(1), [](Proc& p) { p.compute(2.0); }, o);
+  telemetry::CausalEvent dispatch;
+  dispatch.kind = telemetry::CausalEvent::Kind::kSchedDispatch;
+  tracer.host_log()->record(0, dispatch);
+  const auto events = tracer.events();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].kind, telemetry::CausalEvent::Kind::kSchedDispatch);
+  EXPECT_EQ(events[1].value, 1.0);  // the first world's units
+  EXPECT_EQ(events[2].value, 2.0);
+}
+
 TEST(Tracer, ClearResets) {
   Tracer tracer;
-  TraceEvent e;
-  tracer.record(e);
+  World::Options o;
+  o.tracer = &tracer;
+  World::run_one_per_processor(
+      uniform(1), [](Proc& p) { p.compute(1.0); }, o);
   EXPECT_EQ(tracer.size(), 1u);
   tracer.clear();
   EXPECT_EQ(tracer.size(), 0u);

@@ -101,11 +101,11 @@ TEST(FaultInjection, CrashEventRecordedInTrace) {
   World::run_one_per_processor(
       uniform(2), [](Proc& p) { p.compute(100.0); }, options);
   bool found = false;
-  for (const TraceEvent& e : tracer.events()) {
-    if (e.kind == TraceEvent::Kind::kCrash) {
+  for (const telemetry::CausalEvent& e : tracer.events()) {
+    if (e.kind == telemetry::CausalEvent::Kind::kCrash) {
       found = true;
-      EXPECT_EQ(e.world_rank, 0);
-      EXPECT_DOUBLE_EQ(e.start_time, 0.25);
+      EXPECT_EQ(e.rank, 0);
+      EXPECT_DOUBLE_EQ(e.t0, 0.25);
     }
   }
   EXPECT_TRUE(found);
@@ -189,8 +189,8 @@ TEST(FaultInjection, MessageDropsAreDeterministicUnderFixedSeed) {
 
   const auto dropped_indices = [](const Tracer& tracer) {
     std::vector<double> times;
-    for (const TraceEvent& e : tracer.events()) {
-      if (e.kind == TraceEvent::Kind::kDrop) times.push_back(e.start_time);
+    for (const telemetry::CausalEvent& e : tracer.events()) {
+      if (e.kind == telemetry::CausalEvent::Kind::kDrop) times.push_back(e.t0);
     }
     return times;
   };

@@ -21,7 +21,8 @@ hnoc::Cluster random_cluster(std::uint64_t seed, int n) {
   support::Rng rng(seed);
   hnoc::ClusterBuilder b;
   for (int i = 0; i < n; ++i) {
-    b.add("m" + std::to_string(i), rng.next_double_in(5.0, 200.0));
+    b.add(std::string("m").append(std::to_string(i)),
+          rng.next_double_in(5.0, 200.0));
   }
   b.network(rng.next_double_in(1e-5, 1e-3), rng.next_double_in(1e6, 1e8));
   return b.build();

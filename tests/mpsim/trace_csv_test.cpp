@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +16,9 @@
 
 namespace hmpi::mp {
 namespace {
+
+using telemetry::CausalEvent;
+using Kind = telemetry::CausalEvent::Kind;
 
 constexpr char kHeader[] =
     "kind,world_rank,processor,peer,tag,context,bytes,units,start,end";
@@ -26,6 +31,18 @@ std::vector<std::string> lines_of(const std::string& text) {
   return lines;
 }
 
+/// Attaches a traced log holding `events`, each on its own rank's shard.
+void attach_events(Tracer& tracer, const std::vector<CausalEvent>& events) {
+  int ranks = 0;
+  for (const CausalEvent& e : events) ranks = std::max(ranks, e.rank + 1);
+  auto log = std::make_shared<telemetry::CausalLog>(
+      std::vector<int>(static_cast<std::size_t>(ranks), 0),
+      telemetry::ProfMode::kFull, telemetry::CausalLog::kDefaultRingCapacity,
+      /*traced=*/true);
+  for (const CausalEvent& e : events) log->record(e.rank, e);
+  tracer.attach(std::move(log));
+}
+
 TEST(TraceCsv, EmptyTracerWritesHeaderOnly) {
   Tracer tracer;
   std::ostringstream os;
@@ -35,18 +52,18 @@ TEST(TraceCsv, EmptyTracerWritesHeaderOnly) {
 
 TEST(TraceCsv, FieldOrderMatchesHeader) {
   Tracer tracer;
-  TraceEvent e;
-  e.kind = TraceEvent::Kind::kSend;
-  e.world_rank = 2;
-  e.processor = 3;
+  CausalEvent e;
+  e.kind = Kind::kSend;
+  e.rank = 2;
+  e.proc = 3;
   e.peer = 1;
   e.tag = 7;
   e.context = 4;
   e.bytes = 1024;
-  e.units = 0.0;
-  e.start_time = 1.5;
-  e.end_time = 2.5;
-  tracer.record(e);
+  e.t0 = 1.5;
+  e.t1 = 1.5 + 5e-6;  // the send overhead
+  e.value = 2.5;      // the arrival, the CSV's end
+  attach_events(tracer, {e});
   const auto lines = lines_of([&] {
     std::ostringstream os;
     tracer.write_csv(os);
@@ -59,16 +76,15 @@ TEST(TraceCsv, FieldOrderMatchesHeader) {
 
 TEST(TraceCsv, EventsAreSortedByStartTime) {
   Tracer tracer;
-  TraceEvent late;
-  late.kind = TraceEvent::Kind::kCompute;
-  late.world_rank = 0;
-  late.start_time = 9.0;
-  TraceEvent early;
-  early.kind = TraceEvent::Kind::kRecv;
-  early.world_rank = 1;
-  early.start_time = 1.0;
-  tracer.record(late);
-  tracer.record(early);
+  CausalEvent late;
+  late.kind = Kind::kCompute;
+  late.rank = 0;
+  late.t0 = 9.0;
+  CausalEvent early;
+  early.kind = Kind::kRecv;
+  early.rank = 1;
+  early.t0 = 1.0;
+  attach_events(tracer, {late, early});
   std::ostringstream os;
   tracer.write_csv(os);
   const auto lines = lines_of(os.str());
@@ -78,33 +94,33 @@ TEST(TraceCsv, EventsAreSortedByStartTime) {
 }
 
 TEST(TraceCsv, KindNamesAreStable) {
-  EXPECT_STREQ(kind_name(TraceEvent::Kind::kSend), "send");
-  EXPECT_STREQ(kind_name(TraceEvent::Kind::kRecv), "recv");
-  EXPECT_STREQ(kind_name(TraceEvent::Kind::kCompute), "compute");
-  EXPECT_STREQ(kind_name(TraceEvent::Kind::kCrash), "crash");
-  EXPECT_STREQ(kind_name(TraceEvent::Kind::kDrop), "drop");
-  EXPECT_STREQ(kind_name(TraceEvent::Kind::kDelay), "delay");
-  EXPECT_STREQ(kind_name(TraceEvent::Kind::kLinkBlocked), "link_blocked");
-  EXPECT_STREQ(kind_name(TraceEvent::Kind::kSuspect), "suspect");
-  EXPECT_STREQ(kind_name(TraceEvent::Kind::kRecover), "recover");
-  EXPECT_STREQ(kind_name(TraceEvent::Kind::kMapperSearch), "mapper_search");
-  EXPECT_STREQ(kind_name(TraceEvent::Kind::kEstCompile), "est_compile");
+  using telemetry::kind_name;
+  EXPECT_EQ(kind_name(Kind::kSend), "send");
+  EXPECT_EQ(kind_name(Kind::kRecv), "recv");
+  EXPECT_EQ(kind_name(Kind::kCompute), "compute");
+  EXPECT_EQ(kind_name(Kind::kCrash), "crash");
+  EXPECT_EQ(kind_name(Kind::kDrop), "drop");
+  EXPECT_EQ(kind_name(Kind::kDelay), "delay");
+  EXPECT_EQ(kind_name(Kind::kLinkBlocked), "link_blocked");
+  EXPECT_EQ(kind_name(Kind::kSuspect), "suspect");
+  EXPECT_EQ(kind_name(Kind::kRecover), "recover");
+  EXPECT_EQ(kind_name(Kind::kMapperSearch), "mapper_search");
+  EXPECT_EQ(kind_name(Kind::kEstCompile), "est_compile");
 }
 
 TEST(TraceCsv, EstCompilePacksOpsAndSecondsIntoLegacyColumns) {
-  // Same convention as mapper_search: the honest payload is
-  // TraceEvent::compile; the CSV packs plan ops into bytes and compile
-  // seconds into units.
+  // The runtime keeps the plan ops in bytes and the compile seconds in
+  // value; the CSV shows them in bytes and units, the Chrome args by name.
   Tracer tracer;
-  TraceEvent e;
-  e.kind = TraceEvent::Kind::kEstCompile;
-  e.world_rank = 0;
-  e.processor = 0;
-  e.compile.ops = 512;
-  e.compile.seconds = 0.25;
-  e.start_time = 1.0;
-  e.end_time = 1.0;
-  tracer.record(e);
+  CausalEvent e;
+  e.kind = Kind::kEstCompile;
+  e.rank = 0;
+  e.proc = 0;
+  e.bytes = 512;
+  e.value = 0.25;
+  e.t0 = 1.0;
+  e.t1 = 1.0;
+  attach_events(tracer, {e});
   std::ostringstream os;
   tracer.write_csv(os);
   const auto lines = lines_of(os.str());
@@ -128,21 +144,21 @@ TEST(TraceCsv, EstCompilePacksOpsAndSecondsIntoLegacyColumns) {
 }
 
 TEST(TraceCsv, MapperSearchKeepsLegacyColumnEncoding) {
-  // The honest payload lives in TraceEvent::search; the CSV keeps the
-  // historical packing (threads in peer, hit-rate percent in tag,
-  // evaluations in bytes, wall seconds in units) for existing consumers.
+  // The runtime packs the search the historical way (threads in peer,
+  // hit-rate percent in tag, evaluations in bytes, wall seconds in units)
+  // and keeps the exact hit rate in t1 for the Chrome args.
   Tracer tracer;
-  TraceEvent e;
-  e.kind = TraceEvent::Kind::kMapperSearch;
-  e.world_rank = 0;
-  e.processor = 0;
-  e.search.evaluations = 250;
-  e.search.hit_rate = 0.75;
-  e.search.threads = 4;
-  e.search.wall_seconds = 0.5;
-  e.start_time = 3.0;
-  e.end_time = 3.0;
-  tracer.record(e);
+  CausalEvent e;
+  e.kind = Kind::kMapperSearch;
+  e.rank = 0;
+  e.proc = 0;
+  e.peer = 4;
+  e.tag = 75;
+  e.bytes = 250;
+  e.value = 0.5;
+  e.t0 = 3.0;
+  e.t1 = 0.75;
+  attach_events(tracer, {e});
   std::ostringstream os;
   tracer.write_csv(os);
   const auto lines = lines_of(os.str());
@@ -152,23 +168,21 @@ TEST(TraceCsv, MapperSearchKeepsLegacyColumnEncoding) {
 
 TEST(TraceCsv, ChromeJsonIsValidAndCarriesSearchArgs) {
   Tracer tracer;
-  TraceEvent compute;
-  compute.kind = TraceEvent::Kind::kCompute;
-  compute.world_rank = 1;
-  compute.processor = 1;
-  compute.units = 50.0;
-  compute.start_time = 0.5;
-  compute.end_time = 1.0;
-  tracer.record(compute);
-  TraceEvent search;
-  search.kind = TraceEvent::Kind::kMapperSearch;
-  search.world_rank = 0;
-  search.processor = 0;
-  search.search.evaluations = 9;
-  search.search.hit_rate = 1.0;
-  search.start_time = 2.0;
-  search.end_time = 2.0;
-  tracer.record(search);
+  CausalEvent compute;
+  compute.kind = Kind::kCompute;
+  compute.rank = 1;
+  compute.proc = 1;
+  compute.value = 50.0;
+  compute.t0 = 0.5;
+  compute.t1 = 1.0;
+  CausalEvent search;
+  search.kind = Kind::kMapperSearch;
+  search.rank = 0;
+  search.proc = 0;
+  search.bytes = 9;
+  search.t0 = 2.0;
+  search.t1 = 1.0;  // the hit rate
+  attach_events(tracer, {compute, search});
 
   std::ostringstream os;
   tracer.write_chrome_json(os);

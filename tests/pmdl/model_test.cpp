@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "pmdl/eval.hpp"
 #include "pmdl_test_util.hpp"
 #include "support/error.hpp"
@@ -263,6 +265,40 @@ TEST(Model, SchemeCoordinateOutOfRangeThrows) {
   auto inst = m.instantiate({scalar(2)});
   RecordingSink sink;
   EXPECT_THROW(inst.run_scheme(sink), PmdlError);
+}
+
+// Activations, link endpoints and the parent evaluate their coordinates the
+// same way, so each out-of-range one names the value, the range and the
+// dimension.
+TEST(Model, OutOfRangeCoordinatesNameValueRangeAndDimension) {
+  const auto message_of = [](const char* source, bool replay) {
+    try {
+      auto inst = Model::from_source(source).instantiate({scalar(2)});
+      RecordingSink sink;
+      if (replay) inst.run_scheme(sink);
+    } catch (const PmdlError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const auto expect_names = [](const std::string& what,
+                               const std::string& expected) {
+    EXPECT_NE(what.find(expected), std::string::npos) << what;
+  };
+  expect_names(message_of(R"(
+    algorithm A(int p) { coord I=p, J=3; scheme { 100%%[0, 4]; }; })",
+                          true),
+               "coordinate 4 out of range [0, 3) in dimension 1");
+  expect_names(message_of(R"(
+    algorithm A(int p) {
+      coord I=p, J=3;
+      link { I>=0 : length*(8) [I, 0]->[I, 5]; };
+    })",
+                          false),
+               "link endpoint coordinate 5 out of range [0, 3) in dimension 1");
+  expect_names(message_of(R"(
+    algorithm A(int p) { coord I=p, J=3; parent[p, 0]; })", false),
+               "parent coordinate 2 out of range [0, 2) in dimension 0");
 }
 
 TEST(Model, RunawayLoopIsCaught) {

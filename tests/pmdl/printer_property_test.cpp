@@ -30,8 +30,8 @@ std::string expr(Rng& rng, int depth, std::span<const char* const> terms) {
     return terms[rng.next_below(terms.size())];
   }
   const char* op = rng.next_below(2) == 0 ? "+" : "*";
-  return "(" + expr(rng, depth - 1, terms) + op + expr(rng, depth - 1, terms) +
-         ")";
+  return std::string("(").append(expr(rng, depth - 1, terms)) + op +
+         expr(rng, depth - 1, terms) + ")";
 }
 
 /// One random scheme statement drawn from a pool of shapes that are valid

@@ -280,12 +280,13 @@ TEST(Scheduler, PreemptionRevokesRequeuesAndTraces) {
   EXPECT_EQ(scheduler.stats().preempted, 1);
 
   int dispatches = 0, preempts = 0;
-  for (const mp::TraceEvent& e : tracer.events()) {
-    if (e.kind == mp::TraceEvent::Kind::kSchedDispatch) ++dispatches;
-    if (e.kind == mp::TraceEvent::Kind::kSchedPreempt) {
+  using Kind = telemetry::CausalEvent::Kind;
+  for (const telemetry::CausalEvent& e : tracer.events()) {
+    if (e.kind == Kind::kSchedDispatch) ++dispatches;
+    if (e.kind == Kind::kSchedPreempt) {
       ++preempts;
-      EXPECT_EQ(e.sched.job, victim);
-      EXPECT_GT(e.sched.progress, 0.0);
+      EXPECT_EQ(telemetry::event_arg(e, "job"), static_cast<double>(victim));
+      EXPECT_GT(telemetry::event_arg(e, "progress"), 0.0);
     }
   }
   EXPECT_EQ(dispatches, 3);  // victim, urgent, victim again

@@ -1,8 +1,11 @@
 // The metric catalogue (docs/observability.md, "Metrics catalog"): the
 // registry and tools/telemetry_check accept exactly its names, and the docs
-// table shows exactly its rows.
+// table shows exactly its rows. The event catalogue ("The causal event
+// log") likewise: its docs table shows exactly its rows, and its entries
+// obey the rules the exports rely on.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <set>
@@ -13,6 +16,7 @@
 
 #include "coll/policy.hpp"
 #include "support/error.hpp"
+#include "telemetry/causal.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace hmpi::telemetry {
@@ -162,13 +166,15 @@ std::string trim(const std::string& s) {
   return first == std::string::npos ? "" : s.substr(first, last - first + 1);
 }
 
-DocRows read_docs_table(const std::string& path) {
+// The trimmed cells of each row of the docs table whose header is `header`.
+std::vector<std::vector<std::string>> read_table(const std::string& path,
+                                                 const std::string& header) {
   std::ifstream in(path);
   EXPECT_TRUE(in) << "cannot open " << path;
-  DocRows rows;
+  std::vector<std::vector<std::string>> rows;
   bool in_table = false;
   for (std::string line; std::getline(in, line);) {
-    if (line == "| Name | Kind | Unit | Meaning |") {
+    if (line == header) {
       in_table = true;
       std::getline(in, line);  // the |---| separator
       continue;
@@ -180,19 +186,27 @@ DocRows read_docs_table(const std::string& path) {
     for (std::string cell; std::getline(row, cell, '|');) {
       cells.push_back(trim(cell));
     }
-    EXPECT_EQ(cells.size(), 4u) << line;
+    rows.push_back(std::move(cells));
+  }
+  EXPECT_TRUE(in_table) << "no '" << header << "' table in " << path;
+  return rows;
+}
+
+DocRows read_docs_table(const std::string& path) {
+  DocRows rows;
+  for (const std::vector<std::string>& cells :
+       read_table(path, "| Name | Kind | Unit | Meaning |")) {
+    EXPECT_EQ(cells.size(), 4u);
     if (cells.size() != 4) continue;
     std::string name = cells[0];
     EXPECT_TRUE(name.size() > 2 && name.front() == '`' && name.back() == '`')
-        << line;
+        << name;
     name = name.substr(1, name.size() - 2);
     EXPECT_TRUE(
         rows.emplace(std::pair{name, cells[1]}, std::pair{cells[2], cells[3]})
             .second)
-        << "duplicate row " << line;
+        << "duplicate row " << name;
   }
-  EXPECT_TRUE(in_table) << "no '| Name | Kind | Unit | Meaning |' table in "
-                        << path;
   return rows;
 }
 
@@ -214,6 +228,122 @@ TEST(MetricCatalog, DocsTableEqualsTheCatalogue) {
   for (const auto& [key, rest] : docs) {
     ADD_FAILURE() << "docs table lists " << key.second << " `" << key.first
                   << "`, which the catalogue does not declare";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The event catalogue.
+// ---------------------------------------------------------------------------
+
+std::string field_name(EventField field) {
+  switch (field) {
+    case EventField::kZero: return "0";
+    case EventField::kProc: return "proc";
+    case EventField::kPeer: return "peer";
+    case EventField::kTag: return "tag";
+    case EventField::kContext: return "context";
+    case EventField::kBytes: return "bytes";
+    case EventField::kT0: return "t0";
+    case EventField::kT1: return "t1";
+    case EventField::kValue: return "value";
+    case EventField::kCollOp: return "coll_op";
+    case EventField::kCollAlgo: return "coll_algo";
+  }
+  return "?";
+}
+
+std::string path_name(PathRole path) {
+  switch (path) {
+    case PathRole::kNone: return "-";
+    case PathRole::kCompute: return "compute";
+    case PathRole::kElapse: return "elapse";
+    case PathRole::kSend: return "send";
+    case PathRole::kRecv: return "recv";
+  }
+  return "?";
+}
+
+// One docs row: kind, phase, path, kept, CSV units and end, Chrome args,
+// meaning. An arg whose key is its field's name shows the key alone.
+std::vector<std::string> docs_row(const EventSpec& spec) {
+  std::string args;
+  for (const EventArg& arg : spec.args) {
+    if (arg.name.empty()) break;
+    if (!args.empty()) args += ", ";
+    args += arg.name;
+    if (arg.name != field_name(arg.field)) args += "=" + field_name(arg.field);
+  }
+  return {"`" + std::string(spec.name) + "`",
+          spec.phase == 0 ? "-" : std::string(1, spec.phase),
+          path_name(spec.path),
+          spec.traced_only ? "traced" : "always",
+          field_name(spec.units) + ", " + field_name(spec.end),
+          args.empty() ? "-" : args,
+          std::string(spec.meaning)};
+}
+
+TEST(EventCatalog, KindsAreInOrderWithUniqueNames) {
+  std::set<std::string> names;
+  for (std::size_t i = 0; i < event_catalog().size(); ++i) {
+    const EventSpec& spec = event_catalog()[i];
+    EXPECT_EQ(static_cast<std::size_t>(spec.kind), i) << spec.name;
+    EXPECT_EQ(&event_spec(spec.kind), &spec);
+    EXPECT_EQ(kind_name(spec.kind), spec.name);
+    EXPECT_TRUE(names.insert(std::string(spec.name)).second) << spec.name;
+    EXPECT_EQ(spec.name.find_first_not_of("abcdefghijklmnopqrstuvwxyz_"),
+              std::string_view::npos)
+        << spec.name;
+    EXPECT_FALSE(spec.meaning.empty()) << spec.name;
+  }
+}
+
+TEST(EventCatalog, EntriesObeyTheExportRules) {
+  for (const EventSpec& spec : event_catalog()) {
+    SCOPED_TRACE(std::string(spec.name));
+    EXPECT_TRUE(spec.phase == 'X' || spec.phase == 'i' || spec.phase == 0);
+    // An instant ends where it starts, whatever it keeps in t1.
+    EXPECT_EQ(spec.phase == 'i', spec.end == EventField::kT0);
+    // The ring keeps every kind the path walk reads.
+    EXPECT_TRUE(spec.path == PathRole::kNone || !spec.traced_only);
+    // Message kinds keep their arrival in value: it is no quantity.
+    if (spec.path == PathRole::kSend || spec.path == PathRole::kRecv) {
+      EXPECT_EQ(spec.units, EventField::kZero);
+    }
+    std::set<std::string_view> keys = {"processor"};
+    for (const EventArg& arg : spec.args) {
+      if (arg.name.empty()) continue;
+      EXPECT_TRUE(keys.insert(arg.name).second) << arg.name;
+    }
+  }
+}
+
+TEST(EventCatalog, EventArgReadsTheDeclaredField) {
+  CausalEvent e;
+  e.kind = CausalEvent::Kind::kMapperSearch;
+  e.proc = 3;
+  e.peer = 4;
+  e.bytes = 250;
+  e.t1 = 0.75;
+  e.value = 0.5;
+  EXPECT_EQ(event_arg(e, "processor"), 3.0);
+  EXPECT_EQ(event_arg(e, "threads"), 4.0);
+  EXPECT_EQ(event_arg(e, "evaluations"), 250.0);
+  EXPECT_EQ(event_arg(e, "hit_rate"), 0.75);
+  EXPECT_EQ(event_arg(e, "wall_seconds"), 0.5);
+  EXPECT_TRUE(std::isnan(event_arg(e, "units")));
+  // A 64-bit count reads as signed: an unset group id stays -1.
+  e.kind = CausalEvent::Kind::kAdaptTrigger;
+  e.bytes = static_cast<std::uint64_t>(-1LL);
+  EXPECT_EQ(event_arg(e, "group_id"), -1.0);
+}
+
+TEST(EventCatalog, DocsTableEqualsTheCatalogue) {
+  const auto rows = read_table(
+      HMPI_OBSERVABILITY_DOC,
+      "| Kind | Phase | Path | Kept | CSV units, end | Chrome args | Meaning |");
+  ASSERT_EQ(rows.size(), event_catalog().size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i], docs_row(event_catalog()[i])) << "row " << i + 1;
   }
 }
 

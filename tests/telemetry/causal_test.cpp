@@ -81,7 +81,7 @@ CausalEvent compute_event(int rank, double t0, double t1) {
 }
 
 TEST(CausalLog, RingOverwritesOldestAndCountsDrops) {
-  CausalLog log(1, ProfMode::kRing, /*ring_capacity=*/4);
+  CausalLog log({0}, ProfMode::kRing, /*ring_capacity=*/4);
   for (int i = 0; i < 6; ++i) {
     log.record(0, compute_event(0, i, i + 1));
   }
@@ -95,24 +95,52 @@ TEST(CausalLog, RingOverwritesOldestAndCountsDrops) {
 }
 
 TEST(CausalLog, FullModeKeepsEverything) {
-  CausalLog log(1, ProfMode::kFull, /*ring_capacity=*/4);
+  CausalLog log({0}, ProfMode::kFull, /*ring_capacity=*/4);
   for (int i = 0; i < 100; ++i) log.record(0, compute_event(0, i, i + 1));
   EXPECT_EQ(log.events_of(0).size(), 100u);
   EXPECT_EQ(log.dropped_of(0), 0u);
 }
 
 TEST(CausalLog, OffModeRecordsNothing) {
-  CausalLog log(2, ProfMode::kOff);
+  CausalLog log({0, 1}, ProfMode::kOff);
   EXPECT_FALSE(log.enabled());
   log.record(0, compute_event(0, 0.0, 1.0));
   EXPECT_EQ(log.size(), 0u);
 }
 
 TEST(CausalLog, OutOfRangeRankIsIgnored) {
-  CausalLog log(2, ProfMode::kFull);
+  CausalLog log({0, 1}, ProfMode::kFull);
   log.record(-1, compute_event(-1, 0.0, 1.0));
   log.record(2, compute_event(2, 0.0, 1.0));
   EXPECT_EQ(log.size(), 0u);
+}
+
+TEST(CausalLog, OnlyATracedLogKeepsTracedOnlyKinds) {
+  CausalEvent instant = compute_event(0, 1.0, 1.0);
+  instant.kind = CausalEvent::Kind::kMapperSearch;
+  ASSERT_TRUE(event_spec(instant.kind).traced_only);
+
+  CausalLog full({0}, ProfMode::kFull);
+  full.record(0, compute_event(0, 0.0, 1.0));
+  full.record(0, instant);
+  EXPECT_EQ(full.size(), 1u);  // the compute only
+
+  // A traced log keeps everything, whatever mode it was asked for.
+  CausalLog traced({0}, ProfMode::kOff, /*ring_capacity=*/1, /*traced=*/true);
+  EXPECT_EQ(traced.mode(), ProfMode::kFull);
+  traced.record(0, compute_event(0, 0.0, 1.0));
+  traced.record(0, instant);
+  ASSERT_EQ(traced.size(), 2u);
+  EXPECT_EQ(traced.events_of(0)[1].kind, CausalEvent::Kind::kMapperSearch);
+}
+
+TEST(CausalLog, ProcOfReadsThePlacement) {
+  CausalLog log({4, 2, 4}, ProfMode::kRing);
+  EXPECT_EQ(log.ranks(), 3);
+  EXPECT_EQ(log.proc_of(0), 4);
+  EXPECT_EQ(log.proc_of(1), 2);
+  EXPECT_EQ(log.proc_of(-1), -1);
+  EXPECT_EQ(log.proc_of(3), -1);
 }
 
 // ---------------------------------------------------------------------------
@@ -123,30 +151,28 @@ TEST(CausalLog, OutOfRangeRankIsIgnored) {
 // ---------------------------------------------------------------------------
 
 CausalLog two_rank_log() {
-  CausalLog log(2, ProfMode::kFull);
+  CausalLog log({0, 1}, ProfMode::kFull);
   log.record(0, compute_event(0, 0.0, 1.0));
   CausalEvent send;
   send.kind = CausalEvent::Kind::kSend;
   send.rank = 0;
   send.proc = 0;
   send.peer = 1;
-  send.peer_proc = 1;
   send.seq = 0;
   send.bytes = 1000;
   send.t0 = 1.0;
   send.t1 = 1.1;
-  send.arrival = 1.6;
+  send.value = 1.6;  // arrival
   log.record(0, send);
   CausalEvent recv;
   recv.kind = CausalEvent::Kind::kRecv;
   recv.rank = 1;
   recv.proc = 1;
   recv.peer = 0;
-  recv.peer_proc = 0;
   recv.seq = 0;
   recv.t0 = 0.0;
   recv.t1 = 1.7;
-  recv.arrival = 1.6;
+  recv.value = 1.6;  // arrival
   log.record(1, recv);
   log.record(1, compute_event(1, 1.7, 2.0));
   return log;
@@ -186,7 +212,7 @@ TEST(CriticalPath, TelescopesToTheMakespan) {
 TEST(CriticalPath, RingHorizonTruncatesWithGap) {
   // Capacity 2 keeps only the last two events of rank 0: the walk cannot
   // reach t = 0 and must report the unattributed prefix as a gap.
-  CausalLog log(1, ProfMode::kRing, /*ring_capacity=*/2);
+  CausalLog log({0}, ProfMode::kRing, /*ring_capacity=*/2);
   for (int i = 0; i < 5; ++i) log.record(0, compute_event(0, i, i + 1));
   const CriticalPathReport report = analyze_critical_path(log);
   EXPECT_FALSE(report.complete);
@@ -199,11 +225,10 @@ TEST(CriticalPath, RingHorizonTruncatesWithGap) {
 }
 
 TEST(CriticalPath, MarksStayOffThePath) {
-  CausalLog log(1, ProfMode::kFull);
+  CausalLog log({0}, ProfMode::kFull);
   log.record(0, compute_event(0, 0.0, 1.0));
   CausalEvent mark;
-  mark.kind = CausalEvent::Kind::kMark;
-  mark.flags = CausalEvent::kCrash;
+  mark.kind = CausalEvent::Kind::kCrash;
   mark.rank = 0;
   mark.proc = 0;
   mark.t0 = mark.t1 = 1.0;
@@ -217,16 +242,16 @@ TEST(CriticalPath, MarksStayOffThePath) {
 
 TEST(CriticalPath, EmptyLogIsTriviallyComplete) {
   const CriticalPathReport on = analyze_critical_path(
-      CausalLog(2, ProfMode::kFull));
+      CausalLog({0, 1}, ProfMode::kFull));
   EXPECT_TRUE(on.complete);
   EXPECT_DOUBLE_EQ(on.makespan_s, 0.0);
   const CriticalPathReport off = analyze_critical_path(
-      CausalLog(2, ProfMode::kOff));
+      CausalLog({0, 1}, ProfMode::kOff));
   EXPECT_FALSE(off.complete);  // a disabled log has nothing to say
 }
 
 TEST(CriticalPath, CollectiveAnnotationsAccumulate) {
-  CausalLog log(1, ProfMode::kFull);
+  CausalLog log({0}, ProfMode::kFull);
   CausalEvent e = compute_event(0, 0.0, 1.0);
   e.coll_op = 2;
   e.coll_algo = 1;

@@ -4,7 +4,9 @@
 // JSON parser and then applies shape checks by sniffing the document type:
 //   * Chrome traces ({"traceEvents": [...]}): every event needs name/ph/ts,
 //     ts must be non-decreasing per (pid, tid) track (metadata events
-//     excluded), and at least one non-metadata event must be present.
+//     excluded), at least one non-metadata event must be present, and every
+//     virtual-timeline event other than a flow arrow must name an
+//     event_catalog() kind in its declared phase.
 //   * Metrics dumps ({"counters": ..., "histograms": ...}): sections must be
 //     objects, histogram entries need count/sum/buckets/percentiles, and
 //     every name must match a metric_catalog() entry of its section's kind,
@@ -33,6 +35,8 @@
 #include "hmpi/adapt.hpp"
 #include "sched/job.hpp"
 #include "sched/scheduler.hpp"
+#include "telemetry/causal.hpp"
+#include "telemetry/chrome_trace.hpp"
 #include "telemetry/critpath.hpp"
 #include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
@@ -59,9 +63,25 @@ void check_name(const std::string& file, const std::string& what,
   for (int i = 0; i <= static_cast<int>(last); ++i) {
     const char* name = name_of(static_cast<Enum>(i));
     if (value != nullptr && value->is_string() && value->string == name) return;
-    names += (i == 0 ? "" : "|") + std::string(name);
+    if (i > 0) names += '|';
+    names += name;
   }
   fail(file, what + " outside " + names);
+}
+
+// A virtual-timeline event names a declared kind, in the catalogue's phase.
+void check_virtual_event(const std::string& file, const std::string& at,
+                         const std::string& name, const std::string& ph) {
+  for (const hmpi::telemetry::EventSpec& spec :
+       hmpi::telemetry::event_catalog()) {
+    if (spec.name != name) continue;
+    if (spec.phase == 0 || ph != std::string(1, spec.phase)) {
+      fail(file, at + ": '" + name + "' has phase " + ph +
+                     ", which the event catalogue does not declare");
+    }
+    return;
+  }
+  fail(file, at + ": '" + name + "' is not in the event catalogue");
 }
 
 void check_chrome_trace(const std::string& file, const JsonValue& doc) {
@@ -91,6 +111,11 @@ void check_chrome_trace(const std::string& file, const JsonValue& doc) {
     if (ph->string == "M") continue;  // metadata carries no timeline position
     ++real_events;
     const JsonValue* pid = e.find("pid");
+    const bool flow = ph->string == "s" || ph->string == "f";
+    if (pid != nullptr && pid->number == hmpi::telemetry::kVirtualPid &&
+        !flow && name != nullptr && name->is_string()) {
+      check_virtual_event(file, at, name->string, ph->string);
+    }
     const JsonValue* tid = e.find("tid");
     const std::pair<double, double> track{pid != nullptr ? pid->number : 0.0,
                                           tid != nullptr ? tid->number : 0.0};
