@@ -1,9 +1,10 @@
 // Golden-trace harness of the simulator (docs/simulator.md).
 //
 // Runs a simulated program and checks everything observable (final virtual
-// clocks, per-process stats, failed ranks, makespan and the trace CSV)
-// against a committed fixture in tests/mpsim/golden/, then runs it a second
-// time and checks that the two runs agree. The fixtures were recorded from
+// clocks, per-process stats, failed ranks, makespan, the trace CSV and,
+// when the program reports them, extra lines such as a runtime's selections
+// or ledger) against a committed fixture in tests/mpsim/golden/, then runs
+// it a second time and checks that the two runs agree. The fixtures were recorded from
 // the thread engine (one OS thread per simulated process) before it was
 // deleted, at a commit where a dual-engine harness proved its output
 // bit-identical to the event engine's. They pin that the one engine left
@@ -38,6 +39,8 @@ struct EngineRun {
   std::string trace_csv;  ///< write_csv output with wall-clock kinds masked.
   bool threw = false;
   std::string error;  ///< what() of the body/world exception, if any.
+  /// Lines the program reported after the run (empty for most programs).
+  std::string appendix;
 };
 
 inline std::string mask_wall_clock_lines(const std::string& csv) {
@@ -52,10 +55,14 @@ inline std::string mask_wall_clock_lines(const std::string& csv) {
   return out.str();
 }
 
+/// Extra observables of one run, read once the world has finished.
+using Appendix = std::function<std::string()>;
+
 inline EngineRun run_traced(const hnoc::Cluster& cluster,
                             std::vector<int> placement,
                             const std::function<void(Proc&)>& body,
-                            World::Options options = {}) {
+                            World::Options options = {},
+                            const Appendix& appendix = nullptr) {
   Tracer tracer;
   options.tracer = &tracer;
   EngineRun run;
@@ -68,6 +75,7 @@ inline EngineRun run_traced(const hnoc::Cluster& cluster,
   std::ostringstream csv;
   tracer.write_csv(csv);
   run.trace_csv = mask_wall_clock_lines(csv.str());
+  if (appendix) run.appendix = appendix();
   return run;
 }
 
@@ -95,6 +103,7 @@ inline std::string fingerprint(const EngineRun& run) {
         << s.compute_time << " wait " << s.wait_time << '\n';
   }
   out << "trace\n" << run.trace_csv;
+  if (!run.appendix.empty()) out << "appendix\n" << run.appendix;
   return out.str();
 }
 
@@ -138,17 +147,21 @@ inline void expect_identical_runs(const EngineRun& a, const EngineRun& b) {
 }
 
 /// Runs `body` twice. The first run must match tests/mpsim/golden/<name>.txt
-/// byte for byte and the second run must match the first. Returns the first.
+/// byte for byte and the second run must match the first. `appendix`, when
+/// set, is called after each run and its text joins the fingerprint. Returns
+/// the first run.
 inline EngineRun expect_matches_golden(const std::string& name,
                                        const hnoc::Cluster& cluster,
                                        const std::vector<int>& placement,
                                        const std::function<void(Proc&)>& body,
-                                       const World::Options& options = {}) {
-  EngineRun first = run_traced(cluster, placement, body, options);
+                                       const World::Options& options = {},
+                                       const Appendix& appendix = nullptr) {
+  EngineRun first = run_traced(cluster, placement, body, options, appendix);
   const std::string diff =
       first_difference(read_golden(name + ".txt"), fingerprint(first));
   EXPECT_TRUE(diff.empty()) << name << " differs from its fixture at " << diff;
-  expect_identical_runs(first, run_traced(cluster, placement, body, options));
+  expect_identical_runs(
+      first, run_traced(cluster, placement, body, options, appendix));
   return first;
 }
 
