@@ -77,6 +77,21 @@ void AdaptationController::arm_cooldown(double factor) {
   cooldown_until_s_ = now_s_ + config_.cooldown_s * factor;
 }
 
+bool AdaptationController::extend_streak(GroupState& state, Family family,
+                                         bool violated) {
+  int& streak = state.streaks[family];
+  if (!violated) {
+    streak = 0;
+    return false;
+  }
+  streak += 1;
+  if (streak >= config_.hysteresis && gates_open()) {
+    streak = 0;
+    return true;
+  }
+  return false;
+}
+
 AdaptDecision AdaptationController::note_progress(long long group_id,
                                                  double predicted_s,
                                                  double measured_s) {
@@ -124,36 +139,20 @@ AdaptDecision AdaptationController::note_progress(long long group_id,
   decision.severity = state.ewma;
   decision.closed_migration = closed_migration;
   decision.realized_gain_s = realized_gain_s;
-  if (state.ewma > config_.threshold) {
-    state.divergence_streak += 1;
-    decision.signal = AdaptSignal::kDivergence;
-    if (state.divergence_streak >= config_.hysteresis && gates_open()) {
-      decision.migrate = true;
-      state.divergence_streak = 0;
-    }
-  } else {
-    state.divergence_streak = 0;
-    decision.signal = AdaptSignal::kNone;
-  }
+  const bool violated = state.ewma > config_.threshold;
+  if (violated) decision.signal = AdaptSignal::kDivergence;
+  decision.migrate = extend_streak(state, kDivergenceFamily, violated);
   return decision;
 }
 
 AdaptDecision AdaptationController::note_drift(long long group_id,
                                                double drift) {
   support::require(drift >= 0.0, "adapt note_drift needs drift >= 0");
-  GroupState& state = groups_[group_id];
   AdaptDecision decision;
   decision.severity = drift;
-  if (drift > config_.threshold) {
-    state.drift_streak += 1;
-    decision.signal = AdaptSignal::kSpeedDrift;
-    if (state.drift_streak >= config_.hysteresis && gates_open()) {
-      decision.migrate = true;
-      state.drift_streak = 0;
-    }
-  } else {
-    state.drift_streak = 0;
-  }
+  const bool violated = drift > config_.threshold;
+  if (violated) decision.signal = AdaptSignal::kSpeedDrift;
+  decision.migrate = extend_streak(groups_[group_id], kDriftFamily, violated);
   return decision;
 }
 
@@ -167,18 +166,10 @@ AdaptDecision AdaptationController::note_blame(long long group_id,
                    "adapt note_blame needs a share in [0, 1]");
   AdaptDecision decision;
   if (!config_.blame) return decision;
-  GroupState& state = groups_[group_id];
   decision.severity = share;
-  if (share > config_.blame_share) {
-    state.blame_streak += 1;
-    decision.signal = signal;
-    if (state.blame_streak >= config_.hysteresis && gates_open()) {
-      decision.migrate = true;
-      state.blame_streak = 0;
-    }
-  } else {
-    state.blame_streak = 0;
-  }
+  const bool violated = share > config_.blame_share;
+  if (violated) decision.signal = signal;
+  decision.migrate = extend_streak(groups_[group_id], kBlameFamily, violated);
   return decision;
 }
 
@@ -209,13 +200,10 @@ void AdaptationController::note_rollback(AdaptRecord record) {
 void AdaptationController::note_suppressed(AdaptRecord record) {
   record.time_s = now_s_;
   record.outcome = AdaptOutcomeKind::kSuppressed;
-  // Re-seed the streaks: the gate said "not worth it" at this severity, so
+  // Re-seed every streak: the gate said "not worth it" at this severity, so
   // require a fresh run of violations before asking again.
   auto it = groups_.find(record.group_id);
-  if (it != groups_.end()) {
-    it->second.divergence_streak = 0;
-    it->second.drift_streak = 0;
-  }
+  if (it != groups_.end()) it->second.streaks = {};
   ledger_.push_back(std::move(record));
 }
 

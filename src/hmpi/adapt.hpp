@@ -21,6 +21,7 @@
 // parent and broadcast; see docs/adaptation.md.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -176,7 +177,7 @@ class AdaptationController {
   /// retry_backoff^rollbacks) and counts against max_retries.
   void note_rollback(AdaptRecord record);
 
-  /// Records a gate-suppressed attempt (kept group); resets the streak so
+  /// Records a gate-suppressed attempt (kept group); resets every streak so
   /// the gate is not hammered every subsequent round.
   void note_suppressed(AdaptRecord record);
 
@@ -201,18 +202,26 @@ class AdaptationController {
   void clear();
 
  private:
-  bool gates_open() const;
-  void arm_cooldown(double factor);
+  /// The signal families that count violations separately (blame's
+  /// machine and link signals share one streak).
+  enum Family { kDivergenceFamily, kDriftFamily, kBlameFamily, kFamilies };
 
   struct GroupState {
     double ewma = 0.0;
     bool ewma_seeded = false;
-    int divergence_streak = 0;
-    int drift_streak = 0;
-    int blame_streak = 0;
+    /// Consecutive violating observations, per family.
+    std::array<int, kFamilies> streaks{};
     double last_measured_s = 0.0;
     bool has_measured = false;
   };
+
+  bool gates_open() const;
+  void arm_cooldown(double factor);
+  /// The hysteresis rule shared by every signal: a violation extends the
+  /// family's streak, and a streak that reaches config().hysteresis while
+  /// the gates are open asks to migrate and starts over; a clean
+  /// observation resets it. Returns whether to migrate.
+  bool extend_streak(GroupState& state, Family family, bool violated);
 
   AdaptConfig config_;
   std::unordered_map<long long, GroupState> groups_;

@@ -11,9 +11,15 @@ namespace {
 // The per-simulated-process Runtime. Process-local (not thread_local): the
 // process fibers share one host thread, and each must see its own Runtime.
 constexpr char kRuntimeKey = 0;
+// Set by HMPI_Finalize: no routine, HMPI_Init included, may follow it.
+constexpr char kFinalizedKey = 0;
 
 std::shared_ptr<void>& runtime_slot() {
   return support::process_local_slot(&kRuntimeKey);
+}
+
+bool finalized() {
+  return support::process_local_slot(&kFinalizedKey) != nullptr;
 }
 
 }  // namespace
@@ -25,12 +31,14 @@ namespace detail {
 Runtime& require_runtime() {
   Runtime* runtime = current();
   if (runtime == nullptr) {
-    throw RuntimeError("HMPI routine called before HMPI_Init");
+    throw RuntimeError(finalized() ? "HMPI routine called after HMPI_Finalize"
+                                   : "HMPI routine called before HMPI_Init");
   }
   return *runtime;
 }
 
 void init(mp::Proc& proc, RuntimeConfig config) {
+  if (finalized()) throw RuntimeError("HMPI_Init called after HMPI_Finalize");
   if (runtime_slot() != nullptr) {
     throw RuntimeError("HMPI_Init called twice on the same process");
   }
@@ -44,6 +52,7 @@ void init(mp::Proc& proc, RuntimeConfig config) {
 void finalize(int exitcode) {
   require_runtime().finalize(exitcode);
   runtime_slot().reset();
+  support::process_local_slot(&kFinalizedKey) = std::make_shared<bool>(true);
 }
 
 }  // namespace detail
@@ -227,6 +236,10 @@ hmpi::Runtime::EstimatorStats HMPI_Get_estimator_stats() {
 }
 
 int HMPI_Coll_set_policy(hmpi::coll::CollOp op, std::string_view algorithm) {
+  if (static_cast<int>(op) < 0 ||
+      static_cast<int>(op) >= hmpi::coll::kNumCollOps) {
+    return -1;
+  }
   const int algo = hmpi::coll::algo_from_name(op, std::string(algorithm));
   if (algo < 0) return -1;
   hmpi::Runtime& rt = hmpi::capi::detail::require_runtime();

@@ -32,7 +32,9 @@ using HMPI_Group = std::optional<hmpi::Group>;
 /// HMPI_Init: binds this simulated process to a fresh runtime. Collective.
 void HMPI_Init(hmpi::mp::Proc& proc, hmpi::RuntimeConfig config = hmpi::RuntimeConfig());
 
-/// HMPI_Finalize: collective; destroys this process's runtime.
+/// HMPI_Finalize: collective; destroys this process's runtime. Every HMPI
+/// routine that needs the runtime, HMPI_Init included, then throws
+/// RuntimeError naming HMPI_Finalize.
 void HMPI_Finalize(int exitcode);
 
 /// HMPI_Is_host / HMPI_Is_free / HMPI_Is_member.
@@ -171,15 +173,16 @@ hmpi::Runtime::EstimatorStats HMPI_Get_estimator_stats();
 
 /// HMPI_Coll_set_policy: overrides the algorithm of one collective
 /// operation for the whole world ("binomial", "ring", ...; "auto" returns
-/// the op to cost-model selection). Returns 0 on success, -1 when the
-/// algorithm name is unknown for the op. Takes effect for subsequent
+/// the op to cost-model selection). Returns 0 on success, -1 when the op
+/// or the algorithm name for it is unknown. Takes effect for subsequent
 /// collectives on every process; call at a quiescent point.
 int HMPI_Coll_set_policy(hmpi::coll::CollOp op, std::string_view algorithm);
 
 /// HMPI_Coll_get_selection: the algorithm the runtime would run for `op`
 /// over the whole world with `bytes` of payload, as a stable name, and —
 /// when `predicted_s` is non-null — the cost model's predicted virtual
-/// duration (negative when the tuner does not predict). Local operation.
+/// duration (negative when the tuner does not predict). Local operation;
+/// an unknown op throws InvalidArgument naming its value.
 std::string_view HMPI_Coll_get_selection(hmpi::coll::CollOp op,
                                          std::size_t bytes,
                                          double* predicted_s = nullptr);

@@ -58,6 +58,22 @@ CollConfig coll_config_with_env(CollConfig config) {
   return config;
 }
 
+/// Adds one mapper run to an aggregate over several: its counters and its
+/// wall time.
+void accumulate(map::SearchStats& total, const map::SearchStats& run) {
+  total.add_counters(run);
+  total.wall_seconds += run.wall_seconds;
+}
+
+/// The speed estimate of `processor` when `group` was selected; 0 when the
+/// group's snapshot does not cover the processor.
+double selection_speed(const Group& group, int processor) {
+  const std::vector<double>& speeds = group.speed_snapshot();
+  return static_cast<std::size_t>(processor) < speeds.size()
+             ? speeds[static_cast<std::size_t>(processor)]
+             : 0.0;
+}
+
 /// Resolves (op, algo) pairs to the collective subsystem's stable names for
 /// the critical-path report and `crit.coll.*` metrics.
 telemetry::CollNamer coll_namer() {
@@ -120,6 +136,48 @@ struct Runtime::Shared {
     return true;
   }
 
+  /// The sorted world ranks a roster parented by `parent` may draw on at
+  /// `now`: the parent and every rank draftable_locked admits.
+  std::vector<int> candidates(const mp::World& world, int parent, double now,
+                              bool preferred) {
+    std::lock_guard<std::mutex> lock(mutex);
+    std::vector<int> ranks;
+    for (int r = 0; r < world.nprocs(); ++r) {
+      if (r == parent || draftable_locked(world, r, now, preferred)) {
+        ranks.push_back(r);
+      }
+    }
+    return ranks;
+  }
+
+  /// Drops one membership of world rank `rank` and rejoins it to the
+  /// creation queue at its head; returns the memberships it still holds.
+  /// `caller` names the entry point in the error when it holds none.
+  int release(int rank, const char* caller) {
+    std::lock_guard<std::mutex> lock(mutex);
+    auto it = busy_count.find(rank);
+    if (it == busy_count.end() || it->second <= 0) {
+      throw InvalidArgument(std::string(caller).append(
+          " by a process with no group membership"));
+    }
+    it->second -= 1;
+    next_creation[static_cast<std::size_t>(rank)] = creation_seq;
+    return it->second;
+  }
+
+  /// The draft rule: whether a new roster may draft world rank `r` at
+  /// virtual time `now`. It must be free and alive; a `preferred` draft
+  /// also needs a processor that is neither suspect nor inside its draft
+  /// cooldown. Selection falls back to the wider set only when the model
+  /// cannot be placed on the preferred one (a slow group beats no group).
+  bool draftable_locked(const mp::World& world, int r, double now,
+                        bool preferred = true) {
+    if (!is_free_locked(r) || !world.alive(r)) return false;
+    const int processor = world.processor_of(r);
+    return !preferred || (suspect_processors.count(processor) == 0 &&
+                          !draft_blocked_locked(processor, now));
+  }
+
   /// Set by adapt_quiesce: pending and future group_create rendezvous by
   /// free processes return std::nullopt instead of blocking (the serve-loop
   /// exit signal).
@@ -134,6 +192,21 @@ struct Runtime::Shared {
   /// coarse mutex; never call a scheduler method while holding `mutex`
   /// above.
   std::unique_ptr<sched::Scheduler> scheduler;
+
+  /// Re-seeds the scheduler service's base speeds from the network model
+  /// (copied under the lock, handed over with none held); returns the
+  /// service, null while none exists.
+  sched::Scheduler* refresh_scheduler() {
+    sched::Scheduler* service = nullptr;
+    std::vector<double> speeds;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      service = scheduler.get();
+      if (service != nullptr) speeds = network->speeds();
+    }
+    if (service != nullptr) service->refresh_speeds(speeds);
+    return service;
+  }
 
   struct Creation {
     std::vector<int> participants;  // sorted world ranks
@@ -403,20 +476,9 @@ void Runtime::recon_impl(const mp::Comm& comm,
   // process clears, which is an idempotent no-op after the first.)
   if (speeds_changed) shared_->estimate_cache.clear();
 
-  // Re-seed the scheduler service's base speeds from the refreshed network
-  // model so residual-capacity pricing tracks recon (idempotent across the
-  // collective). Copy the speed vector under the Shared lock, then call out
-  // with no lock held (see Shared::scheduler's lock-ordering note).
-  if (speeds_changed) {
-    sched::Scheduler* scheduler = nullptr;
-    std::vector<double> speeds;
-    {
-      std::lock_guard<std::mutex> lock(shared_->mutex);
-      scheduler = shared_->scheduler.get();
-      if (scheduler != nullptr) speeds = shared_->network->speeds();
-    }
-    if (scheduler != nullptr) scheduler->refresh_speeds(speeds);
-  }
+  // Re-seed the scheduler service's base speeds so residual-capacity pricing
+  // tracks recon (idempotent across the collective).
+  if (speeds_changed) shared_->refresh_scheduler();
 
   // Feedback mode: promote the staged measured/predicted ratios into the
   // tuner's active ranking, bracketed by two pinned-algorithm barriers.
@@ -452,6 +514,10 @@ coll::CollPolicy Runtime::coll_policy() const {
 
 Runtime::CollSelection Runtime::coll_selection(coll::CollOp op,
                                                std::size_t bytes) const {
+  if (static_cast<int>(op) < 0 || static_cast<int>(op) >= coll::kNumCollOps) {
+    throw InvalidArgument(std::string("coll_selection: unknown collective op ")
+                              .append(std::to_string(static_cast<int>(op))));
+  }
   CollSelection out;
   coll::Selector* selector = proc_->world().coll_selector();
   if (selector != nullptr) {
@@ -466,29 +532,53 @@ Runtime::CollSelection Runtime::coll_selection(coll::CollOp op,
   return out;
 }
 
-std::vector<map::Candidate> Runtime::candidates_with(
-    int parent_rank, std::vector<int>* ranks) const {
-  mp::World& world = proc_->world();
-  std::vector<int> participants{parent_rank};
-  {
-    std::lock_guard<std::mutex> lock(shared_->mutex);
-    for (int r = 0; r < proc_->nprocs(); ++r) {
-      if (r != parent_rank && shared_->is_free_locked(r) && world.alive(r) &&
-          shared_->suspect_processors.count(world.processor_of(r)) == 0 &&
-          !shared_->draft_blocked_locked(world.processor_of(r),
-                                         proc_->clock())) {
-        participants.push_back(r);
-      }
+hnoc::NetworkModel Runtime::network_snapshot() const {
+  std::lock_guard<std::mutex> lock(shared_->mutex);
+  return *shared_->network;
+}
+
+Runtime::Selection Runtime::select_members(
+    const pmdl::ModelInstance& instance, const std::vector<int>& preferred,
+    int parent, const hnoc::NetworkModel& network,
+    const map::SearchContext& search,
+    const std::function<std::vector<int>()>& fallback) const {
+  const auto select = [&](const std::vector<int>& ranks) {
+    std::vector<map::Candidate> candidates;
+    candidates.reserve(ranks.size());
+    for (int r : ranks) candidates.push_back({r, proc_->world().processor_of(r)});
+    const int parent_candidate = static_cast<int>(
+        std::find(ranks.begin(), ranks.end(), parent) - ranks.begin());
+    const map::MappingResult result = config_.mapper->select(
+        instance, candidates, parent_candidate, network, config_.estimate,
+        search);
+    Selection selection{{}, result.estimated_time, result.stats};
+    selection.members.reserve(result.candidate_for_abstract.size());
+    for (int c : result.candidate_for_abstract) {
+      selection.members.push_back(ranks[static_cast<std::size_t>(c)]);
     }
+    return selection;
+  };
+  if (!fallback) return select(preferred);
+  try {
+    return select(preferred);
+  } catch (const InvalidArgument&) {
+    const std::vector<int> all = fallback();
+    if (all.size() == preferred.size()) throw;
+    return select(all);
   }
-  std::sort(participants.begin(), participants.end());
-  std::vector<map::Candidate> candidates;
-  candidates.reserve(participants.size());
-  for (int r : participants) {
-    candidates.push_back({r, world.processor_of(r)});
+}
+
+double Runtime::price(const pmdl::ModelInstance& instance,
+                      const std::shared_ptr<const est::Plan>& plan,
+                      const std::vector<int>& roster,
+                      const hnoc::NetworkModel& network) const {
+  support::require(static_cast<int>(roster.size()) == instance.size(),
+                   "pinned roster size does not match the model");
+  std::vector<int> mapping(roster.size());
+  for (std::size_t a = 0; a < roster.size(); ++a) {
+    mapping[a] = proc_->world().processor_of(roster[a]);
   }
-  if (ranks != nullptr) *ranks = std::move(participants);
-  return candidates;
+  return plan->evaluate(mapping, network, config_.estimate);
 }
 
 map::SearchContext Runtime::search_context() const {
@@ -572,22 +662,8 @@ double Runtime::timeof(const pmdl::Model& model,
   telemetry::Span span("timeof", proc_->rank());
   span.arg("model", model.name());
   telemetry::metrics().counter("timeof_calls").add();
-  const pmdl::ModelInstance instance = model.instantiate(params);
-  prefetch_plan(instance);
-  std::vector<int> ranks;
-  const auto candidates = candidates_with(proc_->rank(), &ranks);
-  const auto parent_it = std::find(ranks.begin(), ranks.end(), proc_->rank());
-  const int parent_candidate = static_cast<int>(parent_it - ranks.begin());
-
-  hnoc::NetworkModel snapshot = [&] {
-    std::lock_guard<std::mutex> lock(shared_->mutex);
-    return *shared_->network;
-  }();
-  const map::MappingResult result =
-      config_.mapper->select(instance, candidates, parent_candidate, snapshot,
-                             config_.estimate, search_context());
-  note_search(result.stats);
-  return result.estimated_time;
+  const std::vector<pmdl::ParamValue> set(params.begin(), params.end());
+  return predict(model, std::span(&set, 1)).front();
 }
 
 std::vector<double> Runtime::timeof_batch(
@@ -601,18 +677,22 @@ std::vector<double> Runtime::timeof_batch(
   telemetry::metrics().counter("timeof_calls").add(
       static_cast<double>(param_sets.size()));
 
-  // One snapshot of candidates and network for the whole batch: every set
-  // is priced against the same world, exactly as N timeof() calls made at
-  // this instant would be (and bit-identical to them). One aggregate stats
-  // record covers the batch.
-  std::vector<int> ranks;
-  const auto candidates = candidates_with(proc_->rank(), &ranks);
-  const auto parent_it = std::find(ranks.begin(), ranks.end(), proc_->rank());
-  const int parent_candidate = static_cast<int>(parent_it - ranks.begin());
-  hnoc::NetworkModel snapshot = [&] {
-    std::lock_guard<std::mutex> lock(shared_->mutex);
-    return *shared_->network;
-  }();
+  return predict(model, param_sets);
+}
+
+std::vector<double> Runtime::predict(
+    const pmdl::Model& model,
+    std::span<const std::vector<pmdl::ParamValue>> param_sets) const {
+  // One snapshot of candidates and network for every set, so N sets price
+  // exactly as N timeof() calls made at this instant would. Each is the
+  // selection group_create would make: on the preferred candidates, or on
+  // every free and alive rank (suspects re-admitted) only when the model
+  // cannot be placed on them.
+  const int me = proc_->rank();
+  const mp::World& world = proc_->world();
+  const std::vector<int> preferred =
+      shared_->candidates(world, me, proc_->clock(), true);
+  const hnoc::NetworkModel network = network_snapshot();
   const map::SearchContext search = search_context();
 
   std::vector<double> times;
@@ -624,12 +704,12 @@ std::vector<double> Runtime::timeof_batch(
   for (const std::vector<pmdl::ParamValue>& params : param_sets) {
     const pmdl::ModelInstance instance = model.instantiate(params);
     prefetch_plan(instance);
-    const map::MappingResult result =
-        config_.mapper->select(instance, candidates, parent_candidate,
-                               snapshot, config_.estimate, search);
-    batch_stats.add_counters(result.stats);
-    batch_stats.wall_seconds += result.stats.wall_seconds;
-    times.push_back(result.estimated_time);
+    const Selection selection =
+        select_members(instance, preferred, me, network, search, [&] {
+          return shared_->candidates(world, me, proc_->clock(), false);
+        });
+    accumulate(batch_stats, selection.stats);
+    times.push_back(selection.estimated_time);
   }
   note_search(batch_stats);
   return times;
@@ -795,105 +875,65 @@ std::optional<Group> Runtime::group_create_impl(
     const pmdl::ModelInstance instance = model.instantiate(params);
     shape = instance.shape();
     const std::shared_ptr<const est::Plan> plan = prefetch_plan(instance);
-    hnoc::NetworkModel snapshot = [&] {
-      std::lock_guard<std::mutex> lock(shared_->mutex);
-      return *shared_->network;
-    }();
-
-    // All mapper runs of this creation (preferred set, fallback, degraded
-    // hypothetical) share the search machinery and aggregate into one stats
-    // record — what this group_create actually cost.
-    const map::SearchContext search = search_context();
-    map::SearchStats search_stats;
-    search_stats.threads = search.pool != nullptr ? search.pool->size() : 1;
-    const auto run_mapper = [&](const std::vector<int>& candidate_ranks) {
-      std::vector<map::Candidate> candidates;
-      candidates.reserve(candidate_ranks.size());
-      for (int r : candidate_ranks) {
-        candidates.push_back({r, world.processor_of(r)});
-      }
-      const int pidx = static_cast<int>(
-          std::find(candidate_ranks.begin(), candidate_ranks.end(),
-                    parent_world) -
-          candidate_ranks.begin());
-      map::MappingResult mapped = config_.mapper->select(
-          instance, candidates, pidx, snapshot, config_.estimate, search);
-      search_stats.add_counters(mapped.stats);
-      search_stats.wall_seconds += mapped.stats.wall_seconds;
-      return mapped;
-    };
-
+    const hnoc::NetworkModel network = network_snapshot();
     if (forced_members != nullptr) {
       // Pinned roster (adaptation rollback / force_roster test hook): skip
       // the mapper and price the given members as-is.
       members = *forced_members;
-      support::require(static_cast<int>(members.size()) == instance.size(),
-                       "forced roster size does not match the model");
-      std::vector<int> mapping(members.size());
-      for (std::size_t a = 0; a < members.size(); ++a) {
+      for (int member : members) {
         support::require(std::find(participants.begin(), participants.end(),
-                                   members[a]) != participants.end(),
+                                   member) != participants.end(),
                          "forced roster names a non-participant process");
-        mapping[a] = world.processor_of(members[a]);
       }
+      estimated = price(instance, plan, members, network);
       support::require(
           members[static_cast<std::size_t>(instance.parent_index())] ==
               parent_world,
           "forced roster must keep the parent on the model's parent slot");
-      estimated = plan->evaluate(mapping, snapshot, config_.estimate);
       ideal = estimated;
     } else {
-    // Suspect processors stay in the rendezvous (they are alive and must
-    // join the collective) but are not drafted as members — and neither are
-    // processors inside a post-migration draft cooldown — unless that
-    // leaves the model infeasible, in which case they are re-admitted (a
-    // slow group beats no group). The parent itself is always a candidate.
-    std::vector<int> preferred;
-    {
-      std::lock_guard<std::mutex> lock(shared_->mutex);
-      for (int r : participants) {
-        if (r == parent_world ||
-            (shared_->suspect_processors.count(world.processor_of(r)) == 0 &&
-             !shared_->draft_blocked_locked(world.processor_of(r),
-                                            proc_->clock()))) {
-          preferred.push_back(r);
+      // Suspect processors stay in the rendezvous (they are alive and must
+      // join the collective) but are drafted — like processors inside a
+      // post-migration draft cooldown — only when the model is infeasible
+      // without them. The parent itself is always a candidate.
+      std::vector<int> preferred;
+      {
+        std::lock_guard<std::mutex> lock(shared_->mutex);
+        for (int r : participants) {
+          if (r == parent_world ||
+              shared_->draftable_locked(world, r, proc_->clock())) {
+            preferred.push_back(r);
+          }
         }
       }
-    }
-    std::vector<int> chosen_from = preferred;
-    map::MappingResult result;
-    if (preferred.size() == participants.size()) {
-      result = run_mapper(participants);
-      chosen_from = participants;
-    } else {
-      try {
-        result = run_mapper(preferred);
-      } catch (const InvalidArgument&) {
-        result = run_mapper(participants);
-        chosen_from = participants;
+      // Every mapper run of this creation (the selection and the degraded
+      // hypothetical) shares the search machinery and aggregates into one
+      // stats record: what this group_create actually cost.
+      const map::SearchContext search = search_context();
+      Selection selection =
+          select_members(instance, preferred, parent_world, network, search,
+                         [&] { return participants; });
+      members = std::move(selection.members);
+      estimated = selection.estimated_time;
+      map::SearchStats search_stats = selection.stats;
+      if (degraded) {
+        // What would this creation have looked like with the excluded dead
+        // ranks healthy and the suspects trusted? Their last known speeds
+        // are still in the snapshot, so the same mapper answers the
+        // hypothetical.
+        std::vector<int> healthy = participants;
+        healthy.insert(healthy.end(), excluded.begin(), excluded.end());
+        std::sort(healthy.begin(), healthy.end());
+        try {
+          const Selection hypothetical = select_members(
+              instance, healthy, parent_world, network, search);
+          ideal = hypothetical.estimated_time;
+          accumulate(search_stats, hypothetical.stats);
+        } catch (const Error&) {
+          ideal = estimated;  // hypothetical infeasible: report no delta
+        }
       }
-    }
-    members.resize(static_cast<std::size_t>(instance.size()));
-    for (int a = 0; a < instance.size(); ++a) {
-      members[static_cast<std::size_t>(a)] =
-          chosen_from[static_cast<std::size_t>(
-              result.candidate_for_abstract[static_cast<std::size_t>(a)])];
-    }
-    estimated = result.estimated_time;
-    if (degraded) {
-      // What would this creation have looked like with the excluded dead
-      // ranks healthy and the suspects trusted? Their last known speeds are
-      // still in the snapshot, so the same mapper answers the hypothetical.
-      std::vector<int> healthy = participants;
-      healthy.insert(healthy.end(), excluded.begin(), excluded.end());
-      std::sort(healthy.begin(), healthy.end());
-      try {
-        ideal = run_mapper(healthy).estimated_time;
-      } catch (const Error&) {
-        ideal = estimated;  // hypothetical infeasible: report no delta
-      }
-    }
-    note_search(search_stats);
+      note_search(search_stats);
     }
     {
       std::lock_guard<std::mutex> lock(shared_->mutex);
@@ -935,28 +975,12 @@ std::optional<Group> Runtime::group_create_impl(
   // process never needs to know it walked into an adaptation attempt.
   if (!std::isnan(guard_old_pred) && estimated >= guard_old_pred) {
     if (out_rolled_back != nullptr) *out_rolled_back = true;
-    if (selected) {
-      // Walk the move back: release the just-formed membership (it was
-      // never returned to the application) and rejoin the restore creation.
-      {
-        std::lock_guard<std::mutex> lock(shared_->mutex);
-        auto it = shared_->busy_count.find(me);
-        support::require(it != shared_->busy_count.end() && it->second > 0,
-                         "guarded-migration rollback without a membership");
-        it->second -= 1;
-        shared_->next_creation[static_cast<std::size_t>(me)] =
-            shared_->creation_seq;
-      }
-      // Order every release before the parent announces the restoration —
-      // the same fence group_migrate enforces with its members barrier.
-      mp::Comm members_comm = mp::Comm::create_subcomm(*proc_, members);
-      members_comm.barrier();
-    }
-    const CreateRole restore_role =
-        me == parent_world ? CreateRole::kParent : CreateRole::kFollower;
-    return group_create_impl(model, params, restore_role,
-                             me == parent_world ? &guard_restore : nullptr,
-                             out_members);
+    // Walk the move back: a selected process releases the just-formed
+    // membership (it was never returned to the application), and every
+    // participant joins the creation the parent pins to the restore roster.
+    if (selected) shared_->release(me, "a guarded-migration rollback");
+    return recreate(members, parent_world, model, params, &guard_restore,
+                    out_members);
   }
 
   // --- selected members form the group (ordered by abstract processor) ------
@@ -1025,17 +1049,22 @@ void Runtime::group_free(Group& group) {
   // Collective: synchronise members before releasing them to the free pool.
   group.comm_.barrier();
   live_groups_ -= 1;
-  {
-    std::lock_guard<std::mutex> lock(shared_->mutex);
-    const int me = proc_->rank();
-    auto it = shared_->busy_count.find(me);
-    support::require(it != shared_->busy_count.end() && it->second > 0,
-                     "group_free by a process with no group membership");
-    it->second -= 1;
-    // Rejoin the creation queue at the current head.
-    shared_->next_creation[static_cast<std::size_t>(me)] = shared_->creation_seq;
-  }
+  shared_->release(proc_->rank(), "group_free");
   group = Group();
+}
+
+std::optional<Group> Runtime::recreate(
+    const std::vector<int>& roster, int parent, const pmdl::Model& model,
+    std::span<const pmdl::ParamValue> params,
+    const std::vector<int>* forced_members, std::vector<int>* out_members,
+    const MigrationGuard* guard, bool* out_rolled_back) {
+  const int me = proc_->rank();
+  if (std::find(roster.begin(), roster.end(), me) != roster.end()) {
+    mp::Comm::create_subcomm(*proc_, roster).barrier();
+  }
+  return group_create_impl(
+      model, params, me == parent ? CreateRole::kParent : CreateRole::kFollower,
+      forced_members, out_members, guard, out_rolled_back);
 }
 
 std::vector<double> Runtime::processor_speeds() const {
@@ -1095,18 +1124,12 @@ sched::Scheduler& Runtime::scheduler() {
   config.execute = false;
   config.tracer = proc_->world().options().tracer;
   auto built = std::make_unique<sched::Scheduler>(proc_->cluster(), config);
-  std::vector<double> speeds;
-  sched::Scheduler* scheduler = nullptr;
   {
     std::lock_guard<std::mutex> lock(shared_->mutex);
     if (!shared_->scheduler) shared_->scheduler = std::move(built);
-    scheduler = shared_->scheduler.get();
-    speeds = shared_->network->speeds();
   }
-  // Seed base speeds from the current (possibly recon-refreshed) estimates;
-  // lock released first per Shared::scheduler's ordering note.
-  scheduler->refresh_speeds(speeds);
-  return *scheduler;
+  // Seed base speeds from the current (possibly recon-refreshed) estimates.
+  return *shared_->refresh_scheduler();
 }
 
 Health Runtime::rank_health(int world_rank) const {
@@ -1139,17 +1162,7 @@ void Runtime::group_fail(Group& group) {
   // with RevokedError instead of waiting for the world to stall.
   world.revoke_context(group.comm().context());
   live_groups_ -= 1;
-  {
-    std::lock_guard<std::mutex> lock(shared_->mutex);
-    const int me = proc_->rank();
-    auto it = shared_->busy_count.find(me);
-    support::require(it != shared_->busy_count.end() && it->second > 0,
-                     "group_fail by a process with no group membership");
-    it->second -= 1;
-    // Rejoin the creation queue at the current head.
-    shared_->next_creation[static_cast<std::size_t>(proc_->rank())] =
-        shared_->creation_seq;
-  }
+  shared_->release(proc_->rank(), "group_fail");
   group = Group();
 }
 
@@ -1182,19 +1195,10 @@ std::optional<Group> Runtime::group_respawn(
   const int new_parent = world.alive(old_parent) ? old_parent : survivors.front();
 
   // Release this process's membership (revoking first so survivors blocked
-  // inside the dead group unwind and reach their own group_respawn call).
+  // inside the dead group unwind and reach their own group_respawn call),
+  // then rebuild from the survivors and the free pool.
   group_fail(group);
-
-  // All survivors must have released membership before the parent announces
-  // the replacement creation, or the announcement would miss the laggards
-  // (they would look busy). A barrier over the survivor subgroup enforces
-  // exactly that ordering.
-  mp::Comm survivors_comm = mp::Comm::create_subcomm(*proc_, survivors);
-  survivors_comm.barrier();
-
-  const CreateRole role = proc_->rank() == new_parent ? CreateRole::kParent
-                                                      : CreateRole::kFollower;
-  return group_create_impl(model, params, role);
+  return recreate(survivors, new_parent, model, params);
 }
 
 std::optional<Group> Runtime::group_migrate(
@@ -1225,39 +1229,22 @@ std::optional<Group> Runtime::group_migrate_impl(
   telemetry::Span span("group_migrate", proc_->rank());
   telemetry::metrics().counter("group_migrations").add();
 
-  // Voluntary respawn: release this membership, then synchronise over the
-  // old roster so every member has released before the parent announces the
-  // replacement creation (a laggard would look busy and be left out of the
-  // rendezvous — the same ordering group_respawn's survivor barrier
-  // enforces).
+  // Voluntary respawn: release this membership and re-create the group from
+  // the old roster and the free pool. A non-parent member holding further
+  // memberships (it parents a nested group) would not be free after the
+  // release, so the replacement rendezvous could not list it — refuse
+  // rather than deadlock. The parent is exempt: it announces the creation
+  // instead of being drafted.
   live_groups_ -= 1;
-  {
-    std::lock_guard<std::mutex> lock(shared_->mutex);
-    const int me = proc_->rank();
-    auto it = shared_->busy_count.find(me);
-    support::require(it != shared_->busy_count.end() && it->second > 0,
-                     "group_migrate by a process with no group membership");
-    it->second -= 1;
-    // A non-parent member holding further memberships (it parents a nested
-    // group) would not be free after the release, so the replacement
-    // rendezvous could not list it — refuse rather than deadlock. The
-    // parent is exempt: it announces the creation instead of being drafted.
-    support::require(it->second == 0 || me == parent_world,
-                     "group_migrate with nested group memberships is not "
-                     "supported");
-    shared_->next_creation[static_cast<std::size_t>(me)] =
-        shared_->creation_seq;
-  }
+  support::require(shared_->release(proc_->rank(), "group_migrate") == 0 ||
+                       proc_->rank() == parent_world,
+                   "group_migrate with nested group memberships is not "
+                   "supported");
   group = Group();
-  mp::Comm members_comm = mp::Comm::create_subcomm(*proc_, members);
-  members_comm.barrier();
-
-  const CreateRole role = proc_->rank() == parent_world ? CreateRole::kParent
-                                                        : CreateRole::kFollower;
   std::vector<int> new_members;
-  std::optional<Group> moved = group_create_impl(
-      model, params, role, forced_members, &new_members, guard,
-      out_rolled_back);
+  std::optional<Group> moved =
+      recreate(members, parent_world, model, params, forced_members,
+               &new_members, guard, out_rolled_back);
   // State handoff: every old member learns the destination roster, whether
   // or not it was re-selected, so it can ship its partition before the
   // computation resumes. After a guarded rollback `new_members` holds the
@@ -1272,14 +1259,10 @@ adapt::AdaptDecision Runtime::adapt_observe(const Group& group,
   support::require(measured_s >= 0.0,
                    "adapt_observe needs a non-negative measurement");
   if (!adapt_) return {};  // disabled: zero communication, zero state
-  const int parent_world =
-      group.members()[static_cast<std::size_t>(group.parent_rank())];
-  adapt::AdaptDecision decision;
-  if (proc_->rank() == parent_world) {
-    decision = adapt_->note_progress(group.id(), group.estimated_time(),
-                                     measured_s);
+  return adapt_decide(group, [&] {
+    adapt::AdaptDecision decision = adapt_->note_progress(
+        group.id(), group.estimated_time(), measured_s);
     telemetry::MetricsRegistry& reg = telemetry::metrics();
-    reg.counter("adapt.checks").add();
     reg.gauge("adapt.divergence").set(decision.severity);
     if (decision.closed_migration) {
       reg.histogram("adapt.realized_gain_seconds")
@@ -1289,45 +1272,31 @@ adapt::AdaptDecision Runtime::adapt_observe(const Group& group,
     // critical path concentrates on one machine or one link, feed that as a
     // distinct signal so the ledger records *why* — slow machine vs slow
     // link — not just "diverged".
-    if (!decision.migrate && adapt_->config().blame) {
-      const telemetry::CriticalPathReport report = critical_path_report();
-      if (report.path_s > 0.0) {
-        double machine_best = 0.0;
-        for (const auto& [p, s] : report.machine_s) {
-          machine_best = std::max(machine_best, s);
-        }
-        double link_best = 0.0;
-        for (const auto& [l, s] : report.link_s) {
-          link_best = std::max(link_best, s);
-        }
-        const bool machine = machine_best >= link_best;
-        const double share =
-            (machine ? machine_best : link_best) / report.path_s;
-        reg.gauge("adapt.blame_share").set(share);
-        const adapt::AdaptDecision blame = adapt_->note_blame(
-            group.id(),
-            machine ? adapt::AdaptSignal::kBlameMachine
-                    : adapt::AdaptSignal::kBlameLink,
-            share);
-        if (blame.signal != adapt::AdaptSignal::kNone &&
-            decision.signal == adapt::AdaptSignal::kNone) {
-          decision.signal = blame.signal;
-          decision.severity = blame.severity;
-        }
-        if (blame.migrate) decision.migrate = true;
-      }
+    if (decision.migrate || !adapt_->config().blame) return decision;
+    const telemetry::CriticalPathReport report = critical_path_report();
+    if (report.path_s <= 0.0) return decision;
+    double machine_best = 0.0;
+    for (const auto& [p, s] : report.machine_s) {
+      machine_best = std::max(machine_best, s);
     }
-    if (decision.migrate) {
-      reg.counter("adapt.triggers").add();
-      note_adapt_event(Kind::kAdaptTrigger,
-                       group.id(), decision.signal, decision.severity, 0.0);
+    double link_best = 0.0;
+    for (const auto& [l, s] : report.link_s) link_best = std::max(link_best, s);
+    const bool machine = machine_best >= link_best;
+    const double share = (machine ? machine_best : link_best) / report.path_s;
+    reg.gauge("adapt.blame_share").set(share);
+    const adapt::AdaptDecision blame = adapt_->note_blame(
+        group.id(),
+        machine ? adapt::AdaptSignal::kBlameMachine
+                : adapt::AdaptSignal::kBlameLink,
+        share);
+    if (blame.signal != adapt::AdaptSignal::kNone &&
+        decision.signal == adapt::AdaptSignal::kNone) {
+      decision.signal = blame.signal;
+      decision.severity = blame.severity;
     }
-  }
-  // The parent decides; members follow. Broadcasting the verdict (rather
-  // than replicating controller state everywhere) keeps re-drafted members
-  // — whose controllers missed rounds while they were free — in lockstep.
-  group.comm().bcast_value(decision, group.parent_rank());
-  return decision;
+    if (blame.migrate) decision.migrate = true;
+    return decision;
+  });
 }
 
 adapt::AdaptDecision Runtime::adapt_recon(
@@ -1336,35 +1305,40 @@ adapt::AdaptDecision Runtime::adapt_recon(
   support::require(group.valid(), "adapt_recon on an invalid group");
   recon_on(group.comm(), bench, policy);
   if (!adapt_) return {};
-  const int parent_world =
-      group.members()[static_cast<std::size_t>(group.parent_rank())];
-  adapt::AdaptDecision decision;
-  if (proc_->rank() == parent_world) {
+  return adapt_decide(group, [&] {
     // Largest relative speed change across the members' machines since the
     // group was selected (hnoc::NetworkModel::relative_drift).
-    const std::vector<double>& baseline = group.speed_snapshot();
     double drift = 0.0;
     {
       std::lock_guard<std::mutex> lock(shared_->mutex);
       for (int member : group.members()) {
         const int p = proc_->world().processor_of(member);
-        const double base =
-            static_cast<std::size_t>(p) < baseline.size()
-                ? baseline[static_cast<std::size_t>(p)]
-                : 0.0;
-        drift = std::max(drift, shared_->network->relative_drift(p, base));
+        drift = std::max(drift, shared_->network->relative_drift(
+                                    p, selection_speed(group, p)));
       }
     }
-    decision = adapt_->note_drift(group.id(), drift);
+    telemetry::metrics().gauge("adapt.drift").set(drift);
+    return adapt_->note_drift(group.id(), drift);
+  });
+}
+
+adapt::AdaptDecision Runtime::adapt_decide(
+    const Group& group, const std::function<adapt::AdaptDecision()>& judge) {
+  adapt::AdaptDecision decision;
+  if (proc_->rank() ==
+      group.members()[static_cast<std::size_t>(group.parent_rank())]) {
+    decision = judge();
     telemetry::MetricsRegistry& reg = telemetry::metrics();
     reg.counter("adapt.checks").add();
-    reg.gauge("adapt.drift").set(drift);
     if (decision.migrate) {
       reg.counter("adapt.triggers").add();
-      note_adapt_event(Kind::kAdaptTrigger,
-                       group.id(), decision.signal, decision.severity, 0.0);
+      note_adapt_event(Kind::kAdaptTrigger, group.id(), decision.signal,
+                       decision.severity, 0.0);
     }
   }
+  // The parent decides; members follow. Broadcasting the verdict (rather
+  // than replicating controller state everywhere) keeps re-drafted members
+  // — whose controllers missed rounds while they were free — in lockstep.
   group.comm().bcast_value(decision, group.parent_rank());
   return decision;
 }
@@ -1400,81 +1374,48 @@ Runtime::AdaptOutcome Runtime::adapt_migrate(
   if (is_parent) {
     const pmdl::ModelInstance instance = model.instantiate(params);
     const std::shared_ptr<const est::Plan> plan = prefetch_plan(instance);
-    hnoc::NetworkModel snapshot = [&] {
-      std::lock_guard<std::mutex> lock(shared_->mutex);
-      return *shared_->network;
-    }();
+    const hnoc::NetworkModel network = network_snapshot();
     // The creation-time estimate is stale by hypothesis (that staleness is
     // the trigger); the gate compares the old roster re-priced against
     // TODAY's speeds with the best roster a fresh selection can find.
-    std::vector<int> old_mapping(old_members.size());
-    for (std::size_t a = 0; a < old_members.size(); ++a) {
-      old_mapping[a] = world.processor_of(old_members[a]);
-    }
-    verdict.old_pred = plan->evaluate(old_mapping, snapshot, config_.estimate);
+    verdict.old_pred = price(instance, plan, old_members, network);
     if (options.force_roster != nullptr) {
       // Test hook: pin the target and skip the gate — the rollback guard
       // downstream still judges the result.
       proposed = *options.force_roster;
-      support::require(static_cast<int>(proposed.size()) == instance.size(),
-                       "force_roster size does not match the model");
-      std::vector<int> mapping(proposed.size());
-      for (std::size_t a = 0; a < proposed.size(); ++a) {
-        mapping[a] = world.processor_of(proposed[a]);
-      }
-      verdict.new_pred = plan->evaluate(mapping, snapshot, config_.estimate);
+      verdict.new_pred = price(instance, plan, proposed, network);
       verdict.migrate = 1;
     } else {
-      // Candidates: the current members plus every live, unsuspected,
-      // non-cooled free process.
+      // Candidates: the current members plus every free process the draft
+      // rule admits. A suspect member is an evacuation target, not a
+      // candidate: it stays only when the roster is infeasible without it
+      // (the parent always stays — it anchors the selection and announces
+      // the rendezvous).
       std::vector<int> ranks = old_members;
+      std::vector<int> trusted;
       {
         std::lock_guard<std::mutex> lock(shared_->mutex);
         for (int r = 0; r < proc_->nprocs(); ++r) {
-          if (std::find(old_members.begin(), old_members.end(), r) !=
-              old_members.end()) {
-            continue;
-          }
-          if (shared_->is_free_locked(r) && world.alive(r) &&
-              shared_->suspect_processors.count(world.processor_of(r)) == 0 &&
-              !shared_->draft_blocked_locked(world.processor_of(r),
-                                             proc_->clock())) {
+          if (std::find(old_members.begin(), old_members.end(), r) ==
+                  old_members.end() &&
+              shared_->draftable_locked(world, r, proc_->clock())) {
             ranks.push_back(r);
           }
         }
-      }
-      // A suspect member is an evacuation target, not a candidate: drop it
-      // as long as the roster stays feasible (the parent always stays — it
-      // anchors the selection and announced the rendezvous).
-      {
-        std::lock_guard<std::mutex> lock(shared_->mutex);
-        std::vector<int> trusted;
+        std::sort(ranks.begin(), ranks.end());
         for (int r : ranks) {
           if (r == parent_world ||
               shared_->suspect_processors.count(world.processor_of(r)) == 0) {
             trusted.push_back(r);
           }
         }
-        if (static_cast<int>(trusted.size()) >= instance.size()) {
-          ranks = std::move(trusted);
-        }
       }
-      std::sort(ranks.begin(), ranks.end());
-      std::vector<map::Candidate> candidates;
-      candidates.reserve(ranks.size());
-      for (int r : ranks) candidates.push_back({r, world.processor_of(r)});
-      const int pidx = static_cast<int>(
-          std::find(ranks.begin(), ranks.end(), parent_world) - ranks.begin());
-      const map::MappingResult result =
-          config_.mapper->select(instance, candidates, pidx, snapshot,
-                                 config_.estimate, search_context());
-      note_search(result.stats);
-      proposed.resize(static_cast<std::size_t>(instance.size()));
-      for (int a = 0; a < instance.size(); ++a) {
-        proposed[static_cast<std::size_t>(a)] = ranks[static_cast<std::size_t>(
-            result.candidate_for_abstract[static_cast<std::size_t>(a)])];
-      }
-      verdict.new_pred = result.estimated_time;
+      Selection selection =
+          select_members(instance, trusted, parent_world, network,
+                         search_context(), [&] { return ranks; });
+      note_search(selection.stats);
+      proposed = std::move(selection.members);
+      verdict.new_pred = selection.estimated_time;
       verdict.cost_s =
           config_.adapt.migration_cost_s +
           proc_->cluster().default_link().transfer_time(
@@ -1489,19 +1430,26 @@ Runtime::AdaptOutcome Runtime::adapt_migrate(
 
   AdaptOutcome outcome;
   outcome.predicted_gain_s = verdict.old_pred - verdict.new_pred;
+  // The parent's ledger entry for this attempt.
+  const auto entry = [&](long long new_group_id, double predicted_new_s,
+                         std::vector<int> new_members) {
+    adapt::AdaptRecord record;
+    record.group_id = old_group_id;
+    record.new_group_id = new_group_id;
+    record.signal = options.trigger.signal;
+    record.severity = options.trigger.severity;
+    record.predicted_old_s = verdict.old_pred;
+    record.predicted_new_s = predicted_new_s;
+    record.cost_s = verdict.cost_s;
+    record.old_members = old_members;
+    record.new_members = std::move(new_members);
+    return record;
+  };
   if (verdict.migrate == 0) {
     // Gate closed: keep the group; the controller logs the suppression and
     // re-seeds its streaks so the gate is not hammered every round.
     if (is_parent) {
-      adapt::AdaptRecord record;
-      record.group_id = old_group_id;
-      record.signal = options.trigger.signal;
-      record.severity = options.trigger.severity;
-      record.predicted_old_s = verdict.old_pred;
-      record.predicted_new_s = verdict.new_pred;
-      record.cost_s = verdict.cost_s;
-      record.old_members = old_members;
-      adapt_->note_suppressed(std::move(record));
+      adapt_->note_suppressed(entry(-1, verdict.new_pred, {}));
       telemetry::metrics().counter("adapt.suppressed").add();
     }
     outcome.member = true;
@@ -1514,7 +1462,6 @@ Runtime::AdaptOutcome Runtime::adapt_migrate(
     // are suspect or measurably slower than at selection time must not be
     // re-drafted into the replacement roster (or the next respawn) until
     // the cooldown lapses — even if a recon clears their suspect mark first.
-    const std::vector<double>& baseline = group.speed_snapshot();
     std::lock_guard<std::mutex> lock(shared_->mutex);
     for (int member : old_members) {
       if (std::find(proposed.begin(), proposed.end(), member) !=
@@ -1522,9 +1469,7 @@ Runtime::AdaptOutcome Runtime::adapt_migrate(
         continue;
       }
       const int p = world.processor_of(member);
-      const double base = static_cast<std::size_t>(p) < baseline.size()
-                              ? baseline[static_cast<std::size_t>(p)]
-                              : 0.0;
+      const double base = selection_speed(group, p);
       const bool offender =
           shared_->suspect_processors.count(p) > 0 ||
           (base > 0.0 && shared_->network->speed(p) <
@@ -1558,16 +1503,8 @@ Runtime::AdaptOutcome Runtime::adapt_migrate(
     // the old roster and the controller arms its exponential backoff
     // instead of thrashing.
     if (is_parent) {
-      adapt::AdaptRecord record;
-      record.group_id = old_group_id;
-      record.signal = options.trigger.signal;
-      record.severity = options.trigger.severity;
-      record.predicted_old_s = verdict.old_pred;
-      record.predicted_new_s = verdict.new_pred;
-      record.cost_s = verdict.cost_s;
-      record.old_members = old_members;
-      record.new_members = moved ? moved->members() : std::vector<int>();
-      adapt_->note_rollback(std::move(record));
+      adapt_->note_rollback(entry(
+          -1, verdict.new_pred, moved ? moved->members() : std::vector<int>()));
       telemetry::metrics().counter("adapt.rollbacks").add();
       note_adapt_event(Kind::kAdaptRollback,
                        old_group_id, options.trigger.signal,
@@ -1588,17 +1525,8 @@ Runtime::AdaptOutcome Runtime::adapt_migrate(
     return outcome;
   }
   if (is_parent) {
-    adapt::AdaptRecord record;
-    record.group_id = old_group_id;
-    record.new_group_id = moved->id();
-    record.signal = options.trigger.signal;
-    record.severity = options.trigger.severity;
-    record.predicted_old_s = verdict.old_pred;
-    record.predicted_new_s = moved->estimated_time();
-    record.cost_s = verdict.cost_s;
-    record.old_members = old_members;
-    record.new_members = moved->members();
-    adapt_->note_migration(std::move(record));
+    adapt_->note_migration(
+        entry(moved->id(), moved->estimated_time(), moved->members()));
     telemetry::MetricsRegistry& reg = telemetry::metrics();
     reg.counter("adapt.migrations").add();
     reg.histogram("adapt.predicted_gain_seconds")

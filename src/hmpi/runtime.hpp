@@ -26,7 +26,7 @@
 //     runtime's speed estimate of its processor, in units of "benchmark
 //     executions per second" — the same unit the models' node volumes use.
 //   * HMPI_Timeof is local: it predicts the execution time of the group
-//     that *would* be created (it runs the same mapper internally).
+//     that *would* be created (it runs the same selection internally).
 //
 // The runtime state shared across processes (speed estimates, free set,
 // pending group creations) lives in a world-level blackboard — the moral
@@ -269,7 +269,8 @@ class Runtime {
 
   /// HMPI_Timeof: local. Predicted execution time (seconds) of the group
   /// that would be created for `model(params)` right now, with this process
-  /// as the parent.
+  /// as the parent: the same selection group_create makes, suspects
+  /// re-admitted when the model needs them (docs/faults.md).
   double timeof(const pmdl::Model& model,
                 std::span<const pmdl::ParamValue> params) const;
   double timeof(const pmdl::Model& model,
@@ -474,7 +475,7 @@ class Runtime {
   /// What the world's selector would run for `op` over the whole world with
   /// `bytes` of payload right now (HMPI_Coll_get_selection). Local
   /// diagnostics; does not perturb tuner statistics-driven state beyond the
-  /// memo.
+  /// memo. An unknown op throws InvalidArgument.
   struct CollSelection {
     int algo = 0;               ///< Per-op algorithm value (never kAuto).
     double predicted_s = -1.0;  ///< Cost-model prediction; < 0 if not priced.
@@ -599,6 +600,19 @@ class Runtime {
                                           const MigrationGuard* guard = nullptr,
                                           bool* out_rolled_back = nullptr);
 
+  /// The last step of group_respawn, group_migrate and a guarded rollback,
+  /// once this process has released its membership: a fence over `roster`
+  /// (when this process is on it), so every listed process has released
+  /// before the parent announces, then the creation `parent` announces,
+  /// joined as parent or follower (trailing arguments: group_create_impl's).
+  std::optional<Group> recreate(const std::vector<int>& roster, int parent,
+                                const pmdl::Model& model,
+                                std::span<const pmdl::ParamValue> params,
+                                const std::vector<int>* forced_members = nullptr,
+                                std::vector<int>* out_members = nullptr,
+                                const MigrationGuard* guard = nullptr,
+                                bool* out_rolled_back = nullptr);
+
   /// An instant of `kind` at this process's clock, on its machine.
   telemetry::CausalEvent instant(telemetry::CausalEvent::Kind kind) const;
   /// Records `event` into this process's shard of the world's causal log;
@@ -614,8 +628,42 @@ class Runtime {
   void recon_impl(const mp::Comm& comm, const std::function<void(mp::Proc&)>& bench,
                   const RetryPolicy& policy);
 
-  std::vector<map::Candidate> candidates_with(int parent_rank,
-                                              std::vector<int>* ranks) const;
+  /// The parent of `group` judges an observation with `judge`, counts it
+  /// and records a trigger; every member returns the broadcast verdict.
+  adapt::AdaptDecision adapt_decide(
+      const Group& group, const std::function<adapt::AdaptDecision()>& judge);
+
+  /// HMPI_Timeof of each parameter set, against one snapshot of candidates
+  /// and network, with one aggregate search record.
+  std::vector<double> predict(
+      const pmdl::Model& model,
+      std::span<const std::vector<pmdl::ParamValue>> param_sets) const;
+
+  /// A copy of the world-shared network model, taken under the lock.
+  hnoc::NetworkModel network_snapshot() const;
+
+  /// A selection: world rank per abstract processor, estimate, search cost.
+  struct Selection {
+    std::vector<int> members;
+    double estimated_time = 0.0;
+    map::SearchStats stats;
+  };
+
+  /// Maps `instance` onto the sorted world ranks `preferred` (`parent`
+  /// among them), or onto the wider set `fallback` builds only when the
+  /// mapper finds `preferred` infeasible.
+  Selection select_members(
+      const pmdl::ModelInstance& instance, const std::vector<int>& preferred,
+      int parent, const hnoc::NetworkModel& network,
+      const map::SearchContext& search,
+      const std::function<std::vector<int>()>& fallback = nullptr) const;
+
+  /// The predicted time of `roster` (world rank per abstract processor)
+  /// pinned as-is.
+  double price(const pmdl::ModelInstance& instance,
+               const std::shared_ptr<const est::Plan>& plan,
+               const std::vector<int>& roster,
+               const hnoc::NetworkModel& network) const;
 
   /// Search machinery for this process's mapper runs: the lazily created
   /// pool (when search_threads > 1) and the world-shared estimate cache

@@ -238,6 +238,32 @@ TEST(AdaptController, SuppressedAttemptResetsStreak) {
   EXPECT_EQ(ctl.ledger().back().outcome, AdaptOutcomeKind::kSuppressed);
 }
 
+TEST(AdaptController, SuppressedAttemptResetsEveryStreak) {
+  // A suppression re-seeds the blame streak like the divergence and drift
+  // ones: with hysteresis 2, the violation after the suppression starts a
+  // new streak and does not migrate, whatever the signal.
+  AdaptConfig c = plain_config();
+  c.blame = true;
+  AdaptRecord rec;
+  rec.group_id = 1;
+
+  AdaptationController blame(c);
+  EXPECT_FALSE(blame.note_blame(1, AdaptSignal::kBlameMachine, 0.9).migrate);
+  blame.note_suppressed(rec);
+  EXPECT_FALSE(blame.note_blame(1, AdaptSignal::kBlameMachine, 0.9).migrate);
+  EXPECT_TRUE(blame.note_blame(1, AdaptSignal::kBlameMachine, 0.9).migrate);
+
+  AdaptationController divergence(c);
+  EXPECT_FALSE(divergence.note_progress(1, 1.0, 2.0).migrate);
+  divergence.note_suppressed(rec);
+  EXPECT_FALSE(divergence.note_progress(1, 1.0, 2.0).migrate);
+
+  AdaptationController drift(c);
+  EXPECT_FALSE(drift.note_drift(1, 0.9).migrate);
+  drift.note_suppressed(rec);
+  EXPECT_FALSE(drift.note_drift(1, 0.9).migrate);
+}
+
 TEST(AdaptController, DecisionSequenceIsDeterministic) {
   const auto drive = [](AdaptationController& ctl) {
     std::string log;

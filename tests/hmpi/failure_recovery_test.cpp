@@ -185,6 +185,47 @@ TEST(FailureRecovery, SuspectReadmittedWhenModelInfeasibleWithoutIt) {
   });
 }
 
+TEST(FailureRecovery, TimeofReadmitsSuspectsLikeGroupCreate) {
+  // Timeof predicts the group Group_create would build. Four abstract
+  // processors need the suspect machine too: both re-admit it, and the
+  // predictions equal the created group's estimate bit for bit.
+  hnoc::Cluster cluster = hnoc::ClusterBuilder()
+                              .add("fast0", 100.0)
+                              .add("fast1", 100.0)
+                              .add("fast2", 100.0)
+                              .add("hung", 1.0)
+                              .build();
+  Model model = compute_model();
+  World::run_one_per_processor(cluster, [&](Proc& p) {
+    Runtime rt(p);
+    RetryPolicy policy;
+    policy.timeout_s = 1.0;
+    rt.recon([](Proc& q) { q.compute(10.0); }, policy);
+    ASSERT_TRUE(rt.processor_suspect(3));
+
+    double predicted = 0.0;
+    std::vector<double> batch;
+    if (rt.is_host()) {
+      predicted = rt.timeof(model, volumes(4));
+      const std::vector<std::vector<ParamValue>> sets{volumes(3), volumes(4)};
+      batch = rt.timeof_batch(model, sets);
+    }
+    auto group = rt.group_create(model, volumes(4));
+    ASSERT_TRUE(group.has_value());
+    EXPECT_EQ(std::count(group->members().begin(), group->members().end(), 3),
+              1);
+    if (rt.is_host()) {
+      EXPECT_EQ(predicted, group->estimated_time());
+      ASSERT_EQ(batch.size(), 2u);
+      EXPECT_EQ(batch[1], group->estimated_time());
+      // Three processors fit on the trusted machines, as before.
+      EXPECT_LT(batch[0], batch[1]);
+    }
+    rt.group_free(*group);
+    rt.finalize();
+  });
+}
+
 TEST(FailureRecovery, GroupCreateExcludesDeadRankAndReportsDegraded) {
   World::Options options;
   options.faults.crashes.push_back({2, 0.005});
