@@ -1,6 +1,7 @@
 #include "mpsim/comm.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -19,6 +20,42 @@ telemetry::Counter& dropped_counter() {
 telemetry::Counter& delayed_counter() {
   static telemetry::Counter& c = telemetry::metrics().counter("messages_delayed");
   return c;
+}
+
+// The per-collective metrics, each resolved on its first use and then kept
+// for the life of the process (registry addresses survive reset()), so a
+// collective call builds no name and takes no registry lock.
+template <typename Metric, typename Resolve>
+Metric& resolved(std::atomic<Metric*>& slot, Resolve&& resolve) {
+  Metric* metric = slot.load();
+  if (metric == nullptr) {
+    metric = &resolve();
+    slot.store(metric);
+  }
+  return *metric;
+}
+
+/// `coll.<op>.<algo>`.
+telemetry::Counter& selection_counter(coll::CollOp op, int algo) {
+  constexpr int kAlgos = 8;  // algorithm values 0..kAlgos-1 are cached
+  static std::atomic<telemetry::Counter*> slots[coll::kNumCollOps][kAlgos];
+  const auto name = [&]() -> telemetry::Counter& {
+    return telemetry::metrics().counter(std::string("coll.") +
+                                        coll::op_name(op) + "." +
+                                        coll::algo_name(op, algo));
+  };
+  if (algo < 0 || algo >= kAlgos) return name();
+  return resolved(slots[static_cast<int>(op)][algo], name);
+}
+
+/// `coll.<op>.seconds`.
+telemetry::Histogram& seconds_histogram(coll::CollOp op) {
+  static std::atomic<telemetry::Histogram*> slots[coll::kNumCollOps];
+  const auto name = [&]() -> telemetry::Histogram& {
+    return telemetry::metrics().histogram(std::string("coll.") +
+                                          coll::op_name(op) + ".seconds");
+  };
+  return resolved(slots[static_cast<int>(op)], name);
 }
 
 }  // namespace
@@ -326,10 +363,7 @@ Comm::CollChoice Comm::coll_select(coll::CollOp op, std::size_t bytes) const {
   }
   if (choice.algo == 0) choice.algo = coll::legacy_default(op);
 
-  telemetry::metrics()
-      .counter(std::string("coll.") + coll::op_name(op) + "." +
-               coll::algo_name(op, choice.algo))
-      .add();
+  selection_counter(op, choice.algo).add();
 
   // One selection event per collective call, recorded by the communicator's
   // rank 0 (every member resolves the same algorithm by construction) and
@@ -389,9 +423,7 @@ void Comm::coll_finish(coll::CollOp op, int algo, std::size_t bytes,
                        double start_clock, double predicted_s) const {
   proc_->pop_coll_note();
   const double elapsed = proc_->clock() - start_clock;
-  telemetry::metrics()
-      .histogram(std::string("coll.") + coll::op_name(op) + ".seconds")
-      .observe(elapsed);
+  seconds_histogram(op).observe(elapsed);
   if (coll::Selector* selector = proc_->world().coll_selector()) {
     selector->observe(op, algo, bytes, elapsed, predicted_s);
   }

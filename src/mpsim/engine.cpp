@@ -41,12 +41,12 @@ bool WaitChannel::wait(std::unique_lock<std::mutex>& lock, double timeout_s) {
 }
 
 void WaitChannel::notify_all() {
-  std::vector<Fiber*> woken;
-  {
-    std::lock_guard<std::mutex> guard(fiber_mutex_);
-    woken.swap(fibers_);
-  }
-  for (Fiber* f : woken) f->engine()->make_ready(f);
+  // Wakes under the channel lock and keeps the waiter buffer, so the next
+  // park does not allocate. Channel before engine is the lock order
+  // wake_stall_victim keeps too.
+  std::lock_guard<std::mutex> guard(fiber_mutex_);
+  for (Fiber* f : fibers_) f->engine()->make_ready(f);
+  fibers_.clear();
 }
 
 EventEngine::EventEngine(Config config)

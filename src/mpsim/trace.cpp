@@ -21,8 +21,8 @@ std::shared_ptr<telemetry::CausalLog> make_host_log() {
 
 void append_exported(const telemetry::CausalLog& log,
                      std::vector<CausalEvent>& out) {
-  for (int r = 0; r < log.ranks(); ++r) {
-    for (const CausalEvent& e : log.events_of(r)) {
+  for (const auto& rank_events : log.events_by_rank()) {
+    for (const CausalEvent& e : rank_events) {
       if (telemetry::event_spec(e.kind).phase != 0) out.push_back(e);
     }
   }

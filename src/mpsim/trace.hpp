@@ -40,8 +40,8 @@ class Tracer {
   void attach(std::shared_ptr<const telemetry::CausalLog> log);
 
   /// The log of instants recorded outside any world (the scheduler's, with
-  /// rank -1): one shard, kept whole. Shared, so a recorder racing clear()
-  /// writes into the log it fetched.
+  /// rank -1, filed under rank 0), kept whole. Shared, so a recorder racing
+  /// clear() writes into the log it fetched.
   std::shared_ptr<telemetry::CausalLog> host_log() const;
 
   /// Every exported event of the attached logs, then of the host log, sorted

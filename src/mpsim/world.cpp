@@ -9,22 +9,52 @@
 
 namespace hmpi::mp {
 
+namespace {
+
+/// The counters `machine.<p>.<suffix>` of one processor.
+struct MachineCounters {
+  telemetry::Counter* compute_seconds = nullptr;
+  telemetry::Counter* messages_sent = nullptr;
+  telemetry::Counter* sent_bytes = nullptr;
+};
+
+/// Processor `processor`'s counter `which`, resolved on its first use in the
+/// process and then kept (registry addresses survive reset()), so the
+/// processes of a new world build no name and take no registry lock.
+telemetry::Counter& machine_counter(int processor,
+                                    telemetry::Counter* MachineCounters::*which,
+                                    const char* suffix) {
+  static std::mutex mutex;
+  static std::vector<MachineCounters> table;
+  std::lock_guard<std::mutex> lock(mutex);
+  const auto p = static_cast<std::size_t>(processor);
+  if (table.size() <= p) table.resize(p + 1);
+  telemetry::Counter*& counter = table[p].*which;
+  if (counter == nullptr) {
+    counter = &telemetry::metrics().counter(
+        std::string("machine.").append(std::to_string(p)).append(suffix));
+  }
+  return *counter;
+}
+
+}  // namespace
+
 int Proc::nprocs() const noexcept { return world_->nprocs(); }
 
 void Proc::note_compute_seconds(double seconds) {
   if (compute_seconds_counter_ == nullptr) {
-    compute_seconds_counter_ = &telemetry::metrics().counter(
-        "machine." + std::to_string(processor_) + ".compute_seconds");
+    compute_seconds_counter_ = &machine_counter(
+        processor_, &MachineCounters::compute_seconds, ".compute_seconds");
   }
   compute_seconds_counter_->add(seconds);
 }
 
 void Proc::note_message_sent(std::size_t bytes) {
   if (messages_sent_counter_ == nullptr) {
-    const std::string prefix = "machine." + std::to_string(processor_) + ".";
-    messages_sent_counter_ =
-        &telemetry::metrics().counter(prefix + "messages_sent");
-    sent_bytes_counter_ = &telemetry::metrics().counter(prefix + "sent_bytes");
+    messages_sent_counter_ = &machine_counter(
+        processor_, &MachineCounters::messages_sent, ".messages_sent");
+    sent_bytes_counter_ = &machine_counter(
+        processor_, &MachineCounters::sent_bytes, ".sent_bytes");
   }
   messages_sent_counter_->add(1.0);
   sent_bytes_counter_->add(static_cast<double>(bytes));
@@ -175,8 +205,8 @@ void World::mark_dead(int world_rank, double t) {
     death_times_.emplace(world_rank, t);
     callbacks = death_callbacks_;
   }
-  // Recorded from the dying rank itself (die() runs on it), so the per-rank
-  // sharding invariant holds.
+  // Recorded from the dying rank itself (die() runs on it), so the crash
+  // sits in that rank's program order.
   telemetry::CausalEvent e;
   e.kind = telemetry::CausalEvent::Kind::kCrash;
   e.rank = world_rank;

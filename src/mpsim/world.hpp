@@ -16,6 +16,7 @@
 // 2003 testbed be reproduced faithfully on one core.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <functional>
@@ -100,14 +101,30 @@ class Proc {
   /// Next per-destination message index for deterministic drop/delay
   /// decisions (only the owning process touches it).
   std::uint64_t next_fault_sequence(int dst_world) {
-    return fault_seq_[dst_world]++;
+    return next_sequence(fault_seq_, dst_world);
   }
 
   /// Next per-destination causal sequence number: stamped on every send (and
   /// its Envelope) so the causal log pairs sends with receives. Program
   /// order per destination, hence independent of dispatch order.
   std::uint32_t next_causal_sequence(int dst_world) {
-    return causal_seq_[dst_world]++;
+    return next_sequence(causal_seq_, dst_world);
+  }
+
+  /// Post-increments `dst_world`'s counter in `seqs`, a flat table sorted by
+  /// destination (a rank sends to few destinations, so a lookup is a short
+  /// search and a new destination no node allocation).
+  template <typename Seq>
+  static Seq next_sequence(std::vector<std::pair<int, Seq>>& seqs,
+                           int dst_world) {
+    auto it = std::lower_bound(seqs.begin(), seqs.end(), dst_world,
+                               [](const std::pair<int, Seq>& entry, int dst) {
+                                 return entry.first < dst;
+                               });
+    if (it == seqs.end() || it->first != dst_world) {
+      it = seqs.insert(it, {dst_world, Seq{0}});
+    }
+    return it->second++;
   }
 
   /// A CausalEvent with this process's identity and the innermost active
@@ -136,8 +153,8 @@ class Proc {
   /// Scheduled crash time from the fault plan (infinity when none); cached
   /// here so fault points are one comparison in the common case.
   double crash_time_ = std::numeric_limits<double>::infinity();
-  std::map<int, std::uint64_t> fault_seq_;
-  std::map<int, std::uint32_t> causal_seq_;
+  std::vector<std::pair<int, std::uint64_t>> fault_seq_;
+  std::vector<std::pair<int, std::uint32_t>> causal_seq_;
   std::vector<std::pair<std::int16_t, std::int16_t>> coll_notes_;
   Stats stats_;
   telemetry::Counter* compute_seconds_counter_ = nullptr;

@@ -1,5 +1,6 @@
 #include "telemetry/causal.hpp"
 
+#include <algorithm>
 #include <iterator>
 #include <limits>
 #include <utility>
@@ -145,10 +146,31 @@ CausalLog::CausalLog(std::vector<int> placement, ProfMode mode,
                                       : mode),
       traced_(traced),
       ring_capacity_(ring_capacity == 0 ? 1 : ring_capacity),
-      placement_(std::move(placement)) {
-  shards_.reserve(placement_.size());
-  for (std::size_t r = 0; r < placement_.size(); ++r) {
-    shards_.push_back(std::make_unique<Shard>());
+      placement_(std::move(placement)),
+      counts_(placement_.size()) {}
+
+std::uint64_t CausalLog::kept(const RankCount& count) const noexcept {
+  return mode_ == ProfMode::kRing ? std::min<std::uint64_t>(count.held,
+                                                            ring_capacity_)
+                                  : count.held;
+}
+
+template <typename Visit>
+void CausalLog::for_each_kept(Visit&& visit) const {
+  // Each rank's oldest held - kept entries are the ones the ring dropped.
+  std::vector<std::uint64_t> skip(counts_.size());
+  for (std::size_t r = 0; r < counts_.size(); ++r) {
+    skip[r] = counts_[r].held - kept(counts_[r]);
+  }
+  for (std::size_t i = 0; i < entries_; ++i) {
+    const Chunk& chunk = chunks_[i / kChunkEvents];
+    const std::size_t at = i % kChunkEvents;
+    const auto rank = static_cast<std::size_t>(chunk.ranks[at]);
+    if (skip[rank] > 0) {
+      --skip[rank];
+      continue;
+    }
+    visit(rank, chunk.events[at]);
   }
 }
 
@@ -156,43 +178,82 @@ void CausalLog::record(int rank, const CausalEvent& event) {
   if (mode_ == ProfMode::kOff) return;
   if (rank < 0 || rank >= ranks()) return;
   if (!traced_ && event_spec(event.kind).traced_only) return;
-  Shard& shard = *shards_[static_cast<std::size_t>(rank)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  if (mode_ == ProfMode::kFull || shard.events.size() < ring_capacity_) {
-    shard.events.push_back(event);
-    return;
+  std::lock_guard<std::mutex> lock(*mutex_);
+  if (entries_ / kChunkEvents == chunks_.size()) {
+    Chunk& fresh = chunks_.emplace_back();
+    fresh.events.reserve(kChunkEvents);
+    fresh.ranks.reserve(kChunkEvents);
   }
-  shard.events[shard.head] = event;
-  shard.head = (shard.head + 1) % ring_capacity_;
-  ++shard.dropped;
+  Chunk& chunk = chunks_[entries_ / kChunkEvents];
+  chunk.events.push_back(event);
+  chunk.ranks.push_back(rank);
+  ++entries_;
+  ++counts_[static_cast<std::size_t>(rank)].held;
+  if (mode_ == ProfMode::kRing &&
+      entries_ == 2 * ring_capacity_ * counts_.size()) {
+    compact();
+  }
+}
+
+void CausalLog::compact() {
+  std::size_t kept_entries = 0;
+  for_each_kept([&](std::size_t rank, const CausalEvent& event) {
+    // kept_entries never passes the entry being read, so this overwrites
+    // only entries already visited.
+    Chunk& chunk = chunks_[kept_entries / kChunkEvents];
+    chunk.events[kept_entries % kChunkEvents] = event;
+    chunk.ranks[kept_entries % kChunkEvents] = static_cast<std::int32_t>(rank);
+    ++kept_entries;
+  });
+  for (RankCount& count : counts_) {
+    count.dropped += count.held - kept(count);
+    count.held = kept(count);
+  }
+  // Chunks past the kept entries empty out but keep their capacity.
+  for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    const std::size_t first = c * kChunkEvents;
+    const std::size_t n =
+        kept_entries > first ? std::min(kept_entries - first, kChunkEvents) : 0;
+    chunks_[c].events.resize(n);
+    chunks_[c].ranks.resize(n);
+  }
+  entries_ = kept_entries;
 }
 
 std::vector<CausalEvent> CausalLog::events_of(int rank) const {
   std::vector<CausalEvent> out;
   if (rank < 0 || rank >= ranks()) return out;
-  const Shard& shard = *shards_[static_cast<std::size_t>(rank)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  out.reserve(shard.events.size());
-  // Rotate so the oldest surviving event comes first.
-  for (std::size_t i = 0; i < shard.events.size(); ++i) {
-    out.push_back(shard.events[(shard.head + i) % shard.events.size()]);
+  std::lock_guard<std::mutex> lock(*mutex_);
+  out.reserve(kept(counts_[static_cast<std::size_t>(rank)]));
+  for_each_kept([&](std::size_t r, const CausalEvent& event) {
+    if (r == static_cast<std::size_t>(rank)) out.push_back(event);
+  });
+  return out;
+}
+
+std::vector<std::vector<CausalEvent>> CausalLog::events_by_rank() const {
+  std::vector<std::vector<CausalEvent>> out(counts_.size());
+  std::lock_guard<std::mutex> lock(*mutex_);
+  for (std::size_t r = 0; r < counts_.size(); ++r) {
+    out[r].reserve(kept(counts_[r]));
   }
+  for_each_kept([&](std::size_t rank, const CausalEvent& event) {
+    out[rank].push_back(event);
+  });
   return out;
 }
 
 std::uint64_t CausalLog::dropped_of(int rank) const {
   if (rank < 0 || rank >= ranks()) return 0;
-  const Shard& shard = *shards_[static_cast<std::size_t>(rank)];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  return shard.dropped;
+  std::lock_guard<std::mutex> lock(*mutex_);
+  const RankCount& count = counts_[static_cast<std::size_t>(rank)];
+  return count.dropped + (count.held - kept(count));
 }
 
 std::size_t CausalLog::size() const {
+  std::lock_guard<std::mutex> lock(*mutex_);
   std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->events.size();
-  }
+  for (const RankCount& count : counts_) total += kept(count);
   return total;
 }
 

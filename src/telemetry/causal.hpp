@@ -15,17 +15,23 @@
 // The critical-path walk (telemetry/critpath.hpp) and the trace views
 // (mpsim/trace.hpp) read the record through it.
 //
-// Storage is sharded per world rank: each simulated process appends only to
-// its own shard (the same single-writer discipline as Proc's clock), so
-// recording needs no cross-rank coordination; the per-shard mutex exists
-// solely so a snapshot taken while other ranks still run (the host exporting
-// a report mid-world) is race-free. Three modes:
+// Storage is one log per world: every event is appended, in recording
+// order, into fixed-size chunks, and each entry remembers the rank it was
+// filed under (the `rank` argument of record(), not `event.rank`), so a
+// world of thousands of ranks pays for the events it records and not for a
+// buffer per rank. Readers that want every rank's events take them in one
+// pass (events_by_rank()). One mutex guards the log: a world's ranks run as
+// fibers on one host thread, but a tracer's host log has several recording
+// threads (schedulers) and a reader (Tracer::events()) that may race them.
+// Three modes:
 //
-//   kRing — the default, always on: a fixed-capacity ring per rank,
-//           overwriting the oldest events. The path walk reports
-//           `complete = false` when it hits the overwritten horizon.
-//   kFull — opt-in (`HMPI_PROF=1` / WorldOptions::prof): unbounded append,
-//           the whole run reconstructible.
+//   kRing — the default, always on: the log keeps the newest events of each
+//           rank, ring_capacity of them. It compacts in place (stably,
+//           dropping each rank's older events) once it holds twice that
+//           bound over all ranks. The path walk reports `complete = false`
+//           when it hits a rank's dropped horizon.
+//   kFull — opt-in (`HMPI_PROF=1` / WorldOptions::prof): the same log
+//           without the bound, the whole run reconstructible.
 //   kOff  — recording disabled entirely.
 //
 // A traced log (a world with an mp::Tracer attached) is always kFull and
@@ -170,12 +176,12 @@ enum class ProfMode { kAuto, kOff, kRing, kFull };
 /// Explicit (non-kAuto) modes pass through untouched.
 ProfMode resolve_prof_mode(ProfMode requested);
 
-/// The per-rank-sharded causal log. Each rank records only its own events.
+/// The causal log of one world: every rank's events in recording order.
 class CausalLog {
  public:
   static constexpr std::size_t kDefaultRingCapacity = 256;
 
-  /// One shard per entry of `placement`: rank r runs on machine
+  /// One rank per entry of `placement`: rank r runs on machine
   /// placement[r]. `traced` makes the log kFull and keeps the traced-only
   /// kinds.
   CausalLog(std::vector<int> placement, ProfMode mode,
@@ -184,7 +190,7 @@ class CausalLog {
 
   bool enabled() const noexcept { return mode_ != ProfMode::kOff; }
   ProfMode mode() const noexcept { return mode_; }
-  int ranks() const noexcept { return static_cast<int>(shards_.size()); }
+  int ranks() const noexcept { return static_cast<int>(placement_.size()); }
 
   /// Machine of `rank`, or -1 outside the log: the other end of a message.
   int proc_of(int rank) const noexcept {
@@ -193,35 +199,61 @@ class CausalLog {
                : -1;
   }
 
-  /// Appends to rank `rank`'s shard (ring: overwrites the oldest event once
-  /// full). No-op when the log is off, the rank is out of range, or the kind
-  /// is traced-only and the log is not traced.
+  /// Appends `event` filed under rank `rank` (ring: a rank keeps only its
+  /// newest ring_capacity events). No-op when the log is off, the rank is
+  /// out of range, or the kind is traced-only and the log is not traced.
   void record(int rank, const CausalEvent& event);
 
-  /// Rank `rank`'s events in recording order (ring: oldest surviving first).
+  /// Rank `rank`'s events in recording order (ring: oldest kept first).
+  /// Scans the whole log; a reader of every rank takes events_by_rank().
   std::vector<CausalEvent> events_of(int rank) const;
 
-  /// Events overwritten by the ring on rank `rank` (0 in full mode).
+  /// Every rank's events in one pass: element r equals events_of(r).
+  std::vector<std::vector<CausalEvent>> events_by_rank() const;
+
+  /// Events the ring dropped on rank `rank` (0 in full mode).
   std::uint64_t dropped_of(int rank) const;
 
-  /// Total events currently retained across all ranks.
+  /// Total events currently kept across all ranks.
   std::size_t size() const;
 
  private:
-  struct Shard {
-    // Appender vs snapshot; a tracer's host log may also have several
-    // appenders (schedulers on different threads).
-    mutable std::mutex mutex;
+  static constexpr std::size_t kChunkEvents = 512;
+
+  /// A fixed-size piece of the log: both vectors are reserved to
+  /// kChunkEvents once and never regrow, so appending copies no event.
+  struct Chunk {
     std::vector<CausalEvent> events;
-    std::size_t head = 0;  // ring: index of the oldest event
-    std::uint64_t dropped = 0;
+    std::vector<std::int32_t> ranks;  ///< The rank each entry is filed under.
   };
+
+  struct RankCount {
+    std::uint64_t held = 0;     ///< Entries of the rank in the log.
+    std::uint64_t dropped = 0;  ///< Entries compaction removed.
+  };
+
+  /// Entries of `count`'s rank that the ring keeps (all in full mode).
+  std::uint64_t kept(const RankCount& count) const noexcept;
+
+  /// Calls visit(rank, event) for every kept entry, in log order.
+  template <typename Visit>
+  void for_each_kept(Visit&& visit) const;
+
+  /// Ring: drops every rank's entries beyond its newest ring_capacity_,
+  /// keeping the order of the rest.
+  void compact();
 
   ProfMode mode_;
   bool traced_;
   std::size_t ring_capacity_;
   std::vector<int> placement_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  // Guards the three members below; behind a pointer so the log stays
+  // movable.
+  std::unique_ptr<std::mutex> mutex_ = std::make_unique<std::mutex>();
+  std::vector<RankCount> counts_;  ///< One per rank.
+  std::vector<Chunk> chunks_;
+  std::size_t entries_ = 0;  ///< Entries in the log, also those past a
+                             ///< rank's bound that no compaction dropped yet.
 };
 
 }  // namespace hmpi::telemetry

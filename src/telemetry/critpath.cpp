@@ -1,6 +1,7 @@
 #include "telemetry/critpath.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <ostream>
 #include <string>
@@ -17,26 +18,43 @@ PathRole role(const CausalEvent& e) { return event_spec(e.kind).path; }
 
 bool on_path(const CausalEvent& e) { return role(e) != PathRole::kNone; }
 
-/// Every rank's events, with each send indexed by its (sender, destination,
-/// sequence) identity so a receive can find its matching send across shards.
+/// A send's identity: (sender, destination, sequence).
+using SendKey = std::tuple<int, int, std::uint32_t>;
+/// Where an event sits: (rank, index in that rank's events).
+using EventLoc = std::pair<int, std::size_t>;
+
+/// Every rank's events, with each send indexed by its identity so a receive
+/// can find its matching send across ranks.
 struct Shards {
   std::vector<std::vector<CausalEvent>> events;
-  std::map<std::tuple<int, int, std::uint32_t>, std::pair<int, std::size_t>>
-      sends;
+  /// Sorted; of two sends with one identity the later one counts.
+  std::vector<std::pair<SendKey, EventLoc>> sends;
+
+  /// The send `recv` matched, or nullptr when the log no longer holds it.
+  const EventLoc* send_of(const CausalEvent& recv) const {
+    const SendKey key{recv.peer, recv.rank, recv.seq};
+    const auto it = std::upper_bound(
+        sends.begin(), sends.end(), key,
+        [](const SendKey& k, const auto& entry) { return k < entry.first; });
+    if (it == sends.begin() || std::prev(it)->first != key) return nullptr;
+    return &std::prev(it)->second;
+  }
 };
 
 Shards load_shards(const CausalLog& log) {
   Shards out;
-  out.events.reserve(static_cast<std::size_t>(log.ranks()));
-  for (int r = 0; r < log.ranks(); ++r) {
-    out.events.push_back(log.events_of(r));
-    const auto& shard = out.events.back();
+  out.events = log.events_by_rank();
+  for (std::size_t r = 0; r < out.events.size(); ++r) {
+    const auto& shard = out.events[r];
     for (std::size_t i = 0; i < shard.size(); ++i) {
       if (role(shard[i]) == PathRole::kSend) {
-        out.sends[{shard[i].rank, shard[i].peer, shard[i].seq}] = {r, i};
+        out.sends.push_back({{shard[i].rank, shard[i].peer, shard[i].seq},
+                             {static_cast<int>(r), i}});
       }
     }
   }
+  // Equal identities sort by location, so the later send comes last.
+  std::sort(out.sends.begin(), out.sends.end());
   return out;
 }
 
@@ -62,7 +80,8 @@ const char* path_segment_kind_name(PathSegment::Kind kind) {
 
 CriticalPathReport analyze_critical_path(const CausalLog& log) {
   CriticalPathReport report;
-  const auto [events, sends] = load_shards(log);
+  const Shards shards = load_shards(log);
+  const auto& events = shards.events;
   for (int r = 0; r < log.ranks(); ++r) {
     report.events_dropped += log.dropped_of(r);
   }
@@ -152,12 +171,12 @@ CriticalPathReport analyze_critical_path(const CausalLog& log) {
       // the matching send.
       const double matched = std::min(e.value, frontier);
       add_segment(PathSegment::Kind::kRecvOverhead, e, matched, frontier);
-      const auto it = sends.find({e.peer, e.rank, e.seq});
-      if (it == sends.end()) {
+      const EventLoc* loc = shards.send_of(e);
+      if (loc == nullptr) {
         start_time = matched;  // sender's history fell off the ring
         break;
       }
-      const auto [send_rank, send_index] = it->second;
+      const auto [send_rank, send_index] = *loc;
       const CausalEvent& send =
           events[static_cast<std::size_t>(send_rank)][send_index];
       const double send_end = std::min(send.t1, matched);
@@ -306,15 +325,15 @@ void report_to_metrics(const CriticalPathReport& report,
 
 std::vector<ChromeEvent> causal_flow_events(const CausalLog& log) {
   std::vector<ChromeEvent> flows;
-  const auto [events, sends] = load_shards(log);
+  const Shards shards = load_shards(log);
   std::uint64_t next_id = 1;
-  for (int r = 0; r < log.ranks(); ++r) {
-    for (const CausalEvent& e : events[static_cast<std::size_t>(r)]) {
+  for (const auto& rank_events : shards.events) {
+    for (const CausalEvent& e : rank_events) {
       if (role(e) != PathRole::kRecv) continue;
-      const auto it = sends.find({e.peer, e.rank, e.seq});
-      if (it == sends.end()) continue;
+      const EventLoc* loc = shards.send_of(e);
+      if (loc == nullptr) continue;
       const CausalEvent& send =
-          events[static_cast<std::size_t>(it->second.first)][it->second.second];
+          shards.events[static_cast<std::size_t>(loc->first)][loc->second];
       const std::uint64_t id = next_id++;
       ChromeEvent start;
       start.name = "msg";

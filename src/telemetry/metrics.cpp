@@ -118,7 +118,7 @@ constexpr MetricSpec kCatalog[] = {
     {"crit.complete", kGauge, "flag",
      "1 when the path reaches virtual time 0, else 0"},
     {"crit.events_dropped", kGauge, "count",
-     "causal events the per-rank rings overwrote"},
+     "causal events the ring dropped"},
     {"crit.machine.<p>.seconds", kGauge, "s",
      "path compute time blamed on machine `p`"},
     {"crit.link.<src>.<dst>.seconds", kGauge, "s",

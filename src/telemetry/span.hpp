@@ -35,8 +35,8 @@ struct SpanRecord {
 };
 
 /// Thread-safe store of the newest kCapacity finished spans. It is a ring,
-/// like CausalLog's per-rank shards, so a long-running process (a
-/// scheduler draining thousands of jobs) keeps a bounded log.
+/// like CausalLog's ring mode, so a long-running process (a scheduler
+/// draining thousands of jobs) keeps a bounded log.
 class TraceLog {
  public:
   /// Spans kept (about 7 MB of records); each newer one overwrites the
