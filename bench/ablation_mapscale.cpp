@@ -11,8 +11,9 @@
 //     bit below the scale threshold, across {1, 2, 8} threads x cache
 //     {on, off}; beam and annealing-ws must each be bit-identical across
 //     the same matrix. The wall_ms column times the 8-thread, cache-on
-//     cell: on a 9-machine pool the batch searches price every row, so
-//     annealing-ws pays for the revisits a one-at-a-time search would hit.
+//     cell: on a 9-machine pool the batch searches price every row they
+//     read without the cache, so annealing-ws pays for the revisits a
+//     one-at-a-time search would hit.
 //   * A10c — Plan::evaluate_batch throughput vs one-at-a-time
 //     Plan::evaluate (count-1 calls into the same kernel) on the same random
 //     mappings at P=1000, values checked bit for bit (the batch contract);

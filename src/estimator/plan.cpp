@@ -189,55 +189,73 @@ void BatchEvaluator::compute_canonical_pairs(const Plan& plan,
                                              std::size_t count,
                                              const hnoc::NetworkModel& network) {
   const std::size_t q_count = plan.pairs_.size();
+  const auto p = static_cast<std::size_t>(plan.num_procs_);
+  const hnoc::Cluster& topology = network.topology();
   canon_.resize(q_count * count);
   latency_.resize(q_count * count);
   bandwidth_.resize(q_count * count);
+  if (q_count == 0) return;
 
   // Open-addressing capacity: power of two >= 2 * Q, so probes stay short.
   std::size_t capacity = 8;
   while (capacity < 2 * q_count) capacity *= 2;
-  if (probe_key_.size() != capacity) {
+  const auto procs = static_cast<std::size_t>(network.size());
+  if (probe_key_.size() != capacity || proc_gen_.size() != procs) {
     probe_key_.assign(capacity, 0);
     probe_gen_.assign(capacity, 0);
     probe_pair_.assign(capacity, 0);
+    proc_gen_.assign(procs, 0);
     generation_ = 0;
   }
 
   for (std::size_t i = 0; i < count; ++i) {
     ++generation_;
-    if (generation_ == 0) {  // stamp wrapped: reset the table once
+    if (generation_ == 0) {  // stamp wrapped: reset the tables once
       std::fill(probe_gen_.begin(), probe_gen_.end(), 0u);
+      std::fill(proc_gen_.begin(), proc_gen_.end(), 0u);
       generation_ = 1;
+    }
+    // Slots on distinct processors map distinct abstract pairs to distinct
+    // physical links, so no two pairs alias and each is its own canonical
+    // slot; only candidates that share a processor need the hash.
+    bool distinct = true;
+    for (std::size_t a = 0; a < p && distinct; ++a) {
+      std::uint32_t& stamp =
+          proc_gen_[static_cast<std::size_t>(procs_soa[a * count + i])];
+      distinct = stamp != generation_;
+      stamp = generation_;
     }
     for (std::size_t q = 0; q < q_count; ++q) {
       const auto s = static_cast<std::size_t>(plan.pairs_[q].first);
       const auto d = static_cast<std::size_t>(plan.pairs_[q].second);
       const int ps = procs_soa[s * count + i];
       const int pd = procs_soa[d * count + i];
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ps)) << 32) |
-          static_cast<std::uint32_t>(pd);
-      // SplitMix64 finaliser as the probe hash (same mixing as fp_mix).
-      std::uint64_t h = key + 0x9e3779b97f4a7c15ULL;
-      h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-      std::size_t slot = static_cast<std::size_t>(h) & (capacity - 1);
       int canonical = static_cast<int>(q);
-      while (true) {
-        if (probe_gen_[slot] != generation_) {
-          probe_gen_[slot] = generation_;
-          probe_key_[slot] = key;
-          probe_pair_[slot] = static_cast<int>(q);
-          break;
+      if (!distinct) {
+        const std::uint64_t key =
+            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(ps)) << 32) |
+            static_cast<std::uint32_t>(pd);
+        // SplitMix64 finaliser as the probe hash (same mixing as fp_mix).
+        std::uint64_t h = key + 0x9e3779b97f4a7c15ULL;
+        h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+        std::size_t slot = static_cast<std::size_t>(h) & (capacity - 1);
+        while (true) {
+          if (probe_gen_[slot] != generation_) {
+            probe_gen_[slot] = generation_;
+            probe_key_[slot] = key;
+            probe_pair_[slot] = static_cast<int>(q);
+            break;
+          }
+          if (probe_key_[slot] == key) {
+            canonical = probe_pair_[slot];
+            break;
+          }
+          slot = (slot + 1) & (capacity - 1);
         }
-        if (probe_key_[slot] == key) {
-          canonical = probe_pair_[slot];
-          break;
-        }
-        slot = (slot + 1) & (capacity - 1);
       }
       canon_[q * count + i] = canonical;
-      const hnoc::LinkParams& link = network.link(ps, pd);
+      const hnoc::LinkParams& link = topology.link_unchecked(ps, pd);
       latency_[q * count + i] = link.latency_s;
       bandwidth_[q * count + i] = link.bandwidth_bps;
     }
@@ -254,15 +272,15 @@ void BatchEvaluator::evaluate(const Plan& plan, std::span<const int> procs_soa,
                    "batch mapping block must be |slots| x count");
   support::require(out.size() >= count,
                    "batch output span smaller than the candidate count");
-  for (int proc : procs_soa) {
-    support::require(proc >= 0 && proc < network.size(),
-                     "mapping references a processor outside the network");
-  }
-
-  // Speeds, gathered once per (slot, candidate).
+  // The one range check of the mapping: every read below indexes the
+  // network's speeds and links by these processors unchecked.
+  const std::vector<double>& speeds = network.speeds();
   speed_.resize(p * count);
   for (std::size_t j = 0; j < p * count; ++j) {
-    speed_[j] = network.speed(procs_soa[j]);
+    const int proc = procs_soa[j];
+    support::require(proc >= 0 && proc < network.size(),
+                     "mapping references a processor outside the network");
+    speed_[j] = speeds[static_cast<std::size_t>(proc)];
   }
 
   if (!plan.from_scheme_) {
@@ -279,7 +297,8 @@ void BatchEvaluator::evaluate(const Plan& plan, std::span<const int> procs_soa,
       for (std::size_t i = 0; i < count; ++i) {
         const int ps = procs_soa[s * count + i];
         const int pd = procs_soa[d * count + i];
-        const double t = network.link(ps, pd).transfer_time(l.bytes);
+        const double t =
+            network.topology().link_unchecked(ps, pd).transfer_time(l.bytes);
         cost_[s * count + i] += t;
         cost_[d * count + i] += t;
       }

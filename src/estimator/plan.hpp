@@ -197,7 +197,9 @@ class BatchEvaluator {
 
  private:
   /// Per-candidate canonical busy slot of every abstract pair: two pairs
-  /// alias iff they map to the same physical (src, dst) under the candidate.
+  /// alias iff they map to the same physical (src, dst) under the candidate,
+  /// which needs the alias hash only when two of its slots share a
+  /// processor. Also gathers each pair's link parameters.
   void compute_canonical_pairs(const Plan& plan,
                                std::span<const int> procs_soa,
                                std::size_t count,
@@ -221,11 +223,13 @@ class BatchEvaluator {
   std::vector<Frame> frames_;
   std::size_t frame_depth_ = 0;
 
-  // Open-addressing scratch of compute_canonical_pairs (generation-stamped
-  // so it never needs clearing between candidates).
+  // Scratch of compute_canonical_pairs, generation-stamped per candidate so
+  // it never needs clearing between candidates: the open-addressing alias
+  // table, and the processors the candidate's slots occupy.
   std::vector<std::uint64_t> probe_key_;
   std::vector<std::uint32_t> probe_gen_;
   std::vector<int> probe_pair_;
+  std::vector<std::uint32_t> proc_gen_;
   std::uint32_t generation_ = 0;
 };
 

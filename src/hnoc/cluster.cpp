@@ -63,17 +63,7 @@ const Processor& Cluster::processor(int p) const {
 const LinkParams& Cluster::link(int from, int to) const {
   support::require(from >= 0 && from < size() && to >= 0 && to < size(),
                    "link endpoint out of range");
-  auto it = overrides_.find({from, to});
-  if (it != overrides_.end()) return it->second;
-  if (from == to) return self_link_;
-  if (two_level_.has_value()) {
-    const auto& lan = two_level_->lan_of;
-    return lan[static_cast<std::size_t>(from)] ==
-                   lan[static_cast<std::size_t>(to)]
-               ? two_level_->intra
-               : two_level_->inter;
-  }
-  return default_link_;
+  return link_unchecked(from, to);
 }
 
 int Cluster::lan_of(int p) const {

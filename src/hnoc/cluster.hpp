@@ -81,6 +81,25 @@ class Cluster {
   /// unless overridden for that pair.
   const LinkParams& link(int from, int to) const;
 
+  /// link() without its range check, inline for the estimator kernel, which
+  /// checks a whole mapping once: both endpoints must be processors of this
+  /// cluster.
+  const LinkParams& link_unchecked(int from, int to) const {
+    if (!overrides_.empty()) {
+      auto it = overrides_.find({from, to});
+      if (it != overrides_.end()) return it->second;
+    }
+    if (from == to) return self_link_;
+    if (two_level_.has_value()) {
+      const auto& lan = two_level_->lan_of;
+      return lan[static_cast<std::size_t>(from)] ==
+                     lan[static_cast<std::size_t>(to)]
+                 ? two_level_->intra
+                 : two_level_->inter;
+    }
+    return default_link_;
+  }
+
   /// Virtual finish time of `units` benchmark units started on processor `p`
   /// at virtual time `start` (accounts for the load profile).
   double compute_finish(int p, double start, double units) const;

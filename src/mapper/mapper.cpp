@@ -808,13 +808,19 @@ MappingResult WorkStealingAnnealingMapper::select(
   std::vector<ChainResult> results(static_cast<std::size_t>(chains));
 
   // One independent chain per index. Each chain's move sequence is a fixed
-  // function of its seed alone: proposals are drawn speculatively in chunks,
-  // priced in one batch, then walked in draw order with the exact
-  // AnnealingMapper acceptance rule; the first accepted proposal ends the
-  // chunk and the rejected tail is discarded (their scores were speculative,
-  // their RNG draws were made before pricing, so the trajectory matches the
-  // one-at-a-time chain exactly). Threads only decide which worker runs
-  // which chain — never what any chain computes.
+  // function of its seed alone: proposals are drawn in chunks from the
+  // current state, then walked in draw order with the exact AnnealingMapper
+  // acceptance rule; the first accepted proposal ends the chunk and the rest
+  // is discarded (stale against the new state). The walk prices a row when
+  // it first reaches it, together with the rows after it, in windows of 1,
+  // 2, 4, ... rows up to the chunk's end, so rows after an acceptance are
+  // never priced. A substitution skips its reservoir's draws when it is
+  // drawn and replays them from the saved stream position when its row is
+  // priced. Every draw of the chain's stream is therefore made where pricing
+  // the whole chunk up front made it, and a row's price does not depend on
+  // its batch, so the trajectory matches the one-at-a-time chain exactly.
+  // Threads only decide which worker runs which chain — never what any
+  // chain computes.
   const auto run_chain = [&](int ci) {
     ChainResult& out = results[static_cast<std::size_t>(ci)];
     BatchScorer scorer(pricing, candidates, network, options);
@@ -833,54 +839,89 @@ MappingResult WorkStealingAnnealingMapper::select(
         std::max(1e-12, options_.annealing.initial_temperature_factor *
                             current_time);
 
-    // A proposal is either a swap (slot_b >= 0) or a substitution of
-    // `replacement` into slot_a.
+    // Reservoir over the unused neighbourhood targets; if the whole
+    // neighbourhood is occupied, fall back to any unused candidate so the
+    // move stays feasible (n > p guarantees one exists).
+    const auto draw_replacement = [&](support::Rng& stream) {
+      int replacement = -1;
+      int seen = 0;
+      for (int c : targets) {
+        if (used[static_cast<std::size_t>(c)] != 0) continue;
+        ++seen;
+        if (stream.next_below(static_cast<std::uint64_t>(seen)) == 0) {
+          replacement = c;
+        }
+      }
+      if (replacement < 0) {
+        for (int c = 0; c < n; ++c) {
+          if (used[static_cast<std::size_t>(c)] != 0) continue;
+          ++seen;
+          if (stream.next_below(static_cast<std::uint64_t>(seen)) == 0) {
+            replacement = c;
+          }
+        }
+      }
+      return replacement;
+    };
+
+    // A proposal is either a swap (slot_b >= 0) or a substitution into
+    // slot_a, whose reservoir draws from `reservoir` (the chain's stream
+    // where the reservoir starts) once its row is priced.
     struct Proposal {
       int slot_a = -1;
       int slot_b = -1;
       int replacement = -1;
+      support::Rng reservoir{0};
     };
     std::vector<Proposal> proposals;
     std::vector<int> rows;
     std::vector<double> vals;
 
+    // Prices proposals [begin, end) of the chunk into vals[begin, end).
+    const auto price = [&](int begin, int end) {
+      rows.clear();
+      for (int j = begin; j < end; ++j) {
+        Proposal& prop = proposals[static_cast<std::size_t>(j)];
+        rows.insert(rows.end(), current.begin(), current.end());
+        int* row = rows.data() + (rows.size() - width);
+        if (prop.slot_b >= 0) {
+          std::swap(row[prop.slot_a], row[prop.slot_b]);
+        } else {
+          prop.replacement = draw_replacement(prop.reservoir);
+          row[prop.slot_a] = prop.replacement;
+        }
+      }
+      const auto count = static_cast<std::size_t>(end - begin);
+      scorer.score(rows, count,
+                   std::span<double>(vals).subspan(
+                       static_cast<std::size_t>(begin), count),
+                   &out.stats);
+    };
+
     int remaining = options_.annealing.iterations;
     while (remaining > 0) {
       const int k = std::min(options_.chunk, remaining);
+      // A reservoir makes one draw per unused target, or one per unused
+      // candidate (n - p of them) when every target is in use. `used`
+      // changes only on an acceptance, which ends the chunk, so the count
+      // holds for the whole chunk.
+      std::uint64_t reservoir_draws = 0;
+      for (int c : targets) {
+        if (used[static_cast<std::size_t>(c)] == 0) ++reservoir_draws;
+      }
+      if (reservoir_draws == 0) {
+        reservoir_draws = static_cast<std::uint64_t>(n - p);
+      }
       proposals.clear();
-      rows.clear();
       for (int j = 0; j < k; ++j) {
         const bool substitute =
             n > p && (slots.size() < 2 || rng.next_double() < 0.5);
         Proposal prop;
         prop.slot_a = slots[static_cast<std::size_t>(
             rng.next_below(static_cast<std::uint64_t>(slots.size())))];
-        rows.insert(rows.end(), current.begin(), current.end());
-        int* row = rows.data() + (rows.size() - width);
         if (substitute) {
-          // Reservoir over the unused neighbourhood targets; if the whole
-          // neighbourhood is occupied, fall back to any unused candidate so
-          // the move stays feasible (n > p guarantees one exists).
-          int replacement = -1;
-          int seen = 0;
-          for (int c : targets) {
-            if (used[static_cast<std::size_t>(c)] != 0) continue;
-            ++seen;
-            if (rng.next_below(static_cast<std::uint64_t>(seen)) == 0) {
-              replacement = c;
-            }
-          }
-          if (replacement < 0) {
-            for (int c = 0; c < n; ++c) {
-              if (used[static_cast<std::size_t>(c)] != 0) continue;
-              ++seen;
-              if (rng.next_below(static_cast<std::uint64_t>(seen)) == 0) {
-                replacement = c;
-              }
-            }
-          }
-          prop.replacement = replacement;
-          row[prop.slot_a] = replacement;
+          prop.reservoir = rng;
+          rng.discard(reservoir_draws);
         } else {
           int slot_b = prop.slot_a;
           while (slot_b == prop.slot_a) {
@@ -888,16 +929,20 @@ MappingResult WorkStealingAnnealingMapper::select(
                 rng.next_below(static_cast<std::uint64_t>(slots.size())))];
           }
           prop.slot_b = slot_b;
-          std::swap(row[prop.slot_a], row[prop.slot_b]);
         }
         proposals.push_back(prop);
       }
 
       vals.resize(static_cast<std::size_t>(k));
-      scorer.score(rows, static_cast<std::size_t>(k), vals, &out.stats);
-
+      int priced = 0;
+      int window = 1;
       int walked = 0;
       for (int j = 0; j < k; ++j) {
+        if (j == priced) {
+          priced = std::min(k, j + window);
+          price(j, priced);
+          window *= 2;
+        }
         ++walked;
         const double delta = vals[static_cast<std::size_t>(j)] - current_time;
         const bool accept = delta <= 0.0 ||
@@ -919,7 +964,7 @@ MappingResult WorkStealingAnnealingMapper::select(
           out.best_time = current_time;
           out.best = current;
         }
-        break;  // the rest of the chunk was speculative against the old state
+        break;  // the rest of the chunk was drawn against the old state
       }
       remaining -= walked;
     }

@@ -19,8 +19,9 @@
 //                        hill climber for large candidate sets.
 //   * WorkStealingAnnealingMapper — independent deterministic annealing
 //                        chains claimed dynamically off the thread pool
-//                        (work stealing), each speculatively batch-scoring a
-//                        chunk of proposals per step.
+//                        (work stealing), each drawing a chunk of proposals
+//                        per step and batch-scoring only the ones its walk
+//                        reads.
 //   * PortfolioMapper  — greedy + swap-refine + multi-seed annealing
 //                        restarts raced concurrently; best result wins.
 //                        Above PortfolioOptions::scale_threshold candidates
@@ -69,7 +70,7 @@ struct Candidate {
 struct SearchStats {
   long long evaluations = 0;   ///< Arrangements scored (cache hits included).
   /// Evaluations answered from the cache. Only the one-at-a-time searches
-  /// consult it; the batch searches price every row.
+  /// consult it; the batch searches price every row they score.
   long long cache_hits = 0;
   long long cache_misses = 0;  ///< Cache lookups the estimator had to price.
   /// Evaluations the estimator kernel priced (cache hits excluded —
@@ -305,9 +306,11 @@ struct WorkStealingOptions {
   int chains = 8;
   /// Per-chain schedule; the seed field is the chain_seed derivation base.
   AnnealingOptions annealing;
-  /// Speculative proposals drawn and batch-scored per step; on the first
-  /// accepted proposal the rest of the chunk is discarded (stale against the
-  /// new state).
+  /// Proposals drawn per step from the chain's current state. The walk
+  /// prices them as it reaches them; on the first accepted proposal the
+  /// rest of the chunk is discarded unpriced (stale against the new state).
+  /// The chunk fixes the order of the chain's random draws, so it is part
+  /// of the selection.
   int chunk = 8;
   LocalityOptions locality;
 };
@@ -315,11 +318,15 @@ struct WorkStealingOptions {
 /// Work-stealing parallel annealing: `chains` deterministic annealing runs
 /// (greedy start, geometric cooling, locality-restricted substitution /
 /// swap moves) claimed dynamically over the context's ThreadPool. Each
-/// chain draws a chunk of proposals i.i.d. from its current state, prices
-/// the whole chunk in one SoA batch, then walks it in order under the
-/// Metropolis rule — a chain is a fixed serial computation, so the
-/// chain-order reduction (ties keep the earliest chain) is bit-identical
-/// for any thread count.
+/// chain draws a chunk of proposals i.i.d. from its current state, then
+/// walks it in order under the Metropolis rule, pricing rows in SoA batches
+/// of 1, 2, 4, ... as the walk reaches them: a walk that stops at row w
+/// prices at most 2w - 1 rows. A substitution's reservoir draw is skipped
+/// when the proposal is drawn (support::Rng::discard) and replayed when its
+/// row is priced, so the chain's random stream, and every value its walk
+/// compares, is what pricing the whole chunk would give. A chain is a fixed
+/// serial computation, so the chain-order reduction (ties keep the earliest
+/// chain) is bit-identical for any thread count.
 class WorkStealingAnnealingMapper : public Mapper {
  public:
   using Options = WorkStealingOptions;

@@ -1,6 +1,7 @@
 #include "pmdl/model.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <string>
 
@@ -346,7 +347,8 @@ InstanceBuilder& InstanceBuilder::shape(std::vector<long long> dims) {
 InstanceBuilder& InstanceBuilder::node_volume(int index, double units) {
   support::require(shape_set_, "set the shape before node volumes");
   support::require(index >= 0 && index < instance_.size(), "node index out of range");
-  support::require(units >= 0.0, "node volume must be non-negative");
+  support::require(units >= 0.0 && std::isfinite(units),
+                   "node volume must be finite and non-negative");
   instance_.volumes_[static_cast<std::size_t>(index)] = units;
   return *this;
 }
@@ -357,7 +359,8 @@ InstanceBuilder& InstanceBuilder::link(int src, int dst, double bytes) {
                        dst < instance_.size(),
                    "link endpoint out of range");
   support::require(src != dst, "self links are not allowed");
-  support::require(bytes >= 0.0, "link volume must be non-negative");
+  support::require(bytes >= 0.0 && std::isfinite(bytes),
+                   "link volume must be finite and non-negative");
   if (bytes > 0.0) {
     double& slot = instance_.links_[{src, dst}];
     slot = std::max(slot, bytes);

@@ -77,7 +77,8 @@ struct SchedConfig {
   bool execute = false;
   /// Mapper for placement: "" or "greedy" (default; the scheduler prices
   /// thousands of placements per trace), "swap-refine", "annealing",
-  /// "exhaustive", "portfolio".
+  /// "exhaustive", "portfolio", "beam", "annealing-ws". Any other name
+  /// throws InvalidArgument.
   std::string mapper;
   /// Estimator overheads for placement pricing.
   est::EstimateOptions estimate;

@@ -18,11 +18,15 @@ class Rng {
 
   /// Next raw 64-bit value.
   std::uint64_t next() noexcept {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
+    std::uint64_t z = (state_ += kGamma);
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
   }
+
+  /// Skips `n` draws in O(1): leaves the stream where `n` calls of next()
+  /// would (each draw adds kGamma to the state, modulo 2^64).
+  void discard(std::uint64_t n) noexcept { state_ += n * kGamma; }
 
   /// Uniform integer in [0, bound). `bound` must be positive.
   std::uint64_t next_below(std::uint64_t bound) noexcept {
@@ -52,6 +56,8 @@ class Rng {
   Rng split() noexcept { return Rng(next() ^ 0xd1b54a32d192ed03ULL); }
 
  private:
+  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+
   std::uint64_t state_;
 };
 

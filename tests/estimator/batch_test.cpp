@@ -3,6 +3,7 @@
 // bit on arbitrary models and clusters.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "estimator/plan.hpp"
@@ -166,22 +167,19 @@ hnoc::Cluster random_cluster(support::Rng& rng, int machines) {
   return b.build();
 }
 
-void expect_batch_matches_singles(const ModelInstance& instance,
-                                  const hnoc::NetworkModel& net,
-                                  support::Rng& rng, std::size_t count) {
+/// Prices `rows` (one mapping each) in one batch and expects each to equal
+/// a single Plan::evaluate and the reference interpreter bit for bit.
+void expect_rows_match_singles(const ModelInstance& instance,
+                               const hnoc::NetworkModel& net,
+                               const std::vector<std::vector<int>>& rows) {
   const Plan plan(instance);
   const auto p = static_cast<std::size_t>(instance.size());
+  const std::size_t count = rows.size();
   const EstimateOptions options{};
 
   std::vector<int> soa(p * count);
-  std::vector<std::vector<int>> rows(count, std::vector<int>(p, 0));
   for (std::size_t i = 0; i < count; ++i) {
-    for (std::size_t a = 0; a < p; ++a) {
-      const int proc = static_cast<int>(
-          rng.next_below(static_cast<std::uint64_t>(net.size())));
-      rows[i][a] = proc;
-      soa[a * count + i] = proc;
-    }
+    for (std::size_t a = 0; a < p; ++a) soa[a * count + i] = rows[i][a];
   }
 
   std::vector<double> batched(count);
@@ -193,6 +191,42 @@ void expect_batch_matches_singles(const ModelInstance& instance,
     EXPECT_EQ(reference::estimate_time(instance, rows[i], net, options),
               batched[i]);
   }
+}
+
+void expect_batch_matches_singles(const ModelInstance& instance,
+                                  const hnoc::NetworkModel& net,
+                                  support::Rng& rng, std::size_t count) {
+  const auto p = static_cast<std::size_t>(instance.size());
+  std::vector<std::vector<int>> rows(count, std::vector<int>(p, 0));
+  for (std::vector<int>& row : rows) {
+    for (int& proc : row) {
+      proc = static_cast<int>(
+          rng.next_below(static_cast<std::uint64_t>(net.size())));
+    }
+  }
+  expect_rows_match_singles(instance, net, rows);
+}
+
+/// `count` mappings of `p` slots onto `machines` >= p processors that
+/// alternate between slots on distinct processors (a random injection) and
+/// slots that all sit on two processors, so some of their pairs alias.
+std::vector<std::vector<int>> mixed_rows(support::Rng& rng, int p,
+                                         int machines, std::size_t count) {
+  std::vector<std::vector<int>> rows;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::vector<int> procs(static_cast<std::size_t>(machines));
+    for (int m = 0; m < machines; ++m) procs[static_cast<std::size_t>(m)] = m;
+    for (int m = machines - 1; m > 0; --m) {  // Fisher-Yates
+      std::swap(procs[static_cast<std::size_t>(m)],
+                procs[rng.next_below(static_cast<std::uint64_t>(m + 1))]);
+    }
+    std::vector<int> row(procs.begin(), procs.begin() + p);
+    if (i % 2 == 1) {
+      for (int& proc : row) proc = procs[rng.next_below(2)];
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
 }
 
 TEST(BatchEvaluator, MatchesSinglesOnRandomSchemeModels) {
@@ -211,6 +245,7 @@ TEST(BatchEvaluator, MatchesSinglesOnRandomSchemeModels) {
 
 TEST(BatchEvaluator, MatchesSinglesOnNestedParModelsWithAliasedLinks) {
   support::Rng rng(0x9e57ed);
+  support::Rng mixed(0x313ed);
   for (int trial = 0; trial < 24; ++trial) {
     const int p = 3 + static_cast<int>(rng.next_below(5));
     const int machines = 2 + static_cast<int>(rng.next_below(2));
@@ -219,6 +254,16 @@ TEST(BatchEvaluator, MatchesSinglesOnNestedParModelsWithAliasedLinks) {
     const ModelInstance instance = nested_par_model(rng, p);
     const auto count = static_cast<std::size_t>(1 + rng.next_below(40));
     expect_batch_matches_singles(instance, net, rng, count);
+
+    // One batch that mixes candidates on distinct processors, whose pairs
+    // never alias, with candidates that share processors.
+    const int wide = p + static_cast<int>(mixed.next_below(4));
+    const hnoc::Cluster wide_cluster = random_cluster(mixed, wide);
+    const hnoc::NetworkModel wide_net(wide_cluster);
+    expect_rows_match_singles(
+        instance, wide_net,
+        mixed_rows(mixed, p, wide, 2 + static_cast<std::size_t>(
+                                           mixed.next_below(20))));
   }
 }
 

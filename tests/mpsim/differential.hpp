@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "../golden_text.hpp"
 #include "hnoc/cluster.hpp"
 #include "mpsim/trace.hpp"
 #include "mpsim/world.hpp"
@@ -107,26 +108,7 @@ inline std::string fingerprint(const EngineRun& run) {
   return out.str();
 }
 
-/// Empty when `a == b`, else the first differing line of each.
-inline std::string first_difference(const std::string& a,
-                                    const std::string& b) {
-  if (a == b) return "";
-  std::istringstream in_a(a);
-  std::istringstream in_b(b);
-  std::string line_a;
-  std::string line_b;
-  for (int line = 1;; ++line) {
-    const bool more_a = static_cast<bool>(std::getline(in_a, line_a));
-    const bool more_b = static_cast<bool>(std::getline(in_b, line_b));
-    if (!more_a && !more_b) return "texts differ only in trailing newlines";
-    if (!more_a) line_a = "<end>";
-    if (!more_b) line_b = "<end>";
-    if (line_a != line_b) {
-      return "line " + std::to_string(line) + ":\n  expected: " + line_a +
-             "\n  actual:   " + line_b;
-    }
-  }
-}
+using golden::first_difference;
 
 /// Contents of tests/mpsim/golden/<name>; fails the test when it is missing.
 inline std::string read_golden(const std::string& name) {

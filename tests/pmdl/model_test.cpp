@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "pmdl/eval.hpp"
@@ -542,6 +543,33 @@ TEST(InstanceBuilder, Validation) {
   EXPECT_THROW(b.link(0, 0, 8.0), hmpi::InvalidArgument);  // self link
   EXPECT_THROW(b.node_volume(5, 1.0), hmpi::InvalidArgument);
   EXPECT_THROW(b.parent(2), hmpi::InvalidArgument);
+}
+
+TEST(InstanceBuilder, RejectsNonFiniteVolumes) {
+  // An infinite volume under a 0% activation makes the node's time NaN
+  // (inf x 0), which prices every mapping at NaN or drops the node from
+  // the makespan; the builder refuses it, as Cluster refuses non-finite
+  // speeds.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  InstanceBuilder b("x");
+  b.shape({2});
+  for (const double bad : {inf, -inf, nan}) {
+    EXPECT_THROW(b.node_volume(0, bad), hmpi::InvalidArgument) << bad;
+    EXPECT_THROW(b.link(0, 1, bad), hmpi::InvalidArgument) << bad;
+  }
+  Model m = Model::from_factory("inf", 1, [=](std::span<const ParamValue> ps) {
+    InstanceBuilder f("inf");
+    f.shape({2});
+    f.node_volume(0, std::get<long long>(ps[0]) == 0 ? 1.0 : inf);
+    f.scheme([](ScheduleSink& sink) {
+      const long long c[1] = {0};
+      sink.compute(c, 0.0);
+    });
+    return f.build();
+  });
+  EXPECT_NO_THROW(m.instantiate({scalar(0)}));
+  EXPECT_THROW(m.instantiate({scalar(1)}), hmpi::InvalidArgument);
 }
 
 TEST(Model, SummaryDescribesTheInstance) {

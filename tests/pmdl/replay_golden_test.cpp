@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "../golden_text.hpp"
 #include "apps/em3d/app.hpp"
 #include "apps/em3d/body.hpp"
 #include "apps/jacobi/jacobi.hpp"
@@ -62,11 +63,7 @@ class FixturePart {
   std::string text_;
 };
 
-std::string hexfloat(double v) {
-  char out[48];
-  std::snprintf(out, sizeof out, "%a", v);
-  return out;
-}
+using golden::hexfloat;
 
 std::string coord_text(std::span<const long long> coords) {
   std::string out;
@@ -190,26 +187,7 @@ std::string fixture_text() {
   return out;
 }
 
-/// Empty when the texts are equal, else the first line where they differ.
-std::string first_difference(const std::string& expected,
-                             const std::string& actual) {
-  if (expected == actual) return "";
-  std::istringstream in_a(expected);
-  std::istringstream in_b(actual);
-  std::string line_a;
-  std::string line_b;
-  for (int line = 1;; ++line) {
-    const bool more_a = static_cast<bool>(std::getline(in_a, line_a));
-    const bool more_b = static_cast<bool>(std::getline(in_b, line_b));
-    if (!more_a && !more_b) return "texts differ only in trailing newlines";
-    if (!more_a) line_a = "<end>";
-    if (!more_b) line_b = "<end>";
-    if (line_a != line_b) {
-      return "line " + std::to_string(line) + ":\n  expected: " + line_a +
-             "\n  actual:   " + line_b;
-    }
-  }
-}
+using golden::first_difference;
 
 TEST(ReplayGolden, ShippedModelsReplayAsRecorded) {
   const std::string path = std::string(HMPI_PMDL_GOLDEN_DIR) + "/replay.txt";

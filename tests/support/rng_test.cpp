@@ -70,6 +70,34 @@ TEST(Rng, NextDoubleInRange) {
   }
 }
 
+TEST(Rng, DiscardSkipsExactlyNDraws) {
+  for (const std::uint64_t n : {0ULL, 1ULL, 2ULL, 37ULL, 100000ULL}) {
+    Rng stepped(0x5eed);
+    for (std::uint64_t i = 0; i < n; ++i) stepped.next();
+    Rng skipped(0x5eed);
+    skipped.discard(n);
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(stepped.next(), skipped.next()) << "n = " << n;
+    }
+  }
+}
+
+TEST(Rng, DiscardsCompose) {
+  const std::uint64_t pairs[][2] = {
+      {0, 0}, {3, 5}, {37, 100000}, {1ULL << 63, 1ULL << 63},
+      {~0ULL, 2}, {0xfedcba9876543210ULL, 0x123456789abcdef0ULL}};
+  for (const auto& [a, b] : pairs) {
+    Rng twice(99);
+    twice.discard(a);
+    twice.discard(b);
+    Rng once(99);
+    once.discard(a + b);  // wraps past 2^64 for the last three pairs
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(twice.next(), once.next()) << a << " + " << b;
+    }
+  }
+}
+
 TEST(Rng, SplitProducesIndependentStream) {
   Rng a(42);
   Rng child = a.split();
