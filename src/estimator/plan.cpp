@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 
 #include "estimator/fingerprint.hpp"
 #include "support/error.hpp"
@@ -10,13 +11,13 @@ namespace hmpi::est {
 
 namespace {
 
-/// Records one scheme replay as the lowered op list. Self transfers are
-/// dropped and the percentage factors folded in here, so the evaluators
-/// never look at the instance again. Transfers get their abstract pair
-/// index on first sight. Par structure is filtered as it arrives: a segment
-/// (the ops since the block's kParBegin or its last kept kParIterBegin)
-/// that recorded nothing gets no kParIterBegin, a block that recorded
-/// nothing is erased, and every kept marker gets its footprint.
+/// Records one scheme replay as an op list. Self transfers are dropped and
+/// the percentage factors folded in here, so the evaluators never look at
+/// the instance again. Transfers get their abstract pair index on first
+/// sight. Par structure is filtered as it arrives: a segment (the ops since
+/// the block's kParBegin or its last kept kParIterBegin) that recorded
+/// nothing gets no kParIterBegin, and a block that recorded nothing is
+/// erased. The markers carry no footprint yet (see lower_par).
 class Recorder final : public pmdl::ScheduleSink {
  public:
   explicit Recorder(const pmdl::ModelInstance& instance)
@@ -24,13 +25,11 @@ class Recorder final : public pmdl::ScheduleSink {
 
   std::vector<PlanOp> ops;
   std::vector<std::pair<int, int>> pairs;
-  std::vector<int> footprint_rows;
 
   void compute(std::span<const long long> coords, double percent) override {
     const auto a = static_cast<std::size_t>(instance_->flatten(coords));
     const double units = instance_->node_volumes()[a] * percent / 100.0;
     ops.push_back({PlanOp::Kind::kCompute, static_cast<int>(a), -1, -1, units});
-    touch_time(static_cast<int>(a));
   }
 
   void transfer(std::span<const long long> src, std::span<const long long> dst,
@@ -51,101 +50,181 @@ class Recorder final : public pmdl::ScheduleSink {
     if (inserted) pairs.push_back({s, d});
     // A missing link entry still pays latency and overheads (bytes = 0).
     ops.push_back({PlanOp::Kind::kTransfer, s, d, pit->second, bytes});
-    touch_time(s);
-    touch_time(d);
-    if (depth_ > 0) blocks_[depth_ - 1].pairs.push_back(pit->second);
   }
 
   void par_begin() override {
-    if (depth_ == blocks_.size()) blocks_.emplace_back();
-    Block& block = blocks_[depth_++];
-    block.begin = ops.size();
+    block_begin_.push_back(ops.size());
     ops.push_back({PlanOp::Kind::kParBegin, -1, -1, -1, 0.0});
-    block.segment_begin = ops.size();
-    block.time.clear();
-    block.pairs.clear();
-    block.segment_time = block.segment_pairs = 0;
+    segment_begin_.push_back(ops.size());
   }
 
   void par_iter_begin() override {
-    support::require(depth_ > 0,
+    support::require(!block_begin_.empty(),
                      "scheme began a par iteration outside a par block");
-    Block& block = blocks_[depth_ - 1];
-    if (ops.size() == block.segment_begin) return;  // empty segment
-    PlanOp op{PlanOp::Kind::kParIterBegin, -1, -1, -1, 0.0};
-    set_footprint(op, block, block.segment_time, block.segment_pairs);
-    ops.push_back(op);
-    block.segment_begin = ops.size();
-    block.segment_time = block.time.size();
-    block.segment_pairs = block.pairs.size();
+    if (ops.size() == segment_begin_.back()) return;  // empty segment
+    ops.push_back({PlanOp::Kind::kParIterBegin, -1, -1, -1, 0.0});
+    segment_begin_.back() = ops.size();
   }
 
   void par_end() override {
-    support::require(depth_ > 0, "scheme ended a par block it never began");
-    Block& block = blocks_[--depth_];
-    if (ops.size() == block.begin + 1) {  // empty block
+    support::require(!block_begin_.empty(),
+                     "scheme ended a par block it never began");
+    const std::size_t begin = block_begin_.back();
+    block_begin_.pop_back();
+    segment_begin_.pop_back();
+    if (ops.size() == begin + 1) {  // empty block
       ops.pop_back();
       return;
     }
-    PlanOp end{PlanOp::Kind::kParEnd, -1, -1, -1, 0.0};
-    set_footprint(end, block, 0, 0);
-    ops[block.begin] = {PlanOp::Kind::kParBegin, end.a, end.b, end.pair, 0.0};
-    ops.push_back(end);
-    // The whole block is part of the enclosing segment.
-    if (depth_ > 0) {
-      Block& outer = blocks_[depth_ - 1];
-      outer.time.insert(outer.time.end(), block.time.begin(), block.time.end());
-      outer.pairs.insert(outer.pairs.end(), block.pairs.begin(),
-                         block.pairs.end());
-    }
+    ops.push_back({PlanOp::Kind::kParEnd, -1, -1, -1, 0.0});
   }
 
   /// Throws unless every par block the scheme began was ended.
   void finish() const {
-    support::require(depth_ == 0, "scheme left a par block open");
+    support::require(block_begin_.empty(), "scheme left a par block open");
   }
 
  private:
-  /// An open par block. `time` and `pairs` hold the rows its closed
-  /// segments wrote (sorted and deduplicated per segment), then the rows of
-  /// the open segment from `segment_time` / `segment_pairs` on.
+  const pmdl::ModelInstance* instance_;
+  std::unordered_map<std::uint64_t, int> pair_index_;
+  // Per open par block, innermost last: the index of its kParBegin and of
+  // its open segment's first op.
+  std::vector<std::size_t> block_begin_, segment_begin_;
+};
+
+/// Lowers a recorded op list (balanced, with no empty segment or block) into
+/// `ops` and their footprints in `footprint_rows` (docs/estimator.md §3-4):
+/// a block that is the whole segment of its parent (preceded by the
+/// parent's kParBegin or kParIterBegin, followed by its kParIterBegin or
+/// kParEnd) is flattened into the parent, and a segment of one activation
+/// becomes a kParCompute or kParTransfer with no kParIterBegin to close it.
+/// One sweep marks the blocks to flatten; a second emits the ops and gives
+/// every kept marker the sorted rows its block (kParBegin, kParEnd) or the
+/// segment it closes (kParIterBegin) writes.
+void lower_par(std::span<const PlanOp> recorded, std::vector<PlanOp>& ops,
+               std::vector<int>& footprint_rows) {
+  using Kind = PlanOp::Kind;
+  const std::size_t n = recorded.size();
+  // Past the end reads as an op, which closes no segment.
+  const auto kind_at = [&](std::size_t k) {
+    return k < n ? recorded[k].kind : Kind::kCompute;
+  };
+  const auto opens_segment = [](Kind k) {
+    return k == Kind::kParBegin || k == Kind::kParIterBegin;
+  };
+  const auto closes_segment = [](Kind k) {
+    return k == Kind::kParIterBegin || k == Kind::kParEnd;
+  };
+
+  std::vector<bool> flatten(n, false);
+  std::vector<std::size_t> open;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (recorded[k].kind == Kind::kParBegin) open.push_back(k);
+    if (recorded[k].kind != Kind::kParEnd) continue;
+    const std::size_t begin = open.back();
+    open.pop_back();
+    flatten[begin] = flatten[k] = begin > 0 &&
+                                  opens_segment(recorded[begin - 1].kind) &&
+                                  closes_segment(kind_at(k + 1));
+  }
+
+  // A kept block: its kParBegin in `ops`, the rows its closed segments
+  // and one-op segments wrote (sorted and deduplicated per closed segment),
+  // then the rows of the open segment from `segment_time` / `segment_pairs`
+  // on. Every op writes a time row, so the open segment holds an op a
+  // kParIterBegin must close iff it has time rows.
   struct Block {
-    std::size_t begin = 0;          // index of the block's kParBegin
-    std::size_t segment_begin = 0;  // index of the open segment's first op
+    std::size_t begin = 0;
     std::vector<int> time, pairs;
     std::size_t segment_time = 0, segment_pairs = 0;
   };
-
-  void touch_time(int a) {
-    if (depth_ > 0) blocks_[depth_ - 1].time.push_back(a);
-  }
-
-  /// Sorts and deduplicates `block`'s rows from `time_from` / `pairs_from`
-  /// on, in place, and appends them to footprint_rows as `op`'s footprint.
-  void set_footprint(PlanOp& op, Block& block, std::size_t time_from,
-                     std::size_t pairs_from) {
-    op.a = static_cast<int>(footprint_rows.size());
-    op.b = static_cast<int>(sorted_tail(block.time, time_from));
-    op.pair = static_cast<int>(sorted_tail(block.pairs, pairs_from));
-  }
-
-  /// Sorts and deduplicates rows[from, end), appends it to footprint_rows
-  /// and returns its length.
-  std::size_t sorted_tail(std::vector<int>& rows, std::size_t from) {
+  std::vector<Block> blocks;  // kept blocks, innermost at depth - 1
+  std::size_t depth = 0;
+  // Sorts and deduplicates rows[from, end) in place, appends it to
+  // footprint_rows and returns its length.
+  const auto sorted_tail = [&](std::vector<int>& rows, std::size_t from) {
     const auto first = rows.begin() + static_cast<std::ptrdiff_t>(from);
     std::sort(first, rows.end());
     rows.erase(std::unique(first, rows.end()), rows.end());
     footprint_rows.insert(footprint_rows.end(), first, rows.end());
-    return rows.size() - from;
-  }
+    return static_cast<int>(rows.size() - from);
+  };
+  const auto footprint = [&](Kind kind, Block& block, std::size_t time_from,
+                             std::size_t pairs_from) {
+    PlanOp op{kind, static_cast<int>(footprint_rows.size()), -1, -1, 0.0};
+    op.b = sorted_tail(block.time, time_from);
+    op.pair = sorted_tail(block.pairs, pairs_from);
+    return op;
+  };
 
-  const pmdl::ModelInstance* instance_;
-  std::unordered_map<std::uint64_t, int> pair_index_;
-  // Open par blocks, innermost at depth_ - 1; closed entries are kept so
-  // their row buffers are reused.
-  std::vector<Block> blocks_;
-  std::size_t depth_ = 0;
-};
+  for (std::size_t k = 0; k < n; ++k) {
+    PlanOp op = recorded[k];
+    switch (op.kind) {
+      case Kind::kCompute:
+      case Kind::kTransfer: {
+        if (depth == 0) {
+          ops.push_back(op);
+          break;
+        }
+        Block& block = blocks[depth - 1];
+        block.time.push_back(op.a);
+        if (op.kind == Kind::kTransfer) {
+          block.time.push_back(op.b);
+          block.pairs.push_back(op.pair);
+        }
+        if (opens_segment(recorded[k - 1].kind) &&
+            closes_segment(kind_at(k + 1))) {
+          // A segment of its own: its rows join the block's footprint but
+          // no segment's.
+          op.kind = op.kind == Kind::kCompute ? Kind::kParCompute
+                                              : Kind::kParTransfer;
+          block.segment_time = block.time.size();
+          block.segment_pairs = block.pairs.size();
+        }
+        ops.push_back(op);
+        break;
+      }
+      case Kind::kParBegin:
+        if (flatten[k]) break;
+        if (depth == blocks.size()) blocks.emplace_back();
+        blocks[depth].begin = ops.size();
+        blocks[depth].time.clear();
+        blocks[depth].pairs.clear();
+        blocks[depth].segment_time = blocks[depth].segment_pairs = 0;
+        ++depth;
+        ops.push_back(op);
+        break;
+      case Kind::kParIterBegin: {
+        Block& block = blocks[depth - 1];
+        if (block.time.size() == block.segment_time) break;  // one-op segment
+        ops.push_back(footprint(Kind::kParIterBegin, block, block.segment_time,
+                                block.segment_pairs));
+        block.segment_time = block.time.size();
+        block.segment_pairs = block.pairs.size();
+        break;
+      }
+      case Kind::kParEnd: {
+        if (flatten[k]) break;
+        Block& block = blocks[--depth];
+        const PlanOp end = footprint(Kind::kParEnd, block, 0, 0);
+        ops[block.begin] = {Kind::kParBegin, end.a, end.b, end.pair, 0.0};
+        ops.push_back(end);
+        // The whole block is part of the enclosing segment.
+        if (depth > 0) {
+          Block& outer = blocks[depth - 1];
+          outer.time.insert(outer.time.end(), block.time.begin(),
+                            block.time.end());
+          outer.pairs.insert(outer.pairs.end(), block.pairs.begin(),
+                             block.pairs.end());
+        }
+        break;
+      }
+      case Kind::kParCompute:
+      case Kind::kParTransfer:
+        break;  // made by this pass, never recorded
+    }
+  }
+}
 
 }  // namespace
 
@@ -164,11 +243,13 @@ Plan::Plan(const pmdl::ModelInstance& instance)
   Recorder recorder(instance);
   instance.run_scheme(recorder);
   recorder.finish();
+  std::vector<PlanOp> ops;
+  std::vector<int> footprint_rows;
+  lower_par(recorder.ops, ops, footprint_rows);
   // Exact-size copies: plans stay cached for the runtime's lifetime.
-  ops_.assign(recorder.ops.begin(), recorder.ops.end());
+  ops_.assign(ops.begin(), ops.end());
   pairs_.assign(recorder.pairs.begin(), recorder.pairs.end());
-  footprint_rows_.assign(recorder.footprint_rows.begin(),
-                         recorder.footprint_rows.end());
+  footprint_rows_.assign(footprint_rows.begin(), footprint_rows.end());
 }
 
 double Plan::evaluate(std::span<const int> mapping,
@@ -266,6 +347,16 @@ void BatchEvaluator::evaluate(const Plan& plan, std::span<const int> procs_soa,
                               std::size_t count,
                               const hnoc::NetworkModel& network,
                               EstimateOptions options, std::span<double> out) {
+  // Every priced time stays a number only with these checked: the par
+  // lowering is exact for every input but NaN (docs/estimator.md §4).
+  support::require(std::isfinite(options.send_overhead_s) &&
+                       options.send_overhead_s >= 0.0,
+                   "EstimateOptions::send_overhead_s must be finite and "
+                   "non-negative");
+  support::require(std::isfinite(options.recv_overhead_s) &&
+                       options.recv_overhead_s >= 0.0,
+                   "EstimateOptions::recv_overhead_s must be finite and "
+                   "non-negative");
   if (count == 0) return;
   const auto p = static_cast<std::size_t>(plan.num_procs_);
   support::require(procs_soa.size() == p * count,
@@ -338,6 +429,18 @@ void BatchEvaluator::evaluate(const Plan& plan, std::span<const int> procs_soa,
   const auto busy_slot = [&](std::size_t q, std::size_t i) {
     return static_cast<std::size_t>(canon_[q * count + i]) * count + i;
   };
+  // Transfer `op` of candidate `i`, priced from the live rows: its busy
+  // slot and finish time.
+  const auto transfer = [&](const PlanOp& op, std::size_t i) {
+    const auto q = static_cast<std::size_t>(op.pair);
+    const std::size_t slot = busy_slot(q, i);
+    const double start = std::max(
+        time_[static_cast<std::size_t>(op.a) * count + i], busy_[slot]);
+    return std::pair{slot, start + (latency_[q * count + i] +
+                                    op.value / bandwidth_[q * count + i])};
+  };
+  const double send = options.send_overhead_s;
+  const double recv = options.recv_overhead_s;
 
   for (const PlanOp& op : plan.ops_) {
     switch (op.kind) {
@@ -351,15 +454,37 @@ void BatchEvaluator::evaluate(const Plan& plan, std::span<const int> procs_soa,
       case PlanOp::Kind::kTransfer: {
         const std::size_t s = static_cast<std::size_t>(op.a) * count;
         const std::size_t d = static_cast<std::size_t>(op.b) * count;
-        const std::size_t q = static_cast<std::size_t>(op.pair);
         for (std::size_t i = 0; i < count; ++i) {
-          double& slot = busy_[busy_slot(q, i)];
-          const double start = std::max(time_[s + i], slot);
-          const double finish = start + (latency_[q * count + i] +
-                                         op.value / bandwidth_[q * count + i]);
-          slot = finish;
-          time_[s + i] += options.send_overhead_s;
-          time_[d + i] = std::max(time_[d + i], finish) + options.recv_overhead_s;
+          const auto [slot, finish] = transfer(op, i);
+          busy_[slot] = finish;
+          time_[s + i] += send;
+          time_[d + i] = std::max(time_[d + i], finish) + recv;
+        }
+        break;
+      }
+      // A one-op segment starts from the live rows, which hold the block's
+      // entry values, and folds its rows into the innermost frame's running
+      // max with the max(acc, v) a kParIterBegin applies, leaving the live
+      // rows as they are.
+      case PlanOp::Kind::kParCompute: {
+        Frame& f = frames_[frame_depth_ - 1];
+        const std::size_t base = static_cast<std::size_t>(op.a) * count;
+        for (std::size_t j = base; j < base + count; ++j) {
+          f.acc_time[j] =
+              std::max(f.acc_time[j], time_[j] + op.value / speed_[j]);
+        }
+        break;
+      }
+      case PlanOp::Kind::kParTransfer: {
+        Frame& f = frames_[frame_depth_ - 1];
+        const std::size_t s = static_cast<std::size_t>(op.a) * count;
+        const std::size_t d = static_cast<std::size_t>(op.b) * count;
+        for (std::size_t i = 0; i < count; ++i) {
+          const auto [slot, finish] = transfer(op, i);
+          f.acc_busy[slot] = std::max(f.acc_busy[slot], finish);
+          f.acc_time[s + i] = std::max(f.acc_time[s + i], time_[s + i] + send);
+          f.acc_time[d + i] = std::max(
+              f.acc_time[d + i], std::max(time_[d + i], finish) + recv);
         }
         break;
       }

@@ -22,10 +22,12 @@
 //   Plan           — the model instance lowered to a flat, topologically
 //                    ordered op list (compute/transfer/par markers) with the
 //                    volume and byte factors pre-resolved per op, empty par
-//                    segments and blocks dropped, and each par marker
-//                    carrying its footprint (the rows its block or segment
-//                    writes); plus the (src, dst, bytes) link terms of the
-//                    no-scheme fallback.
+//                    segments and blocks dropped, a block that is a whole
+//                    segment of its parent flattened into it, a one-op
+//                    segment folded straight into its frame, and each par
+//                    marker carrying its footprint (the rows its block or
+//                    segment writes); plus the (src, dst, bytes) link terms
+//                    of the no-scheme fallback.
 //   BatchEvaluator — the kernel: structure-of-arrays pricing of a set of
 //                    mappings in one pass. The op list is walked once, each
 //                    op's inner loop runs contiguously over all candidates
@@ -63,17 +65,22 @@ struct EstimateOptions {
 };
 
 /// One lowered scheme activation or par marker. `value` is pre-multiplied
-/// by the activation's percentage: computation units for kCompute, bytes
-/// for kTransfer (self transfers cost nothing in the model and are dropped
-/// at compile time). A par marker's footprint (Plan::time_rows,
-/// Plan::pair_rows) is stored as `b` time rows followed by `pair`
-/// transfer-pair rows from offset `a` of the plan's row array; kParBegin and
-/// kParEnd carry their block's footprint, kParIterBegin the footprint of the
-/// segment it closes.
+/// by the activation's percentage: computation units for kCompute and
+/// kParCompute, bytes for kTransfer and kParTransfer (self transfers cost
+/// nothing in the model and are dropped at compile time). kParCompute and
+/// kParTransfer are par segments of that one op: they price it from the
+/// live rows, which hold the block's entry values, and fold the result into
+/// the innermost frame's running max, leaving the live rows as they are. A
+/// par marker's footprint (Plan::time_rows, Plan::pair_rows) is stored as
+/// `b` time rows followed by `pair` transfer-pair rows from offset `a` of
+/// the plan's row array; kParBegin and kParEnd carry their block's
+/// footprint, kParIterBegin the footprint of the segment it closes.
 struct PlanOp {
   enum class Kind : std::uint8_t {
     kCompute,       ///< time[a] += value / speed(mapping[a])
     kTransfer,      ///< timeline transfer of `value` bytes a -> b
+    kParCompute,    ///< kCompute as a whole segment, into the frame's max
+    kParTransfer,   ///< kTransfer as a whole segment, into the frame's max
     kParBegin,      ///< snapshot the block's rows (par block entry)
     kParIterBegin,  ///< fold the segment's rows into the max, rewind them
     kParEnd,        ///< fold and adopt the element-wise max of the block's rows
@@ -181,7 +188,11 @@ class Plan {
 /// rows agrees with one over the whole timeline and every physical link: a
 /// row the block does not write equals its snapshot and the running max
 /// throughout, and busy rows are reached through the candidate's canonical
-/// slot, so aliased pairs share one frame entry (docs/estimator.md §4). So
+/// slot, so aliased pairs share one frame entry. Flattened blocks and
+/// one-op segments fold the same values into the same running maxima in
+/// another grouping, which changes no result while no priced time is NaN,
+/// and the inputs are checked to keep every time a number
+/// (docs/estimator.md §4). So
 /// a candidate's value is the same whatever batch it is priced in, and
 /// equal bit for bit to the scheme interpreter the test suites keep as the
 /// reference (tests/estimator/batch_test.cpp).

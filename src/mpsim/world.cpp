@@ -1,6 +1,7 @@
 #include "mpsim/world.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <sstream>
 
@@ -122,6 +123,14 @@ World::World(const hnoc::Cluster& cluster, std::vector<int> placement,
              Options options)
     : cluster_(&cluster), placement_(std::move(placement)), options_(std::move(options)) {
   support::require(!placement_.empty(), "World needs at least one process");
+  support::require(std::isfinite(options_.send_overhead_s) &&
+                       options_.send_overhead_s >= 0.0,
+                   "WorldOptions::send_overhead_s must be finite and "
+                   "non-negative");
+  support::require(std::isfinite(options_.recv_overhead_s) &&
+                       options_.recv_overhead_s >= 0.0,
+                   "WorldOptions::recv_overhead_s must be finite and "
+                   "non-negative");
   for (int p : placement_) {
     support::require(p >= 0 && p < cluster.size(),
                      "placement references processor outside the cluster");

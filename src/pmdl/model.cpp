@@ -18,9 +18,48 @@ double ModelInstance::node_volume(int index) const {
   return volumes_[static_cast<std::size_t>(index)];
 }
 
+namespace {
+
+/// Forwards a scheme's stream to `sink`, rejecting an activation percentage
+/// that is not finite and non-negative: every consumer of the stream prices
+/// times from it, and a NaN or negative time has no meaning there.
+class CheckedSink final : public ScheduleSink {
+ public:
+  CheckedSink(ScheduleSink& sink, const std::string& model)
+      : sink_(&sink), model_(&model) {}
+
+  void compute(std::span<const long long> coords, double percent) override {
+    check(percent);
+    sink_->compute(coords, percent);
+  }
+  void transfer(std::span<const long long> src, std::span<const long long> dst,
+                double percent) override {
+    check(percent);
+    sink_->transfer(src, dst, percent);
+  }
+  void par_begin() override { sink_->par_begin(); }
+  void par_iter_begin() override { sink_->par_iter_begin(); }
+  void par_end() override { sink_->par_end(); }
+
+ private:
+  void check(double percent) const {
+    if (std::isfinite(percent) && percent >= 0.0) return;
+    std::ostringstream what;
+    what << "model '" << *model_ << "': activation percentage " << percent
+         << " is not finite and non-negative";
+    throw InvalidArgument(what.str());
+  }
+
+  ScheduleSink* sink_;
+  const std::string* model_;
+};
+
+}  // namespace
+
 void ModelInstance::run_scheme(ScheduleSink& sink) const {
   if (!scheme_) throw PmdlError("model '" + name_ + "' has no scheme");
-  scheme_(sink);
+  CheckedSink checked(sink, name_);
+  scheme_(checked);
 }
 
 long long ModelInstance::flatten(std::span<const long long> coords) const {

@@ -134,6 +134,97 @@ ModelInstance nested_par_model(support::Rng& rng, int p) {
   return b.build();
 }
 
+/// Random model whose scheme holds the par shapes the plan compiler
+/// rewrites (docs/estimator.md §3), between random leaves:
+///   * chains of blocks that are each the whole segment of the block around
+///     them, 2-4 levels below an outer block; the innermost block's
+///     segments put one-op segments first, in the middle and last among
+///     multi-op ones, or multi-op segments first and last around a one-op
+///     one;
+///   * one-op and multi-op segments of the outer block itself, first, in
+///     the middle and last;
+///   * a nested block followed by an op in the same segment, and one
+///     preceded by an op, which must stay blocks of their own.
+/// Mappings onto 2-3 machines make pairs of different segments alias.
+ModelInstance lowering_par_model(support::Rng& rng, int p) {
+  InstanceBuilder b("batch-lowering");
+  b.shape({p});
+  for (int a = 0; a < p; ++a) {
+    b.node_volume(a, 1.0 + rng.next_double() * 100.0);
+    for (int d = 0; d < p; ++d) {
+      if (d != a && rng.next_below(3) != 0) {
+        b.link(a, d, 1e4 + rng.next_double() * 1e5);
+      }
+    }
+  }
+  const std::uint64_t seed = rng.next();
+  b.scheme([p, seed](ScheduleSink& s) {
+    support::Rng r(seed);
+    const auto proc = [&] {
+      return static_cast<long long>(
+          r.next_below(static_cast<std::uint64_t>(p)));
+    };
+    // A compute or a transfer between two distinct processors, so that
+    // every segment below keeps the ops it draws.
+    const auto leaf = [&] {
+      const long long from[1] = {proc()};
+      if (r.next_below(3) == 0) {
+        s.compute(from, 5.0 + r.next_double() * 45.0);
+        return;
+      }
+      const long long to[1] = {
+          (from[0] + 1 + static_cast<long long>(r.next_below(
+                             static_cast<std::uint64_t>(p - 1)))) %
+          p};
+      s.transfer(from, to, 10.0 + r.next_double() * 90.0);
+    };
+    // An iteration of one op, or of 2-3 ops.
+    const auto segment = [&](bool one) {
+      s.par_iter_begin();
+      for (auto k = one ? 1 : 2 + r.next_below(2); k > 0; --k) leaf();
+    };
+    const auto block = [&](std::initializer_list<bool> pattern) {
+      s.par_begin();
+      for (const bool one : pattern) segment(one);
+      s.par_end();
+    };
+    const auto chain = [&](auto&& self, int levels, bool ones_outside) {
+      if (levels == 0) {
+        if (ones_outside) {
+          block({true, false, true, false, true});
+        } else {
+          block({false, true, false});
+        }
+        return;
+      }
+      s.par_begin();
+      s.par_iter_begin();
+      self(self, levels - 1, ones_outside);
+      s.par_end();
+    };
+    for (int round = 0; round < 2; ++round) {
+      leaf();
+      s.par_begin();
+      segment(true);
+      s.par_iter_begin();
+      chain(chain, 1 + static_cast<int>(r.next_below(3)), round == 0);
+      s.par_iter_begin();
+      block({true, false});  // followed by an op: kept
+      leaf();
+      segment(true);
+      s.par_iter_begin();
+      leaf();
+      block({false, true});  // preceded by an op: kept
+      segment(false);
+      s.par_iter_begin();
+      chain(chain, 1 + static_cast<int>(r.next_below(3)), round == 1);
+      segment(true);
+      s.par_end();
+    }
+  });
+  return b.build();
+}
+
 /// Model with volumes and links but no scheme: the estimator's fallback
 /// path, which the batch evaluator must reproduce too.
 ModelInstance fallback_model(support::Rng& rng, int p) {
@@ -246,6 +337,7 @@ TEST(BatchEvaluator, MatchesSinglesOnRandomSchemeModels) {
 TEST(BatchEvaluator, MatchesSinglesOnNestedParModelsWithAliasedLinks) {
   support::Rng rng(0x9e57ed);
   support::Rng mixed(0x313ed);
+  support::Rng lowering(0x10e4e);
   for (int trial = 0; trial < 24; ++trial) {
     const int p = 3 + static_cast<int>(rng.next_below(5));
     const int machines = 2 + static_cast<int>(rng.next_below(2));
@@ -264,6 +356,15 @@ TEST(BatchEvaluator, MatchesSinglesOnNestedParModelsWithAliasedLinks) {
         instance, wide_net,
         mixed_rows(mixed, p, wide, 2 + static_cast<std::size_t>(
                                            mixed.next_below(20))));
+
+    // The shapes the plan compiler flattens and folds, on 2-3 machines.
+    const int q = 3 + static_cast<int>(lowering.next_below(5));
+    const hnoc::Cluster small = random_cluster(
+        lowering, 2 + static_cast<int>(lowering.next_below(2)));
+    const hnoc::NetworkModel small_net(small);
+    expect_batch_matches_singles(
+        lowering_par_model(lowering, q), small_net, lowering,
+        static_cast<std::size_t>(1 + lowering.next_below(40)));
   }
 }
 

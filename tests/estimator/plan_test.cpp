@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <span>
 #include <vector>
 
+#include "apps/matmul/app.hpp"
 #include "estimator/estimate_cache.hpp"
 #include "estimator/fingerprint.hpp"
 #include "hnoc/cluster.hpp"
@@ -229,12 +232,13 @@ TEST(Plan, LoweringDropsEmptyParSegmentsAndBlocksAndScopesMarkers) {
                   })
                   .build();
   const Plan plan(inst);
-  // 8 of the raw stream's 17 events remain: the empty iterations, the empty
-  // nested par and the empty block are gone.
-  const std::vector<K> expected{K::kParBegin,     K::kCompute,
-                                K::kParIterBegin, K::kCompute,
-                                K::kParIterBegin, K::kTransfer,
-                                K::kParEnd,       K::kCompute};
+  // 6 of the raw stream's 17 events remain: the empty iterations, the empty
+  // nested par and the empty block are gone, and each of the block's three
+  // one-op segments is one kParCompute or kParTransfer, with no
+  // kParIterBegin to close it.
+  const std::vector<K> expected{K::kParBegin,   K::kParCompute,
+                                K::kParCompute, K::kParTransfer,
+                                K::kParEnd,     K::kCompute};
   ASSERT_EQ(plan.ops().size(), expected.size());
   for (std::size_t k = 0; k < expected.size(); ++k) {
     EXPECT_EQ(plan.ops()[k].kind, expected[k]) << "op " << k;
@@ -244,18 +248,18 @@ TEST(Plan, LoweringDropsEmptyParSegmentsAndBlocksAndScopesMarkers) {
     return std::vector<int>(r.begin(), r.end());
   };
   const PlanOp& begin = plan.ops()[0];
-  const PlanOp& end = plan.ops()[6];
+  const PlanOp& end = plan.ops()[4];
   // The block's footprint: every time row and pair row it writes.
   EXPECT_EQ(rows(plan.time_rows(begin)), (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(rows(plan.pair_rows(begin)), (std::vector<int>{0}));
   EXPECT_EQ(rows(plan.time_rows(end)), (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(rows(plan.pair_rows(end)), (std::vector<int>{0}));
-  // Each kept kParIterBegin carries the segment it closes.
-  EXPECT_EQ(rows(plan.time_rows(plan.ops()[2])), (std::vector<int>{2}));
-  EXPECT_TRUE(plan.pair_rows(plan.ops()[2]).empty());
-  EXPECT_EQ(rows(plan.time_rows(plan.ops()[4])), (std::vector<int>{0}));
-  EXPECT_TRUE(plan.pair_rows(plan.ops()[4]).empty());
-  EXPECT_EQ(plan.ops()[5].pair, 0);
+  // The one-op segments keep their activation's operands.
+  EXPECT_EQ(plan.ops()[1].a, 2);
+  EXPECT_EQ(plan.ops()[2].a, 0);
+  EXPECT_EQ(plan.ops()[3].a, 0);
+  EXPECT_EQ(plan.ops()[3].b, 1);
+  EXPECT_EQ(plan.ops()[3].pair, 0);
 
   hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
   hnoc::NetworkModel net(cluster);
@@ -265,6 +269,99 @@ TEST(Plan, LoweringDropsEmptyParSegmentsAndBlocksAndScopesMarkers) {
     ASSERT_BIT_EQ(plan.evaluate(m, net),
                   reference::estimate_time(inst, m, net, EstimateOptions()));
   }
+}
+
+TEST(Plan, LoweringFlattensWholeSegmentBlocksOnly) {
+  using K = PlanOp::Kind;
+  auto inst = InstanceBuilder("t")
+                  .shape({4})
+                  .node_volume(0, 10.0)
+                  .node_volume(1, 20.0)
+                  .node_volume(2, 30.0)
+                  .node_volume(3, 40.0)
+                  .link(2, 3, 1e6)
+                  .scheme([](ScheduleSink& s) {
+                    const long long p0[1] = {0}, p1[1] = {1}, p2[1] = {2},
+                                    p3[1] = {3};
+                    s.par_begin();
+                    s.par_begin();  // the whole first segment: flattened
+                    s.par_iter_begin();
+                    s.compute(p0, 100.0);
+                    s.compute(p1, 100.0);
+                    s.par_iter_begin();
+                    s.transfer(p2, p3, 100.0);
+                    s.par_end();
+                    s.par_iter_begin();
+                    s.par_begin();  // followed by an op: kept
+                    s.par_iter_begin();
+                    s.compute(p2, 50.0);
+                    s.par_iter_begin();
+                    s.compute(p3, 50.0);
+                    s.par_end();
+                    s.compute(p0, 50.0);
+                    s.par_end();
+                  })
+                  .build();
+  const Plan plan(inst);
+  // The flattened block's two segments are the outer block's first two: a
+  // two-op segment closed by a kParIterBegin, then a kParTransfer. The
+  // outer block's second segment is the kept block and the compute after
+  // it, closed by the outer kParEnd.
+  const std::vector<K> expected{
+      K::kParBegin,    K::kCompute,  K::kCompute,    K::kParIterBegin,
+      K::kParTransfer, K::kParBegin, K::kParCompute, K::kParCompute,
+      K::kParEnd,      K::kCompute,  K::kParEnd};
+  ASSERT_EQ(plan.ops().size(), expected.size());
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(plan.ops()[k].kind, expected[k]) << "op " << k;
+  }
+  const auto rows = [](std::span<const int> r) {
+    return std::vector<int>(r.begin(), r.end());
+  };
+  EXPECT_EQ(rows(plan.time_rows(plan.ops()[0])),
+            (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(rows(plan.pair_rows(plan.ops()[0])), (std::vector<int>{0}));
+  EXPECT_EQ(rows(plan.time_rows(plan.ops()[3])), (std::vector<int>{0, 1}));
+  EXPECT_TRUE(plan.pair_rows(plan.ops()[3]).empty());
+  EXPECT_EQ(rows(plan.time_rows(plan.ops()[5])), (std::vector<int>{2, 3}));
+  EXPECT_TRUE(plan.pair_rows(plan.ops()[5]).empty());
+  EXPECT_EQ(rows(plan.time_rows(plan.ops()[8])), (std::vector<int>{2, 3}));
+  EXPECT_EQ(rows(plan.time_rows(plan.ops()[10])),
+            (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(rows(plan.pair_rows(plan.ops()[10])), (std::vector<int>{0}));
+
+  hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
+  hnoc::NetworkModel net(cluster);
+  support::Rng rng(19);
+  for (int trial = 0; trial < 8; ++trial) {
+    const auto m = random_mapping(inst.size(), net.size(), rng);
+    ASSERT_BIT_EQ(plan.evaluate(m, net),
+                  reference::estimate_time(inst, m, net, EstimateOptions()));
+  }
+}
+
+TEST(Plan, Fig11PlanKeepsOneBlockPerParLoopOfTheScheme) {
+  // The Fig 11 Timeof instance (m = 3, r = 9, n = 36, l = 19) with the grid
+  // speeds matmul::run_hmpi derives on paper_mm_network: the host's machine
+  // first, then the fastest other machines. Each of the scheme's n steps
+  // nests its receivers' par loops in whole segments of three outer loops,
+  // so the plan keeps the three outer blocks' markers: 216 of its ops.
+  const hnoc::Cluster cluster = hnoc::testbeds::paper_mm_network();
+  const hnoc::NetworkModel net(cluster);
+  std::vector<double> others(net.speeds().begin() + 1, net.speeds().end());
+  std::sort(others.begin(), others.end(), std::greater<double>());
+  std::vector<double> grid_speeds{net.speeds()[0]};
+  grid_speeds.insert(grid_speeds.end(), others.begin(), others.begin() + 8);
+  const apps::matmul::Partition partition(3, 19, grid_speeds);
+  const Plan plan(apps::matmul::performance_model().instantiate(
+      apps::matmul::model_parameters(3, 9, 36, partition)));
+  std::size_t markers = 0;
+  for (const PlanOp& op : plan.ops()) {
+    markers += op.kind == PlanOp::Kind::kParBegin ||
+               op.kind == PlanOp::Kind::kParIterBegin ||
+               op.kind == PlanOp::Kind::kParEnd;
+  }
+  EXPECT_EQ(markers, 216u);
 }
 
 TEST(Plan, UnbalancedParStreamsAreRejected) {
@@ -290,6 +387,61 @@ TEST(Plan, EvaluateValidatesMapping) {
   EXPECT_THROW(plan.evaluate(too_short, net), hmpi::InvalidArgument);
   const int bad_proc[2] = {0, 99};
   EXPECT_THROW(plan.evaluate(bad_proc, net), hmpi::InvalidArgument);
+}
+
+TEST(Plan, EvaluateValidatesOverheads) {
+  auto inst = InstanceBuilder("t")
+                  .shape({2})
+                  .node_volume(1, 50.0)
+                  .link(0, 1, 1e3)
+                  .scheme([](ScheduleSink& s) {
+                    const long long a[1] = {0}, b[1] = {1};
+                    s.transfer(a, b, 100.0);
+                  })
+                  .build();
+  hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
+  hnoc::NetworkModel net(cluster);
+  const Plan plan(inst);
+  const int mapping[2] = {0, 1};
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                           std::numeric_limits<double>::infinity()}) {
+    EstimateOptions send;
+    send.send_overhead_s = bad;
+    EXPECT_THROW(plan.evaluate(mapping, net, send), hmpi::InvalidArgument)
+        << bad;
+    EstimateOptions recv;
+    recv.recv_overhead_s = bad;
+    EXPECT_THROW(plan.evaluate(mapping, net, recv), hmpi::InvalidArgument)
+        << bad;
+  }
+  EXPECT_THROW(plan.evaluate_batch({}, 0, net, EstimateOptions{-1.0, 0.0}, {}),
+               hmpi::InvalidArgument);
+  const EstimateOptions zero{0.0, 0.0};
+  ASSERT_BIT_EQ(plan.evaluate(mapping, net, zero),
+                reference::estimate_time(inst, mapping, net, zero));
+}
+
+TEST(Plan, CompileRejectsPercentagesThatAreNotNumbers) {
+  // A factory scheme activating node 1 (50 units) at NaN% priced the
+  // mapping as if node 1 did nothing, and at -50% the same.
+  for (const double percent : {std::numeric_limits<double>::quiet_NaN(),
+                               -50.0,
+                               std::numeric_limits<double>::infinity()}) {
+    auto inst = InstanceBuilder("t")
+                    .shape({2})
+                    .node_volume(0, 10.0)
+                    .node_volume(1, 50.0)
+                    .scheme([percent](ScheduleSink& s) {
+                      const long long a[1] = {0}, b[1] = {1};
+                      s.par_begin();
+                      s.compute(a, 100.0);
+                      s.par_iter_begin();
+                      s.compute(b, percent);
+                      s.par_end();
+                    })
+                    .build();
+    EXPECT_THROW(Plan{inst}, hmpi::InvalidArgument) << percent;
+  }
 }
 
 TEST(PlanCache, CompilesOnceAndCounts) {

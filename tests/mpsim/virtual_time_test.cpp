@@ -2,6 +2,7 @@
 // transfer costs, link serialisation, determinism, heterogeneity effects.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "hnoc/cluster.hpp"
@@ -250,6 +251,26 @@ TEST(VirtualTime, PlacementControlsSpeed) {
   auto result = World::run(c, {0, 0}, [](Proc& p) { p.compute(100.0); });
   EXPECT_DOUBLE_EQ(result.clocks[0], 1.0);
   EXPECT_DOUBLE_EQ(result.clocks[1], 1.0);
+}
+
+TEST(VirtualTime, OverheadsValidated) {
+  // A NaN send overhead made the makespan NaN while the receiver's clock
+  // read as if the message arrived at time 0.
+  hnoc::Cluster c = hnoc::testbeds::homogeneous(2);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                           std::numeric_limits<double>::infinity()}) {
+    World::Options send;
+    send.send_overhead_s = bad;
+    EXPECT_THROW(World::run(c, {0, 1}, [](Proc&) {}, send),
+                 hmpi::InvalidArgument)
+        << bad;
+    World::Options recv;
+    recv.recv_overhead_s = bad;
+    EXPECT_THROW(World::run(c, {0, 1}, [](Proc&) {}, recv),
+                 hmpi::InvalidArgument)
+        << bad;
+  }
+  EXPECT_NO_THROW(World::run(c, {0, 1}, [](Proc&) {}, zero_overhead()));
 }
 
 TEST(VirtualTime, PlacementValidated) {

@@ -584,6 +584,44 @@ TEST(Model, SummaryDescribesTheInstance) {
   EXPECT_NE(text.find("totals: 9 units"), std::string::npos);
 }
 
+TEST(Model, SchemePercentagesMustBeFiniteAndNonNegative) {
+  // A factory scheme reaches every sink through run_scheme, which rejects
+  // a percentage the text path could never produce.
+  for (const double percent :
+       {std::numeric_limits<double>::quiet_NaN(), -50.0,
+        std::numeric_limits<double>::infinity()}) {
+    for (const bool transfer : {false, true}) {
+      auto inst = InstanceBuilder("pct")
+                      .shape({2})
+                      .node_volume(1, 50.0)
+                      .link(0, 1, 1e3)
+                      .scheme([percent, transfer](ScheduleSink& s) {
+                        const long long a[1] = {0}, b[1] = {1};
+                        if (transfer) {
+                          s.transfer(a, b, percent);
+                        } else {
+                          s.compute(b, percent);
+                        }
+                      })
+                      .build();
+      RecordingSink sink;
+      EXPECT_THROW(inst.run_scheme(sink), hmpi::InvalidArgument)
+          << percent << (transfer ? " transfer" : " compute");
+      EXPECT_TRUE(sink.events.empty());
+    }
+  }
+  auto zero = InstanceBuilder("pct")
+                  .shape({1})
+                  .scheme([](ScheduleSink& s) {
+                    const long long a[1] = {0};
+                    s.compute(a, 0.0);
+                  })
+                  .build();
+  RecordingSink sink;
+  zero.run_scheme(sink);
+  EXPECT_EQ(sink.count(Event::kCompute), 1u);
+}
+
 TEST(Model, FactoryModelsProduceInstances) {
   Model m = Model::from_factory("fact", 1, [](std::span<const ParamValue> ps) {
     const long long p = std::get<long long>(ps[0]);
