@@ -138,6 +138,4 @@ bool names_collective(std::string_view op, std::string_view algo) {
   return false;
 }
 
-void Selector::observe(CollOp, int, std::size_t, double, double) {}
-
 }  // namespace hmpi::coll

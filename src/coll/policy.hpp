@@ -5,11 +5,15 @@
 // algorithms (docs/collectives.md). Selection is resolved per call, in
 // priority order:
 //   1. the communicator's own CollPolicy override (Comm::set_coll_policy),
-//   2. the world-wide CollPolicy in mp::WorldOptions::coll,
-//   3. the installed Selector (the runtime's cost-model-driven CollTuner),
+//   2. the world's one CollPolicy (mp::World::coll_policy: WorldOptions::coll
+//      sets it, the runtime fills its kAuto ops at Init and
+//      Runtime::coll_set_policy rewrites it),
+//   3. the installed Selector's cost argmin (the runtime's CollTuner),
 //   4. the built-in legacy default (the algorithm the library hard-coded
 //      before this subsystem existed), so worlds without a runtime behave
 //      byte-identically to older versions.
+// mp::World::coll_choice applies steps 2-4; Comm::coll_select puts step 1
+// in front of it.
 //
 // This header is dependency-free on purpose: mpsim includes it from
 // WorldOptions/Comm, while the cost model and tuner live above in
@@ -86,7 +90,7 @@ enum class BarrierAlgo {
   kTournament,     ///< Binomial reduce of a token to rank 0 + binomial bcast.
 };
 
-/// Per-operation algorithm choices; kAuto defers down the resolution chain
+/// Per-operation algorithm choices; kAuto defers down the resolution order
 /// (see file comment). Identical on every member of a communicator, or the
 /// members disagree on the message pattern and the collective deadlocks.
 struct CollPolicy {
@@ -127,10 +131,17 @@ int algo_from_name(CollOp op, const std::string& name);
 /// of a metric name must pass (tools/telemetry_check).
 bool names_collective(std::string_view op, std::string_view algo);
 
+/// One resolved collective algorithm.
+struct Choice {
+  int algo = 0;               ///< Per-op algorithm value (never kAuto).
+  double predicted_s = -1.0;  ///< Cost-model prediction; < 0 if not priced.
+};
+
 /// Pluggable per-call algorithm selector, installed into a mp::World (the
-/// runtime installs its CollTuner). select() must be deterministic in its
-/// arguments: every member of a communicator calls it independently and the
-/// results must agree.
+/// runtime installs its CollTuner) and consulted for each op the world
+/// policy leaves at kAuto. select() must be deterministic in its arguments:
+/// every member of a communicator calls it independently and the results
+/// must agree.
 class Selector {
  public:
   virtual ~Selector() = default;
@@ -142,12 +153,6 @@ class Selector {
   /// the selector does not predict.
   virtual int select(CollOp op, std::span<const int> member_procs,
                      std::size_t bytes, double* predicted_s) = 0;
-
-  /// Reports the observed virtual duration of a finished collective (one
-  /// call per member, with that member's local completion time). Default:
-  /// ignored.
-  virtual void observe(CollOp op, int algo, std::size_t bytes,
-                       double measured_s, double predicted_s);
 };
 
 }  // namespace hmpi::coll

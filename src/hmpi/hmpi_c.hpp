@@ -171,17 +171,17 @@ hmpi::Runtime::EstimatorStats HMPI_Get_estimator_stats();
 
 // --- collective algorithm selection (docs/collectives.md) -------------------
 
-/// HMPI_Coll_set_policy: overrides the algorithm of one collective
-/// operation for the whole world ("binomial", "ring", ...; "auto" returns
-/// the op to cost-model selection). Returns 0 on success, -1 when the op
-/// or the algorithm name for it is unknown. Takes effect for subsequent
+/// HMPI_Coll_set_policy: pins the algorithm of one collective operation in
+/// the world's policy ("binomial", "ring", ...; "auto" returns the op to
+/// cost-model selection). Returns 0 on success, -1 when the op or the
+/// algorithm name for it is unknown. Takes effect for subsequent
 /// collectives on every process; call at a quiescent point.
 int HMPI_Coll_set_policy(hmpi::coll::CollOp op, std::string_view algorithm);
 
 /// HMPI_Coll_get_selection: the algorithm the runtime would run for `op`
 /// over the whole world with `bytes` of payload, as a stable name, and —
 /// when `predicted_s` is non-null — the cost model's predicted virtual
-/// duration (negative when the tuner does not predict). Local operation;
+/// duration (negative when a pin decides the op). Local operation;
 /// an unknown op throws InvalidArgument naming its value.
 std::string_view HMPI_Coll_get_selection(hmpi::coll::CollOp op,
                                          std::size_t bytes,

@@ -35,10 +35,9 @@ double sample_proc_clock(const void* ctx) {
   return static_cast<const mp::Proc*>(ctx)->clock();
 }
 
-/// HMPI_COLL_* environment overrides (docs/collectives.md): one variable
-/// per op naming the algorithm, plus the HMPI_COLL_TUNER /
-/// HMPI_COLL_FEEDBACK flags.
-CollConfig coll_config_with_env(CollConfig config) {
+/// HMPI_COLL_<OP> environment overrides (docs/collectives.md): one
+/// variable per op naming the algorithm.
+coll::CollPolicy coll_policy_with_env(coll::CollPolicy policy) {
   for (int o = 0; o < coll::kNumCollOps; ++o) {
     const auto op = static_cast<coll::CollOp>(o);
     std::string var = "HMPI_COLL_";
@@ -50,12 +49,10 @@ CollConfig coll_config_with_env(CollConfig config) {
     for (int a = 0; a <= coll::algo_count(op); ++a) {
       names.push_back(coll::algo_name(op, a));
     }
-    config.policy.set_choice(
-        op, support::env::choice(var.c_str(), names, config.policy.choice(op)));
+    policy.set_choice(
+        op, support::env::choice(var.c_str(), names, policy.choice(op)));
   }
-  config.tuner = support::env::flag("HMPI_COLL_TUNER", config.tuner);
-  config.feedback = support::env::flag("HMPI_COLL_FEEDBACK", config.feedback);
-  return config;
+  return policy;
 }
 
 /// Adds one mapper run to an aggregate over several: its counters and its
@@ -184,7 +181,7 @@ struct Runtime::Shared {
   bool quiesced = false;
 
   /// The world's collective-algorithm selector (installed into the World by
-  /// the factory; also kept here for policy updates and diagnostics).
+  /// the factory; also kept here for its memo statistics).
   std::shared_ptr<coll::CollTuner> coll_tuner;
 
   /// The world-shared hmpictld scheduler service (docs/scheduler.md),
@@ -263,7 +260,7 @@ Runtime::Runtime(mp::Proc& proc, RuntimeConfig config)
   support::require(config_.search_threads >= 1,
                    "search_threads must be at least 1");
   config_.telemetry = config_.telemetry.with_env_overrides();
-  config_.coll = coll_config_with_env(config_.coll);
+  config_.coll = coll_policy_with_env(config_.coll);
   config_.adapt = config_.adapt.with_env();
   if (config_.adapt.enabled) {
     adapt_ = std::make_unique<adapt::AdaptationController>(config_.adapt);
@@ -276,18 +273,22 @@ Runtime::Runtime(mp::Proc& proc, RuntimeConfig config)
     s->cv.debug_name = "rendezvous";
     s->network = std::make_unique<hnoc::NetworkModel>(proc.cluster());
     s->next_creation.assign(static_cast<std::size_t>(proc.nprocs()), 0);
-    // The collective tuner: one per world, installed before the init
-    // barrier below, so every process's first collective already resolves
-    // through it. The config is required to be identical on every process,
-    // so whichever process runs the factory builds the same tuner.
+    // The collective tuner and pins: one per world, installed before the
+    // init barrier below, so every process's first collective already
+    // resolves through them. The config is required to be identical on
+    // every process, so whichever process runs the factory installs the
+    // same. A WorldOptions pin keeps precedence over a configured one.
     coll::CollTuner::Options topts;
     topts.cost.send_overhead_s = config_.estimate.send_overhead_s;
     topts.cost.recv_overhead_s = config_.estimate.recv_overhead_s;
-    topts.predict = config_.coll.tuner;
-    topts.feedback = config_.coll.feedback;
     s->coll_tuner = std::make_shared<coll::CollTuner>(proc.cluster(), topts);
-    s->coll_tuner->set_policy(config_.coll.policy);
     proc.world().set_coll_selector(s->coll_tuner);
+    coll::CollPolicy policy = proc.world().coll_policy();
+    for (int o = 0; o < coll::kNumCollOps; ++o) {
+      const auto op = static_cast<coll::CollOp>(o);
+      if (policy.choice(op) == 0) policy.set_choice(op, config_.coll.choice(op));
+    }
+    proc.world().set_coll_policy(policy);
     // Wake rendezvous waiters on any death so they can fail fast instead of
     // waiting for the world to stall. (The Shared outlives every process:
     // the World holds it until the run ends.)
@@ -316,20 +317,6 @@ void Runtime::finalize(int exit_code) {
         static_cast<double>(shared_->coll_tuner->cache_hits()));
     telemetry::metrics().counter("coll.tuner.misses").add(
         static_cast<double>(shared_->coll_tuner->cache_misses()));
-    // Promoted measured-feedback ratios, one gauge per observed (op, algo)
-    // (docs/observability.md). Nothing is emitted with feedback off.
-    for (int o = 0; o < coll::kNumCollOps; ++o) {
-      const auto op = static_cast<coll::CollOp>(o);
-      for (int algo = 1; algo <= coll::algo_count(op); ++algo) {
-        const double ratio = shared_->coll_tuner->feedback_ratio(op, algo);
-        if (ratio > 0.0) {
-          telemetry::metrics()
-              .gauge(std::string("coll.feedback.") + coll::op_name(op) + "." +
-                     coll::algo_name(op, algo))
-              .set(ratio);
-        }
-      }
-    }
   }
   // Drain the scheduler service (if the run used it) so its final sched.*
   // gauges land before the metrics dump (host only, once — the service is
@@ -480,36 +467,15 @@ void Runtime::recon_impl(const mp::Comm& comm,
   // tracks recon (idempotent across the collective).
   if (speeds_changed) shared_->refresh_scheduler();
 
-  // Feedback mode: promote the staged measured/predicted ratios into the
-  // tuner's active ranking, bracketed by two pinned-algorithm barriers.
-  // The first barrier quiesces (no member is inside a tuner-selected
-  // collective once any member is past it), the second holds every member
-  // back until all promotions of this round are done — so tuner-driven
-  // selections before and after the bracket each see one consistent
-  // ranking on every member. Pinning the bracket's own barrier algorithm
-  // keeps it independent of the very ranking being swapped. Note the
-  // promotion runs with no Shared lock held (see Shared::coll_tuner).
-  if (config_.coll.feedback && shared_->coll_tuner) {
-    mp::Comm sync = comm;
-    coll::CollPolicy pinned;
-    pinned.barrier = coll::BarrierAlgo::kDissemination;
-    sync.set_coll_policy(pinned);
-    sync.barrier();
-    shared_->coll_tuner->promote_feedback();
-    sync.barrier();
-  }
   comm.barrier();
 }
 
 void Runtime::coll_set_policy(const coll::CollPolicy& policy) {
-  support::require(static_cast<bool>(shared_->coll_tuner),
-                   "coll_set_policy requires the runtime's tuner");
-  shared_->coll_tuner->set_policy(policy);
+  proc_->world().set_coll_policy(policy);
 }
 
 coll::CollPolicy Runtime::coll_policy() const {
-  return shared_->coll_tuner ? shared_->coll_tuner->policy()
-                             : coll::CollPolicy();
+  return proc_->world().coll_policy();
 }
 
 Runtime::CollSelection Runtime::coll_selection(coll::CollOp op,
@@ -518,18 +484,7 @@ Runtime::CollSelection Runtime::coll_selection(coll::CollOp op,
     throw InvalidArgument(std::string("coll_selection: unknown collective op ")
                               .append(std::to_string(static_cast<int>(op))));
   }
-  CollSelection out;
-  coll::Selector* selector = proc_->world().coll_selector();
-  if (selector != nullptr) {
-    std::vector<int> procs;
-    procs.reserve(static_cast<std::size_t>(proc_->nprocs()));
-    for (int r = 0; r < proc_->nprocs(); ++r) {
-      procs.push_back(proc_->world().processor_of(r));
-    }
-    out.algo = selector->select(op, procs, bytes, &out.predicted_s);
-  }
-  if (out.algo == 0) out.algo = coll::legacy_default(op);
-  return out;
+  return proc_->world().coll_choice(op, proc_->world_comm().group(), bytes);
 }
 
 hnoc::NetworkModel Runtime::network_snapshot() const {

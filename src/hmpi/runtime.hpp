@@ -87,22 +87,6 @@ enum class Health {
   kDead,     ///< Killed by an injected fault; excluded from everything.
 };
 
-/// Collective-algorithm selection settings (docs/collectives.md).
-struct CollConfig {
-  /// Fixed per-op algorithm overrides; kAuto entries are resolved by the
-  /// tuner's cost search. Each op is overridable via an environment
-  /// variable HMPI_COLL_<OP>=<algo-name> (e.g. HMPI_COLL_BCAST=chain,
-  /// HMPI_COLL_ALLGATHER=ring).
-  coll::CollPolicy policy;
-  /// Price every candidate algorithm per (op, roster, size bucket) with the
-  /// schedule cost model and run the predicted-fastest. false pins the
-  /// legacy defaults (the pre-subsystem behaviour). Env: HMPI_COLL_TUNER.
-  bool tuner = true;
-  /// Re-rank candidates by the EWMA of measured/predicted durations,
-  /// promoted at Recon's quiescent point. Env: HMPI_COLL_FEEDBACK.
-  bool feedback = false;
-};
-
 /// Tunables of the runtime (identical at every process).
 struct RuntimeConfig {
   /// Process-selection algorithm; null selects the library default
@@ -129,10 +113,12 @@ struct RuntimeConfig {
   /// HMPI_METRICS_JSON / HMPI_TRACE_JSON / HMPI_CRITPATH_JSON override
   /// these paths.
   telemetry::Sinks telemetry;
-  /// Collective algorithm selection (docs/collectives.md). The runtime
-  /// installs a coll::CollTuner as the world's selector; these settings
-  /// configure it.
-  CollConfig coll;
+  /// Per-op collective algorithm pins (docs/collectives.md), each
+  /// overridable by HMPI_COLL_<OP>=<algo-name> (e.g. HMPI_COLL_BCAST=chain).
+  /// At Init they fill the ops the world's policy leaves at kAuto; an op
+  /// still at kAuto runs the predicted-fastest algorithm of the coll::CollTuner
+  /// the runtime installs as the world's selector.
+  coll::CollPolicy coll;
   /// Closed-loop adaptation policy (docs/adaptation.md). Disabled by
   /// default: with adapt.enabled false (or HMPI_ADAPT=off) the runtime's
   /// selections and traces are bit-identical to a build without the
@@ -462,24 +448,22 @@ class Runtime {
   /// HMPI_Group_performances). Local operation.
   std::vector<double> group_performances(const Group& group) const;
 
-  /// Replaces the per-op collective overrides of the world's tuner
-  /// (docs/collectives.md). Takes effect for subsequent collectives on
-  /// every process (the tuner is world-shared); call it at a quiescent
-  /// point — between collectives, e.g. right after recon — or members of an
-  /// in-flight collective may disagree on the algorithm.
+  /// Replaces the world's collective policy (docs/collectives.md): the
+  /// last writer wins, for subsequent collectives on every process. Call it
+  /// at a quiescent point — between collectives, e.g. right after recon —
+  /// or members of an in-flight collective may disagree on the algorithm.
   void coll_set_policy(const coll::CollPolicy& policy);
 
-  /// The tuner's current per-op overrides (all kAuto unless set).
+  /// The world's collective policy: the WorldOptions pins, the configured
+  /// and HMPI_COLL_<OP> pins filled in at Init, or what coll_set_policy
+  /// last wrote.
   coll::CollPolicy coll_policy() const;
 
-  /// What the world's selector would run for `op` over the whole world with
-  /// `bytes` of payload right now (HMPI_Coll_get_selection). Local
-  /// diagnostics; does not perturb tuner statistics-driven state beyond the
-  /// memo. An unknown op throws InvalidArgument.
-  struct CollSelection {
-    int algo = 0;               ///< Per-op algorithm value (never kAuto).
-    double predicted_s = -1.0;  ///< Cost-model prediction; < 0 if not priced.
-  };
+  /// What a world collective would run for `op` with `bytes` of payload
+  /// right now (HMPI_Coll_get_selection), resolved by the rule every
+  /// collective uses (mp::World::coll_choice). Local diagnostics; only the
+  /// tuner's memo may change. An unknown op throws InvalidArgument.
+  using CollSelection = coll::Choice;
   CollSelection coll_selection(coll::CollOp op, std::size_t bytes) const;
 
   /// Cost of the most recent selection search this process drove (timeof or

@@ -33,7 +33,9 @@ Cluster::Cluster(std::vector<Processor> processors, LinkParams default_link,
     support::require(
         l.latency_s >= 0.0 && std::isfinite(l.latency_s),
         std::string(what) + ": latency must be finite and non-negative");
-    support::require(l.bandwidth_bps > 0.0, std::string(what) + ": bandwidth must be positive");
+    support::require(
+        l.bandwidth_bps > 0.0 && std::isfinite(l.bandwidth_bps),
+        std::string(what) + ": bandwidth must be positive and finite");
   };
   check_link(default_link_, "default link");
   check_link(self_link_, "self link");

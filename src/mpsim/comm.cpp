@@ -350,18 +350,11 @@ int Request::wait_any(std::span<Request> requests, Status* status) {
   }
 }
 
-Comm::CollChoice Comm::coll_select(coll::CollOp op, std::size_t bytes) const {
+int Comm::coll_select(coll::CollOp op, std::size_t bytes) const {
   World& world = proc_->world();
-  CollChoice choice;
+  coll::Choice choice;
   choice.algo = coll_policy_.choice(op);
-  if (choice.algo == 0) choice.algo = world.options().coll.choice(op);
-  if (choice.algo == 0) {
-    if (coll::Selector* selector = world.coll_selector()) {
-      const std::vector<int> procs = member_procs();
-      choice.algo = selector->select(op, procs, bytes, &choice.predicted_s);
-    }
-  }
-  if (choice.algo == 0) choice.algo = coll::legacy_default(op);
+  if (choice.algo == 0) choice = world.coll_choice(op, *members_, bytes);
 
   selection_counter(op, choice.algo).add();
 
@@ -389,7 +382,7 @@ Comm::CollChoice Comm::coll_select(coll::CollOp op, std::size_t bytes) const {
   // (op, algo) pair, so the critical path can attribute collective time.
   proc_->push_coll_note(static_cast<std::int16_t>(op),
                         static_cast<std::int16_t>(choice.algo));
-  return choice;
+  return choice.algo;
 }
 
 std::shared_ptr<const coll::Schedule> Comm::coll_schedule(
@@ -419,14 +412,9 @@ std::shared_ptr<const coll::Schedule> Comm::coll_schedule(
   return proc_->world().coll_schedule(key);
 }
 
-void Comm::coll_finish(coll::CollOp op, int algo, std::size_t bytes,
-                       double start_clock, double predicted_s) const {
+void Comm::coll_finish(coll::CollOp op, double start_clock) const {
   proc_->pop_coll_note();
-  const double elapsed = proc_->clock() - start_clock;
-  seconds_histogram(op).observe(elapsed);
-  if (coll::Selector* selector = proc_->world().coll_selector()) {
-    selector->observe(op, algo, bytes, elapsed, predicted_s);
-  }
+  seconds_histogram(op).observe(proc_->clock() - start_clock);
 }
 
 std::vector<int> Comm::member_procs() const {
@@ -440,29 +428,27 @@ std::vector<int> Comm::member_procs() const {
 void Comm::barrier() const {
   support::require(valid(), "barrier on an invalid communicator");
   if (size() <= 1) return;
-  const CollChoice choice = coll_select(coll::CollOp::kBarrier, 0);
+  const int algo = coll_select(coll::CollOp::kBarrier, 0);
   const double start = proc_->clock();
   coll::run_schedule(*this,
-                     *coll_schedule(coll::CollOp::kBarrier, choice.algo, 0, 0, 1),
+                     *coll_schedule(coll::CollOp::kBarrier, algo, 0, 0, 1),
                      std::span<std::byte>(),
                      [](std::byte a, std::byte) { return a; },
                      internal_tag::kBarrierBase);
-  coll_finish(coll::CollOp::kBarrier, choice.algo, 0, start,
-              choice.predicted_s);
+  coll_finish(coll::CollOp::kBarrier, start);
 }
 
 void Comm::bcast_bytes(std::span<std::byte> data, int root) const {
   check_member_rank(root, "bcast root");
   if (size() <= 1) return;
-  const CollChoice choice = coll_select(coll::CollOp::kBcast, data.size());
+  const int algo = coll_select(coll::CollOp::kBcast, data.size());
   const double start = proc_->clock();
   coll::run_schedule(*this,
-                     *coll_schedule(coll::CollOp::kBcast, choice.algo, root,
+                     *coll_schedule(coll::CollOp::kBcast, algo, root,
                                     data.size(), 1),
                      data, [](std::byte a, std::byte) { return a; },
                      internal_tag::kBcastBase);
-  coll_finish(coll::CollOp::kBcast, choice.algo, data.size(), start,
-              choice.predicted_s);
+  coll_finish(coll::CollOp::kBcast, start);
 }
 
 Comm Comm::dup() const {

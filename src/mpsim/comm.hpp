@@ -10,7 +10,7 @@
 // Rabenseifner; allgather composes gather+bcast (the historical default) or
 // runs ring / recursive-doubling; barrier is dissemination or tournament;
 // alltoall is pairwise rounds. The algorithm is resolved per call — per-comm
-// policy, then WorldOptions::coll, then the installed coll::Selector (the
+// policy, then the world's policy, then the installed coll::Selector (the
 // runtime's cost-model tuner), then the legacy default, whose message
 // schedule and virtual timing match the old hard-coded implementations
 // exactly.
@@ -165,8 +165,8 @@ class Comm {
 
   /// Per-communicator algorithm overrides. Every member must install the
   /// same policy (it is local state of this handle, like an MPI info key);
-  /// kAuto entries fall through to WorldOptions::coll, then the installed
-  /// coll::Selector, then the legacy defaults.
+  /// kAuto entries fall through to World::coll_choice: the world's policy,
+  /// then the installed coll::Selector, then the legacy defaults.
   void set_coll_policy(const coll::CollPolicy& policy) { coll_policy_ = policy; }
   const coll::CollPolicy& coll_policy() const noexcept { return coll_policy_; }
 
@@ -296,16 +296,11 @@ class Comm {
 
   // --- collective dispatch (shared by the templates and comm.cpp) ----------
 
-  struct CollChoice {
-    int algo = 0;               ///< Resolved per-op algorithm (never kAuto).
-    double predicted_s = -1.0;  ///< Selector prediction; < 0 when none.
-  };
-
-  /// Resolves the algorithm for one collective call (per-comm policy ->
-  /// world policy -> selector -> legacy default), bumps the
-  /// coll.<op>.<algo> counter, and records a kCollSelect trace event at
-  /// communicator rank 0. Must be called identically by every member.
-  CollChoice coll_select(coll::CollOp op, std::size_t bytes) const;
+  /// Resolves the algorithm for one collective call (this communicator's
+  /// policy, then World::coll_choice), bumps the coll.<op>.<algo> counter,
+  /// and records a kCollSelect trace event at communicator rank 0. Must be
+  /// called identically by every member.
+  int coll_select(coll::CollOp op, std::size_t bytes) const;
 
   /// The message schedule for the resolved algorithm, shared by every
   /// member of the call through World::coll_schedule (count follows the
@@ -317,10 +312,8 @@ class Comm {
                                                       std::size_t elem_size) const;
 
   /// Closes the books on a finished collective: observes the
-  /// coll.<op>.seconds histogram and feeds measured-vs-predicted back to the
-  /// selector.
-  void coll_finish(coll::CollOp op, int algo, std::size_t bytes,
-                   double start_clock, double predicted_s) const;
+  /// coll.<op>.seconds histogram.
+  void coll_finish(coll::CollOp op, double start_clock) const;
 
   /// Physical processor of each member, in communicator-rank order.
   std::vector<int> member_procs() const;
@@ -407,18 +400,17 @@ void Comm::reduce(std::span<const T> in, std::span<T> out, Op op,
     return;
   }
   const std::size_t bytes = in.size() * sizeof(T);
-  const CollChoice choice = coll_select(coll::CollOp::kReduce, bytes);
+  const int algo = coll_select(coll::CollOp::kReduce, bytes);
   const double start = proc_->clock();
   std::vector<T> acc(in.begin(), in.end());
   coll::run_schedule(*this,
-                     *coll_schedule(coll::CollOp::kReduce, choice.algo, root,
+                     *coll_schedule(coll::CollOp::kReduce, algo, root,
                                     in.size(), sizeof(T)),
                      std::span<T>(acc), op, internal_tag::kReduceBase);
   if (rank() == root) {
     std::copy(acc.begin(), acc.end(), out.begin());
   }
-  coll_finish(coll::CollOp::kReduce, choice.algo, bytes, start,
-              choice.predicted_s);
+  coll_finish(coll::CollOp::kReduce, start);
 }
 
 template <typename T, typename Op>
@@ -431,16 +423,15 @@ void Comm::allreduce(std::span<const T> in, std::span<T> out, Op op) const {
     return;
   }
   const std::size_t bytes = in.size() * sizeof(T);
-  const CollChoice choice = coll_select(coll::CollOp::kAllreduce, bytes);
+  const int algo = coll_select(coll::CollOp::kAllreduce, bytes);
   const double start = proc_->clock();
   std::vector<T> acc(in.begin(), in.end());
   coll::run_schedule(*this,
-                     *coll_schedule(coll::CollOp::kAllreduce, choice.algo, 0,
+                     *coll_schedule(coll::CollOp::kAllreduce, algo, 0,
                                     in.size(), sizeof(T)),
                      std::span<T>(acc), op, internal_tag::kAllreduceBase);
   std::copy(acc.begin(), acc.end(), out.begin());
-  coll_finish(coll::CollOp::kAllreduce, choice.algo, bytes, start,
-              choice.predicted_s);
+  coll_finish(coll::CollOp::kAllreduce, start);
 }
 
 template <typename T, typename Op>
@@ -458,18 +449,17 @@ void Comm::reduce_scatter(std::span<const T> in, std::span<T> out,
     return;
   }
   const std::size_t bytes = in.size() * sizeof(T);
-  const CollChoice choice = coll_select(coll::CollOp::kReduceScatter, bytes);
+  const int algo = coll_select(coll::CollOp::kReduceScatter, bytes);
   const double start = proc_->clock();
   std::vector<T> acc(in.begin(), in.end());
   coll::run_schedule(*this,
-                     *coll_schedule(coll::CollOp::kReduceScatter, choice.algo,
+                     *coll_schedule(coll::CollOp::kReduceScatter, algo,
                                     0, block, sizeof(T)),
                      std::span<T>(acc), op, internal_tag::kReduceScatterBase);
   const auto mine = std::span<const T>(acc).subspan(
       block * static_cast<std::size_t>(rank()), block);
   std::copy(mine.begin(), mine.end(), out.begin());
-  coll_finish(coll::CollOp::kReduceScatter, choice.algo, bytes, start,
-              choice.predicted_s);
+  coll_finish(coll::CollOp::kReduceScatter, start);
 }
 
 template <typename T>
@@ -484,17 +474,16 @@ void Comm::allgather(std::span<const T> send_data, std::span<T> recv_data) const
                                     block * static_cast<std::size_t>(rank())));
   if (n == 1) return;
   const std::size_t bytes = block * static_cast<std::size_t>(n) * sizeof(T);
-  const CollChoice choice = coll_select(coll::CollOp::kAllgather, bytes);
+  const int algo = coll_select(coll::CollOp::kAllgather, bytes);
   const double start = proc_->clock();
   // Allgather schedules only copy blocks around; the combiner is never used.
   coll::run_schedule(*this,
-                     *coll_schedule(coll::CollOp::kAllgather, choice.algo, 0,
+                     *coll_schedule(coll::CollOp::kAllgather, algo, 0,
                                     block, sizeof(T)),
                      recv_data,
                      [](const T& a, const T&) { return a; },
                      internal_tag::kAllgatherBase);
-  coll_finish(coll::CollOp::kAllgather, choice.algo, bytes, start,
-              choice.predicted_s);
+  coll_finish(coll::CollOp::kAllgather, start);
 }
 
 template <typename T>

@@ -121,7 +121,10 @@ void Proc::elapse(double seconds) {
 
 World::World(const hnoc::Cluster& cluster, std::vector<int> placement,
              Options options)
-    : cluster_(&cluster), placement_(std::move(placement)), options_(std::move(options)) {
+    : cluster_(&cluster),
+      placement_(std::move(placement)),
+      options_(std::move(options)),
+      coll_policy_(options_.coll) {
   support::require(!placement_.empty(), "World needs at least one process");
   support::require(std::isfinite(options_.send_overhead_s) &&
                        options_.send_overhead_s >= 0.0,
@@ -301,6 +304,20 @@ std::shared_ptr<void> World::get_or_create_shared(
   std::lock_guard<std::mutex> lock(shared_mutex_);
   if (!shared_) shared_ = factory();
   return shared_;
+}
+
+coll::Choice World::coll_choice(coll::CollOp op, std::span<const int> members,
+                                std::size_t bytes) const {
+  coll::Choice choice;
+  choice.algo = coll_policy_.choice(op);
+  if (choice.algo == 0 && coll_selector_) {
+    std::vector<int> procs;
+    procs.reserve(members.size());
+    for (int r : members) procs.push_back(processor_of(r));
+    choice.algo = coll_selector_->select(op, procs, bytes, &choice.predicted_s);
+  }
+  if (choice.algo == 0) choice.algo = coll::legacy_default(op);
+  return choice;
 }
 
 std::shared_ptr<const coll::Schedule> World::coll_schedule(

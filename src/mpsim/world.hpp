@@ -183,10 +183,10 @@ struct WorldOptions {
   /// from a run without the fault layer. Calendars from the cluster's
   /// per-processor Availability are merged in at World construction.
   FaultPlan faults;
-  /// World-wide collective algorithm overrides (docs/collectives.md). The
-  /// default (all kAuto) defers to the installed selector, or — when none is
-  /// installed — to the legacy hard-coded algorithms, reproducing their
-  /// virtual timing exactly.
+  /// Initial value of the world's one collective policy (World::coll_policy,
+  /// docs/collectives.md). An op left at kAuto defers to the installed
+  /// selector, or — when none is installed — to the legacy hard-coded
+  /// algorithm, reproducing its virtual timing exactly.
   coll::CollPolicy coll;
   /// Causal-log retention (docs/observability.md): kAuto resolves HMPI_PROF
   /// (unset -> the always-on per-rank ring, "1"/"full" -> unbounded full
@@ -323,19 +323,28 @@ class World {
 
   // --- collective algorithm selection (docs/collectives.md) ----------------
 
-  /// Installs the selector consulted by every collective whose per-comm and
-  /// world policies are kAuto (the runtime installs its CollTuner here from
-  /// the get_or_create_shared factory). Install before processes start
-  /// communicating: the factory runs once under the shared-slot mutex and
-  /// every process synchronises on the runtime barrier before its first
-  /// collective, so later reads need no lock.
+  /// The world's one collective policy: WorldOptions::coll, then whatever
+  /// set_coll_policy last wrote (the runtime fills its kAuto ops at Init,
+  /// and Runtime::coll_set_policy replaces it). Every process fiber runs on
+  /// the thread that called run, so no lock is needed; write it between
+  /// collectives, or members of an in-flight one may disagree.
+  const coll::CollPolicy& coll_policy() const noexcept { return coll_policy_; }
+  void set_coll_policy(const coll::CollPolicy& policy) { coll_policy_ = policy; }
+
+  /// Installs the selector consulted for every op the world policy leaves
+  /// at kAuto (the runtime installs its CollTuner here from the
+  /// get_or_create_shared factory, before its Init barrier, so every
+  /// process's first collective already resolves through it).
   void set_coll_selector(std::shared_ptr<coll::Selector> selector) {
     coll_selector_ = std::move(selector);
   }
 
-  coll::Selector* coll_selector() const noexcept {
-    return coll_selector_.get();
-  }
+  /// Resolves `op` for `bytes` of payload over `members` (world ranks, in
+  /// communicator-rank order) below a communicator's own policy: the world
+  /// policy's pin, else the selector's cost argmin over the members'
+  /// machines, else coll::legacy_default. Only the argmin is priced.
+  coll::Choice coll_choice(coll::CollOp op, std::span<const int> members,
+                           std::size_t bytes) const;
 
   /// The schedule for `key`, built by the first member of a collective call
   /// to ask and shared with every other member (and with any concurrent call
@@ -388,6 +397,7 @@ class World {
 
   std::mutex shared_mutex_;
   std::shared_ptr<void> shared_;
+  coll::CollPolicy coll_policy_;
   std::shared_ptr<coll::Selector> coll_selector_;
 
   std::mutex schedule_mutex_;

@@ -102,9 +102,6 @@ constexpr MetricSpec kCatalog[] = {
     {"adapt.blame_share", kGauge, "ratio",
      "dominant blame entry's share of the critical path at the latest "
      "blame-informed check"},
-    {"coll.feedback.<op>.<algo>", kGauge, "ratio",
-     "CollTuner's promoted measured/predicted EWMA ratio, at finalize for each "
-     "observed pair"},
     {"crit.path_seconds", kGauge, "s",
      "critical-path length, published at finalize before the metrics dump"},
     {"crit.makespan_seconds", kGauge, "s", "virtual makespan of the run"},

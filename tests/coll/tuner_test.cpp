@@ -1,13 +1,17 @@
-// CollTuner behaviour: memoization keyed on (op, size bucket, roster),
-// policy/predict bypasses, the predicted-fastest guarantee, measured-feedback
-// promotion, a memo that survives a Recon's speed changes, and selection
-// determinism across runtime configurations (search threads, estimate
-// cache) that must not influence collective choices.
+// CollTuner behaviour: memoization keyed on (op, size bucket, roster), the
+// resolution order that puts world and communicator pins ahead of the
+// tuner, the predicted-fastest guarantee, a memo that survives a Recon's
+// speed changes, and selection determinism across runtime configurations
+// (search threads, estimate cache) that must not influence collective
+// choices.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <numeric>
+#include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -45,35 +49,55 @@ TEST(CollTunerTest, MemoizesPerSizeBucket) {
   EXPECT_EQ(tuner.cache_misses(), 2u);
 }
 
+// The one resolution rule: a world pin beats the tuner's pick, and a
+// communicator's own pin beats both. A pinned op never asks the tuner, so
+// it is not priced.
 TEST(CollTunerTest, ForcedPolicyBypassesPrediction) {
-  hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
-  CollTuner tuner(cluster, CollTuner::Options{});
-  CollPolicy policy;
-  policy.set_choice(CollOp::kBcast, static_cast<int>(BcastAlgo::kChain));
-  tuner.set_policy(policy);
-  const std::vector<int> procs = full_roster(cluster);
+  const hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
+  const std::size_t bytes = 4096;
+  const int chain = static_cast<int>(BcastAlgo::kChain);
+  const int two_level = static_cast<int>(BcastAlgo::kTwoLevel);
+  auto tuner = std::make_shared<CollTuner>(cluster, CollTuner::Options{});
+  const int priced =
+      tuner->select(CollOp::kBcast, full_roster(cluster), bytes, nullptr);
+  ASSERT_NE(priced, chain);
+  ASSERT_NE(priced, two_level);
 
-  double predicted = 0.0;
-  const int algo = tuner.select(CollOp::kBcast, procs, 1 << 20, &predicted);
-  EXPECT_EQ(algo, static_cast<int>(BcastAlgo::kChain));
-  EXPECT_LT(predicted, 0.0);  // no prediction on the forced path
-  EXPECT_EQ(tuner.cache_misses(), 0u);
-  EXPECT_EQ(tuner.cache_hits(), 0u);
-}
+  const auto runs = [](int algo) {
+    return telemetry::metrics().snapshot().counter_value(
+        std::string("coll.bcast.") + algo_name(CollOp::kBcast, algo));
+  };
+  const double chain_before = runs(chain);
+  const double two_level_before = runs(two_level);
+  mp::World::Options options;
+  options.coll.bcast = BcastAlgo::kChain;
+  mp::World::run_one_per_processor(
+      cluster,
+      [&](mp::Proc& proc) {
+        proc.world().get_or_create_shared([&]() -> std::shared_ptr<void> {
+          proc.world().set_coll_selector(tuner);
+          return tuner;
+        });
+        const mp::Comm world = proc.world_comm();
+        const Choice choice =
+            proc.world().coll_choice(CollOp::kBcast, world.group(), bytes);
+        EXPECT_EQ(choice.algo, chain);
+        EXPECT_LT(choice.predicted_s, 0.0);
+        std::vector<double> data(bytes / sizeof(double), 1.0);
+        world.bcast(std::span<double>(data), 0);
 
-TEST(CollTunerTest, PredictOffReturnsLegacyDefault) {
-  hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
-  CollTuner::Options options;
-  options.predict = false;
-  CollTuner tuner(cluster, options);
-  const std::vector<int> procs = full_roster(cluster);
-  double predicted = 0.0;
-  for (CollOp op : {CollOp::kBcast, CollOp::kReduce, CollOp::kAllreduce,
-                    CollOp::kReduceScatter, CollOp::kAllgather,
-                    CollOp::kBarrier}) {
-    EXPECT_EQ(tuner.select(op, procs, 4096, &predicted), legacy_default(op));
-    EXPECT_LT(predicted, 0.0);
-  }
+        mp::Comm own = world;
+        CollPolicy policy;
+        policy.bcast = BcastAlgo::kTwoLevel;
+        own.set_coll_policy(policy);
+        own.bcast(std::span<double>(data), 0);
+      },
+      options);
+  EXPECT_EQ(runs(chain) - chain_before, cluster.size());
+  EXPECT_EQ(runs(two_level) - two_level_before, cluster.size());
+  // Only the reference pick above priced anything.
+  EXPECT_EQ(tuner->cache_misses(), 1u);
+  EXPECT_EQ(tuner->cache_hits(), 0u);
 }
 
 TEST(CollTunerTest, SelectionIsPredictedFastest) {
@@ -100,52 +124,6 @@ TEST(CollTunerTest, SelectionIsPredictedFastest) {
       }
     }
   }
-}
-
-TEST(CollTunerTest, FeedbackPromotionReRanks) {
-  hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
-  CollTuner::Options options;
-  options.feedback = true;
-  options.feedback_alpha = 1.0;  // adopt an observation immediately
-  CollTuner tuner(cluster, options);
-  const std::vector<int> procs = full_roster(cluster);
-
-  double predicted = -1.0;
-  const int first = tuner.select(CollOp::kAllgather, procs, 4096, &predicted);
-  ASSERT_GT(predicted, 0.0);
-
-  // Report the chosen algorithm as 100x slower than predicted; staged
-  // observations change nothing until promoted at a quiescent point.
-  tuner.observe(CollOp::kAllgather, first, 4096, predicted * 100.0, predicted);
-  EXPECT_EQ(tuner.select(CollOp::kAllgather, procs, 4096, &predicted), first);
-  tuner.promote_feedback();
-  const int after = tuner.select(CollOp::kAllgather, procs, 4096, &predicted);
-  EXPECT_NE(after, first) << "a 100x penalty must dethrone the choice";
-}
-
-TEST(CollTunerTest, FeedbackRatioReadsThePromotedEwma) {
-  hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
-  CollTuner::Options options;
-  options.feedback = true;
-  options.feedback_alpha = 1.0;
-  CollTuner tuner(cluster, options);
-  const std::vector<int> procs = full_roster(cluster);
-
-  double predicted = -1.0;
-  const int algo = tuner.select(CollOp::kBcast, procs, 2048, &predicted);
-  ASSERT_GT(predicted, 0.0);
-  // Nothing promoted yet: the gauge source reads <= 0 (the runtime skips
-  // emitting coll.feedback.* for such pairs).
-  EXPECT_LE(tuner.feedback_ratio(CollOp::kBcast, algo), 0.0);
-
-  tuner.observe(CollOp::kBcast, algo, 2048, predicted * 3.0, predicted);
-  EXPECT_LE(tuner.feedback_ratio(CollOp::kBcast, algo), 0.0);  // still staged
-  tuner.promote_feedback();
-  // alpha = 1: the ratio is exactly measured / predicted.
-  EXPECT_DOUBLE_EQ(tuner.feedback_ratio(CollOp::kBcast, algo), 3.0);
-  // Out-of-range algos read as unobserved rather than throwing.
-  EXPECT_LE(tuner.feedback_ratio(CollOp::kBcast, 0), 0.0);
-  EXPECT_LE(tuner.feedback_ratio(CollOp::kBcast, 99), 0.0);
 }
 
 // The tuner prices link latency and bandwidth only, so a Recon that changes
@@ -194,8 +172,7 @@ TEST(CollTunerTest, ReconThatChangesSpeedsAddsNoMisses) {
 }
 
 // Selections must be identical whatever the mapper threading or estimator
-// caching configuration: the tuner's inputs are only (op, roster, bucket,
-// policy).
+// caching configuration: the tuner's inputs are only (op, roster, bucket).
 TEST(CollTunerTest, RuntimeSelectionsAreConfigInvariant) {
   hnoc::Cluster cluster = hnoc::testbeds::paper_em3d_network();
   using Row = std::tuple<int, int, double>;  // op, algo, predicted

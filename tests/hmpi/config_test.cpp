@@ -1,14 +1,18 @@
-// RuntimeConfig behaviour: pluggable mappers, estimate options and the
-// HMPI_COLL_* knobs.
+// RuntimeConfig behaviour: pluggable mappers, estimate options, the
+// HMPI_COLL_<OP> knobs and the one rule that resolves a collective.
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <functional>
+#include <span>
 #include <string>
+#include <vector>
 
-#include "coll/tuner.hpp"
+#include "hmpi/hmpi_c.hpp"
 #include "hmpi/runtime.hpp"
 #include "hnoc/cluster.hpp"
 #include "support/error.hpp"
+#include "telemetry/metrics.hpp"
 
 #include "../scoped_env.hpp"
 
@@ -108,35 +112,17 @@ TEST(RuntimeConfig, EstimateOverheadsFlowIntoPredictions) {
   EXPECT_GT(costly, cheap + 0.4);
 }
 
-/// What a runtime resolved from `coll` and the environment: its per-op
-/// policy, whether its tuner prices a barrier (HMPI_COLL_TUNER) and whether
-/// a measured barrier reached the tuner's ranking at recon
-/// (HMPI_COLL_FEEDBACK).
-struct ResolvedColl {
-  coll::CollPolicy policy;
-  bool priced = false;
-  bool fed_back = false;
-};
-
-ResolvedColl resolve_coll(const CollConfig& coll) {
-  ResolvedColl out;
+/// The world policy a runtime resolved from `configured` and the
+/// HMPI_COLL_<OP> environment.
+coll::CollPolicy resolve_coll(const coll::CollPolicy& configured) {
+  coll::CollPolicy out;
   World::run_one_per_processor(hnoc::testbeds::homogeneous(2), [&](Proc& p) {
     RuntimeConfig config;
-    config.coll = coll;
+    config.coll = configured;
     Runtime rt(p, config);
     p.world_comm().barrier();
     rt.recon([](Proc& q) { q.compute(1.0); });
-    if (rt.is_host()) {
-      out.policy = rt.coll_policy();
-      const Runtime::CollSelection barrier =
-          rt.coll_selection(coll::CollOp::kBarrier, 0);
-      out.priced = barrier.predicted_s >= 0.0;
-      const auto* tuner =
-          dynamic_cast<const coll::CollTuner*>(p.world().coll_selector());
-      out.fed_back = tuner != nullptr &&
-                     tuner->feedback_ratio(coll::CollOp::kBarrier,
-                                           barrier.algo) > 0.0;
-    }
+    if (rt.is_host()) out = rt.coll_policy();
     rt.finalize();
   });
   return out;
@@ -154,24 +140,24 @@ TEST(CollEnv, AlgorithmNamesInAnyCaseOverrideTheConfig) {
     const auto op = static_cast<coll::CollOp>(o);
     const std::string var = "HMPI_COLL_" + upper(coll::op_name(op));
     const int last = coll::algo_count(op);
-    CollConfig configured;
-    configured.policy.set_choice(op, 1);
+    coll::CollPolicy configured;
+    configured.set_choice(op, 1);
     {
       ScopedEnv env(var.c_str(), upper(coll::algo_name(op, last)).c_str());
-      EXPECT_EQ(resolve_coll(configured).policy.choice(op), last) << var;
+      EXPECT_EQ(resolve_coll(configured).choice(op), last) << var;
     }
     {
       ScopedEnv env(var.c_str(), "Auto");
-      EXPECT_EQ(resolve_coll(configured).policy.choice(op), 0) << var;
+      EXPECT_EQ(resolve_coll(configured).choice(op), 0) << var;
     }
     {
       // An empty value keeps the configured algorithm.
       ScopedEnv env(var.c_str(), "");
-      EXPECT_EQ(resolve_coll(configured).policy.choice(op), 1) << var;
+      EXPECT_EQ(resolve_coll(configured).choice(op), 1) << var;
     }
   }
   ScopedEnv bcast("HMPI_COLL_BCAST", "Chain");
-  EXPECT_EQ(resolve_coll({}).policy.bcast, coll::BcastAlgo::kChain);
+  EXPECT_EQ(resolve_coll({}).bcast, coll::BcastAlgo::kChain);
 }
 
 TEST(CollEnv, UnknownAlgorithmThrowsNamingTheAcceptedNames) {
@@ -194,35 +180,81 @@ TEST(CollEnv, UnknownAlgorithmThrowsNamingTheAcceptedNames) {
   }
 }
 
-TEST(CollEnv, TunerAndFeedbackAreFlags) {
-  const ResolvedColl defaults = resolve_coll({});
-  EXPECT_TRUE(defaults.priced);
-  EXPECT_FALSE(defaults.fed_back);
-  for (const char* off : {"off", "0", "FALSE", "No"}) {
-    ScopedEnv tuner("HMPI_COLL_TUNER", off);
-    EXPECT_FALSE(resolve_coll({}).priced) << off;
-  }
-  for (const char* on : {"on", "1", "TRUE", "Yes"}) {
-    ScopedEnv feedback("HMPI_COLL_FEEDBACK", on);
-    EXPECT_TRUE(resolve_coll({}).fed_back) << on;
-  }
-  {
-    // An empty value keeps the configured flags.
-    CollConfig configured;
-    configured.tuner = false;
-    configured.feedback = true;
-    ScopedEnv tuner("HMPI_COLL_TUNER", "");
-    ScopedEnv feedback("HMPI_COLL_FEEDBACK", "");
-    const ResolvedColl got = resolve_coll(configured);
-    EXPECT_FALSE(got.priced);
-    CollConfig with_tuner = configured;
-    with_tuner.tuner = true;
-    EXPECT_TRUE(resolve_coll(with_tuner).fed_back);
-  }
-  for (const char* var : {"HMPI_COLL_TUNER", "HMPI_COLL_FEEDBACK"}) {
-    ScopedEnv env(var, "maybe");
-    EXPECT_THROW(resolve_coll({}), InvalidArgument) << var;
-  }
+/// Runs `body` on every process of the 9-machine EM3D network with the world
+/// pinning bcast to chain, and returns how many bcast members ran each
+/// algorithm.
+std::vector<double> bcast_runs_under_a_chain_pin(
+    const std::function<void(Proc&)>& body) {
+  World::Options options;
+  options.coll.bcast = coll::BcastAlgo::kChain;
+  const auto count = [](const telemetry::MetricsRegistry::Snapshot& snapshot) {
+    std::vector<double> runs;
+    for (int a = 1; a <= coll::algo_count(coll::CollOp::kBcast); ++a) {
+      runs.push_back(snapshot.counter_value(
+          std::string("coll.bcast.") + coll::algo_name(coll::CollOp::kBcast, a)));
+    }
+    return runs;
+  };
+  const std::vector<double> before = count(telemetry::metrics().snapshot());
+  World::run_one_per_processor(hnoc::testbeds::paper_em3d_network(), body,
+                               options);
+  std::vector<double> runs = count(telemetry::metrics().snapshot());
+  for (std::size_t a = 0; a < runs.size(); ++a) runs[a] -= before[a];
+  return runs;
+}
+
+void world_bcast(Proc& p) {
+  std::vector<double> data(512, 1.0);
+  p.world_comm().bcast(std::span<double>(data), 0);
+}
+
+const int kBcastFlat = static_cast<int>(coll::BcastAlgo::kFlat);
+const int kBcastChain = static_cast<int>(coll::BcastAlgo::kChain);
+
+/// Bcast runs per algorithm (flat, binomial, chain, two_level) when every
+/// one of the 9 members ran `algo`.
+std::vector<double> all_members_ran(int algo) {
+  std::vector<double> runs(
+      static_cast<std::size_t>(coll::algo_count(coll::CollOp::kBcast)), 0.0);
+  runs[static_cast<std::size_t>(algo - 1)] = 9.0;
+  return runs;
+}
+
+// A world pin is what a world bcast runs, so it is what the runtime reports
+// it would run, unpriced.
+TEST(CollResolution, SelectionReportsTheWorldPinThatRuns) {
+  const std::vector<double> runs = bcast_runs_under_a_chain_pin([](Proc& p) {
+    HMPI_Init(p);
+    const Runtime::CollSelection selection =
+        capi::current()->coll_selection(coll::CollOp::kBcast, 4096);
+    EXPECT_EQ(selection.algo, kBcastChain);
+    EXPECT_LT(selection.predicted_s, 0.0);
+    double predicted_s = 0.0;
+    EXPECT_EQ(HMPI_Coll_get_selection(coll::CollOp::kBcast, 4096, &predicted_s),
+              std::string_view("chain"));
+    EXPECT_LT(predicted_s, 0.0);
+    world_bcast(p);
+    HMPI_Finalize(0);
+  });
+  EXPECT_EQ(runs, all_members_ran(kBcastChain));
+}
+
+// coll_set_policy writes the one world policy, so it replaces a pin the
+// world was created with: the bcast after it runs what it set.
+TEST(CollResolution, SetPolicyReplacesTheWorldPin) {
+  const std::vector<double> runs = bcast_runs_under_a_chain_pin([](Proc& p) {
+    Runtime rt(p);
+    EXPECT_EQ(rt.coll_policy().bcast, coll::BcastAlgo::kChain);
+    p.world_comm().barrier();  // every process reads the pin before a write
+    coll::CollPolicy flat;
+    flat.bcast = coll::BcastAlgo::kFlat;
+    rt.coll_set_policy(flat);
+    EXPECT_EQ(rt.coll_policy().bcast, coll::BcastAlgo::kFlat);
+    EXPECT_EQ(rt.coll_selection(coll::CollOp::kBcast, 4096).algo, kBcastFlat);
+    world_bcast(p);
+    rt.finalize();
+  });
+  EXPECT_EQ(runs, all_members_ran(kBcastFlat));
 }
 
 }  // namespace

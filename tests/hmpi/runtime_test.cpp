@@ -100,10 +100,10 @@ TEST(Runtime, ReconSeesExternalLoad) {
 }
 
 TEST(Runtime, ReconTunerMissesDoNotGrowWithProcessCount) {
-  // Every process computes the same speed update; applying it once leaves
-  // one model version, hence one tuner memo key, for every rank's closing
-  // barrier. So the tuner misses accrued by Init + Recon are independent of
-  // how many processes share the machines.
+  // The tuner's memo key is (op, size bucket, roster machines): every rank
+  // of a run asks with the same keys, and a Recon's speed update changes
+  // none of them. So the tuner misses accrued by Init + Recon are
+  // independent of how many processes share the machines.
   auto misses = [](int procs) {
     const hnoc::Cluster cluster = hnoc::testbeds::homogeneous(4, 50.0);
     std::vector<int> placement(static_cast<std::size_t>(procs));

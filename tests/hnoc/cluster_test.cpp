@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "support/error.hpp"
 
@@ -51,6 +52,32 @@ TEST(Cluster, RejectsNonFiniteLatencies) {
                    .two_level({0}, 1e-6, 1e9, std::nan(""), 1e6)
                    .build(),
                hmpi::InvalidArgument);
+}
+
+// An infinite bandwidth would price any byte count at the latency alone
+// (and an infinite byte count at NaN), so every kind of link rejects it and
+// the error names the link.
+TEST(Cluster, RejectsInfiniteBandwidthsNamingTheLink) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto rejects = [](const ClusterBuilder& builder, const char* link) {
+    try {
+      builder.build();
+      ADD_FAILURE() << link << " accepted an infinite bandwidth";
+    } catch (const hmpi::InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string(link) + ": bandwidth"), std::string::npos)
+          << what;
+    }
+  };
+  rejects(ClusterBuilder().add("x", 1.0).network(1e-4, inf), "default link");
+  rejects(ClusterBuilder().add("x", 1.0).shared_memory(1e-6, inf), "self link");
+  rejects(ClusterBuilder().add("x", 1.0).add("y", 1.0).link_override(0, 1, 1e-4,
+                                                                    inf),
+          "link override");
+  rejects(ClusterBuilder().add("x", 1.0).two_level({0}, 1e-6, inf, 1e-2, 1e6),
+          "intra-LAN link");
+  rejects(ClusterBuilder().add("x", 1.0).two_level({0}, 1e-6, 1e9, 1e-2, inf),
+          "inter-LAN link");
 }
 
 TEST(Cluster, RejectsASpeedTimesLoadThatOverflowsOrUnderflows) {

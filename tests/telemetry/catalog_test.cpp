@@ -85,7 +85,7 @@ TEST(MetricCatalog, EachNamespaceAcceptsOnlyDeclaredNamesOfTheirKind) {
       {"coll.bcast.binomial", K::kCounter, "coll.Bcast.binomial",
        "coll.tuner.hits", K::kGauge},
       {"coll.allreduce.seconds", K::kHistogram, "coll.allreduce",
-       "coll.feedback.bcast.flat", K::kCounter},
+       "coll.tuner.misses", K::kHistogram},
       {"crit.link.0.1.seconds", K::kGauge, "crit.link.0.seconds",
        "crit.path_seconds", K::kCounter},
       {"est.cache.hits", K::kCounter, "est.delta.x", "est.compile.seconds",
@@ -140,7 +140,6 @@ TEST(MetricCatalog, OpAndAlgoSegmentsResolveAgainstTheCollTables) {
       {"coll.bcast.auto", MetricKind::kCounter},
       {"coll.tuner.bogus", MetricKind::kCounter},
       {"coll.gather.seconds", MetricKind::kHistogram},
-      {"coll.feedback.barrier.ring", MetricKind::kGauge},
       {"crit.coll.op3.algo1.seconds", MetricKind::kGauge}};
   for (const auto& [name, kind] : unresolved) {
     EXPECT_NE(find_metric(name, kind), nullptr) << name;
@@ -149,8 +148,6 @@ TEST(MetricCatalog, OpAndAlgoSegmentsResolveAgainstTheCollTables) {
   // coll.tuner.hits matches its own entry and coll.<op>.<algo>; the first
   // needs no resolving.
   EXPECT_TRUE(checker_accepts("coll.tuner.hits", MetricKind::kCounter));
-  EXPECT_TRUE(checker_accepts("coll.feedback.barrier.tournament",
-                              MetricKind::kGauge));
   EXPECT_TRUE(checker_accepts("crit.coll.reduce_scatter.pairwise.seconds",
                               MetricKind::kGauge));
 }
