@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
-#include <numeric>
 
 #include "estimator/fingerprint.hpp"
 #include "support/error.hpp"
@@ -34,18 +34,53 @@ int context_threads(const SearchContext& context) {
   return context.pool != nullptr ? context.pool->size() : 1;
 }
 
-/// What every scorer of one select() shares: the compiled plan and, when
-/// the context has an estimate cache, the instance/options fingerprint that
-/// keys it. Both cost O(model aggregates) — far too much per candidate — so
-/// each select() resolves them once: the plan comes from the context's plan
-/// cache, or is compiled here when the context has none.
+/// Runs task(0..count) over the context's pool when it has more than one
+/// thread, else inline in index order.
+void run_indexed(const SearchContext& context, int count,
+                 const std::function<void(int)>& task) {
+  if (context.pool != nullptr && context.pool->size() > 1 && count > 1) {
+    context.pool->parallel_for(count, task);
+  } else {
+    for (int i = 0; i < count; ++i) task(i);
+  }
+}
+
+/// Stamps a finished search's thread count and wall time onto its result.
+MappingResult finished(MappingResult result, const SearchContext& context,
+                       const WallTimer& timer) {
+  result.stats.threads = context_threads(context);
+  result.stats.wall_seconds = timer.seconds();
+  return result;
+}
+
+/// The first of `results` with the least estimated time, carrying the
+/// counters of all of them. Ties keep the earliest result, so a reduction
+/// over parallel work does not depend on which thread finished first.
+MappingResult first_best(std::vector<MappingResult>& results) {
+  MappingResult best;
+  std::size_t winner = 0;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    best.stats.add_counters(results[i].stats);
+    if (results[i].estimated_time < results[winner].estimated_time) winner = i;
+  }
+  best.candidate_for_abstract =
+      std::move(results[winner].candidate_for_abstract);
+  best.estimated_time = results[winner].estimated_time;
+  return best;
+}
+
+/// What every scorer of one select() shares: the compiled plan and, for a
+/// search that prices through the estimate cache, that cache and the
+/// instance/options fingerprint keying it. Both cost O(model aggregates) —
+/// far too much per candidate — so each select() resolves them once: the
+/// plan comes from the plan cache, or is compiled here without one, and the
+/// fingerprint is hashed only when there is a cache to key.
 struct Pricing {
   Pricing(const pmdl::ModelInstance& instance, est::EstimateOptions options,
-          const SearchContext& context)
-      : plan(context.plans != nullptr
-                 ? context.plans->get(instance)
-                 : std::make_shared<const est::Plan>(instance)),
-        cache(context.cache),
+          est::PlanCache* plans, est::EstimateCache* estimates)
+      : plan(plans != nullptr ? plans->get(instance)
+                              : std::make_shared<const est::Plan>(instance)),
+        cache(estimates),
         fingerprint(cache != nullptr
                         ? est::estimate_fingerprint(instance, options)
                         : 0) {}
@@ -55,69 +90,22 @@ struct Pricing {
   std::uint64_t fingerprint;
 };
 
-/// One-at-a-time scoring for the serial searches: selection -> physical
-/// processors, then a cache lookup, and on a miss a count-1 kernel call and
-/// an insert (est::EstimateCache::estimate). Singles never count toward the
-/// batch_* stats, which describe the batch searches alone.
+/// The one scorer: maps selections to physical processors and prices them
+/// on the estimator kernel. A search that revisits arrangements (greedy,
+/// swap-refine, exhaustive, annealing) hands it the context's estimate
+/// cache; each row is then one cache lookup, and a miss is priced by a
+/// count-1 kernel call and inserted (est::EstimateCache::estimate). Without
+/// a cache (beam and annealing-ws always, the others in an uncached
+/// context) all of a call's rows are priced in one est::BatchEvaluator
+/// call. A row's price does not depend on its batch, so both routes return
+/// the same values; they differ in cost and SearchStats only.
 ///
-/// Not thread-safe: one scorer per search thread (parallel mappers already
-/// give each chunk/member its own serial search).
-class CandidateScorer {
+/// Not thread-safe: one scorer per search thread, chunk or chain (its
+/// scratch is reused across calls, so a steady state allocates nothing).
+class Scorer {
  public:
-  CandidateScorer(const Pricing& pricing, std::span<const Candidate> candidates,
-                  const hnoc::NetworkModel& network,
-                  est::EstimateOptions options)
-      : pricing_(&pricing),
-        candidates_(candidates),
-        network_(&network),
-        options_(options) {}
-
-  double score(std::span<const int> selection, SearchStats* stats) {
-    processors_.resize(selection.size());
-    for (std::size_t a = 0; a < selection.size(); ++a) {
-      processors_[a] =
-          candidates_[static_cast<std::size_t>(selection[a])].processor;
-    }
-    stats->evaluations += 1;
-    const est::Plan& plan = *pricing_->plan;
-    if (pricing_->cache == nullptr) {
-      stats->compiled_evaluations += 1;
-      return plan.evaluate(processors_, *network_, options_);
-    }
-    bool hit = false;
-    const double t = pricing_->cache->estimate(
-        pricing_->fingerprint, plan, processors_, *network_, options_, &hit);
-    if (hit) {
-      stats->cache_hits += 1;
-    } else {
-      stats->cache_misses += 1;
-      stats->compiled_evaluations += 1;
-    }
-    return t;
-  }
-
- private:
-  const Pricing* pricing_;
-  std::span<const Candidate> candidates_;
-  const hnoc::NetworkModel* network_;
-  est::EstimateOptions options_;
-  std::vector<int> processors_;
-};
-
-/// Batch counterpart of CandidateScorer for the scalable searches: packs a
-/// set of complete selections slot-major and prices every row in one
-/// est::BatchEvaluator call. It never consults the estimate cache: these
-/// searches rarely revisit a mapping (about 1% at P=1000), and a probe plus
-/// its insert costs about twice what the kernel charges for the row. A
-/// candidate's value does not depend on the batch it is priced in, so batch
-/// and one-at-a-time searches agree bit for bit.
-///
-/// Not thread-safe: one scorer per chunk/chain (all scratch is reused
-/// across calls, so a steady-state round allocates nothing).
-class BatchScorer {
- public:
-  BatchScorer(const Pricing& pricing, std::span<const Candidate> candidates,
-              const hnoc::NetworkModel& network, est::EstimateOptions options)
+  Scorer(const Pricing& pricing, std::span<const Candidate> candidates,
+         const hnoc::NetworkModel& network, est::EstimateOptions options)
       : pricing_(&pricing),
         candidates_(candidates),
         network_(&network),
@@ -126,28 +114,56 @@ class BatchScorer {
 
   /// Scores `count` selections laid out row-major (selections[j * width + a]
   /// is the candidate index of abstract slot `a` in selection `j`) into
-  /// out[0..count).
+  /// out[0..count). Each row is one evaluation: one cache lookup (a hit or
+  /// a miss), or one row of the call's kernel batch.
   void score(std::span<const int> selections, std::size_t count,
              std::span<double> out, SearchStats* stats) {
     if (count == 0) return;
     stats->evaluations += static_cast<long long>(count);
+    const est::Plan& plan = *pricing_->plan;
+    if (pricing_->cache != nullptr) {
+      soa_.resize(width_);
+      for (std::size_t j = 0; j < count; ++j) {
+        for (std::size_t a = 0; a < width_; ++a) {
+          soa_[a] = processor(selections[j * width_ + a]);
+        }
+        bool hit = false;
+        out[j] = pricing_->cache->estimate(pricing_->fingerprint, plan, soa_,
+                                           *network_, options_, &hit);
+        if (hit) {
+          stats->cache_hits += 1;
+        } else {
+          stats->cache_misses += 1;
+          stats->compiled_evaluations += 1;
+        }
+      }
+      return;
+    }
     stats->batch_chunks += 1;
     stats->batch_candidates += static_cast<long long>(count);
     stats->compiled_evaluations += static_cast<long long>(count);
-
     // Selection -> physical processors, slot-major (soa_[a * count + j]).
     soa_.resize(width_ * count);
     for (std::size_t j = 0; j < count; ++j) {
       for (std::size_t a = 0; a < width_; ++a) {
-        soa_[a * count + j] =
-            candidates_[static_cast<std::size_t>(selections[j * width_ + a])]
-                .processor;
+        soa_[a * count + j] = processor(selections[j * width_ + a]);
       }
     }
-    batch_.evaluate(*pricing_->plan, soa_, count, *network_, options_, out);
+    batch_.evaluate(plan, soa_, count, *network_, options_, out);
+  }
+
+  /// Scores one selection.
+  double score(std::span<const int> selection, SearchStats* stats) {
+    double t = 0.0;
+    score(selection, 1, std::span<double>(&t, 1), stats);
+    return t;
   }
 
  private:
+  int processor(int candidate) const {
+    return candidates_[static_cast<std::size_t>(candidate)].processor;
+  }
+
   const Pricing* pricing_;
   std::span<const Candidate> candidates_;
   const hnoc::NetworkModel* network_;
@@ -157,11 +173,11 @@ class BatchScorer {
   std::vector<int> soa_;
 };
 
-/// Chunked batch scoring over the context's pool: the candidate set is split
-/// into one contiguous range per worker slot, each scored by that slot's own
-/// BatchScorer (reused across rounds), stats merged in slot order. Values
-/// land in disjoint out ranges and do not depend on which thread computed
-/// them, so results are bit-identical for any thread count.
+/// Chunked scoring over the context's pool: the candidate set is split into
+/// one contiguous range per worker slot, each scored by that slot's own
+/// Scorer (reused across rounds), stats merged in slot order. Values land
+/// in disjoint out ranges and do not depend on which thread computed them,
+/// so results are bit-identical for any thread count.
 class ParallelBatchScorer {
  public:
   ParallelBatchScorer(const Pricing& pricing,
@@ -203,16 +219,9 @@ class ParallelBatchScorer {
  private:
   support::ThreadPool* pool_;
   std::size_t width_;
-  std::vector<BatchScorer> scorers_;
+  std::vector<Scorer> scorers_;
   std::vector<SearchStats> slot_stats_;
 };
-
-/// True when the annealing move set is empty: no free slot, or one free
-/// slot and no unused candidate to substitute into it (a swap needs two).
-/// The start is then the only arrangement.
-bool no_annealing_moves(std::size_t free_slots, int n, int p) {
-  return free_slots == 0 || (free_slots == 1 && n == p);
-}
 
 /// Substitution targets under the locality restriction: every non-parent
 /// candidate below the threshold; the top_k fastest (ties towards the lower
@@ -234,6 +243,216 @@ std::vector<int> substitution_targets(std::span<const Candidate> candidates,
   const auto k = static_cast<std::size_t>(std::max(1, locality.top_k));
   if (order.size() > k) order.resize(k);
   return order;
+}
+
+/// AnnealingMapper's neighbourhood: every non-parent candidate is a
+/// substitution target, however many there are.
+constexpr LocalityOptions kEveryCandidate{
+    .threshold = std::numeric_limits<int>::max()};
+
+/// Every annealing chain of the library: AnnealingMapper's one chain, the
+/// portfolio's restarts and WorkStealingAnnealingMapper's chains. Runs one
+/// chain per seed, claimed dynamically over the context's pool, and returns
+/// the best state any chain reached (ties keep the earliest chain) with the
+/// counters of every chain. The chains price through `cache` when it is
+/// non-null (Scorer).
+///
+/// A chain starts from the greedy selection and anneals it under the
+/// schedule (whose own seed is unused) over swaps and substitutions from
+/// the locality-restricted targets. Its move sequence is a fixed function
+/// of its seed: proposals are drawn in chunks of `chunk` from the current
+/// state, then walked in draw order under the Metropolis rule; the first
+/// accepted proposal ends the chunk and the rest is discarded (stale
+/// against the new state). The walk prices a row when it first reaches it,
+/// together with the rows after it, in windows of 1, 2, 4, ... rows up to
+/// the chunk's end, so rows after an acceptance are never priced. A
+/// substitution skips its reservoir's draws when it is drawn and replays
+/// them from the saved stream position when its row is priced. Every draw
+/// of the chain's stream is therefore made where pricing the whole chunk up
+/// front made it, and a row's price does not depend on its batch, so the
+/// trajectory matches the one-at-a-time chain exactly; with chunk 1 it is
+/// the classic serial annealing loop. Threads only decide which worker runs
+/// which chain, never what any chain computes.
+MappingResult anneal(const pmdl::ModelInstance& instance,
+                     std::span<const Candidate> candidates,
+                     int parent_candidate, const hnoc::NetworkModel& network,
+                     est::EstimateOptions options, const SearchContext& context,
+                     est::EstimateCache* cache, const AnnealingOptions& schedule,
+                     std::span<const std::uint64_t> seeds, int chunk,
+                     const LocalityOptions& locality) {
+  const int p = instance.size();
+  const int parent_abstract = instance.parent_index();
+  const int n = static_cast<int>(candidates.size());
+  const auto width = static_cast<std::size_t>(p);
+
+  // Shared across chains: the pricing, the greedy start, the mutable slot
+  // list and the substitution targets.
+  const Pricing pricing(instance, options, context.plans, cache);
+  const std::vector<int> start = GreedyMapper::greedy_selection(
+      instance, candidates, parent_candidate, network);
+  const std::vector<int> targets =
+      substitution_targets(candidates, parent_candidate, network, locality);
+  std::vector<int> slots;
+  for (int a = 0; a < p; ++a) {
+    if (a != parent_abstract) slots.push_back(a);
+  }
+  std::vector<char> is_target(static_cast<std::size_t>(n), 0);
+  for (int c : targets) is_target[static_cast<std::size_t>(c)] = 1;
+
+  std::vector<MappingResult> results(seeds.size());
+  const auto run_chain = [&](int ci) {
+    MappingResult& out = results[static_cast<std::size_t>(ci)];
+    Scorer scorer(pricing, candidates, network, options);
+    support::Rng rng(seeds[static_cast<std::size_t>(ci)]);
+
+    std::vector<int> current = start;
+    double current_time = scorer.score(current, &out.stats);
+    out.candidate_for_abstract = current;
+    out.estimated_time = current_time;
+    // No move: no free slot, or one free slot and no unused candidate to
+    // substitute into it (a swap needs two). The start is the answer.
+    if (slots.empty() || (slots.size() == 1 && n == p)) return;
+
+    std::vector<char> used(static_cast<std::size_t>(n), 0);
+    for (int c : current) used[static_cast<std::size_t>(c)] = 1;
+    // A substitution's reservoir makes one draw per unused target, or one
+    // per unused candidate (n - p of them) when every target is in use.
+    // Only an accepted substitution changes the count of unused targets.
+    std::uint64_t unused_targets = 0;
+    for (int c : targets) {
+      if (used[static_cast<std::size_t>(c)] == 0) ++unused_targets;
+    }
+    double temperature =
+        std::max(1e-12, schedule.initial_temperature_factor * current_time);
+
+    // Reservoir over the unused targets; if every target is in use, fall
+    // back to any unused candidate so the move stays feasible (n > p
+    // guarantees one exists).
+    const auto draw_replacement = [&](support::Rng& stream) {
+      int replacement = -1;
+      int seen = 0;
+      for (int c : targets) {
+        if (used[static_cast<std::size_t>(c)] != 0) continue;
+        ++seen;
+        if (stream.next_below(static_cast<std::uint64_t>(seen)) == 0) {
+          replacement = c;
+        }
+      }
+      if (replacement < 0) {
+        for (int c = 0; c < n; ++c) {
+          if (used[static_cast<std::size_t>(c)] != 0) continue;
+          ++seen;
+          if (stream.next_below(static_cast<std::uint64_t>(seen)) == 0) {
+            replacement = c;
+          }
+        }
+      }
+      return replacement;
+    };
+
+    // A proposal is either a swap (slot_b >= 0) or a substitution into
+    // slot_a, whose reservoir draws from `reservoir` (the chain's stream
+    // where the reservoir starts) once its row is priced.
+    struct Proposal {
+      int slot_a = -1;
+      int slot_b = -1;
+      int replacement = -1;
+      support::Rng reservoir{0};
+    };
+    std::vector<Proposal> proposals;
+    std::vector<int> rows;
+    std::vector<double> vals;
+
+    // Prices proposals [begin, end) of the chunk into vals[begin, end).
+    const auto price = [&](int begin, int end) {
+      rows.clear();
+      for (int j = begin; j < end; ++j) {
+        Proposal& prop = proposals[static_cast<std::size_t>(j)];
+        rows.insert(rows.end(), current.begin(), current.end());
+        int* row = rows.data() + (rows.size() - width);
+        if (prop.slot_b >= 0) {
+          std::swap(row[prop.slot_a], row[prop.slot_b]);
+        } else {
+          prop.replacement = draw_replacement(prop.reservoir);
+          row[prop.slot_a] = prop.replacement;
+        }
+      }
+      const auto count = static_cast<std::size_t>(end - begin);
+      scorer.score(rows, count,
+                   std::span<double>(vals).subspan(
+                       static_cast<std::size_t>(begin), count),
+                   &out.stats);
+    };
+
+    int remaining = schedule.iterations;
+    while (remaining > 0) {
+      const int k = std::min(chunk, remaining);
+      const std::uint64_t reservoir_draws =
+          unused_targets > 0 ? unused_targets
+                             : static_cast<std::uint64_t>(n - p);
+      proposals.clear();
+      for (int j = 0; j < k; ++j) {
+        const bool substitute =
+            n > p && (slots.size() < 2 || rng.next_double() < 0.5);
+        Proposal prop;
+        prop.slot_a = slots[static_cast<std::size_t>(
+            rng.next_below(static_cast<std::uint64_t>(slots.size())))];
+        if (substitute) {
+          prop.reservoir = rng;
+          rng.discard(reservoir_draws);
+        } else {
+          int slot_b = prop.slot_a;
+          while (slot_b == prop.slot_a) {
+            slot_b = slots[static_cast<std::size_t>(
+                rng.next_below(static_cast<std::uint64_t>(slots.size())))];
+          }
+          prop.slot_b = slot_b;
+        }
+        proposals.push_back(prop);
+      }
+
+      vals.resize(static_cast<std::size_t>(k));
+      int priced = 0;
+      int window = 1;
+      int walked = 0;
+      for (int j = 0; j < k; ++j) {
+        if (j == priced) {
+          priced = std::min(k, j + window);
+          price(j, priced);
+          window *= 2;
+        }
+        ++walked;
+        const double delta = vals[static_cast<std::size_t>(j)] - current_time;
+        const bool accept = delta <= 0.0 ||
+                            rng.next_double() < std::exp(-delta / temperature);
+        temperature *= schedule.cooling;
+        if (!accept) continue;
+        const Proposal& prop = proposals[static_cast<std::size_t>(j)];
+        int& slot = current[static_cast<std::size_t>(prop.slot_a)];
+        if (prop.slot_b >= 0) {
+          std::swap(slot, current[static_cast<std::size_t>(prop.slot_b)]);
+        } else {
+          const auto old = static_cast<std::size_t>(slot);
+          const auto replacement = static_cast<std::size_t>(prop.replacement);
+          used[old] = 0;
+          used[replacement] = 1;
+          unused_targets += is_target[old];
+          unused_targets -= is_target[replacement];
+          slot = prop.replacement;
+        }
+        current_time = vals[static_cast<std::size_t>(j)];
+        if (current_time < out.estimated_time) {
+          out.estimated_time = current_time;
+          out.candidate_for_abstract = current;
+        }
+        break;  // the rest of the chunk was drawn against the old state
+      }
+      remaining -= walked;
+    }
+  };
+
+  run_indexed(context, static_cast<int>(seeds.size()), run_chain);
+  return first_best(results);
 }
 
 }  // namespace
@@ -258,6 +477,12 @@ int Mapper::check(const pmdl::ModelInstance& instance,
 
 // --- ExhaustiveMapper ---------------------------------------------------------
 
+ExhaustiveMapper::ExhaustiveMapper(long long max_combinations)
+    : max_combinations_(max_combinations) {
+  support::require(max_combinations_ >= 1,
+                   "exhaustive max_combinations must be >= 1");
+}
+
 MappingResult ExhaustiveMapper::select(const pmdl::ModelInstance& instance,
                                        std::span<const Candidate> candidates,
                                        int parent_candidate,
@@ -270,15 +495,18 @@ MappingResult ExhaustiveMapper::select(const pmdl::ModelInstance& instance,
   const int parent_abstract = instance.parent_index();
   const int n = static_cast<int>(candidates.size());
 
-  // Search-space size: P(n-1, p-1) ordered selections of the free slots.
+  // Search-space size: P(n-1, p-1) ordered selections of the free slots,
+  // checked before each multiplication so the product never overflows
+  // (every factor is >= 1 because n >= p).
   long long combos = 1;
   for (int i = 0; i < p - 1; ++i) {
-    combos *= (n - 1 - i);
-    if (combos > max_combinations_) {
+    const long long factor = n - 1 - i;
+    if (combos > max_combinations_ / factor) {
       throw InvalidArgument(
           "exhaustive mapping space exceeds the configured limit; use the "
           "greedy or swap-refine mapper");
     }
+    combos *= factor;
   }
 
   // Free abstract slots, in increasing index order (= lexicographic
@@ -288,18 +516,16 @@ MappingResult ExhaustiveMapper::select(const pmdl::ModelInstance& instance,
     if (a != parent_abstract) slots.push_back(a);
   }
 
-  const Pricing pricing(instance, options, context);
+  const Pricing pricing(instance, options, context.plans, context.cache);
   if (slots.empty()) {
     // Only the pinned parent: a single arrangement.
     MappingResult result;
     result.candidate_for_abstract.assign(static_cast<std::size_t>(p),
                                          parent_candidate);
-    CandidateScorer scorer(pricing, candidates, network, options);
+    Scorer scorer(pricing, candidates, network, options);
     result.estimated_time =
         scorer.score(result.candidate_for_abstract, &result.stats);
-    result.stats.threads = context_threads(context);
-    result.stats.wall_seconds = timer.seconds();
-    return result;
+    return finished(std::move(result), context, timer);
   }
 
   // Partition by the first free slot's candidate: one independent chunk per
@@ -319,7 +545,7 @@ MappingResult ExhaustiveMapper::select(const pmdl::ModelInstance& instance,
 
   const auto run_chunk = [&](int chunk_index) {
     ChunkResult& out = chunks[static_cast<std::size_t>(chunk_index)];
-    CandidateScorer scorer(pricing, candidates, network, options);
+    Scorer scorer(pricing, candidates, network, options);
     std::vector<int> selection(static_cast<std::size_t>(p), -1);
     std::vector<bool> used(static_cast<std::size_t>(n), false);
     selection[static_cast<std::size_t>(parent_abstract)] = parent_candidate;
@@ -354,14 +580,7 @@ MappingResult ExhaustiveMapper::select(const pmdl::ModelInstance& instance,
     recurse(recurse, 1);
   };
 
-  const int threads = context_threads(context);
-  if (context.pool != nullptr && threads > 1 && chunks.size() > 1) {
-    context.pool->parallel_for(static_cast<int>(chunks.size()), run_chunk);
-  } else {
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-      run_chunk(static_cast<int>(i));
-    }
-  }
+  run_indexed(context, static_cast<int>(chunks.size()), run_chunk);
 
   // Argmin reduction in chunk order; exact ties go to the lexicographically
   // smaller selection. Chunk order is ascending first-slot candidate, so the
@@ -383,9 +602,7 @@ MappingResult ExhaustiveMapper::select(const pmdl::ModelInstance& instance,
       feasible = true;
     }
   }
-  best.stats.threads = threads;
-  best.stats.wall_seconds = timer.seconds();
-  return best;
+  return finished(std::move(best), context, timer);
 }
 
 // --- GreedyMapper --------------------------------------------------------------
@@ -440,13 +657,11 @@ MappingResult GreedyMapper::select(const pmdl::ModelInstance& instance,
   MappingResult result;
   result.candidate_for_abstract =
       greedy_selection(instance, candidates, parent_candidate, network);
-  const Pricing pricing(instance, options, context);
-  CandidateScorer scorer(pricing, candidates, network, options);
+  const Pricing pricing(instance, options, context.plans, context.cache);
+  Scorer scorer(pricing, candidates, network, options);
   result.estimated_time =
       scorer.score(result.candidate_for_abstract, &result.stats);
-  result.stats.threads = context_threads(context);
-  result.stats.wall_seconds = timer.seconds();
-  return result;
+  return finished(std::move(result), context, timer);
 }
 
 // --- SwapRefineMapper -----------------------------------------------------------
@@ -463,9 +678,10 @@ MappingResult SwapRefineMapper::select(const pmdl::ModelInstance& instance,
   const int parent_abstract = instance.parent_index();
   const int n = static_cast<int>(candidates.size());
 
-  SearchStats stats;
-  const Pricing pricing(instance, options, context);
-  CandidateScorer scorer(pricing, candidates, network, options);
+  MappingResult result;
+  SearchStats& stats = result.stats;
+  const Pricing pricing(instance, options, context.plans, context.cache);
+  Scorer scorer(pricing, candidates, network, options);
   std::vector<int> selection =
       GreedyMapper::greedy_selection(instance, candidates, parent_candidate,
                                      network);
@@ -517,13 +733,9 @@ MappingResult SwapRefineMapper::select(const pmdl::ModelInstance& instance,
     if (!improved) break;
   }
 
-  MappingResult result;
   result.candidate_for_abstract = std::move(selection);
   result.estimated_time = best;
-  result.stats = stats;
-  result.stats.threads = context_threads(context);
-  result.stats.wall_seconds = timer.seconds();
-  return result;
+  return finished(std::move(result), context, timer);
 }
 
 // --- AnnealingMapper -------------------------------------------------------------
@@ -536,105 +748,15 @@ MappingResult AnnealingMapper::select(const pmdl::ModelInstance& instance,
                                       const SearchContext& context) const {
   const WallTimer timer;
   HMPI_SPAN("mapper:annealing");
-  const int p = check(instance, candidates, parent_candidate, network);
-  const int parent_abstract = instance.parent_index();
-  const int n = static_cast<int>(candidates.size());
-
-  SearchStats stats;
-  const Pricing pricing(instance, options, context);
-  CandidateScorer scorer(pricing, candidates, network, options);
-  std::vector<int> current = GreedyMapper::greedy_selection(
-      instance, candidates, parent_candidate, network);
-  double current_score = scorer.score(current, &stats);
-  std::vector<int> best = current;
-  double best_score = current_score;
-
-  std::vector<bool> used(static_cast<std::size_t>(n), false);
-  for (int c : current) used[static_cast<std::size_t>(c)] = true;
-
-  support::Rng rng(options_.seed);
-  double temperature = std::max(1e-12, options_.initial_temperature_factor *
-                                           current_score);
-
-  // Mutable non-parent slots.
-  std::vector<int> slots;
-  for (int a = 0; a < p; ++a) {
-    if (a != parent_abstract) slots.push_back(a);
-  }
-
-  const auto finish = [&](std::vector<int> selection, double t) {
-    MappingResult result;
-    result.candidate_for_abstract = std::move(selection);
-    result.estimated_time = t;
-    result.stats = stats;
-    result.stats.threads = context_threads(context);
-    result.stats.wall_seconds = timer.seconds();
-    return result;
-  };
-
-  if (no_annealing_moves(slots.size(), n, p)) {
-    return finish(std::move(best), best_score);
-  }
-
-  for (int iter = 0; iter < options_.iterations; ++iter, temperature *= options_.cooling) {
-    // Propose a move: swap two slots, or substitute an unused candidate.
-    const bool substitute =
-        n > p && (slots.size() < 2 || rng.next_double() < 0.5);
-    int slot_a = slots[static_cast<std::size_t>(
-        rng.next_below(static_cast<std::uint64_t>(slots.size())))];
-    int undo_slot_b = -1;
-    int undo_value_a = current[static_cast<std::size_t>(slot_a)];
-    int undo_value_b = -1;
-
-    if (substitute) {
-      // Pick an unused candidate uniformly.
-      int replacement = -1;
-      int seen = 0;
-      for (int c = 0; c < n; ++c) {
-        if (used[static_cast<std::size_t>(c)]) continue;
-        ++seen;
-        if (rng.next_below(static_cast<std::uint64_t>(seen)) == 0) replacement = c;
-      }
-      current[static_cast<std::size_t>(slot_a)] = replacement;
-      used[static_cast<std::size_t>(undo_value_a)] = false;
-      used[static_cast<std::size_t>(replacement)] = true;
-    } else {
-      int slot_b = slot_a;
-      while (slot_b == slot_a) {
-        slot_b = slots[static_cast<std::size_t>(
-            rng.next_below(static_cast<std::uint64_t>(slots.size())))];
-      }
-      undo_slot_b = slot_b;
-      undo_value_b = current[static_cast<std::size_t>(slot_b)];
-      std::swap(current[static_cast<std::size_t>(slot_a)],
-                current[static_cast<std::size_t>(slot_b)]);
-    }
-
-    const double proposed = scorer.score(current, &stats);
-    const double delta = proposed - current_score;
-    const bool accept =
-        delta <= 0.0 || rng.next_double() < std::exp(-delta / temperature);
-    if (accept) {
-      current_score = proposed;
-      if (proposed < best_score) {
-        best_score = proposed;
-        best = current;
-      }
-    } else {
-      // Undo the move.
-      if (undo_slot_b >= 0) {
-        current[static_cast<std::size_t>(undo_slot_b)] = undo_value_b;
-        current[static_cast<std::size_t>(slot_a)] = undo_value_a;
-      } else {
-        used[static_cast<std::size_t>(current[static_cast<std::size_t>(slot_a)])] =
-            false;
-        used[static_cast<std::size_t>(undo_value_a)] = true;
-        current[static_cast<std::size_t>(slot_a)] = undo_value_a;
-      }
-    }
-  }
-
-  return finish(std::move(best), best_score);
+  check(instance, candidates, parent_candidate, network);
+  // One chain proposing one move per step, substituting from every
+  // non-parent candidate, priced through the context's estimate cache.
+  const std::uint64_t seed = options_.seed;
+  return finished(anneal(instance, candidates, parent_candidate, network,
+                         options, context, context.cache, options_,
+                         std::span<const std::uint64_t>(&seed, 1),
+                         /*chunk=*/1, kEveryCandidate),
+                  context, timer);
 }
 
 // --- BeamMapper ------------------------------------------------------------------
@@ -659,18 +781,17 @@ MappingResult BeamMapper::select(const pmdl::ModelInstance& instance,
   const int n = static_cast<int>(candidates.size());
   const auto width = static_cast<std::size_t>(p);
 
-  SearchStats stats;
-  const Pricing pricing(instance, options, context);
+  MappingResult result;
+  SearchStats& stats = result.stats;
+  // A batch search: every round is one kernel batch, never cache lookups
+  // (docs/mapper.md §4).
+  const Pricing pricing(instance, options, context.plans, nullptr);
   ParallelBatchScorer scorer(pricing, candidates, network, options, context);
 
   const auto finish = [&](std::vector<int> selection, double t) {
-    MappingResult result;
     result.candidate_for_abstract = std::move(selection);
     result.estimated_time = t;
-    result.stats = stats;
-    result.stats.threads = context_threads(context);
-    result.stats.wall_seconds = timer.seconds();
-    return result;
+    return finished(std::move(result), context, timer);
   };
 
   std::vector<int> start = GreedyMapper::greedy_selection(
@@ -782,216 +903,18 @@ MappingResult WorkStealingAnnealingMapper::select(
     est::EstimateOptions options, const SearchContext& context) const {
   const WallTimer timer;
   HMPI_SPAN("mapper:annealing-ws");
-  const int p = check(instance, candidates, parent_candidate, network);
-  const int parent_abstract = instance.parent_index();
-  const int n = static_cast<int>(candidates.size());
-  const auto width = static_cast<std::size_t>(p);
-  const int chains = options_.chains;
-
-  // Shared across chains: the greedy start, the mutable slot list, and the
-  // (locality-restricted) substitution targets.
-  const std::vector<int> start = GreedyMapper::greedy_selection(
-      instance, candidates, parent_candidate, network);
-  std::vector<int> slots;
-  for (int a = 0; a < p; ++a) {
-    if (a != parent_abstract) slots.push_back(a);
+  check(instance, candidates, parent_candidate, network);
+  std::vector<std::uint64_t> seeds;
+  for (int ci = 0; ci < options_.chains; ++ci) {
+    seeds.push_back(chain_seed(options_.annealing.seed, ci));
   }
-  const std::vector<int> targets = substitution_targets(
-      candidates, parent_candidate, network, options_.locality);
-  const Pricing pricing(instance, options, context);
-
-  struct ChainResult {
-    std::vector<int> best;
-    double best_time = 0.0;
-    SearchStats stats;
-  };
-  std::vector<ChainResult> results(static_cast<std::size_t>(chains));
-
-  // One independent chain per index. Each chain's move sequence is a fixed
-  // function of its seed alone: proposals are drawn in chunks from the
-  // current state, then walked in draw order with the exact AnnealingMapper
-  // acceptance rule; the first accepted proposal ends the chunk and the rest
-  // is discarded (stale against the new state). The walk prices a row when
-  // it first reaches it, together with the rows after it, in windows of 1,
-  // 2, 4, ... rows up to the chunk's end, so rows after an acceptance are
-  // never priced. A substitution skips its reservoir's draws when it is
-  // drawn and replays them from the saved stream position when its row is
-  // priced. Every draw of the chain's stream is therefore made where pricing
-  // the whole chunk up front made it, and a row's price does not depend on
-  // its batch, so the trajectory matches the one-at-a-time chain exactly.
-  // Threads only decide which worker runs which chain — never what any
-  // chain computes.
-  const auto run_chain = [&](int ci) {
-    ChainResult& out = results[static_cast<std::size_t>(ci)];
-    BatchScorer scorer(pricing, candidates, network, options);
-    support::Rng rng(chain_seed(options_.annealing.seed, ci));
-
-    std::vector<int> current = start;
-    double current_time = 0.0;
-    scorer.score(current, 1, std::span<double>(&current_time, 1), &out.stats);
-    out.best = current;
-    out.best_time = current_time;
-    if (no_annealing_moves(slots.size(), n, p)) return;
-
-    std::vector<char> used(static_cast<std::size_t>(n), 0);
-    for (int c : current) used[static_cast<std::size_t>(c)] = 1;
-    double temperature =
-        std::max(1e-12, options_.annealing.initial_temperature_factor *
-                            current_time);
-
-    // Reservoir over the unused neighbourhood targets; if the whole
-    // neighbourhood is occupied, fall back to any unused candidate so the
-    // move stays feasible (n > p guarantees one exists).
-    const auto draw_replacement = [&](support::Rng& stream) {
-      int replacement = -1;
-      int seen = 0;
-      for (int c : targets) {
-        if (used[static_cast<std::size_t>(c)] != 0) continue;
-        ++seen;
-        if (stream.next_below(static_cast<std::uint64_t>(seen)) == 0) {
-          replacement = c;
-        }
-      }
-      if (replacement < 0) {
-        for (int c = 0; c < n; ++c) {
-          if (used[static_cast<std::size_t>(c)] != 0) continue;
-          ++seen;
-          if (stream.next_below(static_cast<std::uint64_t>(seen)) == 0) {
-            replacement = c;
-          }
-        }
-      }
-      return replacement;
-    };
-
-    // A proposal is either a swap (slot_b >= 0) or a substitution into
-    // slot_a, whose reservoir draws from `reservoir` (the chain's stream
-    // where the reservoir starts) once its row is priced.
-    struct Proposal {
-      int slot_a = -1;
-      int slot_b = -1;
-      int replacement = -1;
-      support::Rng reservoir{0};
-    };
-    std::vector<Proposal> proposals;
-    std::vector<int> rows;
-    std::vector<double> vals;
-
-    // Prices proposals [begin, end) of the chunk into vals[begin, end).
-    const auto price = [&](int begin, int end) {
-      rows.clear();
-      for (int j = begin; j < end; ++j) {
-        Proposal& prop = proposals[static_cast<std::size_t>(j)];
-        rows.insert(rows.end(), current.begin(), current.end());
-        int* row = rows.data() + (rows.size() - width);
-        if (prop.slot_b >= 0) {
-          std::swap(row[prop.slot_a], row[prop.slot_b]);
-        } else {
-          prop.replacement = draw_replacement(prop.reservoir);
-          row[prop.slot_a] = prop.replacement;
-        }
-      }
-      const auto count = static_cast<std::size_t>(end - begin);
-      scorer.score(rows, count,
-                   std::span<double>(vals).subspan(
-                       static_cast<std::size_t>(begin), count),
-                   &out.stats);
-    };
-
-    int remaining = options_.annealing.iterations;
-    while (remaining > 0) {
-      const int k = std::min(options_.chunk, remaining);
-      // A reservoir makes one draw per unused target, or one per unused
-      // candidate (n - p of them) when every target is in use. `used`
-      // changes only on an acceptance, which ends the chunk, so the count
-      // holds for the whole chunk.
-      std::uint64_t reservoir_draws = 0;
-      for (int c : targets) {
-        if (used[static_cast<std::size_t>(c)] == 0) ++reservoir_draws;
-      }
-      if (reservoir_draws == 0) {
-        reservoir_draws = static_cast<std::uint64_t>(n - p);
-      }
-      proposals.clear();
-      for (int j = 0; j < k; ++j) {
-        const bool substitute =
-            n > p && (slots.size() < 2 || rng.next_double() < 0.5);
-        Proposal prop;
-        prop.slot_a = slots[static_cast<std::size_t>(
-            rng.next_below(static_cast<std::uint64_t>(slots.size())))];
-        if (substitute) {
-          prop.reservoir = rng;
-          rng.discard(reservoir_draws);
-        } else {
-          int slot_b = prop.slot_a;
-          while (slot_b == prop.slot_a) {
-            slot_b = slots[static_cast<std::size_t>(
-                rng.next_below(static_cast<std::uint64_t>(slots.size())))];
-          }
-          prop.slot_b = slot_b;
-        }
-        proposals.push_back(prop);
-      }
-
-      vals.resize(static_cast<std::size_t>(k));
-      int priced = 0;
-      int window = 1;
-      int walked = 0;
-      for (int j = 0; j < k; ++j) {
-        if (j == priced) {
-          priced = std::min(k, j + window);
-          price(j, priced);
-          window *= 2;
-        }
-        ++walked;
-        const double delta = vals[static_cast<std::size_t>(j)] - current_time;
-        const bool accept = delta <= 0.0 ||
-                            rng.next_double() < std::exp(-delta / temperature);
-        temperature *= options_.annealing.cooling;
-        if (!accept) continue;
-        const Proposal& prop = proposals[static_cast<std::size_t>(j)];
-        if (prop.slot_b >= 0) {
-          std::swap(current[static_cast<std::size_t>(prop.slot_a)],
-                    current[static_cast<std::size_t>(prop.slot_b)]);
-        } else {
-          used[static_cast<std::size_t>(
-              current[static_cast<std::size_t>(prop.slot_a)])] = 0;
-          used[static_cast<std::size_t>(prop.replacement)] = 1;
-          current[static_cast<std::size_t>(prop.slot_a)] = prop.replacement;
-        }
-        current_time = vals[static_cast<std::size_t>(j)];
-        if (current_time < out.best_time) {
-          out.best_time = current_time;
-          out.best = current;
-        }
-        break;  // the rest of the chunk was drawn against the old state
-      }
-      remaining -= walked;
-    }
-  };
-
-  const int threads = context_threads(context);
-  if (context.pool != nullptr && threads > 1 && chains > 1) {
-    context.pool->parallel_for(chains, run_chain);
-  } else {
-    for (int ci = 0; ci < chains; ++ci) run_chain(ci);
-  }
-
-  // Reduce in chain order, strict improvement only: exact ties keep the
-  // earliest chain, independent of which thread finished first.
-  MappingResult best;
-  std::size_t winner = 0;
-  for (std::size_t ci = 0; ci < results.size(); ++ci) {
-    best.stats.add_counters(results[ci].stats);
-    if (ci > 0 && results[ci].best_time < results[winner].best_time) {
-      winner = ci;
-    }
-  }
-  best.candidate_for_abstract = std::move(results[winner].best);
-  best.estimated_time = results[winner].best_time;
-  best.stats.threads = threads;
-  best.stats.wall_seconds = timer.seconds();
-  return best;
+  // A batch search: its chains price kernel batches, never cache lookups
+  // (docs/mapper.md §4).
+  return finished(anneal(instance, candidates, parent_candidate, network,
+                         options, context, /*cache=*/nullptr,
+                         options_.annealing, seeds, options_.chunk,
+                         options_.locality),
+                  context, timer);
 }
 
 // --- PortfolioMapper -------------------------------------------------------------
@@ -1023,77 +946,51 @@ MappingResult PortfolioMapper::select(const pmdl::ModelInstance& instance,
   check(instance, candidates, parent_candidate, network);
 
   // Fixed member order: the reduction prefers earlier members on exact ties,
-  // so this order is part of the determinism contract.
+  // so this order is part of the determinism contract. Large candidate sets
+  // enroll the batch searches, whose neighbourhoods scale, instead of the
+  // quadratic swap-refine and the annealing restarts.
   const bool at_scale =
       static_cast<int>(candidates.size()) > options_.scale_threshold;
   std::vector<std::unique_ptr<Mapper>> members;
+  members.push_back(std::make_unique<GreedyMapper>());
   if (at_scale) {
-    // Large candidate sets: the serial members' O(p^2 n) neighbourhoods are
-    // the bottleneck, so enroll the batch searches instead. These
-    // parallelise *internally* (chunked batch scoring / chains), so they run
-    // in sequence with the pool handed into each — never nested.
-    members.push_back(std::make_unique<GreedyMapper>());
     members.push_back(std::make_unique<BeamMapper>(options_.beam));
     members.push_back(
         std::make_unique<WorkStealingAnnealingMapper>(options_.work_stealing));
   } else {
-    members.push_back(std::make_unique<GreedyMapper>());
     members.push_back(
         std::make_unique<SwapRefineMapper>(options_.swap_refine_rounds));
-    for (int r = 0; r < options_.annealing_restarts; ++r) {
-      AnnealingOptions restart = options_.annealing;
-      restart.seed = restart_seed(options_.annealing.seed, r);
-      members.push_back(std::make_unique<AnnealingMapper>(restart));
-    }
   }
 
-  // Below the threshold each member is a serial algorithm and the pool races
-  // the members against each other, sharing the context's estimate cache
-  // (greedy's start is every search's start — instant hits). At scale each
-  // member gets the full context (pool included) and they run in sequence;
-  // only greedy's start goes through the cache there, since the batch
-  // members never consult it. Either way the members share a plan cache (a
-  // local one when the caller supplied none), compiled before the members
-  // race so that one compile serves everyone.
+  // The members run one after another, each handed the full context: the
+  // pool parallelises inside a member (beam batches, annealing chains), and
+  // the estimate cache serves the members that price through it (greedy's
+  // start is every search's start). They share a plan cache, a local one
+  // when the caller supplied none, so that one compile serves them all.
   est::PlanCache local_plans;
   const SearchContext member_context{
-      at_scale ? context.pool : nullptr, context.cache,
+      context.pool, context.cache,
       context.plans != nullptr ? context.plans : &local_plans};
-  member_context.plans->get(instance);
-  std::vector<MappingResult> results(members.size());
-  const auto run_member = [&](int m) {
-    results[static_cast<std::size_t>(m)] =
-        members[static_cast<std::size_t>(m)]->select(
-            instance, candidates, parent_candidate, network, options,
-            member_context);
-  };
-
-  const int threads = context_threads(context);
-  if (!at_scale && context.pool != nullptr && threads > 1 &&
-      members.size() > 1) {
-    context.pool->parallel_for(static_cast<int>(members.size()), run_member);
-  } else {
-    for (std::size_t m = 0; m < members.size(); ++m) {
-      run_member(static_cast<int>(m));
-    }
+  std::vector<MappingResult> results;
+  for (const std::unique_ptr<Mapper>& member : members) {
+    results.push_back(member->select(instance, candidates, parent_candidate,
+                                     network, options, member_context));
   }
-
-  // Every member ran to completion: reduce in member order, strict
-  // improvement only, so the winner is thread-count independent.
-  MappingResult best;
-  std::size_t winner = 0;
-  for (std::size_t m = 0; m < results.size(); ++m) {
-    best.stats.add_counters(results[m].stats);
-    if (m == 0 || results[m].estimated_time < results[winner].estimated_time) {
-      winner = m;
+  // The annealing restarts are chains of one walk, each exactly the
+  // AnnealingMapper its restart_seed gives. Their walk returns the first
+  // best restart, so reducing it after the other members keeps the earliest
+  // of all tied members.
+  if (!at_scale && options_.annealing_restarts > 0) {
+    std::vector<std::uint64_t> seeds;
+    for (int r = 0; r < options_.annealing_restarts; ++r) {
+      seeds.push_back(restart_seed(options_.annealing.seed, r));
     }
+    results.push_back(anneal(instance, candidates, parent_candidate, network,
+                             options, member_context, member_context.cache,
+                             options_.annealing, seeds, /*chunk=*/1,
+                             kEveryCandidate));
   }
-  best.candidate_for_abstract =
-      std::move(results[winner].candidate_for_abstract);
-  best.estimated_time = results[winner].estimated_time;
-  best.stats.threads = threads;
-  best.stats.wall_seconds = timer.seconds();
-  return best;
+  return finished(first_best(results), context, timer);
 }
 
 std::unique_ptr<Mapper> make_default_mapper() {

@@ -12,7 +12,9 @@
 //   * SwapRefineMapper — greedy start, then hill-climbing over pairwise
 //                        swaps and substitutions of unused candidates,
 //                        scored by the estimator.
-//   * AnnealingMapper  — simulated annealing over the same move set.
+//   * AnnealingMapper  — simulated annealing over the same move set: one
+//                        chain of the annealing walk below, one proposal
+//                        per step.
 //   * BeamMapper       — width-bounded frontier over the swap/substitution
 //                        neighborhood, every round's neighbors scored in one
 //                        SoA batch (est::BatchEvaluator); the scalable
@@ -23,16 +25,23 @@
 //                        per step and batch-scoring only the ones its walk
 //                        reads.
 //   * PortfolioMapper  — greedy + swap-refine + multi-seed annealing
-//                        restarts raced concurrently; best result wins.
-//                        Above PortfolioOptions::scale_threshold candidates
-//                        it swaps the quadratic members for the scalable
-//                        pair (beam + work-stealing annealing).
+//                        restarts, run one after another (the restarts as
+//                        chains of one walk over the pool); best result
+//                        wins. Above PortfolioOptions::scale_threshold
+//                        candidates it swaps the quadratic members for the
+//                        scalable pair (beam + work-stealing annealing).
 //
 // The scalable searches restrict substitution moves to the top-k fastest
 // candidates (LocalityOptions) once the candidate set is large: on a
 // 1000-machine network the interesting substitutions overwhelmingly target
 // the fast tail, and k bounds each round's neighborhood at O(slots x k)
 // instead of O(slots x P). Below the threshold nothing is restricted.
+//
+// Every search prices its rows through one scorer. Greedy, swap-refine,
+// exhaustive and annealing hand it the context's estimate cache, and each
+// row is then one cache lookup; beam, work-stealing annealing and every
+// search of an uncached context price all of a call's rows in one kernel
+// batch instead.
 //
 // Every mapper accepts a SearchContext carrying a thread pool and an
 // estimate cache. Determinism guarantee (docs/mapper.md): for a fixed input,
@@ -68,18 +77,21 @@ struct Candidate {
 
 /// Cost accounting of one select() run.
 struct SearchStats {
-  long long evaluations = 0;   ///< Arrangements scored (cache hits included).
-  /// Evaluations answered from the cache. Only the one-at-a-time searches
-  /// consult it; the batch searches price every row they score.
+  /// Arrangements scored: each is one estimate-cache lookup (a hit or a
+  /// miss) or one row of a kernel batch call.
+  long long evaluations = 0;
+  /// Evaluations answered from the cache. Greedy, swap-refine, exhaustive
+  /// and annealing price through a supplied cache; beam and annealing-ws
+  /// never do.
   long long cache_hits = 0;
   long long cache_misses = 0;  ///< Cache lookups the estimator had to price.
   /// Evaluations the estimator kernel priced (cache hits excluded —
   /// nothing was evaluated).
   long long compiled_evaluations = 0;
-  /// Batch scoring requests the scalable searches issued (mapper.batch.*).
+  /// Kernel batch calls of the evaluations priced without a cache
+  /// (mapper.batch.*).
   long long batch_chunks = 0;
-  /// Selections scored through the batch path, each priced by the SoA
-  /// evaluator (the batch path never consults the cache).
+  /// Evaluations priced in those calls, each one row of the SoA evaluator.
   long long batch_candidates = 0;
   double wall_seconds = 0.0;   ///< Host wall-clock time of the search.
   int threads = 1;             ///< Workers the search ran with.
@@ -164,7 +176,8 @@ class Mapper {
 
 /// Optimal by enumeration of all injective assignments with the parent
 /// pinned. Throws InvalidArgument when the search space exceeds
-/// `max_combinations` (guard against accidental blow-up).
+/// `max_combinations` (guard against accidental blow-up; the constructor
+/// rejects a limit below 1).
 ///
 /// Parallel: the assignment tree is partitioned by the first free abstract
 /// slot's candidate into independent chunks; each chunk enumerates serially
@@ -173,8 +186,7 @@ class Mapper {
 /// the same winner the serial enumeration finds first.
 class ExhaustiveMapper : public Mapper {
  public:
-  explicit ExhaustiveMapper(long long max_combinations = 2'000'000)
-      : max_combinations_(max_combinations) {}
+  explicit ExhaustiveMapper(long long max_combinations = 2'000'000);
 
   using Mapper::select;
   MappingResult select(const pmdl::ModelInstance& instance,
@@ -217,7 +229,10 @@ struct AnnealingOptions {
 
 /// Simulated annealing over swap/substitution moves, seeded deterministically
 /// (same inputs -> same selection). Escapes the local optima hill climbing
-/// can get stuck in on communication-shaped landscapes, at higher cost.
+/// can get stuck in on communication-shaped landscapes, at higher cost. It
+/// is one chain of the walk WorkStealingAnnealingMapper runs: one proposal
+/// per step, every non-parent candidate a substitution target, the chain
+/// seeded with `seed` and priced through the context's estimate cache.
 class AnnealingMapper : public Mapper {
  public:
   using Options = AnnealingOptions;
@@ -355,7 +370,7 @@ class WorkStealingAnnealingMapper : public Mapper {
 
 /// Tunables of PortfolioMapper.
 struct PortfolioOptions {
-  /// Concurrent annealing members; each runs with a seed derived by
+  /// Annealing restarts, each one AnnealingMapper chain seeded by
   /// PortfolioMapper::restart_seed so no two retrace the same trajectory.
   int annealing_restarts = 4;
   /// Base annealing tunables (the seed field is the derivation base).
@@ -371,14 +386,14 @@ struct PortfolioOptions {
   WorkStealingOptions work_stealing;
 };
 
-/// Races greedy, swap-refine, and `annealing_restarts` differently-seeded
-/// annealing runs — concurrently when the context has a pool — and returns
-/// the best result. Every member runs to completion and the reduction walks
+/// Runs greedy, swap-refine and `annealing_restarts` differently-seeded
+/// annealing chains one after another, each handed the full context (the
+/// restarts are chains of one walk, claimed over the pool), and returns the
+/// best result. Every member runs to completion and the reduction walks
 /// members in a fixed order (ties keep the earliest member), so the outcome
 /// is identical for 1 or N threads. Above scale_threshold candidates the
-/// member list becomes {greedy, beam, work-stealing annealing}, run in
-/// sequence with the pool handed *into* each member (they parallelise
-/// internally over batch chunks / chains) instead of racing serial members.
+/// member list becomes {greedy, beam, work-stealing annealing}, which
+/// parallelise internally over batch chunks and chains.
 class PortfolioMapper : public Mapper {
  public:
   using Options = PortfolioOptions;

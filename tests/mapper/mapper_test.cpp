@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "hnoc/cluster.hpp"
@@ -241,6 +242,25 @@ TEST(ExhaustiveMapper, RefusesHugeSearchSpaces) {
       ExhaustiveMapper(/*max_combinations=*/1000).select(inst, candidates, 0,
                                                          net, exact()),
       hmpi::InvalidArgument);
+}
+
+TEST(ExhaustiveMapper, SizeGuardHoldsAtTheLargestLimit) {
+  // 12 slots over 1000 candidates: 999 x 998 x ... x 989 arrangements, far
+  // beyond LLONG_MAX. The guard must refuse them before its running product
+  // overflows (the sanitizer build stops on a signed overflow).
+  hnoc::Cluster cluster = hnoc::testbeds::large_cluster(1000);
+  hnoc::NetworkModel net(cluster);
+  auto inst = compute_only_model(std::vector<double>(12, 1.0));
+  auto candidates = one_per_processor(cluster);
+  EXPECT_THROW(ExhaustiveMapper(std::numeric_limits<long long>::max())
+                   .select(inst, candidates, 0, net, exact()),
+               hmpi::InvalidArgument);
+}
+
+TEST(ExhaustiveMapper, RejectsALimitBelowOne) {
+  EXPECT_THROW(ExhaustiveMapper(0), hmpi::InvalidArgument);
+  EXPECT_THROW(ExhaustiveMapper(-1), hmpi::InvalidArgument);
+  EXPECT_NO_THROW(ExhaustiveMapper(1));
 }
 
 TEST(SwapRefineMapper, BeatsGreedyOnCommunicationBoundCase) {

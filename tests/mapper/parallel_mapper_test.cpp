@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -370,9 +371,65 @@ TEST(CompiledScoring, HillClimbersMatchReferenceInterpreter) {
                     s.instance, processors_of(fast, candidates), s.network,
                     s.options))
           << owned->name();
-      // One-at-a-time pricing never counts as batch work.
-      EXPECT_EQ(fast.stats.batch_chunks, 0) << owned->name();
-      EXPECT_EQ(fast.stats.batch_candidates, 0) << owned->name();
+      // Without an estimate cache every row is one row of a kernel batch,
+      // and these searches score one row per call.
+      EXPECT_EQ(fast.stats.batch_candidates, fast.stats.evaluations)
+          << owned->name();
+      EXPECT_EQ(fast.stats.batch_chunks, fast.stats.evaluations)
+          << owned->name();
+    }
+  }
+}
+
+TEST(SearchStats, EveryRowIsOneCacheLookupOrOneBatchRow) {
+  // One stats rule for every search: a scored row is either one estimate
+  // cache lookup (a hit, or a miss the kernel priced) or one row of a
+  // kernel batch call. Greedy, swap-refine, exhaustive and annealing price
+  // through a supplied cache; beam and annealing-ws never do.
+  support::Rng rng(37);
+  Scenario s(rng);
+  const auto candidates = s.candidates();
+  const std::vector<std::unique_ptr<const Mapper>> mappers = [] {
+    std::vector<std::unique_ptr<const Mapper>> m;
+    m.push_back(std::make_unique<GreedyMapper>());
+    m.push_back(std::make_unique<SwapRefineMapper>());
+    m.push_back(std::make_unique<ExhaustiveMapper>());
+    m.push_back(std::make_unique<AnnealingMapper>());
+    m.push_back(std::make_unique<BeamMapper>());
+    m.push_back(std::make_unique<WorkStealingAnnealingMapper>());
+    m.push_back(std::make_unique<PortfolioMapper>());
+    return m;
+  }();
+  for (const auto& mapper : mappers) {
+    const std::string name = mapper->name();
+    const bool batch_search = name == "beam" || name == "annealing-ws";
+    for (const int threads : {1, 4}) {
+      for (const bool cached : {false, true}) {
+        support::ThreadPool pool(threads);
+        est::EstimateCache cache;
+        SearchContext context;
+        context.pool = &pool;
+        context.cache = cached ? &cache : nullptr;
+        const SearchStats stats =
+            mapper->select(s.instance, candidates, 0, s.network, s.options,
+                           context)
+                .stats;
+        EXPECT_EQ(stats.evaluations,
+                  stats.cache_hits + stats.cache_misses +
+                      stats.batch_candidates)
+            << name;
+        EXPECT_EQ(stats.compiled_evaluations,
+                  stats.cache_misses + stats.batch_candidates)
+            << name;
+        EXPECT_LE(stats.batch_chunks, stats.batch_candidates) << name;
+        EXPECT_EQ(stats.batch_chunks > 0, stats.batch_candidates > 0) << name;
+        if (!cached || batch_search) {
+          EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0) << name;
+          EXPECT_EQ(stats.batch_candidates, stats.evaluations) << name;
+        } else if (name != "portfolio") {
+          EXPECT_EQ(stats.batch_candidates, 0) << name;
+        }
+      }
     }
   }
 }
