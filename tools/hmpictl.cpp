@@ -17,9 +17,11 @@
 // and --mapper portfolio|beam|annealing-ws to exercise the at-scale
 // selection path. --json writes the `{"scheduler": {...}}` document
 // (telemetry_check's scheduler shape) to PATH, or to stdout when PATH is
-// "-". Exit status 0 on success, 2 on usage errors.
+// "-". Exit status 0 on success, 2 on usage errors and on any input the
+// library rejects (an unknown mapper name, a bad HMPI_SCHED_* value), which
+// print one `hmpictl: <reason>` line.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -29,6 +31,7 @@
 #include "bench_util.hpp"
 #include "hnoc/cluster.hpp"
 #include "sched/scheduler.hpp"
+#include "support/error.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -46,6 +49,25 @@ int usage() {
   return 2;
 }
 
+/// Parses the value of `flag` whole (std::from_chars, so "5x" or a number
+/// out of range is refused) into *out when it is at least `min`; otherwise
+/// prints why and returns false.
+template <typename T>
+bool parse_whole(const char* flag, const char* text, T min, T* out) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [stop, error] = std::from_chars(text, end, value);
+  if (error == std::errc{} && stop == end && value >= min) {
+    *out = value;
+    return true;
+  }
+  std::fprintf(stderr,
+               "hmpictl: %s '%s' is not accepted (accepted: a whole decimal "
+               "integer >= %lld)\n",
+               flag, text, static_cast<long long>(min));
+  return false;
+}
+
 /// Same shape as the A13 cluster: three speed tiers and a 1 ms / 2 MB/s LAN.
 hnoc::Cluster make_cluster(int machines) {
   hnoc::ClusterBuilder b;
@@ -58,9 +80,7 @@ hnoc::Cluster make_cluster(int machines) {
   return b.build();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   sched::SchedConfig config;
   config.slots_per_machine = 2;
   config.execute = true;
@@ -90,20 +110,22 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--jobs") {
       const char* v = value();
-      if (v == nullptr || std::atoi(v) <= 0) return usage();
-      trace_options.jobs = std::atoi(v);
+      if (v == nullptr) return usage();
+      if (!parse_whole("--jobs", v, 1, &trace_options.jobs)) return 2;
     } else if (arg == "--seed") {
       const char* v = value();
       if (v == nullptr) return usage();
-      trace_options.seed = static_cast<std::uint64_t>(std::atoll(v));
+      if (!parse_whole("--seed", v, std::uint64_t{0}, &trace_options.seed)) {
+        return 2;
+      }
     } else if (arg == "--slots") {
       const char* v = value();
-      if (v == nullptr || std::atoi(v) <= 0) return usage();
-      config.slots_per_machine = std::atoi(v);
+      if (v == nullptr) return usage();
+      if (!parse_whole("--slots", v, 1, &config.slots_per_machine)) return 2;
     } else if (arg == "--machines") {
       const char* v = value();
-      if (v == nullptr || std::atoi(v) < 3) return usage();
-      machines = std::atoi(v);
+      if (v == nullptr) return usage();
+      if (!parse_whole("--machines", v, 3, &machines)) return 2;
     } else if (arg == "--large-cluster") {
       large_cluster = true;
     } else if (arg == "--mapper") {
@@ -175,4 +197,15 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const hmpi::Error& e) {
+    std::fprintf(stderr, "hmpictl: %s\n", e.what());
+    return 2;
+  }
 }
