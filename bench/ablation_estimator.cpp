@@ -12,8 +12,8 @@
 //     chosen mapping bit for bit. It prints only counts that are functions
 //     of the inputs: `evaluations` in every cell, `compiled_evals` only at 1
 //     thread or with the cache off. With the cache on at 2 or 8 threads,
-//     two racing portfolio members can both miss the same key and both
-//     price it, so that count varies from run to run.
+//     two portfolio annealing restarts running at once can both miss the
+//     same key and both price it, so that count varies from run to run.
 // Exit status 1 (FATAL on stderr) on any acceptance-bar violation.
 #include <chrono>
 #include <cstdio>

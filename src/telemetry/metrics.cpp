@@ -47,15 +47,14 @@ constexpr MetricSpec kCatalog[] = {
     {"est.compile.evaluations", kCounter, "count",
      "arrangements the estimator kernel priced (cache hits excluded)"},
     {"est.cache.hits", kCounter, "count",
-     "estimate-cache lookups of the one-at-a-time searches answered from the cache "
-     "(docs/mapper.md §4)"},
+     "estimate-cache lookups answered from the cache (docs/mapper.md §4)"},
     {"est.cache.misses", kCounter, "count",
      "estimate-cache lookups the kernel had to price"},
     {"mapper.batch.chunks", kCounter, "count",
-     "batch scoring requests of the beam and work-stealing searches "
-     "(docs/mapper.md)"},
+     "kernel batch calls of the searches that priced without the estimate "
+     "cache (docs/mapper.md §4)"},
     {"mapper.batch.candidates", kCounter, "count",
-     "selections scored through the batch path, each priced by the kernel"},
+     "rows priced in those batch calls, each priced by the kernel"},
     {"sim.dispatches", kCounter, "count",
      "event-engine fiber resumes (docs/simulator.md)"},
     {"sim.stalls", kCounter, "count", "structural-stall wakeups"},

@@ -204,9 +204,9 @@ TEST(ParallelPortfolio, BitIdenticalAcrossThreadCountsOnRandomScenarios) {
       SearchContext context;
       context.pool = &pool;
       context.cache = &cache;
-      const MappingResult raced = mapper.select(
+      const MappingResult pooled = mapper.select(
           s.instance, candidates, 0, s.network, s.options, context);
-      expect_bit_identical(serial, raced, "portfolio, pooled+cached");
+      expect_bit_identical(serial, pooled, "portfolio, pooled+cached");
     }
   }
 }
@@ -255,9 +255,9 @@ TEST(ParallelPortfolio, RestartZeroReproducesThePlainAnnealingMapper) {
   only_annealing.swap_refine_rounds = 1;
   const auto annealed = AnnealingMapper(only_annealing.annealing)
                             .select(s.instance, candidates, 0, s.network, s.options);
-  const auto raced = PortfolioMapper(only_annealing)
-                         .select(s.instance, candidates, 0, s.network, s.options);
-  EXPECT_LE(raced.estimated_time, annealed.estimated_time);
+  const auto portfolio = PortfolioMapper(only_annealing)
+                             .select(s.instance, candidates, 0, s.network, s.options);
+  EXPECT_LE(portfolio.estimated_time, annealed.estimated_time);
 }
 
 TEST(ParallelPortfolio, RejectsInvalidOptions) {
