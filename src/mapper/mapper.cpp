@@ -91,14 +91,14 @@ struct Pricing {
 };
 
 /// The one scorer: maps selections to physical processors and prices them
-/// on the estimator kernel. A search that revisits arrangements (greedy,
-/// swap-refine, exhaustive, annealing) hands it the context's estimate
-/// cache; each row is then one cache lookup, and a miss is priced by a
-/// count-1 kernel call and inserted (est::EstimateCache::estimate). Without
-/// a cache (beam and annealing-ws always, the others in an uncached
-/// context) all of a call's rows are priced in one est::BatchEvaluator
-/// call. A row's price does not depend on its batch, so both routes return
-/// the same values; they differ in cost and SearchStats only.
+/// on the estimator kernel. Greedy, swap-refine, exhaustive and annealing,
+/// whose arrangements recur, hand it the context's estimate cache; each row
+/// is then one cache lookup, and a miss is priced by a count-1 kernel call
+/// and inserted (est::EstimateCache::estimate). Without a cache (beam and
+/// annealing-ws always, the others in an uncached context) all of a call's
+/// rows are priced in one est::BatchEvaluator call. A row's price does not
+/// depend on its batch, so both routes return the same values; they differ
+/// in cost and SearchStats only.
 ///
 /// Not thread-safe: one scorer per search thread, chunk or chain (its
 /// scratch is reused across calls, so a steady state allocates nothing).
